@@ -73,17 +73,23 @@ def load_curve(args) -> geometry.PlaneCurve:
     return geometry.Parabola(c=args.a)
 
 
-def phase_seeds(fam: families.GeneratingFamily, density: int, cap: int = 4096) -> List[np.ndarray]:
-    """Coarse (q, x) grid over the family's domain box (shrunk 10%)."""
-    box = fam.field.box
-    if box is None:
-        box = tuple((-3.0, 3.0) for _ in range(fam.k + fam.n))
+def _domain(fam: families.GeneratingFamily):
+    return fam.field.box or tuple((-3.0, 3.0) for _ in range(fam.k + fam.n))
+
+
+def _box_grid(box, density: int) -> np.ndarray:
+    """The density^d mesh over a box, 5% in from each end; one row per point."""
     axes = []
     for lo, hi in box:
         m = 0.05 * (hi - lo)
         axes.append(np.linspace(lo + m, hi - m, density))
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def phase_seeds(fam: families.GeneratingFamily, density: int, cap: int = 4096) -> List[np.ndarray]:
+    """Coarse (q, x) grid over the family's domain box (shrunk 10%)."""
+    pts = _box_grid(_domain(fam), density)
     if len(pts) > cap:
         stride = int(np.ceil(len(pts) / cap))
         pts = pts[::stride]
@@ -91,22 +97,13 @@ def phase_seeds(fam: families.GeneratingFamily, density: int, cap: int = 4096) -
 
 
 def x_grid_and_q_seeds(fam: families.GeneratingFamily, density: int):
-    box = fam.field.box
-    if box is None:
-        box = tuple((-3.0, 3.0) for _ in range(fam.k + fam.n))
-    x_axes = []
-    for lo, hi in box[fam.k :]:
-        m = 0.05 * (hi - lo)
-        x_axes.append(np.linspace(lo + m, hi - m, density))
-    mesh = np.meshgrid(*x_axes, indexing="ij")
-    xg = np.stack([m.ravel() for m in mesh], axis=1)
+    """The x grid and q starting points of the critical-set solver: the
+    family's own seeds when it has them, else the same grid over q."""
+    box = _domain(fam)
+    xg = _box_grid(box[fam.k :], density)
     if fam.seeds:
-        qs = [np.asarray(s, dtype=float) for s in fam.seeds]
-    else:
-        q_axes = [np.linspace(lo * 0.9, hi * 0.9, density) for lo, hi in box[: fam.k]]
-        qm = np.meshgrid(*q_axes, indexing="ij")
-        qs = list(np.stack([m.ravel() for m in qm], axis=1))
-    return xg, qs
+        return xg, [np.asarray(s, dtype=float) for s in fam.seeds]
+    return xg, list(_box_grid(box[: fam.k], density))
 
 
 def _emit(args, rows, n, k, curves):
@@ -221,7 +218,7 @@ def cmd_discriminant(args) -> int:
     t_values = parse_range(args.t)
     dec = fronts.discriminant(gl, seeds, xg, qs, t_values)
     rows = [(fam.value(q, x), x, q, "caustic") for x, q in zip(dec.caustic.x, dec.caustic.q)]
-    rows += [(p.value, p.x, p.q, "maxwell") for p in pts_or(dec.maxwell)]
+    rows += [(p.value, p.x, p.q, "maxwell") for p in dec.maxwell]
     svg = []
     if fam.n == 2:
         svg.append((dec.caustic.x, "caustic"))
@@ -233,10 +230,6 @@ def cmd_discriminant(args) -> int:
     )
     _emit(args, rows, fam.n, fam.k, svg)
     return 0
-
-
-def pts_or(seq):
-    return seq if seq else []
 
 
 def cmd_evolute(args) -> int:

@@ -11,14 +11,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartFailure, FamilyFileError, NotOnSigmaStar
+from .errors import ChartFailure, DomainError, FamilyFileError, MaxIterations, NotOnSigmaStar, SingularJacobian
 from .fields import ScalarField, field_from_expr
 from .linalg import RANK_EPS, null_space, numerical_rank
-from .solve import newton_solve
-from .errors import MaxIterations, SingularJacobian, DomainError
+from .solve import dedup as dedup_indices, newton_solve
 
 DEDUP_RADIUS = 1e-6
-MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,25 +137,22 @@ def solve_critical_set(
     Output follows the deterministic grid order.
     """
     out: List[CriticalPoint] = []
+    frozen = list(range(fam.k, fam.k + fam.n))
+
+    def system(z):
+        return fam.grad_q(z[: fam.k], z[fam.k :])
+
     for x in x_grid:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         found: List[np.ndarray] = []
         for q0 in q_seeds:
-            q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-            z0 = np.concatenate([q0, x])
-            frozen = list(range(fam.k, fam.k + fam.n))
-
-            def system(z):
-                return fam.grad_q(z[: fam.k], z[fam.k :])
-
+            z0 = np.concatenate([np.atleast_1d(np.asarray(q0, dtype=float)), x])
             try:
-                z = newton_solve(system, z0, frozen=frozen)
+                found.append(newton_solve(system, z0, frozen=frozen)[: fam.k])
             except (SingularJacobian, MaxIterations, DomainError):
                 continue
-            q = z[: fam.k]
-            if any(np.linalg.norm(q - qf) < dedup for qf in found):
-                continue
-            found.append(q)
+        for i in dedup_indices(found, dedup):
+            q = found[i]
             H = fam.hess_qq(q, x)
             out.append(
                 CriticalPoint(

@@ -1,7 +1,8 @@
 """Evaluable smooth scalar fields with first and second derivatives.
 
 A field carries optional closed-form gradient/hessian closures; when absent,
-central finite differences with relative step ``h = 1e-5`` are used.
+``fd_jacobian`` (central differences, relative step ``FD_STEP``) is used.
+It is the package's one finite-difference routine.
 """
 
 from __future__ import annotations
@@ -26,12 +27,33 @@ def _check_finite(value, point):
     return value
 
 
+def _fd_steps(p: np.ndarray) -> np.ndarray:
+    return FD_STEP * np.maximum(1.0, np.abs(p))
+
+
+def fd_jacobian(fn: Callable, p) -> np.ndarray:
+    """Central finite-difference Jacobian of a scalar- or vector-valued ``fn``.
+
+    The step is ``FD_STEP * max(1, |p_i|)`` per coordinate; the result has one
+    row per output component (a single row for scalar ``fn``).
+    """
+    p = np.asarray(p, dtype=float)
+    h = _fd_steps(p)
+    cols = []
+    for i in range(p.size):
+        e = np.zeros(p.size)
+        e[i] = h[i]
+        df = np.asarray(fn(p + e), dtype=float) - np.asarray(fn(p - e), dtype=float)
+        cols.append(df / (2 * h[i]))
+    return np.atleast_2d(np.array(cols).T)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A smooth function R^m -> R on a box, with derivatives.
 
     ``fn`` takes a length-m vector.  ``grad_fn``/``hess_fn`` are optional
-    closed-form closures; finite differences are the fallback.
+    closed-form closures; ``fd_jacobian`` is the fallback.
     """
 
     arity: int
@@ -40,13 +62,6 @@ class ScalarField:
     hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     box: Optional[Box] = None
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self.grad_fn is not None
-
-    def _steps(self, p: np.ndarray) -> np.ndarray:
-        return FD_STEP * np.maximum(1.0, np.abs(p))
-
     def _check_box(self, p: np.ndarray, margin: np.ndarray | float = 0.0):
         if self.box is None:
             return
@@ -54,6 +69,9 @@ class ScalarField:
         hi = np.array([b[1] for b in self.box])
         if np.any(p - margin < lo) or np.any(p + margin > hi):
             raise DomainError(f"point {p!r} (margin {margin!r}) exits the domain box")
+
+    def _fd_grad(self, p: np.ndarray) -> np.ndarray:
+        return fd_jacobian(self.fn, p)[0]
 
     def value(self, point) -> float:
         p = np.asarray(point, dtype=float)
@@ -67,45 +85,18 @@ class ScalarField:
         if self.grad_fn is not None:
             self._check_box(p)
             return np.asarray(_check_finite(self.grad_fn(p), p), dtype=float)
-        h = self._steps(p)
-        self._check_box(p, h)
-        g = np.empty(self.arity)
-        for i in range(self.arity):
-            e = np.zeros(self.arity)
-            e[i] = h[i]
-            g[i] = (self.fn(p + e) - self.fn(p - e)) / (2 * h[i])
-        return _check_finite(g, p)
+        self._check_box(p, _fd_steps(p))
+        return _check_finite(self._fd_grad(p), p)
 
     def hessian(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
         if self.hess_fn is not None:
             self._check_box(p)
             return np.asarray(_check_finite(self.hess_fn(p), p), dtype=float)
-        h = self._steps(p)
-        self._check_box(p, h)
-        m = self.arity
-        H = np.empty((m, m))
-        if self.grad_fn is not None:
-            # differentiate the closed-form gradient once
-            for i in range(m):
-                e = np.zeros(m)
-                e[i] = h[i]
-                H[:, i] = (self.grad_fn(p + e) - self.grad_fn(p - e)) / (2 * h[i])
-        else:
-            f0 = self.fn(p)
-            for i in range(m):
-                ei = np.zeros(m)
-                ei[i] = h[i]
-                H[i, i] = (self.fn(p + ei) - 2 * f0 + self.fn(p - ei)) / h[i] ** 2
-                for j in range(i + 1, m):
-                    ej = np.zeros(m)
-                    ej[j] = h[j]
-                    H[i, j] = H[j, i] = (
-                        self.fn(p + ei + ej)
-                        - self.fn(p + ei - ej)
-                        - self.fn(p - ei + ej)
-                        + self.fn(p - ei - ej)
-                    ) / (4 * h[i] * h[j])
+        h = _fd_steps(p)
+        # differences of the FD gradient reach two steps from p
+        self._check_box(p, h if self.grad_fn is not None else 2 * h)
+        H = fd_jacobian(self.grad_fn or self._fd_grad, p)
         H = 0.5 * (H + H.T)
         return _check_finite(H, p)
 

@@ -17,10 +17,9 @@ from .errors import (
 )
 from .families import CriticalPoint, GeneratingFamily, GraphLikeFamily, solve_critical_set
 from .linalg import numerical_rank
-from .solve import Curve, continue_curve, newton_solve
+from .solve import Curve, continue_curve, dedup, newton_solve
 
 MEMBERSHIP_TOL = 1e-8
-GEOMETRIC_TOL = 1e-3
 PAIR_MIN_SEPARATION = 1e-3
 
 
@@ -71,14 +70,6 @@ def project_to_set(
         except (SingularJacobian, MaxIterations, DomainError):
             continue
     return out
-
-
-def _dedup(points: List[np.ndarray], radius: float) -> List[np.ndarray]:
-    kept: List[np.ndarray] = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > radius for q in kept):
-            kept.append(p)
-    return kept
 
 
 def _near_chain(p: np.ndarray, chains: List[np.ndarray], radius: float) -> bool:
@@ -144,7 +135,8 @@ def momentary_front(
     system = front_system(gl, t)
     if box is None:
         box = fam.field.box
-    projected = _dedup(project_to_set(system, seeds), 5 * step)
+    projected = project_to_set(system, seeds)
+    projected = [projected[i] for i in dedup(projected, 5 * step)]
     if n != 2:
         pts = np.array(projected) if projected else np.zeros((0, k + n))
         return [FrontCurve(t=t, x=pts[:, k:], q=pts[:, :k], closed=False)] if len(pts) else []
@@ -192,7 +184,8 @@ def caustic(
     system = caustic_system(fam)
     if box is None:
         box = fam.field.box
-    projected = _dedup(project_to_set(system, seeds), 5 * step)
+    projected = project_to_set(system, seeds)
+    projected = [projected[i] for i in dedup(projected, 5 * step)]
     xs, qs = [], []
     for c in _trace_all(system, projected, step, max_points, box):
         xs.append(c.points[:, k:])
@@ -233,7 +226,6 @@ def maxwell_set(
         )
 
     out: List[MaxwellPoint] = []
-    kept: List[np.ndarray] = []
     for group in by_x.values():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
@@ -251,13 +243,11 @@ def maxwell_set(
                 q, q2, x = w[:k], w[k : 2 * k], w[2 * k :]
                 if np.linalg.norm(q - q2) < min_separation:
                     continue
-                if abs(fam.value(q, x) - fam.value(q2, x)) > value_tol:
+                value = fam.value(q, x)
+                if abs(value - fam.value(q2, x)) > value_tol:
                     continue
-                if any(np.linalg.norm(x - kx) < dedup_radius for kx in kept):
-                    continue
-                kept.append(x)
-                out.append(MaxwellPoint(x=x, q=q, q2=q2, value=float(fam.value(q, x))))
-    return out
+                out.append(MaxwellPoint(x=x, q=q, q2=q2, value=value))
+    return [out[i] for i in dedup([p.x for p in out], dedup_radius)]
 
 
 def delta_set(

@@ -11,7 +11,7 @@ import numpy as np
 from . import expr as ex
 from .errors import MaxIterations, SingularJacobian, UnknownGerm
 from .fronts import polyline_self_intersections
-from .solve import newton_solve
+from .solve import bracket_roots, dedup, newton_solve
 
 _U = ("u1", "u2")
 
@@ -98,31 +98,6 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
     )
 
 
-def _line_roots(h: Callable, grid: np.ndarray) -> List[float]:
-    """Roots of a scalar function along a sampled line (bisection refine)."""
-    vals = np.array([h(s) for s in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if va * vb < 0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = va
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = h(m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
-
-
 def gallery_front(
     diagram: IntegralDiagram,
     t: float,
@@ -139,7 +114,7 @@ def gallery_front(
     branches: List[List[np.ndarray]] = []
     open_tips: List[float] = []
     for u1 in u1_grid:
-        roots = _line_roots(lambda s: diagram.mu_fn(np.array([u1, s])) - t, u2_scan)
+        roots = bracket_roots(lambda s: diagram.mu_fn(np.array([u1, s])) - t, u2_scan)
         assigned = [False] * len(branches)
         new_tips = list(open_tips)
         for u2 in roots:
@@ -174,17 +149,14 @@ def _caustic_points(
     pts = []
     f = diagram.det_dg_fn
     for u1 in u1_grid:
-        for u2 in _line_roots(lambda s: f(np.array([u1, s])), u2_grid):
+        for u2 in bracket_roots(lambda s: f(np.array([u1, s])), u2_grid):
             pts.append(diagram.front_map(np.array([u1, u2])))
     for u2 in u2_grid:
-        for u1 in _line_roots(lambda s: f(np.array([s, u2])), u1_grid):
+        for u1 in bracket_roots(lambda s: f(np.array([s, u2])), u1_grid):
             pts.append(diagram.front_map(np.array([u1, u2])))
     if not pts:
         return np.zeros((0, 2))
-    uniq = {}
-    for p in pts:
-        uniq[tuple(np.round(p, 9))] = p
-    return np.array(list(uniq.values()))
+    return np.array(pts)[dedup(pts, 1e-9)]
 
 
 def _maxwell_points(
@@ -229,10 +201,7 @@ def _maxwell_points(
                 out.append(diagram.front_map(w[:2]))
     if not out:
         return np.zeros((0, 2))
-    uniq = {}
-    for p in out:
-        uniq[tuple(np.round(p, 7))] = p
-    return np.array(list(uniq.values()))
+    return np.array(out)[dedup(out, 1e-7)]
 
 
 def envelope(diagram: IntegralDiagram, s_grid: Sequence[float]) -> np.ndarray:

@@ -6,7 +6,7 @@ Sign conventions (normative for this package):
 * plane curves are parameterized so that ``normal(u)`` is the *outward*
   normal (rightward of the travel direction; outward for the counterclockwise
   catalog parameterizations);
-* ``curvature`` returns the counterclockwise-signed curvature
+* ``PlaneCurve.curvature`` returns the counterclockwise-signed curvature
   ``(x'y'' - y'x'') / |X'|^3`` (positive for convex CCW curves);
 * parallels are ``X + r * normal``, so negative ``r`` offsets inward;
 * the evolute is the center of curvature ``X - (1/kappa) * normal``.
@@ -20,11 +20,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, DomainError, MaxIterations, SingularJacobian
 from .families import GeneratingFamily, GraphLikeFamily
-from .fields import ScalarField
-from .solve import newton_solve
-from .errors import DomainError, MaxIterations, SingularJacobian
+from .fields import ScalarField, fd_jacobian
+from .solve import bracket_roots, dedup, newton_solve
 
 
 class PlaneCurve:
@@ -187,8 +186,9 @@ class Sphere(Surface):
 class GraphSurface(Surface):
     """z = g(u1, u2) with closed-form partial closures.
 
-    ``grad_g``/``hess_g`` may be omitted; finite differences (step 1e-5) are
-    used then, with the documented accuracy loss.
+    ``grad_g``/``hess_g`` may be omitted; central differences
+    (``fields.fd_jacobian``, relative step 1e-5) are used then, with their
+    accuracy loss.
     """
 
     g: Callable[[float, float], float]
@@ -198,27 +198,13 @@ class GraphSurface(Surface):
     def _grad(self, u):
         if self.grad_g is not None:
             return np.asarray(self.grad_g(u[0], u[1]), dtype=float)
-        h = 1e-5
-        return np.array(
-            [
-                (self.g(u[0] + h, u[1]) - self.g(u[0] - h, u[1])) / (2 * h),
-                (self.g(u[0], u[1] + h) - self.g(u[0], u[1] - h)) / (2 * h),
-            ]
-        )
+        return fd_jacobian(lambda v: self.g(v[0], v[1]), u)[0]
 
     def _hess(self, u):
         if self.hess_g is not None:
             return np.asarray(self.hess_g(u[0], u[1]), dtype=float)
-        h = 1e-4
-        g = self.g
-        a, b = u
-        H = np.empty((2, 2))
-        H[0, 0] = (g(a + h, b) - 2 * g(a, b) + g(a - h, b)) / h**2
-        H[1, 1] = (g(a, b + h) - 2 * g(a, b) + g(a, b - h)) / h**2
-        H[0, 1] = H[1, 0] = (
-            g(a + h, b + h) - g(a + h, b - h) - g(a - h, b + h) + g(a - h, b - h)
-        ) / (4 * h**2)
-        return H
+        H = fd_jacobian(self._grad, u)
+        return 0.5 * (H + H.T)
 
     def point(self, u):
         return np.array([u[0], u[1], self.g(u[0], u[1])])
@@ -273,19 +259,6 @@ class Ellipsoid(Surface):
 # Operations
 
 
-@dataclass
-class CurvatureData:
-    kappas: np.ndarray  # (n-1,) principal curvatures (signed kappa for n=2)
-    directions: Optional[np.ndarray] = None
-
-
-def curvature(surface, u) -> CurvatureData:
-    if isinstance(surface, PlaneCurve):
-        return CurvatureData(kappas=np.array([surface.curvature(float(np.atleast_1d(u)[0]))]))
-    k = surface.principal_curvatures(np.asarray(u, dtype=float))
-    return CurvatureData(kappas=k)
-
-
 def evolute(surface, u_grid: Sequence, branch: int = 0, min_kappa: float = 1e-10) -> np.ndarray:
     """Focal points X + (1/kappa_i) * n_kappa per chart sample; zero-curvature
     samples are skipped."""
@@ -325,27 +298,8 @@ def parallels(surface, r_values: Sequence[float], u_grid: Sequence) -> List[Tupl
 def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.ndarray]:
     """Singular points of the offset at distance r: solutions of
     1 + r * kappa(u) = 0, refined by bisection between grid samples."""
-    vals = [1.0 + r * curve.curvature(float(u)) for u in u_grid]
-    out = []
-    for i in range(len(u_grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            u_star = float(u_grid[i])
-        elif va * vb < 0:
-            a, b = float(u_grid[i]), float(u_grid[i + 1])
-            fa = va
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = 1.0 + r * curve.curvature(m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            u_star = 0.5 * (a + b)
-        else:
-            continue
-        out.append(curve.point(u_star) + r * curve.normal(u_star))
-    return out
+    roots = bracket_roots(lambda u: 1.0 + r * curve.curvature(float(u)), u_grid)
+    return [curve.point(u) + r * curve.normal(u) for u in roots]
 
 
 def distance_squared_family(
@@ -426,7 +380,7 @@ def tangent_sphere_check(
     v = np.asarray(v, dtype=float)
     fam, _ = distance_squared_family(surface)
     k = fam.k
-    hits: List[np.ndarray] = []
+    found: List[np.ndarray] = []
     for u0 in u_grid:
         u0 = np.atleast_1d(np.asarray(u0, dtype=float))
         z0 = np.concatenate([u0, v])
@@ -442,8 +396,7 @@ def tangent_sphere_check(
         u = z[:k]
         if abs(fam.value(u, v) - r * r) > max(radius_tol, 1e-10 * r * r):
             continue
-        if any(np.linalg.norm(u - h) < min_separation for h in hits):
-            continue
-        hits.append(u)
+        found.append(u)
+    hits = [found[i] for i in dedup(found, min_separation)]
     multiple = len(hits) >= 2
     return {"tangency_points": hits, "multiple": multiple}

@@ -26,14 +26,6 @@ class QuasiLinearPDE:
     b: ScalarField
     phi: ScalarField  # arity n
 
-    def coeffs(self, x: np.ndarray, y: float, t: float):
-        p = np.concatenate([x, [y, t]])
-        avec = np.array([ai.value(p) for ai in self.a])
-        bval = self.b.value(p)
-        agrad = np.array([ai.grad(p) for ai in self.a])  # (n, n+2)
-        bgrad = self.b.grad(p)
-        return avec, bval, agrad, bgrad
-
 
 @dataclass
 class CharacteristicStrip:
@@ -163,17 +155,10 @@ def breaking_time(sheet: GeometricSolutionSheet) -> Optional[float]:
         if sign_change.size == 0:
             continue
         i = int(sign_change[0])
-        # linear interpolation inside the bracketing step, then bisection
+        # root of the linear interpolant inside the bracketing step
         ta, tb = strip.ts[i], strip.ts[i + 1]
         da, db = d[i], d[i + 1]
-        while tb - ta > 1e-9:
-            tm = 0.5 * (ta + tb)
-            dm = da + (db - da) * (tm - strip.ts[i]) / (strip.ts[i + 1] - strip.ts[i])
-            if np.sign(dm) == np.sign(da):
-                ta, da = tm, dm
-            else:
-                tb, db = tm, dm
-        t_star = 0.5 * (ta + tb)
+        t_star = ta + (tb - ta) * da / (da - db)
         if best is None or t_star < best:
             best = t_star
     return best

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from .fields import FD_STEP
+from .fields import fd_jacobian
 from .linalg import null_space, numerical_rank
 
 NEWTON_TOL = 1e-10
@@ -22,18 +22,43 @@ NEWTON_MAX_ITER = 50
 SINGULAR_RATIO = 1e-12
 
 
-def fd_jacobian(system: Callable, p: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian, step 1e-5 relative per coordinate."""
-    p = np.asarray(p, dtype=float)
-    r0 = np.asarray(system(p), dtype=float)
-    m = p.size
-    J = np.empty((r0.size, m))
-    for i in range(m):
-        h = FD_STEP * max(1.0, abs(p[i]))
-        e = np.zeros(m)
-        e[i] = h
-        J[:, i] = (np.asarray(system(p + e)) - np.asarray(system(p - e))) / (2 * h)
-    return J
+def bracket_roots(h: Callable, grid: Sequence[float]) -> List[float]:
+    """Roots of a scalar function sampled on an increasing grid.
+
+    An exact zero at a sample (the last one included) is a root; every sign
+    change between neighbouring samples is refined by 80 bisection steps.
+    """
+    vals = np.array([h(s) for s in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0:
+            a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                fm = h(m)
+                if fa * fm <= 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    if len(vals) and vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def dedup(points: Sequence, radius: float) -> List[int]:
+    """Indices of a greedy keep-first cover of ``points``: a point is kept
+    when it lies farther than ``radius`` from every point kept before it."""
+    if len(points) == 0:
+        return []
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    kept = [0]
+    for i in range(1, len(pts)):
+        if np.min(np.linalg.norm(pts[kept] - pts[i], axis=1)) > radius:
+            kept.append(i)
+    return kept
 
 
 def _in_box(p: np.ndarray, box) -> bool:

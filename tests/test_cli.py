@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavefronts import emitters
-from wavefronts.cli import parse_range, run
+from wavefronts.cli import load_family, parse_range, run, x_grid_and_q_seeds
 from wavefronts.errors import IoError
 
 
@@ -107,6 +107,22 @@ def test_family_file_input(tmp_path):
         "domain = [[-4, 4], [-6, 6], [-6, 6]]\nseeds = [[-1.0], [1.0]]\n"
     )
     assert run(["verify", "--family", str(fam)]) == 0
+
+
+def test_q_seeds_cover_asymmetric_domain(tmp_path, capsys):
+    # the cusp shifted by 2.5 in q, on a q-domain that is not centred on 0
+    path = tmp_path / "shifted.fam"
+    path.write_text(
+        "k = 1\nn = 2\nexpr = (q1 - 5/2)^4 + x1*(q1 - 5/2)^2 + x2*(q1 - 5/2)\n"
+        "domain = [[0.5, 4.5], [-6, 6], [-6, 6]]\n"
+    )
+    fam = load_family(str(path))
+    xg, qs = x_grid_and_q_seeds(fam, 8)
+    for seed in [np.concatenate([q, x]) for q in qs for x in xg]:
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(seed, fam.field.box))
+    assert run(["verify", "--family", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("pass (24/24 points)") == 3
 
 
 def test_emit_csv_empty_has_header_only(tmp_path):

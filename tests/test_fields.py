@@ -33,6 +33,18 @@ def test_fd_hessian_symmetric():
     assert H[0, 1] == pytest.approx(2 * 1.3 * np.cos(0.7), rel=1e-5)
 
 
+def test_hessian_differentiates_closed_form_gradient():
+    # closed-form gradient but no hess_fn: the Hessian is one FD pass over grad_fn
+    fld = ScalarField(
+        arity=2,
+        fn=lambda p: np.sin(p[0]) * p[1] ** 2,
+        grad_fn=lambda p: np.array([np.cos(p[0]) * p[1] ** 2, 2 * np.sin(p[0]) * p[1]]),
+    )
+    x, y = 0.7, 1.3
+    exact = [[-np.sin(x) * y**2, 2 * np.cos(x) * y], [2 * np.cos(x) * y, 2 * np.sin(x)]]
+    assert fld.hessian(np.array([x, y])) == pytest.approx(np.array(exact), abs=1e-8)
+
+
 def test_box_violation_raises():
     fld = field_from_callable(lambda p: p[0] ** 2, 1, box=((-1.0, 1.0),))
     with pytest.raises(DomainError):

@@ -35,13 +35,15 @@ def test_burgers_characteristics_are_lines():
         assert s.dets[-1] == pytest.approx(1 + 2 * 0.3 * math.cos(s.x0[0]), abs=1e-8)
 
 
-def test_breaking_time_oracle():
-    eq = pde.burgers()
+@pytest.mark.parametrize("speed", [1.8, 2.0, 2.2])
+def test_breaking_time_oracle(speed):
+    eq = pde.burgers(speed)
     sheet = pde.integrate_characteristics(
         eq, np.linspace(0, 2 * np.pi, 400), (0, 1.0), dt=1e-3
     )
     t_star = pde.breaking_time(sheet)
-    assert t_star == pytest.approx(0.5, abs=1e-3)
+    # the earliest fold is at x0 = pi, where 1 + speed * t * cos(x0) = 0
+    assert t_star == pytest.approx(1 / speed, abs=5e-5)
 
 
 def test_no_breaking_before_fold():

@@ -7,7 +7,7 @@ from wavefronts.errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from wavefronts.solve import continue_curve, fd_jacobian, newton_solve
+from wavefronts.solve import bracket_roots, continue_curve, dedup, fd_jacobian, newton_solve
 
 
 def circle(z):
@@ -18,6 +18,27 @@ def test_fd_jacobian_linear_system_exact():
     A = np.array([[2.0, -1.0], [0.5, 3.0]])
     J = fd_jacobian(lambda z: A @ z, np.array([0.3, -0.7]))
     assert J == pytest.approx(A, abs=1e-9)
+
+
+def test_bracket_roots_exact_zeros_and_sign_changes():
+    grid = np.linspace(-1.0, 2.0, 7)  # samples at -1, -0.5, 0, ..., 2
+    # exact zeros at an interior sample (0) and at the last sample (2)
+    assert bracket_roots(lambda s: s * (s - 2.0), grid) == [0.0, 2.0]
+    # a sign change between samples is bisected to machine precision
+    (root,) = bracket_roots(lambda s: s * s - 2.0, grid)
+    assert abs(root - np.sqrt(2.0)) < 1e-12
+    assert bracket_roots(lambda s: s * s + 1.0, grid) == []
+
+
+def test_dedup_keeps_first_and_drops_at_radius():
+    pts = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.5], [2.0, 0.0], [1.9, 0.0]]
+    # points 1 and 3 sit exactly at the radius from point 0 and are dropped;
+    # point 2 is tested against kept points only; point 5 is near point 4
+    assert dedup(pts, 0.5) == [0, 2, 4]
+    assert dedup(pts, 0.05) == [0, 1, 2, 3, 4, 5]
+    # keep-first: reversing the input keeps a different cover
+    assert dedup(np.array(pts)[::-1], 0.5) == [0, 2, 3]
+    assert dedup([], 1.0) == []
 
 
 def test_newton_quadratic():
