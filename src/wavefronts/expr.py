@@ -41,11 +41,7 @@ class Expr:
 
     def compile(self, var_order: Sequence[str]) -> Callable:
         """Compile to a fast ``f(v) -> float`` over a flat argument vector."""
-        index = {name: i for i, name in enumerate(var_order)}
-        missing = self.variables() - set(index)
-        if missing:
-            raise UndeclaredVariable(sorted(missing)[0])
-        return eval("lambda v: " + self._code(index), {})  # noqa: S307
+        return compile_nested(self, var_order)
 
     def evaluate(self, env: dict) -> float:
         order = sorted(env)
@@ -408,6 +404,26 @@ def family_variables(k: int, n: int, has_t: bool = False) -> list:
 def parse_family(text: str, k: int, n: int, has_t: bool = False) -> Expr:
     """Parse a generating-family expression in variables q1..qk, x1..xn [, t]."""
     return parse_expr(text, family_variables(k, n, has_t))
+
+
+def compile_nested(exprs, var_order: Sequence[str]) -> Callable:
+    """Compile an expression, or a nested list of them, to one fused closure.
+
+    ``f(v)`` returns a float for a single expression and nested tuples of the
+    same shape as ``exprs`` otherwise, so a whole gradient or Hessian costs one
+    Python call.
+    """
+    index = {name: i for i, name in enumerate(var_order)}
+
+    def code(e) -> str:
+        if isinstance(e, Expr):
+            missing = e.variables() - set(index)
+            if missing:
+                raise UndeclaredVariable(sorted(missing)[0])
+            return e._code(index)
+        return "(" + "".join(code(item) + ", " for item in e) + ")"
+
+    return eval("lambda v: " + code(exprs), {})  # noqa: S307
 
 
 def n_terms(e: Expr) -> int:

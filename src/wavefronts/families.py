@@ -6,7 +6,7 @@ from __future__ import annotations
 import ast as _pyast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -14,14 +14,18 @@ from . import expr as ex
 from .errors import ChartFailure, DomainError, FamilyFileError, MaxIterations, NotOnSigmaStar, SingularJacobian
 from .fields import ScalarField, field_from_expr
 from .linalg import RANK_EPS, null_space, numerical_rank
-from .solve import dedup as dedup_indices, newton_solve
+from .solve import System, dedup as dedup_indices, newton_solve
 
 DEDUP_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
 class GeneratingFamily:
-    """F(q, x) with k internal and n space variables."""
+    """F(q, x) with k internal and n space variables.
+
+    When the field carries third partials (``field.third_fn``) they cover the
+    k internal variables: ``d_z d2F/dq_a dq_b``, shape (k, k, k+n).
+    """
 
     k: int
     n: int
@@ -124,6 +128,19 @@ def nondegeneracy_check(
     return numerical_rank(J, eps) == fam.k + 1
 
 
+def critical_system(fam: GeneratingFamily) -> Callable:
+    """The k equations dF/dq = 0 in z = (q, x), with the exact Jacobian
+    (the q rows of the Hessian) when the field has a closed-form Hessian."""
+    fld, k = fam.field, fam.k
+
+    def system(z):
+        return fld.grad(z)[:k]
+
+    if fld.hess_fn is None:
+        return system
+    return System(system, lambda z: fld.hessian(z)[:k])
+
+
 def solve_critical_set(
     fam: GeneratingFamily,
     x_grid: Sequence,
@@ -138,10 +155,7 @@ def solve_critical_set(
     """
     out: List[CriticalPoint] = []
     frozen = list(range(fam.k, fam.k + fam.n))
-
-    def system(z):
-        return fam.grad_q(z[: fam.k], z[fam.k :])
-
+    system = critical_system(fam)
     for x in x_grid:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         found: List[np.ndarray] = []
@@ -176,6 +190,7 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
         grad_fn=base.grad_fn,
         hess_fn=base.hess_fn,
         box=base.box,
+        third_fn=base.third_fn,
     )
     return GeneratingFamily(k=fam.k, n=fam.n, field=fld, name=f"{fam.name}-shift", seeds=fam.seeds)
 
@@ -230,8 +245,24 @@ def family_from_text(
     seeds: Sequence = (),
 ) -> GeneratingFamily:
     e = ex.parse_family(text, k, n)
-    fld = field_from_expr(e, ex.family_variables(k, n), box=box)
-    return GeneratingFamily(k=k, n=n, field=fld, name=name, seeds=tuple(np.atleast_1d(np.asarray(s, float)) for s in seeds))
+    fld = field_from_expr(e, ex.family_variables(k, n), box=box, third_rows=k)
+    return GeneratingFamily(k=k, n=n, field=fld, name=name, seeds=_check_seeds(seeds, k))
+
+
+def _check_seeds(seeds: Sequence, k: int) -> tuple:
+    """Seeds as length-k float vectors; FamilyFileError names the first bad one."""
+    if not isinstance(seeds, (list, tuple, np.ndarray)):
+        raise FamilyFileError(f"seeds must be a list of vectors, got {seeds!r}")
+    out = []
+    for i, s in enumerate(seeds):
+        try:
+            v = np.atleast_1d(np.asarray(s, dtype=float))
+        except (TypeError, ValueError) as e:
+            raise FamilyFileError(f"seed {i} {s!r} is not a vector of numbers") from e
+        if v.ndim != 1 or v.size != k:
+            raise FamilyFileError(f"seed {i} {s!r} has length {v.size}, expected k = {k}")
+        out.append(v)
+    return tuple(out)
 
 
 def _parse_value(raw: str):

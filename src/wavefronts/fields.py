@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteValue
-from .expr import Expr
+from .expr import Expr, compile_nested
 
 FD_STEP = 1e-5
 
@@ -22,7 +22,8 @@ Box = Tuple[Tuple[float, float], ...]
 
 
 def _check_finite(value, point):
-    if not np.all(np.isfinite(value)):
+    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not finite:
         raise NonFiniteValue(f"non-finite field value at {np.asarray(point)!r}")
     return value
 
@@ -53,7 +54,10 @@ class ScalarField:
     """A smooth function R^m -> R on a box, with derivatives.
 
     ``fn`` takes a length-m vector.  ``grad_fn``/``hess_fn`` are optional
-    closed-form closures; ``fd_jacobian`` is the fallback.
+    closed-form closures; ``fd_jacobian`` is the fallback.  The optional
+    ``third_fn`` returns the third partials ``d_c d_a d_b f`` for ``a, b`` among
+    the first r variables and every ``c``, as an (r, r, m) array; it has no
+    fallback.
     """
 
     arity: int
@@ -61,13 +65,19 @@ class ScalarField:
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     box: Optional[Box] = None
+    third_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        # built once: the box check runs on every evaluation
+        if self.box is not None:
+            object.__setattr__(self, "_bounds", tuple((float(lo), float(hi)) for lo, hi in self.box))
 
     def _check_box(self, p: np.ndarray, margin: np.ndarray | float = 0.0):
         if self.box is None:
             return
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        if np.any(p - margin < lo) or np.any(p + margin > hi):
+        # float comparisons: for a few coordinates much cheaper than array ones
+        h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
+        if any(v - d < lo or v + d > hi for v, d, (lo, hi) in zip(p.tolist(), h, self._bounds)):
             raise DomainError(f"point {p!r} (margin {margin!r}) exits the domain box")
 
     def _fd_grad(self, p: np.ndarray) -> np.ndarray:
@@ -100,25 +110,47 @@ class ScalarField:
         H = 0.5 * (H + H.T)
         return _check_finite(H, p)
 
+    def third(self, point) -> np.ndarray:
+        """The (r, r, m) third partials of ``third_fn`` (which must be set)."""
+        p = np.asarray(point, dtype=float)
+        self._check_box(p)
+        return np.asarray(_check_finite(self.third_fn(p), p), dtype=float)
+
 
 def field_from_expr(
-    e: Expr, var_order: Sequence[str], box: Optional[Box] = None
+    e: Expr, var_order: Sequence[str], box: Optional[Box] = None, third_rows: int = 0
 ) -> ScalarField:
-    """Build a field with exact symbolic first/second derivatives from an AST."""
+    """Build a field with exact symbolic derivatives from an AST.
+
+    Each derivative order is one fused closure.  The Hessian is compiled from
+    its upper triangle and mirrored, so it is exactly symmetric.  With
+    ``third_rows = r > 0`` the field also carries the third partials
+    ``d_c d_a d_b f`` for ``a, b < r`` (``third_fn``).
+    """
     m = len(var_order)
     f = e.compile(var_order)
     grads = [e.diff(v) for v in var_order]
-    gfns = [g.compile(var_order) for g in grads]
-    hfns = [[grads[i].diff(v).compile(var_order) for v in var_order] for i in range(m)]
+    upper = {(i, j): grads[i].diff(var_order[j]) for i in range(m) for j in range(i, m)}
+    hess = [[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    g = compile_nested(grads, var_order)
+    h = compile_nested(hess, var_order)
+    third_fn = None
+    if third_rows:
+        r = third_rows
+        d3 = {(a, b): [upper[a, b].diff(v) for v in var_order] for a in range(r) for b in range(a, r)}
+        t = compile_nested([[d3[min(a, b), max(a, b)] for b in range(r)] for a in range(r)], var_order)
 
-    def grad_fn(p):
-        return np.array([g(p) for g in gfns], dtype=float)
+        def third_fn(p):
+            return np.array(t(p), dtype=float)
 
-    def hess_fn(p):
-        H = np.array([[hij(p) for hij in row] for row in hfns], dtype=float)
-        return 0.5 * (H + H.T)
-
-    return ScalarField(arity=m, fn=lambda p: float(f(p)), grad_fn=grad_fn, hess_fn=hess_fn, box=box)
+    return ScalarField(
+        arity=m,
+        fn=lambda p: float(f(p)),
+        grad_fn=lambda p: np.array(g(p), dtype=float),
+        hess_fn=lambda p: np.array(h(p), dtype=float),
+        box=box,
+        third_fn=third_fn,
+    )
 
 
 def field_from_callable(

@@ -16,8 +16,8 @@ from .errors import (
     SingularJacobian,
 )
 from .families import CriticalPoint, GeneratingFamily, GraphLikeFamily, solve_critical_set
-from .linalg import numerical_rank
-from .solve import Curve, continue_curve, dedup, newton_solve
+from .linalg import adjugate, numerical_rank
+from .solve import Curve, System, continue_curve, dedup, newton_solve
 
 MEMBERSHIP_TOL = 1e-8
 PAIR_MIN_SEPARATION = 1e-3
@@ -105,15 +105,23 @@ def _trace_all(
 
 
 def front_system(gl: GraphLikeFamily, t: float) -> Callable:
-    """(k+1) equations (dF/dq, F - t) in z = (q, x)."""
-    fam = gl.base
-    k = fam.k
+    """(k+1) equations (dF/dq, F - t) in z = (q, x).
+
+    With a closed-form Hessian the system carries its exact Jacobian: the q
+    rows of the Hessian over the gradient of F.
+    """
+    fld, k = gl.base.field, gl.base.k
 
     def system(z):
-        q, x = z[:k], z[k:]
-        return np.concatenate([fam.grad_q(q, x), [fam.value(q, x) - t]])
+        return np.concatenate([fld.grad(z)[:k], [fld.value(z) - t]])
 
-    return system
+    if fld.hess_fn is None:
+        return system
+
+    def jac(z):
+        return np.vstack([fld.hessian(z)[:k], fld.grad(z)])
+
+    return System(system, jac)
 
 
 def momentary_front(
@@ -161,15 +169,26 @@ def big_front(
 
 
 def caustic_system(fam: GeneratingFamily) -> Callable:
-    k = fam.k
+    """(k+1) equations (dF/dq, det d2F/dq2) in z = (q, x).
+
+    With closed-form second and third partials the system carries its exact
+    Jacobian; the det row is ``d det H = tr(adj(H) dH)``, which stays defined
+    on the caustic itself, where H = d2F/dq2 is singular.
+    """
+    fld, k = fam.field, fam.k
 
     def system(z):
-        q, x = z[:k], z[k:]
-        return np.concatenate(
-            [fam.grad_q(q, x), [np.linalg.det(fam.hess_qq(q, x))]]
-        )
+        return np.concatenate([fld.grad(z)[:k], [np.linalg.det(fld.hessian(z)[:k, :k])]])
 
-    return system
+    if fld.hess_fn is None or fld.third_fn is None:
+        return system
+
+    def jac(z):
+        H = fld.hessian(z)[:k]
+        det_row = np.einsum("ba,abc->c", adjugate(H[:, :k]), fld.third(z))
+        return np.vstack([H, det_row])
+
+    return System(system, jac)
 
 
 def caustic(
@@ -195,6 +214,32 @@ def caustic(
     return PointCloud(x=np.vstack(xs), q=np.vstack(qs), chains=xs)
 
 
+def pairing_system(fam: GeneratingFamily) -> Callable:
+    """(2k+1) equations (dF/dq(q, x), dF/dq(q', x), F(q, x) - F(q', x)) in
+    w = (q, q', x), with the exact Jacobian when the field has a closed-form
+    Hessian."""
+    fld, k, n = fam.field, fam.k, fam.n
+
+    def system(w):
+        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
+        return np.concatenate([fld.grad(za)[:k], fld.grad(zb)[:k], [fld.value(za) - fld.value(zb)]])
+
+    if fld.hess_fn is None:
+        return system
+
+    def jac(w):
+        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
+        ga, gb = fld.grad(za), fld.grad(zb)
+        Ha, Hb = fld.hessian(za)[:k], fld.hessian(zb)[:k]
+        J = np.zeros((2 * k + 1, 2 * k + n))
+        J[:k, :k], J[:k, 2 * k :] = Ha[:, :k], Ha[:, k:]
+        J[k : 2 * k, k : 2 * k], J[k : 2 * k, 2 * k :] = Hb[:, :k], Hb[:, k:]
+        J[2 * k] = np.concatenate([ga[:k], -gb[:k], ga[k:] - gb[k:]])
+        return J
+
+    return System(system, jac)
+
+
 def maxwell_set(
     fam: GeneratingFamily,
     x_grid: Sequence,
@@ -214,17 +259,7 @@ def maxwell_set(
     by_x: dict = {}
     for cp in cps:
         by_x.setdefault(tuple(np.round(cp.x, 12)), []).append(cp)
-
-    def pairing(w):
-        q, q2, x = w[:k], w[k : 2 * k], w[2 * k :]
-        return np.concatenate(
-            [
-                fam.grad_q(q, x),
-                fam.grad_q(q2, x),
-                [fam.value(q, x) - fam.value(q2, x)],
-            ]
-        )
-
+    pairing = pairing_system(fam)
     out: List[MaxwellPoint] = []
     for group in by_x.values():
         for i in range(len(group)):

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateMetric, DomainError, MaxIterations, SingularJacobian
-from .families import GeneratingFamily, GraphLikeFamily
+from .families import GeneratingFamily, GraphLikeFamily, critical_system
 from .fields import ScalarField, fd_jacobian
 from .solve import bracket_roots, dedup, newton_solve
 
@@ -31,6 +31,9 @@ class PlaneCurve:
 
     ambient = 2
     periodic: Optional[float] = None
+    # optional third derivative ``d3(u)``; with it the distance-squared family
+    # carries the third partials its caustic Jacobian needs
+    d3: Optional[Callable[[float], np.ndarray]] = None
 
     def point(self, u: float) -> np.ndarray:
         raise NotImplementedError
@@ -74,6 +77,9 @@ class Circle(PlaneCurve):
     def d2(self, u):
         return -self.point(u)
 
+    def d3(self, u):
+        return -self.d1(u)
+
 
 @dataclass
 class Ellipse(PlaneCurve):
@@ -92,6 +98,9 @@ class Ellipse(PlaneCurve):
     def d2(self, u):
         return -self.point(u)
 
+    def d3(self, u):
+        return -self.d1(u)
+
 
 @dataclass
 class Parabola(PlaneCurve):
@@ -107,6 +116,9 @@ class Parabola(PlaneCurve):
 
     def d2(self, u):
         return np.array([0.0, 2 * self.c])
+
+    def d3(self, u):
+        return np.zeros(2)
 
 
 class Surface:
@@ -305,7 +317,12 @@ def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.nda
 def distance_squared_family(
     surface, v_box=None, u_span: float = 30.0, name: str = ""
 ) -> Tuple[GeneratingFamily, GraphLikeFamily]:
-    """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives."""
+    """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
+
+    Plane curves with a ``d3`` also get the third partials d_z D_uu; surfaces
+    do not, so their caustic Jacobian falls back to finite differences.
+    """
+    third_fn = None
     if isinstance(surface, PlaneCurve):
         k, n = 1, 2
 
@@ -317,6 +334,15 @@ def distance_squared_family(
 
         def D2X(u):
             return surface.d2(float(u[0]))[None, None, :]
+
+        if surface.d3 is not None:
+
+            def third_fn(p):
+                u, v = float(p[0]), p[1:]
+                d1, d2 = surface.d1(u), surface.d2(u)
+                # D_uu = 2 (X'' . (X - v) + X' . X')
+                du = 2 * (surface.d3(u) @ (surface.point(u) - v) + 3 * (d1 @ d2))
+                return np.concatenate([[du], -2 * d2])[None, None, :]
 
     else:
         k, n = 2, 3
@@ -362,7 +388,7 @@ def distance_squared_family(
         extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
         v_box = tuple((-extent, extent) for _ in range(n))
     box = tuple((-u_span, u_span) for _ in range(k)) + tuple(v_box)
-    field = ScalarField(arity=k + n, fn=fn, grad_fn=grad_fn, hess_fn=hess_fn, box=box)
+    field = ScalarField(arity=k + n, fn=fn, grad_fn=grad_fn, hess_fn=hess_fn, box=box, third_fn=third_fn)
     fam = GeneratingFamily(k=k, n=n, field=field, name=name or f"dist2-{type(surface).__name__.lower()}")
     return fam, GraphLikeFamily(base=fam)
 
@@ -380,15 +406,12 @@ def tangent_sphere_check(
     v = np.asarray(v, dtype=float)
     fam, _ = distance_squared_family(surface)
     k = fam.k
+    system = critical_system(fam)
+    frozen = list(range(k, k + fam.n))
     found: List[np.ndarray] = []
     for u0 in u_grid:
         u0 = np.atleast_1d(np.asarray(u0, dtype=float))
         z0 = np.concatenate([u0, v])
-        frozen = list(range(k, k + fam.n))
-
-        def system(z):
-            return fam.grad_q(z[:k], z[k:])
-
         try:
             z = newton_solve(system, z0, frozen=frozen)
         except (SingularJacobian, MaxIterations, DomainError):

@@ -30,3 +30,20 @@ def null_space(M, eps: float = RANK_EPS) -> np.ndarray:
     if s.size and s[0] > 0:
         r = int(np.sum(s > eps * s[0]))
     return vt[r:].T
+
+
+def adjugate(M) -> np.ndarray:
+    """Transposed cofactor matrix, so ``d det M = tr(adj(M) dM)``.
+
+    Unlike ``det M * inv(M)`` it is defined (and exact) on singular M.
+    """
+    A = np.atleast_2d(np.asarray(M, dtype=float))
+    k = A.shape[0]
+    if k == 1:
+        return np.ones((1, 1))
+    cof = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
+            cof[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return cof.T

@@ -61,6 +61,22 @@ def dedup(points: Sequence, radius: float) -> List[int]:
     return kept
 
 
+@dataclass(frozen=True)
+class System:
+    """A residual map that carries its exact Jacobian.
+
+    Calling it evaluates the residual; ``jac(z)`` has one row per equation
+    and one column per unknown.  ``newton_solve`` and ``continue_curve`` use
+    ``jac`` in place of finite differences of the residual.
+    """
+
+    residual: Callable[[np.ndarray], np.ndarray]
+    jac: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, z):
+        return self.residual(z)
+
+
 def _in_box(p: np.ndarray, box) -> bool:
     if box is None:
         return True
@@ -79,13 +95,17 @@ def newton_solve(
     """Solve ``system(p) = 0`` from ``seed`` with some coordinates frozen.
 
     Under-determined steps use the least-norm update; frozen coordinates are
-    never touched.  Raises SingularJacobian, MaxIterations or DomainError.
+    never touched.  The Jacobian is ``jac``, else the one a ``System`` carries,
+    else central differences (``fd_jacobian``).  Raises SingularJacobian,
+    MaxIterations or DomainError.
     """
     p = np.asarray(seed, dtype=float).copy()
     m = p.size
-    free = np.array([i for i in range(m) if i not in set(frozen)], dtype=int)
+    frozen = set(frozen)
+    free = np.array([i for i in range(m) if i not in frozen], dtype=int)
     if free.size == 0:
         raise ValueError("all coordinates frozen")
+    jac = jac if jac is not None else getattr(system, "jac", None)
     jac_fn = jac if jac is not None else (lambda q: fd_jacobian(system, q))
     for _ in range(max_iter):
         res = np.asarray(system(p), dtype=float)
@@ -94,10 +114,10 @@ def newton_solve(
         if np.linalg.norm(res, ord=np.inf) < tol:
             return p
         J = np.asarray(jac_fn(p), dtype=float)[:, free]
-        s = np.linalg.svd(J, compute_uv=False)
+        # lstsq returns the singular values of J with the least-norm step
+        step, _, _, s = np.linalg.lstsq(J, -res, rcond=None)
         if s.size == 0 or s[0] == 0.0 or s[min(res.size, free.size) - 1] < SINGULAR_RATIO * s[0]:
             raise SingularJacobian(f"singular Jacobian at {p!r}")
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         p = p.copy()
         p[free] += step
         if not _in_box(p, box):
@@ -137,6 +157,9 @@ def continue_curve(
 
     ``system`` maps R^m -> R^(m-1).  Terminates on box exit, closure (return
     within step/2 of the seed after at least 10 points) or ``max_points``.
+    With a Jacobian (``jac`` or a ``System``'s own) the corrector solves the
+    bordered system ``[J(w); tau^T]`` (Keller's pseudo-arclength corrector);
+    without one, every Jacobian is a central difference.
     """
     z0 = np.asarray(seed, dtype=float).copy()
     res = np.asarray(system(z0), dtype=float)
@@ -144,6 +167,7 @@ def continue_curve(
         raise ValueError("system must have exactly one fewer equation than unknowns")
     if np.linalg.norm(res, ord=np.inf) > seed_tol:
         raise SeedNotOnCurve(f"seed residual {np.linalg.norm(res, np.inf):.3e}")
+    jac = jac if jac is not None else getattr(system, "jac", None)
     jac_fn = jac if jac is not None else (lambda q: fd_jacobian(system, q))
     if numerical_rank(jac_fn(z0)) < z0.size - 1:
         raise RankDeficientSeed(f"Jacobian rank-deficient at seed {z0!r}")
@@ -169,6 +193,8 @@ def continue_curve(
                         [np.asarray(system(w), dtype=float), [tau_fixed @ (w - pred)]]
                     )
 
+                if jac is not None:
+                    corr = System(corr, lambda w: np.vstack([jac(w), tau_fixed]))
                 try:
                     znew = newton_solve(corr, pred, tol=residual_tol * 1e-2)
                     advanced = True

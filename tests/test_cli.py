@@ -109,6 +109,16 @@ def test_family_file_input(tmp_path):
     assert run(["verify", "--family", str(fam)]) == 0
 
 
+def test_family_file_wrong_seed_length_is_named(tmp_path, capsys):
+    fam = tmp_path / "badseeds.fam"
+    fam.write_text("k = 1\nn = 2\nexpr = q1^4 + x1*q1^2 + x2*q1\nseeds = [[0.5, 1.0], [1.0, 2.0]]\n")
+    for command in ("maxwell", "verify"):
+        assert run([command, "--family", str(fam)]) != 0
+        captured = capsys.readouterr()
+        assert "FamilyFileError" in captured.err and "seed 0" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
 def test_q_seeds_cover_asymmetric_domain(tmp_path, capsys):
     # the cusp shifted by 2.5 in q, on a q-domain that is not centred on 0
     path = tmp_path / "shifted.fam"

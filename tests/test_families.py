@@ -128,3 +128,21 @@ def test_family_file_bad_line(tmp_path):
     p.write_text("k : 1\n")
     with pytest.raises(FamilyFileError):
         families.family_from_file(p)
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ("[[0.5, 1.0], [1.0, 2.0]]", r"seed 0 .* length 2, expected k = 1"),
+        ("[[0.5], [1.0, 2.0]]", r"seed 1 .* length 2, expected k = 1"),
+        ("[[0.5], ['a']]", r"seed 1 .* not a vector of numbers"),
+        ("5", "seeds must be a list"),
+    ],
+)
+def test_family_file_seed_length_must_be_k(tmp_path, seeds, message):
+    p = tmp_path / "badseeds.txt"
+    p.write_text(f"k = 1\nn = 2\nexpr = q1^4 + x1*q1^2 + x2*q1\nseeds = {seeds}\n")
+    with pytest.raises(FamilyFileError, match=message):
+        families.family_from_file(p)
+    with pytest.raises(FamilyFileError, match="seed"):
+        families.family_from_text("q1^4 + x1*q1^2 + x2*q1", 1, 2, seeds=[[0.0], [1.0, 2.0]])

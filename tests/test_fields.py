@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import expr as ex
 from wavefronts.errors import DomainError, NonFiniteValue
@@ -10,11 +12,14 @@ RNG = np.random.default_rng(42)
 
 def test_expr_field_gradient_and_hessian():
     e = ex.parse_expr("q1^3 + q1*x1 + x1^2", ("q1", "x1"))
-    f = field_from_expr(e, ("q1", "x1"))
+    f = field_from_expr(e, ("q1", "x1"), third_rows=1)
     p = np.array([1.5, -0.5])
     assert f.value(p) == pytest.approx(1.5**3 - 0.75 + 0.25)
     assert f.grad(p) == pytest.approx([3 * 1.5**2 - 0.5, 1.5 - 1.0])
     assert np.allclose(f.hessian(p), [[9.0, 1.0], [1.0, 2.0]])
+    # d/dq1 and d/dx1 of d2f/dq1^2 = 6 q1
+    assert f.third(p).tolist() == [[[6.0, 0.0]]]
+    assert field_from_expr(e, ("q1", "x1")).third_fn is None
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -52,6 +57,27 @@ def test_box_violation_raises():
     # FD probes need margin inside the box edge
     with pytest.raises(DomainError):
         fld.grad([1.0])
+
+
+BOX = ((-1.0, 1.0), (-2.0, 0.5), (0.0, 3.0))
+# box edges and points just inside and outside them
+COORD = st.sampled_from([-2.0, -1.0, -1.0 + 1e-5, 0.0, 0.5 - 1e-5, 0.5, 1.0, 1.0 + 1e-5, 3.0, 3.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.lists(COORD, min_size=3, max_size=3), fd_margin=st.booleans())
+def test_box_check_matches_array_reference(p, fd_margin):
+    p = np.array(p)
+    margin = 1e-5 * np.maximum(1.0, np.abs(p)) if fd_margin else 0.0
+    lo, hi = np.array([b[0] for b in BOX]), np.array([b[1] for b in BOX])
+    outside = bool(np.any(p - margin < lo) or np.any(p + margin > hi))
+    fld = ScalarField(arity=3, fn=lambda q: 0.0, box=BOX)
+    try:
+        fld._check_box(p, margin)
+    except DomainError:
+        assert outside
+    else:
+        assert not outside
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")

@@ -7,11 +7,24 @@ from wavefronts.errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from wavefronts.solve import bracket_roots, continue_curve, dedup, fd_jacobian, newton_solve
+from wavefronts import cli, fields, fronts, solve
+from wavefronts.solve import System, bracket_roots, continue_curve, dedup, fd_jacobian, newton_solve
 
 
 def circle(z):
     return np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
+
+
+def circle_jac(z):
+    return np.array([[2 * z[0], 2 * z[1]]])
+
+
+@pytest.fixture
+def no_fd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fd_jacobian called although a Jacobian was given")
+
+    monkeypatch.setattr(solve, "fd_jacobian", refuse)
 
 
 def test_fd_jacobian_linear_system_exact():
@@ -113,3 +126,45 @@ def test_continuation_stops_at_box():
     assert not c.closed
     assert np.all(np.abs(c.points[:, 0]) <= 1.0 + 1e-9)
     assert len(c.points) >= 15
+
+
+def test_corrector_uses_the_given_jacobian(no_fd):
+    for system, jac in ((circle, circle_jac), (System(circle, circle_jac), None)):
+        c = continue_curve(system, np.array([1.0, 0.0]), step=0.05, max_points=500, jac=jac)
+        assert c.closed
+        assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) < 1e-8
+
+
+def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
+    assert cli.run(["caustic", "--family", "cusp"]) == 0
+    assert "caustic: 809 points" in capsys.readouterr().out
+
+
+# Field evaluations (value, gradient, Hessian, third partials) per traced
+# point of `caustic --family cusp`: 19.5 with exact Jacobians (63.6 with
+# central differences), plus 25 % headroom.
+FIELD_CALLS_PER_POINT = 24.4
+
+
+def test_caustic_scene_field_calls_per_point(monkeypatch, capsys):
+    calls = [0]
+    for name in ("value", "grad", "hessian", "third"):
+        method = getattr(fields.ScalarField, name)
+
+        def counted(self, point, _method=method):
+            calls[0] += 1
+            return _method(self, point)
+
+        monkeypatch.setattr(fields.ScalarField, name, counted)
+    traced = [0]
+    trace = fronts.continue_curve
+
+    def counted_trace(*args, **kwargs):
+        curve = trace(*args, **kwargs)
+        traced[0] += len(curve.points)
+        return curve
+
+    monkeypatch.setattr(fronts, "continue_curve", counted_trace)
+    assert cli.run(["caustic", "--family", "cusp"]) == 0
+    assert traced[0] == 809
+    assert calls[0] / traced[0] < FIELD_CALLS_PER_POINT

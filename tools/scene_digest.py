@@ -1,6 +1,6 @@
 """Hash the CLI output of a fixed scene list, for byte-identity checks.
 
-Usage:  python3 tools/scene_digest.py
+Usage:  python3 tools/scene_digest.py [--compare FILE]
 
 Each scene runs in-process through ``wavefronts.cli.run`` (the package is
 imported from the ``src/`` next to this file), with CSV and SVG written to a
@@ -9,12 +9,19 @@ temporary directory.  One line per scene is printed:
     scene  sha256(stdout)  sha256(csv)  sha256(svg)
 
 ``wrote ...`` lines are dropped from stdout before hashing because they name
-the temporary paths; a file the scene does not write hashes as ``-``.  Run it
-on two checkouts and diff the tables.  Takes about 30 s.
+the temporary paths; a file the scene does not write hashes as ``-``.  Takes
+about 30 s.
+
+``--compare FILE`` reads a table saved from an earlier run (blank lines and
+lines of fewer than four fields are ignored) and prints, instead of the whole
+table, only the scenes whose line differs: the saved line prefixed ``-``, the
+current one ``+``, and the columns that changed.  It exits 1 on any
+difference, a saved scene that no longer runs included, and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -58,11 +65,50 @@ def digest(name: str, argv: list, tmp: Path) -> str:
     return f"{name}  {_sha(text.encode())}  {_sha(files[0])}  {_sha(files[1])}{status}"
 
 
-def main() -> None:
+COLUMNS = ("stdout", "csv", "svg", "exit")
+
+
+def read_table(path) -> dict:
+    """Scene name -> fields of each line of a saved table."""
+    rows = {}
+    for line in Path(path).read_text().splitlines():
+        fields = line.split()
+        if len(fields) >= 4:
+            rows[fields[0]] = fields
+    return rows
+
+
+def changed_columns(old: list, new: list) -> list:
+    pad = [""] * len(COLUMNS)
+    return [c for c, a, b in zip(COLUMNS, (old[1:] + pad), (new[1:] + pad)) if a != b]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash the CLI output of a fixed scene list.")
+    parser.add_argument("--compare", metavar="FILE", help="saved table; print only the scenes that differ")
+    args = parser.parse_args(argv)
+    saved = read_table(args.compare) if args.compare else None
+    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in SCENES:
-            print(digest(name, argv, Path(tmp)), flush=True)
+        for name, scene_argv in SCENES:
+            line = digest(name, scene_argv, Path(tmp))
+            if saved is None:
+                print(line, flush=True)
+                continue
+            old = saved.pop(name, None)
+            if old != line.split():
+                differ += 1
+                cols = changed_columns(old, line.split()) if old else ["scene"]
+                print(f"- {'  '.join(old) if old else '(not in ' + args.compare + ')'}")
+                print(f"+ {line}")
+                print(f"  {name}: {', '.join(cols)} differ", flush=True)
+    for name, old in (saved or {}).items():
+        differ += 1
+        print(f"- {'  '.join(old)}\n+ (no such scene)\n  {name}: scene missing")
+    if saved is not None:
+        print(f"{differ} scene(s) differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
