@@ -235,16 +235,10 @@ def cmd_discriminant(args) -> int:
 def cmd_evolute(args) -> int:
     curve = load_curve(args)
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
-    rows = []
-    pts = []
-    for u in u_grid:
-        if abs(curve.curvature(float(u))) < 1e-10:
-            continue
-        p = curve.evolute_point(float(u))
-        rows.append((0.0, p, [u], "caustic"))
-        pts.append(p)
-    print(f"evolute: {len(pts)} points")
-    _emit(args, rows, 2, 1, [(np.array(pts), "caustic")] if pts else [])
+    samples = list(geometry.evolute_samples(curve, u_grid))
+    print(f"evolute: {len(samples)} points")
+    rows = [(0.0, p, [u], "caustic") for u, p in samples]
+    _emit(args, rows, 2, 1, [(np.array([p for _, p in samples]), "caustic")] if samples else [])
     return 0
 
 

@@ -394,16 +394,13 @@ def parse_expr(text: str, variables: Iterable[str]) -> Expr:
     return _Parser(text, variables).parse()
 
 
-def family_variables(k: int, n: int, has_t: bool = False) -> list:
-    names = [f"q{i + 1}" for i in range(k)] + [f"x{j + 1}" for j in range(n)]
-    if has_t:
-        names.append("t")
-    return names
+def family_variables(k: int, n: int) -> list:
+    return [f"q{i + 1}" for i in range(k)] + [f"x{j + 1}" for j in range(n)]
 
 
-def parse_family(text: str, k: int, n: int, has_t: bool = False) -> Expr:
-    """Parse a generating-family expression in variables q1..qk, x1..xn [, t]."""
-    return parse_expr(text, family_variables(k, n, has_t))
+def parse_family(text: str, k: int, n: int) -> Expr:
+    """Parse a generating-family expression in variables q1..qk, x1..xn."""
+    return parse_expr(text, family_variables(k, n))
 
 
 def compile_nested(exprs, var_order: Sequence[str]) -> Callable:

@@ -4,9 +4,9 @@ Lagrangian / graph-like unfolding maps."""
 from __future__ import annotations
 
 import ast as _pyast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -128,17 +128,11 @@ def nondegeneracy_check(
     return numerical_rank(J, eps) == fam.k + 1
 
 
-def critical_system(fam: GeneratingFamily) -> Callable:
-    """The k equations dF/dq = 0 in z = (q, x), with the exact Jacobian
-    (the q rows of the Hessian) when the field has a closed-form Hessian."""
+def critical_system(fam: GeneratingFamily) -> System:
+    """The k equations dF/dq = 0 in z = (q, x); the Jacobian is the q rows of
+    the field's Hessian."""
     fld, k = fam.field, fam.k
-
-    def system(z):
-        return fld.grad(z)[:k]
-
-    if fld.hess_fn is None:
-        return system
-    return System(system, lambda z: fld.hessian(z)[:k])
+    return System(lambda z: fld.grad(z)[:k], lambda z: fld.hessian(z)[:k])
 
 
 def solve_critical_set(

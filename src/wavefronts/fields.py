@@ -1,14 +1,16 @@
-"""Evaluable smooth scalar fields with first and second derivatives.
+"""Evaluable smooth scalar fields with derivatives up to the third order.
 
-A field carries optional closed-form gradient/hessian closures; when absent,
-``fd_jacobian`` (central differences, relative step ``FD_STEP``) is used.
-It is the package's one finite-difference routine.
+A field carries optional closed-form gradient/Hessian/third-partial closures;
+when one is absent, ``fd_jacobian`` (central differences, relative step
+``FD_STEP``) of the order below is used.  This is the only module that knows
+whether a derivative is closed-form, and ``fd_jacobian`` is the package's one
+finite-difference routine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +58,8 @@ class ScalarField:
     ``fn`` takes a length-m vector.  ``grad_fn``/``hess_fn`` are optional
     closed-form closures; ``fd_jacobian`` is the fallback.  The optional
     ``third_fn`` returns the third partials ``d_c d_a d_b f`` for ``a, b`` among
-    the first r variables and every ``c``, as an (r, r, m) array; it has no
-    fallback.
+    the first r variables and every ``c``, as an (r, r, m) array; without it
+    ``third`` differences the Hessian and covers all m variables (r = m).
     """
 
     arity: int
@@ -111,10 +113,15 @@ class ScalarField:
         return _check_finite(H, p)
 
     def third(self, point) -> np.ndarray:
-        """The (r, r, m) third partials of ``third_fn`` (which must be set)."""
+        """The (r, r, m) third partials ``d_c d_a d_b f``: ``third_fn``, else
+        central differences of ``hessian`` with r = m."""
         p = np.asarray(point, dtype=float)
-        self._check_box(p)
-        return np.asarray(_check_finite(self.third_fn(p), p), dtype=float)
+        if self.third_fn is not None:
+            self._check_box(p)
+            return np.asarray(_check_finite(self.third_fn(p), p), dtype=float)
+        # each probe p +- h e_c checks the box through ``hessian``
+        m = p.size
+        return fd_jacobian(lambda q: self.hessian(q).ravel(), p).reshape(m, m, m)
 
 
 def field_from_expr(

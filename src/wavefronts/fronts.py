@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from .families import CriticalPoint, GeneratingFamily, GraphLikeFamily, solve_critical_set
+from .families import GeneratingFamily, GraphLikeFamily, solve_critical_set
 from .linalg import adjugate, numerical_rank
 from .solve import Curve, System, continue_curve, dedup, newton_solve
 
@@ -104,24 +104,14 @@ def _trace_all(
     return chains
 
 
-def front_system(gl: GraphLikeFamily, t: float) -> Callable:
-    """(k+1) equations (dF/dq, F - t) in z = (q, x).
-
-    With a closed-form Hessian the system carries its exact Jacobian: the q
-    rows of the Hessian over the gradient of F.
-    """
+def front_system(gl: GraphLikeFamily, t: float) -> System:
+    """(k+1) equations (dF/dq, F - t) in z = (q, x).  The Jacobian is the q
+    rows of the Hessian over the gradient of F."""
     fld, k = gl.base.field, gl.base.k
-
-    def system(z):
-        return np.concatenate([fld.grad(z)[:k], [fld.value(z) - t]])
-
-    if fld.hess_fn is None:
-        return system
-
-    def jac(z):
-        return np.vstack([fld.hessian(z)[:k], fld.grad(z)])
-
-    return System(system, jac)
+    return System(
+        lambda z: np.concatenate([fld.grad(z)[:k], [fld.value(z) - t]]),
+        lambda z: np.vstack([fld.hessian(z)[:k], fld.grad(z)]),
+    )
 
 
 def momentary_front(
@@ -168,11 +158,10 @@ def big_front(
     return out
 
 
-def caustic_system(fam: GeneratingFamily) -> Callable:
+def caustic_system(fam: GeneratingFamily) -> System:
     """(k+1) equations (dF/dq, det d2F/dq2) in z = (q, x).
 
-    With closed-form second and third partials the system carries its exact
-    Jacobian; the det row is ``d det H = tr(adj(H) dH)``, which stays defined
+    The Jacobian's det row is ``d det H = tr(adj(H) dH)``, which stays defined
     on the caustic itself, where H = d2F/dq2 is singular.
     """
     fld, k = fam.field, fam.k
@@ -180,12 +169,9 @@ def caustic_system(fam: GeneratingFamily) -> Callable:
     def system(z):
         return np.concatenate([fld.grad(z)[:k], [np.linalg.det(fld.hessian(z)[:k, :k])]])
 
-    if fld.hess_fn is None or fld.third_fn is None:
-        return system
-
     def jac(z):
         H = fld.hessian(z)[:k]
-        det_row = np.einsum("ba,abc->c", adjugate(H[:, :k]), fld.third(z))
+        det_row = np.einsum("ba,abc->c", adjugate(H[:, :k]), fld.third(z)[:k, :k])
         return np.vstack([H, det_row])
 
     return System(system, jac)
@@ -214,18 +200,14 @@ def caustic(
     return PointCloud(x=np.vstack(xs), q=np.vstack(qs), chains=xs)
 
 
-def pairing_system(fam: GeneratingFamily) -> Callable:
+def pairing_system(fam: GeneratingFamily) -> System:
     """(2k+1) equations (dF/dq(q, x), dF/dq(q', x), F(q, x) - F(q', x)) in
-    w = (q, q', x), with the exact Jacobian when the field has a closed-form
-    Hessian."""
+    w = (q, q', x), with the Jacobian built from the field's Hessian."""
     fld, k, n = fam.field, fam.k, fam.n
 
     def system(w):
         za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
         return np.concatenate([fld.grad(za)[:k], fld.grad(zb)[:k], [fld.value(za) - fld.value(zb)]])
-
-    if fld.hess_fn is None:
-        return system
 
     def jac(w):
         za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]

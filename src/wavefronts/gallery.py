@@ -40,7 +40,6 @@ class IntegralDiagram:
     mu: ex.Expr
     g: Tuple[ex.Expr, ex.Expr]
     mu_fn: Callable
-    mu_du: Tuple[Callable, Callable]
     g_fn: Callable
     det_dg_fn: Callable
 
@@ -78,7 +77,6 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
     if alpha is not None and germ_id in (4, 5, 6):
         mu = ex.add(mu, alpha.subst({"v1": g[0], "v2": g[1]}))
     mu_fn = mu.compile(_U)
-    mu_du = (mu.diff("u1").compile(_U), mu.diff("u2").compile(_U))
     g_fns = tuple(c.compile(_U) for c in g)
     # det of the Jacobian of the front map, symbolically
     det = ex.sub(
@@ -92,7 +90,6 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
         mu=mu,
         g=g,
         mu_fn=mu_fn,
-        mu_du=mu_du,
         g_fn=lambda u: np.array([g_fns[0](u), g_fns[1](u)]),
         det_dg_fn=det_fn,
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DomainError, MaxIterations, SingularJacobian
 from .families import GeneratingFamily, GraphLikeFamily, critical_system
-from .fields import ScalarField, fd_jacobian
+from .fields import ScalarField
 from .solve import bracket_roots, dedup, newton_solve
 
 
@@ -196,10 +196,10 @@ class Sphere(Surface):
 
 @dataclass
 class GraphSurface(Surface):
-    """z = g(u1, u2) with closed-form partial closures.
+    """z = g(u1, u2) with optional closed-form partial closures.
 
-    ``grad_g``/``hess_g`` may be omitted; central differences
-    (``fields.fd_jacobian``, relative step 1e-5) are used then, with their
+    The height is held in a ``ScalarField``; ``grad_g``/``hess_g`` may be
+    omitted, and the field's central differences are used then, with their
     accuracy loss.
     """
 
@@ -207,26 +207,24 @@ class GraphSurface(Surface):
     grad_g: Optional[Callable] = None
     hess_g: Optional[Callable] = None
 
-    def _grad(self, u):
-        if self.grad_g is not None:
-            return np.asarray(self.grad_g(u[0], u[1]), dtype=float)
-        return fd_jacobian(lambda v: self.g(v[0], v[1]), u)[0]
-
-    def _hess(self, u):
-        if self.hess_g is not None:
-            return np.asarray(self.hess_g(u[0], u[1]), dtype=float)
-        H = fd_jacobian(self._grad, u)
-        return 0.5 * (H + H.T)
+    def __post_init__(self):
+        g, grad_g, hess_g = self.g, self.grad_g, self.hess_g
+        self.height = ScalarField(
+            arity=2,
+            fn=lambda u: g(u[0], u[1]),
+            grad_fn=None if grad_g is None else (lambda u: grad_g(u[0], u[1])),
+            hess_fn=None if hess_g is None else (lambda u: hess_g(u[0], u[1])),
+        )
 
     def point(self, u):
         return np.array([u[0], u[1], self.g(u[0], u[1])])
 
     def du(self, u):
-        gu = self._grad(u)
+        gu = self.height.grad(u)
         return np.array([[1.0, 0.0, gu[0]], [0.0, 1.0, gu[1]]])
 
     def d2(self, u):
-        H = self._hess(u)
+        H = self.height.hessian(u)
         out = np.zeros((2, 2, 3))
         out[:, :, 2] = H
         return out
@@ -271,16 +269,22 @@ class Ellipsoid(Surface):
 # Operations
 
 
+def evolute_samples(curve: PlaneCurve, u_grid: Sequence, min_kappa: float = 1e-10):
+    """Yield ``(u, curve.evolute_point(u))`` per sample; samples with
+    ``|kappa| < min_kappa`` are skipped."""
+    for u in u_grid:
+        u = float(np.atleast_1d(u)[0])
+        if abs(curve.curvature(u)) < min_kappa:
+            continue
+        yield u, curve.evolute_point(u)
+
+
 def evolute(surface, u_grid: Sequence, branch: int = 0, min_kappa: float = 1e-10) -> np.ndarray:
     """Focal points X + (1/kappa_i) * n_kappa per chart sample; zero-curvature
     samples are skipped."""
     pts = []
     if isinstance(surface, PlaneCurve):
-        for u in u_grid:
-            u = float(np.atleast_1d(u)[0])
-            if abs(surface.curvature(u)) < min_kappa:
-                continue
-            pts.append(surface.evolute_point(u))
+        pts = [p for _, p in evolute_samples(surface, u_grid, min_kappa)]
     else:
         for u in u_grid:
             u = np.asarray(u, dtype=float)
@@ -320,7 +324,8 @@ def distance_squared_family(
     """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
 
     Plane curves with a ``d3`` also get the third partials d_z D_uu; surfaces
-    do not, so their caustic Jacobian falls back to finite differences.
+    do not, so their caustic Jacobian uses central differences of the Hessian
+    (``ScalarField.third``).
     """
     third_fn = None
     if isinstance(surface, PlaneCurve):

@@ -240,13 +240,7 @@ def sp_plus_versality_check(
     _check_singular(fpoly, len(qvars))
     allvars = tuple(qvars) + ("t",)
     space = JetSpace(allvars, ell)
-    rows = []
-    for v in qvars:
-        dpoly = expand(f.diff(v), allvars)
-        if not dpoly:
-            continue
-        for mono in space.basis:
-            rows.append(space.project(mono_shift(dpoly, mono)))
+    rows = _jacobian_rows(space, qvars, f)
     fbar = expand(ex.sub(f, ex.Var("t")), allvars)
     for mono in space.basis:
         rows.append(space.project(mono_shift(fbar, mono)))

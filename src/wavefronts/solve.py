@@ -63,11 +63,11 @@ def dedup(points: Sequence, radius: float) -> List[int]:
 
 @dataclass(frozen=True)
 class System:
-    """A residual map that carries its exact Jacobian.
+    """A residual map that carries its Jacobian (exact, or central differences).
 
     Calling it evaluates the residual; ``jac(z)`` has one row per equation
-    and one column per unknown.  ``newton_solve`` and ``continue_curve`` use
-    ``jac`` in place of finite differences of the residual.
+    and one column per unknown.  It is what ``newton_solve`` and
+    ``continue_curve`` solve (see ``as_system``).
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -75,6 +75,14 @@ class System:
 
     def __call__(self, z):
         return self.residual(z)
+
+
+def as_system(fn: Callable) -> System:
+    """``fn`` itself if it is a ``System``, else ``fn`` with the central
+    difference Jacobian ``fd_jacobian``."""
+    if isinstance(fn, System):
+        return fn
+    return System(fn, lambda z: fd_jacobian(fn, z))
 
 
 def _in_box(p: np.ndarray, box) -> bool:
@@ -87,7 +95,6 @@ def newton_solve(
     system: Callable,
     seed,
     frozen: Sequence[int] = (),
-    jac: Optional[Callable] = None,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
     box=None,
@@ -95,9 +102,8 @@ def newton_solve(
     """Solve ``system(p) = 0`` from ``seed`` with some coordinates frozen.
 
     Under-determined steps use the least-norm update; frozen coordinates are
-    never touched.  The Jacobian is ``jac``, else the one a ``System`` carries,
-    else central differences (``fd_jacobian``).  Raises SingularJacobian,
-    MaxIterations or DomainError.
+    never touched.  The Jacobian is the one ``as_system(system)`` carries.
+    Raises SingularJacobian, MaxIterations or DomainError.
     """
     p = np.asarray(seed, dtype=float).copy()
     m = p.size
@@ -105,15 +111,14 @@ def newton_solve(
     free = np.array([i for i in range(m) if i not in frozen], dtype=int)
     if free.size == 0:
         raise ValueError("all coordinates frozen")
-    jac = jac if jac is not None else getattr(system, "jac", None)
-    jac_fn = jac if jac is not None else (lambda q: fd_jacobian(system, q))
+    system = as_system(system)
     for _ in range(max_iter):
         res = np.asarray(system(p), dtype=float)
         if res.size > free.size:
             raise ValueError("over-determined system: more equations than free unknowns")
         if np.linalg.norm(res, ord=np.inf) < tol:
             return p
-        J = np.asarray(jac_fn(p), dtype=float)[:, free]
+        J = np.asarray(system.jac(p), dtype=float)[:, free]
         # lstsq returns the singular values of J with the least-norm step
         step, _, _, s = np.linalg.lstsq(J, -res, rcond=None)
         if s.size == 0 or s[0] == 0.0 or s[min(res.size, free.size) - 1] < SINGULAR_RATIO * s[0]:
@@ -149,7 +154,6 @@ def continue_curve(
     step: float,
     max_points: int,
     box=None,
-    jac: Optional[Callable] = None,
     seed_tol: float = 1e-6,
     residual_tol: float = 1e-8,
 ) -> Curve:
@@ -157,44 +161,37 @@ def continue_curve(
 
     ``system`` maps R^m -> R^(m-1).  Terminates on box exit, closure (return
     within step/2 of the seed after at least 10 points) or ``max_points``.
-    With a Jacobian (``jac`` or a ``System``'s own) the corrector solves the
-    bordered system ``[J(w); tau^T]`` (Keller's pseudo-arclength corrector);
-    without one, every Jacobian is a central difference.
+    The corrector solves the bordered system ``[J(w); tau^T]`` (Keller's
+    pseudo-arclength corrector) with the Jacobian of ``as_system(system)``.
     """
+    system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
     res = np.asarray(system(z0), dtype=float)
     if res.size != z0.size - 1:
         raise ValueError("system must have exactly one fewer equation than unknowns")
     if np.linalg.norm(res, ord=np.inf) > seed_tol:
         raise SeedNotOnCurve(f"seed residual {np.linalg.norm(res, np.inf):.3e}")
-    jac = jac if jac is not None else getattr(system, "jac", None)
-    jac_fn = jac if jac is not None else (lambda q: fd_jacobian(system, q))
-    if numerical_rank(jac_fn(z0)) < z0.size - 1:
+    if numerical_rank(system.jac(z0)) < z0.size - 1:
         raise RankDeficientSeed(f"Jacobian rank-deficient at seed {z0!r}")
     # polish the seed onto the curve (least-norm correction)
     try:
-        z0 = newton_solve(system, z0, jac=jac_fn)
+        z0 = newton_solve(system, z0)
     except (SingularJacobian, MaxIterations):
         pass
 
     def march(direction: float):
         pts = []
         z = z0.copy()
-        tau = _tangent(jac_fn(z), None) * direction
+        tau = _tangent(system.jac(z), None) * direction
         while len(pts) < max_points:
             advanced = False
             h = step
             for _ in range(5):
                 pred = z + h * tau
-                tau_fixed = tau
-
-                def corr(w):
-                    return np.concatenate(
-                        [np.asarray(system(w), dtype=float), [tau_fixed @ (w - pred)]]
-                    )
-
-                if jac is not None:
-                    corr = System(corr, lambda w: np.vstack([jac(w), tau_fixed]))
+                corr = System(
+                    lambda w: np.concatenate([np.asarray(system(w), dtype=float), [tau @ (w - pred)]]),
+                    lambda w: np.vstack([system.jac(w), tau]),
+                )
                 try:
                     znew = newton_solve(corr, pred, tol=residual_tol * 1e-2)
                     advanced = True
@@ -208,7 +205,7 @@ def continue_curve(
             pts.append(znew)
             if len(pts) >= 10 and np.linalg.norm(znew - z0) <= step / 2:
                 return pts, True
-            tau = _tangent(jac_fn(znew), tau)
+            tau = _tangent(system.jac(znew), tau)
             z = znew
         return pts, False
 

@@ -22,6 +22,16 @@ def test_expr_field_gradient_and_hessian():
     assert field_from_expr(e, ("q1", "x1")).third_fn is None
 
 
+def test_third_without_third_fn_differences_the_hessian():
+    e = ex.parse_expr("q1^4 + x1*q1^2 + x2*q1", ("q1", "x1", "x2"))
+    exact = field_from_expr(e, ("q1", "x1", "x2"), third_rows=1)
+    fd = ScalarField(arity=3, fn=exact.fn, grad_fn=exact.grad_fn, hess_fn=exact.hess_fn)
+    for p in ([0.7, -1.2, 0.4], [0.5, -1.5, 0.3], [-1.1, 0.8, -2.5]):
+        T = fd.third(p)
+        assert T.shape == (3, 3, 3)
+        assert np.abs(T[:1, :1] - exact.third(p)).max() <= 1e-6
+
+
 @pytest.mark.parametrize("name", sorted(catalog()))
 def test_fd_matches_closed_form_catalog(name):
     fld = catalog()[name]

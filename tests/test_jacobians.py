@@ -87,13 +87,23 @@ def test_exact_jacobian_on_the_caustic(fam_name):
         _agree(system, np.concatenate([z[:k], z[:k] + 0.5, z[k:]]) if name == "pairing" else z)
 
 
-def test_opaque_families_keep_the_fd_fallback():
+# relative tolerance of an opaque field's FD Jacobians against the exact ones;
+# the caustic's det row differences the FD Hessian once more
+OPAQUE_TOL = {"front": 1e-5, "critical": 1e-5, "pairing": 1e-5, "caustic": 2e-2}
+
+
+def test_opaque_families_get_field_fd_jacobians():
     cusp = FAMILIES["cusp"]
     opaque = families.GeneratingFamily(k=1, n=2, field=field_from_callable(cusp.field.fn, 3, box=cusp.field.box))
-    for system in _systems(opaque).values():
-        assert not isinstance(system, System)
-    # surfaces have no third partials: only the caustic system falls back
-    sphere = _dist2(geometry.Sphere(radius=1.0))
-    systems = _systems(sphere)
-    assert not isinstance(systems["caustic"], System)
-    _agree(systems["front"], np.array([0.7, 0.4, 0.3, -0.2, 0.5]))
+    exact = _systems(cusp)
+    for z in ([0.7, -1.2, 0.4], SINGULAR["cusp"], [-1.1, 0.8, -2.5]):
+        z = np.array(z)
+        for name, system in _systems(opaque).items():
+            assert isinstance(system, System)
+            w = np.concatenate([z[:1], z[:1] + 0.5, z[1:]]) if name == "pairing" else z
+            J = exact[name].jac(w)
+            assert np.abs(system.jac(w) - J).max() <= OPAQUE_TOL[name] * max(1.0, np.abs(J).max())
+    # surfaces have no third partials: the caustic differences the Hessian
+    systems = _systems(_dist2(geometry.Sphere(radius=1.0)))
+    for name in ("front", "caustic", "critical"):
+        _agree(systems[name], np.array([0.7, 0.4, 0.3, -0.2, 0.5]))

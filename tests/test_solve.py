@@ -8,7 +8,7 @@ from wavefronts.errors import (
     SingularJacobian,
 )
 from wavefronts import cli, fields, fronts, solve
-from wavefronts.solve import System, bracket_roots, continue_curve, dedup, fd_jacobian, newton_solve
+from wavefronts.solve import System, as_system, bracket_roots, continue_curve, dedup, fd_jacobian, newton_solve
 
 
 def circle(z):
@@ -129,10 +129,18 @@ def test_continuation_stops_at_box():
 
 
 def test_corrector_uses_the_given_jacobian(no_fd):
-    for system, jac in ((circle, circle_jac), (System(circle, circle_jac), None)):
-        c = continue_curve(system, np.array([1.0, 0.0]), step=0.05, max_points=500, jac=jac)
-        assert c.closed
-        assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) < 1e-8
+    c = continue_curve(System(circle, circle_jac), np.array([1.0, 0.0]), step=0.05, max_points=500)
+    assert c.closed
+    assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) < 1e-8
+
+
+def test_plain_callable_is_its_fd_system():
+    def fn(z):
+        return np.array([z[0] ** 2 + z[1] ** 3 - 1.0, np.sin(z[0]) - z[1]])
+
+    seed = np.array([0.9, 0.4])
+    assert as_system(fn).residual is fn
+    assert newton_solve(fn, seed).tobytes() == newton_solve(as_system(fn), seed).tobytes()
 
 
 def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):

@@ -17,6 +17,11 @@ lines of fewer than four fields are ignored) and prints, instead of the whole
 table, only the scenes whose line differs: the saved line prefixed ``-``, the
 current one ``+``, and the columns that changed.  It exits 1 on any
 difference, a saved scene that no longer runs included, and 0 otherwise.
+
+``tools/scene_digests.txt`` is the committed table of the current output:
+``--compare tools/scene_digests.txt`` must report ``0 scene(s) differ``.  A
+change that alters CLI output on purpose regenerates that file (redirect the
+plain table into it) and explains why in CHANGES.md.
 """
 
 from __future__ import annotations
