@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 numerical/module failure, 2 validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,10 @@ from .emitters import emit_csv, emit_svg
 from .errors import WavefrontError
 
 DEFAULT_SEED_DENSITY = 8
+MAX_SEED_DENSITY = 256
 DEFAULT_TOL = 1e-8
+# largest range (parse_range) or seed grid (_box_grid) built from user input
+MAX_SAMPLES = 10**6
 
 
 class ValidationError(Exception):
@@ -35,8 +39,14 @@ def parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as e:
         raise ValidationError(f"range {text!r}: {e}") from e
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValidationError(f"range {text!r} must be finite")
     if step <= 0 or hi < lo:
         raise ValidationError(f"range {text!r} is empty")
+    # the sample count np.arange would allocate
+    count = (hi + step / 2 - lo) / step
+    if not count <= MAX_SAMPLES:
+        raise ValidationError(f"range {text!r} has more than {MAX_SAMPLES} samples")
     vals = np.arange(lo, hi + step / 2, step)
     if vals.size == 0:
         raise ValidationError(f"range {text!r} is empty")
@@ -77,23 +87,34 @@ def _domain(fam: families.GeneratingFamily):
     return fam.field.box or tuple((-3.0, 3.0) for _ in range(fam.k + fam.n))
 
 
-def _box_grid(box, density: int) -> np.ndarray:
-    """The density^d mesh over a box, 5% in from each end; one row per point."""
+def _box_axes(box, density: int) -> List[np.ndarray]:
+    """``density`` samples per axis of a box, 5% in from each end."""
     axes = []
     for lo, hi in box:
         m = 0.05 * (hi - lo)
         axes.append(np.linspace(lo + m, hi - m, density))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes
+
+
+def _box_grid(box, density: int) -> np.ndarray:
+    """The density^d mesh over a box, 5% in from each end; one row per point."""
+    if density ** len(box) > MAX_SAMPLES:
+        raise ValidationError(f"a {density}^{len(box)} seed grid has more than {MAX_SAMPLES} points")
+    mesh = np.meshgrid(*_box_axes(box, density), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def phase_seeds(fam: families.GeneratingFamily, density: int, cap: int = 4096) -> List[np.ndarray]:
-    """Coarse (q, x) grid over the family's domain box (shrunk 10%)."""
-    pts = _box_grid(_domain(fam), density)
-    if len(pts) > cap:
-        stride = int(np.ceil(len(pts) / cap))
-        pts = pts[::stride]
-    return list(pts)
+    """Coarse (q, x) grid over the family's domain box (shrunk 10%): the rows
+    of the ``_box_grid`` mesh, strided down to at most ``cap``.  Only the
+    kept rows are built."""
+    axes = _box_axes(_domain(fam), density)
+    total = density ** len(axes)
+    if total > np.iinfo(np.intp).max:
+        raise ValidationError(f"a {density}^{len(axes)} seed grid is too large to index")
+    stride = -(-total // cap) if total > cap else 1
+    index = np.unravel_index(np.arange(0, total, stride), (density,) * len(axes))
+    return list(np.stack([ax[i] for ax, i in zip(axes, index)], axis=1))
 
 
 def x_grid_and_q_seeds(fam: families.GeneratingFamily, density: int):
@@ -235,10 +256,10 @@ def cmd_discriminant(args) -> int:
 def cmd_evolute(args) -> int:
     curve = load_curve(args)
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
-    samples = list(geometry.evolute_samples(curve, u_grid))
-    print(f"evolute: {len(samples)} points")
-    rows = [(0.0, p, [u], "caustic") for u, p in samples]
-    _emit(args, rows, 2, 1, [(np.array([p for _, p in samples]), "caustic")] if samples else [])
+    us, pts = geometry.evolute_samples(curve, u_grid)
+    print(f"evolute: {len(us)} points")
+    rows = [(0.0, p, [u], "caustic") for u, p in zip(us, pts)]
+    _emit(args, rows, 2, 1, [(pts, "caustic")] if len(us) else [])
     return 0
 
 
@@ -345,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-density",
         type=int,
         default=DEFAULT_SEED_DENSITY,
-        help=f"samples per axis for seeding grids (default {DEFAULT_SEED_DENSITY})",
+        help=f"samples per axis for seeding grids, 1..{MAX_SEED_DENSITY} (default {DEFAULT_SEED_DENSITY})",
     )
     common.add_argument(
         "--tol",
@@ -427,6 +448,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if not 1 <= args.seed_density <= MAX_SEED_DENSITY:
+            raise ValidationError(f"--seed-density must be in [1, {MAX_SEED_DENSITY}]")
         _check_writable(getattr(args, "csv", None))
         _check_writable(getattr(args, "svg", None))
         return args.fn(args)

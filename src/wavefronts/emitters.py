@@ -6,6 +6,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
@@ -23,12 +24,21 @@ _STYLE = (
 )
 
 
+def fmt_all(values: Iterable[float]) -> List[str]:
+    """9-significant-digit shortest decimals of Python floats (as from
+    ``ndarray.tolist()``); '-0' is normalized to '0'."""
+    out = []
+    for v in values:
+        if not math.isfinite(v):
+            raise IoError(f"non-finite coordinate {v!r}")
+        s = format(v, ".9g")
+        out.append("0" if s in ("-0", "-0.0") else s)
+    return out
+
+
 def fmt(x: float) -> str:
-    """9-significant-digit shortest decimal; '-0' is normalized to '0'."""
-    if not np.isfinite(x):
-        raise IoError(f"non-finite coordinate {x!r}")
-    s = format(float(x), ".9g")
-    return "0" if s in ("-0", "-0.0") else s
+    """``fmt_all`` of one number."""
+    return fmt_all([float(x)])[0]
 
 
 def csv_header(n: int, k: int) -> str:
@@ -45,8 +55,7 @@ def emit_csv(rows: Iterable, n: int, k: int, path) -> None:
         q = np.atleast_1d(np.asarray(q, dtype=float))
         if x.size != n or q.size != k:
             raise IoError(f"row shape mismatch: expected {n} x and {k} q values")
-        cells = [fmt(t)] + [fmt(v) for v in x] + [fmt(v) for v in q] + [str(label)]
-        lines.append(",".join(cells))
+        lines.append(",".join(fmt_all([float(t), *x.tolist(), *q.tolist()]) + [str(label)]))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as e:  # pragma: no cover - environment dependent
@@ -94,7 +103,8 @@ def emit_svg(
         pts = np.asarray(pts, dtype=float)
         if len(pts) == 0:
             continue
-        coords = " ".join(f"{fmt(p[0])},{fmt(-p[1])}" for p in pts)
+        xs, ys = fmt_all(pts[:, 0].tolist()), fmt_all((-pts[:, 1]).tolist())
+        coords = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
         lines.append(f'<polyline class="{cls}" points="{coords}"/>')
     lines.append("</svg>")
     try:

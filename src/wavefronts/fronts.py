@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -335,24 +336,41 @@ def detect_cusps(points: np.ndarray, angle: float = np.pi / 2) -> List[int]:
     return [int(i) + 1 for i in np.nonzero(dots < np.cos(angle))[0]]
 
 
+# Point-segment and segment-segment pairs are evaluated in blocks of about
+# this many, so no intermediate grows with (points x segments) or (segments^2).
+_PAIR_BLOCK = 1 << 17
+
+
 def polyline_self_intersections(points: np.ndarray) -> List[np.ndarray]:
-    """Crossing points of non-adjacent segments of a 2-D polyline."""
-    out = []
+    """Crossing points of non-adjacent segments of a 2-D polyline, in the
+    order of a double loop over the first segment and then the second.
+
+    Pairs whose cross product is below 1e-14 in magnitude are skipped, and so
+    is the first-last pair of a closed polyline.
+    """
+    points = np.asarray(points, dtype=float)
     m = len(points) - 1
-    for i in range(m):
-        p, r = points[i], points[i + 1] - points[i]
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1 and np.allclose(points[0], points[m]):
-                continue
-            q, s = points[j], points[j + 1] - points[j]
-            denom = r[0] * s[1] - r[1] * s[0]
-            if abs(denom) < 1e-14:
-                continue
-            d = q - p
-            u = (d[0] * s[1] - d[1] * s[0]) / denom
-            v = (d[0] * r[1] - d[1] * r[0]) / denom
-            if 0 <= u <= 1 and 0 <= v <= 1:
-                out.append(p + u * r)
+    if m < 3:
+        return []
+    p, r = points[:-1], points[1:] - points[:-1]
+    closed = np.allclose(points[0], points[m])
+    out: List[np.ndarray] = []
+    rows = max(1, _PAIR_BLOCK // m)
+    for i0 in range(0, m, rows):
+        pair = np.arange(m)[None, :] >= np.arange(i0, min(i0 + rows, m))[:, None] + 2
+        if closed and i0 == 0:
+            pair[0, m - 1] = False
+        i, j = np.nonzero(pair)
+        i += i0
+        ri, sj = r[i], r[j]
+        denom = ri[:, 0] * sj[:, 1] - ri[:, 1] * sj[:, 0]
+        keep = ~(np.abs(denom) < 1e-14)
+        i, ri, sj, denom = i[keep], ri[keep], sj[keep], denom[keep]
+        d = p[j[keep]] - p[i]
+        u = (d[:, 0] * sj[:, 1] - d[:, 1] * sj[:, 0]) / denom
+        v = (d[:, 0] * ri[:, 1] - d[:, 1] * ri[:, 0]) / denom
+        hit = (0 <= u) & (u <= 1) & (0 <= v) & (v <= 1)
+        out.extend(p[i[hit]] + u[hit, None] * ri[hit])
     return out
 
 
@@ -360,50 +378,166 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point clouds."""
     if len(a) == 0 or len(b) == 0:
         return np.inf
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-# pairwise-distance blocks are processed in chunks of this many points to keep
-# the (chunk, S, d) intermediates bounded for large clouds
-_DIST_CHUNK = 512
+    return float(max(min_distances(a, b).max(), min_distances(b, a).max()))
 
 
 def polyline_distances(points: np.ndarray, chains: Sequence[np.ndarray]) -> np.ndarray:
-    """Distance from each point to the nearest segment of any chain."""
+    """Distance from each point to the nearest segment of any chain (a
+    one-point chain is a point); ``inf`` when there is no chain."""
     points = np.asarray(points, dtype=float)
-    best = np.full(len(points), np.inf)
-    for chain in chains:
-        chain = np.asarray(chain, dtype=float)
-        if len(chain) == 0:
-            continue
-        if len(chain) == 1:
-            d = np.linalg.norm(points - chain[0], axis=1)
-            best = np.minimum(best, d)
-            continue
-        a = chain[:-1]  # (S, d)
-        seg = chain[1:] - a
-        seg_len2 = np.maximum(np.sum(seg**2, axis=1), 1e-300)
-        for lo in range(0, len(points), _DIST_CHUNK):
-            blk = points[lo : lo + _DIST_CHUNK]
-            diff = blk[:, None, :] - a[None, :, :]  # (N, S, d)
-            t = np.clip(np.einsum("nsd,sd->ns", diff, seg) / seg_len2, 0.0, 1.0)
-            proj = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-            d = np.linalg.norm(blk[:, None, :] - proj, axis=2).min(axis=1)
-            best[lo : lo + _DIST_CHUNK] = np.minimum(best[lo : lo + _DIST_CHUNK], d)
-    return best
+    chains = [np.asarray(c, dtype=float) for c in chains if len(c)]
+    if not chains:
+        return np.full(len(points), np.inf)
+    a = np.vstack([c[:-1] if len(c) > 1 else c for c in chains])
+    b = np.vstack([c[1:] if len(c) > 1 else c for c in chains])
+    return _nearest_segments(points, a, b)
 
 
 def min_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point of ``a`` to the cloud ``b``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if len(a) == 0:
         return np.zeros(0)
     if len(b) == 0:
         return np.full(len(a), np.inf)
-    out = np.empty(len(a))
-    for lo in range(0, len(a), _DIST_CHUNK):
-        blk = a[lo : lo + _DIST_CHUNK]
-        out[lo : lo + _DIST_CHUNK] = np.linalg.norm(
-            blk[:, None, :] - b[None, :, :], axis=2
-        ).min(axis=1)
-    return out
+    return _nearest_segments(a, b, b)
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i] : starts[i] + counts[i]``."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _plane(v: np.ndarray) -> np.ndarray:
+    """The first two coordinates of each row (a zero second one for 1-D rows)."""
+    return v[:, :2] if v.shape[1] >= 2 else np.column_stack([v[:, 0], np.zeros(len(v))])
+
+
+def _nearest_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact distance from each point to the nearest segment ``[a_s, b_s]``.
+
+    Segments are registered in every cell of a uniform grid (over the first
+    two coordinates) that their bounding box overlaps.  Each point visits the
+    occupied cells around its own, ring by ring, skipping cells whose box is
+    farther than the best distance found so far, and stops once the next
+    ring's lower bound exceeds it.  A point outside the grid starts from the
+    nearest cell and adds its distance to the grid's box to the bound in
+    quadrature.  Each pair's distance is the brute-force formula, so the
+    result is the minimum over all segments.
+    """
+    best = np.full(len(points), np.inf)
+    if len(points) == 0:
+        return best
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return best * np.nan  # as the brute-force minimum over a NaN distance
+    seg = b - a
+    seg_len2 = np.maximum(np.sum(seg**2, axis=1), 1e-300)
+    grid = _SegmentGrid(_plane(a), _plane(b))
+    h, size = grid.h, grid.size
+
+    def lower(q, occ):
+        """Lower ``best[q]`` to the distance from point ``q`` to each segment
+        of cell ``occ`` (one record per point and cell), ``_PAIR_BLOCK`` pairs
+        at a time."""
+        counts = grid.count[occ]
+        ends = np.cumsum(counts)
+        r0 = 0
+        while r0 < len(counts):
+            done = ends[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+            pq = np.repeat(q[r0:r1], counts[r0:r1])
+            s = grid.members[_expand(grid.start[occ[r0:r1]], counts[r0:r1])]
+            p, sa, ss = points[pq], a[s], seg[s]
+            t = np.clip(np.einsum("pd,pd->p", p - sa, ss) / seg_len2[s], 0.0, 1.0)
+            np.minimum.at(best, pq, np.linalg.norm(p - (sa + t[:, None] * ss), axis=1))
+            r0 = r1
+
+    finite = np.isfinite(points).all(axis=1)
+    best[~finite] = np.nan
+    xy = np.where(finite[:, None], _plane(points) - grid.lo, 0.0)  # grid coordinates
+    inside = np.clip(xy, 0.0, grid.hi - grid.lo)
+    outside2 = np.sum((xy - inside) ** 2, axis=1)
+    cell = np.minimum(np.floor(inside / h).astype(np.int64), size - 1)
+    reach = np.max(np.concatenate([cell, size - 1 - cell], axis=1), axis=1)
+    slack = 1e-6 * h  # for rounding in the cell arithmetic, far below any real gap
+
+    active = np.flatnonzero(finite)
+    ring = 0
+    while active.size:
+        step = max(1, _PAIR_BLOCK // (8 * ring + 1))
+        for first in range(0, active.size, step):
+            q = active[first : first + step]
+            pos, occ = grid.ring(cell[q], ring)
+            q, box = q[pos], grid.cells[occ] * h
+            gap = np.maximum(np.maximum(box - xy[q], xy[q] - box - h), 0.0)
+            near = np.sqrt(np.sum(gap**2, axis=1)) - slack <= best[q]
+            lower(q[near], occ[near])
+        # cells not visited yet are at least ``ring`` whole cells away
+        bound = np.sqrt(outside2[active] + (ring * h) ** 2) - slack
+        active = active[(best[active] > bound) & (reach[active] > ring)]
+        ring += 1
+    return best
+
+
+class _SegmentGrid:
+    """Uniform grid buckets of 2-D segments, stored by occupied cell.
+
+    The cell size starts at about four cells per segment over the bounding
+    box (or per segment along a flat one) and doubles until the segments'
+    bounding boxes register at most four cells per segment on average.
+    ``cells`` holds the (x, y) index of each occupied cell in row-major
+    order, and ``members[start[c] : start[c] + count[c]]`` its segments.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        lo_s, hi_s = np.minimum(a, b), np.maximum(a, b)
+        self.lo, self.hi = lo_s.min(axis=0), hi_s.max(axis=0)
+        ext, n_seg = self.hi - self.lo, len(a)
+        h = max(0.5 * math.sqrt(ext[0] * ext[1] / n_seg), ext.max() / n_seg) or 1.0
+        while True:
+            c_lo = np.floor((lo_s - self.lo) / h).astype(np.int64)
+            span = np.floor((hi_s - self.lo) / h).astype(np.int64) - c_lo + 1
+            per_seg = span[:, 0] * span[:, 1]
+            if per_seg.sum() <= 4 * n_seg:
+                break
+            h *= 2
+        self.h = h
+        self.size = np.floor(ext / h).astype(np.int64) + 1
+        nx, ny = self.size
+        owner = np.repeat(np.arange(n_seg), per_seg)
+        # the j-th cell of a segment's box, row by row
+        dy, dx = np.divmod(_expand(np.zeros(n_seg, dtype=np.int64), per_seg), np.repeat(span[:, 0], per_seg))
+        key = np.repeat(c_lo[:, 1] * nx + c_lo[:, 0], per_seg) + dy * nx + dx
+        order = np.argsort(key)
+        key = key[order]
+        self.start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        self.count = np.diff(np.append(self.start, len(key)))
+        self.row_keys, self.members = key[self.start], owner[order]
+        self.cells = np.column_stack([self.row_keys % nx, self.row_keys // nx])
+        col_keys = self.cells[:, 0] * ny + self.cells[:, 1]
+        self.by_col = np.argsort(col_keys)
+        self.col_keys = col_keys[self.by_col]
+
+    def ring(self, centre: np.ndarray, ring: int):
+        """Occupied cells at Chebyshev distance ``ring`` from each centre cell:
+        ``(position of the centre, occupied cell index)`` per pair."""
+        nx, ny = self.size
+        cx, cy = centre[:, 0], centre[:, 1]
+        # the two rows span the full width; the two columns leave out the corners
+        sides = [(cy - ring, cx - ring, cx + ring, False)]
+        if ring:
+            sides += [(cy + ring, cx - ring, cx + ring, False),
+                      (cx - ring, cy - ring + 1, cy + ring - 1, True),
+                      (cx + ring, cy - ring + 1, cy + ring - 1, True)]
+        pos, occ = [], []
+        for fixed, first, last, column in sides:
+            n_along, n_fixed, keys = (ny, nx, self.col_keys) if column else (nx, ny, self.row_keys)
+            first, last = np.maximum(first, 0), np.minimum(last, n_along - 1)
+            lo = np.searchsorted(keys, fixed * n_along + first)
+            hi = np.searchsorted(keys, fixed * n_along + last, side="right")
+            count = np.where((fixed >= 0) & (fixed < n_fixed) & (first <= last), hi - lo, 0)
+            idx = _expand(lo, count)
+            pos.append(np.repeat(np.arange(len(centre)), count))
+            occ.append(self.by_col[idx] if column else idx)
+        return np.concatenate(pos), np.concatenate(occ)

@@ -107,11 +107,13 @@ def gallery_front(
 
     Roots are matched to branches by continuity in u2 across the u1 grid.
     """
+    u1_grid = np.asarray(u1_grid, dtype=float)
     u2_scan = np.linspace(u2_range[0], u2_range[1], scan)
+    line, u2_roots = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, u2_scan)
+    per_line = np.split(u2_roots, np.searchsorted(line, np.arange(1, len(u1_grid))))
     branches: List[List[np.ndarray]] = []
     open_tips: List[float] = []
-    for u1 in u1_grid:
-        roots = bracket_roots(lambda s: diagram.mu_fn(np.array([u1, s])) - t, u2_scan)
+    for u1, roots in zip(u1_grid, per_line):
         assigned = [False] * len(branches)
         new_tips = list(open_tips)
         for u2 in roots:
@@ -134,8 +136,7 @@ def gallery_front(
     out = []
     for br in branches:
         u = np.array(br)
-        xy = np.array([diagram.front_map(p) for p in u])
-        out.append({"u": u, "xy": xy})
+        out.append({"u": u, "xy": diagram.front_map(u.T).T})
     return GalleryFront(t=float(t), branches=out)
 
 
@@ -143,17 +144,15 @@ def _caustic_points(
     diagram: IntegralDiagram, u1_grid: np.ndarray, u2_grid: np.ndarray
 ) -> np.ndarray:
     """Zero locus of det Dg on the chart, mapped by the front map."""
-    pts = []
     f = diagram.det_dg_fn
-    for u1 in u1_grid:
-        for u2 in bracket_roots(lambda s: f(np.array([u1, s])), u2_grid):
-            pts.append(diagram.front_map(np.array([u1, u2])))
-    for u2 in u2_grid:
-        for u1 in bracket_roots(lambda s: f(np.array([s, u2])), u1_grid):
-            pts.append(diagram.front_map(np.array([u1, u2])))
-    if not pts:
+    u1_grid, u2_grid = np.asarray(u1_grid, dtype=float), np.asarray(u2_grid, dtype=float)
+    row, u2 = bracket_roots(lambda p, s: f(np.array([p, s])), u1_grid, u2_grid)
+    col, u1 = bracket_roots(lambda p, s: f(np.array([s, p])), u2_grid, u1_grid)
+    u = np.concatenate([np.column_stack([u1_grid[row], u2]), np.column_stack([u1, u2_grid[col]])])
+    if not len(u):
         return np.zeros((0, 2))
-    return np.array(pts)[dedup(pts, 1e-9)]
+    pts = diagram.front_map(u.T).T
+    return pts[dedup(pts, 1e-9)]
 
 
 def _maxwell_points(

@@ -27,7 +27,12 @@ from .solve import bracket_roots, dedup, newton_solve
 
 
 class PlaneCurve:
-    """A regular parametric curve in R^2 with closed-form derivatives."""
+    """A regular parametric curve in R^2 with closed-form derivatives.
+
+    Every method takes a float parameter, giving a point of shape (2,) (a
+    float for ``curvature``), or a 1-D array of parameters, giving one row
+    (one value) per sample.
+    """
 
     ambient = 2
     periodic: Optional[float] = None
@@ -35,30 +40,30 @@ class PlaneCurve:
     # carries the third partials its caustic Jacobian needs
     d3: Optional[Callable[[float], np.ndarray]] = None
 
-    def point(self, u: float) -> np.ndarray:
+    def point(self, u):
         raise NotImplementedError
 
-    def d1(self, u: float) -> np.ndarray:
+    def d1(self, u):
         raise NotImplementedError
 
-    def d2(self, u: float) -> np.ndarray:
+    def d2(self, u):
         raise NotImplementedError
 
-    def normal(self, u: float) -> np.ndarray:
-        dx, dy = self.d1(u)
-        n = np.array([dy, -dx])
-        return n / np.linalg.norm(n)
+    def normal(self, u):
+        d = self.d1(u).T
+        n = np.array([d[1], -d[0]]).T
+        return n / np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
 
-    def curvature(self, u: float) -> float:
-        dx, dy = self.d1(u)
-        ddx, ddy = self.d2(u)
-        speed = math.hypot(dx, dy)
-        if speed**3 < 1e-14:
-            raise DegenerateMetric(f"vanishing speed at u={u}")
-        return (dx * ddy - dy * ddx) / speed**3
+    def curvature(self, u):
+        d, dd = self.d1(u).T, self.d2(u).T
+        cube = np.hypot(d[0], d[1]) ** 3
+        vanishing = cube < 1e-14
+        if np.count_nonzero(vanishing):
+            raise DegenerateMetric(f"vanishing speed at u={np.extract(vanishing, u)[0]}")
+        return (d[0] * dd[1] - d[1] * dd[0]) / cube
 
-    def evolute_point(self, u: float) -> np.ndarray:
-        return self.point(u) - (1.0 / self.curvature(u)) * self.normal(u)
+    def evolute_point(self, u):
+        return self.point(u) - (1.0 / self.curvature(u))[..., None] * self.normal(u)
 
 
 @dataclass
@@ -69,10 +74,10 @@ class Circle(PlaneCurve):
         self.periodic = 2 * math.pi
 
     def point(self, u):
-        return self.radius * np.array([math.cos(u), math.sin(u)])
+        return self.radius * np.array([np.cos(u), np.sin(u)]).T
 
     def d1(self, u):
-        return self.radius * np.array([-math.sin(u), math.cos(u)])
+        return self.radius * np.array([-np.sin(u), np.cos(u)]).T
 
     def d2(self, u):
         return -self.point(u)
@@ -90,10 +95,10 @@ class Ellipse(PlaneCurve):
         self.periodic = 2 * math.pi
 
     def point(self, u):
-        return np.array([self.a * math.cos(u), self.b * math.sin(u)])
+        return np.array([self.a * np.cos(u), self.b * np.sin(u)]).T
 
     def d1(self, u):
-        return np.array([-self.a * math.sin(u), self.b * math.cos(u)])
+        return np.array([-self.a * np.sin(u), self.b * np.cos(u)]).T
 
     def d2(self, u):
         return -self.point(u)
@@ -109,16 +114,16 @@ class Parabola(PlaneCurve):
     c: float = 1.0
 
     def point(self, u):
-        return np.array([u, self.c * u * u])
+        return np.array([u, self.c * u * u]).T
 
     def d1(self, u):
-        return np.array([1.0, 2 * self.c * u])
+        return np.array([np.ones_like(u, dtype=float), 2 * self.c * u]).T
 
     def d2(self, u):
-        return np.array([0.0, 2 * self.c])
+        return np.zeros(np.shape(u) + (2,)) + [0.0, 2 * self.c]
 
     def d3(self, u):
-        return np.zeros(2)
+        return np.zeros(np.shape(u) + (2,))
 
 
 class Surface:
@@ -270,52 +275,45 @@ class Ellipsoid(Surface):
 
 
 def evolute_samples(curve: PlaneCurve, u_grid: Sequence, min_kappa: float = 1e-10):
-    """Yield ``(u, curve.evolute_point(u))`` per sample; samples with
-    ``|kappa| < min_kappa`` are skipped."""
-    for u in u_grid:
-        u = float(np.atleast_1d(u)[0])
-        if abs(curve.curvature(u)) < min_kappa:
-            continue
-        yield u, curve.evolute_point(u)
+    """``(u, points)``: the samples of ``u_grid`` with ``|kappa| >= min_kappa``
+    and their evolute points, one row per kept sample."""
+    u = np.asarray(u_grid, dtype=float).reshape(-1)
+    u = u[~(np.abs(curve.curvature(u)) < min_kappa)]
+    return u, curve.evolute_point(u)
 
 
 def evolute(surface, u_grid: Sequence, branch: int = 0, min_kappa: float = 1e-10) -> np.ndarray:
     """Focal points X + (1/kappa_i) * n_kappa per chart sample; zero-curvature
     samples are skipped."""
-    pts = []
     if isinstance(surface, PlaneCurve):
-        pts = [p for _, p in evolute_samples(surface, u_grid, min_kappa)]
-    else:
-        for u in u_grid:
-            u = np.asarray(u, dtype=float)
-            k = surface.principal_curvatures(u)[branch]
-            if abs(k) < min_kappa:
-                continue
-            pts.append(surface.point(u) + surface.normal(u) / k)
+        return evolute_samples(surface, u_grid, min_kappa)[1]
+    pts = []
+    for u in u_grid:
+        u = np.asarray(u, dtype=float)
+        k = surface.principal_curvatures(u)[branch]
+        if abs(k) < min_kappa:
+            continue
+        pts.append(surface.point(u) + surface.normal(u) / k)
     return np.array(pts) if pts else np.zeros((0, surface.ambient))
 
 
 def parallels(surface, r_values: Sequence[float], u_grid: Sequence) -> List[Tuple[float, np.ndarray]]:
     """Offset polylines (P_r(u), r); for surfaces an unordered point set per r."""
-    out = []
-    for r in r_values:
-        if isinstance(surface, PlaneCurve):
-            pts = np.array(
-                [surface.point(float(u)) + r * surface.normal(float(u)) for u in u_grid]
-            )
-        else:
-            pts = np.array(
-                [surface.point(np.asarray(u, float)) + r * surface.normal(np.asarray(u, float)) for u in u_grid]
-            )
-        out.append((float(r), pts))
-    return out
+    if isinstance(surface, PlaneCurve):
+        u = np.asarray(u_grid, dtype=float).reshape(-1)
+        X, N = surface.point(u), surface.normal(u)
+    else:
+        us = [np.asarray(u, float) for u in u_grid]
+        X = np.array([surface.point(u) for u in us])
+        N = np.array([surface.normal(u) for u in us])
+    return [(float(r), X + r * N) for r in r_values]
 
 
 def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.ndarray]:
     """Singular points of the offset at distance r: solutions of
     1 + r * kappa(u) = 0, refined by bisection between grid samples."""
-    roots = bracket_roots(lambda u: 1.0 + r * curve.curvature(float(u)), u_grid)
-    return [curve.point(u) + r * curve.normal(u) for u in roots]
+    _, roots = bracket_roots(lambda p, u: 1.0 + p * curve.curvature(u), [r], u_grid)
+    return list(curve.point(roots) + r * curve.normal(roots))
 
 
 def distance_squared_family(

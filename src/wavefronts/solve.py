@@ -22,30 +22,42 @@ NEWTON_MAX_ITER = 50
 SINGULAR_RATIO = 1e-12
 
 
-def bracket_roots(h: Callable, grid: Sequence[float]) -> List[float]:
-    """Roots of a scalar function sampled on an increasing grid.
+def bracket_roots(h: Callable, params: Sequence[float], grid: Sequence[float]):
+    """Roots in ``s`` of ``h(p, s) = 0`` along one line per parameter ``p``.
 
-    An exact zero at a sample (the last one included) is a root; every sign
-    change between neighbouring samples is refined by 80 bisection steps.
+    ``h`` is elementwise: it takes two 1-D arrays of equal length and returns
+    one value per pair.  It is called once on the whole (lines x grid) mesh
+    and then once per bisection step on every bracket of every line, so at
+    most 81 times whatever the number of lines and roots.  Along a
+    line, an exact zero at a sample of the increasing ``grid`` (the last one
+    included) is a root, and every sign change between neighbouring samples
+    is refined by 80 bisection steps (the steps after every bracket's
+    midpoint has rounded to one of its ends are skipped: they cannot change
+    the result).
+
+    Returns ``(line, roots)``: the index into ``params`` of each root's line,
+    and the roots, ordered by line and increasing along each line.
     """
-    vals = np.array([h(s) for s in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = h(m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    params = np.asarray(params, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(h(np.repeat(params, grid.size), np.tile(grid, params.size)), dtype=float)
+    vals = vals.reshape(params.size, grid.size)
+    zero_line, zero_at = np.nonzero(vals == 0.0)
+    line, at = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0)
+    a, b, fa = grid[at], grid[at + 1], vals[line, at]
+    if line.size:
+        p = params[line]
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            if np.all((m == a) | (m == b)):
+                break
+            fm = np.asarray(h(p, m), dtype=float)
+            left = fa * fm <= 0
+            a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    lines = np.concatenate([zero_line, line])
+    roots = np.concatenate([grid[zero_at], 0.5 * (a + b)])
+    order = np.lexsort((np.concatenate([zero_at, at]), lines))
+    return lines[order], roots[order]
 
 
 def dedup(points: Sequence, radius: float) -> List[int]:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from wavefronts import emitters
-from wavefronts.cli import load_family, parse_range, run, x_grid_and_q_seeds
+from wavefronts.cli import (
+    ValidationError,
+    _box_grid,
+    _domain,
+    load_family,
+    parse_range,
+    phase_seeds,
+    run,
+    x_grid_and_q_seeds,
+)
 from wavefronts.errors import IoError
 
 
@@ -89,6 +98,50 @@ def test_unknown_family_exits_2(capsys):
 
 def test_bad_range_exits_2():
     assert run(["big-front", "--family", "fold", "--t", "1:0:0.1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["big-front", "--family", "cusp", "--t", "nan:1:0.1"],
+        ["big-front", "--family", "cusp", "--t", "0:inf:1"],
+        ["big-front", "--family", "cusp", "--t", "0:1e12:1"],
+        ["burgers", "--t", "0:1:1e-320"],
+        ["front", "--family", "cusp", "--t", "0.5", "--seed-density", "5000"],
+        ["front", "--family", "cusp", "--t", "0.5", "--seed-density", "0"],
+    ],
+)
+def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "invalid arguments:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _four_variable_family(tmp_path):
+    path = tmp_path / "wide.fam"
+    path.write_text("k = 1\nn = 3\nexpr = q1^2 + x1*q1 + x2 + x3\n")
+    return str(path)
+
+
+def test_seed_grid_over_a_million_points_exits_2(tmp_path, capsys):
+    # the x grid of a 3-D family at density 101 has 101^3 > 10^6 points
+    assert run(["maxwell", "--family", _four_variable_family(tmp_path), "--seed-density", "101"]) == 2
+    assert "invalid arguments:" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        _box_grid(((0.0, 1.0),) * 3, 101)
+
+
+def test_phase_seeds_builds_only_the_kept_rows(tmp_path):
+    cusp = load_family("cusp")
+    # 17^3 = 4913 rows are strided by 2 down to the cap
+    assert np.array_equal(np.array(phase_seeds(cusp, 17)), _box_grid(_domain(cusp), 17)[::2])
+    assert np.array_equal(np.array(phase_seeds(cusp, 16)), _box_grid(_domain(cusp), 16))
+    # the full 200^4 mesh would have 1.6e9 rows
+    wide = load_family(_four_variable_family(tmp_path))
+    seeds = np.array(phase_seeds(wide, 200))
+    assert seeds.shape == (4096, 4)
+    assert np.array_equal(seeds[0], [lo + 0.05 * (hi - lo) for lo, hi in _domain(wide)])
 
 
 def test_module_error_exits_1(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import families, fronts
 from wavefronts.cli import phase_seeds
@@ -115,3 +117,105 @@ def test_hausdorff_and_polyline_distance():
     assert fronts.hausdorff(a, b) == pytest.approx(1.0)
     d = fronts.polyline_distances(np.array([[0.5, 0.3]]), [a])
     assert d[0] == pytest.approx(0.3)
+
+
+def _polyline_distances_brute(points, chains):
+    """Reference: every point against every segment of every chain."""
+    best = np.full(len(points), np.inf)
+    for chain in chains:
+        if len(chain) == 0:
+            continue
+        if len(chain) == 1:
+            best = np.minimum(best, np.linalg.norm(points - chain[0], axis=1))
+            continue
+        a, seg = chain[:-1], chain[1:] - chain[:-1]
+        seg_len2 = np.maximum(np.sum(seg**2, axis=1), 1e-300)
+        diff = points[:, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("nsd,sd->ns", diff, seg) / seg_len2, 0.0, 1.0)
+        proj = a[None, :, :] + t[:, :, None] * seg[None, :, :]
+        best = np.minimum(best, np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1))
+    return best
+
+
+def _self_intersections_double_loop(points):
+    """Reference: the double loop over segment pairs."""
+    out = []
+    m = len(points) - 1
+    for i in range(m):
+        p, r = points[i], points[i + 1] - points[i]
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1 and np.allclose(points[0], points[m]):
+                continue
+            q, s = points[j], points[j + 1] - points[j]
+            denom = r[0] * s[1] - r[1] * s[0]
+            if abs(denom) < 1e-14:
+                continue
+            d = q - p
+            u = (d[0] * s[1] - d[1] * s[0]) / denom
+            v = (d[0] * r[1] - d[1] * r[0]) / denom
+            if 0 <= u <= 1 and 0 <= v <= 1:
+                out.append(p + u * r)
+    return out
+
+
+# vertices drawn from a small pool repeat, so chains get zero-length segments
+_coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_pool = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=6)
+
+
+@st.composite
+def _chains_and_points(draw):
+    pool = np.array(draw(_pool))
+    chains = [
+        pool[draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))].reshape(-1, 2)
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    scale = draw(st.sampled_from([1.0, 1e-3, 50.0, 1e4]))  # 1e4: points many cells away
+    points = np.array(draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=20))) * scale
+    return points, chains
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chains_and_points())
+def test_polyline_distances_match_brute_force(case):
+    points, chains = case
+    got = fronts.polyline_distances(points, chains)
+    ref = _polyline_distances_brute(points, chains)
+    assert got.shape == ref.shape
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    fin = np.isfinite(ref)
+    assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12 * np.maximum(1.0, ref[fin]))
+    # a cloud is a set of one-point chains
+    cloud = np.vstack([c for c in chains if len(c)] or [np.zeros((0, 2))])
+    ref = _polyline_distances_brute(points, [cloud[i : i + 1] for i in range(len(cloud))])
+    assert np.array_equal(fronts.min_distances(points, cloud), ref)
+
+
+def test_polyline_distances_dense_chain_off_and_on_the_curve():
+    rng = np.random.default_rng(7)
+    u = np.linspace(0.0, 2 * np.pi, 2001)
+    chain = np.column_stack([2 * np.cos(u) ** 3, np.sin(u) ** 3])
+    points = np.vstack([chain[::7] + 1e-9, rng.uniform(-3, 3, (300, 2)), rng.uniform(-1e5, 1e5, (20, 2))])
+    chains = [chain, chain[:3], chain[100:101]]
+    got, ref = fronts.polyline_distances(points, chains), _polyline_distances_brute(points, chains)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=30),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+)
+def test_self_intersections_match_the_double_loop(verts, close, jitter):
+    # integer vertices give collinear, touching and repeated segments; the
+    # jitter moves one vertex off the lattice
+    pts = np.array(verts, dtype=float).reshape(-1, 2)
+    if len(pts):
+        pts[len(pts) // 2] += jitter
+        if close:
+            pts = np.vstack([pts, pts[:1]])
+    got = fronts.polyline_self_intersections(pts)
+    ref = _self_intersections_double_loop(pts)
+    assert len(got) == len(ref)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import families, fronts, geometry
 from wavefronts.errors import DegenerateMetric
@@ -149,3 +151,23 @@ def test_tangent_sphere_check_generic_point():
     # the grid minimum carries O(du^2) radius error, so loosen the radius gate
     res = geometry.tangent_sphere_check(e, v=v, r=d_min, u_grid=u_grid, radius_tol=1e-4)
     assert len(res["tangency_points"]) >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=30))
+def test_curve_methods_take_arrays(us):
+    u = np.array(us)
+    for curve in (geometry.Circle(radius=1.5), geometry.Ellipse(a=2.0, b=0.7), geometry.Parabola(c=0.6)):
+        for name in ("point", "d1", "d2", "d3", "normal", "curvature", "evolute_point"):
+            method = getattr(curve, name)
+            rows = np.array([method(float(x)) for x in u])
+            assert rows.shape == method(u).shape
+            assert np.allclose(method(u), rows, rtol=1e-12, atol=1e-12), (curve, name)
+
+
+def test_flat_parabola_has_an_empty_evolute():
+    flat = geometry.Parabola(c=0.0)
+    u, pts = geometry.evolute_samples(flat, np.linspace(-1.0, 1.0, 11))
+    assert u.shape == (0,) and pts.shape == (0, 2)
+    assert geometry.evolute(flat, np.linspace(-1.0, 1.0, 11)).shape == (0, 2)
+    assert geometry.parallel_cusps(flat, -0.5, np.linspace(-1.0, 1.0, 11)) == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts.errors import (
     MaxIterations,
@@ -35,12 +37,71 @@ def test_fd_jacobian_linear_system_exact():
 
 def test_bracket_roots_exact_zeros_and_sign_changes():
     grid = np.linspace(-1.0, 2.0, 7)  # samples at -1, -0.5, 0, ..., 2
-    # exact zeros at an interior sample (0) and at the last sample (2)
-    assert bracket_roots(lambda s: s * (s - 2.0), grid) == [0.0, 2.0]
-    # a sign change between samples is bisected to machine precision
-    (root,) = bracket_roots(lambda s: s * s - 2.0, grid)
-    assert abs(root - np.sqrt(2.0)) < 1e-12
-    assert bracket_roots(lambda s: s * s + 1.0, grid) == []
+    calls = []
+
+    def h(p, s):
+        calls.append(len(s))
+        return (s - p) * (s * s - 2.0)
+
+    # line 0: an exact zero at an interior sample (0); line 1: one at the last
+    # sample (2); every line: the sign change at sqrt(2), bisected to machine
+    # precision; roots come ordered by line, then increasing
+    line, roots = bracket_roots(h, [0.0, 2.0, 5.0], grid)
+    assert line.tolist() == [0, 0, 1, 1, 2]
+    assert roots[[0, 3]].tolist() == [0.0, 2.0]
+    assert np.abs(roots[[1, 2, 4]] - np.sqrt(2.0)).max() < 1e-12
+    # one call on the (lines x grid) mesh, then one per bisection step on
+    # all three brackets; steps stop once no bracket can shrink any more
+    assert calls[0] == 21 and set(calls[1:]) == {3} and 50 <= len(calls) <= 81
+    line, roots = bracket_roots(lambda p, s: s * s + p, [1.0], grid)
+    assert line.size == roots.size == 0
+
+
+def _bracket_roots_scalar(h, grid):
+    """Reference: the one-line scalar loop, one call of ``h`` per sample."""
+    vals = np.array([h(s) for s in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0:
+            a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                fm = h(m)
+                if fa * fm <= 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    if len(vals) and vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.floats(-1.5, 1.5)), min_size=1, max_size=6),
+    st.integers(2, 13),
+)
+def test_bracket_roots_matches_the_scalar_loop(lines, n):
+    # cubic (s - g[i]) (s - g[j]) (s - c): exact zeros at grid samples (the
+    # last one included when i or j is n - 1), double roots, sign changes
+    grid = np.linspace(-1.0, 1.0, n)
+    coef = np.array([[grid[min(i, n - 1)], grid[min(j, n - 1)], c] for i, j, c in lines])
+
+    def h(p, s):
+        r = coef[np.asarray(p, dtype=int)]
+        return (s - r[..., 0]) * (s - r[..., 1]) * (s - r[..., 2])
+
+    line, roots = bracket_roots(h, np.arange(len(lines)), grid)
+    for k in range(len(lines)):
+        ref = _bracket_roots_scalar(lambda s: h(k, s), grid)
+        got = roots[line == k]
+        assert len(got) == len(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12)
+        exact = [r for r in ref if r in grid]
+        assert all(r in got for r in exact)
 
 
 def test_dedup_keeps_first_and_drops_at_radius():
