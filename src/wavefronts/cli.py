@@ -22,8 +22,12 @@ from .errors import WavefrontError
 DEFAULT_SEED_DENSITY = 8
 MAX_SEED_DENSITY = 256
 DEFAULT_TOL = 1e-8
-# largest range (parse_range) or seed grid (_box_grid) built from user input
+# largest range (parse_range), seed grid (_box_grid) or strip count built
+# from user input
 MAX_SAMPLES = 10**6
+# largest jet space (versal) and (steps + 1) x strips history (burgers)
+MAX_JET_DIM = 10**4
+MAX_HISTORY = 10**7
 
 
 class ValidationError(Exception):
@@ -283,11 +287,19 @@ def cmd_parallels(args) -> int:
 
 
 def cmd_burgers(args) -> int:
+    if not 1 <= args.strips <= MAX_SAMPLES:
+        raise ValidationError(f"--strips must be in [1, {MAX_SAMPLES}]")
     eq = pde.burgers(speed=args.speed)
     t_values = parse_range(args.t)
     dt = float(t_values[1] - t_values[0]) if len(t_values) > 1 else 1e-3
+    t_range = (t_values[0], t_values[-1])
+    rows = pde.step_count(t_range, dt) + 1
+    if rows * args.strips > MAX_HISTORY:
+        raise ValidationError(
+            f"{rows} time samples x {args.strips} strips is more than {MAX_HISTORY} history cells"
+        )
     x0 = np.linspace(0.0, 2 * np.pi, args.strips)
-    sheet = pde.integrate_characteristics(eq, x0, (t_values[0], t_values[-1]), dt=dt)
+    sheet = pde.integrate_characteristics(eq, x0, t_range, dt=dt)
     if args.report_breaking:
         t_star = pde.breaking_time(sheet)
         if t_star is None:
@@ -336,6 +348,13 @@ def cmd_ode_gallery(args) -> int:
 
 
 def cmd_versal(args) -> int:
+    if args.jet < 1 or args.k < 1:
+        raise ValidationError("--jet and --k must be at least 1")
+    # k + 1 variables at degree jet + 1 bound every jet space the checks
+    # build; C(n, r) >= n here, so the first test keeps math.comb small
+    top = args.k + args.jet + 2
+    if top > MAX_JET_DIM or math.comb(top, args.jet + 1) > MAX_JET_DIM:
+        raise ValidationError(f"--k {args.k} --jet {args.jet} needs a jet space of more than {MAX_JET_DIM} monomials")
     qvars = tuple(f"q{i + 1}" for i in range(args.k))
     f = ex.parse_expr(args.f, qvars)
     dfdx = [ex.parse_expr(s, qvars) for s in args.dfdx.split(";") if s.strip()]

@@ -43,12 +43,6 @@ class Expr:
         """Compile to a fast ``f(v) -> float`` over a flat argument vector."""
         return compile_nested(self, var_order)
 
-    def evaluate(self, env: dict) -> float:
-        order = sorted(env)
-        import numpy as np
-
-        return self.compile(order)(np.array([env[k] for k in order], dtype=float))
-
 
 @dataclass(frozen=True)
 class Num(Expr):

@@ -1,22 +1,21 @@
 """Truncated-jet linear algebra: stability and determinacy checks for
-polynomial germs via monomial-basis rank computations."""
+polynomial germs via exact ranks over Q of monomial-basis spans."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from .errors import NotSingularGerm
-from .linalg import RANK_EPS, numerical_rank
+from .linalg import numerical_rank  # noqa: F401  (perfbench/tracing.py wraps jets.numerical_rank by name)
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, Fraction]
+Row = Dict[int, Fraction]  # sparse coordinates {basis index: coefficient}
 
 
 def expand(e: ex.Expr, variables: Sequence[str]) -> Poly:
@@ -66,6 +65,17 @@ def mono_shift(p: Poly, mono: Monomial) -> Poly:
     return {tuple(i + j for i, j in zip(k, mono)): c for k, c in p.items()}
 
 
+def _monomials(m: int, d: int) -> Iterator[Monomial]:
+    """Exponent tuples of m variables with sum d, lexicographically descending."""
+    if m == 0:
+        if d == 0:
+            yield ()
+        return
+    for e in range(d, -1, -1):
+        for rest in _monomials(m - 1, d - e):
+            yield (e,) + rest
+
+
 @dataclass(frozen=True)
 class JetSpace:
     """Polynomials of degree <= degree in the given variables, with a
@@ -74,31 +84,23 @@ class JetSpace:
     variables: Tuple[str, ...]
     degree: int
 
-    @property
+    @cached_property
     def basis(self) -> List[Monomial]:
         m = len(self.variables)
-        out = []
-        for d in range(self.degree + 1):
-            level = [
-                e
-                for e in itertools.product(range(d + 1), repeat=m)
-                if sum(e) == d
-            ]
-            out.extend(sorted(level, reverse=True))
-        return out
+        return [mono for d in range(self.degree + 1) for mono in _monomials(m, d)]
+
+    @cached_property
+    def index(self) -> Dict[Monomial, int]:
+        return {mono: i for i, mono in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
         return math.comb(len(self.variables) + self.degree, self.degree)
 
-    def project(self, p: Poly) -> np.ndarray:
-        """Coefficient vector; monomials above the degree bound are dropped."""
-        idx = {mono: i for i, mono in enumerate(self.basis)}
-        v = np.zeros(len(idx))
-        for k, c in p.items():
-            if sum(k) <= self.degree:
-                v[idx[k]] = float(c)
-        return v
+    def project(self, p: Poly) -> Row:
+        """Sparse coordinates; monomials above the degree bound are dropped."""
+        idx = self.index
+        return {idx[k]: c for k, c in p.items() if k in idx}
 
     def monomial_name(self, mono: Monomial) -> str:
         parts = []
@@ -108,6 +110,32 @@ class JetSpace:
             elif e > 1:
                 parts.append(f"{v}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def row_echelon(rows: Iterable[Row]) -> Dict[int, Row]:
+    """Exact row echelon form over Q of sparse rows.
+
+    Each row is reduced against the pivot rows, keyed by their highest basis
+    index and scaled to 1 there; a row that does not reduce to zero becomes a
+    new pivot.  The number of pivots is the rank of the rows.
+    """
+    pivots: Dict[int, Row] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = max(row)
+            c = row[lead]
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = {j: v / c for j, v in row.items()}
+                break
+            for j, v in piv.items():
+                r = row.get(j, 0) - c * v
+                if r:
+                    row[j] = r
+                else:
+                    del row[j]
+    return pivots
 
 
 @dataclass
@@ -136,37 +164,25 @@ def _check_singular(fpoly: Poly, m: int):
             raise NotSingularGerm("germ has non-zero gradient at the origin")
 
 
-def _span_report(space: JetSpace, rows: List[np.ndarray], eps: float) -> VersalityReport:
-    dim = space.dim
-    A = np.array([r for r in rows if np.any(r != 0.0)])
-    if A.size == 0:
-        return VersalityReport(False, dim, [space.monomial_name(b) for b in space.basis])
-    rank = numerical_rank(A, eps)
-    defect = dim - rank
-    witnesses: List[str] = []
-    if defect:
-        # residual of each basis direction against the row space
-        _, s, vt = np.linalg.svd(A)
-        r = int(np.sum(s > eps * s[0])) if s.size and s[0] > 0 else 0
-        V = vt[:r]
-        res = 1.0 - np.sum(V**2, axis=0)
-        order = np.argsort(-res)[:defect]
-        witnesses = [space.monomial_name(space.basis[i]) for i in sorted(order)]
-    return VersalityReport(passes=defect == 0, codimension_defect=defect, witnesses=witnesses)
+def _span_report(space: JetSpace, rows: Iterable[Row]) -> VersalityReport:
+    """Verdict on whether the rows span the jet space.  The witnesses are the
+    non-pivot basis monomials in basis order: the standard monomials of the
+    span, which complement it."""
+    pivots = row_echelon(rows)
+    witnesses = [space.monomial_name(b) for i, b in enumerate(space.basis) if i not in pivots]
+    return VersalityReport(passes=not witnesses, codimension_defect=len(witnesses), witnesses=witnesses)
 
 
-def _jacobian_rows(
-    space: JetSpace, qvars: Sequence[str], f: ex.Expr
-) -> List[np.ndarray]:
-    """Vectors of m * df/dq_i over all basis monomials m of the jet space."""
-    rows = []
-    for v in qvars:
-        dpoly = expand(f.diff(v), space.variables)
-        if not dpoly:
-            continue
+def _multiples(space: JetSpace, p: Poly) -> Iterator[Row]:
+    """Rows of m * p over all basis monomials m of the jet space."""
+    if p:
         for mono in space.basis:
-            rows.append(space.project(mono_shift(dpoly, mono)))
-    return rows
+            yield space.project(mono_shift(p, mono))
+
+
+def _jacobian_rows(space: JetSpace, qvars: Sequence[str], f: ex.Expr) -> List[Row]:
+    """Rows of m * df/dq_i over all basis monomials m of the jet space."""
+    return [row for v in qvars for row in _multiples(space, expand(f.diff(v), space.variables))]
 
 
 def lagrangian_stability_check(
@@ -174,7 +190,6 @@ def lagrangian_stability_check(
     dfdx: Sequence[ex.Expr],
     ell: int,
     variables: Optional[Sequence[str]] = None,
-    eps: float = RANK_EPS,
 ) -> VersalityReport:
     """Does {m * df/dq_i} + span{dF/dx_j at 0} + constants fill the jet space?
 
@@ -190,25 +205,22 @@ def lagrangian_stability_check(
         rows.append(space.project(expand(g, qvars)))
     const: Poly = {(0,) * len(qvars): Fraction(1)}
     rows.append(space.project(const))
-    return _span_report(space, rows, eps)
+    return _span_report(space, rows)
 
 
-def _determinacy_defect(f: ex.Expr, qvars: Sequence[str], ell: int, eps: float) -> int:
+def _determinacy_report(f: ex.Expr, qvars: Sequence[str], ell: int) -> VersalityReport:
+    """Span of {m * df/dq_i} + {m * f}; its witnesses are the standard
+    monomials of the local algebra up to degree ``ell``."""
     space = JetSpace(tuple(qvars), ell)
     rows = _jacobian_rows(space, qvars, f)
-    fpoly = expand(f, qvars)
-    for mono in space.basis:
-        rows.append(space.project(mono_shift(fpoly, mono)))
-    A = np.array([r for r in rows if np.any(r != 0.0)])
-    rank = numerical_rank(A, eps) if A.size else 0
-    return space.dim - rank
+    rows.extend(_multiples(space, expand(f, qvars)))
+    return _span_report(space, rows)
 
 
 def k_determinacy_dimension(
     f: ex.Expr,
     ell: int,
     variables: Optional[Sequence[str]] = None,
-    eps: float = RANK_EPS,
 ) -> float:
     """Codimension of {m * df/dq_i} + {m * f} in the jet space (the local
     algebra dimension, counting the constant class).
@@ -218,8 +230,8 @@ def k_determinacy_dimension(
     """
     qvars = _q_variables(f, (), variables)
     _check_singular(expand(f, qvars), len(qvars))
-    d0 = _determinacy_defect(f, qvars, ell, eps)
-    d1 = _determinacy_defect(f, qvars, ell + 1, eps)
+    d0 = _determinacy_report(f, qvars, ell).codimension_defect
+    d1 = _determinacy_report(f, qvars, ell + 1).codimension_defect
     if d1 > d0:
         return float("inf")
     return d0
@@ -230,7 +242,6 @@ def sp_plus_versality_check(
     dfdx: Sequence[ex.Expr],
     ell: int,
     variables: Optional[Sequence[str]] = None,
-    eps: float = RANK_EPS,
 ) -> VersalityReport:
     """Versality of the time-extended unfolding: in the (q, t) jet space the
     span of {m * df/dq_i}, {m * (f - t)}, the initial velocities and constants
@@ -241,11 +252,9 @@ def sp_plus_versality_check(
     allvars = tuple(qvars) + ("t",)
     space = JetSpace(allvars, ell)
     rows = _jacobian_rows(space, qvars, f)
-    fbar = expand(ex.sub(f, ex.Var("t")), allvars)
-    for mono in space.basis:
-        rows.append(space.project(mono_shift(fbar, mono)))
+    rows.extend(_multiples(space, expand(ex.sub(f, ex.Var("t")), allvars)))
     for g in dfdx:
         rows.append(space.project(expand(g, allvars)))
     const: Poly = {(0,) * len(allvars): Fraction(1)}
     rows.append(space.project(const))
-    return _span_report(space, rows, eps)
+    return _span_report(space, rows)

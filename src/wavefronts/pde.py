@@ -8,8 +8,8 @@ steps so fold detection does not depend on grid spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,19 +39,22 @@ class CharacteristicStrip:
 @dataclass
 class GeometricSolutionSheet:
     pde: QuasiLinearPDE
-    strips: List[CharacteristicStrip]
+    strips: List[CharacteristicStrip]  # views into the arrays below
     dt: float
+    ts: np.ndarray  # (T,)
+    xs: np.ndarray  # (T, S, n)
+    ys: np.ndarray  # (T, S)
+    dets: np.ndarray  # (T, S)
 
 
 def _batch_value(field: ScalarField, P: np.ndarray) -> np.ndarray:
-    """Evaluate ``field.fn`` on columns of P (arity, S); vectorized closures
-    get the whole block, anything else falls back to a per-column loop."""
+    """Evaluate ``field.fn`` on columns of P (arity, S), broadcastable to
+    (S,); vectorized closures get the whole block, anything else falls back to
+    a per-column loop."""
     S = P.shape[1]
     try:
         v = np.asarray(field.fn(P), dtype=float)
-        if v.ndim == 0:
-            return np.full(S, float(v))
-        if v.shape == (S,):
+        if v.ndim == 0 or v.shape == (S,):
             return v
     except Exception:
         pass
@@ -59,39 +62,54 @@ def _batch_value(field: ScalarField, P: np.ndarray) -> np.ndarray:
 
 
 def _batch_grad(field: ScalarField, P: np.ndarray) -> np.ndarray:
-    """(S, arity) gradient block, with the same fallback as _batch_value."""
+    """Gradient rows (arity, S), or a constant gradient as an (arity, 1)
+    view, with the same fallback as _batch_value."""
     S = P.shape[1]
     m = field.arity
     if field.grad_fn is not None:
         try:
             g = np.asarray(field.grad_fn(P), dtype=float)
             if g.shape == (m,):
-                return np.broadcast_to(g, (S, m)).copy()
+                return g[:, None]
             if g.shape == (m, S):
-                return g.T.copy()
+                return g
         except Exception:
             pass
-    return np.array([field.grad(P[:, j]) for j in range(S)], dtype=float)
+    return np.array([field.grad(P[:, j]) for j in range(S)], dtype=float).T
 
 
-def _rhs(pde: QuasiLinearPDE, x, y, M, w, t):
-    """Batched characteristic + variational right-hand side.
+def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, t: float, P: np.ndarray, out: np.ndarray) -> None:
+    """Batched characteristic + variational right-hand side, written to ``out``.
 
-    Shapes: x (S, n), y (S,), M (S, n, n) = dx/dx0, w (S, n) = dy/dx0.
+    Z and out have one column per strip and the rows [x (n); y; M (n * n,
+    row-major) = dx/dx0; w (n) = dy/dx0].  P is an (n + 2, S) work array for
+    the field arguments (x, y, t).
     """
     n = pde.n
-    P = np.vstack([x.T, y[None, :], np.full((1, len(y)), t)])  # (n+2, S)
-    avec = np.stack([_batch_value(ai, P) for ai in pde.a], axis=1)  # (S, n)
-    bval = _batch_value(pde.b, P)  # (S,)
-    agrad = np.stack([_batch_grad(ai, P) for ai in pde.a], axis=1)  # (S, n, n+2)
-    bgrad = _batch_grad(pde.b, P)  # (S, n+2)
-    ax = agrad[:, :, :n]  # (S, n, n)
-    ay = agrad[:, :, n]  # (S, n)
-    bx = bgrad[:, :n]  # (S, n)
-    by = bgrad[:, n]  # (S,)
-    dM = ax @ M + ay[:, :, None] * w[:, None, :]
-    dw = np.einsum("sji,sj->si", M, bx) + by[:, None] * w
-    return avec, bval, dM, dw
+    P[: n + 1] = Z[: n + 1]
+    P[n + 1] = t
+    M = Z[n + 1 : n + 1 + n * n].reshape(n, n, -1)
+    w = Z[n + 1 + n * n :]
+    dM = out[n + 1 : n + 1 + n * n].reshape(n, n, -1)
+    dw = out[n + 1 + n * n :]
+    for i, ai in enumerate(pde.a):
+        out[i] = _batch_value(ai, P)
+        g = _batch_grad(ai, P)
+        # dM_i. = sum_k a_i,x_k M_k. + a_i,y w
+        np.multiply(g[n], w, out=dM[i])
+        for k in range(n):
+            dM[i] += g[k] * M[k]
+    out[n] = _batch_value(pde.b, P)
+    g = _batch_grad(pde.b, P)
+    # dw_j = sum_i M_ij b_x_i + b_y w_j
+    np.multiply(g[n], w, out=dw)
+    for i in range(n):
+        dw += M[i] * g[i]
+
+
+def step_count(t_range, dt: float) -> int:
+    """Number of fixed RK4 steps ``integrate_characteristics`` takes."""
+    return max(1, int(round((float(t_range[1]) - float(t_range[0])) / dt)))
 
 
 def integrate_characteristics(
@@ -101,67 +119,82 @@ def integrate_characteristics(
     dt: float = 1e-3,
     blowup: float = 1e3,
 ) -> GeometricSolutionSheet:
-    """Fixed-step RK4 over t in [t_range[0], t_range[1]], all strips at once."""
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    steps = max(1, int(round((t1 - t0) / dt)))
+    """Fixed-step RK4 over t in [t_range[0], t_range[1]], all strips at once.
+
+    The state of all strips is one packed array (see ``_rhs``); the stages
+    and the histories are preallocated and written in place.
+    """
+    t0 = float(t_range[0])
+    steps = step_count(t_range, dt)
     n = pde.n
     X0 = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x0_grid])
     S = len(X0)
-    x = X0.copy()
-    y = np.array([pde.phi.value(p) for p in X0])
-    M = np.broadcast_to(np.eye(n), (S, n, n)).copy()
-    w = np.array([pde.phi.grad(p) for p in X0])
-    ts = [t0]
-    xs_hist = [x.copy()]
-    ys_hist = [y.copy()]
-    det_hist = [np.linalg.det(M)]
-    t = t0
-    for _ in range(steps):
-        k1 = _rhs(pde, x, y, M, w, t)
-        k2 = _rhs(pde, x + dt / 2 * k1[0], y + dt / 2 * k1[1], M + dt / 2 * k1[2], w + dt / 2 * k1[3], t + dt / 2)
-        k3 = _rhs(pde, x + dt / 2 * k2[0], y + dt / 2 * k2[1], M + dt / 2 * k2[2], w + dt / 2 * k2[3], t + dt / 2)
-        k4 = _rhs(pde, x + dt * k3[0], y + dt * k3[1], M + dt * k3[2], w + dt * k3[3], t + dt)
-        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y = y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        M = M + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        w = w + dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    Z = np.empty((2 * n + 1 + n * n, S))
+    Z[:n] = X0.T
+    Z[n] = [pde.phi.value(p) for p in X0]
+    M = Z[n + 1 : n + 1 + n * n].reshape(n, n, S)
+    M[...] = np.eye(n)[:, :, None]
+    Z[n + 1 + n * n :] = np.array([pde.phi.grad(p) for p in X0]).T
+    K1, K2, K3, K4, Zs = (np.empty_like(Z) for _ in range(5))
+    P = np.empty((n + 2, S))
+
+    ts = np.empty(steps + 1)
+    XS = np.empty((steps + 1, S, n))
+    YS = np.empty((steps + 1, S))
+    DETS = np.empty((steps + 1, S))
+
+    def record(i):
+        XS[i] = Z[:n].T
+        YS[i] = Z[n]
+        DETS[i] = M[0, 0] if n == 1 else np.linalg.det(M.transpose(2, 0, 1))
+
+    t = ts[0] = t0
+    record(0)
+    for step in range(1, steps + 1):
+        _rhs(pde, Z, t, P, K1)
+        np.multiply(K1, dt / 2, out=Zs)
+        Zs += Z
+        _rhs(pde, Zs, t + dt / 2, P, K2)
+        np.multiply(K2, dt / 2, out=Zs)
+        Zs += Z
+        _rhs(pde, Zs, t + dt / 2, P, K3)
+        np.multiply(K3, dt, out=Zs)
+        Zs += Z
+        _rhs(pde, Zs, t + dt, P, K4)
+        # Z += dt / 6 * (K1 + 2 K2 + 2 K3 + K4)
+        K2 *= 2
+        K1 += K2
+        K3 *= 2
+        K1 += K3
+        K1 += K4
+        K1 *= dt / 6
+        Z += K1
         t += dt
-        if np.max(np.abs(x)) > blowup or np.max(np.abs(y)) > blowup:
-            worst = int(np.argmax(np.max(np.abs(x), axis=1)))
+        if np.max(np.abs(Z[:n])) > blowup or np.max(np.abs(Z[n])) > blowup:
+            worst = int(np.argmax(np.max(np.abs(Z[:n]), axis=0)))
             raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {blowup} at t={t}")
-        ts.append(t)
-        xs_hist.append(x.copy())
-        ys_hist.append(y.copy())
-        det_hist.append(np.linalg.det(M))
-    ts_arr = np.array(ts)
-    XS = np.stack(xs_hist)  # (T, S, n)
-    YS = np.stack(ys_hist)  # (T, S)
-    DETS = np.stack(det_hist)  # (T, S)
+        ts[step] = t
+        record(step)
     strips = [
-        CharacteristicStrip(
-            x0=X0[j], ts=ts_arr, xs=XS[:, j, :], ys=YS[:, j], dets=DETS[:, j]
-        )
+        CharacteristicStrip(x0=X0[j], ts=ts, xs=XS[:, j, :], ys=YS[:, j], dets=DETS[:, j])
         for j in range(S)
     ]
-    return GeometricSolutionSheet(pde=pde, strips=strips, dt=dt)
+    return GeometricSolutionSheet(pde=pde, strips=strips, dt=dt, ts=ts, xs=XS, ys=YS, dets=DETS)
 
 
 def breaking_time(sheet: GeometricSolutionSheet) -> Optional[float]:
     """Earliest t at which some strip's variational determinant crosses zero."""
-    best = None
-    for strip in sheet.strips:
-        d = strip.dets
-        sign_change = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-        if sign_change.size == 0:
-            continue
-        i = int(sign_change[0])
-        # root of the linear interpolant inside the bracketing step
-        ta, tb = strip.ts[i], strip.ts[i + 1]
-        da, db = d[i], d[i + 1]
-        t_star = ta + (tb - ta) * da / (da - db)
-        if best is None or t_star < best:
-            best = t_star
-    return best
+    d = sheet.dets
+    pos, neg = d > 0, d < 0
+    change = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])  # (T - 1, S)
+    cols = np.flatnonzero(change.any(axis=0))
+    if cols.size == 0:
+        return None
+    i = np.argmax(change[:, cols], axis=0)  # first sign change of each strip
+    # root of the linear interpolant inside the bracketing step
+    ta, tb = sheet.ts[i], sheet.ts[i + 1]
+    da, db = d[i, cols], d[i + 1, cols]
+    return float(np.min(ta + (tb - ta) * da / (da - db)))
 
 
 def multivalued_count(sheet: GeometricSolutionSheet, x_hat: float, t: float) -> int:
@@ -172,9 +205,8 @@ def multivalued_count(sheet: GeometricSolutionSheet, x_hat: float, t: float) -> 
     """
     if sheet.pde.n != 1:
         raise ValueError("multivalued counting is defined for n = 1")
-    ts = sheet.strips[0].ts
-    i = int(np.argmin(np.abs(ts - t)))
-    vals = np.array([s.xs[i, 0] for s in sheet.strips]) - x_hat
+    i = int(np.argmin(np.abs(sheet.ts - t)))
+    vals = sheet.xs[i, :, 0] - x_hat
     count = 0
     prev_sign = np.sign(vals[0])
     if prev_sign == 0:
@@ -193,9 +225,8 @@ def multivalued_count(sheet: GeometricSolutionSheet, x_hat: float, t: float) -> 
 
 def sheet_values(sheet: GeometricSolutionSheet, t: float) -> np.ndarray:
     """(x, y) samples of the geometric solution at time t (n = 1)."""
-    ts = sheet.strips[0].ts
-    i = int(np.argmin(np.abs(ts - t)))
-    return np.array([[s.xs[i, 0], s.ys[i]] for s in sheet.strips])
+    i = int(np.argmin(np.abs(sheet.ts - t)))
+    return np.stack([sheet.xs[i, :, 0], sheet.ys[i]], axis=1)
 
 
 def tangency_check(

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from wavefronts import emitters
 from wavefronts.cli import (
+    MAX_HISTORY,
+    MAX_JET_DIM,
     ValidationError,
     _box_grid,
     _domain,
@@ -116,6 +119,34 @@ def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
     captured = capsys.readouterr()
     assert "invalid arguments:" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["versal", "--f", "q1^2", "--jet", "0"],
+        ["versal", "--f", "q1^2", "--k", "0"],
+        ["versal", "--f", "q1^2", "--jet", "10000"],
+        # C(202, 101) monomials; math.comb runs only after the k + jet test
+        ["versal", "--f", "q1^2", "--k", "100", "--jet", "100"],
+        ["versal", "--f", "q1^2", "--k", "1000000000000", "--jet", "1000000000000"],
+        ["burgers", "--t", "0:0.7:0.001", "--strips", "0"],
+        ["burgers", "--t", "0:0.7:0.001", "--strips", "1000001"],
+        # 100,001 time samples x 1,000 strips
+        ["burgers", "--t", "0:100:0.001", "--strips", "1000"],
+    ],
+)
+def test_jet_and_strip_bounds_exit_2_before_allocating(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "invalid arguments:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_benchmark_scene_sizes_are_admitted():
+    top = 2 + 10 + 2  # versal --k 2 --jet 10
+    assert math.comb(top, 11) <= MAX_JET_DIM
+    assert 701 * 6000 <= MAX_HISTORY  # burgers --t 0:0.7:0.001 --strips 6000
 
 
 def _four_variable_family(tmp_path):

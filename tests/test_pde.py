@@ -108,3 +108,42 @@ def test_sheet_values_single_valued_early():
     vals = pde.sheet_values(sheet, 0.2)
     order = np.argsort(vals[:, 0])
     assert np.all(np.diff(vals[order, 0]) > -1e-12)
+
+
+def _burgers_2d(axis):
+    """y_t + y y_{x_axis} = 0 in two space variables, y(0, x) = sin x_axis."""
+    grad_y = np.zeros(4)
+    grad_y[2] = 1.0
+    zero = ScalarField(4, lambda p: 0.0, lambda p: np.zeros(4))
+    wave = ScalarField(4, lambda p: p[2], lambda p: grad_y)
+    a = (wave, zero) if axis == 0 else (zero, wave)
+    dphi = np.eye(2)[axis]
+    phi = ScalarField(2, lambda p: math.sin(p[axis]), lambda p: math.cos(p[axis]) * dphi)
+    return pde.QuasiLinearPDE(n=2, a=a, b=zero, phi=phi)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_two_space_variables_fold_at_the_closed_form(axis):
+    eq = _burgers_2d(axis)
+    grid = np.linspace(0, 2 * np.pi, 40)
+    x0 = [(u, v) if axis == 0 else (v, u) for u in grid for v in (-1.0, 0.5)]
+    sheet = pde.integrate_characteristics(eq, x0, (0, 1.2), dt=1e-3)
+    ts = sheet.ts
+    for s in sheet.strips:
+        u, v = s.x0[axis], s.x0[1 - axis]
+        # x_axis = u + t sin u, the other coordinate stays, det dx/dx0 = 1 + t cos u
+        assert np.allclose(s.xs[:, axis], u + ts * math.sin(u), rtol=0, atol=1e-12)
+        assert np.array_equal(s.xs[:, 1 - axis], np.full_like(ts, v))
+        assert np.allclose(s.dets, 1 + ts * math.cos(u), rtol=0, atol=1e-12)
+    folds = [-1 / math.cos(u) for u in grid if math.cos(u) < 0]
+    assert pde.breaking_time(sheet) == pytest.approx(min(folds), abs=1e-9)
+
+
+def test_variational_term_in_x():
+    # x' = x: x = x0 e^t and det dx/dx0 = e^t
+    a = ScalarField(3, lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]))
+    b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    phi = ScalarField(1, lambda p: 0.0, lambda p: np.zeros(1))
+    sheet = pde.integrate_characteristics(pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi), [-1.0, 2.0], (0, 1.0), dt=1e-2)
+    assert np.allclose(sheet.dets, np.exp(sheet.ts)[:, None], rtol=1e-9, atol=0)
+    assert np.allclose(sheet.xs[:, :, 0], np.exp(sheet.ts)[:, None] * [-1.0, 2.0], rtol=1e-9, atol=0)

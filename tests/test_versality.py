@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import expr as ex
 from wavefronts import jets
@@ -128,3 +130,61 @@ def test_two_variable_d4_germ():
     assert good.passes
     bad = jets.lagrangian_stability_check(f, [p("q1", Q2), p("q2", Q2)], 6, variables=Q2)
     assert not bad.passes
+
+
+def test_rescaled_d4_is_exact():
+    f = p("q1^3 + 1/1000000000*q2^3", Q2)
+    dfdx = [p(s, Q2) for s in ("q1", "q2", "q1*q2")]
+    assert jets.lagrangian_stability_check(f, dfdx, 10, variables=Q2).passes
+    assert jets.sp_plus_versality_check(f, dfdx, 10, variables=Q2).passes
+    assert jets.k_determinacy_dimension(f, 10, variables=Q2) == 4
+
+
+def test_rescaled_a3_is_exact():
+    f = p("1/1000000000*q1^4")
+    dfdx = [p("q1^2"), p("q1")]
+    assert jets.lagrangian_stability_check(f, dfdx, 8, variables=Q1).passes
+    assert jets.sp_plus_versality_check(f, dfdx, 8, variables=Q1).passes
+    assert jets.k_determinacy_dimension(f, 8, variables=Q1) == 3
+
+
+def test_d4_determinacy_complement_is_its_local_algebra_basis():
+    # Arnold, Gusein-Zade & Varchenko, vol. 1: Q(D4) = <1, q1, q2, q1*q2>
+    rep = jets._determinacy_report(p("q1^3 + q2^3", Q2), Q2, 6)
+    assert rep.witnesses == ["1", "q1", "q2", "q1*q2"]
+
+
+@st.composite
+def _row_sets(draw):
+    """A jet space in 2-3 variables and rows of integer polynomials in it,
+    some of them integer combinations of the others."""
+    m = draw(st.integers(2, 3))
+    space = jets.JetSpace(("a", "b", "c")[:m], draw(st.integers(1, 3)))
+    term = st.tuples(st.sampled_from(space.basis), st.integers(-3, 3).filter(bool))
+    polys = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=8))
+    rows = [{space.index[mono]: Fraction(c) for mono, c in poly} for poly in polys]
+    for coeffs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)), max_size=3)):
+        combo = {}
+        for c, row in zip(coeffs, rows):
+            for j, v in row.items():
+                combo[j] = combo.get(j, 0) + c * v
+        rows.append({j: v for j, v in combo.items() if v})
+    return space, rows
+
+
+def _dense(space, rows):
+    return [[row.get(j, 0) for j in range(space.dim)] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_sets())
+def test_row_echelon_rank_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    space, rows = case
+    assert len(jets.row_echelon(rows)) == sympy.Matrix(_dense(space, rows)).rank()
+    # the witnesses complement the span
+    rep = jets._span_report(space, rows)
+    names = [space.monomial_name(b) for b in space.basis]
+    units = [{names.index(w): Fraction(1)} for w in rep.witnesses]
+    assert rep.codimension_defect == len(units) == space.dim - len(jets.row_echelon(rows))
+    assert sympy.Matrix(_dense(space, rows + units)).rank() == space.dim

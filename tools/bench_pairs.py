@@ -1,6 +1,6 @@
 """Alternating paired benchmark runs of a parent commit and the working tree.
 
-Usage:  python3 tools/bench_pairs.py --parent REF --workload W --pairs N --first-seed S
+Usage:  python3 tools/bench_pairs.py --parent REF --workload W --pairs N --first-seed S [--out FILE]
 
 Commit REF is extracted with ``git archive`` into a temporary directory.  The
 script refuses to run when ``perfbench/`` or ``BENCHMARK.json`` differ between
@@ -14,6 +14,11 @@ and quartiles, the change/parent ratio of the medians, the pairs the change
 won (ties count for neither side) and whether the gap between the medians
 exceeds the parent's interquartile range.  It exits 1 if any run fails or
 reports ``correct: false``, and 0 otherwise.  Standard library only.
+
+``--out FILE`` also writes the result as one JSON object: the workload, the
+parent commit, the seeds, the machine fingerprint of the first run with each
+side's ``src/`` digest, and per metric each side's values, median and
+quartiles, the ratio, the pairs won and the IQR verdict.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "error": f"exit {out.returncode}: {out.stderr.strip()[-300:]}"}
     report["values"] = {k: v["value"] for k, v in report["metrics"].items()}
+    for line in lines:
+        if line.startswith("fingerprint "):
+            report["fingerprint"] = json.loads(line[len("fingerprint "):])
     return report
 
 
@@ -76,9 +84,10 @@ def spread(values):
     return q1, median(values), q3
 
 
-def summarize(metrics: list, runs: list) -> None:
-    print(f"\n{'metric':<14}{'parent q1/median/q3':>32}{'change q1/median/q3':>32}{'ratio':>8}"
-          f"{'won':>8}  gap > parent IQR")
+def summarize(metrics: list, runs: list) -> dict:
+    """Per end-to-end metric: both sides' spread, the ratio of the medians,
+    the pairs the change won and whether the gap exceeds the parent's IQR."""
+    out = {}
     for m in metrics:
         name = m["name"]
         pairs = [(p["values"][name], c["values"][name]) for p, c in runs
@@ -88,12 +97,37 @@ def summarize(metrics: list, runs: list) -> None:
         par, chg = [p for p, _ in pairs], [c for _, c in pairs]
         (pq1, pm, pq3), (cq1, cm, cq3) = spread(par), spread(chg)
         lower = m["better"] == "lower"
-        won = sum((c < p) if lower else (c > p) for p, c in pairs)
-        ratio = cm / pm if pm else float("nan")
-        print(f"{name:<14}{pq1:>10.4g} {pm:>10.4g} {pq3:>10.4g}{cq1:>11.4g} {cm:>10.4g} {cq3:>10.4g}"
-              f"{ratio:>8.3f}{won:>5}/{len(pairs):<2}  {abs(cm - pm) > pq3 - pq1}")
-        print(f"{'':<14}parent {[round(v, 4) for v in par]}")
-        print(f"{'':<14}change {[round(v, 4) for v in chg]}")
+        out[name] = {
+            "better": m["better"],
+            "parent": {"q1": pq1, "median": pm, "q3": pq3, "values": par},
+            "change": {"q1": cq1, "median": cm, "q3": cq3, "values": chg},
+            "ratio": cm / pm if pm else None,
+            "pairs_won": sum((c < p) if lower else (c > p) for p, c in pairs),
+            "pairs": len(pairs),
+            "gap_exceeds_parent_iqr": abs(cm - pm) > pq3 - pq1,
+        }
+    return out
+
+
+def print_summary(summary: dict) -> None:
+    print(f"\n{'metric':<14}{'parent q1/median/q3':>32}{'change q1/median/q3':>32}{'ratio':>8}"
+          f"{'won':>8}  gap > parent IQR")
+    for name, r in summary.items():
+        p, c = r["parent"], r["change"]
+        ratio = float("nan") if r["ratio"] is None else r["ratio"]
+        print(f"{name:<14}{p['q1']:>10.4g} {p['median']:>10.4g} {p['q3']:>10.4g}{c['q1']:>11.4g} "
+              f"{c['median']:>10.4g} {c['q3']:>10.4g}{ratio:>8.3f}{r['pairs_won']:>5}/{r['pairs']:<2}  "
+              f"{r['gap_exceeds_parent_iqr']}")
+        print(f"{'':<14}parent {[round(v, 4) for v in p['values']]}")
+        print(f"{'':<14}change {[round(v, 4) for v in c['values']]}")
+
+
+def fingerprint(pair: tuple) -> dict:
+    """The machine fingerprint of a pair's parent run, with each side's src/ digest."""
+    fps = [rep.get("fingerprint", {}) for rep in pair]
+    out = {k: v for k, v in fps[0].items() if k not in ("seed", "git_commit", "src_sha256")}
+    out["src_sha256"] = {"parent": fps[0].get("src_sha256"), "change": fps[1].get("src_sha256")}
+    return out
 
 
 def main(argv=None) -> int:
@@ -102,10 +136,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--first-seed", type=int, required=True)
+    ap.add_argument("--out", help="also write the result to this JSON file")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    if git("rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}")[0] != 0:
+    code, parent_commit = git("rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}")
+    if code != 0:
         ap.error(f"unknown commit {args.parent!r}")
     if benchmark_differs(args.parent):
         print(f"perfbench/ or BENCHMARK.json differ between {args.parent} and the working tree; "
@@ -131,7 +167,19 @@ def main(argv=None) -> int:
                       f"failed {rep.get('failed')}/{rep.get('attempted')} wall_s {wall} "
                       f"{rep.get('error', '')}", flush=True)
             runs.append((pair["parent"], pair["change"]))
-    summarize(bench["end_to_end"], runs)
+    summary = summarize(bench["end_to_end"], runs)
+    print_summary(summary)
+    if args.out:
+        result = {
+            "workload": args.workload,
+            "parent": parent_commit.strip(),
+            "seeds": [args.first_seed + i for i in range(args.pairs)],
+            "run_seconds": seconds,
+            "fingerprint": fingerprint(runs[0]),
+            "all_correct": all_correct,
+            "metrics": summary,
+        }
+        Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     if not all_correct:
         print("\nat least one run failed or reported correct: false")
     return 0 if all_correct else 1
