@@ -132,7 +132,12 @@ def critical_system(fam: GeneratingFamily) -> System:
     """The k equations dF/dq = 0 in z = (q, x); the Jacobian is the q rows of
     the field's Hessian."""
     fld, k = fam.field, fam.k
-    return System(lambda z: fld.grad(z)[:k], lambda z: fld.hessian(z)[:k])
+
+    def evaluate(z):
+        _, g, H, _ = fld.derivatives(z)
+        return g[:k], H[:k]
+
+    return System(lambda z: fld.grad(z)[:k], lambda z: fld.hessian(z)[:k], evaluate)
 
 
 def solve_critical_set(
@@ -178,6 +183,14 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
     """The family F - t0 (same variables); used to view a momentary slice of
     the graph-like family as a hypersurface family in its own right."""
     base = fam.field
+    jet_fn = None
+    if base.jet_fn is not None:
+
+        def jet_fn(p, with_third):
+            jet = base.jet_fn(p, with_third)
+            jet[0] -= t0
+            return jet
+
     fld = ScalarField(
         arity=base.arity,
         fn=lambda p: base.fn(p) - t0,
@@ -185,6 +198,7 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
         hess_fn=base.hess_fn,
         box=base.box,
         third_fn=base.third_fn,
+        jet_fn=jet_fn,
     )
     return GeneratingFamily(k=fam.k, n=fam.n, field=fld, name=f"{fam.name}-shift", seeds=fam.seeds)
 

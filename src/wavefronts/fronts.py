@@ -109,9 +109,18 @@ def front_system(gl: GraphLikeFamily, t: float) -> System:
     """(k+1) equations (dF/dq, F - t) in z = (q, x).  The Jacobian is the q
     rows of the Hessian over the gradient of F."""
     fld, k = gl.base.field, gl.base.k
+
+    def evaluate(z):
+        v, g, H, _ = fld.derivatives(z)
+        res, J = np.empty(k + 1), np.empty((k + 1, g.size))
+        res[:k], res[k] = g[:k], v - t
+        J[:k], J[k] = H[:k], g
+        return res, J
+
     return System(
         lambda z: np.concatenate([fld.grad(z)[:k], [fld.value(z) - t]]),
         lambda z: np.vstack([fld.hessian(z)[:k], fld.grad(z)]),
+        evaluate,
     )
 
 
@@ -163,19 +172,32 @@ def caustic_system(fam: GeneratingFamily) -> System:
     """(k+1) equations (dF/dq, det d2F/dq2) in z = (q, x).
 
     The Jacobian's det row is ``d det H = tr(adj(H) dH)``, which stays defined
-    on the caustic itself, where H = d2F/dq2 is singular.
+    on the caustic itself, where H = d2F/dq2 is singular.  For k = 1 the
+    determinant is the entry itself and the adjugate is 1.
     """
     fld, k = fam.field, fam.k
 
+    def det(Hqq):
+        return Hqq[0, 0] if k == 1 else np.linalg.det(Hqq)
+
+    def det_row(Hqq, T):
+        return T[0, 0] if k == 1 else np.einsum("ba,abc->c", adjugate(Hqq), T[:k, :k])
+
     def system(z):
-        return np.concatenate([fld.grad(z)[:k], [np.linalg.det(fld.hessian(z)[:k, :k])]])
+        return np.concatenate([fld.grad(z)[:k], [det(fld.hessian(z)[:k, :k])]])
 
     def jac(z):
         H = fld.hessian(z)[:k]
-        det_row = np.einsum("ba,abc->c", adjugate(H[:, :k]), fld.third(z)[:k, :k])
-        return np.vstack([H, det_row])
+        return np.vstack([H, det_row(H[:, :k], fld.third(z, k))])
 
-    return System(system, jac)
+    def evaluate(z):
+        _, g, H, T = fld.derivatives(z, third=k)
+        res, J = np.empty(k + 1), np.empty((k + 1, g.size))
+        res[:k], res[k] = g[:k], det(H[:k, :k])
+        J[:k], J[k] = H[:k], det_row(H[:k, :k], T)
+        return res, J
+
+    return System(system, jac, evaluate)
 
 
 def caustic(
@@ -210,17 +232,24 @@ def pairing_system(fam: GeneratingFamily) -> System:
         za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
         return np.concatenate([fld.grad(za)[:k], fld.grad(zb)[:k], [fld.value(za) - fld.value(zb)]])
 
-    def jac(w):
-        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
-        ga, gb = fld.grad(za), fld.grad(zb)
-        Ha, Hb = fld.hessian(za)[:k], fld.hessian(zb)[:k]
+    def jacobian(ga, gb, Ha, Hb):
         J = np.zeros((2 * k + 1, 2 * k + n))
         J[:k, :k], J[:k, 2 * k :] = Ha[:, :k], Ha[:, k:]
         J[k : 2 * k, k : 2 * k], J[k : 2 * k, 2 * k :] = Hb[:, :k], Hb[:, k:]
         J[2 * k] = np.concatenate([ga[:k], -gb[:k], ga[k:] - gb[k:]])
         return J
 
-    return System(system, jac)
+    def jac(w):
+        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
+        return jacobian(fld.grad(za), fld.grad(zb), fld.hessian(za)[:k], fld.hessian(zb)[:k])
+
+    def evaluate(w):
+        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
+        va, ga, Ha, _ = fld.derivatives(za)
+        vb, gb, Hb, _ = fld.derivatives(zb)
+        return np.concatenate([ga[:k], gb[:k], [va - vb]]), jacobian(ga, gb, Ha[:k], Hb[:k])
+
+    return System(system, jac, evaluate)
 
 
 def maxwell_set(

@@ -323,7 +323,8 @@ def distance_squared_family(
 
     Plane curves with a ``d3`` also get the third partials d_z D_uu; surfaces
     do not, so their caustic Jacobian uses central differences of the Hessian
-    (``ScalarField.third``).
+    (``ScalarField.third``).  The fused ``jet_fn`` evaluates X, X' and X''
+    once for the value, the gradient, the Hessian and those third partials.
     """
     third_fn = None
     if isinstance(surface, PlaneCurve):
@@ -340,12 +341,13 @@ def distance_squared_family(
 
         if surface.d3 is not None:
 
+            def duu_partials(u, d, d1, d2):
+                # D_uu = 2 (X'' . (X - v) + X' . X')
+                return np.concatenate([[2 * (surface.d3(u) @ d + 3 * (d1 @ d2))], -2 * d2])
+
             def third_fn(p):
                 u, v = float(p[0]), p[1:]
-                d1, d2 = surface.d1(u), surface.d2(u)
-                # D_uu = 2 (X'' . (X - v) + X' . X')
-                du = 2 * (surface.d3(u) @ (surface.point(u) - v) + 3 * (d1 @ d2))
-                return np.concatenate([[du], -2 * d2])[None, None, :]
+                return duu_partials(u, surface.point(u) - v, surface.d1(u), surface.d2(u))[None, None, :]
 
     else:
         k, n = 2, 3
@@ -358,6 +360,8 @@ def distance_squared_family(
 
         def D2X(u):
             return surface.d2(u)
+
+    m = k + n
 
     def split(p):
         return p[:k], p[k:]
@@ -373,25 +377,40 @@ def distance_squared_family(
         J = DX(u)
         return np.concatenate([2 * J @ d, -2 * d])
 
-    def hess_fn(p):
-        u, v = split(p)
-        d = X(u) - v
-        J = DX(u)
-        S = D2X(u)
-        H = np.zeros((k + n, k + n))
+    def fill_hessian(H, d, J, S):
         for i in range(k):
             for j in range(k):
                 H[i, j] = 2 * (S[i, j] @ d + J[i] @ J[j])
         H[:k, k:] = -2 * J
         H[k:, :k] = H[:k, k:].T
         H[k:, k:] = 2 * np.eye(n)
+
+    def hess_fn(p):
+        u, v = split(p)
+        H = np.zeros((m, m))
+        fill_hessian(H, X(u) - v, DX(u), D2X(u))
         return H
+
+    def jet_fn(p, with_third):
+        u, v = split(p)
+        d, J, S = X(u) - v, DX(u), D2X(u)
+        s = 1 + m + m * m
+        out = np.zeros(s + m if with_third else s)
+        out[0] = d @ d
+        out[1 : k + 1] = 2 * J @ d
+        out[k + 1 : m + 1] = -2 * d
+        fill_hessian(out[m + 1 : s].reshape(m, m), d, J, S)
+        if with_third:
+            out[s:] = duu_partials(float(u[0]), d, J[0], S[0, 0])
+        return out
 
     if v_box is None:
         extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
         v_box = tuple((-extent, extent) for _ in range(n))
     box = tuple((-u_span, u_span) for _ in range(k)) + tuple(v_box)
-    field = ScalarField(arity=k + n, fn=fn, grad_fn=grad_fn, hess_fn=hess_fn, box=box, third_fn=third_fn)
+    field = ScalarField(
+        arity=m, fn=fn, grad_fn=grad_fn, hess_fn=hess_fn, box=box, third_fn=third_fn, jet_fn=jet_fn
+    )
     fam = GeneratingFamily(k=k, n=n, field=field, name=name or f"dist2-{type(surface).__name__.lower()}")
     return fam, GraphLikeFamily(base=fam)
 

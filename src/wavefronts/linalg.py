@@ -39,8 +39,6 @@ def adjugate(M) -> np.ndarray:
     """
     A = np.atleast_2d(np.asarray(M, dtype=float))
     k = A.shape[0]
-    if k == 1:
-        return np.ones((1, 1))
     cof = np.empty((k, k))
     for i in range(k):
         for j in range(k):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,15 +79,23 @@ class System:
     """A residual map that carries its Jacobian (exact, or central differences).
 
     Calling it evaluates the residual; ``jac(z)`` has one row per equation
-    and one column per unknown.  It is what ``newton_solve`` and
-    ``continue_curve`` solve (see ``as_system``).
+    and one column per unknown.  The optional ``fused(z)`` returns both from
+    one pass, bit for bit equal to the separate calls.  It is what
+    ``newton_solve`` and ``continue_curve`` solve (see ``as_system``).
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
+    fused: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, z):
         return self.residual(z)
+
+    def evaluate(self, z) -> Tuple[np.ndarray, np.ndarray]:
+        """``(residual, Jacobian)`` at ``z``: one fused pass when there is one."""
+        if self.fused is not None:
+            return self.fused(z)
+        return self.residual(z), self.jac(z)
 
 
 def as_system(fn: Callable) -> System:
@@ -110,12 +119,20 @@ def newton_solve(
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
     box=None,
-) -> np.ndarray:
+    border=None,
+):
     """Solve ``system(p) = 0`` from ``seed`` with some coordinates frozen.
 
     Under-determined steps use the least-norm update; frozen coordinates are
-    never touched.  The Jacobian is the one ``as_system(system)`` carries.
-    Raises SingularJacobian, MaxIterations or DomainError.
+    never touched.  The Jacobian is the one ``as_system(system)`` carries:
+    each iterate is one fused ``evaluate`` when the system has one, and
+    otherwise the residual, with the Jacobian only when another step follows.
+
+    With ``border = (tau, pred)`` this is Keller's pseudo-arclength corrector:
+    it solves the bordered system ``[system(p); tau . (p - pred)] = 0``, whose
+    Jacobian is ``[J; tau]``, and returns ``(p, J)`` with ``J`` the Jacobian of
+    ``system`` at the solution.  Raises SingularJacobian, MaxIterations or
+    DomainError.
     """
     p = np.asarray(seed, dtype=float).copy()
     m = p.size
@@ -124,22 +141,43 @@ def newton_solve(
     if free.size == 0:
         raise ValueError("all coordinates frozen")
     system = as_system(system)
+    if border is not None:
+        tau, pred = border
+        bordered_res, bordered_J = np.empty(m), np.empty((m, m))
+        bordered_J[-1] = tau
     for _ in range(max_iter):
-        res = np.asarray(system(p), dtype=float)
-        if res.size > free.size:
+        if system.fused is not None:
+            res, J = system.evaluate(p)
+        else:
+            res, J = np.asarray(system(p), dtype=float), None
+        if border is not None:
+            bordered_res[:-1], bordered_res[-1] = res, tau @ (p - pred)
+        r = res if border is None else bordered_res
+        if r.size > free.size:
             raise ValueError("over-determined system: more equations than free unknowns")
-        if np.linalg.norm(res, ord=np.inf) < tol:
-            return p
-        J = np.asarray(system.jac(p), dtype=float)[:, free]
+        # the infinity norm below tol (never for a NaN), without array calls
+        if all(abs(v) < tol for v in r.tolist()):
+            if border is None:
+                return p
+            return p, np.asarray(system.jac(p) if J is None else J, dtype=float)
+        J = np.asarray(system.jac(p) if J is None else J, dtype=float)
+        if border is not None:
+            bordered_J[:-1] = J
+            J = bordered_J
+        if frozen:
+            J = J[:, free]
         # lstsq returns the singular values of J with the least-norm step
-        step, _, _, s = np.linalg.lstsq(J, -res, rcond=None)
-        if s.size == 0 or s[0] == 0.0 or s[min(res.size, free.size) - 1] < SINGULAR_RATIO * s[0]:
+        step, _, _, s = np.linalg.lstsq(J, -r, rcond=None)
+        if s.size == 0 or s[0] == 0.0 or s[min(r.size, free.size) - 1] < SINGULAR_RATIO * s[0]:
             raise SingularJacobian(f"singular Jacobian at {p!r}")
-        p = p.copy()
-        p[free] += step
+        if frozen:
+            p = p.copy()
+            p[free] += step
+        else:
+            p = p + step
         if not _in_box(p, box):
             raise DomainError(f"Newton iterate {p!r} left the box")
-    raise MaxIterations(f"no convergence in {max_iter} iterations (residual {res!r})")
+    raise MaxIterations(f"no convergence in {max_iter} iterations (residual {r!r})")
 
 
 @dataclass
@@ -173,8 +211,10 @@ def continue_curve(
 
     ``system`` maps R^m -> R^(m-1).  Terminates on box exit, closure (return
     within step/2 of the seed after at least 10 points) or ``max_points``.
-    The corrector solves the bordered system ``[J(w); tau^T]`` (Keller's
-    pseudo-arclength corrector) with the Jacobian of ``as_system(system)``.
+    The corrector is ``newton_solve`` on the bordered system ``[J(w); tau^T]``
+    (Keller's pseudo-arclength corrector) with the Jacobian of
+    ``as_system(system)``, and the next tangent is the null vector of the
+    Jacobian it converged with.
     """
     system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
@@ -190,34 +230,31 @@ def continue_curve(
         z0 = newton_solve(system, z0)
     except (SingularJacobian, MaxIterations):
         pass
+    tau0 = _tangent(system.jac(z0), None)
 
     def march(direction: float):
         pts = []
         z = z0.copy()
-        tau = _tangent(system.jac(z), None) * direction
+        tau = tau0 * direction
         while len(pts) < max_points:
-            advanced = False
             h = step
             for _ in range(5):
                 pred = z + h * tau
-                corr = System(
-                    lambda w: np.concatenate([np.asarray(system(w), dtype=float), [tau @ (w - pred)]]),
-                    lambda w: np.vstack([system.jac(w), tau]),
-                )
                 try:
-                    znew = newton_solve(corr, pred, tol=residual_tol * 1e-2)
-                    advanced = True
+                    znew, J = newton_solve(system, pred, tol=residual_tol * 1e-2, border=(tau, pred))
                     break
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5
-            if not advanced:
+            else:
                 return pts, False
             if not _in_box(znew, box):
                 return pts, False
             pts.append(znew)
-            if len(pts) >= 10 and np.linalg.norm(znew - z0) <= step / 2:
+            d = znew - z0  # np.linalg.norm(d) is sqrt(d @ d)
+            if len(pts) >= 10 and math.sqrt(d @ d) <= step / 2:
                 return pts, True
-            tau = _tangent(system.jac(znew), tau)
+            # the tangent from the corrector's converged Jacobian
+            tau = _tangent(J, tau)
             z = znew
         return pts, False
 

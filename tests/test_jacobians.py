@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import families, fronts, geometry
+from wavefronts import families, fields, fronts, geometry
+from wavefronts.errors import DomainError, NonFiniteValue
 from wavefronts.fields import field_from_callable, fd_jacobian
 from wavefronts.solve import System
 
@@ -107,3 +108,146 @@ def test_opaque_families_get_field_fd_jacobians():
     systems = _systems(_dist2(geometry.Sphere(radius=1.0)))
     for name in ("front", "caustic", "critical"):
         _agree(systems[name], np.array([0.7, 0.4, 0.3, -0.2, 0.5]))
+
+
+# --- the fused pass: one ``derivatives`` jet per ``System.evaluate``
+
+
+@pytest.mark.parametrize("system_name", ["front", "caustic", "critical", "pairing"])
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_fused_evaluate_is_the_separate_calls(fam_name, system_name, unit):
+    fam = FAMILIES[fam_name]
+    system = _systems(fam)[system_name]
+    z = _point(fam_name, fam, unit, system_name == "pairing")
+    res, J = system.evaluate(z)
+    assert np.array_equal(res, system(z))
+    assert np.array_equal(J, system.jac(z))
+
+
+def _pairing_point(fam, z):
+    return np.concatenate([z[: fam.k], z[: fam.k] + 0.5, z[fam.k :]])
+
+
+@pytest.mark.parametrize("fam_name", sorted(SINGULAR))
+def test_fused_evaluate_on_the_caustic(fam_name):
+    fam = FAMILIES[fam_name]
+    z = np.array(SINGULAR[fam_name])
+    for name, system in _systems(fam).items():
+        w = _pairing_point(fam, z) if name == "pairing" else z
+        res, J = system.evaluate(w)
+        assert np.array_equal(res, system(w)) and np.array_equal(J, system.jac(w))
+
+
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+def test_derivatives_are_the_separate_methods(fam_name):
+    fld, k = FAMILIES[fam_name].field, FAMILIES[fam_name].k
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        z = np.concatenate([rng.uniform(-2.0, 2.0, k), rng.uniform(-X_RANGE, X_RANGE, fld.arity - k)])
+        v, g, H, T = fld.derivatives(z, third=k)
+        assert v == fld.value(z) and type(v) is float
+        assert np.array_equal(g, fld.grad(z)) and np.array_equal(H, fld.hessian(z))
+        assert np.array_equal(T, fld.third(z, k)) and T.shape == (k, k, fld.arity)
+        assert fld.derivatives(z)[3] is None
+
+
+@pytest.mark.parametrize("fam_name", ["cusp", "ellipse"])
+def test_fused_path_raises_domain_error_outside_the_box(fam_name):
+    fam = FAMILIES[fam_name]
+    z = np.zeros(fam.k + fam.n)
+    z[-1] = fam.field.box[-1][1] + 0.25
+    for method in (fam.field.value, fam.field.derivatives):
+        with pytest.raises(DomainError):
+            method(z)
+    for name, system in _systems(fam).items():
+        w = _pairing_point(fam, z) if name == "pairing" else z
+        for call in (system, system.evaluate):
+            with pytest.raises(DomainError):
+                call(w)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fused_path_raises_non_finite_value():
+    # x1^400 overflows at x1 = 10, and so do its derivatives
+    fam = families.family_from_text(
+        "q1^4 + x1*q1^2 + x2*q1 + x1^400", 1, 2, box=((-4.0, 4.0), (-20.0, 20.0), (-6.0, 6.0))
+    )
+    z = np.array([0.5, 10.0, 1.0])
+    for method in (fam.field.value, fam.field.grad, fam.field.derivatives):
+        with pytest.raises(NonFiniteValue):
+            method(z)
+    for name, system in _systems(fam).items():
+        w = _pairing_point(fam, z) if name == "pairing" else z
+        for call in (system, system.evaluate):
+            with pytest.raises(NonFiniteValue):
+                call(w)
+    # the distance-squared jet: |X(u) - v|^2 overflows while its gradient does not
+    ellipse = geometry.distance_squared_family(geometry.Ellipse(a=2.0, b=1.0), v_box=((-1e300, 1e300),) * 2)[0]
+    z = np.array([0.3, 1e200, 0.0])
+    for method in (ellipse.field.value, ellipse.field.derivatives):
+        with pytest.raises(NonFiniteValue):
+            method(z)
+
+
+@pytest.mark.parametrize("fam_name", ["cusp", "ellipse"])
+def test_shifted_family_shifts_the_fused_value(fam_name):
+    fam, t0 = FAMILIES[fam_name], 0.37
+    shifted = families.shifted_family(fam, t0).field
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        z = np.concatenate([rng.uniform(-2.0, 2.0, fam.k), rng.uniform(-X_RANGE, X_RANGE, fam.n)])
+        v, g, H, T = shifted.derivatives(z, third=fam.k)
+        v0, g0, H0, T0 = fam.field.derivatives(z, third=fam.k)
+        assert v == v0 - t0 == shifted.value(z)
+        assert np.array_equal(g, g0) and np.array_equal(H, H0) and np.array_equal(T, T0)
+
+
+def test_derivatives_fallbacks_are_the_separate_methods():
+    # no jet (an opaque field), and a jet without third partials (a surface)
+    cusp = FAMILIES["cusp"]
+    opaque = field_from_callable(cusp.field.fn, 3, box=cusp.field.box)
+    sphere = _dist2(geometry.Sphere(radius=1.0)).field
+    for fld, z in ((opaque, np.array([0.7, -1.2, 0.4])), (sphere, np.array([0.7, 0.4, 0.3, -0.2, 0.5]))):
+        v, g, H, T = fld.derivatives(z, third=2)
+        assert v == fld.value(z)
+        assert np.array_equal(g, fld.grad(z)) and np.array_equal(H, fld.hessian(z))
+        assert np.array_equal(T, fld.third(z, 2)) and T.shape == (2, 2, z.size)
+
+
+def test_opaque_caustic_differences_only_the_third_block_it_uses(monkeypatch):
+    cusp = FAMILIES["cusp"]
+    calls = {"all": 0, "third": 0}
+    in_third = [False]
+
+    def fn(p):
+        calls["all"] += 1
+        calls["third"] += in_third[0]
+        return cusp.field.fn(p)
+
+    opaque = families.GeneratingFamily(k=1, n=2, field=field_from_callable(fn, 3, box=cusp.field.box))
+    # seeds on the caustic (q, -6 q^2, 8 q^3)
+    seeds = [np.array([q, -6 * q * q, 8 * q**3]) for q in (-0.9, -0.3, 0.5)]
+    third = fields.ScalarField.third
+
+    def trace(full):
+        def counted(self, point, rows=None):
+            in_third[0] = True
+            try:
+                # ``full``: the whole (m, m, m) difference; the caustic slices its block
+                return third(self, point) if full else third(self, point, rows)
+            finally:
+                in_third[0] = False
+
+        monkeypatch.setattr(fields.ScalarField, "third", counted)
+        calls.update(all=0, third=0)
+        cloud = fronts.caustic(opaque, seeds, step=0.05, max_points=40)
+        return cloud, dict(calls)
+
+    block, block_calls = trace(full=False)
+    full, full_calls = trace(full=True)
+    assert len(block.x) > 100
+    assert np.array_equal(block.x, full.x) and np.array_equal(block.q, full.q)
+    assert 5 * block_calls["third"] <= full_calls["third"]
+    assert block_calls["all"] < full_calls["all"]

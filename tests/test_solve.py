@@ -209,20 +209,23 @@ def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
     assert "caustic: 809 points" in capsys.readouterr().out
 
 
-# Field evaluations (value, gradient, Hessian, third partials) per traced
-# point of `caustic --family cusp`: 19.5 with exact Jacobians (63.6 with
-# central differences), plus 25 % headroom.
-FIELD_CALLS_PER_POINT = 24.4
+# Field passes per traced point: a call of ``value``, ``grad``, ``hessian`` or
+# ``third``, or one fused ``derivatives`` jet.  With a residual pass and a
+# Jacobian pass per Newton iterate and one more Jacobian for the tangent it
+# was 19.5 on the caustic scene and 20.9 on the front scene; one fused pass
+# per iterate, with the tangent from the converged Jacobian, makes about 6.
+FIELD_CALLS_PER_POINT = 8
 
 
-def test_caustic_scene_field_calls_per_point(monkeypatch, capsys):
+def _field_passes(argv, monkeypatch):
+    """Field passes and traced points of one CLI run."""
     calls = [0]
-    for name in ("value", "grad", "hessian", "third"):
+    for name in ("value", "grad", "hessian", "third", "derivatives"):
         method = getattr(fields.ScalarField, name)
 
-        def counted(self, point, _method=method):
+        def counted(self, *args, _method=method, **kwargs):
             calls[0] += 1
-            return _method(self, point)
+            return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(fields.ScalarField, name, counted)
     traced = [0]
@@ -234,6 +237,17 @@ def test_caustic_scene_field_calls_per_point(monkeypatch, capsys):
         return curve
 
     monkeypatch.setattr(fronts, "continue_curve", counted_trace)
-    assert cli.run(["caustic", "--family", "cusp"]) == 0
-    assert traced[0] == 809
-    assert calls[0] / traced[0] < FIELD_CALLS_PER_POINT
+    assert cli.run(argv) == 0
+    return calls[0], traced[0]
+
+
+def test_caustic_scene_field_calls_per_point(monkeypatch, capsys):
+    calls, traced = _field_passes(["caustic", "--family", "cusp"], monkeypatch)
+    assert traced == 809
+    assert calls / traced < FIELD_CALLS_PER_POINT
+
+
+def test_front_scene_field_calls_per_point(monkeypatch, capsys):
+    calls, traced = _field_passes(["front", "--family", "cusp", "--t", "0.5"], monkeypatch)
+    assert traced == 930
+    assert calls / traced < FIELD_CALLS_PER_POINT
