@@ -10,7 +10,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ MAX_SAMPLES = 10**6
 # largest jet space (versal) and (steps + 1) x strips history (burgers)
 MAX_JET_DIM = 10**4
 MAX_HISTORY = 10**7
+# most phase-space seeds handed to the front and caustic tracers
+MAX_PHASE_SEEDS = 4096
 
 
 class ValidationError(Exception):
@@ -57,6 +59,23 @@ def parse_range(text: str) -> np.ndarray:
     return vals
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def parse_count(text: str) -> Tuple[float, float]:
+    """Parse the 'x,t' of ``burgers --count`` into two finite floats."""
+    try:
+        x, t = (float(v) for v in text.split(","))
+    except ValueError:
+        x = t = math.nan
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise ValidationError(f"--count {text!r} must be x,t with finite x and t")
+    return x, t
+
+
 def _check_writable(path: Optional[str]):
     if path is None:
         return
@@ -80,6 +99,8 @@ def load_curve(args) -> geometry.PlaneCurve:
     kinds = {"circle", "ellipse", "parabola"}
     if args.curve not in kinds:
         raise ValidationError(f"unknown curve {args.curve!r}: choose from {sorted(kinds)}")
+    _finite("--a", args.a)
+    _finite("--b", args.b)
     if args.curve == "circle":
         return geometry.Circle(radius=args.a)
     if args.curve == "ellipse":
@@ -108,15 +129,15 @@ def _box_grid(box, density: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def phase_seeds(fam: families.GeneratingFamily, density: int, cap: int = 4096) -> List[np.ndarray]:
+def phase_seeds(fam: families.GeneratingFamily, density: int) -> List[np.ndarray]:
     """Coarse (q, x) grid over the family's domain box (shrunk 10%): the rows
-    of the ``_box_grid`` mesh, strided down to at most ``cap``.  Only the
-    kept rows are built."""
+    of the ``_box_grid`` mesh, strided down to at most ``MAX_PHASE_SEEDS``.
+    Only the kept rows are built."""
     axes = _box_axes(_domain(fam), density)
     total = density ** len(axes)
     if total > np.iinfo(np.intp).max:
         raise ValidationError(f"a {density}^{len(axes)} seed grid is too large to index")
-    stride = -(-total // cap) if total > cap else 1
+    stride = -(-total // MAX_PHASE_SEEDS) if total > MAX_PHASE_SEEDS else 1
     index = np.unravel_index(np.arange(0, total, stride), (density,) * len(axes))
     return list(np.stack([ax[i] for ax, i in zip(axes, index)], axis=1))
 
@@ -177,20 +198,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _emit_fronts(args, fam: families.GeneratingFamily, curves) -> None:
+    """One CSV row per front point; one SVG polyline per chain when n = 2."""
+    rows = [(fc.t, x, q, "front") for fc in curves for x, q in zip(fc.x, fc.q)]
+    svg = [(fc.x, "front") for fc in curves] if fam.n == 2 else []
+    _emit(args, rows, fam.n, fam.k, svg)
+
+
 def cmd_front(args) -> int:
+    _finite("--t", args.t)
     fam = load_family(args.family)
     gl = families.GraphLikeFamily(base=fam)
     seeds = phase_seeds(fam, args.seed_density)
     curves = fronts.momentary_front(gl, args.t, seeds)
-    rows = []
-    svg = []
-    for fc in curves:
-        for x, q in zip(fc.x, fc.q):
-            rows.append((fc.t, x, q, "front"))
-        if fam.n == 2:
-            svg.append((fc.x, "front"))
     print(f"front t={args.t}: {sum(len(c.x) for c in curves)} points in {len(curves)} chains")
-    _emit(args, rows, fam.n, fam.k, svg)
+    _emit_fronts(args, fam, curves)
     return 0
 
 
@@ -200,15 +222,8 @@ def cmd_big_front(args) -> int:
     seeds = phase_seeds(fam, args.seed_density)
     t_values = parse_range(args.t)
     curves = fronts.big_front(gl, t_values, seeds)
-    rows = []
-    svg = []
-    for fc in curves:
-        for x, q in zip(fc.x, fc.q):
-            rows.append((fc.t, x, q, "front"))
-        if fam.n == 2:
-            svg.append((fc.x, "front"))
     print(f"big front: {len(curves)} slices, {sum(len(c.x) for c in curves)} points")
-    _emit(args, rows, fam.n, fam.k, svg)
+    _emit_fronts(args, fam, curves)
     return 0
 
 
@@ -289,7 +304,8 @@ def cmd_parallels(args) -> int:
 def cmd_burgers(args) -> int:
     if not 1 <= args.strips <= MAX_SAMPLES:
         raise ValidationError(f"--strips must be in [1, {MAX_SAMPLES}]")
-    eq = pde.burgers(speed=args.speed)
+    count_at = parse_count(args.count) if args.count else None
+    eq = pde.burgers(speed=_finite("--speed", args.speed))
     t_values = parse_range(args.t)
     dt = float(t_values[1] - t_values[0]) if len(t_values) > 1 else 1e-3
     t_range = (t_values[0], t_values[-1])
@@ -306,8 +322,8 @@ def cmd_burgers(args) -> int:
             print("t* = none (no fold in the sampled window)")
         else:
             print(f"t* = {t_star:.4f}")
-    if args.count:
-        x_hat, t_at = (float(v) for v in args.count.split(","))
+    if count_at:
+        x_hat, t_at = count_at
         print(f"count({x_hat}, {t_at}) = {pde.multivalued_count(sheet, x_hat, t_at)}")
     if getattr(args, "csv", None) or getattr(args, "svg", None):
         t_show = float(t_values[-1])
@@ -469,6 +485,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if not 1 <= args.seed_density <= MAX_SEED_DENSITY:
             raise ValidationError(f"--seed-density must be in [1, {MAX_SEED_DENSITY}]")
+        if not 0 < args.tol < math.inf:
+            raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
         _check_writable(getattr(args, "csv", None))
         _check_writable(getattr(args, "svg", None))
         return args.fn(args)

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import IoError
 
 STROKE_CLASSES = ("front", "caustic", "maxwell", "delta")
+# SVG width and height in pixels, and the margin around the data as a
+# fraction of its larger span
+SVG_SIZE = 640
+SVG_MARGIN_FRAC = 0.05
 
 _STYLE = (
     ".front{stroke:#1f77b4;fill:none}"
@@ -62,12 +66,7 @@ def emit_csv(rows: Iterable, n: int, k: int, path) -> None:
         raise IoError(str(e)) from e
 
 
-def emit_svg(
-    curves: Sequence[Tuple[np.ndarray, str]],
-    path,
-    size: int = 640,
-    margin_frac: float = 0.05,
-) -> None:
+def emit_svg(curves: Sequence[Tuple[np.ndarray, str]], path) -> None:
     """One <polyline> per curve; classes select stroke colors.
 
     The y axis points up (plot orientation), so world y is negated into SVG
@@ -87,7 +86,7 @@ def emit_svg(
         lo = np.array([0.0, 0.0])
         hi = np.array([1.0, 1.0])
     span = np.maximum(hi - lo, 1e-9)
-    pad = margin_frac * span.max()
+    pad = SVG_MARGIN_FRAC * span.max()
     # world -> user units: y negated, so the viewBox covers [-hi_y, -lo_y]
     vb = (lo[0] - pad, -(hi[1] + pad), span[0] + 2 * pad, span[1] + 2 * pad)
     stroke = 0.004 * max(span[0], span[1])
@@ -95,7 +94,7 @@ def emit_svg(
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" '
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="{fmt(vb[0])} {fmt(vb[1])} {fmt(vb[2])} {fmt(vb[3])}">'
     )
     lines.append(f"<style>{_STYLE} polyline{{stroke-width:{fmt(stroke)}}}</style>")

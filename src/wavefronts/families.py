@@ -4,6 +4,7 @@ Lagrangian / graph-like unfolding maps."""
 from __future__ import annotations
 
 import ast as _pyast
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
@@ -23,8 +24,8 @@ DEDUP_RADIUS = 1e-6
 class GeneratingFamily:
     """F(q, x) with k internal and n space variables.
 
-    When the field carries third partials (``field.third_fn``) they cover the
-    k internal variables: ``d_z d2F/dq_a dq_b``, shape (k, k, k+n).
+    When the field's jet carries third partials they cover the k internal
+    variables: ``d_z d2F/dq_a dq_b``, shape (k, k, k+n).
     """
 
     k: int
@@ -137,7 +138,7 @@ def critical_system(fam: GeneratingFamily) -> System:
         _, g, H, _ = fld.derivatives(z)
         return g[:k], H[:k]
 
-    return System(lambda z: fld.grad(z)[:k], lambda z: fld.hessian(z)[:k], evaluate)
+    return System(evaluate)
 
 
 def solve_critical_set(
@@ -191,15 +192,7 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
             jet[0] -= t0
             return jet
 
-    fld = ScalarField(
-        arity=base.arity,
-        fn=lambda p: base.fn(p) - t0,
-        grad_fn=base.grad_fn,
-        hess_fn=base.hess_fn,
-        box=base.box,
-        third_fn=base.third_fn,
-        jet_fn=jet_fn,
-    )
+    fld = dataclasses.replace(base, fn=lambda p: base.fn(p) - t0, jet_fn=jet_fn)
     return GeneratingFamily(k=fam.k, n=fam.n, field=fld, name=f"{fam.name}-shift", seeds=fam.seeds)
 
 

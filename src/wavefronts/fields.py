@@ -1,11 +1,11 @@
 """Evaluable smooth scalar fields with derivatives up to the third order.
 
-A field carries optional closed-form gradient/Hessian/third-partial closures;
-when one is absent, ``fd_jacobian`` (central differences, relative step
-``FD_STEP``) of the order below is used.  A field may also carry a fused jet
-closure, so that ``derivatives`` gets the value, gradient, Hessian and third
-partials from one call.  This is the only module that knows whether a
-derivative is closed-form, and ``fd_jacobian`` is the package's one
+A generated field carries one closed-form jet closure, so that
+``derivatives`` gets the value, gradient, Hessian and third partials from one
+call; a hand-written one may carry gradient/Hessian closures.  A derivative
+with no closed form is ``fd_jacobian`` (central differences, relative step
+``FD_STEP``) of the order below.  This is the only module that knows whether
+a derivative is closed-form, and ``fd_jacobian`` is the package's one
 finite-difference routine.
 """
 
@@ -64,16 +64,14 @@ def fd_jacobian(fn: Callable, p, ncols: Optional[int] = None) -> np.ndarray:
 class ScalarField:
     """A smooth function R^m -> R on a box, with derivatives.
 
-    ``fn`` takes a length-m vector.  ``grad_fn``/``hess_fn`` are optional
-    closed-form closures; ``fd_jacobian`` is the fallback.  The optional
-    ``third_fn`` returns the third partials ``d_c d_a d_b f`` for ``a, b`` among
-    the first r variables and every ``c``, as an (r, r, m) array; without it
-    ``third`` differences the leading block of the Hessian.  The optional
-    ``jet_fn(p, with_third)`` is the fused closed form of all of them: a new
-    flat array holding the value, the gradient, the Hessian row by row and,
-    when ``with_third`` (only asked of a field with ``third_fn``), the third
-    partials of ``third_fn`` row by row, each bit for bit equal to its own
-    closure.
+    ``fn`` takes a length-m vector.  A generated field also carries
+    ``jet_fn(p, with_third)``, one closed-form pass returning a new flat
+    array: the value, the gradient and the Hessian row by row, then, when
+    ``with_third`` and the field has them, the third partials
+    ``d_c d_a d_b f`` for ``a, b`` among its first r variables and every
+    ``c``, row by row.  A hand-written field may carry ``grad_fn``/``hess_fn``
+    instead.  Every derivative without a closed form is ``fd_jacobian`` of the
+    order below.
     """
 
     arity: int
@@ -81,7 +79,6 @@ class ScalarField:
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     box: Optional[Box] = None
-    third_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jet_fn: Optional[Callable[[np.ndarray, bool], np.ndarray]] = None
 
     def __post_init__(self):
@@ -98,6 +95,10 @@ class ScalarField:
             if v - d < lo or v + d > hi:
                 raise DomainError(f"point {p!r} (margin {margin!r}) exits the domain box")
 
+    def _jet(self, p: np.ndarray, with_third: bool = False) -> np.ndarray:
+        self._check_box(p)
+        return _check_finite(self.jet_fn(p, with_third), p)
+
     def _fd_grad(self, p: np.ndarray, r: Optional[int] = None) -> np.ndarray:
         return fd_jacobian(self.fn, p, r)[0]
 
@@ -110,6 +111,8 @@ class ScalarField:
 
     def grad(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
+        if self.jet_fn is not None:
+            return self._jet(p)[1 : p.size + 1]
         if self.grad_fn is not None:
             self._check_box(p)
             return np.asarray(_check_finite(self.grad_fn(p), p), dtype=float)
@@ -124,6 +127,9 @@ class ScalarField:
         """The leading (r, r) block of ``hessian(p)``, with the same box and
         finiteness checks; the FD fallback differences only the r gradient
         components it needs along the first r coordinates."""
+        m = p.size
+        if self.jet_fn is not None:
+            return self._jet(p)[m + 1 : 1 + m + m * m].reshape(m, m)[:r, :r]
         if self.hess_fn is not None:
             self._check_box(p)
             return np.asarray(_check_finite(self.hess_fn(p), p), dtype=float)[:r, :r]
@@ -135,13 +141,14 @@ class ScalarField:
         return _check_finite(H, p)
 
     def third(self, point, rows: Optional[int] = None) -> np.ndarray:
-        """The (r, r, m) third partials ``d_c d_a d_b f``: ``third_fn`` (its
-        own r), else central differences of the Hessian's leading (r, r)
-        block with r = ``rows`` (default m)."""
+        """The (r, r, m) third partials ``d_c d_a d_b f``: the jet's (its own
+        r), else central differences of the Hessian's leading (r, r) block
+        with r = ``rows`` (default m)."""
         p = np.asarray(point, dtype=float)
-        if self.third_fn is not None:
-            self._check_box(p)
-            return np.asarray(_check_finite(self.third_fn(p), p), dtype=float)
+        if self.jet_fn is not None:
+            T = _jet_third(self._jet(p, True), p.size)
+            if T is not None:
+                return T
         # each probe p +- h e_c checks the box as ``hessian`` does
         r = p.size if rows is None else rows
         return fd_jacobian(lambda q: self._hessian_block(q, r).ravel(), p).reshape(r, r, p.size)
@@ -157,19 +164,22 @@ class ScalarField:
         p = np.asarray(point, dtype=float)
         if self.jet_fn is None:
             return self.value(p), self.grad(p), self.hessian(p), (self.third(p, third) if third else None)
-        fused_third = bool(third) and self.third_fn is not None
-        self._check_box(p)
-        a = _check_finite(self.jet_fn(p, fused_third), p)
+        a = self._jet(p, bool(third))
         m = p.size
-        s = 1 + m + m * m
-        T = None
-        if fused_third:
-            T = a[s:].reshape(-1, m)
-            r = math.isqrt(T.shape[0])
-            T = T.reshape(r, r, m)
-        elif third:
+        T = _jet_third(a, m) if third else None
+        if third and T is None:
             T = self.third(p, third)
-        return float(a[0]), a[1 : m + 1], a[m + 1 : s].reshape(m, m), T
+        return float(a[0]), a[1 : m + 1], a[m + 1 : 1 + m + m * m].reshape(m, m), T
+
+
+def _jet_third(a: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """The (r, r, m) third partials at the end of a flat jet, or None when
+    the jet stops after the Hessian."""
+    s = 1 + m + m * m
+    if a.size == s:
+        return None
+    r = math.isqrt((a.size - s) // m)
+    return a[s:].reshape(r, r, m)
 
 
 def field_from_expr(
@@ -177,39 +187,27 @@ def field_from_expr(
 ) -> ScalarField:
     """Build a field with exact symbolic derivatives from an AST.
 
-    Each derivative order is one fused closure, and ``jet_fn`` compiles the
-    same expressions into one flat closure.  The Hessian is compiled from its
-    upper triangle and mirrored, so it is exactly symmetric.  With
-    ``third_rows = r > 0`` the field also carries the third partials
-    ``d_c d_a d_b f`` for ``a, b < r`` (``third_fn``).
+    ``jet_fn`` is the value, gradient and Hessian compiled into one flat
+    closure; the Hessian is compiled from its upper triangle and mirrored, so
+    it is exactly symmetric.  With ``third_rows = r > 0`` a second closure
+    appends the third partials ``d_c d_a d_b f`` for ``a, b < r``.
     """
     m = len(var_order)
     f = e.compile(var_order)
     grads = [e.diff(v) for v in var_order]
     upper = {(i, j): grads[i].diff(var_order[j]) for i in range(m) for j in range(i, m)}
-    hess = [[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
-    g = compile_nested(grads, var_order)
-    h = compile_nested(hess, var_order)
-    jet = [e, *grads, *(d for row in hess for d in row)]
+    jet = [e, *grads, *(upper[min(i, j), max(i, j)] for i in range(m) for j in range(m))]
     jets = {False: compile_nested(jet, var_order)}
-    third_fn = None
+    jets[True] = jets[False]
     if third_rows:
         r = third_rows
         d3 = {(a, b): [upper[a, b].diff(v) for v in var_order] for a in range(r) for b in range(a, r)}
-        thirds = [[d3[min(a, b), max(a, b)] for b in range(r)] for a in range(r)]
-        t = compile_nested(thirds, var_order)
-        jets[True] = compile_nested(jet + [d for row in thirds for col in row for d in col], var_order)
-
-        def third_fn(p):
-            return np.array(t(p), dtype=float)
-
+        thirds = [d for a in range(r) for b in range(r) for d in d3[min(a, b), max(a, b)]]
+        jets[True] = compile_nested(jet + thirds, var_order)
     return ScalarField(
         arity=m,
         fn=lambda p: float(f(p)),
-        grad_fn=lambda p: np.array(g(p), dtype=float),
-        hess_fn=lambda p: np.array(h(p), dtype=float),
         box=box,
-        third_fn=third_fn,
         jet_fn=lambda p, with_third: np.array(jets[with_third](p), dtype=float),
     )
 

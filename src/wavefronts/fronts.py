@@ -117,11 +117,7 @@ def front_system(gl: GraphLikeFamily, t: float) -> System:
         J[:k], J[k] = H[:k], g
         return res, J
 
-    return System(
-        lambda z: np.concatenate([fld.grad(z)[:k], [fld.value(z) - t]]),
-        lambda z: np.vstack([fld.hessian(z)[:k], fld.grad(z)]),
-        evaluate,
-    )
+    return System(evaluate)
 
 
 def momentary_front(
@@ -183,13 +179,6 @@ def caustic_system(fam: GeneratingFamily) -> System:
     def det_row(Hqq, T):
         return T[0, 0] if k == 1 else np.einsum("ba,abc->c", adjugate(Hqq), T[:k, :k])
 
-    def system(z):
-        return np.concatenate([fld.grad(z)[:k], [det(fld.hessian(z)[:k, :k])]])
-
-    def jac(z):
-        H = fld.hessian(z)[:k]
-        return np.vstack([H, det_row(H[:, :k], fld.third(z, k))])
-
     def evaluate(z):
         _, g, H, T = fld.derivatives(z, third=k)
         res, J = np.empty(k + 1), np.empty((k + 1, g.size))
@@ -197,7 +186,7 @@ def caustic_system(fam: GeneratingFamily) -> System:
         J[:k], J[k] = H[:k], det_row(H[:k, :k], T)
         return res, J
 
-    return System(system, jac, evaluate)
+    return System(evaluate)
 
 
 def caustic(
@@ -228,28 +217,17 @@ def pairing_system(fam: GeneratingFamily) -> System:
     w = (q, q', x), with the Jacobian built from the field's Hessian."""
     fld, k, n = fam.field, fam.k, fam.n
 
-    def system(w):
-        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
-        return np.concatenate([fld.grad(za)[:k], fld.grad(zb)[:k], [fld.value(za) - fld.value(zb)]])
-
-    def jacobian(ga, gb, Ha, Hb):
-        J = np.zeros((2 * k + 1, 2 * k + n))
-        J[:k, :k], J[:k, 2 * k :] = Ha[:, :k], Ha[:, k:]
-        J[k : 2 * k, k : 2 * k], J[k : 2 * k, 2 * k :] = Hb[:, :k], Hb[:, k:]
-        J[2 * k] = np.concatenate([ga[:k], -gb[:k], ga[k:] - gb[k:]])
-        return J
-
-    def jac(w):
-        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
-        return jacobian(fld.grad(za), fld.grad(zb), fld.hessian(za)[:k], fld.hessian(zb)[:k])
-
     def evaluate(w):
         za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
         va, ga, Ha, _ = fld.derivatives(za)
         vb, gb, Hb, _ = fld.derivatives(zb)
-        return np.concatenate([ga[:k], gb[:k], [va - vb]]), jacobian(ga, gb, Ha[:k], Hb[:k])
+        J = np.zeros((2 * k + 1, 2 * k + n))
+        J[:k, :k], J[:k, 2 * k :] = Ha[:k, :k], Ha[:k, k:]
+        J[k : 2 * k, k : 2 * k], J[k : 2 * k, 2 * k :] = Hb[:k, :k], Hb[:k, k:]
+        J[2 * k] = np.concatenate([ga[:k], -gb[:k], ga[k:] - gb[k:]])
+        return np.concatenate([ga[:k], gb[:k], [va - vb]]), J
 
-    return System(system, jac, evaluate)
+    return System(evaluate)
 
 
 def maxwell_set(

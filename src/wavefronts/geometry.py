@@ -321,12 +321,11 @@ def distance_squared_family(
 ) -> Tuple[GeneratingFamily, GraphLikeFamily]:
     """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
 
-    Plane curves with a ``d3`` also get the third partials d_z D_uu; surfaces
-    do not, so their caustic Jacobian uses central differences of the Hessian
-    (``ScalarField.third``).  The fused ``jet_fn`` evaluates X, X' and X''
-    once for the value, the gradient, the Hessian and those third partials.
+    The field's ``jet_fn`` evaluates X, X' and X'' once for the value, the
+    gradient and the Hessian.  Plane curves with a ``d3`` also get the third
+    partials d_z D_uu; surfaces do not, so their caustic Jacobian uses central
+    differences of the Hessian (``ScalarField.third``).
     """
-    third_fn = None
     if isinstance(surface, PlaneCurve):
         k, n = 1, 2
 
@@ -338,16 +337,6 @@ def distance_squared_family(
 
         def D2X(u):
             return surface.d2(float(u[0]))[None, None, :]
-
-        if surface.d3 is not None:
-
-            def duu_partials(u, d, d1, d2):
-                # D_uu = 2 (X'' . (X - v) + X' . X')
-                return np.concatenate([[2 * (surface.d3(u) @ d + 3 * (d1 @ d2))], -2 * d2])
-
-            def third_fn(p):
-                u, v = float(p[0]), p[1:]
-                return duu_partials(u, surface.point(u) - v, surface.d1(u), surface.d2(u))[None, None, :]
 
     else:
         k, n = 2, 3
@@ -362,55 +351,39 @@ def distance_squared_family(
             return surface.d2(u)
 
     m = k + n
-
-    def split(p):
-        return p[:k], p[k:]
+    s = 1 + m + m * m
+    has_third = isinstance(surface, PlaneCurve) and surface.d3 is not None
 
     def fn(p):
-        u, v = split(p)
-        d = X(u) - v
+        d = X(p[:k]) - p[k:]
         return float(d @ d)
 
-    def grad_fn(p):
-        u, v = split(p)
-        d = X(u) - v
-        J = DX(u)
-        return np.concatenate([2 * J @ d, -2 * d])
-
-    def fill_hessian(H, d, J, S):
+    def jet_fn(p, with_third):
+        u, v = p[:k], p[k:]
+        d, J, S = X(u) - v, DX(u), D2X(u)
+        with_third = with_third and has_third
+        out = np.zeros(s + m if with_third else s)
+        out[0] = d @ d
+        out[1 : k + 1] = 2 * J @ d
+        out[k + 1 : m + 1] = -2 * d
+        H = out[m + 1 : s].reshape(m, m)
         for i in range(k):
             for j in range(k):
                 H[i, j] = 2 * (S[i, j] @ d + J[i] @ J[j])
         H[:k, k:] = -2 * J
         H[k:, :k] = H[:k, k:].T
         H[k:, k:] = 2 * np.eye(n)
-
-    def hess_fn(p):
-        u, v = split(p)
-        H = np.zeros((m, m))
-        fill_hessian(H, X(u) - v, DX(u), D2X(u))
-        return H
-
-    def jet_fn(p, with_third):
-        u, v = split(p)
-        d, J, S = X(u) - v, DX(u), D2X(u)
-        s = 1 + m + m * m
-        out = np.zeros(s + m if with_third else s)
-        out[0] = d @ d
-        out[1 : k + 1] = 2 * J @ d
-        out[k + 1 : m + 1] = -2 * d
-        fill_hessian(out[m + 1 : s].reshape(m, m), d, J, S)
         if with_third:
-            out[s:] = duu_partials(float(u[0]), d, J[0], S[0, 0])
+            # d_z D_uu, with D_uu = 2 (X'' . (X - v) + X' . X')
+            out[s] = 2 * (surface.d3(float(u[0])) @ d + 3 * (J[0] @ S[0, 0]))
+            out[s + 1 :] = -2 * S[0, 0]
         return out
 
     if v_box is None:
         extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
         v_box = tuple((-extent, extent) for _ in range(n))
     box = tuple((-u_span, u_span) for _ in range(k)) + tuple(v_box)
-    field = ScalarField(
-        arity=m, fn=fn, grad_fn=grad_fn, hess_fn=hess_fn, box=box, third_fn=third_fn, jet_fn=jet_fn
-    )
+    field = ScalarField(arity=m, fn=fn, box=box, jet_fn=jet_fn)
     fam = GeneratingFamily(k=k, n=n, field=field, name=name or f"dist2-{type(surface).__name__.lower()}")
     return fam, GraphLikeFamily(base=fam)
 

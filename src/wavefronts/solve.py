@@ -21,6 +21,9 @@ from .linalg import null_space, numerical_rank
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SINGULAR_RATIO = 1e-12
+# continuation: the largest seed residual accepted, and the corrector's tolerance
+SEED_TOL = 1e-6
+CORRECTOR_TOL = 1e-10
 
 
 def bracket_roots(h: Callable, params: Sequence[float], grid: Sequence[float]):
@@ -78,24 +81,16 @@ def dedup(points: Sequence, radius: float) -> List[int]:
 class System:
     """A residual map that carries its Jacobian (exact, or central differences).
 
-    Calling it evaluates the residual; ``jac(z)`` has one row per equation
-    and one column per unknown.  The optional ``fused(z)`` returns both from
-    one pass, bit for bit equal to the separate calls.  It is what
-    ``newton_solve`` and ``continue_curve`` solve (see ``as_system``).
+    ``evaluate(z)`` returns ``(residual, J)`` from one pass, ``J`` with one
+    row per equation and one column per unknown; calling the system returns
+    the residual alone.  It is what ``newton_solve`` and ``continue_curve``
+    solve (see ``as_system``).
     """
 
-    residual: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    fused: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
     def __call__(self, z):
-        return self.residual(z)
-
-    def evaluate(self, z) -> Tuple[np.ndarray, np.ndarray]:
-        """``(residual, Jacobian)`` at ``z``: one fused pass when there is one."""
-        if self.fused is not None:
-            return self.fused(z)
-        return self.residual(z), self.jac(z)
+        return self.evaluate(z)[0]
 
 
 def as_system(fn: Callable) -> System:
@@ -103,7 +98,7 @@ def as_system(fn: Callable) -> System:
     difference Jacobian ``fd_jacobian``."""
     if isinstance(fn, System):
         return fn
-    return System(fn, lambda z: fd_jacobian(fn, z))
+    return System(lambda z: (np.asarray(fn(z), dtype=float), fd_jacobian(fn, z)))
 
 
 def _in_box(p: np.ndarray, box) -> bool:
@@ -124,9 +119,7 @@ def newton_solve(
     """Solve ``system(p) = 0`` from ``seed`` with some coordinates frozen.
 
     Under-determined steps use the least-norm update; frozen coordinates are
-    never touched.  The Jacobian is the one ``as_system(system)`` carries:
-    each iterate is one fused ``evaluate`` when the system has one, and
-    otherwise the residual, with the Jacobian only when another step follows.
+    never touched.  Each iterate is one ``evaluate`` of ``as_system(system)``.
 
     With ``border = (tau, pred)`` this is Keller's pseudo-arclength corrector:
     it solves the bordered system ``[system(p); tau . (p - pred)] = 0``, whose
@@ -146,10 +139,7 @@ def newton_solve(
         bordered_res, bordered_J = np.empty(m), np.empty((m, m))
         bordered_J[-1] = tau
     for _ in range(max_iter):
-        if system.fused is not None:
-            res, J = system.evaluate(p)
-        else:
-            res, J = np.asarray(system(p), dtype=float), None
+        res, J = system.evaluate(p)
         if border is not None:
             bordered_res[:-1], bordered_res[-1] = res, tau @ (p - pred)
         r = res if border is None else bordered_res
@@ -159,8 +149,7 @@ def newton_solve(
         if all(abs(v) < tol for v in r.tolist()):
             if border is None:
                 return p
-            return p, np.asarray(system.jac(p) if J is None else J, dtype=float)
-        J = np.asarray(system.jac(p) if J is None else J, dtype=float)
+            return p, J
         if border is not None:
             bordered_J[:-1] = J
             J = bordered_J
@@ -204,8 +193,6 @@ def continue_curve(
     step: float,
     max_points: int,
     box=None,
-    seed_tol: float = 1e-6,
-    residual_tol: float = 1e-8,
 ) -> Curve:
     """Pseudo-arclength predictor-corrector tracing of a 1-D solution set.
 
@@ -214,23 +201,24 @@ def continue_curve(
     The corrector is ``newton_solve`` on the bordered system ``[J(w); tau^T]``
     (Keller's pseudo-arclength corrector) with the Jacobian of
     ``as_system(system)``, and the next tangent is the null vector of the
-    Jacobian it converged with.
+    Jacobian it converged with.  The seed must lie within ``SEED_TOL`` of the
+    curve; it is polished there first.
     """
     system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
-    res = np.asarray(system(z0), dtype=float)
+    res, J = system.evaluate(z0)
     if res.size != z0.size - 1:
         raise ValueError("system must have exactly one fewer equation than unknowns")
-    if np.linalg.norm(res, ord=np.inf) > seed_tol:
+    if np.linalg.norm(res, ord=np.inf) > SEED_TOL:
         raise SeedNotOnCurve(f"seed residual {np.linalg.norm(res, np.inf):.3e}")
-    if numerical_rank(system.jac(z0)) < z0.size - 1:
+    if numerical_rank(J) < z0.size - 1:
         raise RankDeficientSeed(f"Jacobian rank-deficient at seed {z0!r}")
     # polish the seed onto the curve (least-norm correction)
     try:
         z0 = newton_solve(system, z0)
     except (SingularJacobian, MaxIterations):
         pass
-    tau0 = _tangent(system.jac(z0), None)
+    tau0 = _tangent(system.evaluate(z0)[1], None)
 
     def march(direction: float):
         pts = []
@@ -241,7 +229,7 @@ def continue_curve(
             for _ in range(5):
                 pred = z + h * tau
                 try:
-                    znew, J = newton_solve(system, pred, tol=residual_tol * 1e-2, border=(tau, pred))
+                    znew, J = newton_solve(system, pred, tol=CORRECTOR_TOL, border=(tau, pred))
                     break
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5

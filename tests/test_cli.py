@@ -112,6 +112,15 @@ def test_bad_range_exits_2():
         ["burgers", "--t", "0:1:1e-320"],
         ["front", "--family", "cusp", "--t", "0.5", "--seed-density", "5000"],
         ["front", "--family", "cusp", "--t", "0.5", "--seed-density", "0"],
+        ["burgers", "--t", "0:0.7:0.001", "--count", "1"],
+        ["burgers", "--t", "0:0.7:0.001", "--count", "a,b"],
+        ["burgers", "--t", "0:0.7:0.001", "--count", "1,2,3"],
+        ["burgers", "--t", "0:0.7:0.001", "--count", "nan,0.5"],
+        ["burgers", "--t", "0:0.7:0.001", "--speed", "nan"],
+        ["front", "--family", "cusp", "--t", "nan"],
+        ["evolute", "--curve", "ellipse", "--a", "nan"],
+        ["front", "--family", "cusp", "--t", "0.5", "--tol", "nan"],
+        ["front", "--family", "cusp", "--t", "0.5", "--tol", "-1"],
     ],
 )
 def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):

@@ -19,13 +19,14 @@ def test_expr_field_gradient_and_hessian():
     assert np.allclose(f.hessian(p), [[9.0, 1.0], [1.0, 2.0]])
     # d/dq1 and d/dx1 of d2f/dq1^2 = 6 q1
     assert f.third(p).tolist() == [[[6.0, 0.0]]]
-    assert field_from_expr(e, ("q1", "x1")).third_fn is None
+    # without third rows the jet stops after the Hessian
+    assert field_from_expr(e, ("q1", "x1")).jet_fn(p, True).size == 1 + 2 + 4
 
 
 def test_third_without_third_fn_differences_the_hessian():
     e = ex.parse_expr("q1^4 + x1*q1^2 + x2*q1", ("q1", "x1", "x2"))
     exact = field_from_expr(e, ("q1", "x1", "x2"), third_rows=1)
-    fd = ScalarField(arity=3, fn=exact.fn, grad_fn=exact.grad_fn, hess_fn=exact.hess_fn)
+    fd = field_from_expr(e, ("q1", "x1", "x2"))
     for p in ([0.7, -1.2, 0.4], [0.5, -1.5, 0.3], [-1.1, 0.8, -2.5]):
         T = fd.third(p)
         assert T.shape == (3, 3, 3)
