@@ -152,9 +152,33 @@ def x_grid_and_q_seeds(fam: families.GeneratingFamily, density: int):
     return xg, list(_box_grid(box[: fam.k], density))
 
 
-def _emit(args, rows, n, k, curves):
+def _table(parts, n: int, k: int):
+    """One emitter table ``(t, X, Q, labels)`` from per-chain parts
+    ``(t, X, Q, label)``, each with one label and one t or a column of them."""
+    sizes = [len(X) for _, X, _, _ in parts]
+    t = np.concatenate([np.zeros(0)] + [np.broadcast_to(t, (m,)) for (t, _, _, _), m in zip(parts, sizes)])
+    X = np.concatenate([np.zeros((0, n))] + [X for _, X, _, _ in parts])
+    Q = np.concatenate([np.zeros((0, k))] + [Q for _, _, Q, _ in parts])
+    labels = np.repeat(np.array([label for *_, label in parts], dtype=object), sizes)
+    return t, X, Q, labels
+
+
+def _maxwell_part(pts: List[fronts.MaxwellPoint], n: int, k: int):
+    """The table part of Maxwell points: value, x and the first sheet's q."""
+    X = np.array([p.x for p in pts], dtype=float).reshape(-1, n)
+    Q = np.array([p.q for p in pts], dtype=float).reshape(-1, k)
+    return np.array([p.value for p in pts], dtype=float), X, Q, "maxwell"
+
+
+def _caustic_part(fam: families.GeneratingFamily, cloud: fronts.PointCloud):
+    """The table part of caustic points, with the family's value as t."""
+    t = np.array([fam.value(q, x) for x, q in zip(cloud.x, cloud.q)], dtype=float)
+    return t, cloud.x, cloud.q, "caustic"
+
+
+def _emit(args, table, n, k, curves):
     if getattr(args, "csv", None):
-        emit_csv(rows, n, k, args.csv)
+        emit_csv(table, n, k, args.csv)
         print(f"wrote {args.csv}")
     if getattr(args, "svg", None):
         emit_svg(curves, args.svg)
@@ -200,9 +224,9 @@ def cmd_verify(args) -> int:
 
 def _emit_fronts(args, fam: families.GeneratingFamily, curves) -> None:
     """One CSV row per front point; one SVG polyline per chain when n = 2."""
-    rows = [(fc.t, x, q, "front") for fc in curves for x, q in zip(fc.x, fc.q)]
+    table = _table([(fc.t, fc.x, fc.q, "front") for fc in curves], fam.n, fam.k)
     svg = [(fc.x, "front") for fc in curves] if fam.n == 2 else []
-    _emit(args, rows, fam.n, fam.k, svg)
+    _emit(args, table, fam.n, fam.k, svg)
 
 
 def cmd_front(args) -> int:
@@ -231,11 +255,9 @@ def cmd_caustic(args) -> int:
     fam = load_family(args.family)
     seeds = phase_seeds(fam, args.seed_density)
     cloud = fronts.caustic(fam, seeds)
-    rows = [
-        (fam.value(q, x), x, q, "caustic") for x, q in zip(cloud.x, cloud.q)
-    ]
     print(f"caustic: {len(cloud.x)} points")
-    _emit(args, rows, fam.n, fam.k, [(cloud.x, "caustic")] if fam.n == 2 else [])
+    svg = [(cloud.x, "caustic")] if fam.n == 2 else []
+    _emit(args, _caustic_part(fam, cloud), fam.n, fam.k, svg)
     return 0
 
 
@@ -243,10 +265,10 @@ def cmd_maxwell(args) -> int:
     fam = load_family(args.family)
     xg, qs = x_grid_and_q_seeds(fam, args.seed_density)
     pts = fronts.maxwell_set(fam, xg, qs)
-    rows = [(p.value, p.x, p.q, "maxwell") for p in pts]
+    table = _maxwell_part(pts, fam.n, fam.k)
     print(f"maxwell set: {len(pts)} points")
-    svg = [(np.array([p.x for p in pts]), "maxwell")] if pts and fam.n == 2 else []
-    _emit(args, rows, fam.n, fam.k, svg)
+    svg = [(table[1], "maxwell")] if fam.n == 2 else []
+    _emit(args, table, fam.n, fam.k, svg)
     return 0
 
 
@@ -257,18 +279,14 @@ def cmd_discriminant(args) -> int:
     xg, qs = x_grid_and_q_seeds(fam, args.seed_density)
     t_values = parse_range(args.t)
     dec = fronts.discriminant(gl, seeds, xg, qs, t_values)
-    rows = [(fam.value(q, x), x, q, "caustic") for x, q in zip(dec.caustic.x, dec.caustic.q)]
-    rows += [(p.value, p.x, p.q, "maxwell") for p in dec.maxwell]
-    svg = []
-    if fam.n == 2:
-        svg.append((dec.caustic.x, "caustic"))
-        if dec.maxwell:
-            svg.append((np.array([p.x for p in dec.maxwell]), "maxwell"))
+    maxwell = _maxwell_part(dec.maxwell, fam.n, fam.k)
+    table = _table([_caustic_part(fam, dec.caustic), maxwell], fam.n, fam.k)
+    svg = [(dec.caustic.x, "caustic"), (maxwell[1], "maxwell")] if fam.n == 2 else []
     print(
         f"discriminant: caustic {len(dec.caustic.x)}, maxwell {len(dec.maxwell)}, "
         f"delta {len(dec.delta)} (empty as required)"
     )
-    _emit(args, rows, fam.n, fam.k, svg)
+    _emit(args, table, fam.n, fam.k, svg)
     return 0
 
 
@@ -277,8 +295,7 @@ def cmd_evolute(args) -> int:
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
     us, pts = geometry.evolute_samples(curve, u_grid)
     print(f"evolute: {len(us)} points")
-    rows = [(0.0, p, [u], "caustic") for u, p in zip(us, pts)]
-    _emit(args, rows, 2, 1, [(pts, "caustic")] if len(us) else [])
+    _emit(args, (0.0, pts, us[:, None], "caustic"), 2, 1, [(pts, "caustic")])
     return 0
 
 
@@ -287,17 +304,10 @@ def cmd_parallels(args) -> int:
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
     r_values = parse_range(args.r)
     offs = geometry.parallels(curve, r_values, u_grid)
-    rows = []
-    svg = []
-    for r, pts in offs:
-        for u, p in zip(u_grid, pts):
-            rows.append((r * r, p, [u], "front"))
-        svg.append((pts, "front"))
-    ev = geometry.evolute(curve, u_grid)
-    if len(ev):
-        svg.append((ev, "caustic"))
+    table = _table([(r * r, pts, u_grid[:, None], "front") for r, pts in offs], 2, 1)
+    svg = [(pts, "front") for _, pts in offs] + [(geometry.evolute(curve, u_grid), "caustic")]
     print(f"parallels: {len(offs)} offsets x {len(u_grid)} samples (+ evolute)")
-    _emit(args, rows, 2, 1, svg)
+    _emit(args, table, 2, 1, svg)
     return 0
 
 
@@ -328,8 +338,7 @@ def cmd_burgers(args) -> int:
     if getattr(args, "csv", None) or getattr(args, "svg", None):
         t_show = float(t_values[-1])
         vals = pde.sheet_values(sheet, t_show)
-        rows = [(t_show, v, [x0i], "front") for v, x0i in zip(vals, x0)]
-        _emit(args, rows, 2, 1, [(vals, "front")])
+        _emit(args, (t_show, vals, x0[:, None], "front"), 2, 1, [(vals, "front")])
     return 0
 
 
@@ -340,26 +349,18 @@ def cmd_ode_gallery(args) -> int:
     diagram = gallery.gallery_family(args.germ, alpha)
     t_values = parse_range(args.t)
     u1_grid = np.linspace(-1.6, 1.6, 20 * args.seed_density + 1)
-    rows = []
-    svg = []
+    parts = []
     for t in t_values:
         fr = gallery.gallery_front(diagram, float(t), u1_grid)
-        for br in fr.branches:
-            svg.append((br["xy"], "front"))
-            for u, p in zip(br["u"], br["xy"]):
-                rows.append((fr.t, p, u, "front"))
+        parts += [(fr.t, br["xy"], br["u"], "front") for br in fr.branches]
     disc = gallery.gallery_discriminant(diagram, t_values)
-    if len(disc.caustic):
-        svg.append((disc.caustic, "caustic"))
-    if len(disc.maxwell):
-        svg.append((disc.maxwell, "maxwell"))
-    if len(disc.delta):
-        svg.append((disc.delta, "delta"))
+    svg = [(xy, "front") for _, xy, _, _ in parts]
+    svg += [(disc.caustic, "caustic"), (disc.maxwell, "maxwell"), (disc.delta, "delta")]
     print(
         f"germ {args.germ} ({diagram.kind}): {len(t_values)} fronts; "
         f"caustic {len(disc.caustic)}, maxwell {len(disc.maxwell)}, delta {len(disc.delta)}"
     )
-    _emit(args, rows, 2, 2, svg)
+    _emit(args, _table(parts, 2, 2), 2, 2, svg)
     return 0
 
 

@@ -93,7 +93,7 @@ class ScalarField:
         h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
         for v, d, (lo, hi) in zip(p.tolist(), h, self._bounds):
             if v - d < lo or v + d > hi:
-                raise DomainError(f"point {p!r} (margin {margin!r}) exits the domain box")
+                raise DomainError(f"point {p.tolist()} (margin {h}) exits the domain box")
 
     def _jet(self, p: np.ndarray, with_third: bool = False) -> np.ndarray:
         self._check_box(p)

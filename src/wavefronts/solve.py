@@ -158,15 +158,15 @@ def newton_solve(
         # lstsq returns the singular values of J with the least-norm step
         step, _, _, s = np.linalg.lstsq(J, -r, rcond=None)
         if s.size == 0 or s[0] == 0.0 or s[min(r.size, free.size) - 1] < SINGULAR_RATIO * s[0]:
-            raise SingularJacobian(f"singular Jacobian at {p!r}")
+            raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
         if frozen:
             p = p.copy()
             p[free] += step
         else:
             p = p + step
         if not _in_box(p, box):
-            raise DomainError(f"Newton iterate {p!r} left the box")
-    raise MaxIterations(f"no convergence in {max_iter} iterations (residual {r!r})")
+            raise DomainError(f"Newton iterate {p.tolist()} left the box")
+    raise MaxIterations(f"no convergence in {max_iter} iterations (residual {r.tolist()})")
 
 
 @dataclass

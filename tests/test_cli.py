@@ -1,8 +1,13 @@
+import importlib.util
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import emitters
 from wavefronts.cli import (
@@ -230,13 +235,13 @@ def test_q_seeds_cover_asymmetric_domain(tmp_path, capsys):
 
 def test_emit_csv_empty_has_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emitters.emit_csv([], 3, 2, path)
+    emitters.emit_csv((0.0, np.zeros((0, 3)), np.zeros((0, 2)), "x"), 3, 2, path)
     assert path.read_text() == "t,x1,x2,x3,q1,q2,label\n"
 
 
 def test_emit_csv_rejects_non_finite(tmp_path):
     with pytest.raises(IoError):
-        emitters.emit_csv([(np.nan, [0.0, 0.0], [0.0], "x")], 2, 1, tmp_path / "bad.csv")
+        emitters.emit_csv((np.nan, [[0.0, 0.0]], [[0.0]], "x"), 2, 1, tmp_path / "bad.csv")
 
 
 def test_emit_svg_two_point_curve(tmp_path):
@@ -251,3 +256,196 @@ def test_emit_svg_two_point_curve(tmp_path):
 def test_emit_svg_rejects_unknown_class(tmp_path):
     with pytest.raises(IoError):
         emitters.emit_svg([(np.zeros((2, 2)), "bogus")], tmp_path / "bad.svg")
+
+
+# ---------------------------------------------------------------------------
+# The emitters against a per-value oracle: every float through
+# format(v, ".9g"), '-0' printed as '0', a non-finite value refused.
+
+
+def _assert_same_text(got, expected):
+    """Equal texts; on a mismatch, report the first differing line (a diff
+    of two large files would take minutes)."""
+    if got != expected:
+        a, b = got.splitlines(), expected.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        raise AssertionError(f"line {i} differs: {a[i:i + 1]} != {b[i:i + 1]} ({len(a)} vs {len(b)} lines)")
+
+
+def _ref_fmt(values):
+    out = []
+    for v in values:
+        if not math.isfinite(v):
+            raise IoError(f"non-finite coordinate {v!r}")
+        s = format(v, ".9g")
+        out.append("0" if s in ("-0", "-0.0") else s)
+    return out
+
+
+def _ref_csv(table, n, k):
+    t, X, Q, labels = table
+    ts = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
+    labels = [labels] * len(X) if isinstance(labels, str) else labels
+    lines = [emitters.csv_header(n, k)]
+    for ti, x, q, label in zip(ts.tolist(), X.tolist(), Q.tolist(), labels):
+        lines.append(",".join(_ref_fmt([ti, *x, *q]) + [label]))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_svg(curves):
+    pts_all = [p for p, _ in curves if len(p)]
+    if pts_all:
+        allp = np.vstack(pts_all)
+        _ref_fmt(allp.ravel().tolist())
+        lo, hi = allp.min(axis=0), allp.max(axis=0)
+    else:
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    span = np.maximum(hi - lo, 1e-9)
+    pad = emitters.SVG_MARGIN_FRAC * span.max()
+    vb = _ref_fmt([lo[0] - pad, -(hi[1] + pad), span[0] + 2 * pad, span[1] + 2 * pad])
+    stroke = _ref_fmt([0.004 * max(span[0], span[1])])[0]
+    size = emitters.SVG_SIZE
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" height="{size}" '
+        f'viewBox="{" ".join(vb)}">',
+        f"<style>{emitters._STYLE} polyline{{stroke-width:{stroke}}}</style>",
+    ]
+    for pts, cls in curves:
+        if len(pts):
+            xs, ys = _ref_fmt(pts[:, 0].tolist()), _ref_fmt((-pts[:, 1]).tolist())
+            coords = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
+            lines.append(f'<polyline class="{cls}" points="{coords}"/>')
+    return "\n".join(lines + ["</svg>"]) + "\n"
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16, 1e-5, 123456789.5, 0.1,
+    -1e-7, 999999999.5, 1.0000000005,
+]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+def _matrix(draw, rows, cols):
+    return np.array(draw(st.lists(_FLOATS, min_size=rows * cols, max_size=rows * cols)), dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def _tables(draw):
+    n, k, rows = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 12))
+    t = draw(_FLOATS) if draw(st.booleans()) else _matrix(draw, rows, 1)[:, 0]
+    labels = draw(st.sampled_from(emitters.STROKE_CLASSES))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from(emitters.STROKE_CLASSES), min_size=rows, max_size=rows))
+    return (t, _matrix(draw, rows, n), _matrix(draw, rows, k), labels), n, k
+
+
+@st.composite
+def _curves(draw):
+    sizes = draw(st.lists(st.integers(0, 8), max_size=4))
+    return [(_matrix(draw, m, 2), draw(st.sampled_from(emitters.STROKE_CLASSES))) for m in sizes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_emit_csv_matches_the_per_value_oracle(case):
+    table, n, k = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        emitters.emit_csv(table, n, k, path)
+        _assert_same_text(path.read_text(), _ref_csv(table, n, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curves())
+def test_emit_svg_matches_the_per_value_oracle(curves):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # spans of +-1.8e308 overflow
+        try:
+            expected = _ref_svg(curves)
+        except IoError:
+            expected = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.svg"
+            if expected is None:
+                with pytest.raises(IoError):
+                    emitters.emit_svg(curves, path)
+            else:
+                emitters.emit_svg(curves, path)
+                _assert_same_text(path.read_text(), expected)
+
+
+def test_emitters_format_across_blocks(tmp_path):
+    rows = 2 * emitters.BLOCK_ROWS + 3
+    X = np.linspace(-1.0, 1.0, 2 * rows).reshape(rows, 2) * 1e-3
+    table = (np.arange(rows) * 0.1, X, X[:, :1], [emitters.STROKE_CLASSES[i % 4] for i in range(rows)])
+    emitters.emit_csv(table, 2, 1, tmp_path / "big.csv")
+    _assert_same_text((tmp_path / "big.csv").read_text(), _ref_csv(table, 2, 1))
+    curves = [(X[:5], "caustic"), (X, "front"), (X[::-1], "maxwell")]
+    emitters.emit_svg(curves, tmp_path / "big.svg")
+    _assert_same_text((tmp_path / "big.svg").read_text(), _ref_svg(curves))
+
+
+@pytest.mark.parametrize("where", ["t", "X", "Q"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_emit_csv_refuses_non_finite_anywhere(tmp_path, where, bad):
+    t, X, Q = np.zeros(3), np.zeros((3, 2)), np.zeros((3, 1))
+    {"t": t, "X": X, "Q": Q}[where][-1] = bad
+    with pytest.raises(IoError, match=f"non-finite coordinate {bad!r}$"):
+        emitters.emit_csv((t, X, Q, "front"), 2, 1, tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        (0.0, np.zeros((3, 3)), np.zeros((3, 1)), "front"),  # n + 1 x columns
+        (0.0, np.zeros((3, 2)), np.zeros((3, 2)), "front"),  # k + 1 q columns
+        (0.0, np.zeros((3, 2)), np.zeros((2, 1)), "front"),  # q rows short
+        (0.0, np.zeros(2), np.zeros((1, 1)), "front"),  # x not a matrix
+        (np.zeros(2), np.zeros((3, 2)), np.zeros((3, 1)), "front"),  # t column short
+        (0.0, np.zeros((3, 2)), np.zeros((3, 1)), ["front"] * 2),  # labels short
+    ],
+)
+def test_emit_csv_refuses_a_wrong_shape(tmp_path, table):
+    with pytest.raises(IoError, match="shape"):
+        emitters.emit_csv(table, 2, 1, tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_emit_svg_refuses_non_finite_and_wrong_columns(tmp_path, bad):
+    pts = np.zeros((3, 2))
+    pts[1, 1] = bad
+    with pytest.raises(IoError, match=f"non-finite coordinate {bad!r}$"):
+        emitters.emit_svg([(np.ones((2, 2)), "front"), (pts, "caustic")], tmp_path / "bad.svg")
+    with pytest.raises(IoError, match="shape"):
+        emitters.emit_svg([(np.zeros((3, 3)), "front")], tmp_path / "bad.svg")
+
+
+# ---------------------------------------------------------------------------
+# CLI bytes: every scene of tools/scene_digest.py against the committed table
+
+
+def _scene_digest_module():
+    path = Path(__file__).resolve().parents[1] / "tools" / "scene_digest.py"
+    spec = importlib.util.spec_from_file_location("scene_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scene_output_matches_the_committed_digests(tmp_path):
+    sd = _scene_digest_module()
+    saved = sd.read_table(Path(sd.__file__).with_name("scene_digests.txt"))
+    assert sorted(saved) == sorted(name for name, _ in sd.SCENES)
+    differ = []
+    for name, argv in sd.SCENES:
+        line = sd.digest(name, argv, tmp_path)
+        if line.split() != saved[name]:
+            differ.append(f"{name}: {', '.join(sd.changed_columns(saved[name], line.split()))}")
+    assert not differ, differ

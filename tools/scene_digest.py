@@ -10,7 +10,9 @@ temporary directory.  One line per scene is printed:
 
 ``wrote ...`` lines are dropped from stdout before hashing because they name
 the temporary paths; a file the scene does not write hashes as ``-``.  Takes
-about 30 s.
+about 4 s (2-core machine, Python 3.11).  The tier-1 test
+``tests/test_cli.py::test_scene_output_matches_the_committed_digests`` runs
+the same scenes against the committed table.
 
 ``--compare FILE`` reads a table saved from an earlier run (blank lines and
 lines of fewer than four fields are ignored) and prints, instead of the whole
