@@ -15,9 +15,12 @@ from . import expr as ex
 from .errors import ChartFailure, DomainError, FamilyFileError, MaxIterations, NotOnSigmaStar, SingularJacobian
 from .fields import ScalarField, field_from_expr
 from .linalg import RANK_EPS, null_space, numerical_rank
-from .solve import System, dedup as dedup_indices, newton_solve
+from .solve import System, dedup, newton_solve
 
 DEDUP_RADIUS = 1e-6
+# how far from the zero-critical set (value and dF/dq) a point may lie
+# before nondegeneracy_check refuses it
+ON_SIGMA_STAR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,15 +117,17 @@ def morse_hypersurface_check(fam: GeneratingFamily, q, x, eps: float = RANK_EPS)
     return {"pass": r == fam.k + 1, "rank": r}
 
 
-def nondegeneracy_check(
-    gl: GraphLikeFamily, q, x, t: float, eps: float = RANK_EPS, tol: float = 1e-6
-) -> bool:
-    """Non-degeneracy of the big family at a point of its zero-critical set.
+def nondegeneracy_check(gl: GraphLikeFamily, q, x, t: float, eps: float = RANK_EPS) -> bool:
+    """Non-degeneracy of the big family at a point of its zero-critical set
+    (within ``ON_SIGMA_STAR_TOL``).
 
     Tests rank of [[0, dF/dx], [d2F/dq2, d2F/dxdq]] == k+1.
     """
     fam = gl.base
-    if abs(gl.value(q, x, t)) > tol or np.linalg.norm(fam.grad_q(q, x), np.inf) > tol:
+    if (
+        abs(gl.value(q, x, t)) > ON_SIGMA_STAR_TOL
+        or np.linalg.norm(fam.grad_q(q, x), np.inf) > ON_SIGMA_STAR_TOL
+    ):
         raise NotOnSigmaStar(f"point (q={q!r}, x={x!r}, t={t!r}) not on the zero-critical set")
     top = np.concatenate([np.zeros(fam.k), fam.grad_x(q, x)])
     J = np.vstack([top, fam.delta_jacobian(q, x)])
@@ -141,17 +146,11 @@ def critical_system(fam: GeneratingFamily) -> System:
     return System(evaluate)
 
 
-def solve_critical_set(
-    fam: GeneratingFamily,
-    x_grid: Sequence,
-    q_seeds: Sequence,
-    dedup: float = DEDUP_RADIUS,
-    eps: float = RANK_EPS,
-) -> List[CriticalPoint]:
+def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequence) -> List[CriticalPoint]:
     """Newton-solve dF/dq = 0 at each frozen grid x from each q seed.
 
-    Non-converging seeds are skipped; duplicates within ``dedup`` merged.
-    Output follows the deterministic grid order.
+    Non-converging seeds are skipped; duplicates within ``DEDUP_RADIUS``
+    merged.  Output follows the deterministic grid order.
     """
     out: List[CriticalPoint] = []
     frozen = list(range(fam.k, fam.k + fam.n))
@@ -165,7 +164,7 @@ def solve_critical_set(
                 found.append(newton_solve(system, z0, frozen=frozen)[: fam.k])
             except (SingularJacobian, MaxIterations, DomainError):
                 continue
-        for i in dedup_indices(found, dedup):
+        for i in dedup(found, DEDUP_RADIUS):
             q = found[i]
             H = fam.hess_qq(q, x)
             out.append(
@@ -174,7 +173,7 @@ def solve_critical_set(
                     x=x,
                     residual=float(np.linalg.norm(fam.grad_q(q, x), np.inf)),
                     hess_q_det=float(np.linalg.det(H)),
-                    corank=fam.k - numerical_rank(H, eps),
+                    corank=fam.k - numerical_rank(H),
                 )
             )
     return out
@@ -207,13 +206,13 @@ def legendrian_unfolding_map(gl: GraphLikeFamily, cp: CriticalPoint) -> GraphLik
     )
 
 
-def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint, eps: float = RANK_EPS) -> dict:
+def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint) -> dict:
     """Ranks of the space/front projections and the least singular value of the
     cotangent projection, in an orthonormal chart of the critical set."""
     fam = gl.base
     k, n = fam.k, fam.n
     J = fam.delta_jacobian(cp.q, cp.x)
-    V = null_space(J, eps)  # (k+n) x n tangent basis of C(F)
+    V = null_space(J)  # (k+n) x n tangent basis of C(F)
     if V.shape[1] != n:
         raise ChartFailure(
             f"critical set not a graph near (q={cp.q!r}, x={cp.x!r}): tangent dim {V.shape[1]}"
@@ -227,8 +226,8 @@ def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint, eps: float = RANK_E
     ) @ V
     sv = np.linalg.svd(d_cotangent, compute_uv=False)
     return {
-        "space_proj_rank": numerical_rank(d_space, eps),
-        "front_proj_rank": numerical_rank(d_front, eps),
+        "space_proj_rank": numerical_rank(d_space),
+        "front_proj_rank": numerical_rank(d_front),
         "immersion_sigma_min": float(sv[-1]),
     }
 

@@ -149,8 +149,11 @@ class ScalarField:
             T = _jet_third(self._jet(p, True), p.size)
             if T is not None:
                 return T
-        # each probe p +- h e_c checks the box as ``hessian`` does
-        r = p.size if rows is None else rows
+        return self._fd_third(p, p.size if rows is None else rows)
+
+    def _fd_third(self, p: np.ndarray, r: int) -> np.ndarray:
+        """Central differences of the Hessian's leading (r, r) block; each
+        probe p +- h e_c checks the box as ``hessian`` does."""
         return fd_jacobian(lambda q: self._hessian_block(q, r).ravel(), p).reshape(r, r, p.size)
 
     def derivatives(self, point, third: int = 0):
@@ -168,7 +171,7 @@ class ScalarField:
         m = p.size
         T = _jet_third(a, m) if third else None
         if third and T is None:
-            T = self.third(p, third)
+            T = self._fd_third(p, third)
         return float(a[0]), a[1 : m + 1], a[m + 1 : 1 + m + m * m].reshape(m, m), T
 
 

@@ -22,6 +22,10 @@ from .solve import Curve, System, continue_curve, dedup, newton_solve
 
 MEMBERSHIP_TOL = 1e-8
 PAIR_MIN_SEPARATION = 1e-3
+# Maxwell candidates: the largest value gap of a grid pair sent to Newton,
+# and the x radius within which refined points count as one
+MAXWELL_VALUE_WINDOW = 0.5
+MAXWELL_DEDUP_RADIUS = 1e-4
 
 
 @dataclass
@@ -60,14 +64,12 @@ class DiscriminantDecomposition:
     delta: np.ndarray  # (N, n)
 
 
-def project_to_set(
-    system: Callable, samples: Sequence, tol: float = 1e-10
-) -> List[np.ndarray]:
+def project_to_set(system: Callable, samples: Sequence) -> List[np.ndarray]:
     """Least-norm Newton projection of coarse samples onto a solution set."""
     out = []
     for s in samples:
         try:
-            out.append(newton_solve(system, np.asarray(s, dtype=float), tol=tol))
+            out.append(newton_solve(system, np.asarray(s, dtype=float)))
         except (SingularJacobian, MaxIterations, DomainError):
             continue
     return out
@@ -105,6 +107,20 @@ def _trace_all(
     return chains
 
 
+def _trace_seeds(
+    system: System, seeds: Sequence, step: float, max_points: int, box, n: int
+) -> List[Curve]:
+    """Project the seeds onto the solution set of ``system``, drop those
+    within ``5 * step`` of one kept before, and trace the rest when the set
+    is a curve (n = 2).  Otherwise the kept points are one unordered,
+    open chain."""
+    projected = project_to_set(system, seeds)
+    projected = [projected[i] for i in dedup(projected, 5 * step)]
+    if n == 2:
+        return _trace_all(system, projected, step, max_points, box)
+    return [Curve(points=np.array(projected), closed=False)] if projected else []
+
+
 def front_system(gl: GraphLikeFamily, t: float) -> System:
     """(k+1) equations (dF/dq, F - t) in z = (q, x).  The Jacobian is the q
     rows of the Hessian over the gradient of F."""
@@ -126,28 +142,17 @@ def momentary_front(
     seeds: Sequence,
     step: float = 0.02,
     max_points: int = 2000,
-    box=None,
 ) -> List[FrontCurve]:
     """Trace the level-t front in (q, x) and project to x.
 
     ``seeds`` are coarse (q, x) samples; they are first projected onto the
-    solution set.  For n >= 3 the projected points are returned unordered
+    solution set.  For n != 2 the projected points are returned unordered
     (one single-chain FrontCurve per component is not attempted).
     """
     fam = gl.base
-    k, n = fam.k, fam.n
-    system = front_system(gl, t)
-    if box is None:
-        box = fam.field.box
-    projected = project_to_set(system, seeds)
-    projected = [projected[i] for i in dedup(projected, 5 * step)]
-    if n != 2:
-        pts = np.array(projected) if projected else np.zeros((0, k + n))
-        return [FrontCurve(t=t, x=pts[:, k:], q=pts[:, :k], closed=False)] if len(pts) else []
-    out = []
-    for c in _trace_all(system, projected, step, max_points, box):
-        out.append(FrontCurve(t=t, x=c.points[:, k:], q=c.points[:, :k], closed=c.closed))
-    return out
+    k = fam.k
+    curves = _trace_seeds(front_system(gl, t), seeds, step, max_points, fam.field.box, fam.n)
+    return [FrontCurve(t=t, x=c.points[:, k:], q=c.points[:, :k], closed=c.closed) for c in curves]
 
 
 def big_front(
@@ -156,11 +161,10 @@ def big_front(
     seeds: Sequence,
     step: float = 0.02,
     max_points: int = 2000,
-    box=None,
 ) -> List[FrontCurve]:
     out: List[FrontCurve] = []
     for t in t_values:
-        out.extend(momentary_front(gl, t, seeds, step=step, max_points=max_points, box=box))
+        out.extend(momentary_front(gl, t, seeds, step=step, max_points=max_points))
     return out
 
 
@@ -194,22 +198,15 @@ def caustic(
     seeds: Sequence,
     step: float = 0.02,
     max_points: int = 2000,
-    box=None,
 ) -> PointCloud:
-    """x-projections of the traced degenerate-critical-point curve(s)."""
+    """x-projections of the traced degenerate-critical-point curve(s); for
+    n != 2 the projected points, unordered, as one chain."""
     k, n = fam.k, fam.n
-    system = caustic_system(fam)
-    if box is None:
-        box = fam.field.box
-    projected = project_to_set(system, seeds)
-    projected = [projected[i] for i in dedup(projected, 5 * step)]
-    xs, qs = [], []
-    for c in _trace_all(system, projected, step, max_points, box):
-        xs.append(c.points[:, k:])
-        qs.append(c.points[:, :k])
-    if not xs:
+    curves = _trace_seeds(caustic_system(fam), seeds, step, max_points, fam.field.box, n)
+    if not curves:
         return PointCloud.empty(n, k)
-    return PointCloud(x=np.vstack(xs), q=np.vstack(qs), chains=xs)
+    xs = [c.points[:, k:] for c in curves]
+    return PointCloud(x=np.vstack(xs), q=np.vstack([c.points[:, :k] for c in curves]), chains=xs)
 
 
 def pairing_system(fam: GeneratingFamily) -> System:
@@ -234,15 +231,14 @@ def maxwell_set(
     fam: GeneratingFamily,
     x_grid: Sequence,
     q_seeds: Sequence,
-    value_window: float = 0.5,
-    min_separation: float = PAIR_MIN_SEPARATION,
-    value_tol: float = MEMBERSHIP_TOL,
-    dedup_radius: float = 1e-4,
 ) -> List[MaxwellPoint]:
     """Pairs of distinct critical points with equal critical values.
 
-    Critical sheets are discovered on the grid, candidate pairs with close
-    values refined by least-norm Newton on the pairing equations.
+    Critical sheets are discovered on the grid; pairs at least
+    ``PAIR_MIN_SEPARATION`` apart whose values differ by at most
+    ``MAXWELL_VALUE_WINDOW`` are refined by least-norm Newton on the pairing
+    equations and kept when they stay that far apart with values equal to
+    ``MEMBERSHIP_TOL``.
     """
     k, n = fam.k, fam.n
     cps = solve_critical_set(fam, x_grid, q_seeds)
@@ -255,10 +251,10 @@ def maxwell_set(
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 a, b = group[i], group[j]
-                if np.linalg.norm(a.q - b.q) < min_separation:
+                if np.linalg.norm(a.q - b.q) < PAIR_MIN_SEPARATION:
                     continue
                 va, vb = fam.value(a.q, a.x), fam.value(b.q, b.x)
-                if abs(va - vb) > value_window:
+                if abs(va - vb) > MAXWELL_VALUE_WINDOW:
                     continue
                 w0 = np.concatenate([a.q, b.q, a.x])
                 try:
@@ -266,13 +262,13 @@ def maxwell_set(
                 except (SingularJacobian, MaxIterations, DomainError):
                     continue
                 q, q2, x = w[:k], w[k : 2 * k], w[2 * k :]
-                if np.linalg.norm(q - q2) < min_separation:
+                if np.linalg.norm(q - q2) < PAIR_MIN_SEPARATION:
                     continue
                 value = fam.value(q, x)
-                if abs(value - fam.value(q2, x)) > value_tol:
+                if abs(value - fam.value(q2, x)) > MEMBERSHIP_TOL:
                     continue
                 out.append(MaxwellPoint(x=x, q=q, q2=q2, value=value))
-    return [out[i] for i in dedup([p.x for p in out], dedup_radius)]
+    return [out[i] for i in dedup([p.x for p in out], MAXWELL_DEDUP_RADIUS)]
 
 
 def delta_set(
@@ -281,7 +277,6 @@ def delta_set(
     seeds: Sequence,
     step: float = 0.02,
     max_points: int = 2000,
-    box=None,
     stall_ratio: float = 1e-6,
 ) -> np.ndarray:
     """Points where a traced level curve is regular but its x-projection stalls.
@@ -292,7 +287,7 @@ def delta_set(
     fam = gl.base
     k = fam.k
     hits = []
-    for fc in big_front(gl, t_values, seeds, step=step, max_points=max_points, box=box):
+    for fc in big_front(gl, t_values, seeds, step=step, max_points=max_points):
         if len(fc.x) < 2:
             continue
         dz = np.linalg.norm(
@@ -314,13 +309,12 @@ def discriminant(
     t_values: Sequence[float],
     step: float = 0.02,
     max_points: int = 2000,
-    box=None,
 ) -> DiscriminantDecomposition:
     """Caustic plus Maxwell set; asserts the delta component is empty."""
     fam = gl.base
-    ca = caustic(fam, seeds, step=step, max_points=max_points, box=box)
+    ca = caustic(fam, seeds, step=step, max_points=max_points)
     mx = maxwell_set(fam, x_grid, q_seeds)
-    de = delta_set(gl, t_values, seeds, step=step, max_points=max_points, box=box)
+    de = delta_set(gl, t_values, seeds, step=step, max_points=max_points)
     if len(de):
         raise DeltaNonEmptyForGraphLike(f"{len(de)} delta points found for a graph-like family")
     return DiscriminantDecomposition(caustic=ca, maxwell=mx, delta=de)

@@ -15,6 +15,15 @@ from .solve import bracket_roots, dedup, newton_solve
 
 _U = ("u1", "u2")
 
+# gallery_front: the u2 samples scanned for roots of mu = t along each u1
+# line, and the largest u2 jump that continues a branch
+U2_SCAN = np.linspace(-3.0, 3.0, 400)
+BRANCH_JUMP = 0.5
+# gallery_discriminant: the chart grids of the caustic scan and the envelope
+# parameters
+CHART_GRID = np.linspace(-1.5, 1.5, 121)
+ENVELOPE_GRID = np.linspace(-1.2, 1.2, 241)
+
 _GERMS = {
     1: ("u2", ("u1", "u2"), "trivial"),
     2: ("2/3*u1^3 + u2", ("u1^2", "u2"), "regular"),
@@ -95,21 +104,13 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
     )
 
 
-def gallery_front(
-    diagram: IntegralDiagram,
-    t: float,
-    u1_grid: Sequence[float],
-    u2_range: Tuple[float, float] = (-3.0, 3.0),
-    scan: int = 400,
-    branch_jump: float = 0.5,
-) -> GalleryFront:
+def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) -> GalleryFront:
     """Level set mu = t solved along grid lines and mapped by the front map.
 
     Roots are matched to branches by continuity in u2 across the u1 grid.
     """
     u1_grid = np.asarray(u1_grid, dtype=float)
-    u2_scan = np.linspace(u2_range[0], u2_range[1], scan)
-    line, u2_roots = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, u2_scan)
+    line, u2_roots = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, U2_SCAN)
     per_line = np.split(u2_roots, np.searchsorted(line, np.arange(1, len(u1_grid))))
     branches: List[List[np.ndarray]] = []
     open_tips: List[float] = []
@@ -117,7 +118,7 @@ def gallery_front(
         assigned = [False] * len(branches)
         new_tips = list(open_tips)
         for u2 in roots:
-            best, best_d = None, branch_jump
+            best, best_d = None, BRANCH_JUMP
             for bi, tip in enumerate(open_tips):
                 if assigned[bi]:
                     continue
@@ -140,15 +141,13 @@ def gallery_front(
     return GalleryFront(t=float(t), branches=out)
 
 
-def _caustic_points(
-    diagram: IntegralDiagram, u1_grid: np.ndarray, u2_grid: np.ndarray
-) -> np.ndarray:
-    """Zero locus of det Dg on the chart, mapped by the front map."""
-    f = diagram.det_dg_fn
-    u1_grid, u2_grid = np.asarray(u1_grid, dtype=float), np.asarray(u2_grid, dtype=float)
-    row, u2 = bracket_roots(lambda p, s: f(np.array([p, s])), u1_grid, u2_grid)
-    col, u1 = bracket_roots(lambda p, s: f(np.array([s, p])), u2_grid, u1_grid)
-    u = np.concatenate([np.column_stack([u1_grid[row], u2]), np.column_stack([u1, u2_grid[col]])])
+def _caustic_points(diagram: IntegralDiagram) -> np.ndarray:
+    """Zero locus of det Dg along the rows and columns of the square
+    ``CHART_GRID`` chart, mapped by the front map."""
+    f, grid = diagram.det_dg_fn, CHART_GRID
+    row, u2 = bracket_roots(lambda p, s: f(np.array([p, s])), grid, grid)
+    col, u1 = bracket_roots(lambda p, s: f(np.array([s, p])), grid, grid)
+    u = np.concatenate([np.column_stack([grid[row], u2]), np.column_stack([u1, grid[col]])])
     if not len(u):
         return np.zeros((0, 2))
     pts = diagram.front_map(u.T).T
@@ -208,28 +207,16 @@ def envelope(diagram: IntegralDiagram, s_grid: Sequence[float]) -> np.ndarray:
     return np.array([b(float(s)) for b in branches for s in s_grid])
 
 
-def gallery_discriminant(
-    diagram: IntegralDiagram,
-    t_values: Sequence[float],
-    u1_grid: Optional[np.ndarray] = None,
-    u2_grid: Optional[np.ndarray] = None,
-    s_grid: Optional[np.ndarray] = None,
-) -> GalleryDiscriminant:
+def gallery_discriminant(diagram: IntegralDiagram, t_values: Sequence[float]) -> GalleryDiscriminant:
     """Caustic (critical values of the front map), envelope data and
     equal-time self-intersections for one normal form.
 
     Components reported per germ: (4) caustic + maxwell, (5) delta,
     (6) caustic + delta, per-germ front geometry otherwise empty.
     """
-    if u1_grid is None:
-        u1_grid = np.linspace(-1.5, 1.5, 121)
-    if u2_grid is None:
-        u2_grid = np.linspace(-1.5, 1.5, 121)
-    if s_grid is None:
-        s_grid = np.linspace(-1.2, 1.2, 241)
     gid = diagram.germ_id
     empty = np.zeros((0, 2))
-    ca = _caustic_points(diagram, u1_grid, u2_grid) if gid in (4, 6) else empty
+    ca = _caustic_points(diagram) if gid in (4, 6) else empty
     mx = _maxwell_points(diagram, t_values, np.linspace(-1.6, 1.6, 321)) if gid == 4 else empty
-    de = envelope(diagram, s_grid) if gid in (3, 5, 6) else empty
+    de = envelope(diagram, ENVELOPE_GRID) if gid in (3, 5, 6) else empty
     return GalleryDiscriminant(caustic=ca, maxwell=mx, delta=de)

@@ -23,7 +23,13 @@ import numpy as np
 from .errors import DegenerateMetric, DomainError, MaxIterations, SingularJacobian
 from .families import GeneratingFamily, GraphLikeFamily, critical_system
 from .fields import ScalarField
+from .fronts import PAIR_MIN_SEPARATION
 from .solve import bracket_roots, dedup, newton_solve
+
+# evolutes skip samples whose |curvature| is below this
+MIN_KAPPA = 1e-10
+# the distance-squared family's box is [-U_SPAN, U_SPAN] in each chart variable
+U_SPAN = 30.0
 
 
 class PlaneCurve:
@@ -274,24 +280,24 @@ class Ellipsoid(Surface):
 # Operations
 
 
-def evolute_samples(curve: PlaneCurve, u_grid: Sequence, min_kappa: float = 1e-10):
-    """``(u, points)``: the samples of ``u_grid`` with ``|kappa| >= min_kappa``
+def evolute_samples(curve: PlaneCurve, u_grid: Sequence):
+    """``(u, points)``: the samples of ``u_grid`` with ``|kappa| >= MIN_KAPPA``
     and their evolute points, one row per kept sample."""
     u = np.asarray(u_grid, dtype=float).reshape(-1)
-    u = u[~(np.abs(curve.curvature(u)) < min_kappa)]
+    u = u[~(np.abs(curve.curvature(u)) < MIN_KAPPA)]
     return u, curve.evolute_point(u)
 
 
-def evolute(surface, u_grid: Sequence, branch: int = 0, min_kappa: float = 1e-10) -> np.ndarray:
-    """Focal points X + (1/kappa_i) * n_kappa per chart sample; zero-curvature
-    samples are skipped."""
+def evolute(surface, u_grid: Sequence) -> np.ndarray:
+    """Focal points X + (1/kappa) * n per chart sample, with kappa the least
+    principal curvature of a surface; zero-curvature samples are skipped."""
     if isinstance(surface, PlaneCurve):
-        return evolute_samples(surface, u_grid, min_kappa)[1]
+        return evolute_samples(surface, u_grid)[1]
     pts = []
     for u in u_grid:
         u = np.asarray(u, dtype=float)
-        k = surface.principal_curvatures(u)[branch]
-        if abs(k) < min_kappa:
+        k = surface.principal_curvatures(u)[0]
+        if abs(k) < MIN_KAPPA:
             continue
         pts.append(surface.point(u) + surface.normal(u) / k)
     return np.array(pts) if pts else np.zeros((0, surface.ambient))
@@ -316,9 +322,7 @@ def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.nda
     return list(curve.point(roots) + r * curve.normal(roots))
 
 
-def distance_squared_family(
-    surface, v_box=None, u_span: float = 30.0, name: str = ""
-) -> Tuple[GeneratingFamily, GraphLikeFamily]:
+def distance_squared_family(surface, v_box=None) -> Tuple[GeneratingFamily, GraphLikeFamily]:
     """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
 
     The field's ``jet_fn`` evaluates X, X' and X'' once for the value, the
@@ -382,9 +386,9 @@ def distance_squared_family(
     if v_box is None:
         extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
         v_box = tuple((-extent, extent) for _ in range(n))
-    box = tuple((-u_span, u_span) for _ in range(k)) + tuple(v_box)
+    box = tuple((-U_SPAN, U_SPAN) for _ in range(k)) + tuple(v_box)
     field = ScalarField(arity=m, fn=fn, box=box, jet_fn=jet_fn)
-    fam = GeneratingFamily(k=k, n=n, field=field, name=name or f"dist2-{type(surface).__name__.lower()}")
+    fam = GeneratingFamily(k=k, n=n, field=field, name=f"dist2-{type(surface).__name__.lower()}")
     return fam, GraphLikeFamily(base=fam)
 
 
@@ -394,10 +398,10 @@ def tangent_sphere_check(
     r: float,
     u_grid: Sequence,
     radius_tol: float = 1e-8,
-    min_separation: float = 1e-3,
 ) -> dict:
     """All chart points where the sphere of radius r about v is tangent to the
-    surface; ``multiple`` flags two or more separated tangency points."""
+    surface; ``multiple`` flags two or more tangency points at least
+    ``PAIR_MIN_SEPARATION`` apart."""
     v = np.asarray(v, dtype=float)
     fam, _ = distance_squared_family(surface)
     k = fam.k
@@ -415,6 +419,6 @@ def tangent_sphere_check(
         if abs(fam.value(u, v) - r * r) > max(radius_tol, 1e-10 * r * r):
             continue
         found.append(u)
-    hits = [found[i] for i in dedup(found, min_separation)]
+    hits = [found[i] for i in dedup(found, PAIR_MIN_SEPARATION)]
     multiple = len(hits) >= 2
     return {"tangency_points": hits, "multiple": multiple}

@@ -14,22 +14,24 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
-def numerical_rank(M, eps: float = RANK_EPS) -> int:
-    """Count of singular values above ``eps`` times the largest one."""
-    s = singular_values(M)
+def _rank(s: np.ndarray, eps: float) -> int:
+    """Count of the descending singular values ``s`` above ``eps`` times the
+    largest one."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > eps * s[0]))
 
 
-def null_space(M, eps: float = RANK_EPS) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space."""
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    u, s, vt = np.linalg.svd(A)
-    r = 0
-    if s.size and s[0] > 0:
-        r = int(np.sum(s > eps * s[0]))
-    return vt[r:].T
+def numerical_rank(M, eps: float = RANK_EPS) -> int:
+    """Count of singular values above ``eps`` times the largest one."""
+    return _rank(singular_values(M), eps)
+
+
+def null_space(M) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space beyond
+    ``numerical_rank(M)``."""
+    _, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)))
+    return vt[_rank(s, RANK_EPS):].T
 
 
 def adjugate(M) -> np.ndarray:

@@ -8,6 +8,7 @@ steps so fold detection does not depend on grid spacing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -15,6 +16,10 @@ import numpy as np
 
 from .errors import BlowUp
 from .fields import ScalarField
+from .fronts import MEMBERSHIP_TOL
+
+# integrate_characteristics raises BlowUp once |x| or |y| exceeds this
+BLOWUP = 1e3
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,6 @@ def integrate_characteristics(
     x0_grid: Sequence,
     t_range,
     dt: float = 1e-3,
-    blowup: float = 1e3,
 ) -> GeometricSolutionSheet:
     """Fixed-step RK4 over t in [t_range[0], t_range[1]], all strips at once.
 
@@ -170,9 +174,9 @@ def integrate_characteristics(
         K1 *= dt / 6
         Z += K1
         t += dt
-        if np.max(np.abs(Z[:n])) > blowup or np.max(np.abs(Z[n])) > blowup:
+        if np.max(np.abs(Z[:n])) > BLOWUP or np.max(np.abs(Z[n])) > BLOWUP:
             worst = int(np.argmax(np.max(np.abs(Z[:n]), axis=0)))
-            raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {blowup} at t={t}")
+            raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={t}")
         ts[step] = t
         record(step)
     strips = [
@@ -201,26 +205,16 @@ def multivalued_count(sheet: GeometricSolutionSheet, x_hat: float, t: float) -> 
     """Number of characteristics through position x_hat at time t (n = 1).
 
     Counted by bracketing sign changes of x(x0, t) - x_hat over the strip
-    grid; fold tangencies are counted once.
+    grid: each exact zero, and each change of sign between neighbouring
+    nonzero samples (a NaN differs from everything, itself included), counts
+    once; fold tangencies are counted once.
     """
     if sheet.pde.n != 1:
         raise ValueError("multivalued counting is defined for n = 1")
     i = int(np.argmin(np.abs(sheet.ts - t)))
-    vals = sheet.xs[i, :, 0] - x_hat
-    count = 0
-    prev_sign = np.sign(vals[0])
-    if prev_sign == 0:
-        count += 1
-    for v in vals[1:]:
-        s = np.sign(v)
-        if s == 0:
-            count += 1
-            prev_sign = 0
-            continue
-        if prev_sign != 0 and s != prev_sign:
-            count += 1
-        prev_sign = s
-    return count
+    s = np.sign(sheet.xs[i, :, 0] - x_hat)
+    changes = (s[1:] != s[:-1]) & (s[1:] != 0) & (s[:-1] != 0)
+    return int(np.count_nonzero(s == 0) + np.count_nonzero(changes))
 
 
 def sheet_values(sheet: GeometricSolutionSheet, t: float) -> np.ndarray:
@@ -229,16 +223,15 @@ def sheet_values(sheet: GeometricSolutionSheet, t: float) -> np.ndarray:
     return np.stack([sheet.xs[i, :, 0], sheet.ys[i]], axis=1)
 
 
-def tangency_check(
-    pde: QuasiLinearPDE, level: ScalarField, samples: Sequence, on_tol: float = 1e-8
-) -> float:
+def tangency_check(pde: QuasiLinearPDE, level: ScalarField, samples: Sequence) -> float:
     """Maximum residual of the characteristic-field tangency condition
-    f_t + sum_i a_i f_{x_i} + b f_y over samples of the level set f = 0."""
+    f_t + sum_i a_i f_{x_i} + b f_y over the samples within
+    ``MEMBERSHIP_TOL`` of the level set f = 0."""
     worst = 0.0
     n = pde.n
     for p in samples:
         p = np.asarray(p, dtype=float)
-        if abs(level.value(p)) > on_tol:
+        if abs(level.value(p)) > MEMBERSHIP_TOL:
             continue
         g = level.grad(p)
         avec = np.array([ai.value(p) for ai in pde.a])
@@ -248,15 +241,8 @@ def tangency_check(
     return worst
 
 
-def burgers(speed: float = 2.0) -> QuasiLinearPDE:
-    """y_t + speed * y * y_x = 0 with y(0, x) = sin x."""
-    import math
-
-    a = ScalarField(
-        arity=3,
-        fn=lambda p: speed * p[1],
-        grad_fn=lambda p: np.array([0.0, speed, 0.0]),
-    )
+def _sine_datum_pde(a: ScalarField) -> QuasiLinearPDE:
+    """y_t + a y_x = 0 with y(0, x) = sin x."""
     b = ScalarField(arity=3, fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(3))
     phi = ScalarField(
         arity=1,
@@ -266,16 +252,13 @@ def burgers(speed: float = 2.0) -> QuasiLinearPDE:
     return QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 
-def transport(speed: float = 1.0, datum: Optional[ScalarField] = None) -> QuasiLinearPDE:
-    """y_t + speed * y_x = 0."""
-    import math
+def burgers(speed: float = 2.0) -> QuasiLinearPDE:
+    """y_t + speed * y * y_x = 0 with y(0, x) = sin x."""
+    return _sine_datum_pde(
+        ScalarField(arity=3, fn=lambda p: speed * p[1], grad_fn=lambda p: np.array([0.0, speed, 0.0]))
+    )
 
-    a = ScalarField(arity=3, fn=lambda p: speed, grad_fn=lambda p: np.zeros(3))
-    b = ScalarField(arity=3, fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(3))
-    if datum is None:
-        datum = ScalarField(
-            arity=1,
-            fn=lambda p: math.sin(p[0]),
-            grad_fn=lambda p: np.array([math.cos(p[0])]),
-        )
-    return QuasiLinearPDE(n=1, a=(a,), b=b, phi=datum)
+
+def transport(speed: float = 1.0) -> QuasiLinearPDE:
+    """y_t + speed * y_x = 0 with y(0, x) = sin x."""
+    return _sine_datum_pde(ScalarField(arity=3, fn=lambda p: speed, grad_fn=lambda p: np.zeros(3)))

@@ -21,9 +21,8 @@ from .linalg import null_space, numerical_rank
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SINGULAR_RATIO = 1e-12
-# continuation: the largest seed residual accepted, and the corrector's tolerance
+# continuation: the largest seed residual accepted
 SEED_TOL = 1e-6
-CORRECTOR_TOL = 1e-10
 
 
 def bracket_roots(h: Callable, params: Sequence[float], grid: Sequence[float]):
@@ -111,12 +110,11 @@ def newton_solve(
     system: Callable,
     seed,
     frozen: Sequence[int] = (),
-    tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
-    box=None,
     border=None,
 ):
-    """Solve ``system(p) = 0`` from ``seed`` with some coordinates frozen.
+    """Solve ``system(p) = 0`` to ``NEWTON_TOL`` in the infinity norm from
+    ``seed`` with some coordinates frozen.
 
     Under-determined steps use the least-norm update; frozen coordinates are
     never touched.  Each iterate is one ``evaluate`` of ``as_system(system)``.
@@ -124,8 +122,8 @@ def newton_solve(
     With ``border = (tau, pred)`` this is Keller's pseudo-arclength corrector:
     it solves the bordered system ``[system(p); tau . (p - pred)] = 0``, whose
     Jacobian is ``[J; tau]``, and returns ``(p, J)`` with ``J`` the Jacobian of
-    ``system`` at the solution.  Raises SingularJacobian, MaxIterations or
-    DomainError.
+    ``system`` at the solution.  Raises SingularJacobian or MaxIterations, and
+    passes on the DomainError of a field whose box an iterate leaves.
     """
     p = np.asarray(seed, dtype=float).copy()
     m = p.size
@@ -145,8 +143,8 @@ def newton_solve(
         r = res if border is None else bordered_res
         if r.size > free.size:
             raise ValueError("over-determined system: more equations than free unknowns")
-        # the infinity norm below tol (never for a NaN), without array calls
-        if all(abs(v) < tol for v in r.tolist()):
+        # the infinity norm below NEWTON_TOL (never for a NaN), without array calls
+        if all(abs(v) < NEWTON_TOL for v in r.tolist()):
             if border is None:
                 return p
             return p, J
@@ -164,8 +162,6 @@ def newton_solve(
             p[free] += step
         else:
             p = p + step
-        if not _in_box(p, box):
-            raise DomainError(f"Newton iterate {p.tolist()} left the box")
     raise MaxIterations(f"no convergence in {max_iter} iterations (residual {r.tolist()})")
 
 
@@ -229,7 +225,7 @@ def continue_curve(
             for _ in range(5):
                 pred = z + h * tau
                 try:
-                    znew, J = newton_solve(system, pred, tol=CORRECTOR_TOL, border=(tau, pred))
+                    znew, J = newton_solve(system, pred, border=(tau, pred))
                     break
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5

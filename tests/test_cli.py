@@ -449,3 +449,20 @@ def test_scene_output_matches_the_committed_digests(tmp_path):
         if line.split() != saved[name]:
             differ.append(f"{name}: {', '.join(sd.changed_columns(saved[name], line.split()))}")
     assert not differ, differ
+
+
+def test_caustic_of_family_files_off_n_2(tmp_path, capsys):
+    # off n = 2 the caustic is not a curve: its projected seeds are one unordered chain
+    n1, n3 = tmp_path / "n1.fam", tmp_path / "n3.fam"
+    n1.write_text("k = 1\nn = 1\nexpr = q1^3 + x1*q1\n")
+    n3.write_text("k = 1\nn = 3\nexpr = q1^4 + x1*q1^2 + x2*q1 + x3\n")
+    for fam in (n1, n3):
+        assert run(["caustic", "--family", str(fam), "--csv", str(fam.with_suffix(".csv"))]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    # the fold point q1 = x1 = 0
+    x1 = np.loadtxt(n1.with_suffix(".csv"), delimiter=",", skiprows=1, usecols=1, ndmin=1)
+    assert x1.size >= 1 and np.all(np.abs(x1) < 1e-8)
+    # the cusp cylinder (x1, x2) = (-6 q^2, 8 q^3), any x3
+    x = np.loadtxt(n3.with_suffix(".csv"), delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+    assert len(x) > 10
+    assert np.all(np.abs(8 * x[:, 0] ** 3 + 27 * x[:, 1] ** 2) < 1e-6 * np.maximum(1.0, np.abs(x[:, 0]) ** 3))

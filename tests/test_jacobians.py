@@ -1,5 +1,7 @@
 """Exact Jacobians of the generating-family systems against central differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,3 +277,20 @@ def test_opaque_caustic_differences_only_the_third_block_it_uses(monkeypatch):
     assert np.array_equal(block.x, full.x) and np.array_equal(block.q, full.q)
     assert 5 * block_calls["third"] <= full_calls["third"]
     assert block_calls["all"] < full_calls["all"]
+
+
+def test_surface_caustic_evaluate_makes_one_jet_pass_before_its_fd_hessians():
+    # one jet, then the Hessian at p +- h e_c for each of the 5 coordinates
+    sphere = FAMILIES["sphere"]
+    calls = []
+
+    def counted(p, with_third):
+        calls.append(with_third)
+        return sphere.field.jet_fn(p, with_third)
+
+    fam = dataclasses.replace(sphere, field=dataclasses.replace(sphere.field, jet_fn=counted))
+    z = np.array([0.7, 0.4, 0.3, -0.2, 0.5])
+    res, J = fronts.caustic_system(fam).evaluate(z)
+    assert len(calls) == 11
+    ref_res, ref_J = _per_order(sphere, "caustic", z)
+    assert np.array_equal(res, ref_res) and np.array_equal(J, ref_J)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import pde
 from wavefronts.errors import BlowUp
@@ -147,3 +149,40 @@ def test_variational_term_in_x():
     sheet = pde.integrate_characteristics(pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi), [-1.0, 2.0], (0, 1.0), dt=1e-2)
     assert np.allclose(sheet.dets, np.exp(sheet.ts)[:, None], rtol=1e-9, atol=0)
     assert np.allclose(sheet.xs[:, :, 0], np.exp(sheet.ts)[:, None] * [-1.0, 2.0], rtol=1e-9, atol=0)
+
+
+def _loop_multivalued_count(vals):
+    """The per-sample rule ``multivalued_count`` applies to ``x(x0, t) - x_hat``."""
+    count = 0
+    prev_sign = np.sign(vals[0])
+    if prev_sign == 0:
+        count += 1
+    for v in vals[1:]:
+        s = np.sign(v)
+        if s == 0:
+            count += 1
+            prev_sign = 0
+            continue
+        if prev_sign != 0 and s != prev_sign:
+            count += 1
+        prev_sign = s
+    return count
+
+
+# runs of exact zeros, NaN, tiny and ordinary values
+_SAMPLE = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 5e-324, -5e-324]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.tuples(_SAMPLE, st.integers(1, 4)), min_size=1, max_size=40),
+    x_hat=st.sampled_from([0.0, 0.5, -1.0]),
+)
+def test_multivalued_count_is_the_per_sample_loop(runs, x_hat):
+    xs = np.array([v for v, repeat in runs for _ in range(repeat)])
+    S = xs.size
+    sheet = pde.GeometricSolutionSheet(
+        pde=pde.transport(), strips=[], dt=1.0, ts=np.array([0.0, 1.0]),
+        xs=np.stack([np.zeros(S), xs])[:, :, None], ys=np.zeros((2, S)), dets=np.zeros((2, S)),
+    )
+    assert pde.multivalued_count(sheet, x_hat, 0.9) == _loop_multivalued_count(xs - x_hat)
