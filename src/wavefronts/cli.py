@@ -108,10 +108,6 @@ def load_curve(args) -> geometry.PlaneCurve:
     return geometry.Parabola(c=args.a)
 
 
-def _domain(fam: families.GeneratingFamily):
-    return fam.field.box or tuple((-3.0, 3.0) for _ in range(fam.k + fam.n))
-
-
 def _box_axes(box, density: int) -> List[np.ndarray]:
     """``density`` samples per axis of a box, 5% in from each end."""
     axes = []
@@ -133,7 +129,7 @@ def phase_seeds(fam: families.GeneratingFamily, density: int) -> List[np.ndarray
     """Coarse (q, x) grid over the family's domain box (shrunk 10%): the rows
     of the ``_box_grid`` mesh, strided down to at most ``MAX_PHASE_SEEDS``.
     Only the kept rows are built."""
-    axes = _box_axes(_domain(fam), density)
+    axes = _box_axes(fam.field.box, density)
     total = density ** len(axes)
     if total > np.iinfo(np.intp).max:
         raise ValidationError(f"a {density}^{len(axes)} seed grid is too large to index")
@@ -145,7 +141,7 @@ def phase_seeds(fam: families.GeneratingFamily, density: int) -> List[np.ndarray
 def x_grid_and_q_seeds(fam: families.GeneratingFamily, density: int):
     """The x grid and q starting points of the critical-set solver: the
     family's own seeds when it has them, else the same grid over q."""
-    box = _domain(fam)
+    box = fam.field.box
     xg = _box_grid(box[fam.k :], density)
     if fam.seeds:
         return xg, [np.asarray(s, dtype=float) for s in fam.seeds]
@@ -348,12 +344,10 @@ def cmd_ode_gallery(args) -> int:
         alpha = ex.parse_expr(args.alpha, ("v1", "v2"))
     diagram = gallery.gallery_family(args.germ, alpha)
     t_values = parse_range(args.t)
-    u1_grid = np.linspace(-1.6, 1.6, 20 * args.seed_density + 1)
-    parts = []
-    for t in t_values:
-        fr = gallery.gallery_front(diagram, float(t), u1_grid)
-        parts += [(fr.t, br["xy"], br["u"], "front") for br in fr.branches]
-    disc = gallery.gallery_discriminant(diagram, t_values)
+    u1_grid = np.linspace(-1.6, 1.6, 10 * args.seed_density + 1)
+    traced = [gallery.gallery_front(diagram, float(t), u1_grid) for t in t_values]
+    parts = [(fr.t, br["xy"], br["u"], "front") for fr in traced for br in fr.branches]
+    disc = gallery.gallery_discriminant(diagram, traced)
     svg = [(xy, "front") for _, xy, _, _ in parts]
     svg += [(disc.caustic, "caustic"), (disc.maxwell, "maxwell"), (disc.delta, "delta")]
     print(

@@ -21,6 +21,8 @@ DEDUP_RADIUS = 1e-6
 # how far from the zero-critical set (value and dF/dq) a point may lie
 # before nondegeneracy_check refuses it
 ON_SIGMA_STAR_TOL = 1e-6
+# the range of every variable of a family file without a ``domain``
+FILE_DOMAIN = (-3.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -293,11 +295,9 @@ def parse_family_file(text: str) -> dict:
 def family_from_file(path) -> GeneratingFamily:
     data = parse_family_file(Path(path).read_text())
     k, n = int(data["k"]), int(data["n"])
-    box = data.get("domain")
-    if box is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(box) != k + n:
-            raise FamilyFileError("domain must list one [lo, hi] per variable (q first, then x)")
+    box = tuple((float(lo), float(hi)) for lo, hi in data.get("domain", [FILE_DOMAIN] * (k + n)))
+    if len(box) != k + n:
+        raise FamilyFileError("domain must list one [lo, hi] per variable (q first, then x)")
     seeds = data.get("seeds", [])
     return family_from_text(
         str(data["expr"]), k, n, box=box, name=str(data.get("name", Path(path).stem)), seeds=seeds

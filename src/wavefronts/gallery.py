@@ -9,16 +9,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
+from . import fronts as _fronts
 from .errors import MaxIterations, SingularJacobian, UnknownGerm
 from .fronts import polyline_self_intersections
-from .solve import bracket_roots, dedup, newton_solve
+from .solve import System, bracket_roots, dedup, newton_solve
 
 _U = ("u1", "u2")
 
-# gallery_front: the u2 samples scanned for roots of mu = t along each u1
-# line, and the largest u2 jump that continues a branch
-U2_SCAN = np.linspace(-3.0, 3.0, 400)
-BRANCH_JUMP = 0.5
+# gallery_front: the u2 samples of the seed scan for roots of mu = t along
+# each u1 line; its ends are the u2 sides of the box the fronts are traced in
+U2_SEEDS = np.linspace(-3.0, 3.0, 61)
 # gallery_discriminant: the chart grids of the caustic scan and the envelope
 # parameters
 CHART_GRID = np.linspace(-1.5, 1.5, 121)
@@ -49,11 +49,11 @@ class IntegralDiagram:
     mu: ex.Expr
     g: Tuple[ex.Expr, ex.Expr]
     mu_fn: Callable
-    g_fn: Callable
     det_dg_fn: Callable
+    jet_fn: Callable  # u -> (mu, grad mu, g, Dg) in one call, elementwise
 
     def front_map(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.g_fn(u), dtype=float)
+        return np.asarray(self.jet_fn(u)[2], dtype=float)
 
 
 @dataclass
@@ -85,60 +85,53 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
     g = tuple(ex.parse_expr(s, _U) for s in g_texts)
     if alpha is not None and germ_id in (4, 5, 6):
         mu = ex.add(mu, alpha.subst({"v1": g[0], "v2": g[1]}))
-    mu_fn = mu.compile(_U)
-    g_fns = tuple(c.compile(_U) for c in g)
-    # det of the Jacobian of the front map, symbolically
-    det = ex.sub(
-        ex.mul(g[0].diff("u1"), g[1].diff("u2")),
-        ex.mul(g[0].diff("u2"), g[1].diff("u1")),
-    )
-    det_fn = det.compile(_U)
+    dg = [[c.diff(v) for v in _U] for c in g]
+    # det of the Jacobian of the front map, symbolically: the caustic scan
+    # evaluates it alone on a whole chart mesh
+    det = ex.sub(ex.mul(dg[0][0], dg[1][1]), ex.mul(dg[0][1], dg[1][0]))
     return IntegralDiagram(
         germ_id=germ_id,
         kind=kind,
         mu=mu,
         g=g,
-        mu_fn=mu_fn,
-        g_fn=lambda u: np.array([g_fns[0](u), g_fns[1](u)]),
-        det_dg_fn=det_fn,
+        mu_fn=mu.compile(_U),
+        det_dg_fn=det.compile(_U),
+        jet_fn=ex.compile_nested([mu, [mu.diff(v) for v in _U], list(g), dg], _U),
     )
 
 
-def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) -> GalleryFront:
-    """Level set mu = t solved along grid lines and mapped by the front map.
+def _level_system(diagram: IntegralDiagram, t: float) -> System:
+    """mu(u) - t, one equation in u = (u1, u2), with the gradient of mu as
+    its Jacobian."""
+    jet = diagram.jet_fn
 
-    Roots are matched to branches by continuity in u2 across the u1 grid.
+    def evaluate(u):
+        mu, dmu, _, _ = jet(u)
+        return np.array([mu - t]), np.array([dmu])
+
+    return System(evaluate)
+
+
+def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) -> GalleryFront:
+    """The level set mu = t traced by continuation and mapped by the front map.
+
+    Seeds are the roots of mu = t along the ``u1_grid`` lines at the
+    ``U2_SEEDS`` samples; the chains are traced in the box
+    ``[u1_grid[0], u1_grid[-1]] x [U2_SEEDS[0], U2_SEEDS[-1]]`` with the
+    spacing of ``u1_grid`` as the step, and each chain, in arclength order,
+    is one branch.
     """
     u1_grid = np.asarray(u1_grid, dtype=float)
-    line, u2_roots = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, U2_SCAN)
-    per_line = np.split(u2_roots, np.searchsorted(line, np.arange(1, len(u1_grid))))
-    branches: List[List[np.ndarray]] = []
-    open_tips: List[float] = []
-    for u1, roots in zip(u1_grid, per_line):
-        assigned = [False] * len(branches)
-        new_tips = list(open_tips)
-        for u2 in roots:
-            best, best_d = None, BRANCH_JUMP
-            for bi, tip in enumerate(open_tips):
-                if assigned[bi]:
-                    continue
-                d = abs(u2 - tip)
-                if d < best_d:
-                    best, best_d = bi, d
-            if best is None:
-                branches.append([np.array([u1, u2])])
-                assigned.append(True)
-                new_tips.append(u2)
-            else:
-                branches[best].append(np.array([u1, u2]))
-                assigned[best] = True
-                new_tips[best] = u2
-        open_tips = new_tips
-    out = []
-    for br in branches:
-        u = np.array(br)
-        out.append({"u": u, "xy": diagram.front_map(u.T).T})
-    return GalleryFront(t=float(t), branches=out)
+    line, u2 = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, U2_SEEDS)
+    box = ((u1_grid[0], u1_grid[-1]), (U2_SEEDS[0], U2_SEEDS[-1]))
+    step = float(u1_grid[1] - u1_grid[0])
+    # a cap on each direction of a chain: one point per step x step cell of the box
+    max_points = int((box[0][1] - box[0][0]) * (box[1][1] - box[1][0]) / step**2)
+    chains = _fronts._trace_all(
+        _level_system(diagram, t), np.column_stack([u1_grid[line], u2]), step, max_points, box
+    )
+    branches = [{"u": c.points, "xy": diagram.front_map(c.points.T).T} for c in chains]
+    return GalleryFront(t=float(t), branches=branches)
 
 
 def _caustic_points(diagram: IntegralDiagram) -> np.ndarray:
@@ -154,41 +147,37 @@ def _caustic_points(diagram: IntegralDiagram) -> np.ndarray:
     return pts[dedup(pts, 1e-9)]
 
 
-def _maxwell_points(
-    diagram: IntegralDiagram, t_values: Sequence[float], u1_grid: np.ndarray
-) -> np.ndarray:
-    """Equal-time front self-intersections, refined by Newton on the pairing
-    equations g(u) = g(u'), mu(u) = mu(u') = t."""
+def _pairing_system(diagram: IntegralDiagram, t: float) -> System:
+    """g(u) - g(v), mu(u) - t, mu(v) - t: four equations in w = (u, v), with
+    the exact Jacobian ``[[Dg(u), -Dg(v)], [grad mu(u), 0], [0, grad mu(v)]]``."""
+    jet = diagram.jet_fn
+
+    def evaluate(w):
+        mu_a, dmu_a, g_a, dg_a = jet(w[:2])
+        mu_b, dmu_b, g_b, dg_b = jet(w[2:])
+        J = np.zeros((4, 4))
+        J[:2, :2], J[:2, 2:] = dg_a, np.negative(dg_b)
+        J[2, :2], J[3, 2:] = dmu_a, dmu_b
+        return np.array([g_a[0] - g_b[0], g_a[1] - g_b[1], mu_a - t, mu_b - t]), J
+
+    return System(evaluate)
+
+
+def _maxwell_points(diagram: IntegralDiagram, fronts: Sequence[GalleryFront]) -> np.ndarray:
+    """Equal-time self-intersections of the traced fronts, each refined by
+    one Newton solve of the pairing equations g(u) = g(v), mu(u) = mu(v) = t
+    from the two nearest chain points that are not chain neighbours."""
     out = []
-    for t in t_values:
-        front = gallery_front(diagram, t, u1_grid)
+    for front in fronts:
+        pairing = _pairing_system(diagram, front.t)
         for br in front.branches:
-            if len(br["xy"]) < 4:
-                continue
             for hit in polyline_self_intersections(br["xy"]):
-                u_all = br["u"]
-                d = np.linalg.norm(br["xy"] - hit, axis=1)
-                order = np.argsort(d)
-                ua = u_all[order[0]]
-                ub = None
-                for idx in order[1:]:
-                    if np.linalg.norm(u_all[idx] - ua) > 1e-2:
-                        ub = u_all[idx]
-                        break
-                if ub is None:
+                order = np.argsort(np.linalg.norm(br["xy"] - hit, axis=1))
+                other = order[np.abs(order - order[0]) > 1]
+                if not other.size:
                     continue
-
-                def pairing(w):
-                    u, v = w[:2], w[2:]
-                    return np.concatenate(
-                        [
-                            diagram.front_map(u) - diagram.front_map(v),
-                            [diagram.mu_fn(u) - t, diagram.mu_fn(v) - t],
-                        ]
-                    )
-
                 try:
-                    w = newton_solve(pairing, np.concatenate([ua, ub]))
+                    w = newton_solve(pairing, np.concatenate([br["u"][order[0]], br["u"][other[0]]]))
                 except (SingularJacobian, MaxIterations):
                     continue
                 if np.linalg.norm(w[:2] - w[2:]) < 1e-3:
@@ -207,9 +196,9 @@ def envelope(diagram: IntegralDiagram, s_grid: Sequence[float]) -> np.ndarray:
     return np.array([b(float(s)) for b in branches for s in s_grid])
 
 
-def gallery_discriminant(diagram: IntegralDiagram, t_values: Sequence[float]) -> GalleryDiscriminant:
-    """Caustic (critical values of the front map), envelope data and
-    equal-time self-intersections for one normal form.
+def gallery_discriminant(diagram: IntegralDiagram, fronts: Sequence[GalleryFront]) -> GalleryDiscriminant:
+    """Caustic (critical values of the front map), envelope data and the
+    equal-time self-intersections of the given fronts of one normal form.
 
     Components reported per germ: (4) caustic + maxwell, (5) delta,
     (6) caustic + delta, per-germ front geometry otherwise empty.
@@ -217,6 +206,6 @@ def gallery_discriminant(diagram: IntegralDiagram, t_values: Sequence[float]) ->
     gid = diagram.germ_id
     empty = np.zeros((0, 2))
     ca = _caustic_points(diagram) if gid in (4, 6) else empty
-    mx = _maxwell_points(diagram, t_values, np.linspace(-1.6, 1.6, 321)) if gid == 4 else empty
+    mx = _maxwell_points(diagram, fronts) if gid == 4 else empty
     de = envelope(diagram, ENVELOPE_GRID) if gid in (3, 5, 6) else empty
     return GalleryDiscriminant(caustic=ca, maxwell=mx, delta=de)

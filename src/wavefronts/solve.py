@@ -192,8 +192,11 @@ def continue_curve(
 ) -> Curve:
     """Pseudo-arclength predictor-corrector tracing of a 1-D solution set.
 
-    ``system`` maps R^m -> R^(m-1).  Terminates on box exit, closure (return
-    within step/2 of the seed after at least 10 points) or ``max_points``.
+    ``system`` maps R^m -> R^(m-1).  A direction of the march ends on box
+    exit, on a corrector failure, on a converged Jacobian whose null space is
+    not one-dimensional (keeping the points traced so far), on closure
+    (return within step/2 of the seed after at least 10 points) or at
+    ``max_points``.
     The corrector is ``newton_solve`` on the bordered system ``[J(w); tau^T]``
     (Keller's pseudo-arclength corrector) with the Jacobian of
     ``as_system(system)``, and the next tangent is the null vector of the
@@ -237,8 +240,12 @@ def continue_curve(
             d = znew - z0  # np.linalg.norm(d) is sqrt(d @ d)
             if len(pts) >= 10 and math.sqrt(d @ d) <= step / 2:
                 return pts, True
-            # the tangent from the corrector's converged Jacobian
-            tau = _tangent(J, tau)
+            # the tangent from the corrector's converged Jacobian; a rank
+            # drop (a singular point of the curve) ends the march here
+            try:
+                tau = _tangent(J, tau)
+            except RankDeficientSeed:
+                return pts, False
             z = znew
         return pts, False
 

@@ -151,13 +151,13 @@ def test_criterion_6_burgers_breaking(acceptance):
 
 def test_criterion_7_gallery_semicubics(acceptance):
     d4 = gallery.gallery_family(4)
-    ca = gallery.gallery_discriminant(d4, t_values=[]).caustic
+    ca = gallery.gallery_discriminant(d4, []).caustic
     r4 = np.abs(27 * ca[:, 0] ** 2 + 4 * ca[:, 1] ** 3) / np.maximum(1.0, np.abs(ca[:, 1]) ** 3)
     keep = (np.abs(ca[:, 0]) > 1e-4) & (np.abs(ca[:, 1]) > 1e-4)
     slope4 = np.polyfit(np.log(np.abs(ca[keep, 1])), np.log(np.abs(ca[keep, 0])), 1)[0]
 
     d5 = gallery.gallery_family(5)
-    de = gallery.gallery_discriminant(d5, t_values=[]).delta
+    de = gallery.gallery_discriminant(d5, []).delta
     r5 = np.abs(4 * de[:, 0] ** 3 + 27 * de[:, 1] ** 2) / np.maximum(1.0, np.abs(de[:, 0]) ** 3)
     keep5 = (np.abs(de[:, 0]) > 1e-4) & (np.abs(de[:, 1]) > 1e-4)
     slope5 = np.polyfit(np.log(np.abs(de[keep5, 0])), np.log(np.abs(de[keep5, 1])), 1)[0]

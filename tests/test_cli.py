@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import emitters
+from wavefronts import emitters, gallery
 from wavefronts.cli import (
     MAX_HISTORY,
     MAX_JET_DIM,
     ValidationError,
     _box_grid,
-    _domain,
     load_family,
     parse_range,
     phase_seeds,
@@ -87,6 +86,33 @@ def test_ode_gallery_svg(tmp_path):
     assert code == 0
     body = svg.read_text()
     assert 'class="caustic"' in body and 'class="front"' in body
+
+
+def test_ode_gallery_traces_each_front_once(monkeypatch, tmp_path):
+    calls = []
+    front = gallery.gallery_front
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return front(*args, **kwargs)
+
+    monkeypatch.setattr(gallery, "gallery_front", counted)
+    code = run(["ode-gallery", "--germ", "4", "--t", " -0.3:0.3:0.1", "--csv", str(tmp_path / "g4.csv")])
+    assert code == 0
+    assert len(calls) == 7
+
+
+def test_family_file_without_domain_uses_the_fallback_box(tmp_path):
+    cusp = "k = 1\nn = 2\nexpr = q1^4 + x1*q1^2 + x2*q1\n"
+    bare, boxed = tmp_path / "bare.fam", tmp_path / "boxed.fam"
+    bare.write_text(cusp)
+    boxed.write_text(cusp + "domain = [[-3, 3], [-3, 3], [-3, 3]]\n")
+    assert load_family(str(bare)).field.box == ((-3.0, 3.0),) * 3
+    csv = []
+    for path in (bare, boxed):
+        csv.append(tmp_path / f"{path.stem}.csv")
+        assert run(["caustic", "--family", str(path), "--csv", str(csv[-1])]) == 0
+    assert csv[0].read_bytes() == csv[1].read_bytes()
 
 
 def test_parallels_svg(tmp_path):
@@ -180,13 +206,13 @@ def test_seed_grid_over_a_million_points_exits_2(tmp_path, capsys):
 def test_phase_seeds_builds_only_the_kept_rows(tmp_path):
     cusp = load_family("cusp")
     # 17^3 = 4913 rows are strided by 2 down to the cap
-    assert np.array_equal(np.array(phase_seeds(cusp, 17)), _box_grid(_domain(cusp), 17)[::2])
-    assert np.array_equal(np.array(phase_seeds(cusp, 16)), _box_grid(_domain(cusp), 16))
+    assert np.array_equal(np.array(phase_seeds(cusp, 17)), _box_grid(cusp.field.box, 17)[::2])
+    assert np.array_equal(np.array(phase_seeds(cusp, 16)), _box_grid(cusp.field.box, 16))
     # the full 200^4 mesh would have 1.6e9 rows
     wide = load_family(_four_variable_family(tmp_path))
     seeds = np.array(phase_seeds(wide, 200))
     assert seeds.shape == (4096, 4)
-    assert np.array_equal(seeds[0], [lo + 0.05 * (hi - lo) for lo, hi in _domain(wide)])
+    assert np.array_equal(seeds[0], [lo + 0.05 * (hi - lo) for lo, hi in wide.field.box])
 
 
 def test_module_error_exits_1(capsys):

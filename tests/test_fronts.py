@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import families, fronts
+from wavefronts import families, fronts, solve
 from wavefronts.cli import phase_seeds
+from wavefronts.errors import RankDeficientSeed
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,34 @@ def test_momentary_front_points_satisfy_equations(cusp, cusp_gl, seeds):
         for q, x in zip(fc.q, fc.x):
             assert abs(cusp.value(q, x) - 1.0) < 1e-8
             assert np.linalg.norm(cusp.grad_q(q, x), np.inf) < 1e-8
+
+
+def test_front_slice_keeps_chains_that_meet_a_rank_drop(cusp, cusp_gl, monkeypatch):
+    # the t = 0 slice of the cusp's big front from the CLI's density-8 seeds:
+    # a rank drop of the front system's Jacobian in mid-march ends that
+    # direction of the march and keeps the points traced so far
+    marched, thrown = [0], []
+    tangent, trace = solve._tangent, fronts.continue_curve
+
+    def counted_tangent(J, prev):
+        marched[0] += prev is not None
+        return tangent(J, prev)
+
+    def watched_trace(*args, **kwargs):
+        marched[0] = 0
+        try:
+            return trace(*args, **kwargs)
+        except RankDeficientSeed:
+            thrown.append(marched[0])
+            raise
+
+    monkeypatch.setattr(solve, "_tangent", counted_tangent)
+    monkeypatch.setattr(fronts, "continue_curve", watched_trace)
+    curves = fronts.momentary_front(cusp_gl, 0.0, phase_seeds(cusp, 8))
+    assert [m for m in thrown if m > 0] == []
+    assert curves
+    for fc in curves:
+        assert max(abs(cusp.value(q, x)) for q, x in zip(fc.q, fc.x)) < 1e-10
 
 
 def test_big_front_stacks_slices(cusp_gl, seeds):

@@ -45,9 +45,34 @@ def test_front_preimages_on_level_set():
 def test_trivial_germ_front_is_horizontal_line():
     d1 = gallery.gallery_family(1)
     fr = gallery.gallery_front(d1, 0.7, U1)
+    assert len(fr.branches) == 1
     xy = fr.xy
-    assert len(xy) == len(U1)
     assert np.allclose(xy[:, 1], 0.7, atol=1e-12)
+    step = U1[1] - U1[0]
+    assert xy[:, 0].min() <= U1[0] + step and xy[:, 0].max() >= U1[-1] - step
+
+
+def test_germ6_front_folding_back_in_u1_is_two_chains():
+    # the level set is a hyperbola; each branch turns back in u1 once
+    d6 = gallery.gallery_family(6)
+    fr = gallery.gallery_front(d6, 0.3, np.linspace(-1.6, 1.6, 161))
+    assert len(fr.branches) == 2
+
+
+@pytest.mark.parametrize("germ", range(1, 7))
+@pytest.mark.parametrize("t", [-0.3, 0.0, 0.2])
+def test_front_chains_lie_on_the_level_set_in_the_chart(germ, t):
+    d = gallery.gallery_family(germ)
+    fr = gallery.gallery_front(d, t, U1)
+    step = U1[1] - U1[0]
+    assert fr.branches
+    for br in fr.branches:
+        u = br["u"]
+        assert np.abs(d.mu_fn(u.T) - t).max() < 1e-10
+        assert np.linalg.norm(np.diff(u, axis=0), axis=1).max() <= 1.5 * step
+        assert np.all((U1[0] <= u[:, 0]) & (u[:, 0] <= U1[-1]))
+        assert np.all((-3.0 <= u[:, 1]) & (u[:, 1] <= 3.0))
+        assert np.allclose(br["xy"], d.front_map(u.T).T)
 
 
 def test_germ2_front_is_semicubical():
@@ -86,7 +111,7 @@ def test_germ4_cusp_birth_across_zero():
 
 def test_germ4_caustic_semicubical():
     d4 = gallery.gallery_family(4)
-    ca = gallery.gallery_discriminant(d4, t_values=[]).caustic
+    ca = gallery.gallery_discriminant(d4, []).caustic
     assert len(ca) > 50
     res = np.abs(27 * ca[:, 0] ** 2 + 4 * ca[:, 1] ** 3) / np.maximum(
         1.0, np.abs(ca[:, 1]) ** 3
@@ -96,7 +121,7 @@ def test_germ4_caustic_semicubical():
 
 def test_germ5_envelope_semicubical():
     d5 = gallery.gallery_family(5)
-    de = gallery.gallery_discriminant(d5, t_values=[]).delta
+    de = gallery.gallery_discriminant(d5, []).delta
     assert len(de) > 50
     res = np.abs(4 * de[:, 0] ** 3 + 27 * de[:, 1] ** 2) / np.maximum(
         1.0, np.abs(de[:, 0]) ** 3
@@ -106,7 +131,8 @@ def test_germ5_envelope_semicubical():
 
 def test_germ4_maxwell_on_negative_y_axis():
     d4 = gallery.gallery_family(4)
-    mx = gallery.gallery_discriminant(d4, t_values=np.linspace(-0.5, -0.05, 10)).maxwell
+    traced = [gallery.gallery_front(d4, t, np.linspace(-1.6, 1.6, 81)) for t in np.linspace(-0.5, -0.05, 10)]
+    mx = gallery.gallery_discriminant(d4, traced).maxwell
     assert len(mx) >= 5
     assert np.abs(mx[:, 0]).max() < 1e-6
     assert np.all(mx[:, 1] < 0)
@@ -114,7 +140,7 @@ def test_germ4_maxwell_on_negative_y_axis():
 
 def test_germ6_caustic_branches():
     d6 = gallery.gallery_family(6)
-    disc = gallery.gallery_discriminant(d6, t_values=[])
+    disc = gallery.gallery_discriminant(d6, [])
     ca = disc.caustic
     assert len(ca) > 20
     # branch residuals: y = 0 or y = 4 x^3 / 27
@@ -128,14 +154,14 @@ def test_germ6_caustic_branches():
 
 def test_germ3_envelope_is_x_axis():
     d3 = gallery.gallery_family(3)
-    de = gallery.gallery_discriminant(d3, t_values=[]).delta
+    de = gallery.gallery_discriminant(d3, []).delta
     assert len(de) > 50
     assert np.abs(de[:, 1]).max() < 1e-12
 
 
 def test_germ1_components_empty():
     d1 = gallery.gallery_family(1)
-    disc = gallery.gallery_discriminant(d1, t_values=[0.0])
+    disc = gallery.gallery_discriminant(d1, [gallery.gallery_front(d1, 0.0, U1)])
     assert len(disc.caustic) == 0
     assert len(disc.maxwell) == 0
     assert len(disc.delta) == 0
@@ -143,7 +169,7 @@ def test_germ1_components_empty():
 
 def test_loglog_exponent_three_halves():
     d4 = gallery.gallery_family(4)
-    ca = gallery.gallery_discriminant(d4, t_values=[]).caustic
+    ca = gallery.gallery_discriminant(d4, []).caustic
     keep = (np.abs(ca[:, 0]) > 1e-4) & (np.abs(ca[:, 1]) > 1e-4)
     lx = np.log(np.abs(ca[keep, 0]))
     ly = np.log(np.abs(ca[keep, 1]))
@@ -154,7 +180,7 @@ def test_loglog_exponent_three_halves():
 def test_functional_modulus_keeps_discriminant_shape():
     alpha = ex.parse_expr("1/10*v1 + 1/20*v2^2", ("v1", "v2"))
     d4 = gallery.gallery_family(4, alpha)
-    ca = gallery.gallery_discriminant(d4, t_values=[]).caustic
+    ca = gallery.gallery_discriminant(d4, []).caustic
     # alpha changes mu but not g, so the caustic is the same semicubic
     res = np.abs(27 * ca[:, 0] ** 2 + 4 * ca[:, 1] ** 3) / np.maximum(
         1.0, np.abs(ca[:, 1]) ** 3

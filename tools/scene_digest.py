@@ -54,6 +54,9 @@ SCENES = [
     ("versal", ["versal", "--f", "q1^4", "--dfdx", "q1^2;q1", "--jet", "8"]),
 ] + [
     (f"ode-gallery-{g}", ["ode-gallery", "--germ", str(g), "--t", " -0.3:0.3:0.1"]) for g in range(1, 7)
+] + [
+    ("ode-gallery-4-alpha",
+     ["ode-gallery", "--germ", "4", "--t", " -0.3:0.3:0.1", "--alpha", "1/10*v1 + 1/20*v2^2"]),
 ]
 
 
