@@ -242,7 +242,7 @@ def cmd_big_front(args) -> int:
     seeds = phase_seeds(fam, args.seed_density)
     t_values = parse_range(args.t)
     curves = fronts.big_front(gl, t_values, seeds)
-    print(f"big front: {len(curves)} slices, {sum(len(c.x) for c in curves)} points")
+    print(f"big front: {len(t_values)} slices, {len(curves)} chains, {sum(len(c.x) for c in curves)} points")
     _emit_fronts(args, fam, curves)
     return 0
 

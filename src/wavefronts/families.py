@@ -152,7 +152,8 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
     """Newton-solve dF/dq = 0 at each frozen grid x from each q seed.
 
     Non-converging seeds are skipped; duplicates within ``DEDUP_RADIUS``
-    merged.  Output follows the deterministic grid order.
+    merged.  Each kept point's residual, det and corank come from one field
+    pass.  Output follows the deterministic grid order.
     """
     out: List[CriticalPoint] = []
     frozen = list(range(fam.k, fam.k + fam.n))
@@ -168,14 +169,15 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
                 continue
         for i in dedup(found, DEDUP_RADIUS):
             q = found[i]
-            H = fam.hess_qq(q, x)
+            _, g, H, _ = fam.field.derivatives(fam.point(q, x))
+            Hqq = H[: fam.k, : fam.k]
             out.append(
                 CriticalPoint(
                     q=q,
                     x=x,
-                    residual=float(np.linalg.norm(fam.grad_q(q, x), np.inf)),
-                    hess_q_det=float(np.linalg.det(H)),
-                    corank=fam.k - numerical_rank(H),
+                    residual=float(np.linalg.norm(g[: fam.k], np.inf)),
+                    hess_q_det=float(np.linalg.det(Hqq)),
+                    corank=fam.k - numerical_rank(Hqq),
                 )
             )
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, groupby
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -22,10 +23,9 @@ from .solve import Curve, System, continue_curve, dedup, newton_solve
 
 MEMBERSHIP_TOL = 1e-8
 PAIR_MIN_SEPARATION = 1e-3
-# Maxwell candidates: the largest value gap of a grid pair sent to Newton,
-# and the x radius within which refined points count as one
-MAXWELL_VALUE_WINDOW = 0.5
-MAXWELL_DEDUP_RADIUS = 1e-4
+# continuation: the arclength step and the point cap of each march direction
+TRACE_STEP = 0.02
+TRACE_MAX_POINTS = 2000
 
 
 @dataclass
@@ -140,8 +140,8 @@ def momentary_front(
     gl: GraphLikeFamily,
     t: float,
     seeds: Sequence,
-    step: float = 0.02,
-    max_points: int = 2000,
+    step: float = TRACE_STEP,
+    max_points: int = TRACE_MAX_POINTS,
 ) -> List[FrontCurve]:
     """Trace the level-t front in (q, x) and project to x.
 
@@ -159,8 +159,8 @@ def big_front(
     gl: GraphLikeFamily,
     t_values: Sequence[float],
     seeds: Sequence,
-    step: float = 0.02,
-    max_points: int = 2000,
+    step: float = TRACE_STEP,
+    max_points: int = TRACE_MAX_POINTS,
 ) -> List[FrontCurve]:
     out: List[FrontCurve] = []
     for t in t_values:
@@ -196,8 +196,8 @@ def caustic_system(fam: GeneratingFamily) -> System:
 def caustic(
     fam: GeneratingFamily,
     seeds: Sequence,
-    step: float = 0.02,
-    max_points: int = 2000,
+    step: float = TRACE_STEP,
+    max_points: int = TRACE_MAX_POINTS,
 ) -> PointCloud:
     """x-projections of the traced degenerate-critical-point curve(s); for
     n != 2 the projected points, unordered, as one chain."""
@@ -232,51 +232,45 @@ def maxwell_set(
     x_grid: Sequence,
     q_seeds: Sequence,
 ) -> List[MaxwellPoint]:
-    """Pairs of distinct critical points with equal critical values.
+    """Pairs of distinct critical points with equal critical values, in chain
+    order.
 
-    Critical sheets are discovered on the grid; pairs at least
-    ``PAIR_MIN_SEPARATION`` apart whose values differ by at most
-    ``MAXWELL_VALUE_WINDOW`` are refined by least-norm Newton on the pairing
-    equations and kept when they stay that far apart with values equal to
-    ``MEMBERSHIP_TOL``.
+    Every two critical points at one grid x at least ``PAIR_MIN_SEPARATION``
+    apart seed ``pairing_system`` in w = (q, q', x), which is traced as the
+    caustic is (``_trace_seeds``).  A point is kept, before and after the
+    trace, when its sheets are that far apart and q comes before q'
+    lexicographically: a projected seed is swapped to (q', q, x) when that
+    puts q first, and past a merge a chain retraces its own mirror image.
     """
     k, n = fam.k, fam.n
-    cps = solve_critical_set(fam, x_grid, q_seeds)
-    by_x: dict = {}
-    for cp in cps:
-        by_x.setdefault(tuple(np.round(cp.x, 12)), []).append(cp)
-    pairing = pairing_system(fam)
-    out: List[MaxwellPoint] = []
-    for group in by_x.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                if np.linalg.norm(a.q - b.q) < PAIR_MIN_SEPARATION:
-                    continue
-                va, vb = fam.value(a.q, a.x), fam.value(b.q, b.x)
-                if abs(va - vb) > MAXWELL_VALUE_WINDOW:
-                    continue
-                w0 = np.concatenate([a.q, b.q, a.x])
-                try:
-                    w = newton_solve(pairing, w0)
-                except (SingularJacobian, MaxIterations, DomainError):
-                    continue
-                q, q2, x = w[:k], w[k : 2 * k], w[2 * k :]
-                if np.linalg.norm(q - q2) < PAIR_MIN_SEPARATION:
-                    continue
-                value = fam.value(q, x)
-                if abs(value - fam.value(q2, x)) > MEMBERSHIP_TOL:
-                    continue
-                out.append(MaxwellPoint(x=x, q=q, q2=q2, value=value))
-    return [out[i] for i in dedup([p.x for p in out], MAXWELL_DEDUP_RADIUS)]
+    seeds = [
+        np.concatenate([a.q, b.q, a.x])
+        for _, group in groupby(solve_critical_set(fam, x_grid, q_seeds), key=lambda cp: tuple(cp.x))
+        for a, b in combinations(group, 2)
+        if np.linalg.norm(a.q - b.q) >= PAIR_MIN_SEPARATION
+    ]
+
+    def kept(w):
+        q, q2 = w[:k], w[k : 2 * k]
+        return np.linalg.norm(q - q2) >= PAIR_MIN_SEPARATION and tuple(q) < tuple(q2)
+
+    pairing, swap = pairing_system(fam), np.r_[k : 2 * k, :k, 2 * k : 2 * k + n]
+    pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v)]
+    box = fam.field.box
+    box = None if box is None else tuple(box[:k]) * 2 + tuple(box[k:])
+    curves = _trace_seeds(pairing, pairs, TRACE_STEP, TRACE_MAX_POINTS, box, n)
+    return [
+        MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.value(w[:k], w[2 * k :]))
+        for c in curves for w in c.points if kept(w)
+    ]
 
 
 def delta_set(
     gl: GraphLikeFamily,
     t_values: Sequence[float],
     seeds: Sequence,
-    step: float = 0.02,
-    max_points: int = 2000,
+    step: float = TRACE_STEP,
+    max_points: int = TRACE_MAX_POINTS,
     stall_ratio: float = 1e-6,
 ) -> np.ndarray:
     """Points where a traced level curve is regular but its x-projection stalls.
@@ -307,8 +301,8 @@ def discriminant(
     x_grid: Sequence,
     q_seeds: Sequence,
     t_values: Sequence[float],
-    step: float = 0.02,
-    max_points: int = 2000,
+    step: float = TRACE_STEP,
+    max_points: int = TRACE_MAX_POINTS,
 ) -> DiscriminantDecomposition:
     """Caustic plus Maxwell set; asserts the delta component is empty."""
     fam = gl.base

@@ -115,6 +115,12 @@ def test_family_file_without_domain_uses_the_fallback_box(tmp_path):
     assert csv[0].read_bytes() == csv[1].read_bytes()
 
 
+def test_big_front_counts_time_values_as_slices(capsys):
+    # t = -0.5, 0, 0.5; each slice has several chains
+    assert run(["big-front", "--family", "cusp", "--t", " -0.5:0.5:0.5"]) == 0
+    assert capsys.readouterr().out.startswith("big front: 3 slices, ")
+
+
 def test_parallels_svg(tmp_path):
     svg = tmp_path / "par.svg"
     code = run(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts import families, fronts, solve
-from wavefronts.cli import phase_seeds
+from wavefronts.cli import DEFAULT_SEED_DENSITY, phase_seeds, run, x_grid_and_q_seeds
 from wavefronts.errors import RankDeficientSeed
 
 
@@ -100,6 +100,52 @@ def test_maxwell_absent_for_fold():
     fold = families.catalog()["fold"]
     xg = [np.array([x1, x2]) for x1 in (-2.0, 0.0, 2.0) for x2 in (-2.0, 0.0, 2.0)]
     assert fronts.maxwell_set(fold, xg, [[-1.0], [0.0], [1.0]]) == []
+
+
+def _assert_covers_half_line(x, c):
+    """Rows ``x = (x1, x2)`` lie on the Maxwell stratum ``{x2 = c, x1 < 0}``
+    of a shifted cusp and cover ``x1`` in [-5, -0.1] with no gap above two
+    trace steps."""
+    assert len(x) and np.all(np.abs(x[:, 1] - c) < 1e-8) and np.all(x[:, 0] < 0)
+    x1 = np.sort(x[:, 0])
+    assert x1[0] <= -5 and x1[-1] >= -0.1
+    assert np.diff(x1).max() <= 2 * fronts.TRACE_STEP
+
+
+def test_maxwell_cli_defaults_trace_the_cusp_stratum(tmp_path):
+    # the default 8 x 8 grid has no row on x2 = 0: the stratum is traced from
+    # pairs of critical points whose values differ
+    csv = tmp_path / "maxwell.csv"
+    assert run(["maxwell", "--family", "cusp", "--csv", str(csv)]) == 0
+    x = np.loadtxt(csv, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+    _assert_covers_half_line(x, 0.0)
+
+
+@pytest.mark.parametrize("shift, c", [("- 37/100*q1", 0.37), ("+ 13/10*q1", -1.3)])
+def test_maxwell_traces_shifted_cusp_strata(cusp, shift, c):
+    # q1^4 + x1*q1^2 + (x2 - c)*q1: the stratum is the half-line x2 = c, x1 < 0
+    fam = families.family_from_text(
+        f"q1^4 + x1*q1^2 + x2*q1 {shift}", 1, 2, box=cusp.field.box, seeds=cusp.seeds
+    )
+    pts = fronts.maxwell_set(fam, *x_grid_and_q_seeds(fam, DEFAULT_SEED_DENSITY))
+    _assert_covers_half_line(np.array([p.x for p in pts]), c)
+    for p in pts:
+        assert abs(fam.value(p.q, p.x) - fam.value(p.q2, p.x)) < fronts.MEMBERSHIP_TOL
+        assert p.q[0] < p.q2[0]  # no mirrored copy (q', q, x) is kept
+
+
+def test_maxwell_double_well_off_n_2():
+    # n = 1: the pairing equations have isolated solutions, here x1 = 0, q = -1, q' = 1
+    fam = families.family_from_text("q1^4 - 2*q1^2 + x1*q1", 1, 1, box=((-3, 3), (-3, 3)))
+    pts = fronts.maxwell_set(fam, *x_grid_and_q_seeds(fam, DEFAULT_SEED_DENSITY))
+    assert len(pts) == 1
+    assert abs(pts[0].x[0]) < 1e-8
+    assert pts[0].q == pytest.approx([-1.0]) and pts[0].q2 == pytest.approx([1.0])
+
+
+def test_maxwell_cli_defaults_fold_has_none(capsys):
+    assert run(["maxwell", "--family", "fold"]) == 0
+    assert "maxwell set: 0 points" in capsys.readouterr().out
 
 
 def test_delta_empty_for_graph_like(cusp_gl, seeds):
