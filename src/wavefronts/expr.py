@@ -284,6 +284,18 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _literal(convert: Callable, val: str, off: int):
+    """``convert(val)`` for a numeric literal at offset ``off``.  A literal with
+    more digits than Python converts, or a zero denominator, is an
+    ExprSyntaxError."""
+    try:
+        return convert(val)
+    except ZeroDivisionError:
+        raise ExprSyntaxError("zero denominator in rational literal", off) from None
+    except ValueError:
+        raise ExprSyntaxError(f"numeric literal of {len(val)} characters is too long", off) from None
+
+
 class _Parser:
     def __init__(self, text: str, variables: Iterable[str]):
         self.text = text
@@ -361,7 +373,7 @@ class _Parser:
             kind, val, off = self.advance()
             if kind != "number" or not val.isdigit():
                 raise ExprSyntaxError("expected unsigned integer exponent", off)
-            return Pow(node, int(val))
+            return Pow(node, _literal(int, val, off))
         return node
 
     def base(self) -> Expr:
@@ -369,7 +381,7 @@ class _Parser:
         if kind == "number":
             if "/" in val and "." in val:
                 raise ExprSyntaxError("decimal numerator in rational literal", off)
-            return Num(Fraction(val))
+            return Num(_literal(Fraction, val, off))
         if kind == "ident":
             if val not in self.variables:
                 raise UndeclaredVariable(val)

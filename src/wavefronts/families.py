@@ -12,10 +12,11 @@ from typing import List, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartFailure, DomainError, FamilyFileError, MaxIterations, NotOnSigmaStar, SingularJacobian
+from .errors import ChartFailure, FamilyFileError, NotOnSigmaStar
 from .fields import ScalarField, field_from_expr
 from .linalg import RANK_EPS, null_space, numerical_rank
-from .solve import System, dedup, newton_solve
+from .solve import System, dedup, project_to_set
+from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps families.newton_solve by name)
 
 DEDUP_RADIUS = 1e-6
 # how far from the zero-critical set (value and dF/dq) a point may lie
@@ -113,9 +114,8 @@ def morse_family_check(fam: GeneratingFamily, q, x, eps: float = RANK_EPS) -> di
 
 def morse_hypersurface_check(fam: GeneratingFamily, q, x, eps: float = RANK_EPS) -> dict:
     """Rank test of the (k+1) x (k+n) Jacobian of (F, dF/dq); pass iff rank == k+1."""
-    p = fam.point(q, x)
-    J = np.vstack([fam.field.grad(p), fam.delta_jacobian(q, x)])
-    r = numerical_rank(J, eps)
+    _, g, H, _ = fam.field.derivatives(fam.point(q, x))
+    r = numerical_rank(np.vstack([g, H[: fam.k]]), eps)
     return {"pass": r == fam.k + 1, "rank": r}
 
 
@@ -125,48 +125,39 @@ def nondegeneracy_check(gl: GraphLikeFamily, q, x, t: float, eps: float = RANK_E
 
     Tests rank of [[0, dF/dx], [d2F/dq2, d2F/dxdq]] == k+1.
     """
-    fam = gl.base
-    if (
-        abs(gl.value(q, x, t)) > ON_SIGMA_STAR_TOL
-        or np.linalg.norm(fam.grad_q(q, x), np.inf) > ON_SIGMA_STAR_TOL
-    ):
+    k = gl.k
+    v, g, H, _ = gl.base.field.derivatives(gl.base.point(q, x))
+    if abs(v - t) > ON_SIGMA_STAR_TOL or np.linalg.norm(g[:k], np.inf) > ON_SIGMA_STAR_TOL:
         raise NotOnSigmaStar(f"point (q={q!r}, x={x!r}, t={t!r}) not on the zero-critical set")
-    top = np.concatenate([np.zeros(fam.k), fam.grad_x(q, x)])
-    J = np.vstack([top, fam.delta_jacobian(q, x)])
-    return numerical_rank(J, eps) == fam.k + 1
+    top = np.concatenate([np.zeros(k), g[k:]])
+    return numerical_rank(np.vstack([top, H[:k]]), eps) == k + 1
 
 
-def critical_system(fam: GeneratingFamily) -> System:
-    """The k equations dF/dq = 0 in z = (q, x); the Jacobian is the q rows of
-    the field's Hessian."""
+def critical_system(fam: GeneratingFamily, x) -> System:
+    """The k equations dF/dq = 0 in q at the fixed ``x``; the Jacobian is the
+    (q, q) block of the field's Hessian."""
     fld, k = fam.field, fam.k
+    x = np.atleast_1d(np.asarray(x, dtype=float))
 
-    def evaluate(z):
-        _, g, H, _ = fld.derivatives(z)
-        return g[:k], H[:k]
+    def evaluate(q):
+        _, g, H, _ = fld.derivatives(np.concatenate([q, x]))
+        return g[:k], H[:k, :k]
 
     return System(evaluate)
 
 
 def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequence) -> List[CriticalPoint]:
-    """Newton-solve dF/dq = 0 at each frozen grid x from each q seed.
+    """Newton-solve dF/dq = 0 at each grid x from each q seed
+    (``project_to_set`` of ``critical_system``).
 
     Non-converging seeds are skipped; duplicates within ``DEDUP_RADIUS``
     merged.  Each kept point's residual, det and corank come from one field
     pass.  Output follows the deterministic grid order.
     """
     out: List[CriticalPoint] = []
-    frozen = list(range(fam.k, fam.k + fam.n))
-    system = critical_system(fam)
     for x in x_grid:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        found: List[np.ndarray] = []
-        for q0 in q_seeds:
-            z0 = np.concatenate([np.atleast_1d(np.asarray(q0, dtype=float)), x])
-            try:
-                found.append(newton_solve(system, z0, frozen=frozen)[: fam.k])
-            except (SingularJacobian, MaxIterations, DomainError):
-                continue
+        found = project_to_set(critical_system(fam, x), q_seeds)
         for i in dedup(found, DEDUP_RADIUS):
             q = found[i]
             _, g, H, _ = fam.field.derivatives(fam.point(q, x))
@@ -215,14 +206,12 @@ def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint) -> dict:
     cotangent projection, in an orthonormal chart of the critical set."""
     fam = gl.base
     k, n = fam.k, fam.n
-    J = fam.delta_jacobian(cp.q, cp.x)
-    V = null_space(J)  # (k+n) x n tangent basis of C(F)
+    _, gradF, H, _ = fam.field.derivatives(fam.point(cp.q, cp.x))
+    V = null_space(H[:k])  # (k+n) x n tangent basis of C(F)
     if V.shape[1] != n:
         raise ChartFailure(
             f"critical set not a graph near (q={cp.q!r}, x={cp.x!r}): tangent dim {V.shape[1]}"
         )
-    H = fam.hess(cp.q, cp.x)
-    gradF = fam.field.grad(fam.point(cp.q, cp.x))
     d_space = np.hstack([np.zeros((n, k)), np.eye(n)]) @ V
     d_front = np.vstack([np.hstack([np.zeros((n, k)), np.eye(n)]), gradF]) @ V
     d_cotangent = np.vstack(

@@ -9,17 +9,11 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .errors import (
-    DeltaNonEmptyForGraphLike,
-    DomainError,
-    MaxIterations,
-    RankDeficientSeed,
-    SeedNotOnCurve,
-    SingularJacobian,
-)
+from .errors import DeltaNonEmptyForGraphLike, RankDeficientSeed, SeedNotOnCurve
 from .families import GeneratingFamily, GraphLikeFamily, solve_critical_set
 from .linalg import adjugate, numerical_rank
-from .solve import Curve, System, continue_curve, dedup, newton_solve
+from .solve import Curve, System, continue_curve, dedup, project_to_set
+from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps fronts.newton_solve by name)
 
 MEMBERSHIP_TOL = 1e-8
 PAIR_MIN_SEPARATION = 1e-3
@@ -64,17 +58,6 @@ class DiscriminantDecomposition:
     delta: np.ndarray  # (N, n)
 
 
-def project_to_set(system: Callable, samples: Sequence) -> List[np.ndarray]:
-    """Least-norm Newton projection of coarse samples onto a solution set."""
-    out = []
-    for s in samples:
-        try:
-            out.append(newton_solve(system, np.asarray(s, dtype=float)))
-        except (SingularJacobian, MaxIterations, DomainError):
-            continue
-    return out
-
-
 def _near_chain(p: np.ndarray, chains: List[np.ndarray], radius: float) -> bool:
     for pts in chains:
         if pts.size and np.min(np.linalg.norm(pts - p, axis=1)) < radius:
@@ -108,17 +91,15 @@ def _trace_all(
 
 
 def _trace_seeds(
-    system: System, seeds: Sequence, step: float, max_points: int, box, n: int
+    system: System, points: Sequence, step: float, max_points: int, box, n: int
 ) -> List[Curve]:
-    """Project the seeds onto the solution set of ``system``, drop those
-    within ``5 * step`` of one kept before, and trace the rest when the set
-    is a curve (n = 2).  Otherwise the kept points are one unordered,
-    open chain."""
-    projected = project_to_set(system, seeds)
-    projected = [projected[i] for i in dedup(projected, 5 * step)]
+    """Drop the points (already on the solution set of ``system``) within
+    ``5 * step`` of one kept before, and trace the rest when the set is a
+    curve (n = 2).  Otherwise the kept points are one unordered, open chain."""
+    kept = [points[i] for i in dedup(points, 5 * step)]
     if n == 2:
-        return _trace_all(system, projected, step, max_points, box)
-    return [Curve(points=np.array(projected), closed=False)] if projected else []
+        return _trace_all(system, kept, step, max_points, box)
+    return [Curve(points=np.array(kept), closed=False)] if kept else []
 
 
 def front_system(gl: GraphLikeFamily, t: float) -> System:
@@ -151,7 +132,8 @@ def momentary_front(
     """
     fam = gl.base
     k = fam.k
-    curves = _trace_seeds(front_system(gl, t), seeds, step, max_points, fam.field.box, fam.n)
+    system = front_system(gl, t)
+    curves = _trace_seeds(system, project_to_set(system, seeds), step, max_points, fam.field.box, fam.n)
     return [FrontCurve(t=t, x=c.points[:, k:], q=c.points[:, :k], closed=c.closed) for c in curves]
 
 
@@ -202,7 +184,8 @@ def caustic(
     """x-projections of the traced degenerate-critical-point curve(s); for
     n != 2 the projected points, unordered, as one chain."""
     k, n = fam.k, fam.n
-    curves = _trace_seeds(caustic_system(fam), seeds, step, max_points, fam.field.box, n)
+    system = caustic_system(fam)
+    curves = _trace_seeds(system, project_to_set(system, seeds), step, max_points, fam.field.box, n)
     if not curves:
         return PointCloud.empty(n, k)
     xs = [c.points[:, k:] for c in curves]

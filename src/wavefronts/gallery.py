@@ -10,9 +10,10 @@ import numpy as np
 
 from . import expr as ex
 from . import fronts as _fronts
-from .errors import MaxIterations, SingularJacobian, UnknownGerm
+from .errors import UnknownGerm
 from .fronts import polyline_self_intersections
-from .solve import System, bracket_roots, dedup, newton_solve
+from .solve import System, bracket_roots, dedup, project_to_set
+from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps gallery.newton_solve by name)
 
 _U = ("u1", "u2")
 
@@ -169,19 +170,15 @@ def _maxwell_points(diagram: IntegralDiagram, fronts: Sequence[GalleryFront]) ->
     from the two nearest chain points that are not chain neighbours."""
     out = []
     for front in fronts:
-        pairing = _pairing_system(diagram, front.t)
+        seeds = []
         for br in front.branches:
             for hit in polyline_self_intersections(br["xy"]):
                 order = np.argsort(np.linalg.norm(br["xy"] - hit, axis=1))
                 other = order[np.abs(order - order[0]) > 1]
-                if not other.size:
-                    continue
-                try:
-                    w = newton_solve(pairing, np.concatenate([br["u"][order[0]], br["u"][other[0]]]))
-                except (SingularJacobian, MaxIterations):
-                    continue
-                if np.linalg.norm(w[:2] - w[2:]) < 1e-3:
-                    continue
+                if other.size:
+                    seeds.append(np.concatenate([br["u"][order[0]], br["u"][other[0]]]))
+        for w in project_to_set(_pairing_system(diagram, front.t), seeds):
+            if np.linalg.norm(w[:2] - w[2:]) >= 1e-3:
                 out.append(diagram.front_map(w[:2]))
     if not out:
         return np.zeros((0, 2))

@@ -20,11 +20,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateMetric, DomainError, MaxIterations, SingularJacobian
+from .errors import DegenerateMetric
 from .families import GeneratingFamily, GraphLikeFamily, critical_system
 from .fields import ScalarField
 from .fronts import PAIR_MIN_SEPARATION
-from .solve import bracket_roots, dedup, newton_solve
+from .solve import bracket_roots, dedup, project_to_set
+from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps geometry.newton_solve by name)
 
 # evolutes skip samples whose |curvature| is below this
 MIN_KAPPA = 1e-10
@@ -404,21 +405,9 @@ def tangent_sphere_check(
     ``PAIR_MIN_SEPARATION`` apart."""
     v = np.asarray(v, dtype=float)
     fam, _ = distance_squared_family(surface)
-    k = fam.k
-    system = critical_system(fam)
-    frozen = list(range(k, k + fam.n))
-    found: List[np.ndarray] = []
-    for u0 in u_grid:
-        u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-        z0 = np.concatenate([u0, v])
-        try:
-            z = newton_solve(system, z0, frozen=frozen)
-        except (SingularJacobian, MaxIterations, DomainError):
-            continue
-        u = z[:k]
-        if abs(fam.value(u, v) - r * r) > max(radius_tol, 1e-10 * r * r):
-            continue
-        found.append(u)
+    tol = max(radius_tol, 1e-10 * r * r)
+    critical = project_to_set(critical_system(fam, v), u_grid)
+    found = [u for u in critical if abs(fam.value(u, v) - r * r) <= tol]
     hits = [found[i] for i in dedup(found, PAIR_MIN_SEPARATION)]
     multiple = len(hits) >= 2
     return {"tangency_points": hits, "multiple": multiple}

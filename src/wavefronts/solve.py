@@ -106,63 +106,60 @@ def _in_box(p: np.ndarray, box) -> bool:
     return all(lo <= v <= hi for v, (lo, hi) in zip(p, box))
 
 
-def newton_solve(
-    system: Callable,
-    seed,
-    frozen: Sequence[int] = (),
-    max_iter: int = NEWTON_MAX_ITER,
-    border=None,
-):
+def newton_solve(system: Callable, seed):
     """Solve ``system(p) = 0`` to ``NEWTON_TOL`` in the infinity norm from
-    ``seed`` with some coordinates frozen.
+    ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
 
-    Under-determined steps use the least-norm update; frozen coordinates are
-    never touched.  Each iterate is one ``evaluate`` of ``as_system(system)``.
-
-    With ``border = (tau, pred)`` this is Keller's pseudo-arclength corrector:
-    it solves the bordered system ``[system(p); tau . (p - pred)] = 0``, whose
-    Jacobian is ``[J; tau]``, and returns ``(p, J)`` with ``J`` the Jacobian of
-    ``system`` at the solution.  Raises SingularJacobian or MaxIterations, and
-    passes on the DomainError of a field whose box an iterate leaves.
+    Under-determined steps use the least-norm update.  Each iterate is one
+    ``evaluate`` of ``as_system(system)``.  Returns ``(p, J)`` with ``J`` the
+    Jacobian of that converged ``evaluate``.  Raises SingularJacobian or
+    MaxIterations, and passes on the DomainError of a field whose box an
+    iterate leaves.
     """
     p = np.asarray(seed, dtype=float).copy()
-    m = p.size
-    frozen = set(frozen)
-    free = np.array([i for i in range(m) if i not in frozen], dtype=int)
-    if free.size == 0:
-        raise ValueError("all coordinates frozen")
     system = as_system(system)
-    if border is not None:
-        tau, pred = border
-        bordered_res, bordered_J = np.empty(m), np.empty((m, m))
-        bordered_J[-1] = tau
-    for _ in range(max_iter):
-        res, J = system.evaluate(p)
-        if border is not None:
-            bordered_res[:-1], bordered_res[-1] = res, tau @ (p - pred)
-        r = res if border is None else bordered_res
-        if r.size > free.size:
-            raise ValueError("over-determined system: more equations than free unknowns")
+    for _ in range(NEWTON_MAX_ITER):
+        r, J = system.evaluate(p)
+        if r.size > p.size:
+            raise ValueError("over-determined system: more equations than unknowns")
         # the infinity norm below NEWTON_TOL (never for a NaN), without array calls
         if all(abs(v) < NEWTON_TOL for v in r.tolist()):
-            if border is None:
-                return p
             return p, J
-        if border is not None:
-            bordered_J[:-1] = J
-            J = bordered_J
-        if frozen:
-            J = J[:, free]
         # lstsq returns the singular values of J with the least-norm step
         step, _, _, s = np.linalg.lstsq(J, -r, rcond=None)
-        if s.size == 0 or s[0] == 0.0 or s[min(r.size, free.size) - 1] < SINGULAR_RATIO * s[0]:
+        if s.size == 0 or s[0] == 0.0 or s[r.size - 1] < SINGULAR_RATIO * s[0]:
             raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
-        if frozen:
-            p = p.copy()
-            p[free] += step
-        else:
-            p = p + step
-    raise MaxIterations(f"no convergence in {max_iter} iterations (residual {r.tolist()})")
+        p = p + step
+    raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
+
+
+def project_to_set(system: Callable, seeds: Sequence) -> List[np.ndarray]:
+    """Least-norm Newton projection of each seed (a scalar is a 1-vector)
+    onto the solution set of ``system``, in seed order; a seed from which
+    ``newton_solve`` fails, or leaves the field's box, is dropped."""
+    out = []
+    for s in seeds:
+        try:
+            out.append(newton_solve(system, np.atleast_1d(np.asarray(s, dtype=float)))[0])
+        except (SingularJacobian, MaxIterations, DomainError):
+            continue
+    return out
+
+
+def _bordered(system: System, tau: np.ndarray, pred: np.ndarray) -> System:
+    """Keller's pseudo-arclength corrector system ``[system(w); tau . (w - pred)]``
+    with the Jacobian ``[J; tau]``.  Both are written into two buffers
+    allocated once, so the returned ``J[:-1]`` is the Jacobian of ``system``."""
+    m = tau.size
+    res, J = np.empty(m), np.empty((m, m))
+    J[-1] = tau
+
+    def evaluate(w):
+        res[:-1], J[:-1] = system.evaluate(w)
+        res[-1] = tau @ (w - pred)
+        return res, J
+
+    return System(evaluate)
 
 
 @dataclass
@@ -197,11 +194,11 @@ def continue_curve(
     not one-dimensional (keeping the points traced so far), on closure
     (return within step/2 of the seed after at least 10 points) or at
     ``max_points``.
-    The corrector is ``newton_solve`` on the bordered system ``[J(w); tau^T]``
-    (Keller's pseudo-arclength corrector) with the Jacobian of
-    ``as_system(system)``, and the next tangent is the null vector of the
-    Jacobian it converged with.  The seed must lie within ``SEED_TOL`` of the
-    curve; it is polished there first.
+    The corrector is ``newton_solve`` on ``_bordered`` (Keller's
+    pseudo-arclength corrector) with the Jacobian of ``as_system(system)``,
+    and the next tangent is the null vector of the Jacobian it converged
+    with.  The seed must lie within ``SEED_TOL`` of the curve; it is polished
+    there first, and its tangent comes from the polish's Jacobian.
     """
     system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
@@ -214,10 +211,10 @@ def continue_curve(
         raise RankDeficientSeed(f"Jacobian rank-deficient at seed {z0!r}")
     # polish the seed onto the curve (least-norm correction)
     try:
-        z0 = newton_solve(system, z0)
+        z0, J = newton_solve(system, z0)
     except (SingularJacobian, MaxIterations):
         pass
-    tau0 = _tangent(system.evaluate(z0)[1], None)
+    tau0 = _tangent(J, None)
 
     def march(direction: float):
         pts = []
@@ -228,7 +225,7 @@ def continue_curve(
             for _ in range(5):
                 pred = z + h * tau
                 try:
-                    znew, J = newton_solve(system, pred, border=(tau, pred))
+                    znew, J = newton_solve(_bordered(system, tau, pred), pred)
                     break
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5
@@ -243,7 +240,7 @@ def continue_curve(
             # the tangent from the corrector's converged Jacobian; a rank
             # drop (a singular point of the curve) ends the march here
             try:
-                tau = _tangent(J, tau)
+                tau = _tangent(J[:-1], tau)
             except RankDeficientSeed:
                 return pts, False
             z = znew

@@ -8,9 +8,11 @@ Values that no caller sets are module constants instead.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wavefronts"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wavefronts"
 
 KNOBS = {
     ("cli", "run", "argv"),
@@ -49,9 +51,6 @@ KNOBS = {
     ("pde", "integrate_characteristics", "dt"),
     ("pde", "transport", "speed"),
     ("solve", "continue_curve", "box"),
-    ("solve", "newton_solve", "border"),
-    ("solve", "newton_solve", "frozen"),
-    ("solve", "newton_solve", "max_iter"),
 }
 
 
@@ -85,3 +84,28 @@ def test_defaulted_parameters_are_the_pinned_set():
     found = library_knobs()
     assert sorted(found - KNOBS) == [], "new defaulted parameters"
     assert sorted(KNOBS - found) == [], "pinned parameters that are gone"
+
+
+def _table(path: Path, name: str) -> list:
+    """The literal list assigned to ``name`` at the top level of ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {path}")
+
+
+def test_benchmark_tracer_names_exist():
+    # perfbench/tracing.py patches these names through ``__dict__`` and fails
+    # with KeyError on one that is gone, so a renamed or deleted function (or
+    # a dropped re-export) fails here rather than only in a traced benchmark run
+    tracing = ROOT / "perfbench" / "tracing.py"
+    module = lambda name: importlib.import_module(f"wavefronts.{name}")
+    missing = [
+        (mod, attr) for mod, attr, *_ in _table(tracing, "MODULE_BOUNDARIES") if attr not in vars(module(mod))
+    ]
+    missing += [
+        (mod, f"{cls}.{attr}")
+        for mod, cls, attr, *_ in _table(tracing, "CLASS_BOUNDARIES")
+        if cls not in vars(module(mod)) or attr not in vars(vars(module(mod))[cls])
+    ]
+    assert missing == []

@@ -189,6 +189,14 @@ def test_jet_and_strip_bounds_exit_2_before_allocating(argv, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("f", ["q1^" + "9" * 5000, "q1^2 + " + "9" * 5000 + "*q1", "q1^2 + 1/0*q1"])
+def test_out_of_range_literals_are_reported(f, capsys):
+    assert run(["versal", "--f", f]) == 1
+    captured = capsys.readouterr()
+    assert "error[ExprSyntaxError]" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_benchmark_scene_sizes_are_admitted():
     top = 2 + 10 + 2  # versal --k 2 --jet 10
     assert math.comb(top, 11) <= MAX_JET_DIM

@@ -66,6 +66,20 @@ def test_syntax_errors_carry_offsets(bad):
     assert ei.value.offset >= 0
 
 
+# more digits than Python's int and Fraction convert (4,300 by default)
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [(f"q1^{LONG}", 3), (f"q1 + {LONG}*x1", 5), (f"q1 + 1/{LONG}", 5), (f"q1 + 0.{LONG}", 5), ("q1 + 1/0", 5)],
+)
+def test_out_of_range_literals_are_syntax_errors(text, offset):
+    with pytest.raises(ExprSyntaxError) as ei:
+        ex.parse_expr(text, V)
+    assert ei.value.offset == offset
+
+
 def test_printer_round_trips():
     for text in ["q1^4 + x1*q1^2 + x2*q1", "-q1 + 2/3*x1", "(q1 + x1)*(q1 - x2)"]:
         e = ex.parse_expr(text, V)

@@ -44,7 +44,7 @@ def test_shifted_family_restores_hypersurface_rank(cusp):
     # put the point on the critical set first
     from wavefronts.solve import newton_solve
 
-    z = newton_solve(lambda z: cusp.grad_q(z[:1], np.array([1.0, z[1]])), np.array([0.7, -2.3]))
+    z, _ = newton_solve(lambda z: cusp.grad_q(z[:1], np.array([1.0, z[1]])), np.array([0.7, -2.3]))
     q = z[:1]
     x = np.array([1.0, z[1]])
     t0 = cusp.value(q, x)

@@ -46,14 +46,22 @@ SINGULAR = {
 }
 
 
-def _systems(fam):
+SYSTEMS = ["front", "caustic", "critical", "pairing"]
+
+
+def _system(fam, name, w):
+    """System ``name`` of ``fam`` and its unknowns at w = (q, x), or
+    w = (q, q', x) for the pairing system: the critical system is the q
+    equations at the fixed x."""
+    if name == "critical":
+        return families.critical_system(fam, w[fam.k :]), w[: fam.k]
     gl = families.GraphLikeFamily(base=fam)
-    return {
+    systems = {
         "front": fronts.front_system(gl, 0.3),
         "caustic": fronts.caustic_system(fam),
-        "critical": families.critical_system(fam),
         "pairing": fronts.pairing_system(fam),
     }
+    return systems[name], w
 
 
 def _agree(system, z):
@@ -64,6 +72,10 @@ def _agree(system, z):
     assert np.abs(J - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
 
+def _pairing_point(fam, z):
+    return np.concatenate([z[: fam.k], z[: fam.k] + 0.5, z[fam.k :]])
+
+
 def _point(fam_name, fam, unit, pairing):
     k, n = fam.k, fam.n
     q_span, nq = Q_RANGE[fam_name], (2 * k if pairing else k)
@@ -71,14 +83,13 @@ def _point(fam_name, fam, unit, pairing):
     return np.concatenate([q_span * (2 * u[:nq] - 1), X_RANGE * (2 * u[nq:] - 1)])
 
 
-@pytest.mark.parametrize("system_name", ["front", "caustic", "critical", "pairing"])
+@pytest.mark.parametrize("system_name", SYSTEMS)
 @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
 @settings(max_examples=40, deadline=None)
 @given(unit=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7))
 def test_exact_jacobian_matches_fd(fam_name, system_name, unit):
     fam = FAMILIES[fam_name]
-    system = _systems(fam)[system_name]
-    _agree(system, _point(fam_name, fam, unit, system_name == "pairing"))
+    _agree(*_system(fam, system_name, _point(fam_name, fam, unit, system_name == "pairing")))
 
 
 @pytest.mark.parametrize("fam_name", sorted(SINGULAR))
@@ -87,10 +98,9 @@ def test_exact_jacobian_on_the_caustic(fam_name):
     z = np.array(SINGULAR[fam_name])
     H = fam.field.hessian(z)[: fam.k, : fam.k]
     assert np.linalg.det(H) == 0.0
-    k = fam.k
-    for name, system in _systems(fam).items():
+    for name in SYSTEMS:
         # the pairing system gets a second sheet q' = q + 0.5
-        _agree(system, np.concatenate([z[:k], z[:k] + 0.5, z[k:]]) if name == "pairing" else z)
+        _agree(*_system(fam, name, _pairing_point(fam, z) if name == "pairing" else z))
 
 
 # relative tolerance of an opaque field's FD Jacobians against the exact ones;
@@ -101,14 +111,15 @@ OPAQUE_TOL = {"front": 1e-5, "critical": 1e-5, "pairing": 1e-5, "caustic": 2e-2}
 def test_opaque_families_get_field_fd_jacobians():
     cusp = FAMILIES["cusp"]
     opaque = families.GeneratingFamily(k=1, n=2, field=field_from_callable(cusp.field.fn, 3, box=cusp.field.box))
-    exact = _systems(cusp)
     for z in ([0.7, -1.2, 0.4], SINGULAR["cusp"], [-1.1, 0.8, -2.5]):
         z = np.array(z)
-        for name, system in _systems(opaque).items():
+        for name in SYSTEMS:
+            w = _pairing_point(cusp, z) if name == "pairing" else z
+            system, u = _system(opaque, name, w)
             assert isinstance(system, System)
-            w = np.concatenate([z[:1], z[:1] + 0.5, z[1:]]) if name == "pairing" else z
-            J = exact[name].evaluate(w)[1]
-            assert np.abs(system.evaluate(w)[1] - J).max() <= OPAQUE_TOL[name] * max(1.0, np.abs(J).max())
+            exact, u = _system(cusp, name, w)
+            J = exact.evaluate(u)[1]
+            assert np.abs(system.evaluate(u)[1] - J).max() <= OPAQUE_TOL[name] * max(1.0, np.abs(J).max())
 
 
 # --- one ``derivatives`` jet per ``System.evaluate``
@@ -128,7 +139,7 @@ def _per_order(fam, name, w):
         return np.concatenate([ga[:k], gb[:k], [fld.value(za) - fld.value(zb)]]), J
     g, H = fld.grad(w), fld.hessian(w)
     if name == "critical":
-        return g[:k], H[:k]
+        return g[:k], H[:k, :k]
     if name == "front":
         return np.append(g[:k], fld.value(w) - 0.3), np.vstack([H[:k], g])
     Hqq, T = H[:k, :k], fld.third(w, k)
@@ -138,30 +149,27 @@ def _per_order(fam, name, w):
     return np.append(g[:k], np.linalg.det(Hqq)), np.vstack([H[:k], row])
 
 
-@pytest.mark.parametrize("system_name", ["front", "caustic", "critical", "pairing"])
+@pytest.mark.parametrize("system_name", SYSTEMS)
 @pytest.mark.parametrize("fam_name", sorted(FAMILIES))
 @settings(max_examples=40, deadline=None)
 @given(unit=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7))
 def test_fused_evaluate_is_the_separate_calls(fam_name, system_name, unit):
     fam = FAMILIES[fam_name]
-    system = _systems(fam)[system_name]
     z = _point(fam_name, fam, unit, system_name == "pairing")
-    res, J = system.evaluate(z)
+    system, u = _system(fam, system_name, z)
+    res, J = system.evaluate(u)
     ref_res, ref_J = _per_order(fam, system_name, z)
     assert np.array_equal(res, ref_res) and np.array_equal(J, ref_J)
-
-
-def _pairing_point(fam, z):
-    return np.concatenate([z[: fam.k], z[: fam.k] + 0.5, z[fam.k :]])
 
 
 @pytest.mark.parametrize("fam_name", sorted(SINGULAR))
 def test_fused_evaluate_on_the_caustic(fam_name):
     fam = FAMILIES[fam_name]
     z = np.array(SINGULAR[fam_name])
-    for name, system in _systems(fam).items():
+    for name in SYSTEMS:
         w = _pairing_point(fam, z) if name == "pairing" else z
-        res, J = system.evaluate(w)
+        system, u = _system(fam, name, w)
+        res, J = system.evaluate(u)
         ref_res, ref_J = _per_order(fam, name, w)
         assert np.array_equal(res, ref_res) and np.array_equal(J, ref_J)
 
@@ -187,11 +195,11 @@ def test_fused_path_raises_domain_error_outside_the_box(fam_name):
     for method in (fam.field.value, fam.field.derivatives):
         with pytest.raises(DomainError):
             method(z)
-    for name, system in _systems(fam).items():
-        w = _pairing_point(fam, z) if name == "pairing" else z
+    for name in SYSTEMS:
+        system, u = _system(fam, name, _pairing_point(fam, z) if name == "pairing" else z)
         for call in (system, system.evaluate):
             with pytest.raises(DomainError):
-                call(w)
+                call(u)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -204,11 +212,11 @@ def test_fused_path_raises_non_finite_value():
     for method in (fam.field.value, fam.field.grad, fam.field.derivatives):
         with pytest.raises(NonFiniteValue):
             method(z)
-    for name, system in _systems(fam).items():
-        w = _pairing_point(fam, z) if name == "pairing" else z
+    for name in SYSTEMS:
+        system, u = _system(fam, name, _pairing_point(fam, z) if name == "pairing" else z)
         for call in (system, system.evaluate):
             with pytest.raises(NonFiniteValue):
-                call(w)
+                call(u)
     # the distance-squared jet: |X(u) - v|^2 overflows while its gradient does not
     ellipse = geometry.distance_squared_family(geometry.Ellipse(a=2.0, b=1.0), v_box=((-1e300, 1e300),) * 2)[0]
     z = np.array([0.3, 1e200, 0.0])

@@ -10,7 +10,17 @@ from wavefronts.errors import (
     SingularJacobian,
 )
 from wavefronts import cli, fields, fronts, solve
-from wavefronts.solve import System, as_system, bracket_roots, continue_curve, dedup, fd_jacobian, newton_solve
+from wavefronts.families import critical_system, family_from_text, solve_critical_set
+from wavefronts.solve import (
+    System,
+    as_system,
+    bracket_roots,
+    continue_curve,
+    dedup,
+    fd_jacobian,
+    newton_solve,
+    project_to_set,
+)
 
 
 def circle(z):
@@ -116,23 +126,34 @@ def test_dedup_keeps_first_and_drops_at_radius():
 
 
 def test_newton_quadratic():
-    root = newton_solve(lambda z: np.array([z[0] ** 2 - 2.0]), np.array([1.0]))
+    root, J = newton_solve(lambda z: np.array([z[0] ** 2 - 2.0]), np.array([1.0]))
     assert root[0] == pytest.approx(np.sqrt(2.0), abs=1e-10)
+    assert J[0, 0] == pytest.approx(2 * np.sqrt(2.0), abs=1e-6)
 
 
 def test_newton_underdetermined_least_norm():
     # one equation, two unknowns: stays near the seed
-    z = newton_solve(circle, np.array([2.0, 0.0]))
+    z, _ = newton_solve(circle, np.array([2.0, 0.0]))
     assert circle(z)[0] == pytest.approx(0.0, abs=1e-10)
     assert abs(z[1]) < 1e-8
 
 
+def test_newton_returns_the_converged_jacobian():
+    system = System(lambda z: (circle(z), circle_jac(z)))
+    for seed in ([2.0, 0.0], [0.3, 0.4], [1.0, 0.0]):
+        p, J = newton_solve(system, np.array(seed))
+        assert J.tobytes() == system.evaluate(p)[1].tobytes()
+
+
 def test_newton_frozen_coordinates():
-    z = newton_solve(
-        lambda z: np.array([z[0] ** 2 - z[1]]), np.array([1.0, 4.0]), frozen=[1]
-    )
-    assert z[1] == 4.0
-    assert z[0] == pytest.approx(2.0, abs=1e-9)
+    # dF/dq = 3 q^2 - 3 x: the critical system is solved in q at the fixed x
+    fam = family_from_text("q1^3 - 3*x1*q1", 1, 1)
+    q, J = newton_solve(critical_system(fam, 4.0), np.array([1.0]))
+    assert J.shape == (1, 1)
+    assert q[0] == pytest.approx(2.0, abs=1e-9)
+    (cp,) = solve_critical_set(fam, [4.0], [[1.0]])
+    assert cp.x[0] == 4.0
+    assert cp.q[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_newton_singular_jacobian():
@@ -143,9 +164,17 @@ def test_newton_singular_jacobian():
         )
 
 
-def test_newton_max_iterations():
+def test_newton_max_iterations(monkeypatch):
+    monkeypatch.setattr(solve, "NEWTON_MAX_ITER", 8)
     with pytest.raises((MaxIterations, SingularJacobian)):
-        newton_solve(lambda z: np.array([z[0] ** 2 + 1.0]), np.array([1.0]), max_iter=8)
+        newton_solve(lambda z: np.array([z[0] ** 2 + 1.0]), np.array([1.0]))
+
+
+def test_project_to_set_drops_failed_seeds_and_takes_scalars():
+    # z^2 = 2 from scalar seeds; the seed 0 has a singular Jacobian
+    points = project_to_set(lambda z: z**2 - 2.0, [1.0, 0.0, -3.0, np.array([5.0])])
+    assert len(points) == 3 and all(p.shape == (1,) for p in points)
+    assert [float(p[0]) for p in points] == pytest.approx([np.sqrt(2.0), -np.sqrt(2.0), np.sqrt(2.0)], abs=1e-10)
 
 
 def test_continuation_traces_unit_circle():
@@ -189,6 +218,30 @@ def test_continuation_stops_at_box():
     assert len(c.points) >= 15
 
 
+def test_continuation_evaluates_once_per_chain_outside_newton(monkeypatch):
+    # the seed check is the only evaluate outside a Newton solve: the seed
+    # tangent comes from the Jacobian of the polish
+    outside, depth = [0], [0]
+
+    def evaluate(z):
+        outside[0] += depth[0] == 0
+        return circle(z), circle_jac(z)
+
+    newton = solve.newton_solve
+
+    def counted(*args):
+        depth[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solve, "newton_solve", counted)
+    c = continue_curve(System(evaluate), np.array([1.0, 0.0]), step=0.05, max_points=500)
+    assert c.closed
+    assert outside[0] == 1
+
+
 def test_corrector_uses_the_given_jacobian(no_fd):
     system = System(lambda z: (circle(z), circle_jac(z)))
     c = continue_curve(system, np.array([1.0, 0.0]), step=0.05, max_points=500)
@@ -203,7 +256,8 @@ def test_plain_callable_is_its_fd_system():
     seed = np.array([0.9, 0.4])
     res, J = as_system(fn).evaluate(seed)
     assert np.array_equal(res, fn(seed)) and np.array_equal(J, fd_jacobian(fn, seed))
-    assert newton_solve(fn, seed).tobytes() == newton_solve(as_system(fn), seed).tobytes()
+    (p, J), (p_fd, J_fd) = newton_solve(fn, seed), newton_solve(as_system(fn), seed)
+    assert p.tobytes() == p_fd.tobytes() and J.tobytes() == J_fd.tobytes()
 
 
 def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
