@@ -13,6 +13,10 @@ class ExprSyntaxError(WavefrontError):
         self.offset = offset
 
 
+class ConstantOutOfRange(WavefrontError):
+    """A variable-free part of a compiled expression is not a finite float."""
+
+
 class UndeclaredVariable(WavefrontError):
     def __init__(self, name):
         super().__init__(f"undeclared variable {name!r}")

@@ -8,17 +8,25 @@ Grammar (normative for family files and CLI expression arguments)::
     base   := var | rational | '(' expr ')'
 
 Rational literals are ``123``, ``2/3`` or ``0.5``; all are kept exact
-(`fractions.Fraction`) until evaluation, which converts to float.
+(`fractions.Fraction`) until evaluation, which converts to float.  The product
+of nested exponents, as ``6`` in ``(q1^2)^3``, is at most ``MAX_POWER``, and
+every variable-free part of a compiled expression lies in the float range.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ExprSyntaxError, UndeclaredVariable
+from .errors import ConstantOutOfRange, ExprSyntaxError, UndeclaredVariable
+
+# far above the degree of any family a float evaluation resolves, and far
+# below the exponents whose exact constants or derivatives cost seconds
+MAX_POWER = 1000
 
 
 class Expr:
@@ -373,7 +381,10 @@ class _Parser:
             kind, val, off = self.advance()
             if kind != "number" or not val.isdigit():
                 raise ExprSyntaxError("expected unsigned integer exponent", off)
-            return Pow(node, _literal(int, val, off))
+            exponent = _literal(int, val, off)
+            if max(exponent, 1) * _power(node) > MAX_POWER:
+                raise ExprSyntaxError(f"nested exponents multiply to more than {MAX_POWER}", off)
+            return Pow(node, exponent)
         return node
 
     def base(self) -> Expr:
@@ -393,6 +404,18 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", off)
             return e
         raise ExprSyntaxError(f"expected variable, number or '(', got {val!r}", off)
+
+
+def _power(e: Expr) -> int:
+    """The largest product of nested exponents in ``e`` (an exponent 0
+    counts as 1)."""
+    if isinstance(e, Pow):
+        return max(e.exponent, 1) * _power(e.base)
+    if isinstance(e, Neg):
+        return _power(e.operand)
+    if isinstance(e, (Add, Sub, Mul)):
+        return max(_power(e.left), _power(e.right))
+    return 1
 
 
 def parse_expr(text: str, variables: Iterable[str]) -> Expr:
@@ -423,10 +446,42 @@ def compile_nested(exprs, var_order: Sequence[str]) -> Callable:
             missing = e.variables() - set(index)
             if missing:
                 raise UndeclaredVariable(sorted(missing)[0])
+            _constant(e)
             return e._code(index)
         return "(" + "".join(code(item) + ", " for item in e) + ")"
 
     return eval("lambda v: " + code(exprs), {})  # noqa: S307
+
+
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _constant(e: Expr):
+    """The value of ``e`` when it has no variables, else None, computed with
+    the Python operations of its compiled code: exact integers, and floats
+    from a rational literal on.  Raises ConstantOutOfRange at the first
+    variable-free part that is not a finite float."""
+    try:
+        if isinstance(e, Var):
+            return None
+        if isinstance(e, Num):
+            v = e.value
+            c = v.numerator if v.denominator == 1 else v.numerator / v.denominator
+        elif isinstance(e, Neg):
+            c = _constant(e.operand)
+            c = None if c is None else -c
+        elif isinstance(e, Pow):
+            c = _constant(e.base)
+            c = None if c is None else c**e.exponent
+        else:
+            a, b = _constant(e.left), _constant(e.right)
+            c = None if a is None or b is None else _OPERATORS[type(e)](a, b)
+        if c is None or abs(c) <= sys.float_info.max:
+            return c
+    except OverflowError:
+        pass
+    text = str(e)
+    raise ConstantOutOfRange(f"constant {text if len(text) <= 60 else text[:57] + '...'} is outside the float range")
 
 
 def n_terms(e: Expr) -> int:

@@ -2,8 +2,8 @@
 
 A generated field carries one closed-form jet closure, so that
 ``derivatives`` gets the value, gradient, Hessian and third partials from one
-call; a hand-written one may carry gradient/Hessian closures.  A derivative
-with no closed form is ``fd_jacobian`` (central differences, relative step
+call; a hand-written one may carry a gradient closure.  A derivative with no
+closed form is ``fd_jacobian`` (central differences, relative step
 ``FD_STEP``) of the order below.  This is the only module that knows whether
 a derivative is closed-form, and ``fd_jacobian`` is the package's one
 finite-difference routine.
@@ -69,15 +69,14 @@ class ScalarField:
     array: the value, the gradient and the Hessian row by row, then, when
     ``with_third`` and the field has them, the third partials
     ``d_c d_a d_b f`` for ``a, b`` among its first r variables and every
-    ``c``, row by row.  A hand-written field may carry ``grad_fn``/``hess_fn``
-    instead.  Every derivative without a closed form is ``fd_jacobian`` of the
-    order below.
+    ``c``, row by row.  A hand-written field may carry ``grad_fn`` instead.
+    Every derivative without a closed form is ``fd_jacobian`` of the order
+    below.
     """
 
     arity: int
     fn: Callable[[np.ndarray], float]
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     box: Optional[Box] = None
     jet_fn: Optional[Callable[[np.ndarray, bool], np.ndarray]] = None
 
@@ -130,9 +129,6 @@ class ScalarField:
         m = p.size
         if self.jet_fn is not None:
             return self._jet(p)[m + 1 : 1 + m + m * m].reshape(m, m)[:r, :r]
-        if self.hess_fn is not None:
-            self._check_box(p)
-            return np.asarray(_check_finite(self.hess_fn(p), p), dtype=float)[:r, :r]
         h = _fd_steps(p)
         # differences of the FD gradient reach two steps from p
         self._check_box(p, h if self.grad_fn is not None else 2 * h)
@@ -140,16 +136,15 @@ class ScalarField:
         H = 0.5 * (H + H.T)
         return _check_finite(H, p)
 
-    def third(self, point, rows: Optional[int] = None) -> np.ndarray:
-        """The (r, r, m) third partials ``d_c d_a d_b f``: the jet's (its own
-        r), else central differences of the Hessian's leading (r, r) block
-        with r = ``rows`` (default m)."""
+    def third(self, point) -> np.ndarray:
+        """The third partials ``d_c d_a d_b f``: the jet's (r, r, m) block
+        (its own r), else central differences of the whole Hessian, (m, m, m)."""
         p = np.asarray(point, dtype=float)
         if self.jet_fn is not None:
             T = _jet_third(self._jet(p, True), p.size)
             if T is not None:
                 return T
-        return self._fd_third(p, p.size if rows is None else rows)
+        return self._fd_third(p, p.size)
 
     def _fd_third(self, p: np.ndarray, r: int) -> np.ndarray:
         """Central differences of the Hessian's leading (r, r) block; each
@@ -159,14 +154,15 @@ class ScalarField:
     def derivatives(self, point, third: int = 0):
         """``(value, grad, hessian, third partials or None)`` at ``point``.
 
-        ``third = r > 0`` also asks for the third partials ``third(point, r)``.
+        ``third = r > 0`` also asks for the third partials: the jet's, else
+        central differences of the Hessian's leading (r, r) block, (r, r, m).
         With ``jet_fn`` the closed-form part is one call with one box check and
         one finiteness check; the rest comes from the separate methods, so
         every entry, FD margin and error is the one they give.
         """
         p = np.asarray(point, dtype=float)
         if self.jet_fn is None:
-            return self.value(p), self.grad(p), self.hessian(p), (self.third(p, third) if third else None)
+            return self.value(p), self.grad(p), self.hessian(p), (self._fd_third(p, third) if third else None)
         a = self._jet(p, bool(third))
         m = p.size
         T = _jet_third(a, m) if third else None
@@ -215,41 +211,15 @@ def field_from_expr(
     )
 
 
-def field_from_callable(
-    fn: Callable, arity: int, box: Optional[Box] = None
-) -> ScalarField:
-    """Finite-difference-backed field (no closed-form derivatives)."""
-    return ScalarField(arity=arity, fn=lambda p: float(fn(p)), box=box)
-
-
 def catalog() -> dict:
     """Named closed-form fields used by numerics-hygiene tests."""
-
-    def mk(arity, fn, grad, hess=None):
-        return ScalarField(arity=arity, fn=fn, grad_fn=grad, hess_fn=hess)
-
-    entries = {
-        "sin": mk(
-            1,
-            lambda p: math.sin(p[0]),
-            lambda p: np.array([math.cos(p[0])]),
-            lambda p: np.array([[-math.sin(p[0])]]),
+    return {
+        "sin": ScalarField(1, lambda p: math.sin(p[0]), lambda p: np.array([math.cos(p[0])])),
+        "cos": ScalarField(1, lambda p: math.cos(p[0]), lambda p: np.array([-math.sin(p[0])])),
+        "gauss": ScalarField(
+            1, lambda p: math.exp(-p[0] ** 2), lambda p: np.array([-2 * p[0] * math.exp(-p[0] ** 2)])
         ),
-        "cos": mk(
-            1,
-            lambda p: math.cos(p[0]),
-            lambda p: np.array([-math.sin(p[0])]),
-            lambda p: np.array([[-math.cos(p[0])]]),
-        ),
-        "gauss": mk(
-            1,
-            lambda p: math.exp(-p[0] ** 2),
-            lambda p: np.array([-2 * p[0] * math.exp(-p[0] ** 2)]),
-        ),
-        "sin_sum": mk(
-            2,
-            lambda p: math.sin(p[0]) + math.cos(p[1]),
-            lambda p: np.array([math.cos(p[0]), -math.sin(p[1])]),
+        "sin_sum": ScalarField(
+            2, lambda p: math.sin(p[0]) + math.cos(p[1]), lambda p: np.array([math.cos(p[0]), -math.sin(p[1])])
         ),
     }
-    return entries

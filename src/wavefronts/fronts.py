@@ -20,6 +20,11 @@ PAIR_MIN_SEPARATION = 1e-3
 # continuation: the arclength step and the point cap of each march direction
 TRACE_STEP = 0.02
 TRACE_MAX_POINTS = 2000
+# delta_set: a traced step whose x-projection is shorter than this fraction
+# of the step in (q, x) stalls
+STALL_RATIO = 1e-6
+# detect_cusps: the least turn of the discrete tangent at a cusp
+CUSP_ANGLE = np.pi / 2
 
 
 @dataclass
@@ -117,13 +122,7 @@ def front_system(gl: GraphLikeFamily, t: float) -> System:
     return System(evaluate)
 
 
-def momentary_front(
-    gl: GraphLikeFamily,
-    t: float,
-    seeds: Sequence,
-    step: float = TRACE_STEP,
-    max_points: int = TRACE_MAX_POINTS,
-) -> List[FrontCurve]:
+def momentary_front(gl: GraphLikeFamily, t: float, seeds: Sequence) -> List[FrontCurve]:
     """Trace the level-t front in (q, x) and project to x.
 
     ``seeds`` are coarse (q, x) samples; they are first projected onto the
@@ -133,20 +132,15 @@ def momentary_front(
     fam = gl.base
     k = fam.k
     system = front_system(gl, t)
-    curves = _trace_seeds(system, project_to_set(system, seeds), step, max_points, fam.field.box, fam.n)
+    points = project_to_set(system, seeds)
+    curves = _trace_seeds(system, points, TRACE_STEP, TRACE_MAX_POINTS, fam.field.box, fam.n)
     return [FrontCurve(t=t, x=c.points[:, k:], q=c.points[:, :k], closed=c.closed) for c in curves]
 
 
-def big_front(
-    gl: GraphLikeFamily,
-    t_values: Sequence[float],
-    seeds: Sequence,
-    step: float = TRACE_STEP,
-    max_points: int = TRACE_MAX_POINTS,
-) -> List[FrontCurve]:
+def big_front(gl: GraphLikeFamily, t_values: Sequence[float], seeds: Sequence) -> List[FrontCurve]:
     out: List[FrontCurve] = []
     for t in t_values:
-        out.extend(momentary_front(gl, t, seeds, step=step, max_points=max_points))
+        out.extend(momentary_front(gl, t, seeds))
     return out
 
 
@@ -248,14 +242,7 @@ def maxwell_set(
     ]
 
 
-def delta_set(
-    gl: GraphLikeFamily,
-    t_values: Sequence[float],
-    seeds: Sequence,
-    step: float = TRACE_STEP,
-    max_points: int = TRACE_MAX_POINTS,
-    stall_ratio: float = 1e-6,
-) -> np.ndarray:
+def delta_set(gl: GraphLikeFamily, t_values: Sequence[float], seeds: Sequence) -> np.ndarray:
     """Points where a traced level curve is regular but its x-projection stalls.
 
     Legendrian-singular samples (degenerate fiber Hessian) are excluded, so for
@@ -264,14 +251,14 @@ def delta_set(
     fam = gl.base
     k = fam.k
     hits = []
-    for fc in big_front(gl, t_values, seeds, step=step, max_points=max_points):
+    for fc in big_front(gl, t_values, seeds):
         if len(fc.x) < 2:
             continue
         dz = np.linalg.norm(
             np.diff(np.hstack([fc.q, fc.x]), axis=0), axis=1
         )
         dx = np.linalg.norm(np.diff(fc.x, axis=0), axis=1)
-        for i in np.nonzero(dx < stall_ratio * np.maximum(dz, 1e-300))[0]:
+        for i in np.nonzero(dx < STALL_RATIO * np.maximum(dz, 1e-300))[0]:
             H = fam.hess_qq(fc.q[i], fc.x[i])
             if numerical_rank(H) == k:
                 hits.append(fc.x[i])
@@ -284,14 +271,12 @@ def discriminant(
     x_grid: Sequence,
     q_seeds: Sequence,
     t_values: Sequence[float],
-    step: float = TRACE_STEP,
-    max_points: int = TRACE_MAX_POINTS,
 ) -> DiscriminantDecomposition:
     """Caustic plus Maxwell set; asserts the delta component is empty."""
     fam = gl.base
-    ca = caustic(fam, seeds, step=step, max_points=max_points)
+    ca = caustic(fam, seeds)
     mx = maxwell_set(fam, x_grid, q_seeds)
-    de = delta_set(gl, t_values, seeds, step=step, max_points=max_points)
+    de = delta_set(gl, t_values, seeds)
     if len(de):
         raise DeltaNonEmptyForGraphLike(f"{len(de)} delta points found for a graph-like family")
     return DiscriminantDecomposition(caustic=ca, maxwell=mx, delta=de)
@@ -301,8 +286,8 @@ def discriminant(
 # Polyline diagnostics used by invariants and tests
 
 
-def detect_cusps(points: np.ndarray, angle: float = np.pi / 2) -> List[int]:
-    """Indices where the discrete tangent turns by more than ``angle``."""
+def detect_cusps(points: np.ndarray) -> List[int]:
+    """Indices where the discrete tangent turns by more than ``CUSP_ANGLE``."""
     if len(points) < 3:
         return []
     d = np.diff(points, axis=0)
@@ -311,7 +296,7 @@ def detect_cusps(points: np.ndarray, angle: float = np.pi / 2) -> List[int]:
     d, norms = d[keep], norms[keep]
     t = d / norms[:, None]
     dots = np.sum(t[:-1] * t[1:], axis=1)
-    return [int(i) + 1 for i in np.nonzero(dots < np.cos(angle))[0]]
+    return [int(i) + 1 for i in np.nonzero(dots < np.cos(CUSP_ANGLE))[0]]
 
 
 # Point-segment and segment-segment pairs are evaluated in blocks of about

@@ -31,6 +31,8 @@ from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps geome
 MIN_KAPPA = 1e-10
 # the distance-squared family's box is [-U_SPAN, U_SPAN] in each chart variable
 U_SPAN = 30.0
+# tangent_sphere_check: the least tolerance on |X(u) - v|^2 - r^2
+RADIUS_TOL = 1e-8
 
 
 class PlaneCurve:
@@ -74,26 +76,6 @@ class PlaneCurve:
 
 
 @dataclass
-class Circle(PlaneCurve):
-    radius: float = 1.0
-
-    def __post_init__(self):
-        self.periodic = 2 * math.pi
-
-    def point(self, u):
-        return self.radius * np.array([np.cos(u), np.sin(u)]).T
-
-    def d1(self, u):
-        return self.radius * np.array([-np.sin(u), np.cos(u)]).T
-
-    def d2(self, u):
-        return -self.point(u)
-
-    def d3(self, u):
-        return -self.d1(u)
-
-
-@dataclass
 class Ellipse(PlaneCurve):
     a: float = 2.0
     b: float = 1.0
@@ -112,6 +94,13 @@ class Ellipse(PlaneCurve):
 
     def d3(self, u):
         return -self.d1(u)
+
+
+class Circle(Ellipse):
+    """The ellipse with both semi-axes equal to ``radius``."""
+
+    def __init__(self, radius: float = 1.0):
+        super().__init__(a=radius, b=radius)
 
 
 @dataclass
@@ -175,57 +164,23 @@ class Surface:
 
 
 @dataclass
-class Sphere(Surface):
-    radius: float = 1.0
-
-    def point(self, u):
-        phi, theta = u
-        r = self.radius
-        return r * np.array(
-            [math.sin(phi) * math.cos(theta), math.sin(phi) * math.sin(theta), math.cos(phi)]
-        )
-
-    def du(self, u):
-        phi, theta = u
-        r = self.radius
-        return np.array(
-            [
-                [r * math.cos(phi) * math.cos(theta), r * math.cos(phi) * math.sin(theta), -r * math.sin(phi)],
-                [-r * math.sin(phi) * math.sin(theta), r * math.sin(phi) * math.cos(theta), 0.0],
-            ]
-        )
-
-    def d2(self, u):
-        phi, theta = u
-        r = self.radius
-        s, c = math.sin(phi), math.cos(phi)
-        st, ct = math.sin(theta), math.cos(theta)
-        dpp = np.array([-r * s * ct, -r * s * st, -r * c])
-        dpt = np.array([-r * c * st, r * c * ct, 0.0])
-        dtt = np.array([-r * s * ct, -r * s * st, 0.0])
-        return np.array([[dpp, dpt], [dpt, dtt]])
-
-
-@dataclass
 class GraphSurface(Surface):
-    """z = g(u1, u2) with optional closed-form partial closures.
+    """z = g(u1, u2) with an optional closed-form gradient closure.
 
-    The height is held in a ``ScalarField``; ``grad_g``/``hess_g`` may be
-    omitted, and the field's central differences are used then, with their
-    accuracy loss.
+    The height is held in a ``ScalarField``.  Without ``grad_g`` its gradient
+    is central differences, and its Hessian is always central differences of
+    the gradient, with their accuracy loss.
     """
 
     g: Callable[[float, float], float]
     grad_g: Optional[Callable] = None
-    hess_g: Optional[Callable] = None
 
     def __post_init__(self):
-        g, grad_g, hess_g = self.g, self.grad_g, self.hess_g
+        g, grad_g = self.g, self.grad_g
         self.height = ScalarField(
             arity=2,
             fn=lambda u: g(u[0], u[1]),
             grad_fn=None if grad_g is None else (lambda u: grad_g(u[0], u[1])),
-            hess_fn=None if hess_g is None else (lambda u: hess_g(u[0], u[1])),
         )
 
     def point(self, u):
@@ -277,6 +232,13 @@ class Ellipsoid(Surface):
         return np.array([[dpp, dpt], [dpt, dtt]])
 
 
+class Sphere(Ellipsoid):
+    """The ellipsoid with all three semi-axes equal to ``radius``."""
+
+    def __init__(self, radius: float = 1.0):
+        super().__init__(a=radius, b=radius, c=radius)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -323,7 +285,7 @@ def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.nda
     return list(curve.point(roots) + r * curve.normal(roots))
 
 
-def distance_squared_family(surface, v_box=None) -> Tuple[GeneratingFamily, GraphLikeFamily]:
+def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]:
     """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
 
     The field's ``jet_fn`` evaluates X, X' and X'' once for the value, the
@@ -384,10 +346,8 @@ def distance_squared_family(surface, v_box=None) -> Tuple[GeneratingFamily, Grap
             out[s + 1 :] = -2 * S[0, 0]
         return out
 
-    if v_box is None:
-        extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
-        v_box = tuple((-extent, extent) for _ in range(n))
-    box = tuple((-U_SPAN, U_SPAN) for _ in range(k)) + tuple(v_box)
+    extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
+    box = ((-U_SPAN, U_SPAN),) * k + ((-extent, extent),) * n
     field = ScalarField(arity=m, fn=fn, box=box, jet_fn=jet_fn)
     fam = GeneratingFamily(k=k, n=n, field=field, name=f"dist2-{type(surface).__name__.lower()}")
     return fam, GraphLikeFamily(base=fam)
@@ -398,14 +358,13 @@ def tangent_sphere_check(
     v,
     r: float,
     u_grid: Sequence,
-    radius_tol: float = 1e-8,
 ) -> dict:
     """All chart points where the sphere of radius r about v is tangent to the
-    surface; ``multiple`` flags two or more tangency points at least
-    ``PAIR_MIN_SEPARATION`` apart."""
+    surface, to within ``max(RADIUS_TOL, 1e-10 r^2)`` in r^2; ``multiple``
+    flags two or more tangency points at least ``PAIR_MIN_SEPARATION`` apart."""
     v = np.asarray(v, dtype=float)
     fam, _ = distance_squared_family(surface)
-    tol = max(radius_tol, 1e-10 * r * r)
+    tol = max(RADIUS_TOL, 1e-10 * r * r)
     critical = project_to_set(critical_system(fam, v), u_grid)
     found = [u for u in critical if abs(fam.value(u, v) - r * r) <= tol]
     hits = [found[i] for i in dedup(found, PAIR_MIN_SEPARATION)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,18 +33,8 @@ class QuasiLinearPDE:
 
 
 @dataclass
-class CharacteristicStrip:
-    x0: np.ndarray
-    ts: np.ndarray  # (S,)
-    xs: np.ndarray  # (S, n)
-    ys: np.ndarray  # (S,)
-    dets: np.ndarray  # (S,) det of dx/dx0 along the strip
-
-
-@dataclass
 class GeometricSolutionSheet:
     pde: QuasiLinearPDE
-    strips: List[CharacteristicStrip]  # views into the arrays below
     dt: float
     ts: np.ndarray  # (T,)
     xs: np.ndarray  # (T, S, n)
@@ -179,11 +169,7 @@ def integrate_characteristics(
             raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={t}")
         ts[step] = t
         record(step)
-    strips = [
-        CharacteristicStrip(x0=X0[j], ts=ts, xs=XS[:, j, :], ys=YS[:, j], dets=DETS[:, j])
-        for j in range(S)
-    ]
-    return GeometricSolutionSheet(pde=pde, strips=strips, dt=dt, ts=ts, xs=XS, ys=YS, dets=DETS)
+    return GeometricSolutionSheet(pde=pde, dt=dt, ts=ts, xs=XS, ys=YS, dets=DETS)
 
 
 def breaking_time(sheet: GeometricSolutionSheet) -> Optional[float]:
@@ -259,6 +245,6 @@ def burgers(speed: float = 2.0) -> QuasiLinearPDE:
     )
 
 
-def transport(speed: float = 1.0) -> QuasiLinearPDE:
-    """y_t + speed * y_x = 0 with y(0, x) = sin x."""
-    return _sine_datum_pde(ScalarField(arity=3, fn=lambda p: speed, grad_fn=lambda p: np.zeros(3)))
+def transport() -> QuasiLinearPDE:
+    """y_t + y_x = 0 with y(0, x) = sin x."""
+    return _sine_datum_pde(ScalarField(arity=3, fn=lambda p: 1.0, grad_fn=lambda p: np.zeros(3)))

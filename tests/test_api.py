@@ -23,33 +23,18 @@ KNOBS = {
     ("families", "morse_hypersurface_check", "eps"),
     ("families", "nondegeneracy_check", "eps"),
     ("fields", "ScalarField.derivatives", "third"),
-    ("fields", "ScalarField.third", "rows"),
     ("fields", "fd_jacobian", "ncols"),
-    ("fields", "field_from_callable", "box"),
     ("fields", "field_from_expr", "box"),
     ("fields", "field_from_expr", "third_rows"),
-    ("fronts", "big_front", "max_points"),
-    ("fronts", "big_front", "step"),
     ("fronts", "caustic", "max_points"),
     ("fronts", "caustic", "step"),
-    ("fronts", "delta_set", "max_points"),
-    ("fronts", "delta_set", "stall_ratio"),
-    ("fronts", "delta_set", "step"),
-    ("fronts", "detect_cusps", "angle"),
-    ("fronts", "discriminant", "max_points"),
-    ("fronts", "discriminant", "step"),
-    ("fronts", "momentary_front", "max_points"),
-    ("fronts", "momentary_front", "step"),
     ("gallery", "gallery_family", "alpha"),
-    ("geometry", "distance_squared_family", "v_box"),
-    ("geometry", "tangent_sphere_check", "radius_tol"),
     ("jets", "k_determinacy_dimension", "variables"),
     ("jets", "lagrangian_stability_check", "variables"),
     ("jets", "sp_plus_versality_check", "variables"),
     ("linalg", "numerical_rank", "eps"),
     ("pde", "burgers", "speed"),
     ("pde", "integrate_characteristics", "dt"),
-    ("pde", "transport", "speed"),
     ("solve", "continue_curve", "box"),
 }
 

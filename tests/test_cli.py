@@ -197,6 +197,30 @@ def test_out_of_range_literals_are_reported(f, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+# a constant of 2^1100 (past MAX_POWER) and one of 2^2000 (each factor
+# admitted, their product outside the float range)
+OVERSIZED = [("2^1100", "ExprSyntaxError"), ("2^1000*2^1000", "ConstantOutOfRange")]
+
+
+@pytest.mark.parametrize("constant, error", OVERSIZED)
+@pytest.mark.parametrize("command", [["verify"], ["front", "--t", "0.5"], ["caustic"], ["maxwell"]])
+def test_oversized_constant_in_a_family_file_is_named(tmp_path, capsys, constant, error, command):
+    path = tmp_path / "big.fam"
+    path.write_text(f"k = 1\nn = 2\nexpr = {constant}*q1^2 + x1*q1 + x2\ndomain = [[-2, 2], [-2, 2], [-2, 2]]\n")
+    assert run([command[0], "--family", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert f"error[{error}]" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("constant, error", OVERSIZED)
+def test_oversized_constant_in_a_gallery_modulus_is_named(capsys, constant, error):
+    assert run(["ode-gallery", "--germ", "4", "--t", " -0.3:0.3:0.1", "--alpha", f"{constant}*v1"]) == 1
+    captured = capsys.readouterr()
+    assert f"error[{error}]" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_benchmark_scene_sizes_are_admitted():
     top = 2 + 10 + 2  # versal --k 2 --jet 10
     assert math.comb(top, 11) <= MAX_JET_DIM

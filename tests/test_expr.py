@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts import expr as ex
-from wavefronts.errors import ExprSyntaxError, UndeclaredVariable
+from wavefronts.errors import ConstantOutOfRange, ExprSyntaxError, UndeclaredVariable
 
 V = ("q1", "x1", "x2")
 
@@ -78,6 +78,30 @@ def test_out_of_range_literals_are_syntax_errors(text, offset):
     with pytest.raises(ExprSyntaxError) as ei:
         ex.parse_expr(text, V)
     assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("q1^1001", 3), ("(q1^20)^51", 8), ("(q1^0)^1001", 7), ("x1 + (2*(q1^10 + x1))^101", 22)]
+)
+def test_nested_exponents_past_max_power_are_syntax_errors(text, offset):
+    assert ex.MAX_POWER == 1000
+    with pytest.raises(ExprSyntaxError) as ei:
+        ex.parse_expr(text, V)
+    assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["x1^400", "q1^1000", "(q1^20)^50", "q1^400*x1^600", "2^1000*q1", "(3/2)^1000*q1"])
+def test_powers_up_to_max_power_parse_and_compile(text):
+    ex.parse_expr(text, V).compile(V)
+
+
+@pytest.mark.parametrize(
+    "text", ["2^1000*2^1000*q1", "1" + "0" * 400 + "*q1", "q1 + 1" + "0" * 400 + "/3", "(10/3)^700 + q1", "x1*(2^1000*2^24)"]
+)
+def test_constants_outside_the_float_range_are_named_at_compile(text):
+    e = ex.parse_expr(text, V)
+    with pytest.raises(ConstantOutOfRange):
+        e.compile(V)
 
 
 def test_printer_round_trips():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wavefronts import expr as ex
 from wavefronts.errors import DomainError, NonFiniteValue
-from wavefronts.fields import ScalarField, catalog, field_from_callable, field_from_expr
+from wavefronts.fields import ScalarField, catalog, field_from_expr
 
 RNG = np.random.default_rng(42)
 
@@ -43,14 +43,14 @@ def test_fd_matches_closed_form_catalog(name):
 
 
 def test_fd_hessian_symmetric():
-    fd = field_from_callable(lambda p: np.sin(p[0]) * p[1] ** 2, 2)
+    fd = ScalarField(2, lambda p: np.sin(p[0]) * p[1] ** 2)
     H = fd.hessian(np.array([0.7, 1.3]))
     assert H == pytest.approx(H.T)
     assert H[0, 1] == pytest.approx(2 * 1.3 * np.cos(0.7), rel=1e-5)
 
 
 def test_hessian_differentiates_closed_form_gradient():
-    # closed-form gradient but no hess_fn: the Hessian is one FD pass over grad_fn
+    # a closed-form gradient: the Hessian is one FD pass over grad_fn
     fld = ScalarField(
         arity=2,
         fn=lambda p: np.sin(p[0]) * p[1] ** 2,
@@ -62,7 +62,7 @@ def test_hessian_differentiates_closed_form_gradient():
 
 
 def test_box_violation_raises():
-    fld = field_from_callable(lambda p: p[0] ** 2, 1, box=((-1.0, 1.0),))
+    fld = ScalarField(1, lambda p: p[0] ** 2, box=((-1.0, 1.0),))
     with pytest.raises(DomainError):
         fld.value([2.0])
     # FD probes need margin inside the box edge
@@ -93,6 +93,6 @@ def test_box_check_matches_array_reference(p, fd_margin):
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
 def test_non_finite_detected():
-    fld = field_from_callable(lambda p: 1.0 / p[0], 1)
+    fld = ScalarField(1, lambda p: 1.0 / p[0])
     with pytest.raises(NonFiniteValue):
         fld.value([0.0])

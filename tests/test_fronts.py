@@ -23,8 +23,9 @@ def seeds(cusp):
     return phase_seeds(cusp, 4)
 
 
-def test_momentary_front_points_satisfy_equations(cusp, cusp_gl, seeds):
-    curves = fronts.momentary_front(cusp_gl, 1.0, seeds, max_points=500)
+def test_momentary_front_points_satisfy_equations(cusp, cusp_gl, seeds, monkeypatch):
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 500)
+    curves = fronts.momentary_front(cusp_gl, 1.0, seeds)
     assert curves
     for fc in curves:
         for q, x in zip(fc.q, fc.x):
@@ -60,8 +61,9 @@ def test_front_slice_keeps_chains_that_meet_a_rank_drop(cusp, cusp_gl, monkeypat
         assert max(abs(cusp.value(q, x)) for q, x in zip(fc.q, fc.x)) < 1e-10
 
 
-def test_big_front_stacks_slices(cusp_gl, seeds):
-    curves = fronts.big_front(cusp_gl, [0.5, 1.0], seeds, max_points=300)
+def test_big_front_stacks_slices(cusp_gl, seeds, monkeypatch):
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 300)
+    curves = fronts.big_front(cusp_gl, [0.5, 1.0], seeds)
     ts = {fc.t for fc in curves}
     assert ts == {0.5, 1.0}
 
@@ -74,11 +76,14 @@ def test_caustic_matches_cusp_oracle(cusp, seeds):
     assert res.max() < 1e-6
 
 
-def test_cusps_of_fronts_lie_on_caustic(cusp, cusp_gl, seeds):
+def test_cusps_of_fronts_lie_on_caustic(cusp, cusp_gl, seeds, monkeypatch):
     cloud = fronts.caustic(cusp, seeds, max_points=800)
+    monkeypatch.setattr(fronts, "TRACE_STEP", 0.01)
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 1500)
+    monkeypatch.setattr(fronts, "CUSP_ANGLE", np.pi / 2)
     hits = 0
-    for fc in fronts.momentary_front(cusp_gl, 0.3, seeds, step=0.01, max_points=1500):
-        for i in fronts.detect_cusps(fc.x, angle=np.pi / 2):
+    for fc in fronts.momentary_front(cusp_gl, 0.3, seeds):
+        for i in fronts.detect_cusps(fc.x):
             hits += 1
             assert fronts.polyline_distances(fc.x[i : i + 1], cloud.chains)[0] < 2e-2
     assert hits >= 2
@@ -148,29 +153,61 @@ def test_maxwell_cli_defaults_fold_has_none(capsys):
     assert "maxwell set: 0 points" in capsys.readouterr().out
 
 
-def test_delta_empty_for_graph_like(cusp_gl, seeds):
-    de = fronts.delta_set(cusp_gl, [-1.0, 0.5], seeds, max_points=400)
+def test_delta_empty_for_graph_like(cusp_gl, seeds, monkeypatch):
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 400)
+    de = fronts.delta_set(cusp_gl, [-1.0, 0.5], seeds)
     assert len(de) == 0
 
 
-def test_discriminant_decomposition(cusp, cusp_gl, seeds):
+def test_discriminant_decomposition(cusp, cusp_gl, seeds, monkeypatch):
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 400)
     xg = [np.array([x1, 0.0]) for x1 in np.linspace(-3.5, -1.5, 4)]
-    dec = fronts.discriminant(
-        cusp_gl, seeds, xg, [[-1.5], [0.0], [1.5]], t_values=[0.5], max_points=400
-    )
+    dec = fronts.discriminant(cusp_gl, seeds, xg, [[-1.5], [0.0], [1.5]], t_values=[0.5])
     assert len(dec.caustic.x) > 50
     assert len(dec.maxwell) >= 3
     assert len(dec.delta) == 0
 
 
-def test_front_branches_cross_on_maxwell_point(cusp, cusp_gl, seeds):
+def test_front_branches_cross_on_maxwell_point(cusp, cusp_gl, seeds, monkeypatch):
     # the two wells have equal value -x1^2/4 on the negative x1-axis, so the
     # t = -1 front branches must both pass through (-2, 0)
-    curves = fronts.momentary_front(cusp_gl, -1.0, seeds, step=0.01, max_points=1500)
+    monkeypatch.setattr(fronts, "TRACE_STEP", 0.01)
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 1500)
+    curves = fronts.momentary_front(cusp_gl, -1.0, seeds)
     assert len(curves) >= 2
     target = np.array([[-2.0, 0.0]])
     near = [fronts.min_distances(target, fc.x)[0] for fc in curves]
     assert sorted(near)[1] < 1e-2  # at least two branches hit the crossing
+
+
+@pytest.mark.parametrize("tracer", ["momentary_front", "big_front", "delta_set", "discriminant"])
+def test_tracers_read_the_trace_cap_when_they_run(cusp_gl, seeds, monkeypatch, tracer):
+    # the points of every chain continue_curve returns, at the default cap and
+    # at a cap of 20 set after import
+    traced, trace = [], fronts.continue_curve
+
+    def counted(*args, **kwargs):
+        curve = trace(*args, **kwargs)
+        traced.append(len(curve.points))
+        return curve
+
+    monkeypatch.setattr(fronts, "continue_curve", counted)
+    xg = [np.array([x1, 0.0]) for x1 in np.linspace(-3.5, -1.5, 4)]
+    run_tracer = {
+        "momentary_front": lambda: fronts.momentary_front(cusp_gl, 0.5, seeds),
+        "big_front": lambda: fronts.big_front(cusp_gl, [0.5], seeds),
+        "delta_set": lambda: fronts.delta_set(cusp_gl, [0.5], seeds),
+        "discriminant": lambda: fronts.discriminant(cusp_gl, seeds, xg, [[-1.5], [0.0], [1.5]], [0.5]),
+    }[tracer]
+
+    def points(cap):
+        monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", cap)
+        traced.clear()
+        run_tracer()
+        return sum(traced)
+
+    full = points(fronts.TRACE_MAX_POINTS)
+    assert points(20) < full
 
 
 def test_polyline_self_intersections_figure_x():
@@ -180,10 +217,11 @@ def test_polyline_self_intersections_figure_x():
     assert hits[0] == pytest.approx([0.5, 0.5])
 
 
-def test_detect_cusps_right_angle_polyline():
+def test_detect_cusps_right_angle_polyline(monkeypatch):
+    monkeypatch.setattr(fronts, "CUSP_ANGLE", np.pi / 4)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    assert fronts.detect_cusps(pts, angle=np.pi / 4) == [1]
-    assert fronts.detect_cusps(np.array([[0, 0], [1, 0], [2, 0]]), angle=np.pi / 4) == []
+    assert fronts.detect_cusps(pts) == [1]
+    assert fronts.detect_cusps(np.array([[0, 0], [1, 0], [2, 0]])) == []
 
 
 def test_hausdorff_and_polyline_distance():

@@ -89,19 +89,21 @@ def test_germ5_front_is_straight_line():
     assert np.abs(xy[:, 1] - (t**3 + xy[:, 0] * t)).max() < 1e-10
 
 
-def test_germ5_fronts_have_no_cusps():
+def test_germ5_fronts_have_no_cusps(monkeypatch):
+    monkeypatch.setattr(fronts, "CUSP_ANGLE", np.pi / 2)
     d5 = gallery.gallery_family(5)
     for t in np.linspace(-0.8, 0.8, 9):
         for br in gallery.gallery_front(d5, t, U1).branches:
-            assert fronts.detect_cusps(br["xy"], angle=np.pi / 2) == []
+            assert fronts.detect_cusps(br["xy"]) == []
 
 
-def test_germ4_cusp_birth_across_zero():
+def test_germ4_cusp_birth_across_zero(monkeypatch):
+    monkeypatch.setattr(fronts, "CUSP_ANGLE", np.pi / 2)
     d4 = gallery.gallery_family(4)
 
     def cusp_count(t):
         return sum(
-            len(fronts.detect_cusps(br["xy"], angle=np.pi / 2))
+            len(fronts.detect_cusps(br["xy"]))
             for br in gallery.gallery_front(d4, t, np.linspace(-1.0, 1.0, 401)).branches
         )
 

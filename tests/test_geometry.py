@@ -64,10 +64,7 @@ def test_sphere_principal_curvatures():
 
 @pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "fd"])
 def test_graph_surface_saddle(closed_form):
-    partials = dict(
-        grad_g=lambda u, v: (2 * u, -2 * v),
-        hess_g=lambda u, v: [[2.0, 0.0], [0.0, -2.0]],
-    )
+    partials = dict(grad_g=lambda u, v: (2 * u, -2 * v))
     g = geometry.GraphSurface(g=lambda u, v: u * u - v * v, **(partials if closed_form else {}))
     k = g.principal_curvatures(np.array([0.0, 0.0]))
     assert k == pytest.approx([-2.0, 2.0], abs=None if closed_form else 1e-5)
@@ -117,13 +114,15 @@ def test_caustic_of_distance_family_is_evolute():
     assert fronts.min_distances(cloud.x, ev).max() < 2e-3
 
 
-def test_momentary_fronts_of_distance_family_are_circles_for_circle():
+def test_momentary_fronts_of_distance_family_are_circles_for_circle(monkeypatch):
+    monkeypatch.setattr(fronts, "TRACE_STEP", 0.05)
+    monkeypatch.setattr(fronts, "TRACE_MAX_POINTS", 300)
     c = geometry.Circle(radius=1.0)
     fam, gl = geometry.distance_squared_family(c)
     # level t of the distance-squared family around center v: radius sqrt(t)
     seeds = [np.array([u, 0.0, 0.0]) for u in np.linspace(0, 2 * np.pi, 8)]
     # fronts live in v-space: critical points of u at |X(u)-v|^2 = t
-    curves = fronts.momentary_front(gl, 0.25, seeds, step=0.05, max_points=300)
+    curves = fronts.momentary_front(gl, 0.25, seeds)
     pts = np.vstack([fc.x for fc in curves])
     radii = np.linalg.norm(pts, axis=1)
     # tangency circles around the origin at distance 0.5 inside or 1.5 outside
@@ -141,7 +140,7 @@ def test_tangent_sphere_check_circle_center():
     assert len(res["tangency_points"]) >= 3
 
 
-def test_tangent_sphere_check_generic_point():
+def test_tangent_sphere_check_generic_point(monkeypatch):
     e = geometry.Ellipse(a=2.0, b=1.0)
     # a point just inside the ellipse on the x-axis touches with its nearest
     # point only, at the right radius
@@ -149,7 +148,8 @@ def test_tangent_sphere_check_generic_point():
     u_grid = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     d_min = min(np.linalg.norm(e.point(u) - np.array(v)) for u in np.linspace(0, 2 * np.pi, 2000))
     # the grid minimum carries O(du^2) radius error, so loosen the radius gate
-    res = geometry.tangent_sphere_check(e, v=v, r=d_min, u_grid=u_grid, radius_tol=1e-4)
+    monkeypatch.setattr(geometry, "RADIUS_TOL", 1e-4)
+    res = geometry.tangent_sphere_check(e, v=v, r=d_min, u_grid=u_grid)
     assert len(res["tangency_points"]) >= 1
 
 

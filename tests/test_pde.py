@@ -18,23 +18,29 @@ def _curved_pde():
     return pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 
+def _strips(sheet):
+    """``(x0, xs, ys, dets)`` of each strip: its start and its columns of the
+    sheet's histories."""
+    return zip(sheet.xs[0], sheet.xs.transpose(1, 0, 2), sheet.ys.T, sheet.dets.T)
+
+
 def test_transport_shifts_datum():
-    eq = pde.transport(speed=1.0)
+    eq = pde.transport()
     sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 20), (0, 0.5), dt=1e-2)
-    for s in sheet.strips:
-        assert s.xs[-1, 0] == pytest.approx(s.x0[0] + 0.5, abs=1e-10)
-        assert s.ys[-1] == pytest.approx(math.sin(s.x0[0]), abs=1e-12)
-        assert s.dets[-1] == pytest.approx(1.0, abs=1e-10)
+    for x0, xs, ys, dets in _strips(sheet):
+        assert xs[-1, 0] == pytest.approx(x0[0] + 0.5, abs=1e-10)
+        assert ys[-1] == pytest.approx(math.sin(x0[0]), abs=1e-12)
+        assert dets[-1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_burgers_characteristics_are_lines():
     eq = pde.burgers()
     sheet = pde.integrate_characteristics(eq, [0.5, 1.5], (0, 0.3), dt=1e-3)
-    for s in sheet.strips:
-        y0 = math.sin(s.x0[0])
-        assert s.xs[-1, 0] == pytest.approx(s.x0[0] + 2 * y0 * 0.3, abs=1e-9)
+    for x0, xs, _, dets in _strips(sheet):
+        y0 = math.sin(x0[0])
+        assert xs[-1, 0] == pytest.approx(x0[0] + 2 * y0 * 0.3, abs=1e-9)
         # variational determinant is 1 + 2 t cos(x0)
-        assert s.dets[-1] == pytest.approx(1 + 2 * 0.3 * math.cos(s.x0[0]), abs=1e-8)
+        assert dets[-1] == pytest.approx(1 + 2 * 0.3 * math.cos(x0[0]), abs=1e-8)
 
 
 @pytest.mark.parametrize("speed", [1.8, 2.0, 2.2])
@@ -70,10 +76,10 @@ def test_rk4_fourth_order_convergence():
     def err(dt):
         sheet = pde.integrate_characteristics(eq, x0, (0, 0.4), dt=dt)
         worst = 0.0
-        for s in sheet.strips:
-            y0 = math.sin(s.x0[0])
-            exact = s.x0[0] + 2 * y0 * (math.exp(0.4) - 1)
-            worst = max(worst, abs(s.xs[-1, 0] - exact))
+        for start, xs, _, _ in _strips(sheet):
+            y0 = math.sin(start[0])
+            exact = start[0] + 2 * y0 * (math.exp(0.4) - 1)
+            worst = max(worst, abs(xs[-1, 0] - exact))
         return worst
 
     assert err(0.02) / err(0.01) >= 12.0
@@ -90,7 +96,7 @@ def test_blowup_guard():
 
 def test_tangency_of_geometric_solution():
     # y - sin(x - t) = 0 solves y_t + y_x = 0 with datum sin
-    eq = pde.transport(speed=1.0)
+    eq = pde.transport()
     level = ScalarField(
         3,
         lambda p: p[1] - math.sin(p[0] - p[2]),
@@ -131,12 +137,12 @@ def test_two_space_variables_fold_at_the_closed_form(axis):
     x0 = [(u, v) if axis == 0 else (v, u) for u in grid for v in (-1.0, 0.5)]
     sheet = pde.integrate_characteristics(eq, x0, (0, 1.2), dt=1e-3)
     ts = sheet.ts
-    for s in sheet.strips:
-        u, v = s.x0[axis], s.x0[1 - axis]
+    for start, xs, _, dets in _strips(sheet):
+        u, v = start[axis], start[1 - axis]
         # x_axis = u + t sin u, the other coordinate stays, det dx/dx0 = 1 + t cos u
-        assert np.allclose(s.xs[:, axis], u + ts * math.sin(u), rtol=0, atol=1e-12)
-        assert np.array_equal(s.xs[:, 1 - axis], np.full_like(ts, v))
-        assert np.allclose(s.dets, 1 + ts * math.cos(u), rtol=0, atol=1e-12)
+        assert np.allclose(xs[:, axis], u + ts * math.sin(u), rtol=0, atol=1e-12)
+        assert np.array_equal(xs[:, 1 - axis], np.full_like(ts, v))
+        assert np.allclose(dets, 1 + ts * math.cos(u), rtol=0, atol=1e-12)
     folds = [-1 / math.cos(u) for u in grid if math.cos(u) < 0]
     assert pde.breaking_time(sheet) == pytest.approx(min(folds), abs=1e-9)
 
@@ -182,7 +188,7 @@ def test_multivalued_count_is_the_per_sample_loop(runs, x_hat):
     xs = np.array([v for v, repeat in runs for _ in range(repeat)])
     S = xs.size
     sheet = pde.GeometricSolutionSheet(
-        pde=pde.transport(), strips=[], dt=1.0, ts=np.array([0.0, 1.0]),
+        pde=pde.transport(), dt=1.0, ts=np.array([0.0, 1.0]),
         xs=np.stack([np.zeros(S), xs])[:, :, None], ys=np.zeros((2, S)), dets=np.zeros((2, S)),
     )
     assert pde.multivalued_count(sheet, x_hat, 0.9) == _loop_multivalued_count(xs - x_hat)

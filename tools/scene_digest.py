@@ -50,6 +50,8 @@ SCENES = [
     ("verify-fold", ["verify", "--family", "fold"]),
     ("evolute", ["evolute", "--curve", "ellipse", "--a", "2", "--b", "1"]),
     ("parallels", ["parallels", "--curve", "ellipse", "--a", "2", "--b", "1", "--r", " -2.8:-0.4:0.4"]),
+    ("evolute-circle", ["evolute", "--curve", "circle", "--a", "1.5"]),
+    ("parallels-circle", ["parallels", "--curve", "circle", "--a", "1.5", "--r", " -1:1:0.5"]),
     ("burgers", ["burgers", "--t", "0:0.7:0.001", "--strips", "400", "--report-breaking"]),
     ("versal", ["versal", "--f", "q1^4", "--dfdx", "q1^2;q1", "--jet", "8"]),
 ] + [
