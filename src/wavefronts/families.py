@@ -15,7 +15,7 @@ from . import expr as ex
 from .errors import ChartFailure, FamilyFileError, NotOnSigmaStar
 from .fields import ScalarField, field_from_expr
 from .linalg import RANK_EPS, null_space, numerical_rank
-from .solve import System, dedup, project_to_set
+from .solve import CONVERGED, System, dedup, newton_batch
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps families.newton_solve by name)
 
 DEDUP_RADIUS = 1e-6
@@ -135,43 +135,49 @@ def nondegeneracy_check(gl: GraphLikeFamily, q, x, t: float, eps: float = RANK_E
 
 def critical_system(fam: GeneratingFamily, x) -> System:
     """The k equations dF/dq = 0 in q at the fixed ``x``; the Jacobian is the
-    (q, q) block of the field's Hessian."""
+    (q, q) block of the field's Hessian.  ``x`` is one point, or one per row
+    of the (N, k) stacks the system is evaluated on."""
     fld, k = fam.field, fam.k
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
     def evaluate(q):
-        _, g, H, _ = fld.derivatives(np.concatenate([q, x]))
-        return g[:k], H[:k, :k]
+        z = np.concatenate([q, np.broadcast_to(x, q.shape[:-1] + x.shape[-1:])], axis=-1)
+        _, g, H, _ = fld.derivatives(z)
+        return g[..., :k], H[..., :k, :k]
 
     return System(evaluate)
 
 
 def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequence) -> List[CriticalPoint]:
-    """Newton-solve dF/dq = 0 at each grid x from each q seed
-    (``project_to_set`` of ``critical_system``).
+    """Newton-solve dF/dq = 0 at each grid x from each q seed: one
+    ``newton_batch`` of ``critical_system`` over the whole (grid x, seed)
+    stack.
 
-    Non-converging seeds are skipped; duplicates within ``DEDUP_RADIUS``
-    merged.  Each kept point's residual, det and corank come from one field
-    pass.  Output follows the deterministic grid order.
+    Non-converging seeds are skipped; duplicates at one x within
+    ``DEDUP_RADIUS`` merged.  Each kept point's residual, det and corank come
+    from the pass it converged with.  Output follows the deterministic grid
+    order, and the seed order at each x.
     """
-    out: List[CriticalPoint] = []
-    for x in x_grid:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        found = project_to_set(critical_system(fam, x), q_seeds)
-        for i in dedup(found, DEDUP_RADIUS):
-            q = found[i]
-            _, g, H, _ = fam.field.derivatives(fam.point(q, x))
-            Hqq = H[: fam.k, : fam.k]
-            out.append(
-                CriticalPoint(
-                    q=q,
-                    x=x,
-                    residual=float(np.linalg.norm(g[: fam.k], np.inf)),
-                    hess_q_det=float(np.linalg.det(Hqq)),
-                    corank=fam.k - numerical_rank(Hqq),
-                )
-            )
-    return out
+    k, S = fam.k, len(q_seeds)
+    X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]).reshape(-1, fam.n)
+    if not S or not len(X):
+        return []
+    Q = np.array([np.atleast_1d(np.asarray(q, dtype=float)) for q in q_seeds]).reshape(S, k)
+    P, R, H, outcome = newton_batch(critical_system(fam, np.repeat(X, S, axis=0)), np.tile(Q, (len(X), 1)))
+    rows = []
+    for i in range(len(X)):
+        found = np.flatnonzero(outcome[i * S : (i + 1) * S] == CONVERGED) + i * S
+        rows.extend(found[dedup(P[found], DEDUP_RADIUS)])
+    residual = np.abs(R[rows]).max(axis=1)
+    det = np.linalg.det(H[rows])
+    s = np.linalg.svd(H[rows], compute_uv=False)
+    rank = (s > RANK_EPS * s[:, :1]).sum(axis=1)  # numerical_rank's rule, row by row
+    return [
+        CriticalPoint(
+            q=P[j], x=X[j // S], residual=float(residual[i]), hess_q_det=float(det[i]), corank=k - int(rank[i])
+        )
+        for i, j in enumerate(rows)
+    ]
 
 
 def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
@@ -183,8 +189,10 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
 
         def jet_fn(p, with_third):
             jet = base.jet_fn(p, with_third)
-            jet[0] -= t0
+            jet[..., 0] -= t0  # the value entry of each row of a stacked jet
             return jet
+
+        jet_fn.stacks = getattr(base.jet_fn, "stacks", False)
 
     fld = dataclasses.replace(base, fn=lambda p: base.fn(p) - t0, jet_fn=jet_fn)
     return GeneratingFamily(k=fam.k, n=fam.n, field=fld, name=f"{fam.name}-shift", seeds=fam.seeds)
@@ -285,7 +293,9 @@ def parse_family_file(text: str) -> dict:
 
 def family_from_file(path) -> GeneratingFamily:
     data = parse_family_file(Path(path).read_text())
-    k, n = int(data["k"]), int(data["n"])
+    k, n = data["k"], data["n"]
+    if not all(type(v) is int for v in (k, n)):
+        raise FamilyFileError(f"k and n must be integers, got k = {k!r}, n = {n!r}")
     box = tuple((float(lo), float(hi)) for lo, hi in data.get("domain", [FILE_DOMAIN] * (k + n)))
     if len(box) != k + n:
         raise FamilyFileError("domain must list one [lo, hi] per variable (q first, then x)")

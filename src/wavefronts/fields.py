@@ -69,9 +69,10 @@ class ScalarField:
     array: the value, the gradient and the Hessian row by row, then, when
     ``with_third`` and the field has them, the third partials
     ``d_c d_a d_b f`` for ``a, b`` among its first r variables and every
-    ``c``, row by row.  A hand-written field may carry ``grad_fn`` instead.
-    Every derivative without a closed form is ``fd_jacobian`` of the order
-    below.
+    ``c``, row by row.  A jet whose ``stacks`` attribute is true also
+    answers an (N, m) stack of points with an (N, s) array, one flat jet per
+    row.  A hand-written field may carry ``grad_fn`` instead.  Every
+    derivative without a closed form is ``fd_jacobian`` of the order below.
     """
 
     arity: int
@@ -159,8 +160,13 @@ class ScalarField:
         With ``jet_fn`` the closed-form part is one call with one box check and
         one finiteness check; the rest comes from the separate methods, so
         every entry, FD margin and error is the one they give.
+
+        An (N, m) stack of points gives each part with a leading axis of N
+        rows (see ``_stacked_derivatives``).
         """
         p = np.asarray(point, dtype=float)
+        if p.ndim == 2:
+            return self._stacked_derivatives(p, third)
         if self.jet_fn is None:
             return self.value(p), self.grad(p), self.hessian(p), (self._fd_third(p, third) if third else None)
         a = self._jet(p, bool(third))
@@ -169,6 +175,62 @@ class ScalarField:
         if third and T is None:
             T = self._fd_third(p, third)
         return float(a[0]), a[1 : m + 1], a[m + 1 : 1 + m + m * m].reshape(m, m), T
+
+    def _stacked_derivatives(self, P: np.ndarray, third: int):
+        """``derivatives`` of each row of the (N, m) stack ``P``, every part
+        with a leading axis of N rows.  A jet that stacks answers the in-box
+        rows in one call: a row outside the box is NaN in every part, and an
+        in-box row that is not finite raises NonFiniteValue.  Any other
+        field, or a jet without the third partials asked for, runs its rows
+        one by one through the 1-D ``derivatives``, and a row that raises
+        DomainError there is NaN."""
+        N, m = P.shape
+        s = 1 + m + m * m
+        if getattr(self.jet_fn, "stacks", False):
+            inside = np.ones(N, dtype=bool)
+            if self.box is not None:
+                lo, hi = np.array(self._bounds).T
+                inside = ((P >= lo) & (P <= hi)).all(axis=1)
+            if inside.all():
+                a = self.jet_fn(P, bool(third))
+            else:
+                rows = self.jet_fn(P[inside], bool(third))
+                a = np.full((N, rows.shape[1]), np.nan)
+                a[inside] = rows
+            bad = inside & ~np.isfinite(a).all(axis=1)
+            if bad.any():
+                raise NonFiniteValue(f"non-finite field value at {P[np.argmax(bad)]!r}")
+            if not third or a.shape[1] > s:
+                r = math.isqrt((a.shape[1] - s) // m)
+                T = a[:, s:].reshape(N, r, r, m) if third else None
+                return a[:, 0], a[:, 1 : m + 1], a[:, m + 1 : s].reshape(N, m, m), T
+        blank = (0.0, np.zeros(m), np.zeros((m, m)), np.zeros((third, third, m)) if third else None)
+        return stack_rows(lambda p: self.derivatives(p, third), P, blank)
+
+
+def stack_rows(fn: Callable, Z: np.ndarray, blank: tuple) -> tuple:
+    """The parts of ``fn(z)`` for each row ``z`` of the stack ``Z``, each
+    stacked along a leading axis.  A row whose call raises DomainError is NaN
+    in every part.  ``blank`` is one row's result, read for its shapes when
+    no row succeeds; a part that is None stays None."""
+    rows = []
+    for z in Z:
+        try:
+            rows.append(fn(z))
+        except DomainError:
+            rows.append(None)
+    like = next((r for r in rows if r is not None), blank)
+    out = []
+    for j, part in enumerate(like):
+        if part is None:
+            out.append(None)
+            continue
+        a = np.full((len(Z),) + np.shape(part), np.nan)
+        for i, r in enumerate(rows):
+            if r is not None:
+                a[i] = r[j]
+        out.append(a)
+    return tuple(out)
 
 
 def _jet_third(a: np.ndarray, m: int) -> Optional[np.ndarray]:
@@ -203,23 +265,16 @@ def field_from_expr(
         d3 = {(a, b): [upper[a, b].diff(v) for v in var_order] for a in range(r) for b in range(a, r)}
         thirds = [d for a in range(r) for b in range(r) for d in d3[min(a, b), max(a, b)]]
         jets[True] = compile_nested(jet + thirds, var_order)
-    return ScalarField(
-        arity=m,
-        fn=lambda p: float(f(p)),
-        box=box,
-        jet_fn=lambda p, with_third: np.array(jets[with_third](p), dtype=float),
-    )
 
+    def jet_fn(p, with_third):
+        if p.ndim == 1:
+            return np.array(jets[with_third](p), dtype=float)
+        # one pass on the coordinate rows; a constant entry is broadcast
+        entries = jets[with_third](p.T)
+        out = np.empty((len(entries), len(p)))
+        for i, e in enumerate(entries):
+            out[i] = e
+        return out.T
 
-def catalog() -> dict:
-    """Named closed-form fields used by numerics-hygiene tests."""
-    return {
-        "sin": ScalarField(1, lambda p: math.sin(p[0]), lambda p: np.array([math.cos(p[0])])),
-        "cos": ScalarField(1, lambda p: math.cos(p[0]), lambda p: np.array([-math.sin(p[0])])),
-        "gauss": ScalarField(
-            1, lambda p: math.exp(-p[0] ** 2), lambda p: np.array([-2 * p[0] * math.exp(-p[0] ** 2)])
-        ),
-        "sin_sum": ScalarField(
-            2, lambda p: math.sin(p[0]) + math.cos(p[1]), lambda p: np.array([math.cos(p[0]), -math.sin(p[1])])
-        ),
-    }
+    jet_fn.stacks = True
+    return ScalarField(arity=m, fn=lambda p: float(f(p)), box=box, jet_fn=jet_fn)

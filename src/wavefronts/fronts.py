@@ -114,9 +114,10 @@ def front_system(gl: GraphLikeFamily, t: float) -> System:
 
     def evaluate(z):
         v, g, H, _ = fld.derivatives(z)
-        res, J = np.empty(k + 1), np.empty((k + 1, g.size))
-        res[:k], res[k] = g[:k], v - t
-        J[:k], J[k] = H[:k], g
+        rows = z.shape[:-1]
+        res, J = np.empty(rows + (k + 1,)), np.empty(rows + (k + 1, z.shape[-1]))
+        res[..., :k], res[..., k] = g[..., :k], v - t
+        J[..., :k, :], J[..., k, :] = H[..., :k, :], g
         return res, J
 
     return System(evaluate)
@@ -153,17 +154,18 @@ def caustic_system(fam: GeneratingFamily) -> System:
     """
     fld, k = fam.field, fam.k
 
-    def det(Hqq):
-        return Hqq[0, 0] if k == 1 else np.linalg.det(Hqq)
-
-    def det_row(Hqq, T):
-        return T[0, 0] if k == 1 else np.einsum("ba,abc->c", adjugate(Hqq), T[:k, :k])
+    def det_and_row(Hqq, T):
+        if k == 1:
+            return Hqq[..., 0, 0], T[..., 0, 0, :]
+        with np.errstate(invalid="ignore"):  # a stacked row outside the box is NaN
+            return np.linalg.det(Hqq), np.einsum("...ba,...abc->...c", adjugate(Hqq), T[..., :k, :k, :])
 
     def evaluate(z):
         _, g, H, T = fld.derivatives(z, third=k)
-        res, J = np.empty(k + 1), np.empty((k + 1, g.size))
-        res[:k], res[k] = g[:k], det(H[:k, :k])
-        J[:k], J[k] = H[:k], det_row(H[:k, :k], T)
+        rows = z.shape[:-1]
+        res, J = np.empty(rows + (k + 1,)), np.empty(rows + (k + 1, z.shape[-1]))
+        res[..., :k], J[..., :k, :] = g[..., :k], H[..., :k, :]
+        res[..., k], J[..., k, :] = det_and_row(H[..., :k, :k], T)
         return res, J
 
     return System(evaluate)
@@ -192,14 +194,17 @@ def pairing_system(fam: GeneratingFamily) -> System:
     fld, k, n = fam.field, fam.k, fam.n
 
     def evaluate(w):
-        za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
+        za, zb = np.concatenate([w[..., :k], w[..., 2 * k :]], axis=-1), w[..., k:]
         va, ga, Ha, _ = fld.derivatives(za)
         vb, gb, Hb, _ = fld.derivatives(zb)
-        J = np.zeros((2 * k + 1, 2 * k + n))
-        J[:k, :k], J[:k, 2 * k :] = Ha[:k, :k], Ha[:k, k:]
-        J[k : 2 * k, k : 2 * k], J[k : 2 * k, 2 * k :] = Hb[:k, :k], Hb[:k, k:]
-        J[2 * k] = np.concatenate([ga[:k], -gb[:k], ga[k:] - gb[k:]])
-        return np.concatenate([ga[:k], gb[:k], [va - vb]]), J
+        rows = w.shape[:-1]
+        res, J = np.empty(rows + (2 * k + 1,)), np.zeros(rows + (2 * k + 1, 2 * k + n))
+        res[..., :k], res[..., k : 2 * k], res[..., 2 * k] = ga[..., :k], gb[..., :k], va - vb
+        J[..., :k, :k], J[..., :k, 2 * k :] = Ha[..., :k, :k], Ha[..., :k, k:]
+        J[..., k : 2 * k, k : 2 * k], J[..., k : 2 * k, 2 * k :] = Hb[..., :k, :k], Hb[..., :k, k:]
+        J[..., 2 * k, :k], J[..., 2 * k, k : 2 * k] = ga[..., :k], -gb[..., :k]
+        J[..., 2 * k, 2 * k :] = ga[..., k:] - gb[..., k:]
+        return res, J
 
     return System(evaluate)
 

@@ -154,12 +154,17 @@ def _pairing_system(diagram: IntegralDiagram, t: float) -> System:
     jet = diagram.jet_fn
 
     def evaluate(w):
-        mu_a, dmu_a, g_a, dg_a = jet(w[:2])
-        mu_b, dmu_b, g_b, dg_b = jet(w[2:])
-        J = np.zeros((4, 4))
-        J[:2, :2], J[:2, 2:] = dg_a, np.negative(dg_b)
-        J[2, :2], J[3, 2:] = dmu_a, dmu_b
-        return np.array([g_a[0] - g_b[0], g_a[1] - g_b[1], mu_a - t, mu_b - t]), J
+        # the jet reads coordinate rows; a constant entry is broadcast on assignment
+        mu_a, dmu_a, g_a, dg_a = jet(w[..., :2].T)
+        mu_b, dmu_b, g_b, dg_b = jet(w[..., 2:].T)
+        res, J = np.empty(w.shape[:-1] + (4,)), np.zeros(w.shape[:-1] + (4, 4))
+        for i in range(2):
+            res[..., i] = g_a[i] - g_b[i]
+            J[..., 2, i], J[..., 3, 2 + i] = dmu_a[i], dmu_b[i]
+            for j in range(2):
+                J[..., i, j], J[..., i, 2 + j] = dg_a[i][j], -dg_b[i][j]
+        res[..., 2], res[..., 3] = mu_a - t, mu_b - t
+        return res, J
 
     return System(evaluate)
 

@@ -18,8 +18,12 @@ Poly = Dict[Monomial, Fraction]
 Row = Dict[int, Fraction]  # sparse coordinates {basis index: coefficient}
 
 
-def expand(e: ex.Expr, variables: Sequence[str]) -> Poly:
-    """Expand an expression tree into {exponent tuple: coefficient}."""
+def expand(e: ex.Expr, variables: Sequence[str], degree: int) -> Poly:
+    """Expand an expression tree into {exponent tuple: coefficient}, keeping
+    the monomials of total degree at most ``degree``.  Products drop the
+    monomials above it as they form them, so a high power costs no more
+    than its low-degree part; the kept coefficients are exact, since no
+    monomial above the cut is a factor of one below it."""
     index = {v: i for i, v in enumerate(variables)}
     m = len(variables)
 
@@ -40,23 +44,27 @@ def expand(e: ex.Expr, variables: Sequence[str]) -> Poly:
                 out[k] = out.get(k, Fraction(0)) + sign * c
             return {k: c for k, c in out.items() if c != 0}
         if isinstance(node, ex.Mul):
-            return poly_mul(walk(node.left), walk(node.right))
+            return poly_mul(walk(node.left), walk(node.right), degree)
         if isinstance(node, ex.Pow):
             base = walk(node.base)
             out: Poly = {(0,) * m: Fraction(1)}
             for _ in range(node.exponent):
-                out = poly_mul(out, base)
+                out = poly_mul(out, base, degree)
             return out
         raise TypeError(f"unknown node {node!r}")
 
     return walk(e)
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
+def poly_mul(a: Poly, b: Poly, degree: int) -> Poly:
+    """The product of ``a`` and ``b`` without its monomials of total degree
+    above ``degree``."""
     out: Poly = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = tuple(i + j for i, j in zip(ka, kb))
+            if sum(k) > degree:
+                continue
             out[k] = out.get(k, Fraction(0)) + ca * cb
     return {k: c for k, c in out.items() if c != 0}
 
@@ -156,6 +164,8 @@ def _q_variables(f: ex.Expr, dfdx: Sequence[ex.Expr], explicit=None) -> Tuple[st
     return tuple(sorted(names))
 
 def _check_singular(fpoly: Poly, m: int):
+    """Refuse a germ with a constant or a linear term: ``fpoly`` needs only
+    its monomials of degree at most 1."""
     zero = (0,) * m
     if fpoly.get(zero, Fraction(0)) != 0:
         raise NotSingularGerm("germ does not vanish at the origin")
@@ -182,7 +192,7 @@ def _multiples(space: JetSpace, p: Poly) -> Iterator[Row]:
 
 def _jacobian_rows(space: JetSpace, qvars: Sequence[str], f: ex.Expr) -> List[Row]:
     """Rows of m * df/dq_i over all basis monomials m of the jet space."""
-    return [row for v in qvars for row in _multiples(space, expand(f.diff(v), space.variables))]
+    return [row for v in qvars for row in _multiples(space, expand(f.diff(v), space.variables, space.degree))]
 
 
 def lagrangian_stability_check(
@@ -197,12 +207,11 @@ def lagrangian_stability_check(
     of the unfolding whose initial velocities are ``dfdx``.
     """
     qvars = _q_variables(f, dfdx, variables)
-    fpoly = expand(f, qvars)
-    _check_singular(fpoly, len(qvars))
+    _check_singular(expand(f, qvars, 1), len(qvars))
     space = JetSpace(tuple(qvars), ell)
     rows = _jacobian_rows(space, qvars, f)
     for g in dfdx:
-        rows.append(space.project(expand(g, qvars)))
+        rows.append(space.project(expand(g, qvars, ell)))
     const: Poly = {(0,) * len(qvars): Fraction(1)}
     rows.append(space.project(const))
     return _span_report(space, rows)
@@ -213,7 +222,7 @@ def _determinacy_report(f: ex.Expr, qvars: Sequence[str], ell: int) -> Versality
     monomials of the local algebra up to degree ``ell``."""
     space = JetSpace(tuple(qvars), ell)
     rows = _jacobian_rows(space, qvars, f)
-    rows.extend(_multiples(space, expand(f, qvars)))
+    rows.extend(_multiples(space, expand(f, qvars, ell)))
     return _span_report(space, rows)
 
 
@@ -229,7 +238,7 @@ def k_determinacy_dimension(
     to ``ell + 1`` — a non-isolated singularity at any finite truncation.
     """
     qvars = _q_variables(f, (), variables)
-    _check_singular(expand(f, qvars), len(qvars))
+    _check_singular(expand(f, qvars, 1), len(qvars))
     d0 = _determinacy_report(f, qvars, ell).codimension_defect
     d1 = _determinacy_report(f, qvars, ell + 1).codimension_defect
     if d1 > d0:
@@ -247,14 +256,13 @@ def sp_plus_versality_check(
     span of {m * df/dq_i}, {m * (f - t)}, the initial velocities and constants
     must be everything."""
     qvars = _q_variables(f, dfdx, variables)
-    fpoly = expand(f, qvars)
-    _check_singular(fpoly, len(qvars))
+    _check_singular(expand(f, qvars, 1), len(qvars))
     allvars = tuple(qvars) + ("t",)
     space = JetSpace(allvars, ell)
     rows = _jacobian_rows(space, qvars, f)
-    rows.extend(_multiples(space, expand(ex.sub(f, ex.Var("t")), allvars)))
+    rows.extend(_multiples(space, expand(ex.sub(f, ex.Var("t")), allvars, ell)))
     for g in dfdx:
-        rows.append(space.project(expand(g, allvars)))
+        rows.append(space.project(expand(g, allvars, ell)))
     const: Poly = {(0,) * len(allvars): Fraction(1)}
     rows.append(space.project(const))
     return _span_report(space, rows)

@@ -37,13 +37,14 @@ def null_space(M) -> np.ndarray:
 def adjugate(M) -> np.ndarray:
     """Transposed cofactor matrix, so ``d det M = tr(adj(M) dM)``.
 
-    Unlike ``det M * inv(M)`` it is defined (and exact) on singular M.
+    Unlike ``det M * inv(M)`` it is defined (and exact) on singular M.  A
+    stack of matrices gives the stack of their adjugates.
     """
     A = np.atleast_2d(np.asarray(M, dtype=float))
-    k = A.shape[0]
-    cof = np.empty((k, k))
+    k = A.shape[-1]
+    cof = np.empty(A.shape)
     for i in range(k):
         for j in range(k):
-            minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return cof.T
+            minor = np.delete(np.delete(A, i, axis=-2), j, axis=-1)
+            cof[..., i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return np.swapaxes(cof, -1, -2)

@@ -15,12 +15,15 @@ from .errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from .fields import fd_jacobian
+from .fields import fd_jacobian, stack_rows
 from .linalg import null_space, numerical_rank
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SINGULAR_RATIO = 1e-12
+# how each row of ``newton_batch`` ends, by index into OUTCOMES
+CONVERGED, SINGULAR, MAX_ITERATIONS, LEFT_BOX = range(4)
+OUTCOMES = ("converged", "singular", "max_iterations", "left_box")
 # continuation: the largest seed residual accepted
 SEED_TOL = 1e-6
 
@@ -82,8 +85,10 @@ class System:
 
     ``evaluate(z)`` returns ``(residual, J)`` from one pass, ``J`` with one
     row per equation and one column per unknown; calling the system returns
-    the residual alone.  It is what ``newton_solve`` and ``continue_curve``
-    solve (see ``as_system``).
+    the residual alone.  An (N, m) stack of points gives both with a leading
+    axis of N rows, and a row that leaves a field's box is NaN.  It is what
+    ``newton_solve``, ``newton_batch`` and ``continue_curve`` solve (see
+    ``as_system``).
     """
 
     evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -94,10 +99,18 @@ class System:
 
 def as_system(fn: Callable) -> System:
     """``fn`` itself if it is a ``System``, else ``fn`` with the central
-    difference Jacobian ``fd_jacobian``."""
+    difference Jacobian ``fd_jacobian``.  ``fn`` need not broadcast, so a
+    stack is evaluated row by row; a row whose call raises DomainError is
+    NaN."""
     if isinstance(fn, System):
         return fn
-    return System(lambda z: (np.asarray(fn(z), dtype=float), fd_jacobian(fn, z)))
+
+    def evaluate(z):
+        if np.ndim(z) == 2:
+            return stack_rows(evaluate, z, (np.zeros(1), np.zeros((1, z.shape[1]))))
+        return np.asarray(fn(z), dtype=float), fd_jacobian(fn, z)
+
+    return System(evaluate)
 
 
 def _in_box(p: np.ndarray, box) -> bool:
@@ -133,17 +146,65 @@ def newton_solve(system: Callable, seed):
     raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
 
 
+def newton_batch(system: Callable, seeds: Sequence):
+    """``newton_solve`` from every seed at once (a scalar seed is a
+    1-vector): per iterate, one ``evaluate`` of the whole (N, m) stack and one
+    stacked SVD of its running rows, which gives both the ``SINGULAR_RATIO``
+    test and the least-norm step.
+
+    Each row ends on its own under ``newton_solve``'s rules: it converges,
+    its Jacobian is singular, it leaves the field's box (its residual is not
+    finite) or it is still running after ``NEWTON_MAX_ITER`` evaluations.
+    Rows keep their positions, so a system with data bound to each row (as
+    ``critical_system`` with one x per row) is evaluated on the whole stack.
+
+    Returns ``(P, R, J, outcome)``: the last iterate of each row, the
+    residual and Jacobian each converged row converged with (NaN in the other
+    rows) and each row's index into ``OUTCOMES``.
+    """
+    P = np.array([np.atleast_1d(np.asarray(s, dtype=float)) for s in seeds])
+    N = len(P)
+    outcome = np.full(N, MAX_ITERATIONS)
+    if N == 0:
+        return P.reshape(0, 0), np.zeros((0, 0)), np.zeros((0, 0, 0)), outcome
+    system = as_system(system)
+    running = np.arange(N)
+    R = J = None
+    for _ in range(NEWTON_MAX_ITER):
+        r, Jr = system.evaluate(P)
+        if r.shape[-1] > P.shape[-1]:
+            raise ValueError("over-determined system: more equations than unknowns")
+        if R is None:
+            R, J = np.full(r.shape, np.nan), np.full(Jr.shape, np.nan)
+        res = r[running]
+        left = ~np.isfinite(res).all(axis=1)
+        conv = (np.abs(res) < NEWTON_TOL).all(axis=1)
+        outcome[running[left]] = LEFT_BOX
+        outcome[running[conv]] = CONVERGED
+        R[running[conv]], J[running[conv]] = res[conv], Jr[running[conv]]
+        running, res = running[~(left | conv)], res[~(left | conv)]
+        if running.size == 0:
+            break
+        U, s, Vt = np.linalg.svd(Jr[running], full_matrices=False)
+        singular = (s[:, 0] == 0.0) | (s[:, -1] < SINGULAR_RATIO * s[:, 0])
+        outcome[running[singular]] = SINGULAR
+        ok = ~singular
+        running, U, s, Vt, res = running[ok], U[ok], s[ok], Vt[ok], res[ok]
+        # the least-norm step -V diag(1/s) U^T r; a step that overflows
+        # leaves the box at the next evaluate, as lstsq's does
+        with np.errstate(over="ignore", invalid="ignore"):
+            P[running] -= np.einsum("nji,nj->ni", Vt, np.einsum("nij,ni->nj", U, res) / s)
+        if running.size == 0:
+            break
+    return P, R, J, outcome
+
+
 def project_to_set(system: Callable, seeds: Sequence) -> List[np.ndarray]:
     """Least-norm Newton projection of each seed (a scalar is a 1-vector)
-    onto the solution set of ``system``, in seed order; a seed from which
-    ``newton_solve`` fails, or leaves the field's box, is dropped."""
-    out = []
-    for s in seeds:
-        try:
-            out.append(newton_solve(system, np.atleast_1d(np.asarray(s, dtype=float)))[0])
-        except (SingularJacobian, MaxIterations, DomainError):
-            continue
-    return out
+    onto the solution set of ``system``, in seed order: one ``newton_batch``
+    of all the seeds, which drops each seed whose row does not converge."""
+    P, _, _, outcome = newton_batch(system, seeds)
+    return list(P[outcome == CONVERGED])
 
 
 def _bordered(system: System, tau: np.ndarray, pred: np.ndarray) -> System:

@@ -1,6 +1,25 @@
+import math
+
+import numpy as np
 import pytest
 
+from wavefronts.fields import ScalarField
+
 _ACCEPTANCE_LINES = []
+
+
+def field_catalog() -> dict:
+    """Named closed-form fields used by numerics-hygiene tests."""
+    return {
+        "sin": ScalarField(1, lambda p: math.sin(p[0]), lambda p: np.array([math.cos(p[0])])),
+        "cos": ScalarField(1, lambda p: math.cos(p[0]), lambda p: np.array([-math.sin(p[0])])),
+        "gauss": ScalarField(
+            1, lambda p: math.exp(-p[0] ** 2), lambda p: np.array([-2 * p[0] * math.exp(-p[0] ** 2)])
+        ),
+        "sin_sum": ScalarField(
+            2, lambda p: math.sin(p[0]) + math.cos(p[1]), lambda p: np.array([math.cos(p[0]), -math.sin(p[1])])
+        ),
+    }
 
 
 @pytest.fixture

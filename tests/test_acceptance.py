@@ -14,8 +14,9 @@ from wavefronts import expr as ex
 from wavefronts import families, fronts, gallery, geometry, jets, pde
 from wavefronts.cli import phase_seeds
 from wavefronts.fields import ScalarField
-from wavefronts.fields import catalog as field_catalog
 from wavefronts.solve import continue_curve
+
+from conftest import field_catalog
 
 RNG = np.random.default_rng(20260823)
 

@@ -1,6 +1,9 @@
+import contextlib
 import importlib.util
+import io
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -68,6 +71,17 @@ def test_versal_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "stability: pass" in out
+
+
+def test_versal_of_a_high_power_reads_only_its_jet(capsys):
+    # the expansion is cut at the jet degree, so the size of the exponent
+    # costs 300 small products, not the whole polynomial
+    start = time.perf_counter()
+    assert run(["versal", "--k", "2", "--f", "(q1+q2+1)^300", "--jet", "3"]) == 1
+    assert "NotSingularGerm" in capsys.readouterr().err
+    assert run(["versal", "--k", "2", "--f", "(q1+q2)^200", "--jet", "3"]) == 0
+    assert "stability: FAIL (defect 9, witnesses q1, q2, q1^2" in capsys.readouterr().out
+    assert time.perf_counter() - start < 2.0
 
 
 def test_burgers_breaking_line(capsys):
@@ -279,6 +293,15 @@ def test_family_file_wrong_seed_length_is_named(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "FamilyFileError" in captured.err and "seed 0" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("counts", ["k = x\nn = 2", "k = 1.5\nn = 2", "k = 1\nn = [2]", "k = True\nn = 2"])
+def test_family_file_with_non_integer_k_or_n_is_named(tmp_path, capsys, counts):
+    fam = tmp_path / "badcounts.fam"
+    fam.write_text(counts + "\nexpr = q1^4 + x1*q1^2 + x2*q1\n")
+    assert run(["caustic", "--family", str(fam)]) == 1
+    captured = capsys.readouterr()
+    assert "FamilyFileError" in captured.err and "k and n must be integers" in captured.err
 
 
 def test_q_seeds_cover_asymmetric_domain(tmp_path, capsys):
@@ -530,3 +553,96 @@ def test_caustic_of_family_files_off_n_2(tmp_path, capsys):
     x = np.loadtxt(n3.with_suffix(".csv"), delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
     assert len(x) > 10
     assert np.all(np.abs(8 * x[:, 0] ** 3 + 27 * x[:, 1] ** 2) < 1e-6 * np.maximum(1.0, np.abs(x[:, 0]) ** 3))
+
+
+# --- a bounded grammar fuzz over the argv of every subcommand
+
+
+def _values(valid, invalid):
+    """A value of an option: one of ``valid`` about four times in five."""
+    return st.sampled_from(valid * (4 * len(invalid)) + invalid * len(valid))
+
+
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "x", ""]
+BAD_RANGES = ["1:0:1", "0:1:0", "0:1", "a:b:c", "nan:1:1", " -1e9:1e9:1e-9", "0:inf:1", ""]
+BAD_COUNTS = ["0", "-1", "x", "1000000000"]
+# every range and count that passes validation is small: no large grid is built
+SMALL_RANGE = _values([" -0.5:0:0.5", "0:1:0.5", "0.1:0.1:1", " -1:1:1"], BAD_RANGES)
+CURVE = {"--curve": _values(["circle", "ellipse", "parabola"], ["spiral", ""]),
+         "--a": _values(["2", "1.5", "0.5"], BAD_NUMBERS + ["0", "-1"]),
+         "--b": _values(["1", "0.8", "2"], BAD_NUMBERS + ["0", "-1"]),
+         "--u": _values(["0:6.28:0.5", " -1:1:0.25"], BAD_RANGES)}
+OPTIONS = {
+    "verify": {},
+    "front": {"--t": _values(["0.5", "0", " -0.3", "3"], BAD_NUMBERS)},
+    "big-front": {"--t": SMALL_RANGE},
+    "caustic": {},
+    "maxwell": {},
+    "discriminant": {"--t": SMALL_RANGE},
+    "evolute": CURVE,
+    "parallels": {**CURVE, "--r": _values([" -1:1:1", " -0.5:-0.5:1"], BAD_RANGES)},
+    "burgers": {"--t": _values(["0:0.1:0.05", "0:0.7:0.1", " -1:0:0.5"], BAD_RANGES),
+                "--speed": _values(["2", "1", "0", " -1"], BAD_NUMBERS),
+                "--strips": _values(["1", "2", "20"], BAD_COUNTS),
+                "--report-breaking": st.none(),
+                "--count": _values(["0.5,0.1", "3,0.6", "0,0"], ["1,2,3", "a,b", "nan,0", "inf,1", ""])},
+    "ode-gallery": {"--germ": _values(["1", "2", "3", "4", "5", "6"], ["0", "7", "x"]),
+                    "--t": _values([" -0.2:0.2:0.2", "0:0:1"], BAD_RANGES),
+                    "--alpha": _values(["0", "v1^2", "v1*v2 + 1/2"], ["q1", "(", "2^2000", "v1^"])},
+    "versal": {"--f": _values(["q1^4", "q1^3", "q1^2*q2 + q2^3", "(q1+q2)^200"],
+                              ["(q1+q2+1)^300", "q1^", "x1", "", "1"]),
+               "--dfdx": _values(["", "q1", "q1^2;q1", "q2;;q1"], ["q1^", "x1", ";"]),
+               "--jet": _values(["1", "2", "4"], ["0", "-1", "1000000"]),
+               "--k": _values(["1", "2"], ["0", "-3", "1000000"])},
+}
+COMMON = {"--seed-density": _values(["1", "2", "3"], BAD_COUNTS + ["257"]),
+          "--tol": _values(["1e-8", "1e-6", "0.5"], BAD_NUMBERS + ["0", "-1"])}
+FAMILY_LINES = st.lists(st.sampled_from([
+    "k = 1", "k = 2", "k = x", "k = 1.5", "n = 1", "n = 2", "n = 3", "n = [2]", "expr = q1^3 + x1*q1",
+    "expr = q1^4 + x1*q1^2 + x2*q1", "expr = q1^2 + q2^2 + x1*q1 + x2*q2", "expr = q1^", "expr = y1",
+    "domain = [[-2, 2], [-2, 2], [-2, 2]]", "domain = [[2, -2]]", "seeds = [[0.5]]", "seeds = [[1, 2]]",
+    "seeds = 3", "name = fuzz", "garbage",
+]), max_size=6)
+
+
+# True once in n draws.  Hypothesis leans towards the first element of a
+# sampled list (and towards 0 in integer draws), so the rare value comes last.
+ONCE_IN = {n: st.sampled_from([False] * (n - 1) + [True]) for n in (3, 5, 10)}
+
+
+@st.composite
+def _argv(draw, family_file):
+    """A subcommand with each of its options given four times in five (a
+    missing required one exits 2), each common option once in three, and
+    now and then a stray argument."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = dict(OPTIONS[command])
+    if command in ("verify", "front", "big-front", "caustic", "maxwell", "discriminant"):
+        options["--family"] = _values(["cusp", "fold", family_file], ["nope"])
+    argv = [command]
+    for option, values in options.items():
+        if draw(ONCE_IN[5]):
+            continue
+        value = draw(values)
+        argv.append(option if value is None else f"{option}={value}")
+    for option, values in COMMON.items():
+        if draw(ONCE_IN[3]):
+            argv.append(f"{option}={draw(values)}")
+    if draw(ONCE_IN[10]):
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--csv=/nonexistent/dir/out.csv"])))
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), lines=FAMILY_LINES)
+def test_fuzzed_argv_exits_0_1_or_2(data, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        family_file = str(Path(tmp) / "fuzz.family")
+        Path(family_file).write_text("\n".join(lines) + "\n")
+        argv = data.draw(_argv(family_file))
+        argv += [f"--csv={tmp}/out.csv", f"--svg={tmp}/out.svg"] if data.draw(st.booleans()) else []
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            rc = run(argv)
+        assert rc in (0, 1, 2), (argv, lines, err.getvalue())

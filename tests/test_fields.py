@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from wavefronts import expr as ex
 from wavefronts.errors import DomainError, NonFiniteValue
-from wavefronts.fields import ScalarField, catalog, field_from_expr
+from wavefronts.fields import ScalarField, field_from_expr
+
+from conftest import field_catalog
 
 RNG = np.random.default_rng(42)
 
@@ -33,9 +35,9 @@ def test_third_without_third_fn_differences_the_hessian():
         assert np.abs(T[:1, :1] - exact.third(p)).max() <= 1e-6
 
 
-@pytest.mark.parametrize("name", sorted(catalog()))
+@pytest.mark.parametrize("name", sorted(field_catalog()))
 def test_fd_matches_closed_form_catalog(name):
-    fld = catalog()[name]
+    fld = field_catalog()[name]
     fd = ScalarField(arity=fld.arity, fn=fld.fn)  # strip the closed forms
     for _ in range(100):
         p = RNG.uniform(-2, 2, fld.arity)
@@ -96,3 +98,37 @@ def test_non_finite_detected():
     fld = ScalarField(1, lambda p: 1.0 / p[0])
     with pytest.raises(NonFiniteValue):
         fld.value([0.0])
+
+
+CUSP_VARS = ("q1", "x1", "x2")
+CUSP_BOX = ((-4.0, 4.0), (-6.0, 6.0), (-6.0, 6.0))
+
+
+def test_stacked_derivatives_are_the_rows():
+    generated = field_from_expr(ex.parse_expr("q1^4 + x1*q1^2 + x2*q1", CUSP_VARS), CUSP_VARS, CUSP_BOX, 1)
+    opaque = ScalarField(3, generated.fn, box=CUSP_BOX)
+    P = np.column_stack([RNG.uniform(-3, 3, 8), RNG.uniform(-5, 5, (8, 2))])
+    P[2, 0], P[5, 2] = 4.5, -6.5  # two rows outside the box
+    for fld in (generated, opaque):
+        parts = fld.derivatives(P, third=1)
+        assert [a.shape for a in parts] == [(8,), (8, 3), (8, 3, 3), (8, 1, 1, 3)]
+        for i, p in enumerate(P):
+            if i in (2, 5):
+                assert all(np.isnan(a[i]).all() for a in parts)
+                continue
+            for a, b in zip(parts, fld.derivatives(p, third=1)):
+                # numpy's elementwise powers may round by an ulp apart from
+                # Python's; the FD rows are the 1-D calls themselves
+                assert np.abs(a[i] - b).max() <= (1e-13 if fld is generated else 0.0) * max(1.0, np.abs(b).max())
+    assert generated.derivatives(P)[3] is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stacked_non_finite_row_inside_the_box_raises():
+    # x1^400 overflows at x1 = 10 inside the box, and is not evaluated outside it
+    text = "q1^2 + x1^400"
+    fld = field_from_expr(ex.parse_expr(text, ("q1", "x1")), ("q1", "x1"), ((-4.0, 4.0), (-20.0, 20.0)))
+    outside = np.array([[0.5, 1.0], [0.5, 30.0]])
+    assert np.isnan(fld.derivatives(outside)[0][1]) and np.isfinite(fld.derivatives(outside)[0][0])
+    with pytest.raises(NonFiniteValue):
+        fld.derivatives(np.array([[0.5, 1.0], [0.5, 10.0]]))

@@ -304,3 +304,49 @@ def test_surface_caustic_evaluate_makes_one_jet_pass_before_its_fd_hessians():
     assert len(calls) == 11
     ref_res, ref_J = _per_order(sphere, "caustic", z)
     assert np.array_equal(res, ref_res) and np.array_equal(J, ref_J)
+
+
+# --- stacks: one ``evaluate`` over a leading batch axis
+
+
+@pytest.mark.parametrize("system_name", SYSTEMS)
+@pytest.mark.parametrize("fam_name", sorted(FAMILIES))
+def test_stacked_evaluate_is_the_rows(fam_name, system_name):
+    # a generated jet answers the stack in one pass, whose powers numpy may
+    # round differently from Python's by an ulp, and a stacked einsum or det
+    # may sum in another order
+    fam = FAMILIES[fam_name]
+    rng = np.random.default_rng(5)
+    Z = np.array([_point(fam_name, fam, rng.uniform(0.0, 1.0, 7), system_name == "pairing") for _ in range(12)])
+    Z[3, -1] = fam.field.box[-1][1] + 0.25  # one row outside the box
+    if system_name == "critical":
+        system, U = families.critical_system(fam, Z[:, fam.k :]), Z[:, : fam.k]
+    else:
+        system, U = _system(fam, system_name, Z[0])[0], Z
+    res, J = system.evaluate(U)
+    assert res.shape[0] == J.shape[0] == len(Z)
+    for i, z in enumerate(Z):
+        row, u = _system(fam, system_name, z)
+        if i == 3:
+            assert np.isnan(res[i]).all()
+            with pytest.raises(DomainError):
+                row.evaluate(u)
+            continue
+        for a, b in zip((res[i], J[i]), row.evaluate(u)):
+            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("fam_name", ["cusp", "k2", "ellipse"])
+def test_shifted_family_shifts_the_value_of_every_stacked_row(fam_name):
+    fam, t0 = FAMILIES[fam_name], 0.37
+    shifted = families.shifted_family(fam, t0).field
+    rng = np.random.default_rng(12)
+    Z = np.column_stack([rng.uniform(-2.0, 2.0, (6, fam.k)), rng.uniform(-X_RANGE, X_RANGE, (6, fam.n))])
+    v, g, H, T = shifted.derivatives(Z, third=fam.k)
+    v0, g0, H0, T0 = fam.field.derivatives(Z, third=fam.k)
+    assert np.array_equal(v, v0 - t0)
+    assert np.array_equal(g, g0) and np.array_equal(H, H0) and np.array_equal(T, T0)
+    for i, z in enumerate(Z):
+        row = shifted.derivatives(z, third=fam.k)
+        for a, b in zip((v[i], g[i], H[i], T[i]), row):
+            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())

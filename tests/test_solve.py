@@ -4,20 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts.errors import (
+    DomainError,
     MaxIterations,
     RankDeficientSeed,
     SeedNotOnCurve,
     SingularJacobian,
 )
-from wavefronts import cli, fields, fronts, solve
+from wavefronts import cli, families, fields, fronts, solve
 from wavefronts.families import critical_system, family_from_text, solve_critical_set
 from wavefronts.solve import (
+    CONVERGED,
+    LEFT_BOX,
+    MAX_ITERATIONS,
+    OUTCOMES,
+    SINGULAR,
     System,
     as_system,
     bracket_roots,
     continue_curve,
     dedup,
     fd_jacobian,
+    newton_batch,
     newton_solve,
     project_to_set,
 )
@@ -307,3 +314,125 @@ def test_front_scene_field_calls_per_point(monkeypatch, capsys):
     calls, traced = _field_passes(["front", "--family", "cusp", "--t", "0.5"], monkeypatch)
     assert traced == 930
     assert calls / traced < FIELD_CALLS_PER_POINT
+
+
+# --- the stacked solver against newton_solve, row by row
+
+CUSP = families.catalog()["cusp"]  # box q in [-4, 4], x in [-6, 6]^2
+FOLD = families.catalog()["fold"]
+DROPS = {SingularJacobian: SINGULAR, MaxIterations: MAX_ITERATIONS, DomainError: LEFT_BOX}
+
+
+def _scalar_rows(systems, seeds):
+    """``(outcome, point or None)`` of ``newton_solve`` on each seed with its
+    own system."""
+    out = []
+    for system, seed in zip(systems, seeds):
+        try:
+            out.append((CONVERGED, newton_solve(system, seed)[0]))
+        except tuple(DROPS) as e:
+            out.append((DROPS[type(e)], None))
+    return out
+
+
+def _assert_rows_agree(stacked, systems, seeds):
+    P, R, J, outcome = newton_batch(stacked, seeds)
+    scalar = _scalar_rows(systems, seeds)
+    assert [OUTCOMES[o] for o in outcome] == [OUTCOMES[o] for o, _ in scalar]
+    kept = [p for o, p in scalar if o == CONVERGED]
+    projected = project_to_set(stacked, seeds)
+    assert len(projected) == len(kept)
+    for a, b, p in zip(projected, kept, P[outcome == CONVERGED]):
+        assert np.abs(a - b).max() <= 1e-12 and np.array_equal(a, p)
+    return outcome
+
+
+# q and x inside the box, or one coordinate pushed outside it
+CRITICAL_ROW = st.one_of(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    st.tuples(st.floats(4.5, 6.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(6.5, 8.0), st.floats(-6.0, 6.0)),
+    # q = 0 at x1 = 0: on the cusp dF/dq = x2 with d2F/dq2 = 0, exactly singular unless x2 = 0
+    st.tuples(st.just(0.0), st.just(0.0), st.floats(-6.0, 6.0)),
+)
+
+
+@pytest.mark.parametrize("fam", [CUSP, FOLD], ids=["cusp", "fold"])
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(CRITICAL_ROW, min_size=1, max_size=10), max_iter=st.sampled_from([1, 2, 3, 50]))
+def test_stacked_critical_solve_matches_newton_solve_row_by_row(fam, rows, max_iter):
+    rows = np.array(rows)
+    Q, X = rows[:, :1], rows[:, 1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "NEWTON_MAX_ITER", max_iter)
+        _assert_rows_agree(critical_system(fam, X), [critical_system(fam, x) for x in X], Q)
+
+
+# The front and pairing systems have more unknowns than equations, and a
+# seed far from their solution sets can take a path through nearly singular
+# Jacobians, where the ulp-level differences between the stacked SVD step and
+# lstsq grow; these seeds lie within 0.1 of a point of the set.
+NEAR = st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.floats(-2.0, 0.5),
+    rows=st.lists(st.tuples(st.floats(0.4, 1.6), st.booleans(), NEAR), min_size=1, max_size=8),
+    outside=st.booleans(),
+    max_iter=st.sampled_from([1, 2, 50]),
+)
+def test_stacked_front_and_pairing_solves_match_newton_solve_row_by_row(t, rows, outside, max_iter):
+    gl = families.GraphLikeFamily(base=CUSP)
+    fronts_seeds, pair_seeds = [], []
+    for q, flip, d in rows:
+        q = -q if flip else q
+        # the front point at q with F = t and dF/dq = 0, and the Maxwell pair
+        # (q, -q) over x = (-2 q^2, 0)
+        x1 = -(t + 3 * q**4) / q**2
+        fronts_seeds.append(np.array([q, x1, -(4 * q**3 + 2 * x1 * q)]) + d[:3])
+        pair_seeds.append(np.array([q, -q, -2 * q * q, 0.0]) + d)
+    if outside:
+        fronts_seeds.append(np.array([4.5, -1.0, 0.0]))
+        pair_seeds.append(np.array([0.5, 4.5, -0.5, 0.0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "NEWTON_MAX_ITER", max_iter)
+        for system, seeds in ((fronts.front_system(gl, t), fronts_seeds), (fronts.pairing_system(CUSP), pair_seeds)):
+            _assert_rows_agree(system, [system] * len(seeds), seeds)
+
+
+def test_newton_batch_accounts_for_every_seed(monkeypatch):
+    # one seed of each outcome on the cusp at x = (0, x2): a converging seed,
+    # an exactly singular one (q = 0 with x2 != 0), one leaving the box and
+    # one still running after NEWTON_MAX_ITER = 3 evaluations
+    seeds = [[1.1807344], [0.0], [4.5], [-3.9]]
+    X = [[-3.0, 0.5], [0.0, 1.0], [-3.0, 0.5], [-3.0, 0.5]]
+    monkeypatch.setattr(solve, "NEWTON_MAX_ITER", 3)
+    outcome = _assert_rows_agree(critical_system(CUSP, X), [critical_system(CUSP, x) for x in X], seeds)
+    assert [OUTCOMES[o] for o in outcome] == ["converged", "singular", "left_box", "max_iterations"]
+    counts = np.bincount(outcome, minlength=len(OUTCOMES))
+    assert counts[CONVERGED] + counts[SINGULAR] + counts[MAX_ITERATIONS] + counts[LEFT_BOX] == len(seeds)
+
+
+def test_solve_critical_set_reads_the_converged_pass(monkeypatch):
+    # each kept point's residual, det and corank come from the Jacobian it
+    # converged with: no field pass after the solve
+    xs = [np.array([-3.0, 0.5]), np.array([1.0, 0.2]), np.array([-1.0, 0.0])]
+    cps = solve_critical_set(CUSP, xs, CUSP.seeds)
+    calls = [0]
+    derivatives = fields.ScalarField.derivatives
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return derivatives(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.ScalarField, "derivatives", counted)
+    again = solve_critical_set(CUSP, xs, CUSP.seeds)
+    assert calls[0] <= solve.NEWTON_MAX_ITER
+    assert [len([c for c in cps if tuple(c.x) == tuple(x)]) for x in xs] == [3, 1, 3]
+    for a, b in zip(cps, again):
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.x, b.x)
+        _, g, H, _ = CUSP.field.derivatives(CUSP.point(a.q, a.x))
+        assert a.residual == pytest.approx(abs(g[0]), abs=1e-14)
+        assert a.hess_q_det == pytest.approx(H[0, 0], rel=1e-13)
+        assert a.corank == 0

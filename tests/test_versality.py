@@ -42,7 +42,7 @@ def test_jet_space_dimensions():
 
 def test_jet_space_projection_exact():
     space = jets.JetSpace(Q2, 3)
-    poly = jets.expand(p("2*q1^2*q2 - 1/2*q1 + 3", Q2), Q2)
+    poly = jets.expand(p("2*q1^2*q2 - 1/2*q1 + 3", Q2), Q2, 3)
     v = space.project(poly)
     names = [space.monomial_name(b) for b in space.basis]
     assert v[names.index("1")] == 3.0
@@ -51,9 +51,31 @@ def test_jet_space_projection_exact():
 
 
 def test_expand_multiplies_correctly():
-    a = jets.expand(p("q1 + q2", Q2), Q2)
-    sq = jets.poly_mul(a, a)
+    a = jets.expand(p("q1 + q2", Q2), Q2, 1)
+    sq = jets.poly_mul(a, a, 2)
     assert sq[(2, 0)] == 1 and sq[(1, 1)] == 2 and sq[(0, 2)] == 1
+
+
+SMALL = st.integers(0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=SMALL, b=SMALL, c=SMALL, e=SMALL, n=st.integers(0, 6), m=st.integers(0, 3), cut=st.integers(0, 14))
+def test_expand_truncated_equals_untruncated_on_small_powers(a, b, c, e, n, m, cut):
+    # (a q1 - b q2 + c)^n (q1 - e q2^2)^m has degree at most n + 2m, so a
+    # cut there is the whole expansion
+    f = p(f"({a}*q1 - {b}*q2 + {c})^{n} * (q1 - {e}*q2^2)^{m} + q1*q2", Q2)
+    whole = jets.expand(f, Q2, n + 2 * m + 2)
+    assert jets.expand(f, Q2, cut) == {k: v for k, v in whole.items() if sum(k) <= cut}
+
+
+def test_expand_of_a_high_power_keeps_only_its_low_degrees():
+    # (q1 + q2 + 1)^300 to degree 3: the binomial coefficients C(300, j) of
+    # the multinomial expansion, from 300 products of at most 10 monomials
+    poly = jets.expand(p("(q1 + q2 + 1)^300", Q2), Q2, 3)
+    assert len(poly) == 10
+    for (i, j), coef in poly.items():
+        assert coef == math.comb(300, i + j) * math.comb(i + j, i)
 
 
 def test_a3_standard_unfolding_passes():
