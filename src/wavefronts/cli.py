@@ -17,7 +17,7 @@ import numpy as np
 from . import families, fronts, gallery, geometry, jets, pde
 from . import expr as ex
 from .emitters import emit_csv, emit_svg
-from .errors import WavefrontError
+from .errors import FamilySizeError, WavefrontError
 
 DEFAULT_SEED_DENSITY = 8
 MAX_SEED_DENSITY = 256
@@ -482,7 +482,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         _check_writable(getattr(args, "csv", None))
         _check_writable(getattr(args, "svg", None))
         return args.fn(args)
-    except ValidationError as e:
+    except (ValidationError, FamilySizeError) as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return 2
     except WavefrontError as e:

@@ -79,5 +79,10 @@ class FamilyFileError(WavefrontError):
     pass
 
 
+class FamilySizeError(FamilyFileError):
+    """A family file's k or n is outside its bound: a bad input, on which
+    the CLI exits 2 as on an argument outside its range."""
+
+
 class IoError(WavefrontError):
     pass

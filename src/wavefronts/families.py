@@ -12,7 +12,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartFailure, FamilyFileError, NotOnSigmaStar
+from .errors import ChartFailure, FamilyFileError, FamilySizeError, NotOnSigmaStar
 from .fields import ScalarField, field_from_expr
 from .linalg import RANK_EPS, null_space, numerical_rank
 from .solve import CONVERGED, System, dedup, newton_batch
@@ -24,6 +24,9 @@ DEDUP_RADIUS = 1e-6
 ON_SIGMA_STAR_TOL = 1e-6
 # the range of every variable of a family file without a ``domain``
 FILE_DOMAIN = (-3.0, 3.0)
+# the most variables k + n of a family file, checked before its box or
+# expression is built (its Hessian has (k + n)^2 entries)
+MAX_FILE_VARIABLES = 16
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,10 @@ def family_from_file(path) -> GeneratingFamily:
     k, n = data["k"], data["n"]
     if not all(type(v) is int for v in (k, n)):
         raise FamilyFileError(f"k and n must be integers, got k = {k!r}, n = {n!r}")
+    if min(k, n) < 1 or k + n > MAX_FILE_VARIABLES:
+        raise FamilySizeError(
+            f"k and n must be at least 1 and k + n at most {MAX_FILE_VARIABLES}, got k = {k}, n = {n}"
+        )
     box = tuple((float(lo), float(hi)) for lo, hi in data.get("domain", [FILE_DOMAIN] * (k + n)))
     if len(box) != k + n:
         raise FamilyFileError("domain must list one [lo, hi] per variable (q first, then x)")

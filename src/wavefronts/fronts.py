@@ -9,7 +9,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .errors import DeltaNonEmptyForGraphLike, RankDeficientSeed, SeedNotOnCurve
+from .errors import DeltaNonEmptyForGraphLike, DomainError, RankDeficientSeed, SeedNotOnCurve
 from .families import GeneratingFamily, GraphLikeFamily, solve_critical_set
 from .linalg import adjugate, numerical_rank
 from .solve import Curve, System, continue_curve, dedup, project_to_set
@@ -219,10 +219,11 @@ def maxwell_set(
 
     Every two critical points at one grid x at least ``PAIR_MIN_SEPARATION``
     apart seed ``pairing_system`` in w = (q, q', x), which is traced as the
-    caustic is (``_trace_seeds``).  A point is kept, before and after the
-    trace, when its sheets are that far apart and q comes before q'
-    lexicographically: a projected seed is swapped to (q', q, x) when that
-    puts q first, and past a merge a chain retraces its own mirror image.
+    caustic is (``_trace_seeds``) on its ordered half: the points whose
+    sheets are that far apart and where q comes before q' lexicographically.
+    A projected seed is swapped to (q', q, x) when that puts q first, and a
+    chain ends at the edge of the ordered half (a merge q = q') as it ends at
+    the edge of the box.
     """
     k, n = fam.k, fam.n
     seeds = [
@@ -233,17 +234,24 @@ def maxwell_set(
     ]
 
     def kept(w):
-        q, q2 = w[:k], w[k : 2 * k]
-        return np.linalg.norm(q - q2) >= PAIR_MIN_SEPARATION and tuple(q) < tuple(q2)
+        v = w.tolist()
+        q, q2 = v[:k], v[k : 2 * k]
+        return math.dist(q, q2) >= PAIR_MIN_SEPARATION and q < q2
 
     pairing, swap = pairing_system(fam), np.r_[k : 2 * k, :k, 2 * k : 2 * k + n]
+
+    def ordered_half(w):
+        if not kept(w):
+            raise DomainError(f"pair {w.tolist()} is outside the ordered half")
+        return pairing.evaluate(w)
+
     pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v)]
     box = fam.field.box
     box = None if box is None else tuple(box[:k]) * 2 + tuple(box[k:])
-    curves = _trace_seeds(pairing, pairs, TRACE_STEP, TRACE_MAX_POINTS, box, n)
+    curves = _trace_seeds(System(ordered_half), pairs, TRACE_STEP, TRACE_MAX_POINTS, box, n)
     return [
         MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.value(w[:k], w[2 * k :]))
-        for c in curves for w in c.points if kept(w)
+        for c in curves for w in c.points
     ]
 
 

@@ -288,69 +288,80 @@ def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.nda
 def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]:
     """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
 
-    The field's ``jet_fn`` evaluates X, X' and X'' once for the value, the
-    gradient and the Hessian.  Plane curves with a ``d3`` also get the third
-    partials d_z D_uu; surfaces do not, so their caustic Jacobian uses central
-    differences of the Hessian (``ScalarField.third``).
+    A plane curve's ``jet_fn`` is written out on floats (``_plane_curve_jet``)
+    and, when the curve has a ``d3``, carries the third partials d_z D_uu.  A
+    surface's evaluates X, X' and X'' once for the value, the gradient and
+    the Hessian; it has no third partials, so its caustic Jacobian uses
+    central differences of the Hessian (``ScalarField.third``).
     """
     if isinstance(surface, PlaneCurve):
         k, n = 1, 2
-
-        def X(u):
-            return surface.point(float(u[0]))
-
-        def DX(u):
-            return surface.d1(float(u[0]))[None, :]
-
-        def D2X(u):
-            return surface.d2(float(u[0]))[None, None, :]
-
+        fn, jet_fn = _plane_curve_jet(surface)
+        origin = surface.point(0.0)
     else:
         k, n = 2, 3
+        m = k + n
 
-        def X(u):
-            return surface.point(u)
+        def fn(p):
+            d = surface.point(p[:k]) - p[k:]
+            return float(d @ d)
 
-        def DX(u):
-            return surface.du(u)
+        def jet_fn(p, with_third):
+            u, v = p[:k], p[k:]
+            d, J, S = surface.point(u) - v, surface.du(u), surface.d2(u)
+            out = np.zeros(1 + m + m * m)
+            out[0] = d @ d
+            out[1 : k + 1] = 2 * J @ d
+            out[k + 1 : m + 1] = -2 * d
+            H = out[m + 1 :].reshape(m, m)
+            for i in range(k):
+                for j in range(k):
+                    H[i, j] = 2 * (S[i, j] @ d + J[i] @ J[j])
+            H[:k, k:] = -2 * J
+            H[k:, :k] = H[:k, k:].T
+            H[k:, k:] = 2 * np.eye(n)
+            return out
 
-        def D2X(u):
-            return surface.d2(u)
-
-    m = k + n
-    s = 1 + m + m * m
-    has_third = isinstance(surface, PlaneCurve) and surface.d3 is not None
-
-    def fn(p):
-        d = X(p[:k]) - p[k:]
-        return float(d @ d)
-
-    def jet_fn(p, with_third):
-        u, v = p[:k], p[k:]
-        d, J, S = X(u) - v, DX(u), D2X(u)
-        with_third = with_third and has_third
-        out = np.zeros(s + m if with_third else s)
-        out[0] = d @ d
-        out[1 : k + 1] = 2 * J @ d
-        out[k + 1 : m + 1] = -2 * d
-        H = out[m + 1 : s].reshape(m, m)
-        for i in range(k):
-            for j in range(k):
-                H[i, j] = 2 * (S[i, j] @ d + J[i] @ J[j])
-        H[:k, k:] = -2 * J
-        H[k:, :k] = H[:k, k:].T
-        H[k:, k:] = 2 * np.eye(n)
-        if with_third:
-            # d_z D_uu, with D_uu = 2 (X'' . (X - v) + X' . X')
-            out[s] = 2 * (surface.d3(float(u[0])) @ d + 3 * (J[0] @ S[0, 0]))
-            out[s + 1 :] = -2 * S[0, 0]
-        return out
-
-    extent = max(np.abs(X(np.zeros(k))).max(), 1.0) * 4 + 4
+        origin = surface.point(np.zeros(k))
+    extent = max(np.abs(origin).max(), 1.0) * 4 + 4
     box = ((-U_SPAN, U_SPAN),) * k + ((-extent, extent),) * n
-    field = ScalarField(arity=m, fn=fn, box=box, jet_fn=jet_fn)
+    field = ScalarField(arity=k + n, fn=fn, box=box, jet_fn=jet_fn)
     fam = GeneratingFamily(k=k, n=n, field=field, name=f"dist2-{type(surface).__name__.lower()}")
     return fam, GraphLikeFamily(base=fam)
+
+
+def _plane_curve_jet(curve: PlaneCurve):
+    """``(fn, jet_fn)`` of D(u, v) = |X(u) - v|^2 for a plane curve, on
+    Python floats from one X, X', X'' (and X''') per call: the jet is the
+    value, the gradient, the Hessian and, with ``with_third`` and a ``d3``,
+    the third partials (d_u, d_v1, d_v2) of D_uu = 2 (X'' . (X - v) + X' . X')."""
+    point, d1, d2, d3 = curve.point, curve.d1, curve.d2, curve.d3
+
+    def offset(p):
+        u, v1, v2 = p.tolist()
+        x, y = point(u).tolist()
+        return u, x - v1, y - v2
+
+    def fn(p):
+        _, dx, dy = offset(p)
+        return dx * dx + dy * dy
+
+    def jet_fn(p, with_third):
+        u, dx, dy = offset(p)
+        (ax, ay), (bx, by) = d1(u).tolist(), d2(u).tolist()
+        jet = [
+            dx * dx + dy * dy,
+            2.0 * (ax * dx + ay * dy), -2.0 * dx, -2.0 * dy,
+            2.0 * (bx * dx + by * dy + ax * ax + ay * ay), -2.0 * ax, -2.0 * ay,
+            -2.0 * ax, 2.0, 0.0,
+            -2.0 * ay, 0.0, 2.0,
+        ]
+        if with_third and d3 is not None:
+            cx, cy = d3(u).tolist()
+            jet += [2.0 * (cx * dx + cy * dy + 3.0 * (ax * bx + ay * by)), -2.0 * bx, -2.0 * by]
+        return np.array(jet)
+
+    return fn, jet_fn
 
 
 def tangent_sphere_check(

@@ -17,9 +17,11 @@ def singular_values(M) -> np.ndarray:
 def _rank(s: np.ndarray, eps: float) -> int:
     """Count of the descending singular values ``s`` above ``eps`` times the
     largest one."""
-    if s.size == 0 or s[0] == 0.0:
+    v = s.tolist()  # float comparisons: much cheaper than a ufunc pass on a few values
+    if not v or v[0] == 0.0:
         return 0
-    return int(np.sum(s > eps * s[0]))
+    top = eps * v[0]
+    return sum(x > top for x in v)
 
 
 def numerical_rank(M, eps: float = RANK_EPS) -> int:

@@ -1,4 +1,11 @@
-"""Newton solving and pseudo-arclength continuation."""
+"""Newton solving and pseudo-arclength continuation.
+
+Every Newton iterate takes the least-norm step of one thin SVD of its
+Jacobian, so an (m-1) x m continuation system is corrected with the
+Moore-Penrose inverse (Allgower & Georg, *Numerical Continuation Methods*,
+1990, ch. 3): the corrector solves the curve's own equations from the
+predicted point, with no bordering row.
+"""
 
 from __future__ import annotations
 
@@ -123,8 +130,9 @@ def newton_solve(system: Callable, seed):
     """Solve ``system(p) = 0`` to ``NEWTON_TOL`` in the infinity norm from
     ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
 
-    Under-determined steps use the least-norm update.  Each iterate is one
-    ``evaluate`` of ``as_system(system)``.  Returns ``(p, J)`` with ``J`` the
+    Each iterate is one ``evaluate`` of ``as_system(system)`` and one thin
+    SVD of its Jacobian, which gives the ``SINGULAR_RATIO`` test and the
+    least-norm (Moore-Penrose) step.  Returns ``(p, J)`` with ``J`` the
     Jacobian of that converged ``evaluate``.  Raises SingularJacobian or
     MaxIterations, and passes on the DomainError of a field whose box an
     iterate leaves.
@@ -138,11 +146,11 @@ def newton_solve(system: Callable, seed):
         # the infinity norm below NEWTON_TOL (never for a NaN), without array calls
         if all(abs(v) < NEWTON_TOL for v in r.tolist()):
             return p, J
-        # lstsq returns the singular values of J with the least-norm step
-        step, _, _, s = np.linalg.lstsq(J, -r, rcond=None)
-        if s.size == 0 or s[0] == 0.0 or s[r.size - 1] < SINGULAR_RATIO * s[0]:
+        # one thin SVD gives the singularity test and the least-norm step
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        if s.size == 0 or s[0] == 0.0 or s[-1] < SINGULAR_RATIO * s[0]:
             raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
-        p = p + step
+        p = p - Vt.T @ ((U.T @ r) / s)
     raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
 
 
@@ -191,7 +199,7 @@ def newton_batch(system: Callable, seeds: Sequence):
         ok = ~singular
         running, U, s, Vt, res = running[ok], U[ok], s[ok], Vt[ok], res[ok]
         # the least-norm step -V diag(1/s) U^T r; a step that overflows
-        # leaves the box at the next evaluate, as lstsq's does
+        # leaves the box at the next evaluate, as newton_solve's does
         with np.errstate(over="ignore", invalid="ignore"):
             P[running] -= np.einsum("nji,nj->ni", Vt, np.einsum("nij,ni->nj", U, res) / s)
         if running.size == 0:
@@ -205,22 +213,6 @@ def project_to_set(system: Callable, seeds: Sequence) -> List[np.ndarray]:
     of all the seeds, which drops each seed whose row does not converge."""
     P, _, _, outcome = newton_batch(system, seeds)
     return list(P[outcome == CONVERGED])
-
-
-def _bordered(system: System, tau: np.ndarray, pred: np.ndarray) -> System:
-    """Keller's pseudo-arclength corrector system ``[system(w); tau . (w - pred)]``
-    with the Jacobian ``[J; tau]``.  Both are written into two buffers
-    allocated once, so the returned ``J[:-1]`` is the Jacobian of ``system``."""
-    m = tau.size
-    res, J = np.empty(m), np.empty((m, m))
-    J[-1] = tau
-
-    def evaluate(w):
-        res[:-1], J[:-1] = system.evaluate(w)
-        res[-1] = tau @ (w - pred)
-        return res, J
-
-    return System(evaluate)
 
 
 @dataclass
@@ -254,10 +246,12 @@ def continue_curve(
     exit, on a corrector failure, on a converged Jacobian whose null space is
     not one-dimensional (keeping the points traced so far), on closure
     (return within step/2 of the seed after at least 10 points) or at
-    ``max_points``.
-    The corrector is ``newton_solve`` on ``_bordered`` (Keller's
-    pseudo-arclength corrector) with the Jacobian of ``as_system(system)``,
-    and the next tangent is the null vector of the Jacobian it converged
+    ``max_points``.  A system that raises DomainError outside a region
+    ends the march at its edge as the box does.
+    The corrector is ``newton_solve`` on ``system`` itself from the
+    predicted point (the Moore-Penrose corrector of Allgower & Georg): its
+    least-norm steps land near the orthogonal foot of the predictor on the
+    curve.  The next tangent is the null vector of the Jacobian it converged
     with.  The seed must lie within ``SEED_TOL`` of the curve; it is polished
     there first, and its tangent comes from the polish's Jacobian.
     """
@@ -286,7 +280,7 @@ def continue_curve(
             for _ in range(5):
                 pred = z + h * tau
                 try:
-                    znew, J = newton_solve(_bordered(system, tau, pred), pred)
+                    znew, J = newton_solve(system, pred)
                     break
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5
@@ -301,7 +295,7 @@ def continue_curve(
             # the tangent from the corrector's converged Jacobian; a rank
             # drop (a singular point of the curve) ends the march here
             try:
-                tau = _tangent(J[:-1], tau)
+                tau = _tangent(J, tau)
             except RankDeficientSeed:
                 return pts, False
             z = znew

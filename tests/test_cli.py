@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import emitters, gallery
+from wavefronts import emitters, families, gallery
 from wavefronts.cli import (
     MAX_HISTORY,
     MAX_JET_DIM,
@@ -24,7 +24,7 @@ from wavefronts.cli import (
     run,
     x_grid_and_q_seeds,
 )
-from wavefronts.errors import IoError
+from wavefronts.errors import FamilyFileError, IoError
 
 
 def test_parse_range_inclusive():
@@ -302,6 +302,23 @@ def test_family_file_with_non_integer_k_or_n_is_named(tmp_path, capsys, counts):
     assert run(["caustic", "--family", str(fam)]) == 1
     captured = capsys.readouterr()
     assert "FamilyFileError" in captured.err and "k and n must be integers" in captured.err
+
+
+@pytest.mark.parametrize(
+    "counts", ["k = 100000\nn = 2", "k = 1\nn = 100000", "k = 8\nn = 9", "k = 0\nn = 2", "k = 1\nn = -3"]
+)
+def test_family_file_outside_the_variable_bound_exits_2(tmp_path, capsys, counts):
+    # refused before a (k + n)-variable box or expression is built
+    path = tmp_path / "huge.fam"
+    path.write_text(counts + "\nexpr = q1^4 + x1*q1^2 + x2*q1\n")
+    with pytest.raises(FamilyFileError, match="k \\+ n at most"):
+        families.family_from_file(path)
+    start = time.perf_counter()
+    for command in ("caustic", "verify"):
+        assert run([command, "--family", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid arguments:" in captured.err and "Traceback" not in captured.out + captured.err
+    assert time.perf_counter() - start < 0.5
 
 
 def test_q_seeds_cover_asymmetric_domain(tmp_path, capsys):

@@ -139,6 +139,44 @@ def test_maxwell_traces_shifted_cusp_strata(cusp, shift, c):
         assert p.q[0] < p.q2[0]  # no mirrored copy (q', q, x) is kept
 
 
+def _count_traced(monkeypatch):
+    """A list that gets the point count of every chain ``fronts`` traces."""
+    traced, trace = [], fronts.continue_curve
+
+    def counted(*args, **kwargs):
+        curve = trace(*args, **kwargs)
+        traced.append(len(curve.points))
+        return curve
+
+    monkeypatch.setattr(fronts, "continue_curve", counted)
+    return traced
+
+
+def test_maxwell_cli_defaults_trace_no_mirror_image(monkeypatch, capsys):
+    traced = _count_traced(monkeypatch)
+    assert run(["maxwell", "--family", "cusp"]) == 0
+    assert "maxwell set: 337 points" in capsys.readouterr().out
+    assert sum(traced) == 337
+
+
+def test_maxwell_chain_ends_at_a_merge_it_steps_over(cusp, monkeypatch):
+    # from x = (-2.5, 0) the pairing chain through w = (q, q', x) crosses the
+    # merge q = q' at x = 0 with no point within 1e-3 of it, so no rank drop
+    # stops it there
+    s = np.sqrt(1.25)
+    box = cusp.field.box[:1] * 2 + cusp.field.box[1:]
+    plain = solve.continue_curve(
+        fronts.pairing_system(cusp), [-s, s, -2.5, 0.0], fronts.TRACE_STEP, fronts.TRACE_MAX_POINTS, box
+    )
+    split = plain.points[:, 1] - plain.points[:, 0]
+    assert np.abs(split).min() > 1e-3 and (split < 0).any()
+    traced = _count_traced(monkeypatch)
+    pts = fronts.maxwell_set(cusp, [np.array([-2.5, 0.0])], [[-1.5], [0.0], [1.5]])
+    assert sum(traced) == len(pts) > 300
+    assert all(p.q[0] < p.q2[0] for p in pts)
+    assert max(p.x[0] for p in pts) > -fronts.TRACE_STEP**2  # x1 = -(q' - q)^2 / 2 at the merge end
+
+
 def test_maxwell_double_well_off_n_2():
     # n = 1: the pairing equations have isolated solutions, here x1 = 0, q = -1, q' = 1
     fam = families.family_from_text("q1^4 - 2*q1^2 + x1*q1", 1, 1, box=((-3, 3), (-3, 3)))
@@ -184,14 +222,7 @@ def test_front_branches_cross_on_maxwell_point(cusp, cusp_gl, seeds, monkeypatch
 def test_tracers_read_the_trace_cap_when_they_run(cusp_gl, seeds, monkeypatch, tracer):
     # the points of every chain continue_curve returns, at the default cap and
     # at a cap of 20 set after import
-    traced, trace = [], fronts.continue_curve
-
-    def counted(*args, **kwargs):
-        curve = trace(*args, **kwargs)
-        traced.append(len(curve.points))
-        return curve
-
-    monkeypatch.setattr(fronts, "continue_curve", counted)
+    traced = _count_traced(monkeypatch)
     xg = [np.array([x1, 0.0]) for x1 in np.linspace(-3.5, -1.5, 4)]
     run_tracer = {
         "momentary_front": lambda: fronts.momentary_front(cusp_gl, 0.5, seeds),

@@ -22,6 +22,20 @@ def _dist2(curve):
     return geometry.distance_squared_family(curve)[0]
 
 
+class Cubic(geometry.PlaneCurve):
+    """The graph y = u^3 / 3, a plane curve without ``d3``: its closed-form
+    jet stops at the Hessian, so its caustic differences the Hessian."""
+
+    def point(self, u):
+        return np.array([u, u**3 / 3]).T
+
+    def d1(self, u):
+        return np.array([np.ones_like(u, dtype=float), u * u]).T
+
+    def d2(self, u):
+        return np.array([np.zeros_like(u, dtype=float), 2 * u]).T
+
+
 FAMILIES = {
     "cusp": families.catalog()["cusp"],
     "fold": families.catalog()["fold"],
@@ -29,12 +43,15 @@ FAMILIES = {
     "circle": _dist2(geometry.Circle(radius=1.5)),
     "ellipse": _dist2(geometry.Ellipse(a=2.0, b=1.0)),
     "parabola": _dist2(geometry.Parabola(c=1.0)),
+    "cubic": _dist2(Cubic()),
     # a surface: its jet has no third partials, so the caustic differences the Hessian
     "sphere": _dist2(geometry.Sphere(radius=1.0)),
 }
 
 # sampling ranges for (q, x), inside every box with room for the FD probes
-Q_RANGE = {"cusp": 2.0, "fold": 2.0, "k2": 2.5, "circle": 3.5, "ellipse": 3.5, "parabola": 2.0, "sphere": 3.0}
+Q_RANGE = {
+    "cusp": 2.0, "fold": 2.0, "k2": 2.5, "circle": 3.5, "ellipse": 3.5, "parabola": 2.0, "cubic": 2.0, "sphere": 3.0
+}
 X_RANGE = 5.0
 
 # points where det H_qq = 0 exactly (checked below)

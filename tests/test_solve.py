@@ -312,7 +312,7 @@ def test_caustic_scene_field_calls_per_point(monkeypatch, capsys):
 
 def test_front_scene_field_calls_per_point(monkeypatch, capsys):
     calls, traced = _field_passes(["front", "--family", "cusp", "--t", "0.5"], monkeypatch)
-    assert traced == 930
+    assert traced == 933
     assert calls / traced < FIELD_CALLS_PER_POINT
 
 
