@@ -25,7 +25,7 @@ DEFAULT_TOL = 1e-8
 # largest range (parse_range), seed grid (_box_grid) or strip count built
 # from user input
 MAX_SAMPLES = 10**6
-# largest jet space (versal) and (steps + 1) x strips history (burgers)
+# largest jet space (versal) and (steps + 1) x strips cells integrated (burgers)
 MAX_JET_DIM = 10**4
 MAX_HISTORY = 10**7
 # most phase-space seeds handed to the front and caustic tracers
@@ -310,15 +310,24 @@ def cmd_burgers(args) -> int:
     count_at = parse_count(args.count) if args.count else None
     eq = pde.burgers(speed=_finite("--speed", args.speed))
     t_values = parse_range(args.t)
+    if t_values[0] != 0:
+        raise ValidationError(f"--t {args.t!r} must start at 0, the time of the datum")
+    t_show = float(t_values[-1])
+    keep = [t_show]
+    if count_at:
+        x_hat, t_at = count_at
+        if not 0 <= t_at <= t_show:
+            raise ValidationError(f"--count t = {t_at} is outside the --t window [0, {t_show}]")
+        keep.append(t_at)
     dt = float(t_values[1] - t_values[0]) if len(t_values) > 1 else 1e-3
-    t_range = (t_values[0], t_values[-1])
+    t_range = (0.0, t_show)
     rows = pde.step_count(t_range, dt) + 1
     if rows * args.strips > MAX_HISTORY:
         raise ValidationError(
-            f"{rows} time samples x {args.strips} strips is more than {MAX_HISTORY} history cells"
+            f"{rows} time samples x {args.strips} strips is more than {MAX_HISTORY} cells"
         )
     x0 = np.linspace(0.0, 2 * np.pi, args.strips)
-    sheet = pde.integrate_characteristics(eq, x0, t_range, dt=dt)
+    sheet = pde.integrate_characteristics(eq, x0, t_range, dt, keep)
     if args.report_breaking:
         t_star = pde.breaking_time(sheet)
         if t_star is None:
@@ -326,10 +335,8 @@ def cmd_burgers(args) -> int:
         else:
             print(f"t* = {t_star:.4f}")
     if count_at:
-        x_hat, t_at = count_at
         print(f"count({x_hat}, {t_at}) = {pde.multivalued_count(sheet, x_hat, t_at)}")
     if getattr(args, "csv", None) or getattr(args, "svg", None):
-        t_show = float(t_values[-1])
         vals = pde.sheet_values(sheet, t_show)
         _emit(args, (t_show, vals, x0[:, None], "front"), 2, 1, [(vals, "front")])
     return 0
@@ -446,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("burgers", parents=[common], help="characteristics of the model equation")
-    p.add_argument("--t", required=True, help="lo:hi:step (step = dt)")
+    p.add_argument("--t", required=True, help="0:hi:step (the datum is at t = 0; step = dt)")
     p.add_argument("--speed", type=float, default=2.0)
     p.add_argument("--strips", type=int, default=400)
     p.add_argument("--report-breaking", action="store_true")

@@ -67,6 +67,10 @@ class BlowUp(WavefrontError):
     pass
 
 
+class SliceNotKept(WavefrontError):
+    """A characteristic sheet was asked for a time whose slice it did not keep."""
+
+
 class UnknownGerm(WavefrontError):
     pass
 

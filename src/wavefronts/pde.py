@@ -3,18 +3,19 @@
 The equation is  y_t + sum_i a_i(x, y, t) y_{x_i} - b(x, y, t) = 0  with
 initial datum y(0, x) = phi(x).  Characteristics obey  x' = a, y' = b; the
 variational system for d(x)/d(x0) is integrated alongside with the same RK4
-steps so fold detection does not depend on grid spacing.
+steps so fold detection does not depend on grid spacing.  The sheet is
+streamed: the integrator keeps the state, each strip's first fold and the
+slices a caller asks for, never the whole (steps, strips) history.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BlowUp
+from .errors import BlowUp, DomainError, NonFiniteValue, SliceNotKept
 from .fields import ScalarField
 from .fronts import MEMBERSHIP_TOL
 
@@ -34,12 +35,16 @@ class QuasiLinearPDE:
 
 @dataclass
 class GeometricSolutionSheet:
+    """The slices of the characteristic sheet at the kept times, and the
+    first fold time of every strip (NaN where det d(x)/d(x0) keeps its sign)."""
+
     pde: QuasiLinearPDE
     dt: float
-    ts: np.ndarray  # (T,)
-    xs: np.ndarray  # (T, S, n)
-    ys: np.ndarray  # (T, S)
-    dets: np.ndarray  # (T, S)
+    ts: np.ndarray  # (K,) the kept times, as the caller asked for them
+    xs: np.ndarray  # (K, S, n)
+    ys: np.ndarray  # (K, S)
+    dets: np.ndarray  # (K, S)
+    folds: np.ndarray  # (S,)
 
 
 def _batch_value(field: ScalarField, P: np.ndarray) -> np.ndarray:
@@ -107,43 +112,87 @@ def step_count(t_range, dt: float) -> int:
     return max(1, int(round((float(t_range[1]) - float(t_range[0])) / dt)))
 
 
+def _datum(phi: ScalarField, X0: np.ndarray):
+    """phi's values (S,) and gradient columns (n, S) at the strip starts X0
+    (S, n), evaluated on the whole block, with one box check and one
+    finiteness check; the errors are those of ``phi.value`` and ``phi.grad``
+    at the first failing start."""
+    if phi.box is not None:
+        lo, hi = np.array(phi.box, dtype=float).T
+        outside = ((X0 < lo) | (X0 > hi)).any(axis=1)
+        if outside.any():
+            raise DomainError(f"strip start {X0[np.argmax(outside)].tolist()} exits the datum's domain box")
+    y = _batch_value(phi, X0.T)
+    g = _batch_grad(phi, X0.T)
+    bad = ~(np.isfinite(y) & np.isfinite(g).all(axis=0))
+    if bad.any():
+        raise NonFiniteValue(f"non-finite field value at {X0[np.argmax(bad)]!r}")
+    return y, g
+
+
 def integrate_characteristics(
     pde: QuasiLinearPDE,
     x0_grid: Sequence,
     t_range,
-    dt: float = 1e-3,
+    dt: float,
+    keep: Sequence[float],
 ) -> GeometricSolutionSheet:
-    """Fixed-step RK4 over t in [t_range[0], t_range[1]], all strips at once.
+    """Fixed-step RK4 from the datum at t = 0 to ``t_range[1]``, all strips
+    at once; ``t_range[0]`` must be 0.
 
     The state of all strips is one packed array (see ``_rhs``); the stages
-    and the histories are preallocated and written in place.
+    are preallocated and written in place.  For each time in ``keep`` (each
+    in ``[0, t_range[1]]``, or up to the last step's time where that is
+    later) the sheet holds the (x, y, det) slice at the nearest step, the one
+    minimising ``|ts - t|`` over the accumulated step times ``ts``.  Nothing
+    else of the history is stored.  Each strip's fold time is the root
+    ``ta + (tb - ta) * da / (da - db)`` of the linear interpolant over its
+    first step ``[ta, tb]`` on which det goes from ``da`` to ``db`` of the
+    strictly opposite sign.
     """
-    t0 = float(t_range[0])
+    if float(t_range[0]) != 0.0:
+        raise ValueError(f"the datum is at t = 0, but t_range starts at {t_range[0]}")
     steps = step_count(t_range, dt)
+    # np.cumsum adds in order, so these are the values of the running t below
+    ts = np.concatenate(([0.0], np.cumsum(np.full(steps, dt))))
+    keep = np.asarray(keep, dtype=float).reshape(-1)
+    t_last = max(float(t_range[1]), ts[-1])
+    if not ((keep >= 0) & (keep <= t_last)).all():
+        raise ValueError(f"kept times must lie in [0, {t_last}]")
+    rows = {}  # step -> the kept rows it fills
+    for r, t_keep in enumerate(keep):
+        rows.setdefault(int(np.argmin(np.abs(ts - t_keep))), []).append(r)
+
     n = pde.n
-    X0 = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x0_grid])
+    X0 = np.asarray(x0_grid, dtype=float).reshape(-1, n)
     S = len(X0)
     Z = np.empty((2 * n + 1 + n * n, S))
     Z[:n] = X0.T
-    Z[n] = [pde.phi.value(p) for p in X0]
+    Z[n], Z[n + 1 + n * n :] = _datum(pde.phi, X0)
     M = Z[n + 1 : n + 1 + n * n].reshape(n, n, S)
     M[...] = np.eye(n)[:, :, None]
-    Z[n + 1 + n * n :] = np.array([pde.phi.grad(p) for p in X0]).T
     K1, K2, K3, K4, Zs = (np.empty_like(Z) for _ in range(5))
     P = np.empty((n + 2, S))
 
-    ts = np.empty(steps + 1)
-    XS = np.empty((steps + 1, S, n))
-    YS = np.empty((steps + 1, S))
-    DETS = np.empty((steps + 1, S))
+    XS = np.empty((keep.size, S, n))
+    YS = np.empty((keep.size, S))
+    DETS = np.empty((keep.size, S))
+    folds = np.full(S, np.nan)
+    unfolded = np.ones(S, dtype=bool)
 
-    def record(i):
-        XS[i] = Z[:n].T
-        YS[i] = Z[n]
-        DETS[i] = M[0, 0] if n == 1 else np.linalg.det(M.transpose(2, 0, 1))
+    def det():
+        return M[0, 0].copy() if n == 1 else np.linalg.det(M.transpose(2, 0, 1))
 
-    t = ts[0] = t0
-    record(0)
+    def record(step, d):
+        for r in rows.get(step, ()):
+            XS[r] = Z[:n].T
+            YS[r] = Z[n]
+            DETS[r] = d
+
+    t = 0.0
+    d = det()
+    sign = np.sign(d)
+    record(0, d)
     for step in range(1, steps + 1):
         _rhs(pde, Z, t, P, K1)
         np.multiply(K1, dt / 2, out=Zs)
@@ -167,28 +216,37 @@ def integrate_characteristics(
         if np.max(np.abs(Z[:n])) > BLOWUP or np.max(np.abs(Z[n])) > BLOWUP:
             worst = int(np.argmax(np.max(np.abs(Z[:n]), axis=0)))
             raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={t}")
-        ts[step] = t
-        record(step)
-    return GeometricSolutionSheet(pde=pde, dt=dt, ts=ts, xs=XS, ys=YS, dets=DETS)
+        d_next = det()
+        sign_next = np.sign(d_next)
+        # a first strict sign change: +1 against -1 (a zero or a NaN is neither)
+        first = (sign * sign_next < 0) & unfolded
+        if first.any():
+            i = np.flatnonzero(first)
+            ta, tb = ts[step - 1], ts[step]
+            da, db = d[i], d_next[i]
+            folds[i] = ta + (tb - ta) * da / (da - db)
+            unfolded[i] = False
+        record(step, d_next)
+        d, sign = d_next, sign_next
+    return GeometricSolutionSheet(pde=pde, dt=dt, ts=keep, xs=XS, ys=YS, dets=DETS, folds=folds)
 
 
 def breaking_time(sheet: GeometricSolutionSheet) -> Optional[float]:
     """Earliest t at which some strip's variational determinant crosses zero."""
-    d = sheet.dets
-    pos, neg = d > 0, d < 0
-    change = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])  # (T - 1, S)
-    cols = np.flatnonzero(change.any(axis=0))
-    if cols.size == 0:
-        return None
-    i = np.argmax(change[:, cols], axis=0)  # first sign change of each strip
-    # root of the linear interpolant inside the bracketing step
-    ta, tb = sheet.ts[i], sheet.ts[i + 1]
-    da, db = d[i, cols], d[i + 1, cols]
-    return float(np.min(ta + (tb - ta) * da / (da - db)))
+    folded = sheet.folds[~np.isnan(sheet.folds)]
+    return float(np.min(folded)) if folded.size else None
+
+
+def _kept(sheet: GeometricSolutionSheet, t: float) -> int:
+    """Index of the slice kept for time ``t``; SliceNotKept if none was."""
+    hit = np.flatnonzero(sheet.ts == t)
+    if hit.size == 0:
+        raise SliceNotKept(f"no slice kept at t = {t}: the sheet keeps {sheet.ts.size} other times")
+    return int(hit[0])
 
 
 def multivalued_count(sheet: GeometricSolutionSheet, x_hat: float, t: float) -> int:
-    """Number of characteristics through position x_hat at time t (n = 1).
+    """Number of characteristics through position x_hat at the kept time t (n = 1).
 
     Counted by bracketing sign changes of x(x0, t) - x_hat over the strip
     grid: each exact zero, and each change of sign between neighbouring
@@ -197,15 +255,14 @@ def multivalued_count(sheet: GeometricSolutionSheet, x_hat: float, t: float) -> 
     """
     if sheet.pde.n != 1:
         raise ValueError("multivalued counting is defined for n = 1")
-    i = int(np.argmin(np.abs(sheet.ts - t)))
-    s = np.sign(sheet.xs[i, :, 0] - x_hat)
+    s = np.sign(sheet.xs[_kept(sheet, t), :, 0] - x_hat)
     changes = (s[1:] != s[:-1]) & (s[1:] != 0) & (s[:-1] != 0)
     return int(np.count_nonzero(s == 0) + np.count_nonzero(changes))
 
 
 def sheet_values(sheet: GeometricSolutionSheet, t: float) -> np.ndarray:
-    """(x, y) samples of the geometric solution at time t (n = 1)."""
-    i = int(np.argmin(np.abs(sheet.ts - t)))
+    """(x, y) samples of the geometric solution at the kept time t (n = 1)."""
+    i = _kept(sheet, t)
     return np.stack([sheet.xs[i, :, 0], sheet.ys[i]], axis=1)
 
 
@@ -230,11 +287,7 @@ def tangency_check(pde: QuasiLinearPDE, level: ScalarField, samples: Sequence) -
 def _sine_datum_pde(a: ScalarField) -> QuasiLinearPDE:
     """y_t + a y_x = 0 with y(0, x) = sin x."""
     b = ScalarField(arity=3, fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(3))
-    phi = ScalarField(
-        arity=1,
-        fn=lambda p: math.sin(p[0]),
-        grad_fn=lambda p: np.array([math.cos(p[0])]),
-    )
+    phi = ScalarField(arity=1, fn=lambda p: np.sin(p[0]), grad_fn=lambda p: np.cos(p[:1]))
     return QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 

@@ -140,9 +140,7 @@ def test_criterion_5_nondegeneracy_matches_momentary_hypersurface_check(acceptan
 
 def test_criterion_6_burgers_breaking(acceptance):
     eq = pde.burgers()
-    sheet = pde.integrate_characteristics(
-        eq, np.linspace(0, 2 * np.pi, 400), (0.0, 1.0), dt=1e-3
-    )
+    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 400), (0.0, 1.0), 1e-3, [0.8])
     t_star = pde.breaking_time(sheet)
     count = pde.multivalued_count(sheet, math.pi, 0.8)
     ok = t_star is not None and abs(t_star - 0.5) < 1e-3 and count == 3
@@ -248,7 +246,7 @@ def test_criterion_9_numerics_hygiene(acceptance):
     eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
     def rk4_err(dt):
-        sheet = pde.integrate_characteristics(eq, [0.5, 1.0, 2.0], (0, 0.4), dt=dt)
+        sheet = pde.integrate_characteristics(eq, [0.5, 1.0, 2.0], (0, 0.4), dt, [0.0, 0.4])
         worst = 0.0
         for x0, x_end in zip(sheet.xs[0, :, 0], sheet.xs[-1, :, 0]):
             exact = x0 + 2 * math.sin(x0) * (math.exp(0.4) - 1)

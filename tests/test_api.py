@@ -34,7 +34,6 @@ KNOBS = {
     ("jets", "sp_plus_versality_check", "variables"),
     ("linalg", "numerical_rank", "eps"),
     ("pde", "burgers", "speed"),
-    ("pde", "integrate_characteristics", "dt"),
     ("solve", "continue_curve", "box"),
 }
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import emitters, families, gallery
+from wavefronts import emitters, families, gallery, pde
 from wavefronts.cli import (
     MAX_HISTORY,
     MAX_JET_DIM,
@@ -89,6 +89,34 @@ def test_burgers_breaking_line(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "t* = 0.500" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the datum is at t = 0, so a window that starts elsewhere is refused
+        ["burgers", "--t", "0.3:0.7:0.001", "--report-breaking"],
+        # a --count time outside the --t window
+        ["burgers", "--t", "0:0.7:0.001", "--count", "3.14159,5"],
+        ["burgers", "--t", "0:0.7:0.001", "--count", "3.14159,-2"],
+    ],
+)
+def test_burgers_times_outside_the_window_exit_2_before_integrating(argv, capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before validating --t and --count")
+
+    monkeypatch.setattr(pde, "integrate_characteristics", integrate)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "invalid arguments:" in captured.err
+    assert captured.out == ""
+
+
+def test_burgers_count_at_the_window_ends(capsys):
+    assert run(["burgers", "--t", "0:0.7:0.001", "--count", "3.14159,0"]) == 0
+    assert capsys.readouterr().out == "count(3.14159, 0.0) = 1\n"
+    assert run(["burgers", "--t", "0:0.7:0.001", "--count", "3.14159,0.7"]) == 0
+    assert capsys.readouterr().out == "count(3.14159, 0.7) = 3\n"
 
 
 def test_ode_gallery_svg(tmp_path):
@@ -598,7 +626,7 @@ OPTIONS = {
     "discriminant": {"--t": SMALL_RANGE},
     "evolute": CURVE,
     "parallels": {**CURVE, "--r": _values([" -1:1:1", " -0.5:-0.5:1"], BAD_RANGES)},
-    "burgers": {"--t": _values(["0:0.1:0.05", "0:0.7:0.1", " -1:0:0.5"], BAD_RANGES),
+    "burgers": {"--t": _values(["0:0.1:0.05", "0:0.7:0.1", "0:0:1"], BAD_RANGES + [" -1:0:0.5"]),
                 "--speed": _values(["2", "1", "0", " -1"], BAD_NUMBERS),
                 "--strips": _values(["1", "2", "20"], BAD_COUNTS),
                 "--report-breaking": st.none(),

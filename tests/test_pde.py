@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts import pde
-from wavefronts.errors import BlowUp
+from wavefronts.errors import BlowUp, DomainError, NonFiniteValue, SliceNotKept
 from wavefronts.fields import ScalarField
 
 
@@ -18,15 +19,20 @@ def _curved_pde():
     return pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 
+def _step_times(t_end, dt):
+    """Every step's time, accumulated in order as the integrator's running t."""
+    return np.concatenate(([0.0], np.cumsum(np.full(pde.step_count((0, t_end), dt), dt))))
+
+
 def _strips(sheet):
-    """``(x0, xs, ys, dets)`` of each strip: its start and its columns of the
-    sheet's histories."""
+    """``(x0, xs, ys, dets)`` of each strip: its start (the slice kept first,
+    at t = 0) and its columns of the kept slices."""
     return zip(sheet.xs[0], sheet.xs.transpose(1, 0, 2), sheet.ys.T, sheet.dets.T)
 
 
 def test_transport_shifts_datum():
     eq = pde.transport()
-    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 20), (0, 0.5), dt=1e-2)
+    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 20), (0, 0.5), 1e-2, [0, 0.5])
     for x0, xs, ys, dets in _strips(sheet):
         assert xs[-1, 0] == pytest.approx(x0[0] + 0.5, abs=1e-10)
         assert ys[-1] == pytest.approx(math.sin(x0[0]), abs=1e-12)
@@ -35,7 +41,7 @@ def test_transport_shifts_datum():
 
 def test_burgers_characteristics_are_lines():
     eq = pde.burgers()
-    sheet = pde.integrate_characteristics(eq, [0.5, 1.5], (0, 0.3), dt=1e-3)
+    sheet = pde.integrate_characteristics(eq, [0.5, 1.5], (0, 0.3), 1e-3, [0, 0.3])
     for x0, xs, _, dets in _strips(sheet):
         y0 = math.sin(x0[0])
         assert xs[-1, 0] == pytest.approx(x0[0] + 2 * y0 * 0.3, abs=1e-9)
@@ -46,9 +52,7 @@ def test_burgers_characteristics_are_lines():
 @pytest.mark.parametrize("speed", [1.8, 2.0, 2.2])
 def test_breaking_time_oracle(speed):
     eq = pde.burgers(speed)
-    sheet = pde.integrate_characteristics(
-        eq, np.linspace(0, 2 * np.pi, 400), (0, 1.0), dt=1e-3
-    )
+    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 400), (0, 1.0), 1e-3, [1.0])
     t_star = pde.breaking_time(sheet)
     # the earliest fold is at x0 = pi, where 1 + speed * t * cos(x0) = 0
     assert t_star == pytest.approx(1 / speed, abs=5e-5)
@@ -56,15 +60,13 @@ def test_breaking_time_oracle(speed):
 
 def test_no_breaking_before_fold():
     eq = pde.burgers()
-    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 50), (0, 0.4), dt=1e-3)
+    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 50), (0, 0.4), 1e-3, [0.4])
     assert pde.breaking_time(sheet) is None
 
 
 def test_multivalued_count_after_breaking():
     eq = pde.burgers()
-    sheet = pde.integrate_characteristics(
-        eq, np.linspace(0, 2 * np.pi, 400), (0, 1.0), dt=1e-3
-    )
+    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 400), (0, 1.0), 1e-3, [0.8, 0.3])
     assert pde.multivalued_count(sheet, math.pi, 0.8) == 3
     assert pde.multivalued_count(sheet, math.pi, 0.3) == 1
 
@@ -74,7 +76,7 @@ def test_rk4_fourth_order_convergence():
     x0 = [0.5, 1.0, 2.0]
 
     def err(dt):
-        sheet = pde.integrate_characteristics(eq, x0, (0, 0.4), dt=dt)
+        sheet = pde.integrate_characteristics(eq, x0, (0, 0.4), dt, [0, 0.4])
         worst = 0.0
         for start, xs, _, _ in _strips(sheet):
             y0 = math.sin(start[0])
@@ -91,7 +93,7 @@ def test_blowup_guard():
     phi = ScalarField(1, lambda p: 0.0, lambda p: np.zeros(1))
     eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
     with pytest.raises(BlowUp):
-        pde.integrate_characteristics(eq, [3.0], (0, 2.0), dt=1e-3)
+        pde.integrate_characteristics(eq, [3.0], (0, 2.0), 1e-3, [2.0])
 
 
 def test_tangency_of_geometric_solution():
@@ -112,7 +114,7 @@ def test_tangency_of_geometric_solution():
 
 def test_sheet_values_single_valued_early():
     eq = pde.burgers()
-    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 60), (0, 0.2), dt=1e-2)
+    sheet = pde.integrate_characteristics(eq, np.linspace(0, 2 * np.pi, 60), (0, 0.2), 1e-2, [0.2])
     vals = pde.sheet_values(sheet, 0.2)
     order = np.argsort(vals[:, 0])
     assert np.all(np.diff(vals[order, 0]) > -1e-12)
@@ -135,7 +137,7 @@ def test_two_space_variables_fold_at_the_closed_form(axis):
     eq = _burgers_2d(axis)
     grid = np.linspace(0, 2 * np.pi, 40)
     x0 = [(u, v) if axis == 0 else (v, u) for u in grid for v in (-1.0, 0.5)]
-    sheet = pde.integrate_characteristics(eq, x0, (0, 1.2), dt=1e-3)
+    sheet = pde.integrate_characteristics(eq, x0, (0, 1.2), 1e-3, _step_times(1.2, 1e-3))
     ts = sheet.ts
     for start, xs, _, dets in _strips(sheet):
         u, v = start[axis], start[1 - axis]
@@ -152,7 +154,8 @@ def test_variational_term_in_x():
     a = ScalarField(3, lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]))
     b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
     phi = ScalarField(1, lambda p: 0.0, lambda p: np.zeros(1))
-    sheet = pde.integrate_characteristics(pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi), [-1.0, 2.0], (0, 1.0), dt=1e-2)
+    eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
+    sheet = pde.integrate_characteristics(eq, [-1.0, 2.0], (0, 1.0), 1e-2, _step_times(1.0, 1e-2))
     assert np.allclose(sheet.dets, np.exp(sheet.ts)[:, None], rtol=1e-9, atol=0)
     assert np.allclose(sheet.xs[:, :, 0], np.exp(sheet.ts)[:, None] * [-1.0, 2.0], rtol=1e-9, atol=0)
 
@@ -188,7 +191,101 @@ def test_multivalued_count_is_the_per_sample_loop(runs, x_hat):
     xs = np.array([v for v, repeat in runs for _ in range(repeat)])
     S = xs.size
     sheet = pde.GeometricSolutionSheet(
-        pde=pde.transport(), dt=1.0, ts=np.array([0.0, 1.0]),
+        pde=pde.transport(), dt=1.0, ts=np.array([0.0, 0.9]),
         xs=np.stack([np.zeros(S), xs])[:, :, None], ys=np.zeros((2, S)), dets=np.zeros((2, S)),
+        folds=np.full(S, np.nan),
     )
     assert pde.multivalued_count(sheet, x_hat, 0.9) == _loop_multivalued_count(xs - x_hat)
+
+
+def _history_folds(ts, dets):
+    """Each strip's first fold time by the rule ``breaking_time`` applied to
+    the whole (T, S) determinant history before the sheet was streamed, NaN
+    where det keeps its sign."""
+    pos, neg = dets > 0, dets < 0
+    change = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])  # (T - 1, S)
+    cols = np.flatnonzero(change.any(axis=0))
+    folds = np.full(dets.shape[1], np.nan)
+    i = np.argmax(change[:, cols], axis=0)  # first sign change of each strip
+    ta, tb = ts[i], ts[i + 1]
+    da, db = dets[i, cols], dets[i + 1, cols]
+    folds[cols] = ta + (tb - ta) * da / (da - db)
+    return folds
+
+
+def _assert_streamed_folds_are_the_history_rule(eq, x0, t_end, dt):
+    sheet = pde.integrate_characteristics(eq, x0, (0, t_end), dt, _step_times(t_end, dt))
+    expected = _history_folds(sheet.ts, sheet.dets)
+    assert np.array_equal(sheet.folds, expected, equal_nan=True)
+    t_star = pde.breaking_time(sheet)
+    if np.isnan(expected).all():
+        assert t_star is None
+    else:
+        assert t_star == float(np.min(expected[~np.isnan(expected)]))  # bit for bit
+
+
+@pytest.mark.parametrize("speed", [1.8, 2.0, 2.2])
+def test_streamed_folds_are_the_history_rule_for_burgers(speed):
+    _assert_streamed_folds_are_the_history_rule(pde.burgers(speed), np.linspace(0, 2 * np.pi, 400), 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_streamed_folds_are_the_history_rule_in_two_space_variables(axis):
+    grid = np.linspace(0, 2 * np.pi, 40)
+    x0 = [(u, v) if axis == 0 else (v, u) for u in grid for v in (-1.0, 0.5)]
+    _assert_streamed_folds_are_the_history_rule(_burgers_2d(axis), x0, 1.2, 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x0=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=30),
+    speed=st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_streamed_folds_are_the_history_rule_on_drawn_grids(x0, speed):
+    # t_end = 0.6: a strip folds only where cos(x0) < -1 / (0.6 speed), so
+    # most draws mix strips that fold with strips that do not
+    _assert_streamed_folds_are_the_history_rule(pde.burgers(speed), x0, 0.6, 1e-2)
+
+
+def test_streamed_sheet_peak_memory_is_per_strip():
+    x0 = np.linspace(0, 2 * np.pi, 6000)
+    tracemalloc.start()
+    try:
+        sheet = pde.integrate_characteristics(pde.burgers(), x0, (0, 0.7), 1e-3, [0.7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (701, 6000) histories of x, y and det took about 101 MB
+    assert peak < 10 * 2**20
+    assert pde.breaking_time(sheet) == pytest.approx(0.5, abs=5e-5)
+
+
+def test_only_kept_slices_are_answered():
+    sheet = pde.integrate_characteristics(pde.burgers(), np.linspace(0, 2 * np.pi, 50), (0, 1.0), 1e-2, [0.8])
+    assert pde.multivalued_count(sheet, math.pi, 0.8) == 3
+    for t in (0.79, 1.0, 5.0, -2.0):
+        with pytest.raises(SliceNotKept):
+            pde.multivalued_count(sheet, math.pi, t)
+        with pytest.raises(SliceNotKept):
+            pde.sheet_values(sheet, t)
+
+
+@pytest.mark.parametrize("t_range, keep", [((0.3, 0.7), [0.7]), ((0, 0.7), [0.8]), ((0, 0.7), [-0.1])])
+def test_datum_at_zero_and_kept_times_inside_the_window(t_range, keep):
+    with pytest.raises(ValueError):
+        pde.integrate_characteristics(pde.burgers(), [1.0], t_range, 1e-2, keep)
+
+
+def test_datum_block_checks_raise_the_per_point_errors():
+    a = ScalarField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]))
+    b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    boxed = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]), box=((0.0, 1.0),))
+    with pytest.raises(DomainError):
+        pde.integrate_characteristics(pde.QuasiLinearPDE(1, (a,), b, boxed), [0.5, 2.0], (0, 0.1), 1e-2, [0.1])
+    with pytest.raises(DomainError):
+        boxed.value([2.0])
+    pole = ScalarField(1, lambda p: 1 / p[0], lambda p: -1 / p[:1] ** 2)
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue):
+        pde.integrate_characteristics(pde.QuasiLinearPDE(1, (a,), b, pole), [1.0, 0.0], (0, 0.1), 1e-2, [0.1])
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue):
+        pole.value([0.0])

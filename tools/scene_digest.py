@@ -53,6 +53,8 @@ SCENES = [
     ("evolute-circle", ["evolute", "--curve", "circle", "--a", "1.5"]),
     ("parallels-circle", ["parallels", "--curve", "circle", "--a", "1.5", "--r", " -1:1:0.5"]),
     ("burgers", ["burgers", "--t", "0:0.7:0.001", "--strips", "400", "--report-breaking"]),
+    ("burgers-count",
+     ["burgers", "--t", "0:1:0.001", "--strips", "400", "--report-breaking", "--count", "3.14159,0.8"]),
     ("versal", ["versal", "--f", "q1^4", "--dfdx", "q1^2;q1", "--jet", "8"]),
 ] + [
     (f"ode-gallery-{g}", ["ode-gallery", "--germ", str(g), "--t", " -0.3:0.3:0.1"]) for g in range(1, 7)
