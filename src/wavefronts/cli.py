@@ -173,10 +173,10 @@ def _caustic_part(fam: families.GeneratingFamily, cloud: fronts.PointCloud):
 
 
 def _emit(args, table, n, k, curves):
-    if getattr(args, "csv", None):
+    if args.csv:
         emit_csv(table, n, k, args.csv)
         print(f"wrote {args.csv}")
-    if getattr(args, "svg", None):
+    if args.svg:
         emit_svg(curves, args.svg)
         print(f"wrote {args.svg}")
 
@@ -336,7 +336,7 @@ def cmd_burgers(args) -> int:
             print(f"t* = {t_star:.4f}")
     if count_at:
         print(f"count({x_hat}, {t_at}) = {pde.multivalued_count(sheet, x_hat, t_at)}")
-    if getattr(args, "csv", None) or getattr(args, "svg", None):
+    if args.csv or args.svg:
         vals = pde.sheet_values(sheet, t_show)
         _emit(args, (t_show, vals, x0[:, None], "front"), 2, 1, [(vals, "front")])
     return 0
@@ -395,46 +395,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wavefronts",
         description="Generating families, wave fronts, caustics and their discriminants.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # --seed-density only for the commands that build a seed grid
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed-density",
         type=int,
         default=DEFAULT_SEED_DENSITY,
         help=f"samples per axis for seeding grids, 1..{MAX_SEED_DENSITY} (default {DEFAULT_SEED_DENSITY})",
     )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help=f"rank / membership tolerance (default {DEFAULT_TOL})",
-    )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--csv", help="write labeled samples to this CSV path")
     common.add_argument("--svg", help="write curves to this SVG path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run the family rank checks")
+    p = sub.add_parser("verify", parents=[seeded, common], help="run the family rank checks")
     p.add_argument("--family", required=True)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"rank tolerance (default {DEFAULT_TOL})")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("front", parents=[common], help="one momentary front")
+    p = sub.add_parser("front", parents=[seeded, common], help="one momentary front")
     p.add_argument("--family", required=True)
     p.add_argument("--t", type=float, required=True)
     p.set_defaults(fn=cmd_front)
 
-    p = sub.add_parser("big-front", parents=[common], help="stacked momentary fronts")
+    p = sub.add_parser("big-front", parents=[seeded, common], help="stacked momentary fronts")
     p.add_argument("--family", required=True)
     p.add_argument("--t", required=True, help="lo:hi:step")
     p.set_defaults(fn=cmd_big_front)
 
-    p = sub.add_parser("caustic", parents=[common], help="caustic of a family")
+    p = sub.add_parser("caustic", parents=[seeded, common], help="caustic of a family")
     p.add_argument("--family", required=True)
     p.set_defaults(fn=cmd_caustic)
 
-    p = sub.add_parser("maxwell", parents=[common], help="equal-value critical pairs")
+    p = sub.add_parser("maxwell", parents=[seeded, common], help="equal-value critical pairs")
     p.add_argument("--family", required=True)
     p.set_defaults(fn=cmd_maxwell)
 
-    p = sub.add_parser("discriminant", parents=[common], help="caustic + maxwell (+ empty delta)")
+    p = sub.add_parser("discriminant", parents=[seeded, common], help="caustic + maxwell (+ empty delta)")
     p.add_argument("--family", required=True)
     p.add_argument("--t", required=True, help="lo:hi:step for the delta scan")
     p.set_defaults(fn=cmd_discriminant)
@@ -460,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", help="'x,t': report the number of characteristics there")
     p.set_defaults(fn=cmd_burgers)
 
-    p = sub.add_parser("ode-gallery", parents=[common], help="normal-form front galleries")
+    p = sub.add_parser("ode-gallery", parents=[seeded, common], help="normal-form front galleries")
     p.add_argument("--germ", type=int, required=True)
     p.add_argument("--t", required=True, help="lo:hi:step")
     p.add_argument("--alpha", default="0", help="functional modulus in (v1, v2), or 0")
@@ -482,12 +479,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if not 1 <= args.seed_density <= MAX_SEED_DENSITY:
+        if "seed_density" in args and not 1 <= args.seed_density <= MAX_SEED_DENSITY:
             raise ValidationError(f"--seed-density must be in [1, {MAX_SEED_DENSITY}]")
-        if not 0 < args.tol < math.inf:
+        if "tol" in args and not 0 < args.tol < math.inf:
             raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
-        _check_writable(getattr(args, "csv", None))
-        _check_writable(getattr(args, "svg", None))
+        _check_writable(args.csv)
+        _check_writable(args.svg)
         return args.fn(args)
     except (ValidationError, FamilySizeError) as e:
         print(f"invalid arguments: {e}", file=sys.stderr)

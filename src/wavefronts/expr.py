@@ -483,9 +483,3 @@ def _constant(e: Expr):
     text = str(e)
     raise ConstantOutOfRange(f"constant {text if len(text) <= 60 else text[:57] + '...'} is outside the float range")
 
-
-def n_terms(e: Expr) -> int:
-    """Number of terms in the top-level +/- chain (a 3-term sum reports 3)."""
-    if isinstance(e, (Add, Sub)):
-        return n_terms(e.left) + 1
-    return 1

@@ -76,13 +76,6 @@ class GraphLikeFamily:
     def k(self) -> int:
         return self.base.k
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def value(self, q, x, t: float) -> float:
-        return self.base.value(q, x) - t
-
 
 @dataclass(frozen=True)
 class CriticalPoint:

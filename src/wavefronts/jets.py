@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import expr as ex
 from .errors import NotSingularGerm
@@ -153,16 +153,6 @@ class VersalityReport:
     witnesses: List[str]
 
 
-def _q_variables(f: ex.Expr, dfdx: Sequence[ex.Expr], explicit=None) -> Tuple[str, ...]:
-    if explicit is not None:
-        return tuple(explicit)
-    names = set(f.variables())
-    for g in dfdx:
-        names |= g.variables()
-    if not names:
-        raise NotSingularGerm("germ has no variables")
-    return tuple(sorted(names))
-
 def _check_singular(fpoly: Poly, m: int):
     """Refuse a germ with a constant or a linear term: ``fpoly`` needs only
     its monomials of degree at most 1."""
@@ -199,16 +189,16 @@ def lagrangian_stability_check(
     f: ex.Expr,
     dfdx: Sequence[ex.Expr],
     ell: int,
-    variables: Optional[Sequence[str]] = None,
+    variables: Sequence[str],
 ) -> VersalityReport:
     """Does {m * df/dq_i} + span{dF/dx_j at 0} + constants fill the jet space?
 
     The affirmative answer is the infinitesimal-versality form of stability
     of the unfolding whose initial velocities are ``dfdx``.
     """
-    qvars = _q_variables(f, dfdx, variables)
+    qvars = tuple(variables)
     _check_singular(expand(f, qvars, 1), len(qvars))
-    space = JetSpace(tuple(qvars), ell)
+    space = JetSpace(qvars, ell)
     rows = _jacobian_rows(space, qvars, f)
     for g in dfdx:
         rows.append(space.project(expand(g, qvars, ell)))
@@ -229,7 +219,7 @@ def _determinacy_report(f: ex.Expr, qvars: Sequence[str], ell: int) -> Versality
 def k_determinacy_dimension(
     f: ex.Expr,
     ell: int,
-    variables: Optional[Sequence[str]] = None,
+    variables: Sequence[str],
 ) -> float:
     """Codimension of {m * df/dq_i} + {m * f} in the jet space (the local
     algebra dimension, counting the constant class).
@@ -237,7 +227,7 @@ def k_determinacy_dimension(
     Returns ``float('inf')`` when the defect still grows from degree ``ell``
     to ``ell + 1`` — a non-isolated singularity at any finite truncation.
     """
-    qvars = _q_variables(f, (), variables)
+    qvars = tuple(variables)
     _check_singular(expand(f, qvars, 1), len(qvars))
     d0 = _determinacy_report(f, qvars, ell).codimension_defect
     d1 = _determinacy_report(f, qvars, ell + 1).codimension_defect
@@ -250,14 +240,14 @@ def sp_plus_versality_check(
     f: ex.Expr,
     dfdx: Sequence[ex.Expr],
     ell: int,
-    variables: Optional[Sequence[str]] = None,
+    variables: Sequence[str],
 ) -> VersalityReport:
     """Versality of the time-extended unfolding: in the (q, t) jet space the
     span of {m * df/dq_i}, {m * (f - t)}, the initial velocities and constants
     must be everything."""
-    qvars = _q_variables(f, dfdx, variables)
+    qvars = tuple(variables)
     _check_singular(expand(f, qvars, 1), len(qvars))
-    allvars = tuple(qvars) + ("t",)
+    allvars = qvars + ("t",)
     space = JetSpace(allvars, ell)
     rows = _jacobian_rows(space, qvars, f)
     rows.extend(_multiples(space, expand(ex.sub(f, ex.Var("t")), allvars, ell)))

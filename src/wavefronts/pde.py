@@ -25,12 +25,21 @@ BLOWUP = 1e3
 
 @dataclass(frozen=True)
 class QuasiLinearPDE:
-    """Coefficients a_1..a_n, b on (x_1..x_n, y, t) and initial datum phi(x)."""
+    """Coefficients a_1..a_n, b on (x_1..x_n, y, t) and initial datum phi(x).
+
+    Each field's ``fn`` and required ``grad_fn`` take an (arity, S) block, one
+    column per strip, and broadcast over it: values to (S,), gradient rows to
+    (arity, S), so a constant gradient may be an (arity,) vector."""
 
     n: int
     a: Sequence[ScalarField]  # each arity n + 2, argument order (x..., y, t)
     b: ScalarField
     phi: ScalarField  # arity n
+
+    def __post_init__(self):
+        for name, field in [*((f"a[{i}]", ai) for i, ai in enumerate(self.a)), ("b", self.b), ("phi", self.phi)]:
+            if field.grad_fn is None:
+                raise ValueError(f"{name} has no grad_fn: the characteristics need closed-form gradients")
 
 
 @dataclass
@@ -45,37 +54,6 @@ class GeometricSolutionSheet:
     ys: np.ndarray  # (K, S)
     dets: np.ndarray  # (K, S)
     folds: np.ndarray  # (S,)
-
-
-def _batch_value(field: ScalarField, P: np.ndarray) -> np.ndarray:
-    """Evaluate ``field.fn`` on columns of P (arity, S), broadcastable to
-    (S,); vectorized closures get the whole block, anything else falls back to
-    a per-column loop."""
-    S = P.shape[1]
-    try:
-        v = np.asarray(field.fn(P), dtype=float)
-        if v.ndim == 0 or v.shape == (S,):
-            return v
-    except Exception:
-        pass
-    return np.array([field.fn(P[:, j]) for j in range(S)], dtype=float)
-
-
-def _batch_grad(field: ScalarField, P: np.ndarray) -> np.ndarray:
-    """Gradient rows (arity, S), or a constant gradient as an (arity, 1)
-    view, with the same fallback as _batch_value."""
-    S = P.shape[1]
-    m = field.arity
-    if field.grad_fn is not None:
-        try:
-            g = np.asarray(field.grad_fn(P), dtype=float)
-            if g.shape == (m,):
-                return g[:, None]
-            if g.shape == (m, S):
-                return g
-        except Exception:
-            pass
-    return np.array([field.grad(P[:, j]) for j in range(S)], dtype=float).T
 
 
 def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, t: float, P: np.ndarray, out: np.ndarray) -> None:
@@ -93,14 +71,14 @@ def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, t: float, P: np.ndarray, out: np.nd
     dM = out[n + 1 : n + 1 + n * n].reshape(n, n, -1)
     dw = out[n + 1 + n * n :]
     for i, ai in enumerate(pde.a):
-        out[i] = _batch_value(ai, P)
-        g = _batch_grad(ai, P)
+        out[i] = ai.fn(P)
+        g = ai.grad_fn(P)
         # dM_i. = sum_k a_i,x_k M_k. + a_i,y w
         np.multiply(g[n], w, out=dM[i])
         for k in range(n):
             dM[i] += g[k] * M[k]
-    out[n] = _batch_value(pde.b, P)
-    g = _batch_grad(pde.b, P)
+    out[n] = pde.b.fn(P)
+    g = pde.b.grad_fn(P)
     # dw_j = sum_i M_ij b_x_i + b_y w_j
     np.multiply(g[n], w, out=dw)
     for i in range(n):
@@ -122,8 +100,8 @@ def _datum(phi: ScalarField, X0: np.ndarray):
         outside = ((X0 < lo) | (X0 > hi)).any(axis=1)
         if outside.any():
             raise DomainError(f"strip start {X0[np.argmax(outside)].tolist()} exits the datum's domain box")
-    y = _batch_value(phi, X0.T)
-    g = _batch_grad(phi, X0.T)
+    y = np.asarray(phi.fn(X0.T), dtype=float)
+    g = np.asarray(phi.grad_fn(X0.T), dtype=float).reshape(phi.arity, -1)
     bad = ~(np.isfinite(y) & np.isfinite(g).all(axis=0))
     if bad.any():
         raise NonFiniteValue(f"non-finite field value at {X0[np.argmax(bad)]!r}")
@@ -148,7 +126,8 @@ def integrate_characteristics(
     else of the history is stored.  Each strip's fold time is the root
     ``ta + (tb - ta) * da / (da - db)`` of the linear interpolant over its
     first step ``[ta, tb]`` on which det goes from ``da`` to ``db`` of the
-    strictly opposite sign.
+    strictly opposite sign.  A step that leaves |x| or |y| above ``BLOWUP``
+    raises BlowUp; one that leaves a NaN in x, y or det raises NonFiniteValue.
     """
     if float(t_range[0]) != 0.0:
         raise ValueError(f"the datum is at t = 0, but t_range starts at {t_range[0]}")
@@ -189,11 +168,11 @@ def integrate_characteristics(
             YS[r] = Z[n]
             DETS[r] = d
 
-    t = 0.0
     d = det()
     sign = np.sign(d)
     record(0, d)
     for step in range(1, steps + 1):
+        t = ts[step - 1]
         _rhs(pde, Z, t, P, K1)
         np.multiply(K1, dt / 2, out=Zs)
         Zs += Z
@@ -212,13 +191,17 @@ def integrate_characteristics(
         K1 += K4
         K1 *= dt / 6
         Z += K1
-        t += dt
-        if np.max(np.abs(Z[:n])) > BLOWUP or np.max(np.abs(Z[n])) > BLOWUP:
+        # np.max propagates NaN, so one pass over (x, y) and one over det find it
+        big = np.max(np.abs(Z[: n + 1]))
+        if big > BLOWUP:
             worst = int(np.argmax(np.max(np.abs(Z[:n]), axis=0)))
-            raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={t}")
+            raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={ts[step]}")
         d_next = det()
+        if np.isnan(big + np.max(d_next)):
+            worst = int(np.argmax(np.isnan(Z[: n + 1]).any(axis=0) | np.isnan(d_next)))
+            raise NonFiniteValue(f"trajectory from x0={X0[worst]!r} is NaN at t={ts[step]}")
         sign_next = np.sign(d_next)
-        # a first strict sign change: +1 against -1 (a zero or a NaN is neither)
+        # a first strict sign change: +1 against -1 (a zero is neither)
         first = (sign * sign_next < 0) & unfolded
         if first.any():
             i = np.flatnonzero(first)

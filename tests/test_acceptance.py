@@ -242,7 +242,7 @@ def test_criterion_9_numerics_hygiene(acceptance):
     # RK4 convergence on curved characteristics
     a = ScalarField(3, lambda p: 2 * p[1], lambda p: np.array([0.0, 2.0, 0.0]))
     b = ScalarField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]))
-    phi = ScalarField(1, lambda p: math.sin(p[0]), lambda p: np.array([math.cos(p[0])]))
+    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
     eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
     def rk4_err(dt):

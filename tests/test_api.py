@@ -4,7 +4,8 @@ Every defaulted parameter of a public function or method under
 ``src/wavefronts`` is listed below as ``(module, function, parameter)``; a
 method is named ``Class.method``.  A new keyword default, or a deleted one,
 changes the set and fails this test, so each knob is added on purpose.
-Values that no caller sets are module constants instead.
+Values that no caller sets are module constants instead.  The module also
+checks that every name a library module imports is used there.
 """
 
 import ast
@@ -29,9 +30,6 @@ KNOBS = {
     ("fronts", "caustic", "max_points"),
     ("fronts", "caustic", "step"),
     ("gallery", "gallery_family", "alpha"),
-    ("jets", "k_determinacy_dimension", "variables"),
-    ("jets", "lagrangian_stability_check", "variables"),
-    ("jets", "sp_plus_versality_check", "variables"),
     ("linalg", "numerical_rank", "eps"),
     ("pde", "burgers", "speed"),
     ("solve", "continue_curve", "box"),
@@ -93,3 +91,29 @@ def test_benchmark_tracer_names_exist():
         if cls not in vars(module(mod)) or attr not in vars(vars(module(mod))[cls])
     ]
     assert missing == []
+
+
+def test_every_import_is_used():
+    # a name a module imports is read there, or re-exported through __all__;
+    # the one exception is a name perfbench/tracing.py wraps in that module
+    # (a MODULE_BOUNDARIES pair), imported on a ``noqa: F401`` line
+    boundaries = {(mod, attr) for mod, attr, *_ in _table(ROOT / "perfbench" / "tracing.py", "MODULE_BOUNDARIES")}
+    unused, unwrapped = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module, text = path.stem, path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used.update(_table(path, "__all__"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if "noqa: F401" in lines[alias.lineno - 1]:
+                    if (module, name) not in boundaries:
+                        unwrapped.append((module, name))
+                elif name not in used:
+                    unused.append((module, name))
+    assert unused == [], "imported names never used"
+    assert unwrapped == [], "noqa: F401 imports that perfbench/tracing.py does not wrap"

@@ -198,8 +198,8 @@ def test_bad_range_exits_2():
         ["burgers", "--t", "0:0.7:0.001", "--speed", "nan"],
         ["front", "--family", "cusp", "--t", "nan"],
         ["evolute", "--curve", "ellipse", "--a", "nan"],
-        ["front", "--family", "cusp", "--t", "0.5", "--tol", "nan"],
-        ["front", "--family", "cusp", "--t", "0.5", "--tol", "-1"],
+        ["verify", "--family", "cusp", "--tol", "nan"],
+        ["verify", "--family", "cusp", "--tol", "-1"],
     ],
 )
 def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
@@ -207,6 +207,28 @@ def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
     captured = capsys.readouterr()
     assert "invalid arguments:" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["burgers", "--t", "0:0.1:0.01", "--tol", "1e-3"],
+        ["front", "--family", "cusp", "--t", "0.5", "--tol", "1e-6"],
+        ["versal", "--f", "q1^4", "--seed-density", "3"],
+        ["evolute", "--curve", "ellipse", "--seed-density", "3"],
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("family", ["fold", "cusp"])
+def test_verify_reads_tol(family, capsys):
+    assert run(["verify", "--family", family, "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out.count("pass") == 3
 
 
 @pytest.mark.parametrize(

@@ -113,11 +113,6 @@ def test_printer_round_trips():
             assert e.compile(V)(p) == pytest.approx(again.compile(V)(p))
 
 
-def test_n_terms_counts_top_level_chain():
-    assert ex.n_terms(ex.parse_expr("q1^4 + x1*q1^2 + x2*q1", V)) == 3
-    assert ex.n_terms(ex.parse_expr("q1*x1", V)) == 1
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     a=st.integers(-5, 5),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ def _curved_pde():
     """x' = 2y, y' = y: characteristics bend, so RK4 truncation is visible."""
     a = ScalarField(3, lambda p: 2 * p[1], lambda p: np.array([0.0, 2.0, 0.0]))
     b = ScalarField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]))
-    phi = ScalarField(1, lambda p: math.sin(p[0]), lambda p: np.array([math.cos(p[0])]))
+    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
     return pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 
@@ -88,12 +89,40 @@ def test_rk4_fourth_order_convergence():
 
 
 def test_blowup_guard():
-    a = ScalarField(3, lambda p: p[0] ** 2, lambda p: np.array([2 * p[0], 0.0, 0.0]))
+    a = ScalarField(3, lambda p: p[0] ** 2, lambda p: np.stack([2 * p[0], 0 * p[0], 0 * p[0]]))
     b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
     phi = ScalarField(1, lambda p: 0.0, lambda p: np.zeros(1))
     eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
     with pytest.raises(BlowUp):
         pde.integrate_characteristics(eq, [3.0], (0, 2.0), 1e-3, [2.0])
+
+
+def test_nan_state_is_refused_not_reported_as_no_fold():
+    # a = sqrt(x - 1) is NaN on the strip from 0.5, where |x| stays far below
+    # BLOWUP; its fold time would read NaN, "no fold"
+    root = lambda p: np.sqrt(p[0] - 1)
+    a = ScalarField(3, root, lambda p: np.stack([0.5 / root(p), 0 * p[0], 0 * p[0]]))
+    # the same gradient beside a finite speed: x and y stay finite, det does not
+    a_det = ScalarField(3, lambda p: 0 * p[0], a.grad_fn)
+    b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
+    for speed in (a, a_det):
+        eq = pde.QuasiLinearPDE(n=1, a=(speed,), b=b, phi=phi)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue, match=r"x0=array\(\[0\.5\]\) .* t=0\.01$"):
+            pde.integrate_characteristics(eq, [0.5, 2.0], (0, 0.1), 1e-2, [0.1])
+
+
+@pytest.mark.parametrize("missing", ["a[0]", "b", "phi"])
+def test_field_without_grad_fn_is_refused_by_name(missing):
+    fields = {
+        "a[0]": ScalarField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0])),
+        "b": ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3)),
+        "phi": ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1])),
+    }
+    bare = fields[missing]
+    fields[missing] = ScalarField(bare.arity, bare.fn)
+    with pytest.raises(ValueError, match=rf"^{re.escape(missing)} has no grad_fn"):
+        pde.QuasiLinearPDE(n=1, a=(fields["a[0]"],), b=fields["b"], phi=fields["phi"])
 
 
 def test_tangency_of_geometric_solution():
@@ -127,8 +156,8 @@ def _burgers_2d(axis):
     zero = ScalarField(4, lambda p: 0.0, lambda p: np.zeros(4))
     wave = ScalarField(4, lambda p: p[2], lambda p: grad_y)
     a = (wave, zero) if axis == 0 else (zero, wave)
-    dphi = np.eye(2)[axis]
-    phi = ScalarField(2, lambda p: math.sin(p[axis]), lambda p: math.cos(p[axis]) * dphi)
+    dphi = np.eye(2)[axis][:, None]
+    phi = ScalarField(2, lambda p: np.sin(p[axis]), lambda p: np.cos(p[axis]) * dphi)
     return pde.QuasiLinearPDE(n=2, a=a, b=zero, phi=phi)
 
 
