@@ -29,7 +29,9 @@ class QuasiLinearPDE:
 
     Each field's ``fn`` and required ``grad_fn`` take an (arity, S) block, one
     column per strip, and broadcast over it: values to (S,), gradient rows to
-    (arity, S), so a constant gradient may be an (arity,) vector."""
+    (arity, S), so a constant gradient may be an (arity,) vector.  Only
+    ``phi`` may have a domain box, checked at the strip starts: the RK4 steps
+    never check the coefficients', so a boxed ``a[i]`` or ``b`` is refused."""
 
     n: int
     a: Sequence[ScalarField]  # each arity n + 2, argument order (x..., y, t)
@@ -40,6 +42,8 @@ class QuasiLinearPDE:
         for name, field in [*((f"a[{i}]", ai) for i, ai in enumerate(self.a)), ("b", self.b), ("phi", self.phi)]:
             if field.grad_fn is None:
                 raise ValueError(f"{name} has no grad_fn: the characteristics need closed-form gradients")
+            if field.box is not None and name != "phi":
+                raise ValueError(f"{name} has a domain box: the characteristics do not check a coefficient's box")
 
 
 @dataclass

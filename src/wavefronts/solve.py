@@ -1,10 +1,13 @@
 """Newton solving and pseudo-arclength continuation.
 
-Every Newton iterate takes the least-norm step of one thin SVD of its
-Jacobian, so an (m-1) x m continuation system is corrected with the
-Moore-Penrose inverse (Allgower & Georg, *Numerical Continuation Methods*,
-1990, ch. 3): the corrector solves the curve's own equations from the
-predicted point, with no bordering row.
+Every Newton iterate takes the least-norm step of one SVD of its Jacobian,
+so an (m-1) x m continuation system is corrected with the Moore-Penrose
+inverse (Allgower & Georg, *Numerical Continuation Methods*, 1990, ch. 3):
+the corrector solves the curve's own equations from the predicted point,
+with no bordering row.  The corrector's last SVD also gives the next
+tangent, its last right singular vector, whenever the Weyl and Wedin bounds
+certify it against the converged Jacobian; so a traced point usually costs
+one SVD.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     SingularJacobian,
 )
 from .fields import fd_jacobian, stack_rows
-from .linalg import null_space, numerical_rank
+from .linalg import RANK_EPS, null_space, numerical_rank
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -130,27 +133,32 @@ def newton_solve(system: Callable, seed):
     """Solve ``system(p) = 0`` to ``NEWTON_TOL`` in the infinity norm from
     ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
 
-    Each iterate is one ``evaluate`` of ``as_system(system)`` and one thin
+    Each iterate is one ``evaluate`` of ``as_system(system)`` and one full
     SVD of its Jacobian, which gives the ``SINGULAR_RATIO`` test and the
-    least-norm (Moore-Penrose) step.  Returns ``(p, J)`` with ``J`` the
-    Jacobian of that converged ``evaluate``.  Raises SingularJacobian or
-    MaxIterations, and passes on the DomainError of a field whose box an
-    iterate leaves.
+    least-norm (Moore-Penrose) step.  Returns ``(p, J, last)`` with ``J`` the
+    Jacobian of that converged ``evaluate`` and ``last = (J_f, s, Vt)`` the
+    last factorization taken: the Jacobian of the iterate before ``p``, its
+    singular values and its square right factor (None when ``seed`` itself
+    converged).  Raises SingularJacobian or MaxIterations, and passes on the
+    DomainError of a field whose box an iterate leaves.
     """
     p = np.asarray(seed, dtype=float).copy()
     system = as_system(system)
+    last = None
     for _ in range(NEWTON_MAX_ITER):
         r, J = system.evaluate(p)
         if r.size > p.size:
             raise ValueError("over-determined system: more equations than unknowns")
         # the infinity norm below NEWTON_TOL (never for a NaN), without array calls
         if all(abs(v) < NEWTON_TOL for v in r.tolist()):
-            return p, J
-        # one thin SVD gives the singularity test and the least-norm step
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+            return p, J, last
+        # one SVD gives the singularity test and the least-norm step; its
+        # full Vt also holds a null vector of a wide J, for the tangent
+        U, s, Vt = np.linalg.svd(J)
         if s.size == 0 or s[0] == 0.0 or s[-1] < SINGULAR_RATIO * s[0]:
             raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
-        p = p - Vt.T @ ((U.T @ r) / s)
+        p = p - Vt[: s.size].T @ ((U.T @ r) / s)
+        last = J, s, Vt
     raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
 
 
@@ -223,14 +231,38 @@ class Curve:
     closed: bool
 
 
-def _tangent(J: np.ndarray, prev: Optional[np.ndarray]) -> np.ndarray:
-    ns = null_space(J)
-    if ns.shape[1] != 1:
-        raise RankDeficientSeed("Jacobian null space is not one-dimensional")
-    tau = ns[:, 0]
+def _tangent(J: np.ndarray, last, prev: Optional[np.ndarray]):
+    """``(tau, reused)``: the unit null vector of the (m-1) x m Jacobian
+    ``J``, oriented along ``prev``, and whether it is read from ``last``;
+    RankDeficientSeed when ``numerical_rank(J) < m - 1``.
+
+    ``last = (J_f, s, Vt)`` is the corrector's last factorization, of a
+    nearby Jacobian J_f with null vector ``v = Vt[-1]``.  With d =
+    ||J - J_f||_F, Weyl's inequality keeps every singular value of J within
+    d of J_f's, so g = s_min - d bounds the least one of J from below, and
+    the angle a between v and the null vector of J has
+    sin a <= ||J v|| / g <= d / g (Wedin).  ``v`` is the tangent when
+    ``g > RANK_EPS (s_max + d)``, so that ``numerical_rank(J)`` is m - 1,
+    and ``d^2 <= RANK_EPS g^2``, so that 1 - |cos a| <= sin^2 a <= RANK_EPS.
+    Otherwise (or with no ``last``) it is ``null_space(J)``.
+    """
+    tau = None
+    if last is not None:
+        J_f, s, Vt = last
+        dJ = J - J_f
+        d = math.sqrt(np.vdot(dJ, dJ))
+        gap = s[-1] - d
+        if gap > RANK_EPS * (s[0] + d) and d * d <= RANK_EPS * gap * gap:
+            tau = Vt[-1]
+    reused = tau is not None
+    if not reused:
+        ns = null_space(J)
+        if ns.shape[1] != 1:
+            raise RankDeficientSeed("Jacobian null space is not one-dimensional")
+        tau = ns[:, 0]
     if prev is not None and np.dot(tau, prev) < 0:
         tau = -tau
-    return tau
+    return tau, reused
 
 
 def continue_curve(
@@ -248,12 +280,20 @@ def continue_curve(
     (return within step/2 of the seed after at least 10 points) or at
     ``max_points``.  A system that raises DomainError outside a region
     ends the march at its edge as the box does.
-    The corrector is ``newton_solve`` on ``system`` itself from the
-    predicted point (the Moore-Penrose corrector of Allgower & Georg): its
-    least-norm steps land near the orthogonal foot of the predictor on the
-    curve.  The next tangent is the null vector of the Jacobian it converged
-    with.  The seed must lie within ``SEED_TOL`` of the curve; it is polished
-    there first, and its tangent comes from the polish's Jacobian.
+    The predictor is second order, ``z + h tau + (h^2 / 2) c`` with ``c``
+    the change of the unit tangent between the last two points per unit of
+    their distance; it is Euler (``c = 0``) on the first step of each
+    direction and after a tangent that ``_tangent`` did not read from the
+    corrector's SVD.  The corrector is ``newton_solve`` on ``system``
+    itself from the predicted point (the Moore-Penrose corrector of Allgower
+    & Georg): its least-norm steps land near the orthogonal foot of the
+    predictor on the curve.  The next tangent is the null vector of the
+    Jacobian it converged with: the last right singular vector of the
+    corrector's last SVD when ``_tangent`` certifies that it is
+    ``null_space``'s answer to ``RANK_EPS``, else ``null_space`` of that
+    Jacobian, so a traced point usually costs one SVD.  The seed must lie
+    within ``SEED_TOL`` of the curve; it is polished there first, and its
+    tangent comes from the polish under the same rule.
     """
     system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
@@ -265,22 +305,24 @@ def continue_curve(
     if numerical_rank(J) < z0.size - 1:
         raise RankDeficientSeed(f"Jacobian rank-deficient at seed {z0!r}")
     # polish the seed onto the curve (least-norm correction)
+    last = None
     try:
-        z0, J = newton_solve(system, z0)
+        z0, J, last = newton_solve(system, z0)
     except (SingularJacobian, MaxIterations):
         pass
-    tau0 = _tangent(J, None)
+    tau0, _ = _tangent(J, last, None)
 
     def march(direction: float):
         pts = []
         z = z0.copy()
         tau = tau0 * direction
+        curv = None  # (tau_i - tau_(i-1)) / |z_i - z_(i-1)|, once two points are known
         while len(pts) < max_points:
             h = step
             for _ in range(5):
-                pred = z + h * tau
+                pred = z + h * tau if curv is None else z + h * tau + (0.5 * h * h) * curv
                 try:
-                    znew, J = newton_solve(system, pred)
+                    znew, J, last = newton_solve(system, pred)
                     break
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5
@@ -292,13 +334,18 @@ def continue_curve(
             d = znew - z0  # np.linalg.norm(d) is sqrt(d @ d)
             if len(pts) >= 10 and math.sqrt(d @ d) <= step / 2:
                 return pts, True
-            # the tangent from the corrector's converged Jacobian; a rank
-            # drop (a singular point of the curve) ends the march here
+            # the tangent at the corrector's converged point; a rank drop
+            # (a singular point of the curve) ends the march here
             try:
-                tau = _tangent(J, tau)
+                tau_new, reused = _tangent(J, last, tau)
             except RankDeficientSeed:
                 return pts, False
-            z = znew
+            # the second-order term only from a certified tangent: where the
+            # rank test is marginal (the degenerate t = 0 front slice) the
+            # change of the tangent is noise
+            d = znew - z
+            curv = (tau_new - tau) / math.sqrt(d @ d) if reused else None
+            z, tau = znew, tau_new
         return pts, False
 
     fwd, closed = march(+1.0)

@@ -40,9 +40,9 @@ def test_front_slice_keeps_chains_that_meet_a_rank_drop(cusp, cusp_gl, monkeypat
     marched, thrown = [0], []
     tangent, trace = solve._tangent, fronts.continue_curve
 
-    def counted_tangent(J, prev):
+    def counted_tangent(J, last, prev):
         marched[0] += prev is not None
-        return tangent(J, prev)
+        return tangent(J, last, prev)
 
     def watched_trace(*args, **kwargs):
         marched[0] = 0

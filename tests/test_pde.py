@@ -125,6 +125,23 @@ def test_field_without_grad_fn_is_refused_by_name(missing):
         pde.QuasiLinearPDE(n=1, a=(fields["a[0]"],), b=fields["b"], phi=fields["phi"])
 
 
+@pytest.mark.parametrize("boxed", ["a[0]", "b"])
+def test_boxed_coefficient_is_refused_by_name(boxed):
+    # the RK4 steps never check a coefficient's box: an a boxed to x in
+    # [0, 1] would carry a strip from x0 = 3.0 on with no DomainError
+    fields = {
+        "a[0]": ScalarField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0])),
+        "b": ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3)),
+    }
+    plain = dict(fields)
+    fields[boxed] = ScalarField(3, plain[boxed].fn, plain[boxed].grad_fn, box=((0.0, 1.0), (-9.0, 9.0), (-9.0, 9.0)))
+    # the datum's box is checked at the strip starts, so phi may have one
+    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]), box=((-5.0, 5.0),))
+    with pytest.raises(ValueError, match=rf"^{re.escape(boxed)} has a domain box"):
+        pde.QuasiLinearPDE(n=1, a=(fields["a[0]"],), b=fields["b"], phi=phi)
+    pde.QuasiLinearPDE(n=1, a=(plain["a[0]"],), b=plain["b"], phi=phi)
+
+
 def test_tangency_of_geometric_solution():
     # y - sin(x - t) = 0 solves y_t + y_x = 0 with datum sin
     eq = pde.transport()

@@ -11,6 +11,7 @@ from wavefronts.errors import (
     SingularJacobian,
 )
 from wavefronts import cli, families, fields, fronts, solve
+from wavefronts.linalg import RANK_EPS, null_space, numerical_rank
 from wavefronts.families import critical_system, family_from_text, solve_critical_set
 from wavefronts.solve import (
     CONVERGED,
@@ -133,14 +134,14 @@ def test_dedup_keeps_first_and_drops_at_radius():
 
 
 def test_newton_quadratic():
-    root, J = newton_solve(lambda z: np.array([z[0] ** 2 - 2.0]), np.array([1.0]))
+    root, J, _ = newton_solve(lambda z: np.array([z[0] ** 2 - 2.0]), np.array([1.0]))
     assert root[0] == pytest.approx(np.sqrt(2.0), abs=1e-10)
     assert J[0, 0] == pytest.approx(2 * np.sqrt(2.0), abs=1e-6)
 
 
 def test_newton_underdetermined_least_norm():
     # one equation, two unknowns: stays near the seed
-    z, _ = newton_solve(circle, np.array([2.0, 0.0]))
+    z, _, _ = newton_solve(circle, np.array([2.0, 0.0]))
     assert circle(z)[0] == pytest.approx(0.0, abs=1e-10)
     assert abs(z[1]) < 1e-8
 
@@ -148,14 +149,24 @@ def test_newton_underdetermined_least_norm():
 def test_newton_returns_the_converged_jacobian():
     system = System(lambda z: (circle(z), circle_jac(z)))
     for seed in ([2.0, 0.0], [0.3, 0.4], [1.0, 0.0]):
-        p, J = newton_solve(system, np.array(seed))
+        p, J, last = newton_solve(system, np.array(seed))
         assert J.tobytes() == system.evaluate(p)[1].tobytes()
+        if seed == [1.0, 0.0]:  # on the circle: no step, no factorization
+            assert last is None
+            continue
+        # the Jacobian of the iterate before p with its singular values and
+        # square right factor, whose last row spans the null space of J_f
+        J_f, s, Vt = last
+        assert J_f.tobytes() != J.tobytes() and s.shape == (1,) and Vt.shape == (2, 2)
+        assert np.allclose(Vt @ Vt.T, np.eye(2), atol=1e-14)
+        assert s[0] == pytest.approx(np.linalg.norm(J_f), rel=1e-14)
+        assert np.abs(J_f @ Vt[-1]).max() < 1e-14 * s[0]
 
 
 def test_newton_frozen_coordinates():
     # dF/dq = 3 q^2 - 3 x: the critical system is solved in q at the fixed x
     fam = family_from_text("q1^3 - 3*x1*q1", 1, 1)
-    q, J = newton_solve(critical_system(fam, 4.0), np.array([1.0]))
+    q, J, _ = newton_solve(critical_system(fam, 4.0), np.array([1.0]))
     assert J.shape == (1, 1)
     assert q[0] == pytest.approx(2.0, abs=1e-9)
     (cp,) = solve_critical_set(fam, [4.0], [[1.0]])
@@ -263,26 +274,33 @@ def test_plain_callable_is_its_fd_system():
     seed = np.array([0.9, 0.4])
     res, J = as_system(fn).evaluate(seed)
     assert np.array_equal(res, fn(seed)) and np.array_equal(J, fd_jacobian(fn, seed))
-    (p, J), (p_fd, J_fd) = newton_solve(fn, seed), newton_solve(as_system(fn), seed)
+    (p, J, _), (p_fd, J_fd, _) = newton_solve(fn, seed), newton_solve(as_system(fn), seed)
     assert p.tobytes() == p_fd.tobytes() and J.tobytes() == J_fd.tobytes()
 
 
 def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
     assert cli.run(["caustic", "--family", "cusp"]) == 0
-    assert "caustic: 809 points" in capsys.readouterr().out
+    assert "caustic: 808 points" in capsys.readouterr().out
 
 
 # Field passes per traced point: a call of ``value``, ``grad``, ``hessian`` or
 # ``third``, or one ``derivatives`` jet.  With a residual pass and a
 # Jacobian pass per Newton iterate and one more Jacobian for the tangent it
 # was 19.5 on the caustic scene and 20.9 on the front scene; one fused pass
-# per iterate, with the tangent from the converged Jacobian, makes about 6.
-FIELD_CALLS_PER_POINT = 8
+# per iterate, with the tangent from the converged Jacobian, made 3.49 and
+# 2.65, and the second-order predictor, after which the corrector mostly
+# converges in one step, makes 3.11 and 2.17.
+FIELD_CALLS_PER_POINT = 4
+# SVDs per traced point, every ``np.linalg.svd`` of the run counted: one per
+# corrector step and one per ``null_space`` tangent made 2.47 on the caustic
+# scene and 2.61 on the front scene; the tangent read from the corrector's
+# last SVD and the second-order predictor make 1.09 and 1.13.
+SVD_CALLS_PER_POINT = 1.3
 
 
 def _field_passes(argv, monkeypatch):
-    """Field passes and traced points of one CLI run."""
-    calls = [0]
+    """Field passes, SVD calls and traced points of one CLI run."""
+    calls, svds = [0], [0]
     for name in ("value", "grad", "hessian", "third", "derivatives"):
         method = getattr(fields.ScalarField, name)
 
@@ -291,6 +309,13 @@ def _field_passes(argv, monkeypatch):
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(fields.ScalarField, name, counted)
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svds[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     traced = [0]
     trace = fronts.continue_curve
 
@@ -301,19 +326,105 @@ def _field_passes(argv, monkeypatch):
 
     monkeypatch.setattr(fronts, "continue_curve", counted_trace)
     assert cli.run(argv) == 0
-    return calls[0], traced[0]
+    return calls[0], svds[0], traced[0]
 
 
 def test_caustic_scene_field_calls_per_point(monkeypatch, capsys):
-    calls, traced = _field_passes(["caustic", "--family", "cusp"], monkeypatch)
-    assert traced == 809
+    calls, _, traced = _field_passes(["caustic", "--family", "cusp"], monkeypatch)
+    assert traced == 808
     assert calls / traced < FIELD_CALLS_PER_POINT
 
 
 def test_front_scene_field_calls_per_point(monkeypatch, capsys):
-    calls, traced = _field_passes(["front", "--family", "cusp", "--t", "0.5"], monkeypatch)
-    assert traced == 933
+    calls, _, traced = _field_passes(["front", "--family", "cusp", "--t", "0.5"], monkeypatch)
+    assert traced == 932
     assert calls / traced < FIELD_CALLS_PER_POINT
+
+
+@pytest.mark.parametrize(
+    "argv", [["caustic", "--family", "cusp"], ["front", "--family", "cusp", "--t", "0.5"]], ids=["caustic", "front"]
+)
+def test_scene_svd_calls_per_point(argv, monkeypatch, capsys):
+    _, svds, traced = _field_passes(argv, monkeypatch)
+    assert svds / traced < SVD_CALLS_PER_POINT
+
+
+# --- the tangent read from the corrector's last SVD
+
+
+def _orthogonal(rng, m):
+    return np.linalg.qr(rng.standard_normal((m, m)))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    exponents=st.lists(st.floats(-12.0, 0.0), min_size=4, max_size=4),
+    scale=st.floats(-14.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_certified_tangent_is_the_null_vector_of_a_full_rank_jacobian(m, exponents, scale, seed):
+    # J_f with singular values 10^e spread over 12 decades, and J = J_f + dJ
+    # with every entry of dJ of size 10^scale / 2 to 10^scale: whenever
+    # _tangent reuses J_f's factorization, Weyl's inequality has certified
+    # that J passes the rank test and Wedin's bound that Vt[-1] is
+    # null_space(J)'s tangent to RANK_EPS in 1 - |cos|
+    rng = np.random.default_rng(seed)
+    s = np.sort(10.0 ** np.array(exponents[: m - 1]))[::-1]
+    J_f = _orthogonal(rng, m - 1) @ np.diag(s) @ _orthogonal(rng, m)[: m - 1]
+    dJ = 10.0**scale * rng.uniform(0.5, 1.0, J_f.shape) * rng.choice([-1.0, 1.0], J_f.shape)
+    J = J_f + dJ
+    _, s_f, Vt = np.linalg.svd(J_f)
+    try:
+        tau, reused = solve._tangent(J, (J_f, s_f, Vt), None)
+    except RankDeficientSeed:
+        reused = False
+    if reused:
+        assert numerical_rank(J) == m - 1
+        assert tau.tobytes() == Vt[-1].tobytes()
+        assert 1.0 - abs(np.dot(tau, null_space(J)[:, 0])) <= RANK_EPS
+
+
+def test_an_uncertified_tangent_takes_the_exact_rank_test():
+    J_f = np.diag([1.0, 1e-6, 0.0])[:2]
+    _, s, Vt = np.linalg.svd(J_f)
+    # a tiny move keeps both bounds: the tangent is Vt[-1]
+    tau, reused = solve._tangent(J_f + 1e-15, (J_f, s, Vt), None)
+    assert reused and np.abs(tau).tolist() == [0.0, 0.0, 1.0]
+    # d = 1e-9 keeps the rank certified, but the angle bound d / g is 1e-3
+    J = J_f.copy()
+    J[1, 2] = 1e-9
+    tau, reused = solve._tangent(J, (J_f, s, Vt), None)
+    assert not reused and tau.tobytes() == null_space(J)[:, 0].tobytes()
+    # a move of the size of s_min: null_space(J) decides the rank, 2 then 1
+    J[1, 2] = 1e-6
+    tau, reused = solve._tangent(J, (J_f, s, Vt), None)
+    assert not reused and tau.tobytes() == null_space(J)[:, 0].tobytes()
+    J[1, 1] = J[1, 2] = 0.0
+    with pytest.raises(RankDeficientSeed):
+        solve._tangent(J, (J_f, s, Vt), None)
+    # no factorization (the corrector took no step): the exact path
+    tau, reused = solve._tangent(J_f + 1e-15, None, None)
+    assert not reused
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["caustic", "--family", "cusp"], ["front", "--family", "cusp", "--t", "0.5"], ["maxwell", "--family", "cusp"]],
+    ids=["caustic", "front", "maxwell"],
+)
+def test_reused_tangents_agree_with_the_null_space_of_the_converged_jacobian(argv, monkeypatch, capsys):
+    gaps, tangent = [], solve._tangent
+
+    def checked(J, last, prev):
+        tau, reused = tangent(J, last, prev)
+        if reused:
+            gaps.append(1.0 - abs(np.dot(tau, null_space(J)[:, 0])))
+        return tau, reused
+
+    monkeypatch.setattr(solve, "_tangent", checked)
+    assert cli.run(argv) == 0
+    assert len(gaps) > 300 and max(gaps) < 1e-8
 
 
 # --- the stacked solver against newton_solve, row by row

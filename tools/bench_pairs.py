@@ -17,8 +17,11 @@ reports ``correct: false``, and 0 otherwise.  Standard library only.
 
 ``--out FILE`` also writes the result as one JSON object: the workload, the
 parent commit, the seeds, the machine fingerprint of the first run with each
-side's ``src/`` digest, and per metric each side's values, median and
-quartiles, the ratio, the pairs won and the IQR verdict.
+side's ``src/`` digest, per metric each side's values, median and
+quartiles, the ratio, the pairs won and the IQR verdict, and per operation
+each side's per-run medians (``summary.op_median_s`` of the run's
+``.perfbench_out/result-<workload>-seed<N>-trace0-full.json``), their
+median and the ratio, which shows where a change in ``wall_s`` sits.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "error": f"exit {out.returncode}: {out.stderr.strip()[-300:]}"}
     report["values"] = {k: v["value"] for k, v in report["metrics"].items()}
+    full = tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0-full.json"
+    report["op_median_s"] = json.loads(full.read_text())["summary"]["op_median_s"]
     for line in lines:
         if line.startswith("fingerprint "):
             report["fingerprint"] = json.loads(line[len("fingerprint "):])
@@ -106,6 +111,21 @@ def summarize(metrics: list, runs: list) -> dict:
             "pairs": len(pairs),
             "gap_exceeds_parent_iqr": abs(cm - pm) > pq3 - pq1,
         }
+    return out
+
+
+def summarize_ops(runs: list) -> dict:
+    """Per operation: each side's per-run medians (a failed run has none),
+    their median and the change/parent ratio of those medians."""
+    out = {}
+    ops = sorted({op for pair in runs for rep in pair for op in rep.get("op_median_s", {})})
+    for op in ops:
+        sides = {}
+        for i, side in enumerate(("parent", "change")):
+            values = [pair[i]["op_median_s"][op] for pair in runs if op in pair[i].get("op_median_s", {})]
+            sides[side] = {"median": median(values) if values else None, "values": values}
+        pm, cm = sides["parent"]["median"], sides["change"]["median"]
+        out[op] = {**sides, "ratio": cm / pm if pm and cm is not None else None}
     return out
 
 
@@ -178,6 +198,7 @@ def main(argv=None) -> int:
             "fingerprint": fingerprint(runs[0]),
             "all_correct": all_correct,
             "metrics": summary,
+            "op_median_s": summarize_ops(runs),
         }
         Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     if not all_correct:
