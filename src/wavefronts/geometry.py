@@ -280,7 +280,7 @@ def parallels(surface, r_values: Sequence[float], u_grid: Sequence) -> List[Tupl
 
 def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.ndarray]:
     """Singular points of the offset at distance r: solutions of
-    1 + r * kappa(u) = 0, refined by bisection between grid samples."""
+    1 + r * kappa(u) = 0, bracketed between grid samples by ``bracket_roots``."""
     _, roots = bracket_roots(lambda p, u: 1.0 + p * curve.curvature(u), [r], u_grid)
     return list(curve.point(roots) + r * curve.normal(roots))
 

@@ -36,42 +36,91 @@ CONVERGED, SINGULAR, MAX_ITERATIONS, LEFT_BOX = range(4)
 OUTCOMES = ("converged", "singular", "max_iterations", "left_box")
 # continuation: the largest seed residual accepted
 SEED_TOL = 1e-6
+# bracket_roots' ITP refinement: the truncation ITP_K1 w^2 / w0 (kappa_1 =
+# ITP_K1 / w0, kappa_2 = 2) and the slack of ITP_N0 steps over bisection
+ITP_K1 = 0.1
+ITP_N0 = 2
 
 
 def bracket_roots(h: Callable, params: Sequence[float], grid: Sequence[float]):
     """Roots in ``s`` of ``h(p, s) = 0`` along one line per parameter ``p``.
 
     ``h`` is elementwise: it takes two 1-D arrays of equal length and returns
-    one value per pair.  It is called once on the whole (lines x grid) mesh
-    and then once per bisection step on every bracket of every line, so at
-    most 81 times whatever the number of lines and roots.  Along a
-    line, an exact zero at a sample of the increasing ``grid`` (the last one
-    included) is a root, and every sign change between neighbouring samples
-    is refined by 80 bisection steps (the steps after every bracket's
-    midpoint has rounded to one of its ends are skipped: they cannot change
-    the result).
+    one value per pair.  Along a line, an exact zero at a sample of the
+    finite, strictly increasing ``grid`` (the last one included) is a root,
+    and every sign change between neighbouring samples is a bracket refined
+    by the ITP method (Oliveira & Takahashi, *ACM TOMS* 47(1), 2020).  Each
+    step evaluates one point per open bracket: the regula falsi point moved
+    towards the midpoint by ``ITP_K1 w^2 / w0`` (w the bracket's width, w0
+    its first) and by at least one ulp, or the midpoint when that point is
+    not strictly inside or the bracket was not halved in the two steps
+    before; projected so that no bracket is ever wider than 2^ITP_N0 times
+    bisection's after as many steps.  The bracket keeps the half whose ends
+    change sign (``fa * f <= 0`` on the signs of the values).  A bracket
+    closes at an exact zero, the root as it is, or once its ends are
+    adjacent floats, with root ``0.5 (a + b)``; one still open after 80
+    steps returns its midpoint (a step or a multiple root at 0, where the
+    float spacing becomes subnormal).
+
+    ``h`` is called once on the whole (lines x grid) mesh and then once per
+    step on the brackets still open, so at most 81 times whatever the number
+    of lines and roots.  A smooth simple root closes in about ten steps, and
+    no bracket takes more than ITP_N0 steps beyond bisection's.
 
     Returns ``(line, roots)``: the index into ``params`` of each root's line,
-    and the roots, ordered by line and increasing along each line.
+    and the roots, ordered by line and increasing along each line.  Raises
+    ValueError, before calling ``h``, for a grid that is not finite and
+    strictly increasing.
     """
     params = np.asarray(params, dtype=float)
     grid = np.asarray(grid, dtype=float)
+    if not np.isfinite(grid).all() or (np.diff(grid) <= 0).any():
+        raise ValueError("bracket_roots: the grid must be finite and strictly increasing")
     vals = np.asarray(h(np.repeat(params, grid.size), np.tile(grid, params.size)), dtype=float)
     vals = vals.reshape(params.size, grid.size)
     zero_line, zero_at = np.nonzero(vals == 0.0)
-    line, at = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0)
-    a, b, fa = grid[at], grid[at + 1], vals[line, at]
-    if line.size:
-        p = params[line]
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if np.all((m == a) | (m == b)):
-                break
-            fm = np.asarray(h(p, m), dtype=float)
-            left = fa * fm <= 0
-            a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    sign = np.sign(vals)  # a product of tiny values could underflow to 0
+    line, at = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    roots = np.empty(line.size)
+    # the open brackets: their index into roots, line parameter, ends and
+    # values, first width, and widths one and two steps back
+    rows, p, a, b = np.arange(line.size), params[line], grid[at], grid[at + 1]
+    fa, fb = vals[line, at], vals[line, at + 1]
+    w0 = b - a
+    w1 = w2 = np.full(line.size, np.inf)
+    for step in range(80):
+        m = 0.5 * (a + b)
+        shut = (m == a) | (m == b)
+        if shut.any():
+            roots[rows[shut]] = m[shut]
+            rows, p, a, b, fa, fb, w0, w1, w2, m = (v[~shut] for v in (rows, p, a, b, fa, fb, w0, w1, w2, m))
+        if rows.size == 0:
+            break
+        w = b - a
+        with np.errstate(all="ignore"):
+            # regula falsi from the end with the smaller |h|, which keeps its
+            # digits when the root is next to that end; then the truncation
+            near = np.abs(fa) < np.abs(fb)
+            x = np.where(near, a, b) - np.where(near, fa, fb) * (w / (fb - fa))
+            d = np.maximum(ITP_K1 * w * (w / w0), np.abs(np.spacing(x)))
+            x = np.where(d < np.abs(m - x), x + np.copysign(d, m - x), m)
+        x = np.where((a < x) & (x < b) & (w <= 0.5 * w2), x, m)
+        # the projection: after this step no wider than w0 2^(ITP_N0 - step - 1)
+        r = np.maximum(np.ldexp(w0, ITP_N0 - 1 - step) - 0.5 * w, 0.0)
+        x = np.minimum(np.maximum(x, m - r), m + r)
+        fx = np.asarray(h(p, x), dtype=float)
+        # fa * fx <= 0 on the signs, which no product underflow can flip
+        left = np.sign(fa) * np.sign(fx) <= 0
+        a, fa = np.where(left, a, x), np.where(left, fa, fx)
+        b, fb = np.where(left, x, b), np.where(left, fx, fb)
+        w1, w2 = w, w1
+        zero = fx == 0.0
+        if zero.any():
+            roots[rows[zero]] = x[zero]
+            rows, p, a, b, fa, fb, w0, w1, w2 = (v[~zero] for v in (rows, p, a, b, fa, fb, w0, w1, w2))
+    roots[rows] = 0.5 * (a + b)
     lines = np.concatenate([zero_line, line])
-    roots = np.concatenate([grid[zero_at], 0.5 * (a + b)])
+    roots = np.concatenate([grid[zero_at], roots])
     order = np.lexsort((np.concatenate([zero_at, at]), lines))
     return lines[order], roots[order]
 

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import emitters, families, gallery, pde
+from wavefronts import emitters, families, fronts, gallery, pde
 from wavefronts.cli import (
     MAX_HISTORY,
     MAX_JET_DIM,
     ValidationError,
     _box_grid,
+    _caustic_part,
     load_family,
     parse_range,
     phase_seeds,
@@ -603,6 +604,17 @@ def test_scene_output_matches_the_committed_digests(tmp_path):
         if line.split() != saved[name]:
             differ.append(f"{name}: {', '.join(sd.changed_columns(saved[name], line.split()))}")
     assert not differ, differ
+
+
+def test_caustic_part_reads_the_family_value_at_every_point():
+    # one stacked field pass gives the t column of the per-point values
+    fam = load_family("cusp")
+    rng = np.random.default_rng(0)
+    cloud = fronts.PointCloud(x=rng.uniform(-1.0, 1.0, (40, fam.n)), q=rng.uniform(-1.0, 1.0, (40, fam.k)))
+    t, _, _, label = _caustic_part(fam, cloud)
+    want = [fam.value(qi, xi) for xi, qi in zip(cloud.x, cloud.q)]
+    assert t == pytest.approx(want, rel=1e-14, abs=1e-15) and label == "caustic"
+    assert _caustic_part(fam, fronts.PointCloud.empty(fam.n, fam.k))[0].shape == (0,)
 
 
 def test_caustic_of_family_files_off_n_2(tmp_path, capsys):

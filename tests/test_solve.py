@@ -10,7 +10,7 @@ from wavefronts.errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from wavefronts import cli, families, fields, fronts, solve
+from wavefronts import cli, families, fields, fronts, geometry, solve
 from wavefronts.linalg import RANK_EPS, null_space, numerical_rank
 from wavefronts.families import critical_system, family_from_text, solve_critical_set
 from wavefronts.solve import (
@@ -68,26 +68,28 @@ def test_bracket_roots_exact_zeros_and_sign_changes():
     assert line.tolist() == [0, 0, 1, 1, 2]
     assert roots[[0, 3]].tolist() == [0.0, 2.0]
     assert np.abs(roots[[1, 2, 4]] - np.sqrt(2.0)).max() < 1e-12
-    # one call on the (lines x grid) mesh, then one per bisection step on
-    # all three brackets; steps stop once no bracket can shrink any more
-    assert calls[0] == 21 and set(calls[1:]) == {3} and 50 <= len(calls) <= 81
+    # one call on the (lines x grid) mesh, then one per refinement step on
+    # the brackets still open, so the sizes never grow; bisection took 50+
+    assert calls[0] == 21 and calls[1] == 3 and len(calls) <= 15
+    assert all(n >= m for n, m in zip(calls[1:], calls[2:]))
     line, roots = bracket_roots(lambda p, s: s * s + p, [1.0], grid)
     assert line.size == roots.size == 0
 
 
 def _bracket_roots_scalar(h, grid):
-    """Reference: the one-line scalar loop, one call of ``h`` per sample."""
+    """Reference: the one-line scalar loop, one call of ``h`` per sample.
+    Its sign tests multiply signs, as a product of two values can underflow."""
     vals = np.array([h(s) for s in grid])
     roots = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0:
+        elif np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
             a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
             for _ in range(80):
                 m = 0.5 * (a + b)
                 fm = h(m)
-                if fa * fm <= 0:
+                if np.sign(fa) * np.sign(fm) <= 0:
                     b = m
                 else:
                     a, fa = m, fm
@@ -118,8 +120,160 @@ def test_bracket_roots_matches_the_scalar_loop(lines, n):
         got = roots[line == k]
         assert len(got) == len(ref)
         assert np.all(np.abs(got - ref) <= 1e-12)
-        exact = [r for r in ref if r in grid]
+        # the exact zeros at samples; a bisected root can also round onto a
+        # sample next to a root one ulp away, which a step may hit exactly
+        exact = [r for r in ref if r in grid and h(k, r) == 0.0]
         assert all(r in got for r in exact)
+
+
+def _one_ulp(h, r):
+    """``h`` changes sign across the float ``r``, or is 0 next to it."""
+    lo, hi = h(np.nextafter(r, -np.inf)), h(np.nextafter(r, np.inf))
+    return lo == 0.0 or hi == 0.0 or np.sign(lo) != np.sign(hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.floats(-1.5, 1.5)), min_size=1, max_size=6),
+    st.integers(2, 13),
+)
+def test_bracket_roots_brackets_every_sign_change_to_one_ulp(lines, n):
+    # the cubics of the scalar-loop test; a root that is not an exact zero at
+    # a sample came from a sign change, and its bracket closed on adjacent
+    # floats or at an exact zero
+    grid = np.linspace(-1.0, 1.0, n)
+    coef = np.array([[grid[min(i, n - 1)], grid[min(j, n - 1)], c] for i, j, c in lines])
+
+    def h(p, s):
+        r = coef[np.asarray(p, dtype=int)]
+        return (s - r[..., 0]) * (s - r[..., 1]) * (s - r[..., 2])
+
+    line, roots = bracket_roots(h, np.arange(len(lines)), grid)
+    for k, r in zip(line, roots):
+        if not (r in grid and h(k, r) == 0.0):
+            assert _one_ulp(lambda s: h(k, s), r), (k, r)
+
+
+ADVERSARIAL_LINES = {
+    # name: (h(s), grid, the one root)
+    "step": (lambda s: np.sign(s - 0.3), np.linspace(-1.0, 1.0, 12), 0.3),
+    "steep": (lambda s: np.tanh(1e8 * (s - 0.3)), np.linspace(-1.0, 1.0, 12), 0.3),
+    "flat": (lambda s: (s - 1.0 / 3.0) ** 9, np.linspace(-1.0, 2.0, 12), 1.0 / 3.0),
+    "zero at a sample": (lambda s: s, np.linspace(-1.0, 2.0, 13), 0.0),
+    "zero hit by a step": (lambda s: s, np.linspace(-1.0, 2.0, 12), 0.0),
+    "around 0": (np.expm1, np.linspace(-1.0, 2.0, 12), 0.0),
+    "steep around 0": (lambda s: np.tanh(1e8 * s), np.linspace(-1.0, 2.0, 12), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_LINES))
+def test_bracket_roots_adversarial_lines_end_within_81_calls_to_one_ulp(name):
+    f, grid, root = ADVERSARIAL_LINES[name]
+    calls = []
+
+    def h(p, s):
+        calls.append(len(s))
+        return f(s)
+
+    _, roots = bracket_roots(h, [0.0], grid)
+    assert len(calls) <= 81 and roots.size == 1
+    assert _one_ulp(f, roots[0]) and abs(roots[0] - root) <= 4 * np.spacing(root)
+    if root == 0.0:
+        assert roots[0] == 0.0  # an exact zero is returned as is
+
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_LINES))
+def test_bracket_roots_steps_keep_the_bisection_safeguards(name):
+    # rebuild the one bracket from the points h was called at: a step after
+    # two that did not halve it evaluates the midpoint, and the bracket is
+    # never wider than 2^ITP_N0 times bisection's after as many steps
+    f, grid, _ = ADVERSARIAL_LINES[name]
+    xs = []
+
+    def h(p, s):
+        xs.append(s.copy())
+        return f(s)
+
+    bracket_roots(h, [0.0], grid)
+    vals = f(grid)
+    at = int(np.argmax(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+    a, b = grid[at], grid[at + 1]
+    widths = [b - a]
+    for k, (x,) in enumerate(xs[1:]):
+        if k >= 2 and widths[-1] > 0.5 * widths[-3]:
+            assert x == 0.5 * (a + b), (k, x, a, b)
+        if np.sign(f(a)) * np.sign(f(x)) <= 0:
+            b = x
+        else:
+            a = x
+        widths.append(b - a)
+        # up to the rounding of the projected point to a float
+        assert widths[-1] <= np.ldexp(widths[0], solve.ITP_N0 - k - 1) + np.spacing(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("f", [np.sign, lambda s: s**3])
+def test_bracket_roots_around_0_without_a_simple_root_stops_at_the_cap(f):
+    # a step or a triple root at 0: the floats near 0 are too dense for 80
+    # steps; the bracket ends no wider than 2^ITP_N0 times bisection's, so
+    # its midpoint lies within half of that of the root
+    grid = np.linspace(-1.0, 2.0, 12)
+    calls = []
+
+    def h(p, s):
+        calls.append(len(s))
+        return f(s)
+
+    _, roots = bracket_roots(h, [0.0], grid)
+    assert len(calls) == 81 and abs(roots[0]) <= np.ldexp(grid[1] - grid[0], solve.ITP_N0 - 81)
+
+
+def test_bracket_roots_tiny_values_keep_their_sign_change():
+    # neighbouring samples of +-1e-201: their product underflows to -0.0
+    def h(p, s):
+        return 1e-200 * (s - 0.3)
+
+    _, roots = bracket_roots(h, [0.0], np.linspace(-1.0, 1.0, 12))
+    assert roots.size == 1 and _one_ulp(lambda s: h(0.0, s), roots[0])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.linspace(1.0, -1.0, 11),  # decreasing
+        np.array([-1.0, 0.0, 0.0, 1.0]),  # a repeated sample
+        np.where(np.arange(11) == 3, np.nan, np.linspace(-1.0, 1.0, 11)),
+        np.array([-np.inf, 0.0, 1.0]),
+    ],
+)
+def test_bracket_roots_refuses_a_grid_not_finite_and_increasing(grid):
+    def h(p, s):
+        raise AssertionError("h called on a bad grid")
+
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bracket_roots(h, [0.0], grid)
+
+
+def test_parallel_cusps_of_the_scan_ellipse_take_at_most_15_calls(monkeypatch):
+    # the benchmark's ellipses (a in [1.95, 2.05], b in [0.95, 1.05]) at its
+    # 1,441 samples; bisection took 46 calls per offset
+    calls = []
+
+    def counted(h, params, grid):
+        def hc(p, s):
+            calls[-1] += 1
+            return h(p, s)
+
+        calls.append(0)
+        return solve.bracket_roots(hc, params, grid)
+
+    monkeypatch.setattr(geometry, "bracket_roots", counted)
+    u = np.linspace(0.0, 2 * np.pi, 1441)
+    for a, b in [(1.95, 0.95), (2.0, 1.0), (2.05, 1.05), (1.95, 1.05), (2.05, 0.95)]:
+        e = geometry.Ellipse(a=a, b=b)
+        for r in np.linspace(-3.05, -0.85, 60):
+            assert len(geometry.parallel_cusps(e, r, u)) == 4
+    assert len(calls) == 300 and max(calls) <= 15
 
 
 def test_dedup_keeps_first_and_drops_at_radius():
