@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,10 +19,10 @@ from . import families, fronts, gallery, geometry, jets, pde
 from . import expr as ex
 from .emitters import emit_csv, emit_svg
 from .errors import FamilySizeError, WavefrontError
+from .linalg import RANK_EPS
 
 DEFAULT_SEED_DENSITY = 8
 MAX_SEED_DENSITY = 256
-DEFAULT_TOL = 1e-8
 # largest range (parse_range), seed grid (_box_grid) or strip count built
 # from user input
 MAX_SAMPLES = 10**6
@@ -37,7 +38,11 @@ class ValidationError(Exception):
 
 
 def parse_range(text: str) -> np.ndarray:
-    """Parse 'lo:hi:step' (leading/trailing spaces allowed) into a grid."""
+    """Parse 'lo:hi:step' (leading/trailing spaces allowed) into a grid of
+    ``np.arange(lo, hi + step / 2, step)``'s size whose sample i is the float
+    nearest the exact decimal lo + i step (arange's is 5.55e-17 for the 0 of
+    ' -0.3:0.3:0.1').  lo and step are the shortest decimals of their floats:
+    the typed ones when they have at most 15 significant digits."""
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise ValidationError(f"range {text!r} must be lo:hi:step")
@@ -53,10 +58,15 @@ def parse_range(text: str) -> np.ndarray:
     count = (hi + step / 2 - lo) / step
     if not count <= MAX_SAMPLES:
         raise ValidationError(f"range {text!r} has more than {MAX_SAMPLES} samples")
-    vals = np.arange(lo, hi + step / 2, step)
-    if vals.size == 0:
+    n = np.arange(lo, hi + step / 2, step).size
+    if n == 0:
         raise ValidationError(f"range {text!r} is empty")
-    return vals
+    # exact rationals of bounded size (so not the text, which may be '1e-999999999');
+    # int / int rounds correctly
+    lo_x, step_x = Fraction(repr(lo)), Fraction(repr(step))
+    a, b = lo_x.numerator * step_x.denominator, step_x.numerator * lo_x.denominator
+    d = lo_x.denominator * step_x.denominator
+    return np.array([(a + i * b) / d for i in range(n)])
 
 
 def _finite(name: str, value: float) -> float:
@@ -250,7 +260,7 @@ def cmd_caustic(args) -> int:
     seeds = phase_seeds(fam, args.seed_density)
     cloud = fronts.caustic(fam, seeds)
     print(f"caustic: {len(cloud.x)} points")
-    svg = [(cloud.x, "caustic")] if fam.n == 2 else []
+    svg = [(x, "caustic") for x in cloud.chains] if fam.n == 2 else []
     _emit(args, _caustic_part(fam, cloud), fam.n, fam.k, svg)
     return 0
 
@@ -275,7 +285,7 @@ def cmd_discriminant(args) -> int:
     dec = fronts.discriminant(gl, seeds, xg, qs, t_values)
     maxwell = _maxwell_part(dec.maxwell, fam.n, fam.k)
     table = _table([_caustic_part(fam, dec.caustic), maxwell], fam.n, fam.k)
-    svg = [(dec.caustic.x, "caustic"), (maxwell[1], "maxwell")] if fam.n == 2 else []
+    svg = [(x, "caustic") for x in dec.caustic.chains] + [(maxwell[1], "maxwell")] if fam.n == 2 else []
     print(
         f"discriminant: caustic {len(dec.caustic.x)}, maxwell {len(dec.maxwell)}, "
         f"delta {len(dec.delta)} (empty as required)"
@@ -411,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[seeded, common], help="run the family rank checks")
     p.add_argument("--family", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"rank tolerance (default {DEFAULT_TOL})")
+    p.add_argument("--tol", type=float, default=RANK_EPS, help=f"rank tolerance (default {RANK_EPS})")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("front", parents=[seeded, common], help="one momentary front")

@@ -70,40 +70,28 @@ def _near_chain(p: np.ndarray, chains: List[np.ndarray], radius: float) -> bool:
     return False
 
 
-def _trace_all(
-    system: Callable,
-    seeds: Sequence,
-    step: float,
-    max_points: int,
-    box,
-) -> List[Curve]:
-    """Trace from each seed, skipping seeds already covered by earlier chains."""
+def _trace_all(system: Callable, seeds: Sequence, step: float, max_points: int) -> List[Curve]:
+    """Trace from each seed, skipping seeds already covered by earlier chains
+    and seeds that ``continue_curve`` refuses."""
     chains: List[Curve] = []
-    raw: List[np.ndarray] = []
-    skipped = 0
     for s in seeds:
         s = np.asarray(s, dtype=float)
-        if _near_chain(s, raw, 2 * step):
+        if _near_chain(s, [c.points for c in chains], 2 * step):
             continue
         try:
-            c = continue_curve(system, s, step=step, max_points=max_points, box=box)
+            chains.append(continue_curve(system, s, step=step, max_points=max_points))
         except (SeedNotOnCurve, RankDeficientSeed):
-            skipped += 1
-            continue
-        chains.append(c)
-        raw.append(c.points)
+            pass
     return chains
 
 
-def _trace_seeds(
-    system: System, points: Sequence, step: float, max_points: int, box, n: int
-) -> List[Curve]:
+def _trace_seeds(system: System, points: Sequence, step: float, max_points: int, n: int) -> List[Curve]:
     """Drop the points (already on the solution set of ``system``) within
     ``5 * step`` of one kept before, and trace the rest when the set is a
     curve (n = 2).  Otherwise the kept points are one unordered, open chain."""
     kept = [points[i] for i in dedup(points, 5 * step)]
     if n == 2:
-        return _trace_all(system, kept, step, max_points, box)
+        return _trace_all(system, kept, step, max_points)
     return [Curve(points=np.array(kept), closed=False)] if kept else []
 
 
@@ -134,7 +122,7 @@ def momentary_front(gl: GraphLikeFamily, t: float, seeds: Sequence) -> List[Fron
     k = fam.k
     system = front_system(gl, t)
     points = project_to_set(system, seeds)
-    curves = _trace_seeds(system, points, TRACE_STEP, TRACE_MAX_POINTS, fam.field.box, fam.n)
+    curves = _trace_seeds(system, points, TRACE_STEP, TRACE_MAX_POINTS, fam.n)
     return [FrontCurve(t=t, x=c.points[:, k:], q=c.points[:, :k], closed=c.closed) for c in curves]
 
 
@@ -181,7 +169,7 @@ def caustic(
     n != 2 the projected points, unordered, as one chain."""
     k, n = fam.k, fam.n
     system = caustic_system(fam)
-    curves = _trace_seeds(system, project_to_set(system, seeds), step, max_points, fam.field.box, n)
+    curves = _trace_seeds(system, project_to_set(system, seeds), step, max_points, n)
     if not curves:
         return PointCloud.empty(n, k)
     xs = [c.points[:, k:] for c in curves]
@@ -221,9 +209,9 @@ def maxwell_set(
     apart seed ``pairing_system`` in w = (q, q', x), which is traced as the
     caustic is (``_trace_seeds``) on its ordered half: the points whose
     sheets are that far apart and where q comes before q' lexicographically.
-    A projected seed is swapped to (q', q, x) when that puts q first, and a
+    A projected seed is swapped to (q', q, x) when that puts q first.  A
     chain ends at the edge of the ordered half (a merge q = q') as it ends at
-    the edge of the box.
+    the edge of the field's box: through the DomainError raised there.
     """
     k, n = fam.k, fam.n
     seeds = [
@@ -246,9 +234,7 @@ def maxwell_set(
         return pairing.evaluate(w)
 
     pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v)]
-    box = fam.field.box
-    box = None if box is None else tuple(box[:k]) * 2 + tuple(box[k:])
-    curves = _trace_seeds(System(ordered_half), pairs, TRACE_STEP, TRACE_MAX_POINTS, box, n)
+    curves = _trace_seeds(System(ordered_half), pairs, TRACE_STEP, TRACE_MAX_POINTS, n)
     return [
         MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.value(w[:k], w[2 * k :]))
         for c in curves for w in c.points

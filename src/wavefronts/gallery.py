@@ -10,7 +10,7 @@ import numpy as np
 
 from . import expr as ex
 from . import fronts as _fronts
-from .errors import UnknownGerm
+from .errors import DomainError, UnknownGerm
 from .fronts import polyline_self_intersections
 from .solve import System, bracket_roots, dedup, project_to_set
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps gallery.newton_solve by name)
@@ -101,12 +101,14 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
     )
 
 
-def _level_system(diagram: IntegralDiagram, t: float) -> System:
-    """mu(u) - t, one equation in u = (u1, u2), with the gradient of mu as
-    its Jacobian."""
+def _level_system(diagram: IntegralDiagram, t: float, box) -> System:
+    """mu(u) - t, one equation in u = (u1, u2) on the chart ``box``, with the
+    gradient of mu as its Jacobian; DomainError outside the box."""
     jet = diagram.jet_fn
 
     def evaluate(u):
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(u.tolist(), box)):
+            raise DomainError(f"point {u.tolist()} exits the chart box")
         mu, dmu, _, _ = jet(u)
         return np.array([mu - t]), np.array([dmu])
 
@@ -118,9 +120,9 @@ def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) 
 
     Seeds are the roots of mu = t along the ``u1_grid`` lines at the
     ``U2_SEEDS`` samples; the chains are traced in the box
-    ``[u1_grid[0], u1_grid[-1]] x [U2_SEEDS[0], U2_SEEDS[-1]]`` with the
-    spacing of ``u1_grid`` as the step, and each chain, in arclength order,
-    is one branch.
+    ``[u1_grid[0], u1_grid[-1]] x [U2_SEEDS[0], U2_SEEDS[-1]]`` (its system's
+    domain) with the spacing of ``u1_grid`` as the step, and each chain, in
+    arclength order, is one branch.
     """
     u1_grid = np.asarray(u1_grid, dtype=float)
     line, u2 = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, U2_SEEDS)
@@ -128,9 +130,7 @@ def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) 
     step = float(u1_grid[1] - u1_grid[0])
     # a cap on each direction of a chain: one point per step x step cell of the box
     max_points = int((box[0][1] - box[0][0]) * (box[1][1] - box[1][0]) / step**2)
-    chains = _fronts._trace_all(
-        _level_system(diagram, t), np.column_stack([u1_grid[line], u2]), step, max_points, box
-    )
+    chains = _fronts._trace_all(_level_system(diagram, t, box), np.column_stack([u1_grid[line], u2]), step, max_points)
     branches = [{"u": c.points, "xy": diagram.front_map(c.points.T).T} for c in chains]
     return GalleryFront(t=float(t), branches=branches)
 

@@ -26,7 +26,8 @@ from .errors import (
     SingularJacobian,
 )
 from .fields import fd_jacobian, stack_rows
-from .linalg import RANK_EPS, null_space, numerical_rank
+from .linalg import RANK_EPS, null_space
+from .linalg import numerical_rank  # noqa: F401  (perfbench/tracing.py wraps solve.numerical_rank by name)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -172,12 +173,6 @@ def as_system(fn: Callable) -> System:
     return System(evaluate)
 
 
-def _in_box(p: np.ndarray, box) -> bool:
-    if box is None:
-        return True
-    return all(lo <= v <= hi for v, (lo, hi) in zip(p, box))
-
-
 def newton_solve(system: Callable, seed):
     """Solve ``system(p) = 0`` to ``NEWTON_TOL`` in the infinity norm from
     ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
@@ -314,21 +309,20 @@ def _tangent(J: np.ndarray, last, prev: Optional[np.ndarray]):
     return tau, reused
 
 
-def continue_curve(
-    system: Callable,
-    seed,
-    step: float,
-    max_points: int,
-    box=None,
-) -> Curve:
+def continue_curve(system: Callable, seed, step: float, max_points: int) -> Curve:
     """Pseudo-arclength predictor-corrector tracing of a 1-D solution set.
 
-    ``system`` maps R^m -> R^(m-1).  A direction of the march ends on box
-    exit, on a corrector failure, on a converged Jacobian whose null space is
-    not one-dimensional (keeping the points traced so far), on closure
-    (return within step/2 of the seed after at least 10 points) or at
-    ``max_points``.  A system that raises DomainError outside a region
-    ends the march at its edge as the box does.
+    ``system`` maps R^m -> R^(m-1); its ``evaluate`` is the only domain
+    rule.  A direction of the march ends, keeping its points, on the first of:
+
+    - domain exit: DomainError from ``evaluate`` (a field's box, or any region
+      the system refuses) at the step and its four halvings, so within about
+      step/16 of the edge;
+    - corrector failure: SingularJacobian or MaxIterations, in the same tries;
+    - rank drop: the converged Jacobian's null space is not one-dimensional;
+    - closure: a return within step/2 of the seed after at least 10 points;
+    - ``max_points`` points in that direction.
+
     The predictor is second order, ``z + h tau + (h^2 / 2) c`` with ``c``
     the change of the unit tangent between the last two points per unit of
     their distance; it is Euler (``c = 0``) on the first step of each
@@ -341,8 +335,9 @@ def continue_curve(
     corrector's last SVD when ``_tangent`` certifies that it is
     ``null_space``'s answer to ``RANK_EPS``, else ``null_space`` of that
     Jacobian, so a traced point usually costs one SVD.  The seed must lie
-    within ``SEED_TOL`` of the curve; it is polished there first, and its
-    tangent comes from the polish under the same rule.
+    within ``SEED_TOL`` of the curve (else SeedNotOnCurve); it is polished
+    there first, and its tangent comes from the polish under the same rule
+    (RankDeficientSeed where the rank drops).
     """
     system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
@@ -351,8 +346,6 @@ def continue_curve(
         raise ValueError("system must have exactly one fewer equation than unknowns")
     if np.linalg.norm(res, ord=np.inf) > SEED_TOL:
         raise SeedNotOnCurve(f"seed residual {np.linalg.norm(res, np.inf):.3e}")
-    if numerical_rank(J) < z0.size - 1:
-        raise RankDeficientSeed(f"Jacobian rank-deficient at seed {z0!r}")
     # polish the seed onto the curve (least-norm correction)
     last = None
     try:
@@ -376,8 +369,6 @@ def continue_curve(
                 except (SingularJacobian, MaxIterations, DomainError):
                     h *= 0.5
             else:
-                return pts, False
-            if not _in_box(znew, box):
                 return pts, False
             pts.append(znew)
             d = znew - z0  # np.linalg.norm(d) is sqrt(d @ d)

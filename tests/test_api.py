@@ -32,7 +32,6 @@ KNOBS = {
     ("gallery", "gallery_family", "alpha"),
     ("linalg", "numerical_rank", "eps"),
     ("pde", "burgers", "speed"),
-    ("solve", "continue_curve", "box"),
 }
 
 

@@ -5,6 +5,7 @@ import math
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,27 @@ def test_parse_range_inclusive():
     assert vals[0] == pytest.approx(-2.8)
     assert vals[-1] == pytest.approx(-0.4)
     assert len(vals) == 13
+
+
+@pytest.mark.parametrize("text", [" -0.3:0.3:0.1", " -2.8:-0.4:0.4", "0:0.7:0.001", "0:6.28:0.1", "1e-3:2e-2:1e-3"])
+def test_parse_range_samples_are_the_nearest_floats_to_the_decimals(text):
+    # the np.arange sample count (perfbench's check_parallels counts it so),
+    # with sample i the float nearest lo + i step, not arange's drifted sum
+    lo, hi, step = (Fraction(p) for p in text.split(":"))
+    vals = parse_range(text)
+    assert len(vals) == len(np.arange(float(lo), float(hi) + float(step) / 2, float(step)))
+    assert vals.tolist() == [float(lo + i * step) for i in range(len(vals))]
+
+
+def test_parse_range_puts_the_zero_slice_at_zero():
+    # arange gives -0.3 + 3 * 0.1 = 5.55e-17, which traced a "t = 0" gallery slice off the slice
+    assert parse_range(" -0.3:0.3:0.1")[3] == 0.0
+
+
+def test_parse_range_rationals_stay_small_for_any_exponent():
+    # the exact rational of the text 1e-999999999 has a billion digits (it
+    # would not finish); its float, 0, has one
+    assert parse_range("1e-999999999:1:0.5").tolist() == [0.0, 0.5, 1.0]
 
 
 def test_verify_catalog_family(capsys):
@@ -156,6 +178,27 @@ def test_family_file_without_domain_uses_the_fallback_box(tmp_path):
         csv.append(tmp_path / f"{path.stem}.csv")
         assert run(["caustic", "--family", str(path), "--csv", str(csv[-1])]) == 0
     assert csv[0].read_bytes() == csv[1].read_bytes()
+
+
+FOLD_PAIR = Path(__file__).resolve().parents[1] / "tools" / "fold_pair.fam"
+
+
+@pytest.mark.parametrize("command", [["caustic"], ["discriminant", "--t", " -1:1:1"]])
+def test_caustic_svg_draws_one_polyline_per_chain(tmp_path, command, capsys):
+    # the caustic of 1/3 q1^3 - x1^2 q1 + q1 is the two lines x1 = -1 and
+    # x1 = 1: two chains, so two polylines and no segment between them
+    svg = tmp_path / "fold_pair.svg"
+    assert run(command + ["--family", str(FOLD_PAIR), "--svg", str(svg)]) == 0
+    assert "caustic" in capsys.readouterr().out
+    polylines = [
+        np.array([[float(v) for v in xy.split(",")] for xy in line.split('points="')[1].split('"')[0].split()])
+        for line in svg.read_text().splitlines()
+        if line.startswith('<polyline class="caustic"')
+    ]
+    assert [len(p) for p in polylines] == [204, 204]
+    assert sorted(p[0, 0] for p in polylines) == pytest.approx([-1.0, 1.0])
+    for p in polylines:
+        assert np.allclose(p[:, 0], p[0, 0], atol=1e-9)
 
 
 def test_big_front_counts_time_values_as_slices(capsys):

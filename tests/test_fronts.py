@@ -164,9 +164,8 @@ def test_maxwell_chain_ends_at_a_merge_it_steps_over(cusp, monkeypatch):
     # merge q = q' at x = 0 with no point within 1e-3 of it, so no rank drop
     # stops it there
     s = np.sqrt(1.25)
-    box = cusp.field.box[:1] * 2 + cusp.field.box[1:]
     plain = solve.continue_curve(
-        fronts.pairing_system(cusp), [-s, s, -2.5, 0.0], fronts.TRACE_STEP, fronts.TRACE_MAX_POINTS, box
+        fronts.pairing_system(cusp), [-s, s, -2.5, 0.0], fronts.TRACE_STEP, fronts.TRACE_MAX_POINTS
     )
     split = plain.points[:, 1] - plain.points[:, 0]
     assert np.abs(split).min() > 1e-3 and (split < 0).any()

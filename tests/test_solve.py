@@ -376,18 +376,22 @@ def test_continuation_rank_deficient_seed():
         continue_curve(sys, np.array([0.0, 0.0]), step=0.05, max_points=10)
 
 
-def test_continuation_stops_at_box():
-    line = lambda z: np.array([z[1]])
-    c = continue_curve(
-        line,
-        np.array([0.0, 0.0]),
-        step=0.1,
-        max_points=500,
-        box=((-1.0, 1.0), (-1.0, 1.0)),
-    )
+def test_continuation_ends_where_the_system_leaves_its_domain():
+    # the circle of radius 1.2 crosses the square [-1, 1]^2 in four arcs; a
+    # system that raises DomainError outside the square traces one of them,
+    # and the step halvings bring each end within step/16 of the edge
+    def evaluate(z):
+        if np.abs(z).max() > 1.0:
+            raise DomainError(f"{z.tolist()} is outside the square")
+        return np.array([z @ z - 1.44]), 2 * z[None, :]
+
+    step = 0.05
+    c = continue_curve(System(evaluate), np.full(2, 1.2 / np.sqrt(2)), step=step, max_points=500)
     assert not c.closed
-    assert np.all(np.abs(c.points[:, 0]) <= 1.0 + 1e-9)
-    assert len(c.points) >= 15
+    assert len(c.points) >= 10
+    assert np.abs(c.points).max() <= 1.0
+    for end in c.points[[0, -1]]:
+        assert 1.0 - np.abs(end).max() <= step / 16
 
 
 def test_continuation_evaluates_once_per_chain_outside_newton(monkeypatch):

@@ -42,6 +42,8 @@ from wavefronts import cli  # noqa: E402
 
 SCENES = [
     ("caustic", ["caustic", "--family", "cusp"]),
+    # two caustic chains, x1 = -1 and x1 = 1: one SVG polyline each
+    ("caustic-fold-pair", ["caustic", "--family", str(Path(__file__).resolve().with_name("fold_pair.fam"))]),
     ("front", ["front", "--family", "cusp", "--t", "0.5"]),
     ("big-front", ["big-front", "--family", "cusp", "--t", " -0.5:0:0.5"]),
     ("maxwell", ["maxwell", "--family", "cusp"]),
