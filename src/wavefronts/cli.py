@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 numerical/module failure, 2 validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -176,6 +177,12 @@ def _maxwell_part(pts: List[fronts.MaxwellPoint], n: int, k: int):
     return np.array([p.value for p in pts], dtype=float), X, Q, "maxwell"
 
 
+def _maxwell_chains(pts: List[fronts.MaxwellPoint], X: np.ndarray) -> List[np.ndarray]:
+    """The rows of ``X`` (one per Maxwell point) split into the traced
+    chains, for one SVG polyline each."""
+    return np.split(X, np.flatnonzero(np.diff([p.chain for p in pts])) + 1)
+
+
 def _caustic_part(fam: families.GeneratingFamily, cloud: fronts.PointCloud):
     """The table part of caustic points, with the family's value as t: one
     stacked field pass over the (q, x) rows."""
@@ -271,7 +278,7 @@ def cmd_maxwell(args) -> int:
     pts = fronts.maxwell_set(fam, xg, qs)
     table = _maxwell_part(pts, fam.n, fam.k)
     print(f"maxwell set: {len(pts)} points")
-    svg = [(table[1], "maxwell")] if fam.n == 2 else []
+    svg = [(x, "maxwell") for x in _maxwell_chains(pts, table[1])] if fam.n == 2 else []
     _emit(args, table, fam.n, fam.k, svg)
     return 0
 
@@ -285,7 +292,10 @@ def cmd_discriminant(args) -> int:
     dec = fronts.discriminant(gl, seeds, xg, qs, t_values)
     maxwell = _maxwell_part(dec.maxwell, fam.n, fam.k)
     table = _table([_caustic_part(fam, dec.caustic), maxwell], fam.n, fam.k)
-    svg = [(x, "caustic") for x in dec.caustic.chains] + [(maxwell[1], "maxwell")] if fam.n == 2 else []
+    chains = [(x, "caustic") for x in dec.caustic.chains] + [
+        (x, "maxwell") for x in _maxwell_chains(dec.maxwell, maxwell[1])
+    ]
+    svg = chains if fam.n == 2 else []
     print(
         f"discriminant: caustic {len(dec.caustic.x)}, maxwell {len(dec.maxwell)}, "
         f"delta {len(dec.delta)} (empty as required)"
@@ -483,10 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves no state in
+    it, so every ``run`` reuses it."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ChartFailure, FamilyFileError, FamilySizeError, NotOnSigmaStar
-from .fields import ScalarField, field_from_expr
+from .fields import ScalarField, field_from_expr, jet_index
 from .linalg import RANK_EPS, null_space, numerical_rank
 from .solve import CONVERGED, System, dedup, newton_batch
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps families.newton_solve by name)
@@ -131,15 +131,18 @@ def nondegeneracy_check(gl: GraphLikeFamily, q, x, t: float, eps: float = RANK_E
 
 def critical_system(fam: GeneratingFamily, x) -> System:
     """The k equations dF/dq = 0 in q at the fixed ``x``; the Jacobian is the
-    (q, q) block of the field's Hessian.  ``x`` is one point, or one per row
-    of the (N, k) stacks the system is evaluated on."""
+    (q, q) block of the field's Hessian, both read from one jet by index.
+    ``x`` is one point, or one per row of the (N, k) stacks the system is
+    evaluated on."""
     fld, k = fam.field, fam.k
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _, G, H, _ = jet_index(k + fam.n, 0)
+    res_at, jac_at = G[:k], H[:k, :k]
 
     def evaluate(q):
         z = np.concatenate([q, np.broadcast_to(x, q.shape[:-1] + x.shape[-1:])], axis=-1)
-        _, g, H, _ = fld.derivatives(z)
-        return g[..., :k], H[..., :k, :k]
+        a = fld.jet(z, 0)
+        return a.take(res_at, -1), a.take(jac_at, -1)
 
     return System(evaluate)
 
@@ -183,9 +186,11 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
     jet_fn = None
     if base.jet_fn is not None:
 
-        def jet_fn(p, with_third):
-            jet = base.jet_fn(p, with_third)
-            jet[..., 0] -= t0  # the value entry of each row of a stacked jet
+        def jet_fn(v, with_third):
+            jet = base.jet_fn(v, with_third)
+            if isinstance(v, list):  # a point: a sequence of floats
+                return [jet[0] - t0, *jet[1:]]
+            jet[:, 0] -= t0  # the value entry of each row of a stacked jet
             return jet
 
         jet_fn.stacks = getattr(base.jet_fn, "stacks", False)

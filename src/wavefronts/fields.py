@@ -1,8 +1,9 @@
 """Evaluable smooth scalar fields with derivatives up to the third order.
 
-A generated field carries one closed-form jet closure, so that
-``derivatives`` gets the value, gradient, Hessian and third partials from one
-call; a hand-written one may carry a gradient closure.  A derivative with no
+A generated field carries one closed-form jet closure, so that ``jet`` gets
+the value, gradient, Hessian and third partials from one call, as one flat
+array whose layout only this module defines (``jet_index``); a hand-written
+field may carry a gradient closure.  A derivative with no
 closed form is ``fd_jacobian`` (central differences, relative step
 ``FD_STEP``) of the order below.  This is the only module that knows whether
 a derivative is closed-form, and ``fd_jacobian`` is the package's one
@@ -29,7 +30,7 @@ def _check_finite(value, point):
     if isinstance(value, float):
         finite = math.isfinite(value)
     elif isinstance(value, np.ndarray) and value.ndim == 1:
-        # a gradient or a flat jet: float tests beat a ufunc pass at this size
+        # a gradient: float tests beat a ufunc pass at this size
         finite = all(map(math.isfinite, value.tolist()))
     else:
         finite = np.isfinite(value).all()
@@ -65,39 +66,59 @@ class ScalarField:
     """A smooth function R^m -> R on a box, with derivatives.
 
     ``fn`` takes a length-m vector.  A generated field also carries
-    ``jet_fn(p, with_third)``, one closed-form pass returning a new flat
-    array: the value, the gradient and the Hessian row by row, then, when
-    ``with_third`` and the field has them, the third partials
-    ``d_c d_a d_b f`` for ``a, b`` among its first r variables and every
-    ``c``, row by row.  A jet whose ``stacks`` attribute is true also
-    answers an (N, m) stack of points with an (N, s) array, one flat jet per
-    row.  A hand-written field may carry ``grad_fn`` instead.  Every
-    derivative without a closed form is ``fd_jacobian`` of the order below.
+    ``jet_fn(v, with_third)``, one closed-form pass: on a point, given as
+    the list of its m floats, it returns the sequence of the value, the
+    gradient and the Hessian row by row, then, when ``with_third`` and the
+    field has them, the third partials ``d_c d_a d_b f`` for ``a, b`` among
+    its first r variables and every ``c``, row by row.  A jet whose
+    ``stacks`` attribute is true also answers an (N, m) array of points with
+    an (N, s) array, one flat jet per row.  A hand-written field may carry
+    ``grad_fn`` instead.  Every derivative without a closed form is
+    ``fd_jacobian`` of the order below.
+
+    ``jet`` is the one field pass the solvers read: that flat jet as an
+    array, for a point or a stack, its entries at the positions that
+    ``jet_index`` gives.
     """
 
     arity: int
     fn: Callable[[np.ndarray], float]
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     box: Optional[Box] = None
-    jet_fn: Optional[Callable[[np.ndarray, bool], np.ndarray]] = None
+    jet_fn: Optional[Callable[[list, bool], Sequence[float]]] = None
 
     def __post_init__(self):
         # built once: the box check runs on every evaluation
         if self.box is not None:
             object.__setattr__(self, "_bounds", tuple((float(lo), float(hi)) for lo, hi in self.box))
 
-    def _check_box(self, p: np.ndarray, margin: np.ndarray | float = 0.0):
+    def _check_box(self, p, margin: np.ndarray | float = 0.0):
+        """DomainError unless the point ``p`` (an array, or the list of its
+        floats) lies ``margin`` inside the box."""
         if self.box is None:
             return
         # float comparisons: for a few coordinates much cheaper than array ones
+        v = p.tolist() if isinstance(p, np.ndarray) else p
         h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
-        for v, d, (lo, hi) in zip(p.tolist(), h, self._bounds):
-            if v - d < lo or v + d > hi:
-                raise DomainError(f"point {p.tolist()} (margin {h}) exits the domain box")
+        for x, d, (lo, hi) in zip(v, h, self._bounds):
+            if x - d < lo or x + d > hi:
+                raise DomainError(f"point {v} (margin {h}) exits the domain box")
 
     def _jet(self, p: np.ndarray, with_third: bool = False) -> np.ndarray:
-        self._check_box(p)
-        return _check_finite(self.jet_fn(p, with_third), p)
+        """``jet_fn`` at the point ``p``, run on its floats after one box
+        test of them and before one finiteness test of the floats it returns.
+        An overflow that Python's float ``**`` raises (numpy's returns inf)
+        is non-finite too."""
+        v = p.tolist()
+        self._check_box(v)
+        try:
+            jet = self.jet_fn(v, with_third)
+            finite = all(map(math.isfinite, jet))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise NonFiniteValue(f"non-finite field value at {p!r}")
+        return np.array(jet, dtype=float)
 
     def _fd_grad(self, p: np.ndarray, r: Optional[int] = None) -> np.ndarray:
         return fd_jacobian(self.fn, p, r)[0]
@@ -141,51 +162,62 @@ class ScalarField:
         """The third partials ``d_c d_a d_b f``: the jet's (r, r, m) block
         (its own r), else central differences of the whole Hessian, (m, m, m)."""
         p = np.asarray(point, dtype=float)
+        m = p.size
+        s = 1 + m + m * m
         if self.jet_fn is not None:
-            T = _jet_third(self._jet(p, True), p.size)
-            if T is not None:
-                return T
-        return self._fd_third(p, p.size)
+            a = self._jet(p, True)
+            if a.size > s:
+                r = math.isqrt((a.size - s) // m)
+                return a[s:].reshape(r, r, m)
+        return self._fd_third(p, m)
 
     def _fd_third(self, p: np.ndarray, r: int) -> np.ndarray:
-        """Central differences of the Hessian's leading (r, r) block; each
-        probe p +- h e_c checks the box as ``hessian`` does."""
-        return fd_jacobian(lambda q: self._hessian_block(q, r).ravel(), p).reshape(r, r, p.size)
+        """Central differences of the Hessian's leading (r, r) block, in C
+        order as the jet's own third partials; each probe p +- h e_c checks
+        the box as ``hessian`` does."""
+        D = fd_jacobian(lambda q: self._hessian_block(q, r).ravel(), p)
+        return np.ascontiguousarray(D).reshape(r, r, p.size)
 
-    def derivatives(self, point, third: int = 0):
-        """``(value, grad, hessian, third partials or None)`` at ``point``.
+    def jet(self, point, third: int) -> np.ndarray:
+        """The flat jet of one field pass at ``point``: the value, the
+        gradient, the Hessian row by row and, for ``third = r > 0``, the
+        third partials ``d_c d_a d_b f`` for ``a, b < r`` and every ``c``,
+        row by row; ``jet_index(m, r)`` gives the position of each entry.
 
-        ``third = r > 0`` also asks for the third partials: the jet's, else
-        central differences of the Hessian's leading (r, r) block, (r, r, m).
-        With ``jet_fn`` the closed-form part is one call with one box check and
-        one finiteness check; the rest comes from the separate methods, so
-        every entry, FD margin and error is the one they give.
+        With ``jet_fn`` it is one closed-form call with one box check and one
+        finiteness check.  Third partials that the jet does not carry for
+        exactly r rows are central differences of the Hessian's leading
+        (r, r) block, and a field without a jet stacks its ``value``,
+        ``grad`` and ``hessian``, so every entry, FD margin and error is the
+        one the separate methods give.
 
-        An (N, m) stack of points gives each part with a leading axis of N
-        rows (see ``_stacked_derivatives``).
+        An (N, m) stack of points gives an (N, s) array, one jet per row
+        (see ``_stacked_jet``).
         """
         p = np.asarray(point, dtype=float)
         if p.ndim == 2:
-            return self._stacked_derivatives(p, third)
-        if self.jet_fn is None:
-            return self.value(p), self.grad(p), self.hessian(p), (self._fd_third(p, third) if third else None)
-        a = self._jet(p, bool(third))
+            return self._stacked_jet(p, third)
         m = p.size
-        T = _jet_third(a, m) if third else None
-        if third and T is None:
-            T = self._fd_third(p, third)
-        return float(a[0]), a[1 : m + 1], a[m + 1 : 1 + m + m * m].reshape(m, m), T
-
-    def _stacked_derivatives(self, P: np.ndarray, third: int):
-        """``derivatives`` of each row of the (N, m) stack ``P``, every part
-        with a leading axis of N rows.  A jet that stacks answers the in-box
-        rows in one call: a row outside the box is NaN in every part, and an
-        in-box row that is not finite raises NonFiniteValue.  Any other
-        field, or a jet without the third partials asked for, runs its rows
-        one by one through the 1-D ``derivatives``, and a row that raises
-        DomainError there is NaN."""
-        N, m = P.shape
         s = 1 + m + m * m
+        if self.jet_fn is None:
+            a = np.concatenate([[self.value(p)], self.grad(p), self.hessian(p).ravel()])
+        else:
+            a = self._jet(p, bool(third))
+            if a.size == s + third * third * m:
+                return a
+        if third:
+            return np.concatenate([a[:s], self._fd_third(p, third).ravel()])
+        return a
+
+    def _stacked_jet(self, P: np.ndarray, third: int) -> np.ndarray:
+        """``jet`` of each row of the (N, m) stack ``P``, one row each.  A
+        jet that stacks answers the in-box rows in one call: a row outside
+        the box is NaN, and an in-box row that is not finite raises
+        NonFiniteValue.  Any other field, or a jet without the third
+        partials asked for, runs its rows one by one through the 1-D
+        ``jet``, and a row that raises DomainError there is NaN."""
+        N, m = P.shape
+        size = 1 + m + m * m + third * third * m
         if getattr(self.jet_fn, "stacks", False):
             inside = np.ones(N, dtype=bool)
             if self.box is not None:
@@ -200,12 +232,34 @@ class ScalarField:
             bad = inside & ~np.isfinite(a).all(axis=1)
             if bad.any():
                 raise NonFiniteValue(f"non-finite field value at {P[np.argmax(bad)]!r}")
-            if not third or a.shape[1] > s:
-                r = math.isqrt((a.shape[1] - s) // m)
-                T = a[:, s:].reshape(N, r, r, m) if third else None
-                return a[:, 0], a[:, 1 : m + 1], a[:, m + 1 : s].reshape(N, m, m), T
-        blank = (0.0, np.zeros(m), np.zeros((m, m)), np.zeros((third, third, m)) if third else None)
-        return stack_rows(lambda p: self.derivatives(p, third), P, blank)
+            if a.shape[1] == size:
+                return a
+        return stack_rows(lambda p: (self.jet(p, third),), P, (np.zeros(size),))[0]
+
+    def derivatives(self, point, third: int = 0):
+        """``(value, grad, hessian, third partials or None)`` at ``point``:
+        views of ``jet(point, third)``, the value a float.  ``third = r > 0``
+        also asks for the (r, r, m) third partials.
+
+        An (N, m) stack of points gives each part with a leading axis of N
+        rows.
+        """
+        p = np.asarray(point, dtype=float)
+        a = self.jet(p, third)
+        m = p.shape[-1]
+        s = 1 + m + m * m
+        rows = a.shape[:-1]
+        T = a[..., s:].reshape(rows + (third, third, m)) if third else None
+        return a[..., 0] if rows else float(a[0]), a[..., 1 : m + 1], a[..., m + 1 : s].reshape(rows + (m, m)), T
+
+
+def jet_index(m: int, r: int):
+    """The positions in a flat ``ScalarField.jet`` of m variables with r
+    rows of third partials: ``(value, gradient, Hessian, third)``, the value
+    an int and the others integer arrays of shape (m,), (m, m) and (r, r, m).
+    A system reads its residual and Jacobian from one jet by such indices."""
+    s = 1 + m + m * m
+    return 0, np.arange(1, m + 1), np.arange(m + 1, s).reshape(m, m), np.arange(s, s + r * r * m).reshape(r, r, m)
 
 
 def stack_rows(fn: Callable, Z: np.ndarray, blank: tuple) -> tuple:
@@ -233,16 +287,6 @@ def stack_rows(fn: Callable, Z: np.ndarray, blank: tuple) -> tuple:
     return tuple(out)
 
 
-def _jet_third(a: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """The (r, r, m) third partials at the end of a flat jet, or None when
-    the jet stops after the Hessian."""
-    s = 1 + m + m * m
-    if a.size == s:
-        return None
-    r = math.isqrt((a.size - s) // m)
-    return a[s:].reshape(r, r, m)
-
-
 def field_from_expr(
     e: Expr, var_order: Sequence[str], box: Optional[Box] = None, third_rows: int = 0
 ) -> ScalarField:
@@ -251,7 +295,9 @@ def field_from_expr(
     ``jet_fn`` is the value, gradient and Hessian compiled into one flat
     closure; the Hessian is compiled from its upper triangle and mirrored, so
     it is exactly symmetric.  With ``third_rows = r > 0`` a second closure
-    appends the third partials ``d_c d_a d_b f`` for ``a, b < r``.
+    appends the third partials ``d_c d_a d_b f`` for ``a, b < r``.  A point
+    runs the closure on Python floats, which round every operation as numpy
+    scalars do, bit for bit; a stack runs it once on the coordinate rows.
     """
     m = len(var_order)
     f = e.compile(var_order)
@@ -266,12 +312,12 @@ def field_from_expr(
         thirds = [d for a in range(r) for b in range(r) for d in d3[min(a, b), max(a, b)]]
         jets[True] = compile_nested(jet + thirds, var_order)
 
-    def jet_fn(p, with_third):
-        if p.ndim == 1:
-            return np.array(jets[with_third](p), dtype=float)
+    def jet_fn(v, with_third):
+        if isinstance(v, list):  # a point, as Python floats
+            return jets[with_third](v)
         # one pass on the coordinate rows; a constant entry is broadcast
-        entries = jets[with_third](p.T)
-        out = np.empty((len(entries), len(p)))
+        entries = jets[with_third](v.T)
+        out = np.empty((len(entries), len(v)))
         for i, e in enumerate(entries):
             out[i] = e
         return out.T

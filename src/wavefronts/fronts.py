@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DeltaNonEmptyForGraphLike, DomainError, RankDeficientSeed, SeedNotOnCurve
 from .families import GeneratingFamily, GraphLikeFamily, solve_critical_set
+from .fields import jet_index
 from .linalg import adjugate, numerical_rank
 from .solve import Curve, System, continue_curve, dedup, project_to_set
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps fronts.newton_solve by name)
@@ -54,6 +55,7 @@ class MaxwellPoint:
     q: np.ndarray
     q2: np.ndarray
     value: float
+    chain: int  # the index of its traced chain; points come in chain order
 
 
 @dataclass
@@ -97,16 +99,16 @@ def _trace_seeds(system: System, points: Sequence, step: float, max_points: int,
 
 def front_system(gl: GraphLikeFamily, t: float) -> System:
     """(k+1) equations (dF/dq, F - t) in z = (q, x).  The Jacobian is the q
-    rows of the Hessian over the gradient of F."""
-    fld, k = gl.base.field, gl.base.k
+    rows of the Hessian over the gradient of F; both are read from one jet by
+    index, and ``t`` is subtracted from the value."""
+    fld, k, m = gl.base.field, gl.base.k, gl.base.k + gl.base.n
+    V, G, H, _ = jet_index(m, 0)
+    res_at, jac_at = np.append(G[:k], V), np.vstack([H[:k], G])
+    shift = np.append(np.zeros(k), t)  # x - 0.0 is x
 
     def evaluate(z):
-        v, g, H, _ = fld.derivatives(z)
-        rows = z.shape[:-1]
-        res, J = np.empty(rows + (k + 1,)), np.empty(rows + (k + 1, z.shape[-1]))
-        res[..., :k], res[..., k] = g[..., :k], v - t
-        J[..., :k, :], J[..., k, :] = H[..., :k, :], g
-        return res, J
+        a = fld.jet(z, 0)
+        return a.take(res_at, -1) - shift, a.take(jac_at, -1)
 
     return System(evaluate)
 
@@ -134,26 +136,27 @@ def big_front(gl: GraphLikeFamily, t_values: Sequence[float], seeds: Sequence) -
 
 
 def caustic_system(fam: GeneratingFamily) -> System:
-    """(k+1) equations (dF/dq, det d2F/dq2) in z = (q, x).
+    """(k+1) equations (dF/dq, det d2F/dq2) in z = (q, x), read from one jet
+    with the third partials.
 
     The Jacobian's det row is ``d det H = tr(adj(H) dH)``, which stays defined
     on the caustic itself, where H = d2F/dq2 is singular.  For k = 1 the
-    determinant is the entry itself and the adjugate is 1.
+    determinant is the entry itself and the adjugate is 1, so the residual and
+    the Jacobian are read from the jet by index alone.
     """
-    fld, k = fam.field, fam.k
-
-    def det_and_row(Hqq, T):
-        if k == 1:
-            return Hqq[..., 0, 0], T[..., 0, 0, :]
-        with np.errstate(invalid="ignore"):  # a stacked row outside the box is NaN
-            return np.linalg.det(Hqq), np.einsum("...ba,...abc->...c", adjugate(Hqq), T[..., :k, :k, :])
+    fld, k, m = fam.field, fam.k, fam.k + fam.n
+    _, G, H, T = jet_index(m, k)
+    # for k >= 2 the det entry and its row are written over these
+    res_at, jac_at = np.append(G[:k], H[0, 0]), np.vstack([H[:k], T[0, 0]])
 
     def evaluate(z):
-        _, g, H, T = fld.derivatives(z, third=k)
-        rows = z.shape[:-1]
-        res, J = np.empty(rows + (k + 1,)), np.empty(rows + (k + 1, z.shape[-1]))
-        res[..., :k], J[..., :k, :] = g[..., :k], H[..., :k, :]
-        res[..., k], J[..., k, :] = det_and_row(H[..., :k, :k], T)
+        a = fld.jet(z, k)
+        res, J = a.take(res_at, -1), a.take(jac_at, -1)
+        if k > 1:
+            Hqq = a.take(H[:k, :k], -1)
+            with np.errstate(invalid="ignore"):  # a stacked row outside the box is NaN
+                res[..., k] = np.linalg.det(Hqq)
+                J[..., k, :] = np.einsum("...ba,...abc->...c", adjugate(Hqq), a.take(T, -1))
         return res, J
 
     return System(evaluate)
@@ -178,21 +181,33 @@ def caustic(
 
 def pairing_system(fam: GeneratingFamily) -> System:
     """(2k+1) equations (dF/dq(q, x), dF/dq(q', x), F(q, x) - F(q', x)) in
-    w = (q, q', x), with the Jacobian built from the field's Hessian."""
+    w = (q, q', x), with the Jacobian built from the field's Hessian.
+
+    Each entry is ``ab[plus] - ab[minus]`` on the two jets of one evaluate
+    and a +0.0 and a -0.0 after them: ``x - (+0.0)`` is ``x``, ``-0.0 - y``
+    is ``-y`` and ``(+0.0) - (+0.0)`` a structural zero, so every entry,
+    signed zeros included, is the one direct assignment gives.
+    """
     fld, k, n = fam.field, fam.k, fam.n
+    V, G, H, _ = jet_index(k + n, 0)
+    b = H[-1, -1] + 1  # the second jet's offset: the first ends at its last Hessian entry
+    pz, mz = 2 * b, 2 * b + 1  # the +0.0 and the -0.0
+    zeros = np.full((k, k), pz)
+    res_plus, res_minus = np.concatenate([G[:k], b + G[:k], [V]]), np.append(np.full(2 * k, pz), b + V)
+    jac_plus = np.vstack([
+        np.hstack([H[:k, :k], zeros, H[:k, k:]]),
+        np.hstack([zeros, b + H[:k, :k], b + H[:k, k:]]),
+        np.concatenate([G[:k], np.full(k, mz), G[k:]]),
+    ])
+    jac_minus = np.full(jac_plus.shape, pz)
+    jac_minus[2 * k, k:] = b + G  # -dF/dq(q') and the x gradient difference
+    at_a = np.r_[:k, 2 * k : 2 * k + n]  # (q, x) in w
 
     def evaluate(w):
-        za, zb = np.concatenate([w[..., :k], w[..., 2 * k :]], axis=-1), w[..., k:]
-        va, ga, Ha, _ = fld.derivatives(za)
-        vb, gb, Hb, _ = fld.derivatives(zb)
-        rows = w.shape[:-1]
-        res, J = np.empty(rows + (2 * k + 1,)), np.zeros(rows + (2 * k + 1, 2 * k + n))
-        res[..., :k], res[..., k : 2 * k], res[..., 2 * k] = ga[..., :k], gb[..., :k], va - vb
-        J[..., :k, :k], J[..., :k, 2 * k :] = Ha[..., :k, :k], Ha[..., :k, k:]
-        J[..., k : 2 * k, k : 2 * k], J[..., k : 2 * k, 2 * k :] = Hb[..., :k, :k], Hb[..., :k, k:]
-        J[..., 2 * k, :k], J[..., 2 * k, k : 2 * k] = ga[..., :k], -gb[..., :k]
-        J[..., 2 * k, 2 * k :] = ga[..., k:] - gb[..., k:]
-        return res, J
+        tail = np.zeros(w.shape[:-1] + (2,))
+        tail[..., 1] = -0.0
+        ab = np.concatenate([fld.jet(w.take(at_a, -1), 0), fld.jet(w[..., k:], 0), tail], axis=-1)
+        return ab.take(res_plus, -1) - ab.take(res_minus, -1), ab.take(jac_plus, -1) - ab.take(jac_minus, -1)
 
     return System(evaluate)
 
@@ -203,7 +218,7 @@ def maxwell_set(
     q_seeds: Sequence,
 ) -> List[MaxwellPoint]:
     """Pairs of distinct critical points with equal critical values, in chain
-    order.
+    order, each with the index of its chain.
 
     Every two critical points at one grid x at least ``PAIR_MIN_SEPARATION``
     apart seed ``pairing_system`` in w = (q, q', x), which is traced as the
@@ -236,8 +251,8 @@ def maxwell_set(
     pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v)]
     curves = _trace_seeds(System(ordered_half), pairs, TRACE_STEP, TRACE_MAX_POINTS, n)
     return [
-        MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.value(w[:k], w[2 * k :]))
-        for c in curves for w in c.points
+        MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.value(w[:k], w[2 * k :]), chain=i)
+        for i, c in enumerate(curves) for w in c.points
     ]
 
 

@@ -306,7 +306,8 @@ def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]
             d = surface.point(p[:k]) - p[k:]
             return float(d @ d)
 
-        def jet_fn(p, with_third):
+        def jet_fn(point, with_third):
+            p = np.array(point)
             u, v = p[:k], p[k:]
             d, J, S = surface.point(u) - v, surface.du(u), surface.d2(u)
             out = np.zeros(1 + m + m * m)
@@ -337,17 +338,17 @@ def _plane_curve_jet(curve: PlaneCurve):
     the third partials (d_u, d_v1, d_v2) of D_uu = 2 (X'' . (X - v) + X' . X')."""
     point, d1, d2, d3 = curve.point, curve.d1, curve.d2, curve.d3
 
-    def offset(p):
-        u, v1, v2 = p.tolist()
+    def offset(u, v1, v2):
         x, y = point(u).tolist()
-        return u, x - v1, y - v2
+        return x - v1, y - v2
 
     def fn(p):
-        _, dx, dy = offset(p)
+        dx, dy = offset(*p.tolist())
         return dx * dx + dy * dy
 
-    def jet_fn(p, with_third):
-        u, dx, dy = offset(p)
+    def jet_fn(v, with_third):
+        u = v[0]
+        dx, dy = offset(*v)
         (ax, ay), (bx, by) = d1(u).tolist(), d2(u).tolist()
         jet = [
             dx * dx + dy * dy,
@@ -359,7 +360,7 @@ def _plane_curve_jet(curve: PlaneCurve):
         if with_third and d3 is not None:
             cx, cy = d3(u).tolist()
             jet += [2.0 * (cx * dx + cy * dy + 3.0 * (ax * bx + ay * by)), -2.0 * bx, -2.0 * by]
-        return np.array(jet)
+        return jet
 
     return fn, jet_fn
 

@@ -40,13 +40,14 @@ def adjugate(M) -> np.ndarray:
     """Transposed cofactor matrix, so ``d det M = tr(adj(M) dM)``.
 
     Unlike ``det M * inv(M)`` it is defined (and exact) on singular M.  A
-    stack of matrices gives the stack of their adjugates.
+    stack of matrices gives the stack of their adjugates.  Every minor of
+    every matrix is gathered by index into one stack, and one ``det`` call
+    takes them all.
     """
     A = np.atleast_2d(np.asarray(M, dtype=float))
     k = A.shape[-1]
-    cof = np.empty(A.shape)
-    for i in range(k):
-        for j in range(k):
-            minor = np.delete(np.delete(A, i, axis=-2), j, axis=-1)
-            cof[..., i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return np.swapaxes(cof, -1, -2)
+    # keep[i]: the k - 1 indices other than i; minor (i, j) drops row i and column j
+    keep = np.array([[r for r in range(k) if r != i] for i in range(k)], dtype=np.intp).reshape(k, k - 1)
+    minors = A[..., keep[:, None, :, None], keep[None, :, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
+    return np.swapaxes(sign * np.linalg.det(minors), -1, -2)

@@ -148,7 +148,10 @@ class System:
     the residual alone.  An (N, m) stack of points gives both with a leading
     axis of N rows, and a row that leaves a field's box is NaN.  It is what
     ``newton_solve``, ``newton_batch`` and ``continue_curve`` solve (see
-    ``as_system``).
+    ``as_system``).  The systems of a generating family (``critical_system``,
+    ``front_system``, ``caustic_system``, ``pairing_system``) read both from
+    one ``ScalarField.jet`` per field pass, by index tables built once, with
+    the same code for a point and a stack.
     """
 
     evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]

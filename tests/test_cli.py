@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import emitters, families, fronts, gallery, pde
+from wavefronts import cli, emitters, families, fronts, gallery, pde
 from wavefronts.cli import (
     MAX_HISTORY,
     MAX_JET_DIM,
@@ -94,6 +94,24 @@ def test_versal_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "stability: pass" in out
+
+
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    # the argparse tree takes about 1.5 ms to build: one per process, and a
+    # parse leaves nothing in it that changes the next one
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    out = []
+    for argv in (["--f", "q1^4"], ["--f", "q1^4", "--dfdx", "q1^2;q1"], ["--f", "q1^4"]):
+        assert run(["versal", "--jet", "6"] + argv) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[2] != out[1]
+    assert run(["versal", "--jet", "6"]) == 2  # --f is still required
+    assert "--f" in capsys.readouterr().err
+    assert built == [1]
+    cli._parser.cache_clear()
 
 
 def test_versal_of_a_high_power_reads_only_its_jet(capsys):
@@ -181,6 +199,18 @@ def test_family_file_without_domain_uses_the_fallback_box(tmp_path):
 
 
 FOLD_PAIR = Path(__file__).resolve().parents[1] / "tools" / "fold_pair.fam"
+MAXWELL_TWO_CHAINS = FOLD_PAIR.with_name("maxwell_two_chains.fam")
+
+
+def _polylines(svg: Path, cls: str) -> list:
+    """The points of each polyline of class ``cls``, in world coordinates
+    (the SVG's y negated back)."""
+    return [
+        np.array([[float(v) for v in xy.split(",")] for xy in line.split('points="')[1].split('"')[0].split()])
+        * [1.0, -1.0]
+        for line in svg.read_text().splitlines()
+        if line.startswith(f'<polyline class="{cls}"')
+    ]
 
 
 @pytest.mark.parametrize("command", [["caustic"], ["discriminant", "--t", " -1:1:1"]])
@@ -190,15 +220,27 @@ def test_caustic_svg_draws_one_polyline_per_chain(tmp_path, command, capsys):
     svg = tmp_path / "fold_pair.svg"
     assert run(command + ["--family", str(FOLD_PAIR), "--svg", str(svg)]) == 0
     assert "caustic" in capsys.readouterr().out
-    polylines = [
-        np.array([[float(v) for v in xy.split(",")] for xy in line.split('points="')[1].split('"')[0].split()])
-        for line in svg.read_text().splitlines()
-        if line.startswith('<polyline class="caustic"')
-    ]
+    polylines = _polylines(svg, "caustic")
     assert [len(p) for p in polylines] == [204, 204]
     assert sorted(p[0, 0] for p in polylines) == pytest.approx([-1.0, 1.0])
     for p in polylines:
         assert np.allclose(p[:, 0], p[0, 0], atol=1e-9)
+
+
+@pytest.mark.parametrize("command", [["maxwell"], ["discriminant", "--t", " -1:1:1"]])
+def test_maxwell_svg_draws_one_polyline_per_chain(tmp_path, command, capsys):
+    # F = q1^4 + (1 - x1^2) q1^2 + x2 q1 has equal critical values at
+    # q1 = +-sqrt((x1^2 - 1) / 2) on x2 = 0: the Maxwell set is that axis for
+    # |x1| > 1, two chains with the gap (-1, 1) between them
+    svg = tmp_path / "two_chains.svg"
+    assert run(command + ["--family", str(MAXWELL_TWO_CHAINS), "--svg", str(svg)]) == 0
+    assert "359" in capsys.readouterr().out
+    polylines = _polylines(svg, "maxwell")
+    assert [len(p) for p in polylines] == [181, 178]
+    for p, side in zip(polylines, (-1.0, 1.0)):
+        assert np.abs(p[:, 1]).max() <= 1e-9
+        assert np.all(side * p[:, 0] >= 1.0 - 1e-5)  # no segment across the gap
+        assert np.linalg.norm(np.diff(p, axis=0), axis=1).max() <= 0.02
 
 
 def test_big_front_counts_time_values_as_slices(capsys):

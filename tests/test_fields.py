@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts import expr as ex
+from wavefronts import families
 from wavefronts.errors import DomainError, NonFiniteValue
 from wavefronts.fields import ScalarField, field_from_expr
 
@@ -22,7 +25,7 @@ def test_expr_field_gradient_and_hessian():
     # d/dq1 and d/dx1 of d2f/dq1^2 = 6 q1
     assert f.third(p).tolist() == [[[6.0, 0.0]]]
     # without third rows the jet stops after the Hessian
-    assert field_from_expr(e, ("q1", "x1")).jet_fn(p, True).size == 1 + 2 + 4
+    assert len(field_from_expr(e, ("q1", "x1")).jet_fn(p.tolist(), True)) == 1 + 2 + 4
 
 
 def test_third_without_third_fn_differences_the_hessian():
@@ -132,3 +135,30 @@ def test_stacked_non_finite_row_inside_the_box_raises():
     assert np.isnan(fld.derivatives(outside)[0][1]) and np.isfinite(fld.derivatives(outside)[0][0])
     with pytest.raises(NonFiniteValue):
         fld.derivatives(np.array([[0.5, 1.0], [0.5, 10.0]]))
+
+
+# the catalog, every family file under tools/ and one with rational and
+# decimal constants: compiled jets with their third partials
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+JET_FAMILIES = {
+    **families.catalog(),
+    **{path.stem: families.family_from_file(path) for path in sorted(TOOLS.glob("*.fam"))},
+    "rational": families.family_from_text(
+        "2/7*q1^5 - 0.3*x1*q1^3 + 5/2*q2^2*q1 + x2*q2 - 3/11*x1^2*q2^3 + 1/3", 2, 2, box=((-3.0, 3.0),) * 4
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(unit=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_float_jet_is_the_numpy_scalar_jet(name, unit):
+    # a point's jet runs the compiled closure on Python floats; on numpy
+    # scalars (the stack's elementwise path aside) it rounds the same
+    fld = JET_FAMILIES[name].field
+    v = [lo + u * (hi - lo) for u, (lo, hi) in zip(unit, fld.box)]
+    floats = fld.jet_fn(v, True)
+    scalars = fld.jet_fn([np.float64(x) for x in v], True)
+    assert all(type(x) in (float, int) for x in floats)
+    assert np.array(floats, dtype=float).tobytes() == np.array(scalars, dtype=float).tobytes()
+    assert fld.jet(np.array(v), JET_FAMILIES[name].k).tobytes() == np.array(floats, dtype=float).tobytes()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,19 @@ def cusp_gl(cusp):
 @pytest.fixture(scope="module")
 def seeds(cusp):
     return phase_seeds(cusp, 4)
+
+
+def test_k2_caustic_is_the_cusp_caustic():
+    # F = q1^4 + x1 q1^2 + x2 q1 + q2^2 adds a Morse square to the cusp, so its
+    # caustic, traced through det d2F/dq2 and its adjugate row, is the cusp's
+    path = Path(__file__).resolve().parents[1] / "tools" / "caustic_k2.fam"
+    fam = families.family_from_file(path)
+    cloud = fronts.caustic(fam, phase_seeds(fam, DEFAULT_SEED_DENSITY))
+    x1, x2 = cloud.x.T
+    assert len(cloud.x) == 808 and len(cloud.chains) == 1
+    assert np.abs(8 * x1**3 + 27 * x2**2).max() <= 1e-8
+    assert np.abs(cloud.q[:, 1]).max() <= 1e-12
+    assert x1.min() < -4.9 and np.abs(x2).max() > 5.99  # out to the x2 = +-6 edges
 
 
 def test_momentary_front_points_satisfy_equations(cusp, cusp_gl, seeds, monkeypatch):

@@ -1,6 +1,7 @@
 """Exact Jacobians of the generating-family systems against central differences."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +368,97 @@ def test_shifted_family_shifts_the_value_of_every_stacked_row(fam_name):
         row = shifted.derivatives(z, third=fam.k)
         for a, b in zip((v[i], g[i], H[i], T[i]), row):
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+
+# --- the gathers: every field-built System reads its residual and Jacobian
+# from the jet by index; the reference assembles them from ``derivatives``
+
+K2_FILE = families.family_from_file(Path(__file__).resolve().parents[1] / "tools" / "caustic_k2.fam")
+GATHER_FAMILIES = {"cusp": FAMILIES["cusp"], "k2-file": K2_FILE, "ellipse": FAMILIES["ellipse"]}
+
+
+def _assembled(fam, name, W):
+    """Residual and Jacobian of system ``name`` at ``W`` (a point or a
+    stack, with x fixed per row for the critical system), assembled from the
+    parts of ``derivatives`` by assignment."""
+    fld, k, n = fam.field, fam.k, fam.n
+    rows = W.shape[:-1]
+    if name == "pairing":
+        va, ga, Ha, _ = fld.derivatives(np.concatenate([W[..., :k], W[..., 2 * k :]], axis=-1))
+        vb, gb, Hb, _ = fld.derivatives(W[..., k:])
+        res, J = np.empty(rows + (2 * k + 1,)), np.zeros(rows + (2 * k + 1, 2 * k + n))
+        res[..., :k], res[..., k : 2 * k], res[..., 2 * k] = ga[..., :k], gb[..., :k], va - vb
+        J[..., :k, :k], J[..., :k, 2 * k :] = Ha[..., :k, :k], Ha[..., :k, k:]
+        J[..., k : 2 * k, k : 2 * k], J[..., k : 2 * k, 2 * k :] = Hb[..., :k, :k], Hb[..., :k, k:]
+        J[..., 2 * k, :k], J[..., 2 * k, k : 2 * k] = ga[..., :k], -gb[..., :k]
+        J[..., 2 * k, 2 * k :] = ga[..., k:] - gb[..., k:]
+        return res, J
+    v, g, H, T = fld.derivatives(W, third=k if name == "caustic" else 0)
+    if name == "critical":
+        return g[..., :k], H[..., :k, :k]
+    res, J = np.empty(rows + (k + 1,)), np.empty(rows + (k + 1, k + n))
+    res[..., :k], J[..., :k, :] = g[..., :k], H[..., :k, :]
+    if name == "front":
+        res[..., k], J[..., k, :] = v - 0.3, g
+    elif k == 1:  # det H_qq is the entry itself, and its row d H_qq
+        res[..., k], J[..., k, :] = H[..., 0, 0], T[..., 0, 0, :]
+    else:
+        with np.errstate(invalid="ignore"):
+            res[..., k] = np.linalg.det(H[..., :k, :k])
+            J[..., k, :] = np.einsum("...ba,...abc->...c", adjugate(H[..., :k, :k]), T)
+    return res, J
+
+
+def _same(a, b):
+    """Equal entry for entry, signed zeros included, and NaN where ``b`` is."""
+    nan = np.isnan(b)
+    return np.array_equal(np.isnan(a), nan) and np.array_equal(a[~nan], b[~nan]) and np.array_equal(
+        np.signbit(a[~nan]), np.signbit(b[~nan])
+    )
+
+
+@pytest.mark.parametrize("system_name", SYSTEMS)
+@pytest.mark.parametrize("fam_name", sorted(GATHER_FAMILIES))
+def test_gathered_evaluate_is_the_assembled_parts(fam_name, system_name):
+    fam = GATHER_FAMILIES[fam_name]
+    k = fam.k
+    rng = np.random.default_rng(23)
+    Z = np.array([_point("cusp", fam, rng.uniform(0.0, 1.0, 7), system_name == "pairing") for _ in range(6)])
+    Z[2, -1] = fam.field.box[-1][1] + 0.25  # one row outside the box
+    Z[4, : -fam.n], Z[4, -1] = 0.0, 0.0  # dF/dq = 0 at q = 0 (and q' = 0): -dF/dq(q') is -0.0
+    for W in (Z[0], Z[4], Z):
+        if system_name == "critical":
+            system, U = families.critical_system(fam, W[..., k:]), W[..., :k]
+        else:
+            system, U = _system(fam, system_name, W)[0], W
+        res, J = system.evaluate(U)
+        ref_res, ref_J = _assembled(fam, system_name, W)
+        assert res.shape == ref_res.shape and J.shape == ref_J.shape
+        assert _same(res, ref_res) and _same(J, ref_J)
+    assert np.isnan(res[2]).all()  # the stack's row outside the box
+
+
+def _cofactor_adjugate(A):
+    """adj(A)[j, i] = (-1)^(i+j) det(A without row i and column j), one
+    ``det`` call per minor."""
+    k = A.shape[-1]
+    adj = np.empty(A.shape)
+    for i in range(k):
+        for j in range(k):
+            minor = np.delete(np.delete(A, i, axis=-2), j, axis=-1)
+            adj[..., j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_adjugate_is_the_cofactor_definition(k):
+    rng = np.random.default_rng(k)
+    A = rng.standard_normal((7, k, k))
+    A[1] = np.outer(A[1, 0], A[1, -1])  # rank 1: singular for k >= 2
+    A[2] = 0.0
+    adj = adjugate(A)
+    assert adj.shape == A.shape
+    assert np.array_equal(adj, _cofactor_adjugate(A))
+    for a, m in zip(adj, A):
+        assert np.array_equal(adjugate(m), a)  # one matrix is the stack's row
+        assert np.abs(a @ m - np.linalg.det(m) * np.eye(k)).max() <= 1e-12 * max(1.0, np.abs(m).max() ** k)

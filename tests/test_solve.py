@@ -442,12 +442,12 @@ def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
 
 
 # Field passes per traced point: a call of ``value``, ``grad``, ``hessian`` or
-# ``third``, or one ``derivatives`` jet.  With a residual pass and a
-# Jacobian pass per Newton iterate and one more Jacobian for the tangent it
-# was 19.5 on the caustic scene and 20.9 on the front scene; one fused pass
-# per iterate, with the tangent from the converged Jacobian, made 3.49 and
-# 2.65, and the second-order predictor, after which the corrector mostly
-# converges in one step, makes 3.11 and 2.17.
+# ``third``, or one ``jet`` (``derivatives`` is views of one).  With a
+# residual pass and a Jacobian pass per Newton iterate and one more Jacobian
+# for the tangent it was 19.5 on the caustic scene and 20.9 on the front
+# scene; one fused pass per iterate, with the tangent from the converged
+# Jacobian, made 3.49 and 2.65, and the second-order predictor, after which
+# the corrector mostly converges in one step, makes 3.11 and 2.17.
 FIELD_CALLS_PER_POINT = 4
 # SVDs per traced point, every ``np.linalg.svd`` of the run counted: one per
 # corrector step and one per ``null_space`` tangent made 2.47 on the caustic
@@ -459,7 +459,7 @@ SVD_CALLS_PER_POINT = 1.3
 def _field_passes(argv, monkeypatch):
     """Field passes, SVD calls and traced points of one CLI run."""
     calls, svds = [0], [0]
-    for name in ("value", "grad", "hessian", "third", "derivatives"):
+    for name in ("value", "grad", "hessian", "third", "jet"):
         method = getattr(fields.ScalarField, name)
 
         def counted(self, *args, _method=method, **kwargs):
@@ -689,13 +689,13 @@ def test_solve_critical_set_reads_the_converged_pass(monkeypatch):
     xs = [np.array([-3.0, 0.5]), np.array([1.0, 0.2]), np.array([-1.0, 0.0])]
     cps = solve_critical_set(CUSP, xs, CUSP.seeds)
     calls = [0]
-    derivatives = fields.ScalarField.derivatives
+    jet = fields.ScalarField.jet
 
     def counted(self, *args, **kwargs):
         calls[0] += 1
-        return derivatives(self, *args, **kwargs)
+        return jet(self, *args, **kwargs)
 
-    monkeypatch.setattr(fields.ScalarField, "derivatives", counted)
+    monkeypatch.setattr(fields.ScalarField, "jet", counted)
     again = solve_critical_set(CUSP, xs, CUSP.seeds)
     assert calls[0] <= solve.NEWTON_MAX_ITER
     assert [len([c for c in cps if tuple(c.x) == tuple(x)]) for x in xs] == [3, 1, 3]

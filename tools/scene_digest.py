@@ -44,9 +44,14 @@ SCENES = [
     ("caustic", ["caustic", "--family", "cusp"]),
     # two caustic chains, x1 = -1 and x1 = 1: one SVG polyline each
     ("caustic-fold-pair", ["caustic", "--family", str(Path(__file__).resolve().with_name("fold_pair.fam"))]),
+    # k = 2: the det row of the caustic system comes from the adjugate
+    ("caustic-k2", ["caustic", "--family", str(Path(__file__).resolve().with_name("caustic_k2.fam"))]),
     ("front", ["front", "--family", "cusp", "--t", "0.5"]),
     ("big-front", ["big-front", "--family", "cusp", "--t", " -0.5:0:0.5"]),
     ("maxwell", ["maxwell", "--family", "cusp"]),
+    # two Maxwell chains, x2 = 0 for x1 < -1 and for x1 > 1: one SVG polyline each
+    ("maxwell-two-chains",
+     ["maxwell", "--family", str(Path(__file__).resolve().with_name("maxwell_two_chains.fam"))]),
     ("discriminant", ["discriminant", "--family", "cusp", "--t", " -1:1:1"]),
     ("verify-cusp", ["verify", "--family", "cusp"]),
     ("verify-fold", ["verify", "--family", "fold"]),
