@@ -15,7 +15,7 @@ from . import expr as ex
 from .errors import ChartFailure, FamilyFileError, FamilySizeError, NotOnSigmaStar
 from .fields import ScalarField, field_from_expr, jet_index
 from .linalg import RANK_EPS, null_space, numerical_rank
-from .solve import CONVERGED, System, dedup, newton_batch
+from .solve import CONVERGED, RowSystem, System, dedup, newton_batch
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps families.newton_solve by name)
 
 DEDUP_RADIUS = 1e-6
@@ -133,18 +133,21 @@ def critical_system(fam: GeneratingFamily, x) -> System:
     """The k equations dF/dq = 0 in q at the fixed ``x``; the Jacobian is the
     (q, q) block of the field's Hessian, both read from one jet by index.
     ``x`` is one point, or one per row of the (N, k) stacks the system is
-    evaluated on."""
+    evaluated on: then it is a ``RowSystem``, and ``rows(index)`` binds the
+    x of the rows ``index``."""
     fld, k = fam.field, fam.k
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     _, G, H, _ = jet_index(k + fam.n, 0)
     res_at, jac_at = G[:k], H[:k, :k]
 
-    def evaluate(q):
-        z = np.concatenate([q, np.broadcast_to(x, q.shape[:-1] + x.shape[-1:])], axis=-1)
-        a = fld.jet(z, 0)
-        return a.take(res_at, -1), a.take(jac_at, -1)
+    def bound(x):
+        def evaluate(q):
+            z = np.concatenate([q, np.broadcast_to(x, q.shape[:-1] + x.shape[-1:])], axis=-1)
+            a = fld.jet(z, 0)
+            return a.take(res_at, -1), a.take(jac_at, -1)
 
-    return System(evaluate)
+        return RowSystem(evaluate, lambda index: bound(x[index])) if x.ndim == 2 else System(evaluate)
+
+    return bound(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequence) -> List[CriticalPoint]:
@@ -153,9 +156,10 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
     stack.
 
     Non-converging seeds are skipped; duplicates at one x within
-    ``DEDUP_RADIUS`` merged.  Each kept point's residual, det and corank come
-    from the pass it converged with.  Output follows the deterministic grid
-    order, and the seed order at each x.
+    ``DEDUP_RADIUS`` are merged by one grouped ``dedup`` of every x.  Each
+    kept point's residual, det and corank come from the pass it converged
+    with.  Output follows the deterministic grid order, and the seed order at
+    each x.
     """
     k, S = fam.k, len(q_seeds)
     X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]).reshape(-1, fam.n)
@@ -163,10 +167,8 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
         return []
     Q = np.array([np.atleast_1d(np.asarray(q, dtype=float)) for q in q_seeds]).reshape(S, k)
     P, R, H, outcome = newton_batch(critical_system(fam, np.repeat(X, S, axis=0)), np.tile(Q, (len(X), 1)))
-    rows = []
-    for i in range(len(X)):
-        found = np.flatnonzero(outcome[i * S : (i + 1) * S] == CONVERGED) + i * S
-        rows.extend(found[dedup(P[found], DEDUP_RADIUS)])
+    # one dedup of every x's converged rows, NaN in the others
+    rows = dedup(np.where((outcome == CONVERGED)[:, None], P, np.nan).reshape(len(X), S, k), DEDUP_RADIUS)
     residual = np.abs(R[rows]).max(axis=1)
     det = np.linalg.det(H[rows])
     s = np.linalg.svd(H[rows], compute_uv=False)
@@ -212,7 +214,13 @@ def legendrian_unfolding_map(gl: GraphLikeFamily, cp: CriticalPoint) -> GraphLik
 
 def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint) -> dict:
     """Ranks of the space/front projections and the least singular value of the
-    cotangent projection, in an orthonormal chart of the critical set."""
+    cotangent projection, in an orthonormal chart of the critical set.
+
+    With V the (k+n) x n tangent basis of C(F) = {dF/dq = 0}, the projections
+    are read off its rows: the space projection x is ``V[k:]``, the front
+    projection (x, F) adds ``gradF @ V`` and the cotangent projection (x, p)
+    adds ``H[k:] @ V``, p = dF/dx.
+    """
     fam = gl.base
     k, n = fam.k, fam.n
     _, gradF, H, _ = fam.field.derivatives(fam.point(cp.q, cp.x))
@@ -221,15 +229,11 @@ def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint) -> dict:
         raise ChartFailure(
             f"critical set not a graph near (q={cp.q!r}, x={cp.x!r}): tangent dim {V.shape[1]}"
         )
-    d_space = np.hstack([np.zeros((n, k)), np.eye(n)]) @ V
-    d_front = np.vstack([np.hstack([np.zeros((n, k)), np.eye(n)]), gradF]) @ V
-    d_cotangent = np.vstack(
-        [np.hstack([np.zeros((n, k)), np.eye(n)]), H[k:, :]]
-    ) @ V
-    sv = np.linalg.svd(d_cotangent, compute_uv=False)
+    d_space = V[k:]
+    sv = np.linalg.svd(np.vstack([d_space, H[k:] @ V]), compute_uv=False)
     return {
         "space_proj_rank": numerical_rank(d_space),
-        "front_proj_rank": numerical_rank(d_front),
+        "front_proj_rank": numerical_rank(np.vstack([d_space, gradF @ V])),
         "immersion_sigma_min": float(sv[-1]),
     }
 

@@ -65,16 +65,17 @@ def fd_jacobian(fn: Callable, p, ncols: Optional[int] = None) -> np.ndarray:
 class ScalarField:
     """A smooth function R^m -> R on a box, with derivatives.
 
-    ``fn`` takes a length-m vector.  A generated field also carries
-    ``jet_fn(v, with_third)``, one closed-form pass: on a point, given as
-    the list of its m floats, it returns the sequence of the value, the
-    gradient and the Hessian row by row, then, when ``with_third`` and the
-    field has them, the third partials ``d_c d_a d_b f`` for ``a, b`` among
-    its first r variables and every ``c``, row by row.  A jet whose
-    ``stacks`` attribute is true also answers an (N, m) array of points with
-    an (N, s) array, one flat jet per row.  A hand-written field may carry
-    ``grad_fn`` instead.  Every derivative without a closed form is
-    ``fd_jacobian`` of the order below.
+    ``fn`` takes a length-m vector, and in a field with a ``jet_fn`` also
+    the list of its m floats, which is what ``value`` passes it.  A generated
+    field also carries ``jet_fn(v, with_third)``, one closed-form pass: on a
+    point, given as the list of its m floats, it returns the sequence of the
+    value, the gradient and the Hessian row by row, then, when
+    ``with_third`` and the field has them, the third partials
+    ``d_c d_a d_b f`` for ``a, b`` among its first r variables and every
+    ``c``, row by row.  A jet whose ``stacks`` attribute is true also answers
+    an (N, m) array of points with an (N, s) array, one flat jet per row.  A
+    hand-written field may carry ``grad_fn`` instead.  Every derivative
+    without a closed form is ``fd_jacobian`` of the order below.
 
     ``jet`` is the one field pass the solvers read: that flat jet as an
     array, for a point or a stack, its entries at the positions that
@@ -99,10 +100,15 @@ class ScalarField:
             return
         # float comparisons: for a few coordinates much cheaper than array ones
         v = p.tolist() if isinstance(p, np.ndarray) else p
-        h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
-        for x, d, (lo, hi) in zip(v, h, self._bounds):
-            if x - d < lo or x + d > hi:
-                raise DomainError(f"point {v} (margin {h}) exits the domain box")
+        if isinstance(margin, np.ndarray) or margin:
+            h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
+            for x, d, (lo, hi) in zip(v, h, self._bounds):
+                if x - d < lo or x + d > hi:
+                    raise DomainError(f"point {v} (margin {h}) exits the domain box")
+            return
+        for x, (lo, hi) in zip(v, self._bounds):
+            if x < lo or x > hi:
+                raise DomainError(f"point {v} exits the domain box")
 
     def _jet(self, p: np.ndarray, with_third: bool = False) -> np.ndarray:
         """``jet_fn`` at the point ``p``, run on its floats after one box
@@ -124,11 +130,17 @@ class ScalarField:
         return fd_jacobian(self.fn, p, r)[0]
 
     def value(self, point) -> float:
+        """``fn`` at ``point``, after one box test of its floats.  A field
+        with a ``jet_fn`` runs ``fn`` on those floats, as ``_jet`` runs its
+        jet, and an overflow that Python's float ``**`` raises is non-finite."""
         p = np.asarray(point, dtype=float)
-        self._check_box(p)
-        v = float(self.fn(p))
-        _check_finite(v, p)
-        return v
+        v = p.tolist()
+        self._check_box(v)
+        try:
+            f = float(self.fn(v if self.jet_fn is not None else p))
+        except OverflowError:
+            f = math.inf
+        return _check_finite(f, p)
 
     def grad(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)

@@ -250,8 +250,9 @@ def maxwell_set(
 
     pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v)]
     curves = _trace_seeds(System(ordered_half), pairs, TRACE_STEP, TRACE_MAX_POINTS, n)
+    at_a = np.r_[:k, 2 * k : 2 * k + n]  # (q, x) in w
     return [
-        MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.value(w[:k], w[2 * k :]), chain=i)
+        MaxwellPoint(x=w[2 * k :], q=w[:k], q2=w[k : 2 * k], value=fam.field.value(w[at_a]), chain=i)
         for i, c in enumerate(curves) for w in c.points
     ]
 

@@ -343,7 +343,7 @@ def _plane_curve_jet(curve: PlaneCurve):
         return x - v1, y - v2
 
     def fn(p):
-        dx, dy = offset(*p.tolist())
+        dx, dy = offset(*p)
         return dx * dx + dy * dy
 
     def jet_fn(v, with_third):

@@ -60,33 +60,33 @@ class GeometricSolutionSheet:
     folds: np.ndarray  # (S,)
 
 
-def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, t: float, P: np.ndarray, out: np.ndarray) -> None:
+def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """Batched characteristic + variational right-hand side, written to ``out``.
 
-    Z and out have one column per strip and the rows [x (n); y; M (n * n,
-    row-major) = dx/dx0; w (n) = dy/dx0].  P is an (n + 2, S) work array for
-    the field arguments (x, y, t).
+    Z has one column per strip and the rows [M (n * n, row-major) = dx/dx0;
+    w (n) = dy/dx0; x (n); y; t], so that its last n + 2 rows are the field
+    arguments (x, y, t), passed as a view; ``out`` has the same rows but t.
+    ``work`` is an (n, S) array for the products.
     """
     n = pde.n
-    P[: n + 1] = Z[: n + 1]
-    P[n + 1] = t
-    M = Z[n + 1 : n + 1 + n * n].reshape(n, n, -1)
-    w = Z[n + 1 + n * n :]
-    dM = out[n + 1 : n + 1 + n * n].reshape(n, n, -1)
-    dw = out[n + 1 + n * n :]
+    P = Z[n * n + n :]
+    M = Z[: n * n].reshape(n, n, -1)
+    w = Z[n * n : n * n + n]
+    dM = out[: n * n].reshape(n, n, -1)
+    dw = out[n * n : n * n + n]
     for i, ai in enumerate(pde.a):
-        out[i] = ai.fn(P)
+        out[n * n + n + i] = ai.fn(P)
         g = ai.grad_fn(P)
         # dM_i. = sum_k a_i,x_k M_k. + a_i,y w
         np.multiply(g[n], w, out=dM[i])
         for k in range(n):
-            dM[i] += g[k] * M[k]
-    out[n] = pde.b.fn(P)
+            dM[i] += np.multiply(g[k], M[k], out=work)
+    out[-1] = pde.b.fn(P)
     g = pde.b.grad_fn(P)
     # dw_j = sum_i M_ij b_x_i + b_y w_j
     np.multiply(g[n], w, out=dw)
     for i in range(n):
-        dw += M[i] * g[i]
+        dw += np.multiply(M[i], g[i], out=work)
 
 
 def step_count(t_range, dt: float) -> int:
@@ -149,13 +149,16 @@ def integrate_characteristics(
     n = pde.n
     X0 = np.asarray(x0_grid, dtype=float).reshape(-1, n)
     S = len(X0)
-    Z = np.empty((2 * n + 1 + n * n, S))
-    Z[:n] = X0.T
-    Z[n], Z[n + 1 + n * n :] = _datum(pde.phi, X0)
-    M = Z[n + 1 : n + 1 + n * n].reshape(n, n, S)
+    # the packed state and the stage state (see _rhs), and their rows that
+    # RK4 advances: all but t
+    Z, Zs = np.empty((2 * n + 2 + n * n, S)), np.empty((2 * n + 2 + n * n, S))
+    state, stage = Z[:-1], Zs[:-1]
+    M, x, y, xy = Z[: n * n].reshape(n, n, S), Z[n * n + n : -2], Z[-2], Z[n * n + n : -1]
     M[...] = np.eye(n)[:, :, None]
-    K1, K2, K3, K4, Zs = (np.empty_like(Z) for _ in range(5))
-    P = np.empty((n + 2, S))
+    x[...] = X0.T
+    y[...], Z[n * n : n * n + n] = _datum(pde.phi, X0)
+    K1, K2, K3, K4 = (np.empty_like(state) for _ in range(4))
+    work = np.empty((n, S))
 
     XS = np.empty((keep.size, S, n))
     YS = np.empty((keep.size, S))
@@ -168,25 +171,28 @@ def integrate_characteristics(
 
     def record(step, d):
         for r in rows.get(step, ()):
-            XS[r] = Z[:n].T
-            YS[r] = Z[n]
+            XS[r] = x.T
+            YS[r] = y
             DETS[r] = d
 
     d = det()
-    sign = np.sign(d)
+    sign, sign_next, change = np.sign(d), np.empty(S), np.empty(S)
     record(0, d)
     for step in range(1, steps + 1):
         t = ts[step - 1]
-        _rhs(pde, Z, t, P, K1)
-        np.multiply(K1, dt / 2, out=Zs)
-        Zs += Z
-        _rhs(pde, Zs, t + dt / 2, P, K2)
-        np.multiply(K2, dt / 2, out=Zs)
-        Zs += Z
-        _rhs(pde, Zs, t + dt / 2, P, K3)
-        np.multiply(K3, dt, out=Zs)
-        Zs += Z
-        _rhs(pde, Zs, t + dt, P, K4)
+        Z[-1] = t
+        _rhs(pde, Z, K1, work)
+        np.multiply(K1, dt / 2, out=stage)
+        stage += state
+        Zs[-1] = t + dt / 2
+        _rhs(pde, Zs, K2, work)
+        np.multiply(K2, dt / 2, out=stage)
+        stage += state
+        _rhs(pde, Zs, K3, work)
+        np.multiply(K3, dt, out=stage)
+        stage += state
+        Zs[-1] = t + dt
+        _rhs(pde, Zs, K4, work)
         # Z += dt / 6 * (K1 + 2 K2 + 2 K3 + K4)
         K2 *= 2
         K1 += K2
@@ -194,27 +200,29 @@ def integrate_characteristics(
         K1 += K3
         K1 += K4
         K1 *= dt / 6
-        Z += K1
-        # np.max propagates NaN, so one pass over (x, y) and one over det find it
-        big = np.max(np.abs(Z[: n + 1]))
+        state += K1
+        # np.max and np.min propagate NaN, so one pass over (x, y) and one
+        # over the sign changes of det find it
+        big = np.max(np.abs(xy))
         if big > BLOWUP:
-            worst = int(np.argmax(np.max(np.abs(Z[:n]), axis=0)))
+            worst = int(np.argmax(np.max(np.abs(x), axis=0)))
             raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={ts[step]}")
         d_next = det()
-        if np.isnan(big + np.max(d_next)):
-            worst = int(np.argmax(np.isnan(Z[: n + 1]).any(axis=0) | np.isnan(d_next)))
+        # the sign changes of det, NaN where it is NaN
+        np.sign(d_next, out=sign_next)
+        least = np.min(np.multiply(sign, sign_next, out=change))
+        if np.isnan(big + least):
+            worst = int(np.argmax(np.isnan(xy).any(axis=0) | np.isnan(d_next)))
             raise NonFiniteValue(f"trajectory from x0={X0[worst]!r} is NaN at t={ts[step]}")
-        sign_next = np.sign(d_next)
-        # a first strict sign change: +1 against -1 (a zero is neither)
-        first = (sign * sign_next < 0) & unfolded
-        if first.any():
-            i = np.flatnonzero(first)
+        if least < 0:
+            # a first strict sign change: +1 against -1 (a zero is neither)
+            i = np.flatnonzero((change < 0) & unfolded)
             ta, tb = ts[step - 1], ts[step]
             da, db = d[i], d_next[i]
             folds[i] = ta + (tb - ta) * da / (da - db)
             unfolded[i] = False
         record(step, d_next)
-        d, sign = d_next, sign_next
+        d, sign, sign_next = d_next, sign_next, sign
     return GeometricSolutionSheet(pde=pde, dt=dt, ts=keep, xs=XS, ys=YS, dets=DETS, folds=folds)
 
 

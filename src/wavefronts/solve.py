@@ -35,6 +35,8 @@ SINGULAR_RATIO = 1e-12
 # how each row of ``newton_batch`` ends, by index into OUTCOMES
 CONVERGED, SINGULAR, MAX_ITERATIONS, LEFT_BOX = range(4)
 OUTCOMES = ("converged", "singular", "max_iterations", "left_box")
+# dedup: the coordinate differences taken at a time
+DEDUP_BLOCK = 1 << 17
 # continuation: the largest seed residual accepted
 SEED_TOL = 1e-6
 # bracket_roots' ITP refinement: the truncation ITP_K1 w^2 / w0 (kappa_1 =
@@ -126,17 +128,35 @@ def bracket_roots(h: Callable, params: Sequence[float], grid: Sequence[float]):
     return lines[order], roots[order]
 
 
-def dedup(points: Sequence, radius: float) -> List[int]:
+def dedup(points, radius: float) -> List[int]:
     """Indices of a greedy keep-first cover of ``points``: a point is kept
-    when it lies farther than ``radius`` from every point kept before it."""
-    if len(points) == 0:
-        return []
-    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
-    kept = [0]
-    for i in range(1, len(pts)):
-        if np.min(np.linalg.norm(pts[kept] - pts[i], axis=1)) > radius:
-            kept.append(i)
-    return kept
+    when it lies farther than ``radius`` from every point kept before it, so
+    one at exactly ``radius`` is dropped; a point that is not finite is never
+    kept and keeps out nothing.
+
+    ``points`` is a sequence of vectors (or scalars), or a (G, S, d) array of
+    G groups of S points each covered on its own, with NaN rows for the
+    points a group lacks; the indices are then into its G * S rows in group
+    order.  The distances (``np.linalg.norm``'s arithmetic) are taken about
+    ``DEDUP_BLOCK`` coordinate differences at a time, and one pass over the
+    S positions then covers every group at once.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 3:
+        if len(pts) == 0:
+            return []
+        pts = pts.reshape(1, len(pts), -1)
+    G, S, d = pts.shape
+    # near[g, i, j]: point j of group g lies within radius of its point i
+    near = np.empty((G, S, S), dtype=bool)
+    step = max(1, DEDUP_BLOCK // max(1, G * S * d))
+    for i in range(0, S, step):
+        diff = pts[:, i : i + step, None] - pts[:, None]
+        near[:, i : i + step] = np.sqrt(np.add.reduce(diff * diff, axis=3)) <= radius
+    kept = np.isfinite(pts).all(axis=2)
+    for i in range(1, S):
+        kept[:, i] &= ~(near[:, i, :i] & kept[:, :i]).any(axis=1)
+    return np.flatnonzero(kept).tolist()
 
 
 @dataclass(frozen=True)
@@ -146,18 +166,42 @@ class System:
     ``evaluate(z)`` returns ``(residual, J)`` from one pass, ``J`` with one
     row per equation and one column per unknown; calling the system returns
     the residual alone.  An (N, m) stack of points gives both with a leading
-    axis of N rows, and a row that leaves a field's box is NaN.  It is what
-    ``newton_solve``, ``newton_batch`` and ``continue_curve`` solve (see
-    ``as_system``).  The systems of a generating family (``critical_system``,
-    ``front_system``, ``caustic_system``, ``pairing_system``) read both from
-    one ``ScalarField.jet`` per field pass, by index tables built once, with
-    the same code for a point and a stack.
+    axis of N rows, each row the result of evaluating that row alone, and a
+    row that leaves a field's box is NaN.  It is what ``newton_solve``,
+    ``newton_batch`` and ``continue_curve`` solve (see ``as_system``).  The
+    systems of a generating family (``critical_system``, ``front_system``,
+    ``caustic_system``, ``pairing_system``) read both from one
+    ``ScalarField.jet`` per field pass, by index tables built once, with the
+    same code for a point and a stack.
+
+    ``rows(index)`` is the system to evaluate on the rows ``index`` of a
+    stack, as ``newton_batch`` does with its running rows.  Rows that carry
+    no data of their own make that the system itself; a system that binds
+    data to each row is a ``RowSystem``.
     """
 
     evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
     def __call__(self, z):
         return self.evaluate(z)[0]
+
+    def rows(self, index: np.ndarray) -> "System":
+        """The system of the rows ``index``: this one, whose rows carry no data."""
+        return self
+
+
+@dataclass(frozen=True)
+class RowSystem(System):
+    """A System with data bound to each row of the stacks it evaluates, as
+    ``critical_system`` with one x per row: ``take(index)`` is the system of
+    the rows ``index`` alone, each with its own data, and it is what
+    ``rows(index)`` returns."""
+
+    take: Callable[[np.ndarray], System]
+
+    def rows(self, index: np.ndarray) -> System:
+        """The system of the rows ``index``, each with its own data."""
+        return self.take(index)
 
 
 def as_system(fn: Callable) -> System:
@@ -211,15 +255,17 @@ def newton_solve(system: Callable, seed):
 
 def newton_batch(system: Callable, seeds: Sequence):
     """``newton_solve`` from every seed at once (a scalar seed is a
-    1-vector): per iterate, one ``evaluate`` of the whole (N, m) stack and one
-    stacked SVD of its running rows, which gives both the ``SINGULAR_RATIO``
-    test and the least-norm step.
+    1-vector): per iterate, one ``evaluate`` of the rows still running and
+    one stacked SVD of them, which gives both the ``SINGULAR_RATIO`` test and
+    the least-norm step.
 
     Each row ends on its own under ``newton_solve``'s rules: it converges,
     its Jacobian is singular, it leaves the field's box (its residual is not
-    finite) or it is still running after ``NEWTON_MAX_ITER`` evaluations.
-    Rows keep their positions, so a system with data bound to each row (as
-    ``critical_system`` with one x per row) is evaluated on the whole stack.
+    finite) or it is still running after ``NEWTON_MAX_ITER`` evaluations.  A
+    row that has ended is not evaluated again: each iterate evaluates
+    ``system.rows(running)`` on ``P[running]``, so a ``RowSystem`` (as
+    ``critical_system`` with one x per row) evaluates each running row with
+    its own data, and every row ends as it would in a whole-stack evaluate.
 
     Returns ``(P, R, J, outcome)``: the last iterate of each row, the
     residual and Jacobian each converged row converged with (NaN in the other
@@ -234,21 +280,21 @@ def newton_batch(system: Callable, seeds: Sequence):
     running = np.arange(N)
     R = J = None
     for _ in range(NEWTON_MAX_ITER):
-        r, Jr = system.evaluate(P)
-        if r.shape[-1] > P.shape[-1]:
+        res, Jr = system.rows(running).evaluate(P[running])
+        if res.shape[-1] > P.shape[-1]:
             raise ValueError("over-determined system: more equations than unknowns")
         if R is None:
-            R, J = np.full(r.shape, np.nan), np.full(Jr.shape, np.nan)
-        res = r[running]
+            R, J = np.full((N,) + res.shape[1:], np.nan), np.full((N,) + Jr.shape[1:], np.nan)
         left = ~np.isfinite(res).all(axis=1)
         conv = (np.abs(res) < NEWTON_TOL).all(axis=1)
         outcome[running[left]] = LEFT_BOX
         outcome[running[conv]] = CONVERGED
-        R[running[conv]], J[running[conv]] = res[conv], Jr[running[conv]]
-        running, res = running[~(left | conv)], res[~(left | conv)]
+        R[running[conv]], J[running[conv]] = res[conv], Jr[conv]
+        going = ~(left | conv)
+        running, res, Jr = running[going], res[going], Jr[going]
         if running.size == 0:
             break
-        U, s, Vt = np.linalg.svd(Jr[running], full_matrices=False)
+        U, s, Vt = np.linalg.svd(Jr, full_matrices=False)
         singular = (s[:, 0] == 0.0) | (s[:, -1] < SINGULAR_RATIO * s[:, 0])
         outcome[running[singular]] = SINGULAR
         ok = ~singular

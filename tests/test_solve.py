@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -616,6 +618,71 @@ def _assert_rows_agree(stacked, systems, seeds):
     return outcome
 
 
+def _whole_stack_newton_batch(system, seeds, running_log):
+    """The batched Newton that evaluates the whole stack on every iterate,
+    logging the rows still running before each evaluate: the reference for
+    ``newton_batch``, which evaluates only those rows."""
+    P = np.array([np.atleast_1d(np.asarray(s, dtype=float)) for s in seeds])
+    outcome = np.full(len(P), MAX_ITERATIONS)
+    running = np.arange(len(P))
+    R = J = None
+    for _ in range(solve.NEWTON_MAX_ITER):
+        running_log.append(running.copy())
+        r, Jr = system.evaluate(P)
+        if R is None:
+            R, J = np.full(r.shape, np.nan), np.full(Jr.shape, np.nan)
+        res = r[running]
+        left = ~np.isfinite(res).all(axis=1)
+        conv = (np.abs(res) < solve.NEWTON_TOL).all(axis=1)
+        outcome[running[left]] = LEFT_BOX
+        outcome[running[conv]] = CONVERGED
+        R[running[conv]], J[running[conv]] = res[conv], Jr[running[conv]]
+        running, res = running[~(left | conv)], res[~(left | conv)]
+        if running.size == 0:
+            break
+        U, s, Vt = np.linalg.svd(Jr[running], full_matrices=False)
+        singular = (s[:, 0] == 0.0) | (s[:, -1] < solve.SINGULAR_RATIO * s[:, 0])
+        outcome[running[singular]] = SINGULAR
+        ok = ~singular
+        running, U, s, Vt, res = running[ok], U[ok], s[ok], Vt[ok], res[ok]
+        with np.errstate(over="ignore", invalid="ignore"):
+            P[running] -= np.einsum("nji,nj->ni", Vt, np.einsum("nij,ni->nj", U, res) / s)
+        if running.size == 0:
+            break
+    return P, R, J, outcome
+
+
+def _logged(system, rows_log):
+    """``system`` as a RowSystem that logs the rows of each ``rows`` call and
+    checks that the stack evaluated has exactly those rows."""
+
+    def take(index):
+        rows_log.append(index.copy())
+        sub = system.rows(index)
+
+        def evaluate(z):
+            assert len(z) == len(index)
+            return sub.evaluate(z)
+
+        return System(evaluate)
+
+    return solve.RowSystem(system.evaluate, take)
+
+
+def _assert_running_rows_are_the_whole_stack(system, seeds):
+    """``newton_batch`` gives the whole-stack loop's ``(P, R, J, outcome)``
+    bit for bit; returns the outcomes."""
+    ref_log, rows_log = [], []
+    ref = _whole_stack_newton_batch(system, seeds, ref_log)
+    got = newton_batch(_logged(system, rows_log), seeds)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    # iterate i evaluates exactly the rows still running
+    assert len(rows_log) == len(ref_log)
+    assert all(np.array_equal(a, b) for a, b in zip(rows_log, ref_log))
+    return got[3]
+
+
 # q and x inside the box, or one coordinate pushed outside it
 CRITICAL_ROW = st.one_of(
     st.tuples(st.floats(-4.0, 4.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
@@ -635,6 +702,7 @@ def test_stacked_critical_solve_matches_newton_solve_row_by_row(fam, rows, max_i
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solve, "NEWTON_MAX_ITER", max_iter)
         _assert_rows_agree(critical_system(fam, X), [critical_system(fam, x) for x in X], Q)
+        _assert_running_rows_are_the_whole_stack(critical_system(fam, X), Q)
 
 
 # The front and pairing systems have more unknowns than equations, and a
@@ -668,6 +736,7 @@ def test_stacked_front_and_pairing_solves_match_newton_solve_row_by_row(t, rows,
         mp.setattr(solve, "NEWTON_MAX_ITER", max_iter)
         for system, seeds in ((fronts.front_system(gl, t), fronts_seeds), (fronts.pairing_system(CUSP), pair_seeds)):
             _assert_rows_agree(system, [system] * len(seeds), seeds)
+            _assert_running_rows_are_the_whole_stack(system, seeds)
 
 
 def test_newton_batch_accounts_for_every_seed(monkeypatch):
@@ -679,6 +748,8 @@ def test_newton_batch_accounts_for_every_seed(monkeypatch):
     monkeypatch.setattr(solve, "NEWTON_MAX_ITER", 3)
     outcome = _assert_rows_agree(critical_system(CUSP, X), [critical_system(CUSP, x) for x in X], seeds)
     assert [OUTCOMES[o] for o in outcome] == ["converged", "singular", "left_box", "max_iterations"]
+    # the rows that have ended are not evaluated again, with the same result
+    assert np.array_equal(_assert_running_rows_are_the_whole_stack(critical_system(CUSP, X), seeds), outcome)
     counts = np.bincount(outcome, minlength=len(OUTCOMES))
     assert counts[CONVERGED] + counts[SINGULAR] + counts[MAX_ITERATIONS] + counts[LEFT_BOX] == len(seeds)
 
@@ -705,3 +776,72 @@ def test_solve_critical_set_reads_the_converged_pass(monkeypatch):
         assert a.residual == pytest.approx(abs(g[0]), abs=1e-14)
         assert a.hess_q_det == pytest.approx(H[0, 0], rel=1e-13)
         assert a.corank == 0
+
+
+def _keep_first(points, radius):
+    """The greedy keep-first cover as a loop over the points."""
+    kept = []
+    for i, p in enumerate(points):
+        if not kept or np.min(np.linalg.norm(np.array([points[j] for j in kept]) - p, axis=1)) > radius:
+            kept.append(i)
+    return kept
+
+
+# on a lattice of step 0.25 many pairs lie exactly 0.5 = DEDUP_ORACLE_RADIUS apart
+DEDUP_ORACLE_RADIUS = 0.5
+LATTICE = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), size=st.integers(1, 8), groups=st.integers(1, 5))
+def test_grouped_dedup_is_dedup_of_each_group(data, d, size, groups):
+    point = st.one_of(
+        st.lists(LATTICE, min_size=d, max_size=d),  # clusters and points at exactly the radius
+        st.lists(st.floats(-1.0, 1.5), min_size=d, max_size=d),
+        st.none(),  # a row that did not converge
+    )
+    rows = data.draw(st.lists(st.lists(point, min_size=size, max_size=size), min_size=groups, max_size=groups))
+    pts = np.array([[[np.nan] * d if p is None else p for p in group] for group in rows])
+    expected = []
+    for g, group in enumerate(pts):
+        finite = [i for i, p in enumerate(group) if np.isfinite(p).all()]
+        flat = dedup(group[finite], DEDUP_ORACLE_RADIUS) if finite else []
+        assert flat == _keep_first(group[finite], DEDUP_ORACLE_RADIUS)
+        expected += [g * size + finite[j] for j in flat]
+    assert dedup(pts, DEDUP_ORACLE_RADIUS) == expected
+
+
+def _per_x_critical_set(fam, xs, seeds):
+    """``solve_critical_set`` as one batched solve and one dedup per grid x."""
+    out = []
+    for x in xs:
+        P, R, H, outcome = newton_batch(critical_system(fam, x), seeds)
+        found = np.flatnonzero(outcome == CONVERGED)
+        for j in found[dedup(P[found], families.DEDUP_RADIUS)]:
+            s = np.linalg.svd(H[j], compute_uv=False)
+            rank = int((s > RANK_EPS * s[0]).sum())
+            out.append((P[j], x, np.abs(R[j]).max(), np.linalg.det(H[j : j + 1])[0], fam.k - rank))
+    return out
+
+
+# the catalog families and the family files under tools/
+FAMILY_FILES = (Path(__file__).resolve().parents[1] / "tools").glob("*.fam")
+CRITICAL_SET_FAMILIES = {**families.catalog(), **{path.name: families.family_from_file(path) for path in FAMILY_FILES}}
+
+
+@pytest.mark.parametrize("name", sorted(CRITICAL_SET_FAMILIES))
+def test_solve_critical_set_is_the_per_x_loop(name):
+    fam = CRITICAL_SET_FAMILIES[name]
+    rng = np.random.default_rng(23)
+    lo, hi = np.array(fam.field.box).T
+    xs = rng.uniform(lo[fam.k :], hi[fam.k :], (60, fam.n))
+    # repeated x rows and seeds, so that every x has duplicates to merge
+    xs = np.vstack([xs, xs[:5]])
+    seeds = list(fam.seeds) or [rng.uniform(-1.5, 1.5, fam.k) for _ in range(6)]
+    seeds += seeds[:2]
+    got = solve_critical_set(fam, xs, seeds)
+    expected = _per_x_critical_set(fam, xs, seeds)
+    assert len(got) == len(expected) > 0
+    for cp, (q, x, residual, det, corank) in zip(got, expected):
+        assert np.array_equal(cp.q, q) and np.array_equal(cp.x, x)
+        assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
