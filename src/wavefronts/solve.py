@@ -35,8 +35,6 @@ SINGULAR_RATIO = 1e-12
 # how each row of ``newton_batch`` ends, by index into OUTCOMES
 CONVERGED, SINGULAR, MAX_ITERATIONS, LEFT_BOX = range(4)
 OUTCOMES = ("converged", "singular", "max_iterations", "left_box")
-# dedup: the coordinate differences taken at a time
-DEDUP_BLOCK = 1 << 17
 # continuation: the largest seed residual accepted
 SEED_TOL = 1e-6
 # bracket_roots' ITP refinement: the truncation ITP_K1 w^2 / w0 (kappa_1 =
@@ -137,26 +135,34 @@ def dedup(points, radius: float) -> List[int]:
     ``points`` is a sequence of vectors (or scalars), or a (G, S, d) array of
     G groups of S points each covered on its own, with NaN rows for the
     points a group lacks; the indices are then into its G * S rows in group
-    order.  The distances (``np.linalg.norm``'s arithmetic) are taken about
-    ``DEDUP_BLOCK`` coordinate differences at a time, and one pass over the
-    S positions then covers every group at once.
+    order.  One pass over the S positions covers every group at once: each
+    group's kept points are packed in order into an inf-padded array, and
+    the point at a position is measured against the kept points alone, by
+    the square root of the least sum of squares (``np.linalg.norm``'s
+    arithmetic, the root being monotone).  Time and memory are those of the
+    points times the most points any group keeps.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 3:
         if len(pts) == 0:
             return []
         pts = pts.reshape(1, len(pts), -1)
-    G, S, d = pts.shape
-    # near[g, i, j]: point j of group g lies within radius of its point i
-    near = np.empty((G, S, S), dtype=bool)
-    step = max(1, DEDUP_BLOCK // max(1, G * S * d))
-    for i in range(0, S, step):
-        diff = pts[:, i : i + step, None] - pts[:, None]
-        near[:, i : i + step] = np.sqrt(np.add.reduce(diff * diff, axis=3)) <= radius
-    kept = np.isfinite(pts).all(axis=2)
-    for i in range(1, S):
-        kept[:, i] &= ~(near[:, i, :i] & kept[:, :i]).any(axis=1)
-    return np.flatnonzero(kept).tolist()
+    P = pts.transpose(1, 0, 2).copy()  # (S, G, d): one row per position
+    S, G, d = P.shape
+    kept = np.isfinite(P).all(axis=2)
+    packed = np.full((S, G, d), np.inf)  # every distance to inf is inf
+    # count: each group's kept points so far; m: the most of them
+    count, groups, m = np.zeros(G, dtype=np.intp), np.arange(G), 0
+    for p, k in zip(P, kept):
+        if m:
+            diff = packed[:m] - p
+            diff *= diff
+            k &= np.sqrt(np.add.reduce(diff, axis=2).min(axis=0)) > radius
+        if k.any():
+            packed[count, groups] = np.where(k[:, None], p, np.inf)
+            count += k
+            m = count.max()
+    return np.flatnonzero(kept.T).tolist()
 
 
 @dataclass(frozen=True)

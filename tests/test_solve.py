@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -811,6 +812,20 @@ def test_grouped_dedup_is_dedup_of_each_group(data, d, size, groups):
     assert dedup(pts, DEDUP_ORACLE_RADIUS) == expected
 
 
+def test_grouped_dedup_memory_is_linear_in_the_points():
+    # 64 groups of 256 points on 121 lattice sites, radius below the spacing:
+    # a pairwise (G, S, S) table would be 16 times the points' bytes
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, (64, 256, 2)).round(1)
+    tracemalloc.start()
+    try:
+        got = dedup(pts, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pts.nbytes
+    assert got == [g * 256 + j for g, group in enumerate(pts) for j in dedup(group, 0.05)]
+
+
 def _per_x_critical_set(fam, xs, seeds):
     """``solve_critical_set`` as one batched solve and one dedup per grid x."""
     out = []
@@ -842,6 +857,19 @@ def test_solve_critical_set_is_the_per_x_loop(name):
     got = solve_critical_set(fam, xs, seeds)
     expected = _per_x_critical_set(fam, xs, seeds)
     assert len(got) == len(expected) > 0
+    for cp, (q, x, residual, det, corank) in zip(got, expected):
+        assert np.array_equal(cp.q, q) and np.array_equal(cp.x, x)
+        assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
+
+
+def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
+    # a family file has no seeds: the CLI's q seeds are the density^k grid
+    fam = CRITICAL_SET_FAMILIES["caustic_k2.fam"]
+    xs, seeds = cli.x_grid_and_q_seeds(fam, 12)
+    assert not fam.seeds and fam.k == 2 and len(xs) == len(seeds) == 144
+    got = solve_critical_set(fam, xs, seeds)
+    expected = _per_x_critical_set(fam, xs, seeds)
+    assert len(got) == len(expected) > len(xs)
     for cp, (q, x, residual, det, corank) in zip(got, expected):
         assert np.array_equal(cp.q, q) and np.array_equal(cp.x, x)
         assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
