@@ -110,7 +110,7 @@ def morse_family_check(fam: GeneratingFamily, q, x, eps: float = RANK_EPS) -> di
 
 def morse_hypersurface_check(fam: GeneratingFamily, q, x, eps: float = RANK_EPS) -> dict:
     """Rank test of the (k+1) x (k+n) Jacobian of (F, dF/dq); pass iff rank == k+1."""
-    _, g, H, _ = fam.field.derivatives(fam.point(q, x))
+    _, g, H = fam.field.derivatives(fam.point(q, x))
     r = numerical_rank(np.vstack([g, H[: fam.k]]), eps)
     return {"pass": r == fam.k + 1, "rank": r}
 
@@ -122,7 +122,7 @@ def nondegeneracy_check(gl: GraphLikeFamily, q, x, t: float, eps: float = RANK_E
     Tests rank of [[0, dF/dx], [d2F/dq2, d2F/dxdq]] == k+1.
     """
     k = gl.k
-    v, g, H, _ = gl.base.field.derivatives(gl.base.point(q, x))
+    v, g, H = gl.base.field.derivatives(gl.base.point(q, x))
     if abs(v - t) > ON_SIGMA_STAR_TOL or np.linalg.norm(g[:k], np.inf) > ON_SIGMA_STAR_TOL:
         raise NotOnSigmaStar(f"point (q={q!r}, x={x!r}, t={t!r}) not on the zero-critical set")
     top = np.concatenate([np.zeros(k), g[k:]])
@@ -223,7 +223,7 @@ def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint) -> dict:
     """
     fam = gl.base
     k, n = fam.k, fam.n
-    _, gradF, H, _ = fam.field.derivatives(fam.point(cp.q, cp.x))
+    _, gradF, H = fam.field.derivatives(fam.point(cp.q, cp.x))
     V = null_space(H[:k])  # (k+n) x n tangent basis of C(F)
     if V.shape[1] != n:
         raise ChartFailure(

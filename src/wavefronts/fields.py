@@ -79,7 +79,8 @@ class ScalarField:
 
     ``jet`` is the one field pass the solvers read: that flat jet as an
     array, for a point or a stack, its entries at the positions that
-    ``jet_index`` gives.
+    ``jet_index`` gives.  It is the only method that gives third partials;
+    ``derivatives`` is views of its value, gradient and Hessian.
     """
 
     arity: int
@@ -170,19 +171,6 @@ class ScalarField:
         H = 0.5 * (H + H.T)
         return _check_finite(H, p)
 
-    def third(self, point) -> np.ndarray:
-        """The third partials ``d_c d_a d_b f``: the jet's (r, r, m) block
-        (its own r), else central differences of the whole Hessian, (m, m, m)."""
-        p = np.asarray(point, dtype=float)
-        m = p.size
-        s = 1 + m + m * m
-        if self.jet_fn is not None:
-            a = self._jet(p, True)
-            if a.size > s:
-                r = math.isqrt((a.size - s) // m)
-                return a[s:].reshape(r, r, m)
-        return self._fd_third(p, m)
-
     def _fd_third(self, p: np.ndarray, r: int) -> np.ndarray:
         """Central differences of the Hessian's leading (r, r) block, in C
         order as the jet's own third partials; each probe p +- h e_c checks
@@ -197,11 +185,11 @@ class ScalarField:
         row by row; ``jet_index(m, r)`` gives the position of each entry.
 
         With ``jet_fn`` it is one closed-form call with one box check and one
-        finiteness check.  Third partials that the jet does not carry for
-        exactly r rows are central differences of the Hessian's leading
-        (r, r) block, and a field without a jet stacks its ``value``,
+        finiteness check.  A field without a jet stacks its ``value``,
         ``grad`` and ``hessian``, so every entry, FD margin and error is the
-        one the separate methods give.
+        one those methods give.  Third partials that the jet does not carry
+        for exactly r rows are central differences of the Hessian's leading
+        (r, r) block, each probe checking the box as ``hessian`` does.
 
         An (N, m) stack of points gives an (N, s) array, one jet per row
         (see ``_stacked_jet``).
@@ -227,7 +215,8 @@ class ScalarField:
         the box is NaN, and an in-box row that is not finite raises
         NonFiniteValue.  Any other field, or a jet without the third
         partials asked for, runs its rows one by one through the 1-D
-        ``jet``, and a row that raises DomainError there is NaN."""
+        ``jet``: a row that raises DomainError there is NaN, and the width
+        is that of the first row that succeeds (``size`` when none does)."""
         N, m = P.shape
         size = 1 + m + m * m + third * third * m
         if getattr(self.jet_fn, "stacks", False):
@@ -246,23 +235,26 @@ class ScalarField:
                 raise NonFiniteValue(f"non-finite field value at {P[np.argmax(bad)]!r}")
             if a.shape[1] == size:
                 return a
-        return stack_rows(lambda p: (self.jet(p, third),), P, (np.zeros(size),))[0]
+        a = None
+        for i, p in enumerate(P):
+            try:
+                row = self.jet(p, third)
+            except DomainError:
+                continue
+            if a is None:
+                a = np.full((N, row.size), np.nan)
+            a[i] = row
+        return np.full((N, size), np.nan) if a is None else a
 
-    def derivatives(self, point, third: int = 0):
-        """``(value, grad, hessian, third partials or None)`` at ``point``:
-        views of ``jet(point, third)``, the value a float.  ``third = r > 0``
-        also asks for the (r, r, m) third partials.
-
-        An (N, m) stack of points gives each part with a leading axis of N
-        rows.
-        """
+    def derivatives(self, point):
+        """``(value, grad, hessian)`` at ``point``: views of ``jet(point, 0)``,
+        the value a float.  An (N, m) stack of points gives each part with a
+        leading axis of N rows."""
         p = np.asarray(point, dtype=float)
-        a = self.jet(p, third)
+        a = self.jet(p, 0)
         m = p.shape[-1]
-        s = 1 + m + m * m
         rows = a.shape[:-1]
-        T = a[..., s:].reshape(rows + (third, third, m)) if third else None
-        return a[..., 0] if rows else float(a[0]), a[..., 1 : m + 1], a[..., m + 1 : s].reshape(rows + (m, m)), T
+        return a[..., 0] if rows else float(a[0]), a[..., 1 : m + 1], a[..., m + 1 : 1 + m + m * m].reshape(rows + (m, m))
 
 
 def jet_index(m: int, r: int):
@@ -272,31 +264,6 @@ def jet_index(m: int, r: int):
     A system reads its residual and Jacobian from one jet by such indices."""
     s = 1 + m + m * m
     return 0, np.arange(1, m + 1), np.arange(m + 1, s).reshape(m, m), np.arange(s, s + r * r * m).reshape(r, r, m)
-
-
-def stack_rows(fn: Callable, Z: np.ndarray, blank: tuple) -> tuple:
-    """The parts of ``fn(z)`` for each row ``z`` of the stack ``Z``, each
-    stacked along a leading axis.  A row whose call raises DomainError is NaN
-    in every part.  ``blank`` is one row's result, read for its shapes when
-    no row succeeds; a part that is None stays None."""
-    rows = []
-    for z in Z:
-        try:
-            rows.append(fn(z))
-        except DomainError:
-            rows.append(None)
-    like = next((r for r in rows if r is not None), blank)
-    out = []
-    for j, part in enumerate(like):
-        if part is None:
-            out.append(None)
-            continue
-        a = np.full((len(Z),) + np.shape(part), np.nan)
-        for i, r in enumerate(rows):
-            if r is not None:
-                a[i] = r[j]
-        out.append(a)
-    return tuple(out)
 
 
 def field_from_expr(

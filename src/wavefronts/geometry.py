@@ -292,7 +292,7 @@ def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]
     and, when the curve has a ``d3``, carries the third partials d_z D_uu.  A
     surface's evaluates X, X' and X'' once for the value, the gradient and
     the Hessian; it has no third partials, so its caustic Jacobian uses
-    central differences of the Hessian (``ScalarField.third``).
+    central differences of the Hessian (``ScalarField.jet``).
     """
     if isinstance(surface, PlaneCurve):
         k, n = 1, 2

@@ -7,13 +7,6 @@ import numpy as np
 RANK_EPS = 1e-8
 
 
-def singular_values(M) -> np.ndarray:
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if A.size == 0:
-        return np.array([])
-    return np.linalg.svd(A, compute_uv=False)
-
-
 def _rank(s: np.ndarray, eps: float) -> int:
     """Count of the descending singular values ``s`` above ``eps`` times the
     largest one."""
@@ -25,8 +18,10 @@ def _rank(s: np.ndarray, eps: float) -> int:
 
 
 def numerical_rank(M, eps: float = RANK_EPS) -> int:
-    """Count of singular values above ``eps`` times the largest one."""
-    return _rank(singular_values(M), eps)
+    """Count of singular values above ``eps`` times the largest one; 0 for
+    an empty matrix."""
+    A = np.atleast_2d(np.asarray(M, dtype=float))
+    return _rank(np.linalg.svd(A, compute_uv=False), eps) if A.size else 0
 
 
 def null_space(M) -> np.ndarray:

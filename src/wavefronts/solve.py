@@ -1,8 +1,9 @@
 """Newton solving and pseudo-arclength continuation.
 
-Every Newton iterate takes the least-norm step of one SVD of its Jacobian,
-so an (m-1) x m continuation system is corrected with the Moore-Penrose
-inverse (Allgower & Georg, *Numerical Continuation Methods*, 1990, ch. 3):
+Every solver takes a ``System``, a residual map that carries its Jacobian,
+and reads both from its ``evaluate`` alone.  Every Newton iterate takes the
+least-norm step of one SVD of its Jacobian, so an (m-1) x m continuation
+system is corrected with the Moore-Penrose inverse (Allgower & Georg, *Numerical Continuation Methods*, 1990, ch. 3):
 the corrector solves the curve's own equations from the predicted point,
 with no bordering row.  The corrector's last SVD also gives the next
 tangent, its last right singular vector, whenever the Weyl and Wedin bounds
@@ -25,7 +26,7 @@ from .errors import (
     SeedNotOnCurve,
     SingularJacobian,
 )
-from .fields import fd_jacobian, stack_rows
+from .fields import fd_jacobian  # noqa: F401  (perfbench/tracing.py wraps solve.fd_jacobian by name)
 from .linalg import RANK_EPS, null_space
 from .linalg import numerical_rank  # noqa: F401  (perfbench/tracing.py wraps solve.numerical_rank by name)
 
@@ -167,18 +168,18 @@ def dedup(points, radius: float) -> List[int]:
 
 @dataclass(frozen=True)
 class System:
-    """A residual map that carries its Jacobian (exact, or central differences).
+    """A residual map that carries its Jacobian.
 
     ``evaluate(z)`` returns ``(residual, J)`` from one pass, ``J`` with one
-    row per equation and one column per unknown; calling the system returns
-    the residual alone.  An (N, m) stack of points gives both with a leading
-    axis of N rows, each row the result of evaluating that row alone, and a
-    row that leaves a field's box is NaN.  It is what ``newton_solve``,
-    ``newton_batch`` and ``continue_curve`` solve (see ``as_system``).  The
-    systems of a generating family (``critical_system``, ``front_system``,
-    ``caustic_system``, ``pairing_system``) read both from one
-    ``ScalarField.jet`` per field pass, by index tables built once, with the
-    same code for a point and a stack.
+    row per equation and one column per unknown.  An (N, m) stack of points
+    gives both with a leading axis of N rows, each row the result of
+    evaluating that row alone, and a row that leaves a field's box is NaN.
+    It is the one thing ``newton_solve``, ``newton_batch`` and
+    ``continue_curve`` solve.  The systems of a generating family
+    (``critical_system``, ``front_system``, ``caustic_system``,
+    ``pairing_system``) read both from one ``ScalarField.jet`` per field
+    pass, by index tables built once, with the same code for a point and a
+    stack.
 
     ``rows(index)`` is the system to evaluate on the rows ``index`` of a
     stack, as ``newton_batch`` does with its running rows.  Rows that carry
@@ -187,9 +188,6 @@ class System:
     """
 
     evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
-    def __call__(self, z):
-        return self.evaluate(z)[0]
 
     def rows(self, index: np.ndarray) -> "System":
         """The system of the rows ``index``: this one, whose rows carry no data."""
@@ -210,29 +208,13 @@ class RowSystem(System):
         return self.take(index)
 
 
-def as_system(fn: Callable) -> System:
-    """``fn`` itself if it is a ``System``, else ``fn`` with the central
-    difference Jacobian ``fd_jacobian``.  ``fn`` need not broadcast, so a
-    stack is evaluated row by row; a row whose call raises DomainError is
-    NaN."""
-    if isinstance(fn, System):
-        return fn
+def newton_solve(system: System, seed):
+    """Solve the residual of ``system.evaluate(p)`` to ``NEWTON_TOL`` in the
+    infinity norm from ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
 
-    def evaluate(z):
-        if np.ndim(z) == 2:
-            return stack_rows(evaluate, z, (np.zeros(1), np.zeros((1, z.shape[1]))))
-        return np.asarray(fn(z), dtype=float), fd_jacobian(fn, z)
-
-    return System(evaluate)
-
-
-def newton_solve(system: Callable, seed):
-    """Solve ``system(p) = 0`` to ``NEWTON_TOL`` in the infinity norm from
-    ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
-
-    Each iterate is one ``evaluate`` of ``as_system(system)`` and one full
-    SVD of its Jacobian, which gives the ``SINGULAR_RATIO`` test and the
-    least-norm (Moore-Penrose) step.  Returns ``(p, J, last)`` with ``J`` the
+    Each iterate is one ``system.evaluate`` and one full SVD of its
+    Jacobian, which gives the ``SINGULAR_RATIO`` test and the least-norm
+    (Moore-Penrose) step.  Returns ``(p, J, last)`` with ``J`` the
     Jacobian of that converged ``evaluate`` and ``last = (J_f, s, Vt)`` the
     last factorization taken: the Jacobian of the iterate before ``p``, its
     singular values and its square right factor (None when ``seed`` itself
@@ -240,7 +222,6 @@ def newton_solve(system: Callable, seed):
     DomainError of a field whose box an iterate leaves.
     """
     p = np.asarray(seed, dtype=float).copy()
-    system = as_system(system)
     last = None
     for _ in range(NEWTON_MAX_ITER):
         r, J = system.evaluate(p)
@@ -259,7 +240,7 @@ def newton_solve(system: Callable, seed):
     raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
 
 
-def newton_batch(system: Callable, seeds: Sequence):
+def newton_batch(system: System, seeds: Sequence):
     """``newton_solve`` from every seed at once (a scalar seed is a
     1-vector): per iterate, one ``evaluate`` of the rows still running and
     one stacked SVD of them, which gives both the ``SINGULAR_RATIO`` test and
@@ -282,7 +263,6 @@ def newton_batch(system: Callable, seeds: Sequence):
     outcome = np.full(N, MAX_ITERATIONS)
     if N == 0:
         return P.reshape(0, 0), np.zeros((0, 0)), np.zeros((0, 0, 0)), outcome
-    system = as_system(system)
     running = np.arange(N)
     R = J = None
     for _ in range(NEWTON_MAX_ITER):
@@ -314,7 +294,7 @@ def newton_batch(system: Callable, seeds: Sequence):
     return P, R, J, outcome
 
 
-def project_to_set(system: Callable, seeds: Sequence) -> List[np.ndarray]:
+def project_to_set(system: System, seeds: Sequence) -> List[np.ndarray]:
     """Least-norm Newton projection of each seed (a scalar is a 1-vector)
     onto the solution set of ``system``, in seed order: one ``newton_batch``
     of all the seeds, which drops each seed whose row does not converge."""
@@ -364,7 +344,7 @@ def _tangent(J: np.ndarray, last, prev: Optional[np.ndarray]):
     return tau, reused
 
 
-def continue_curve(system: Callable, seed, step: float, max_points: int) -> Curve:
+def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
     """Pseudo-arclength predictor-corrector tracing of a 1-D solution set.
 
     ``system`` maps R^m -> R^(m-1); its ``evaluate`` is the only domain
@@ -394,7 +374,6 @@ def continue_curve(system: Callable, seed, step: float, max_points: int) -> Curv
     there first, and its tangent comes from the polish under the same rule
     (RankDeficientSeed where the rank drops).
     """
-    system = as_system(system)
     z0 = np.asarray(seed, dtype=float).copy()
     res, J = system.evaluate(z0)
     if res.size != z0.size - 1:

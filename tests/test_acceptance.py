@@ -14,7 +14,7 @@ from wavefronts import expr as ex
 from wavefronts import families, fronts, gallery, geometry, jets, pde
 from wavefronts.cli import phase_seeds
 from wavefronts.fields import ScalarField
-from wavefronts.solve import continue_curve
+from wavefronts.solve import System, continue_curve
 
 from conftest import field_catalog
 
@@ -258,7 +258,8 @@ def test_criterion_9_numerics_hygiene(acceptance):
 
     # continuation residuals
     circle = lambda z: np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
-    c = continue_curve(circle, np.array([1.0, 0.0]), step=0.05, max_points=300)
+    system = System(lambda z: (circle(z), np.array([2 * z])))
+    c = continue_curve(system, np.array([1.0, 0.0]), step=0.05, max_points=300)
     res_circle = max(abs(circle(p)[0]) for p in c.points)
     fam = families.catalog()["cusp"]
     cloud = fronts.caustic(fam, phase_seeds(fam, 3), max_points=400)

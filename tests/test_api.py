@@ -23,7 +23,6 @@ KNOBS = {
     ("families", "morse_family_check", "eps"),
     ("families", "morse_hypersurface_check", "eps"),
     ("families", "nondegeneracy_check", "eps"),
-    ("fields", "ScalarField.derivatives", "third"),
     ("fields", "fd_jacobian", "ncols"),
     ("fields", "field_from_expr", "box"),
     ("fields", "field_from_expr", "third_rows"),

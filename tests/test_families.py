@@ -42,9 +42,13 @@ def test_shifted_family_restores_hypersurface_rank(cusp):
     # away from the degenerate stratum, F - t0 has full Delta* rank on Sigma*
     q, x = np.array([0.7]), np.array([1.0, -2.296])
     # put the point on the critical set first
-    from wavefronts.solve import newton_solve
+    from wavefronts.fields import fd_jacobian
+    from wavefronts.solve import System, newton_solve
 
-    z, _, _ = newton_solve(lambda z: cusp.grad_q(z[:1], np.array([1.0, z[1]])), np.array([0.7, -2.3]))
+    def grad_q(z):
+        return cusp.grad_q(z[:1], np.array([1.0, z[1]]))
+
+    z, _, _ = newton_solve(System(lambda z: (grad_q(z), fd_jacobian(grad_q, z))), np.array([0.7, -2.3]))
     q = z[:1]
     x = np.array([1.0, z[1]])
     t0 = cusp.value(q, x)

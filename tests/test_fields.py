@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wavefronts import expr as ex
 from wavefronts import families
 from wavefronts.errors import DomainError, NonFiniteValue
-from wavefronts.fields import ScalarField, field_from_expr
+from wavefronts.fields import ScalarField, field_from_expr, jet_index
 
 from conftest import field_catalog
 
@@ -23,7 +23,7 @@ def test_expr_field_gradient_and_hessian():
     assert f.grad(p) == pytest.approx([3 * 1.5**2 - 0.5, 1.5 - 1.0])
     assert np.allclose(f.hessian(p), [[9.0, 1.0], [1.0, 2.0]])
     # d/dq1 and d/dx1 of d2f/dq1^2 = 6 q1
-    assert f.third(p).tolist() == [[[6.0, 0.0]]]
+    assert f.jet(p, 1)[jet_index(2, 1)[3]].tolist() == [[[6.0, 0.0]]]
     # without third rows the jet stops after the Hessian
     assert len(field_from_expr(e, ("q1", "x1")).jet_fn(p.tolist(), True)) == 1 + 2 + 4
 
@@ -33,9 +33,9 @@ def test_third_without_third_fn_differences_the_hessian():
     exact = field_from_expr(e, ("q1", "x1", "x2"), third_rows=1)
     fd = field_from_expr(e, ("q1", "x1", "x2"))
     for p in ([0.7, -1.2, 0.4], [0.5, -1.5, 0.3], [-1.1, 0.8, -2.5]):
-        T = fd.third(p)
+        T = fd.jet(p, 3)[jet_index(3, 3)[3]]
         assert T.shape == (3, 3, 3)
-        assert np.abs(T[:1, :1] - exact.third(p)).max() <= 1e-6
+        assert np.abs(T[:1, :1] - exact.jet(p, 1)[jet_index(3, 1)[3]]).max() <= 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(field_catalog()))
@@ -112,18 +112,19 @@ def test_stacked_derivatives_are_the_rows():
     opaque = ScalarField(3, generated.fn, box=CUSP_BOX)
     P = np.column_stack([RNG.uniform(-3, 3, 8), RNG.uniform(-5, 5, (8, 2))])
     P[2, 0], P[5, 2] = 4.5, -6.5  # two rows outside the box
+    third = jet_index(3, 1)[3]
     for fld in (generated, opaque):
-        parts = fld.derivatives(P, third=1)
+        parts = (*fld.derivatives(P), fld.jet(P, 1)[:, third])
         assert [a.shape for a in parts] == [(8,), (8, 3), (8, 3, 3), (8, 1, 1, 3)]
         for i, p in enumerate(P):
             if i in (2, 5):
                 assert all(np.isnan(a[i]).all() for a in parts)
                 continue
-            for a, b in zip(parts, fld.derivatives(p, third=1)):
+            for a, b in zip(parts, (*fld.derivatives(p), fld.jet(p, 1)[third])):
                 # numpy's elementwise powers may round by an ulp apart from
                 # Python's; the FD rows are the 1-D calls themselves
                 assert np.abs(a[i] - b).max() <= (1e-13 if fld is generated else 0.0) * max(1.0, np.abs(b).max())
-    assert generated.derivatives(P)[3] is None
+    assert len(generated.derivatives(P)) == 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wavefronts import families, fields, fronts, geometry
 from wavefronts.errors import DomainError, NonFiniteValue
-from wavefronts.fields import ScalarField, fd_jacobian
+from wavefronts.fields import ScalarField, fd_jacobian, jet_index
 from wavefronts.linalg import adjugate
 from wavefronts.solve import System
 
@@ -21,6 +21,12 @@ K2_BOX = ((-3.0, 3.0), (-3.0, 3.0), (-8.0, 8.0), (-8.0, 8.0))
 
 def _dist2(curve):
     return geometry.distance_squared_family(curve)[0]
+
+
+def _third(fld, z, r):
+    """The (r, r, m) third partials of ``fld`` at a point or a stack ``z``,
+    read from ``jet(z, r)``."""
+    return fld.jet(z, r)[..., jet_index(z.shape[-1], r)[3]]
 
 
 class Cubic(geometry.PlaneCurve):
@@ -85,7 +91,7 @@ def _system(fam, name, w):
 def _agree(system, z):
     assert isinstance(system, System)
     res, J = system.evaluate(z)
-    fd = fd_jacobian(system, z)
+    fd = fd_jacobian(lambda u: system.evaluate(u)[0], z)
     assert J.shape == fd.shape == (res.size, z.size)
     assert np.abs(J - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
@@ -145,7 +151,8 @@ def test_opaque_families_get_field_fd_jacobians():
 
 def _per_order(fam, name, w):
     """The residual and Jacobian of system ``name`` at ``w``, assembled from the
-    field's per-order methods ``value``, ``grad``, ``hessian`` and ``third``."""
+    field's per-order methods ``value``, ``grad`` and ``hessian``, and the
+    third partials of ``jet``."""
     fld, k = fam.field, fam.k
     if name == "pairing":
         za, zb = np.concatenate([w[:k], w[2 * k :]]), w[k:]
@@ -160,7 +167,7 @@ def _per_order(fam, name, w):
         return g[:k], H[:k, :k]
     if name == "front":
         return np.append(g[:k], fld.value(w) - 0.3), np.vstack([H[:k], g])
-    Hqq, T = H[:k, :k], fld.third(w)[:k, :k]
+    Hqq, T = H[:k, :k], _third(fld, w, k)
     if k == 1:
         return np.append(g[:k], Hqq[0, 0]), np.vstack([H[:k], T[0, 0]])
     row = np.einsum("ba,abc->c", adjugate(Hqq), T[:k, :k])
@@ -198,11 +205,12 @@ def test_derivatives_are_the_separate_methods(fam_name):
     rng = np.random.default_rng(7)
     for _ in range(20):
         z = np.concatenate([rng.uniform(-2.0, 2.0, k), rng.uniform(-X_RANGE, X_RANGE, fld.arity - k)])
-        v, g, H, T = fld.derivatives(z, third=k)
+        v, g, H = fld.derivatives(z)
         assert v == fld.value(z) and type(v) is float
         assert np.array_equal(g, fld.grad(z)) and np.array_equal(H, fld.hessian(z))
-        assert np.array_equal(T, fld.third(z)[:k, :k]) and T.shape == (k, k, fld.arity)
-        assert fld.derivatives(z)[3] is None
+        # the jet with third partials starts with the same value, gradient and Hessian
+        a, s = fld.jet(z, k), 1 + fld.arity + fld.arity**2
+        assert np.array_equal(a[:s], fld.jet(z, 0)) and _third(fld, z, k).shape == (k, k, fld.arity)
 
 
 @pytest.mark.parametrize("fam_name", ["cusp", "ellipse"])
@@ -215,9 +223,8 @@ def test_fused_path_raises_domain_error_outside_the_box(fam_name):
             method(z)
     for name in SYSTEMS:
         system, u = _system(fam, name, _pairing_point(fam, z) if name == "pairing" else z)
-        for call in (system, system.evaluate):
-            with pytest.raises(DomainError):
-                call(u)
+        with pytest.raises(DomainError):
+            system.evaluate(u)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -232,9 +239,8 @@ def test_fused_path_raises_non_finite_value():
             method(z)
     for name in SYSTEMS:
         system, u = _system(fam, name, _pairing_point(fam, z) if name == "pairing" else z)
-        for call in (system, system.evaluate):
-            with pytest.raises(NonFiniteValue):
-                call(u)
+        with pytest.raises(NonFiniteValue):
+            system.evaluate(u)
     # the distance-squared jet: |X(u) - v|^2 overflows while its gradient does not
     # (in a v box wide enough to reach it)
     ellipse = geometry.distance_squared_family(geometry.Ellipse(a=2.0, b=1.0))[0].field
@@ -252,8 +258,8 @@ def test_shifted_family_shifts_the_fused_value(fam_name):
     rng = np.random.default_rng(11)
     for _ in range(10):
         z = np.concatenate([rng.uniform(-2.0, 2.0, fam.k), rng.uniform(-X_RANGE, X_RANGE, fam.n)])
-        v, g, H, T = shifted.derivatives(z, third=fam.k)
-        v0, g0, H0, T0 = fam.field.derivatives(z, third=fam.k)
+        (v, g, H), T = shifted.derivatives(z), _third(shifted, z, fam.k)
+        (v0, g0, H0), T0 = fam.field.derivatives(z), _third(fam.field, z, fam.k)
         assert v == v0 - t0 == shifted.value(z)
         assert np.array_equal(g, g0) and np.array_equal(H, H0) and np.array_equal(T, T0)
 
@@ -264,10 +270,13 @@ def test_derivatives_fallbacks_are_the_separate_methods():
     opaque = ScalarField(3, cusp.field.fn, box=cusp.field.box)
     sphere = _dist2(geometry.Sphere(radius=1.0)).field
     for fld, z in ((opaque, np.array([0.7, -1.2, 0.4])), (sphere, np.array([0.7, 0.4, 0.3, -0.2, 0.5]))):
-        v, g, H, T = fld.derivatives(z, third=2)
+        (v, g, H), T = fld.derivatives(z), _third(fld, z, 2)
         assert v == fld.value(z)
         assert np.array_equal(g, fld.grad(z)) and np.array_equal(H, fld.hessian(z))
-        assert np.array_equal(T, fld.third(z)[:2, :2]) and T.shape == (2, 2, z.size)
+        # the (2, 2) block of the central differences of the whole Hessian
+        m = z.size
+        full = fd_jacobian(lambda p: fld.hessian(p).ravel(), z).reshape(m, m, m)
+        assert np.array_equal(T, full[:2, :2]) and T.shape == (2, 2, m)
 
 
 def test_opaque_caustic_differences_only_the_third_block_it_uses(monkeypatch):
@@ -360,12 +369,12 @@ def test_shifted_family_shifts_the_value_of_every_stacked_row(fam_name):
     shifted = families.shifted_family(fam, t0).field
     rng = np.random.default_rng(12)
     Z = np.column_stack([rng.uniform(-2.0, 2.0, (6, fam.k)), rng.uniform(-X_RANGE, X_RANGE, (6, fam.n))])
-    v, g, H, T = shifted.derivatives(Z, third=fam.k)
-    v0, g0, H0, T0 = fam.field.derivatives(Z, third=fam.k)
+    (v, g, H), T = shifted.derivatives(Z), _third(shifted, Z, fam.k)
+    (v0, g0, H0), T0 = fam.field.derivatives(Z), _third(fam.field, Z, fam.k)
     assert np.array_equal(v, v0 - t0)
     assert np.array_equal(g, g0) and np.array_equal(H, H0) and np.array_equal(T, T0)
     for i, z in enumerate(Z):
-        row = shifted.derivatives(z, third=fam.k)
+        row = (*shifted.derivatives(z), _third(shifted, z, fam.k))
         for a, b in zip((v[i], g[i], H[i], T[i]), row):
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
 
@@ -384,8 +393,8 @@ def _assembled(fam, name, W):
     fld, k, n = fam.field, fam.k, fam.n
     rows = W.shape[:-1]
     if name == "pairing":
-        va, ga, Ha, _ = fld.derivatives(np.concatenate([W[..., :k], W[..., 2 * k :]], axis=-1))
-        vb, gb, Hb, _ = fld.derivatives(W[..., k:])
+        va, ga, Ha = fld.derivatives(np.concatenate([W[..., :k], W[..., 2 * k :]], axis=-1))
+        vb, gb, Hb = fld.derivatives(W[..., k:])
         res, J = np.empty(rows + (2 * k + 1,)), np.zeros(rows + (2 * k + 1, 2 * k + n))
         res[..., :k], res[..., k : 2 * k], res[..., 2 * k] = ga[..., :k], gb[..., :k], va - vb
         J[..., :k, :k], J[..., :k, 2 * k :] = Ha[..., :k, :k], Ha[..., :k, k:]
@@ -393,7 +402,7 @@ def _assembled(fam, name, W):
         J[..., 2 * k, :k], J[..., 2 * k, k : 2 * k] = ga[..., :k], -gb[..., :k]
         J[..., 2 * k, 2 * k :] = ga[..., k:] - gb[..., k:]
         return res, J
-    v, g, H, T = fld.derivatives(W, third=k if name == "caustic" else 0)
+    v, g, H = fld.derivatives(W)
     if name == "critical":
         return g[..., :k], H[..., :k, :k]
     res, J = np.empty(rows + (k + 1,)), np.empty(rows + (k + 1, k + n))
@@ -401,11 +410,11 @@ def _assembled(fam, name, W):
     if name == "front":
         res[..., k], J[..., k, :] = v - 0.3, g
     elif k == 1:  # det H_qq is the entry itself, and its row d H_qq
-        res[..., k], J[..., k, :] = H[..., 0, 0], T[..., 0, 0, :]
+        res[..., k], J[..., k, :] = H[..., 0, 0], _third(fld, W, k)[..., 0, 0, :]
     else:
         with np.errstate(invalid="ignore"):
             res[..., k] = np.linalg.det(H[..., :k, :k])
-            J[..., k, :] = np.einsum("...ba,...abc->...c", adjugate(H[..., :k, :k]), T)
+            J[..., k, :] = np.einsum("...ba,...abc->...c", adjugate(H[..., :k, :k]), _third(fld, W, k))
     return res, J
 
 

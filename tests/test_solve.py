@@ -14,6 +14,7 @@ from wavefronts.errors import (
     SingularJacobian,
 )
 from wavefronts import cli, families, fields, fronts, geometry, solve
+from wavefronts.fields import fd_jacobian
 from wavefronts.linalg import RANK_EPS, null_space, numerical_rank
 from wavefronts.families import critical_system, family_from_text, solve_critical_set
 from wavefronts.solve import (
@@ -23,11 +24,9 @@ from wavefronts.solve import (
     OUTCOMES,
     SINGULAR,
     System,
-    as_system,
     bracket_roots,
     continue_curve,
     dedup,
-    fd_jacobian,
     newton_batch,
     newton_solve,
     project_to_set,
@@ -42,18 +41,32 @@ def circle_jac(z):
     return np.array([[2 * z[0], 2 * z[1]]])
 
 
+CIRCLE = System(lambda z: (circle(z), circle_jac(z)))
+
+
+def fd_system(fn):
+    """``fn`` with its central-difference Jacobian, for a residual whose
+    exact Jacobian is not worth writing out."""
+    return System(lambda z: (np.asarray(fn(z), dtype=float), fd_jacobian(fn, z)))
+
+
 @pytest.fixture
 def no_fd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fd_jacobian called although a Jacobian was given")
 
-    monkeypatch.setattr(solve, "fd_jacobian", refuse)
+    monkeypatch.setattr(fields, "fd_jacobian", refuse)
 
 
 def test_fd_jacobian_linear_system_exact():
     A = np.array([[2.0, -1.0], [0.5, 3.0]])
     J = fd_jacobian(lambda z: A @ z, np.array([0.3, -0.7]))
     assert J == pytest.approx(A, abs=1e-9)
+
+
+def test_numerical_rank_of_an_empty_matrix_is_zero():
+    assert numerical_rank(np.zeros((0, 3))) == numerical_rank([]) == 0
+    assert numerical_rank([[1.0, 0.0], [0.0, 1e-9]]) == 1
 
 
 def test_bracket_roots_exact_zeros_and_sign_changes():
@@ -291,23 +304,22 @@ def test_dedup_keeps_first_and_drops_at_radius():
 
 
 def test_newton_quadratic():
-    root, J, _ = newton_solve(lambda z: np.array([z[0] ** 2 - 2.0]), np.array([1.0]))
+    root, J, _ = newton_solve(fd_system(lambda z: np.array([z[0] ** 2 - 2.0])), np.array([1.0]))
     assert root[0] == pytest.approx(np.sqrt(2.0), abs=1e-10)
     assert J[0, 0] == pytest.approx(2 * np.sqrt(2.0), abs=1e-6)
 
 
 def test_newton_underdetermined_least_norm():
     # one equation, two unknowns: stays near the seed
-    z, _, _ = newton_solve(circle, np.array([2.0, 0.0]))
+    z, _, _ = newton_solve(CIRCLE, np.array([2.0, 0.0]))
     assert circle(z)[0] == pytest.approx(0.0, abs=1e-10)
     assert abs(z[1]) < 1e-8
 
 
 def test_newton_returns_the_converged_jacobian():
-    system = System(lambda z: (circle(z), circle_jac(z)))
     for seed in ([2.0, 0.0], [0.3, 0.4], [1.0, 0.0]):
-        p, J, last = newton_solve(system, np.array(seed))
-        assert J.tobytes() == system.evaluate(p)[1].tobytes()
+        p, J, last = newton_solve(CIRCLE, np.array(seed))
+        assert J.tobytes() == CIRCLE.evaluate(p)[1].tobytes()
         if seed == [1.0, 0.0]:  # on the circle: no step, no factorization
             assert last is None
             continue
@@ -334,26 +346,24 @@ def test_newton_frozen_coordinates():
 def test_newton_singular_jacobian():
     # residual 1 but identically-zero Jacobian row at the seed
     with pytest.raises(SingularJacobian):
-        newton_solve(
-            lambda z: np.array([z[0] ** 2 + z[1] ** 2 + 1.0]), np.array([0.0, 0.0])
-        )
+        newton_solve(fd_system(lambda z: np.array([z[0] ** 2 + z[1] ** 2 + 1.0])), np.array([0.0, 0.0]))
 
 
 def test_newton_max_iterations(monkeypatch):
     monkeypatch.setattr(solve, "NEWTON_MAX_ITER", 8)
     with pytest.raises((MaxIterations, SingularJacobian)):
-        newton_solve(lambda z: np.array([z[0] ** 2 + 1.0]), np.array([1.0]))
+        newton_solve(fd_system(lambda z: np.array([z[0] ** 2 + 1.0])), np.array([1.0]))
 
 
 def test_project_to_set_drops_failed_seeds_and_takes_scalars():
     # z^2 = 2 from scalar seeds; the seed 0 has a singular Jacobian
-    points = project_to_set(lambda z: z**2 - 2.0, [1.0, 0.0, -3.0, np.array([5.0])])
+    points = project_to_set(System(lambda z: (z**2 - 2.0, 2 * z[..., None])), [1.0, 0.0, -3.0, np.array([5.0])])
     assert len(points) == 3 and all(p.shape == (1,) for p in points)
     assert [float(p[0]) for p in points] == pytest.approx([np.sqrt(2.0), -np.sqrt(2.0), np.sqrt(2.0)], abs=1e-10)
 
 
 def test_continuation_traces_unit_circle():
-    c = continue_curve(circle, np.array([1.0, 0.0]), step=0.05, max_points=500)
+    c = continue_curve(CIRCLE, np.array([1.0, 0.0]), step=0.05, max_points=500)
     assert c.closed
     radii = np.linalg.norm(c.points, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-8
@@ -362,19 +372,19 @@ def test_continuation_traces_unit_circle():
 
 
 def test_continuation_residuals_small():
-    c = continue_curve(circle, np.array([0.0, 1.0]), step=0.02, max_points=1000)
+    c = continue_curve(CIRCLE, np.array([0.0, 1.0]), step=0.02, max_points=1000)
     res = np.array([circle(p)[0] for p in c.points])
     assert np.max(np.abs(res)) < 1e-8
 
 
 def test_continuation_seed_not_on_curve():
     with pytest.raises(SeedNotOnCurve):
-        continue_curve(circle, np.array([2.0, 2.0]), step=0.05, max_points=10)
+        continue_curve(CIRCLE, np.array([2.0, 2.0]), step=0.05, max_points=10)
 
 
 def test_continuation_rank_deficient_seed():
     # gradient of z1^2 + z2^2 vanishes at the origin, which lies on the zero set
-    sys = lambda z: np.array([z[0] ** 2 + z[1] ** 2])
+    sys = fd_system(lambda z: np.array([z[0] ** 2 + z[1] ** 2]))
     with pytest.raises(RankDeficientSeed):
         continue_curve(sys, np.array([0.0, 0.0]), step=0.05, max_points=10)
 
@@ -422,21 +432,9 @@ def test_continuation_evaluates_once_per_chain_outside_newton(monkeypatch):
 
 
 def test_corrector_uses_the_given_jacobian(no_fd):
-    system = System(lambda z: (circle(z), circle_jac(z)))
-    c = continue_curve(system, np.array([1.0, 0.0]), step=0.05, max_points=500)
+    c = continue_curve(CIRCLE, np.array([1.0, 0.0]), step=0.05, max_points=500)
     assert c.closed
     assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) < 1e-8
-
-
-def test_plain_callable_is_its_fd_system():
-    def fn(z):
-        return np.array([z[0] ** 2 + z[1] ** 3 - 1.0, np.sin(z[0]) - z[1]])
-
-    seed = np.array([0.9, 0.4])
-    res, J = as_system(fn).evaluate(seed)
-    assert np.array_equal(res, fn(seed)) and np.array_equal(J, fd_jacobian(fn, seed))
-    (p, J, _), (p_fd, J_fd, _) = newton_solve(fn, seed), newton_solve(as_system(fn), seed)
-    assert p.tobytes() == p_fd.tobytes() and J.tobytes() == J_fd.tobytes()
 
 
 def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
@@ -444,13 +442,13 @@ def test_caustic_scene_uses_exact_jacobians(no_fd, capsys):
     assert "caustic: 808 points" in capsys.readouterr().out
 
 
-# Field passes per traced point: a call of ``value``, ``grad``, ``hessian`` or
-# ``third``, or one ``jet`` (``derivatives`` is views of one).  With a
-# residual pass and a Jacobian pass per Newton iterate and one more Jacobian
-# for the tangent it was 19.5 on the caustic scene and 20.9 on the front
-# scene; one fused pass per iterate, with the tangent from the converged
-# Jacobian, made 3.49 and 2.65, and the second-order predictor, after which
-# the corrector mostly converges in one step, makes 3.11 and 2.17.
+# Field passes per traced point: a call of ``value``, ``grad`` or ``hessian``,
+# or one ``jet`` (``derivatives`` is views of one).  With a residual pass and
+# a Jacobian pass per Newton iterate and one more Jacobian for the tangent it
+# was 19.5 on the caustic scene and 20.9 on the front scene; one fused pass
+# per iterate, with the tangent from the converged Jacobian, made 3.49 and
+# 2.65, and the second-order predictor, after which the corrector mostly
+# converges in one step, makes 3.11 and 2.17.
 FIELD_CALLS_PER_POINT = 4
 # SVDs per traced point, every ``np.linalg.svd`` of the run counted: one per
 # corrector step and one per ``null_space`` tangent made 2.47 on the caustic
@@ -462,7 +460,7 @@ SVD_CALLS_PER_POINT = 1.3
 def _field_passes(argv, monkeypatch):
     """Field passes, SVD calls and traced points of one CLI run."""
     calls, svds = [0], [0]
-    for name in ("value", "grad", "hessian", "third", "jet"):
+    for name in ("value", "grad", "hessian", "jet"):
         method = getattr(fields.ScalarField, name)
 
         def counted(self, *args, _method=method, **kwargs):
@@ -773,7 +771,7 @@ def test_solve_critical_set_reads_the_converged_pass(monkeypatch):
     assert [len([c for c in cps if tuple(c.x) == tuple(x)]) for x in xs] == [3, 1, 3]
     for a, b in zip(cps, again):
         assert np.array_equal(a.q, b.q) and np.array_equal(a.x, b.x)
-        _, g, H, _ = CUSP.field.derivatives(CUSP.point(a.q, a.x))
+        _, g, H = CUSP.field.derivatives(CUSP.point(a.q, a.x))
         assert a.residual == pytest.approx(abs(g[0]), abs=1e-14)
         assert a.hess_q_det == pytest.approx(H[0, 0], rel=1e-13)
         assert a.corank == 0
