@@ -1,4 +1,7 @@
-"""Command-line interface: scene configuration plus the CSV/SVG emitters.
+"""Command-line interface: scene configuration plus the CSV/SVG output.
+
+Each command builds one list of chains ``(t, X, Q, label)``; ``_emit`` writes
+it as the CSV rows and, when n = 2, as one SVG polyline per chain.
 
 Exit codes: 0 success, 1 numerical/module failure, 2 validation error.
 """
@@ -159,43 +162,42 @@ def x_grid_and_q_seeds(fam: families.GeneratingFamily, density: int):
     return xg, list(_box_grid(box[: fam.k], density))
 
 
-def _table(parts, n: int, k: int):
-    """One emitter table ``(t, X, Q, labels)`` from per-chain parts
-    ``(t, X, Q, label)``, each with one label and one t or a column of them."""
-    sizes = [len(X) for _, X, _, _ in parts]
-    t = np.concatenate([np.zeros(0)] + [np.broadcast_to(t, (m,)) for (t, _, _, _), m in zip(parts, sizes)])
-    X = np.concatenate([np.zeros((0, n))] + [X for _, X, _, _ in parts])
-    Q = np.concatenate([np.zeros((0, k))] + [Q for _, _, Q, _ in parts])
-    labels = np.repeat(np.array([label for *_, label in parts], dtype=object), sizes)
-    return t, X, Q, labels
+def _split(t, X, Q, label: str, cut) -> List[tuple]:
+    """The parts ``(t, X, Q, label)`` of one stacked table, cut before the rows ``cut``."""
+    return [(*a, label) for a in zip(*(np.split(v, cut) for v in (t, X, Q)))]
 
 
-def _maxwell_part(pts: List[fronts.MaxwellPoint], n: int, k: int):
-    """The table part of Maxwell points: value, x and the first sheet's q."""
+def _caustic_parts(fam: families.GeneratingFamily, cloud: fronts.PointCloud) -> List[tuple]:
+    """One part per caustic chain, with the family's value as t: one stacked
+    field pass over the (q, x) rows, split by the chain lengths."""
+    t = fam.field.derivatives(np.hstack([cloud.q, cloud.x]))[0]
+    return _split(t, cloud.x, cloud.q, "caustic", np.cumsum([len(c) for c in cloud.chains])[:-1])
+
+
+def _maxwell_parts(pts: List[fronts.MaxwellPoint], n: int, k: int) -> List[tuple]:
+    """One part per traced Maxwell chain: value, x and the first sheet's q."""
+    t = np.array([p.value for p in pts], dtype=float)
     X = np.array([p.x for p in pts], dtype=float).reshape(-1, n)
     Q = np.array([p.q for p in pts], dtype=float).reshape(-1, k)
-    return np.array([p.value for p in pts], dtype=float), X, Q, "maxwell"
+    return _split(t, X, Q, "maxwell", np.flatnonzero(np.diff([p.chain for p in pts])) + 1)
 
 
-def _maxwell_chains(pts: List[fronts.MaxwellPoint], X: np.ndarray) -> List[np.ndarray]:
-    """The rows of ``X`` (one per Maxwell point) split into the traced
-    chains, for one SVG polyline each."""
-    return np.split(X, np.flatnonzero(np.diff([p.chain for p in pts])) + 1)
-
-
-def _caustic_part(fam: families.GeneratingFamily, cloud: fronts.PointCloud):
-    """The table part of caustic points, with the family's value as t: one
-    stacked field pass over the (q, x) rows."""
-    t = fam.field.derivatives(np.hstack([cloud.q, cloud.x]))[0]
-    return t, cloud.x, cloud.q, "caustic"
-
-
-def _emit(args, table, n, k, curves):
+def _emit(args, parts, n: int, k: int, extra=()) -> None:
+    """Write one list of chains ``(t, X, Q, label)``, each with one t or a
+    column of them.  The CSV lists their rows in chain order; the SVG draws
+    one polyline per chain when n = 2 (x-space is a plane), then the
+    ``extra`` ``(points, class)`` polylines."""
     if args.csv:
-        emit_csv(table, n, k, args.csv)
+        sizes = [len(X) for _, X, _, _ in parts]
+        t = np.concatenate([np.zeros(0)] + [np.broadcast_to(t, (m,)) for (t, *_), m in zip(parts, sizes)])
+        X = np.concatenate([np.zeros((0, n))] + [X for _, X, _, _ in parts])
+        Q = np.concatenate([np.zeros((0, k))] + [Q for _, _, Q, _ in parts])
+        labels = np.repeat(np.array([label for *_, label in parts], dtype=object), sizes)
+        emit_csv((t, X, Q, labels), n, k, args.csv)
         print(f"wrote {args.csv}")
     if args.svg:
-        emit_svg(curves, args.svg)
+        chains = [(X, label) for _, X, _, label in parts] if n == 2 else []
+        emit_svg(chains + list(extra), args.svg)
         print(f"wrote {args.svg}")
 
 
@@ -233,13 +235,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _emit_fronts(args, fam: families.GeneratingFamily, curves) -> None:
-    """One CSV row per front point; one SVG polyline per chain when n = 2."""
-    table = _table([(fc.t, fc.x, fc.q, "front") for fc in curves], fam.n, fam.k)
-    svg = [(fc.x, "front") for fc in curves] if fam.n == 2 else []
-    _emit(args, table, fam.n, fam.k, svg)
-
-
 def cmd_front(args) -> int:
     _finite("--t", args.t)
     fam = load_family(args.family)
@@ -247,7 +242,7 @@ def cmd_front(args) -> int:
     seeds = phase_seeds(fam, args.seed_density)
     curves = fronts.momentary_front(gl, args.t, seeds)
     print(f"front t={args.t}: {sum(len(c.x) for c in curves)} points in {len(curves)} chains")
-    _emit_fronts(args, fam, curves)
+    _emit(args, [(fc.t, fc.x, fc.q, "front") for fc in curves], fam.n, fam.k)
     return 0
 
 
@@ -258,7 +253,7 @@ def cmd_big_front(args) -> int:
     t_values = parse_range(args.t)
     curves = fronts.big_front(gl, t_values, seeds)
     print(f"big front: {len(t_values)} slices, {len(curves)} chains, {sum(len(c.x) for c in curves)} points")
-    _emit_fronts(args, fam, curves)
+    _emit(args, [(fc.t, fc.x, fc.q, "front") for fc in curves], fam.n, fam.k)
     return 0
 
 
@@ -267,8 +262,7 @@ def cmd_caustic(args) -> int:
     seeds = phase_seeds(fam, args.seed_density)
     cloud = fronts.caustic(fam, seeds)
     print(f"caustic: {len(cloud.x)} points")
-    svg = [(x, "caustic") for x in cloud.chains] if fam.n == 2 else []
-    _emit(args, _caustic_part(fam, cloud), fam.n, fam.k, svg)
+    _emit(args, _caustic_parts(fam, cloud), fam.n, fam.k)
     return 0
 
 
@@ -276,10 +270,8 @@ def cmd_maxwell(args) -> int:
     fam = load_family(args.family)
     xg, qs = x_grid_and_q_seeds(fam, args.seed_density)
     pts = fronts.maxwell_set(fam, xg, qs)
-    table = _maxwell_part(pts, fam.n, fam.k)
     print(f"maxwell set: {len(pts)} points")
-    svg = [(x, "maxwell") for x in _maxwell_chains(pts, table[1])] if fam.n == 2 else []
-    _emit(args, table, fam.n, fam.k, svg)
+    _emit(args, _maxwell_parts(pts, fam.n, fam.k), fam.n, fam.k)
     return 0
 
 
@@ -290,17 +282,11 @@ def cmd_discriminant(args) -> int:
     xg, qs = x_grid_and_q_seeds(fam, args.seed_density)
     t_values = parse_range(args.t)
     dec = fronts.discriminant(gl, seeds, xg, qs, t_values)
-    maxwell = _maxwell_part(dec.maxwell, fam.n, fam.k)
-    table = _table([_caustic_part(fam, dec.caustic), maxwell], fam.n, fam.k)
-    chains = [(x, "caustic") for x in dec.caustic.chains] + [
-        (x, "maxwell") for x in _maxwell_chains(dec.maxwell, maxwell[1])
-    ]
-    svg = chains if fam.n == 2 else []
     print(
         f"discriminant: caustic {len(dec.caustic.x)}, maxwell {len(dec.maxwell)}, "
         f"delta {len(dec.delta)} (empty as required)"
     )
-    _emit(args, table, fam.n, fam.k, svg)
+    _emit(args, _caustic_parts(fam, dec.caustic) + _maxwell_parts(dec.maxwell, fam.n, fam.k), fam.n, fam.k)
     return 0
 
 
@@ -309,7 +295,7 @@ def cmd_evolute(args) -> int:
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
     us, pts = geometry.evolute_samples(curve, u_grid)
     print(f"evolute: {len(us)} points")
-    _emit(args, (0.0, pts, us[:, None], "caustic"), 2, 1, [(pts, "caustic")])
+    _emit(args, [(0.0, pts, us[:, None], "caustic")], 2, 1)
     return 0
 
 
@@ -318,10 +304,9 @@ def cmd_parallels(args) -> int:
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
     r_values = parse_range(args.r)
     offs = geometry.parallels(curve, r_values, u_grid)
-    table = _table([(r * r, pts, u_grid[:, None], "front") for r, pts in offs], 2, 1)
-    svg = [(pts, "front") for _, pts in offs] + [(geometry.evolute(curve, u_grid), "caustic")]
+    parts = [(r * r, pts, u_grid[:, None], "front") for r, pts in offs]
     print(f"parallels: {len(offs)} offsets x {len(u_grid)} samples (+ evolute)")
-    _emit(args, table, 2, 1, svg)
+    _emit(args, parts, 2, 1, [(geometry.evolute(curve, u_grid), "caustic")])
     return 0
 
 
@@ -359,7 +344,7 @@ def cmd_burgers(args) -> int:
         print(f"count({x_hat}, {t_at}) = {pde.multivalued_count(sheet, x_hat, t_at)}")
     if args.csv or args.svg:
         vals = pde.sheet_values(sheet, t_show)
-        _emit(args, (t_show, vals, x0[:, None], "front"), 2, 1, [(vals, "front")])
+        _emit(args, [(t_show, vals, x0[:, None], "front")], 2, 1)
     return 0
 
 
@@ -370,16 +355,14 @@ def cmd_ode_gallery(args) -> int:
     diagram = gallery.gallery_family(args.germ, alpha)
     t_values = parse_range(args.t)
     u1_grid = np.linspace(-1.6, 1.6, 10 * args.seed_density + 1)
-    traced = [gallery.gallery_front(diagram, float(t), u1_grid) for t in t_values]
-    parts = [(fr.t, br["xy"], br["u"], "front") for fr in traced for br in fr.branches]
-    disc = gallery.gallery_discriminant(diagram, traced)
-    svg = [(xy, "front") for _, xy, _, _ in parts]
-    svg += [(disc.caustic, "caustic"), (disc.maxwell, "maxwell"), (disc.delta, "delta")]
+    curves = [fc for t in t_values for fc in gallery.gallery_front(diagram, float(t), u1_grid)]
+    disc = gallery.gallery_discriminant(diagram, curves)
     print(
         f"germ {args.germ} ({diagram.kind}): {len(t_values)} fronts; "
         f"caustic {len(disc.caustic)}, maxwell {len(disc.maxwell)}, delta {len(disc.delta)}"
     )
-    _emit(args, _table(parts, 2, 2), 2, 2, svg)
+    extra = [(disc.caustic, "caustic"), (disc.maxwell, "maxwell"), (disc.delta, "delta")]
+    _emit(args, [(fc.t, fc.x, fc.q, "front") for fc in curves], 2, 2, extra)
     return 0
 
 

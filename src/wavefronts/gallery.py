@@ -1,8 +1,12 @@
 """The six normal-form integral diagrams for generic first-order ODEs:
-momentary fronts, caustic / envelope / self-intersection data."""
+momentary fronts, caustic / envelope / self-intersection data.
+
+A momentary front is one ``fronts.FrontCurve`` per traced chain of mu = t,
+as for a generating family: ``x`` the front-map image, ``q`` the chart u."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -11,7 +15,8 @@ import numpy as np
 from . import expr as ex
 from . import fronts as _fronts
 from .errors import DomainError, UnknownGerm
-from .fronts import polyline_self_intersections
+# perfbench/tracing.py patches gallery.polyline_self_intersections by name
+from .fronts import FrontCurve, polyline_self_intersections
 from .solve import System, bracket_roots, dedup, project_to_set
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps gallery.newton_solve by name)
 
@@ -55,18 +60,6 @@ class IntegralDiagram:
 
     def front_map(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(self.jet_fn(u)[2], dtype=float)
-
-
-@dataclass
-class GalleryFront:
-    t: float
-    branches: List[dict]  # each with keys "u" (N, 2) and "xy" (N, 2)
-
-    @property
-    def xy(self) -> np.ndarray:
-        if not self.branches:
-            return np.zeros((0, 2))
-        return np.vstack([b["xy"] for b in self.branches])
 
 
 @dataclass
@@ -115,14 +108,15 @@ def _level_system(diagram: IntegralDiagram, t: float, box) -> System:
     return System(evaluate)
 
 
-def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) -> GalleryFront:
+def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) -> List[FrontCurve]:
     """The level set mu = t traced by continuation and mapped by the front map.
 
     Seeds are the roots of mu = t along the ``u1_grid`` lines at the
     ``U2_SEEDS`` samples; the chains are traced in the box
     ``[u1_grid[0], u1_grid[-1]] x [U2_SEEDS[0], U2_SEEDS[-1]]`` (its system's
-    domain) with the spacing of ``u1_grid`` as the step, and each chain, in
-    arclength order, is one branch.
+    domain) with the spacing of ``u1_grid`` as the step.  Each chain, in
+    arclength order, is one ``FrontCurve``: its chart points u as ``q`` and
+    their front-map image as ``x``.
     """
     u1_grid = np.asarray(u1_grid, dtype=float)
     line, u2 = bracket_roots(lambda p, s: diagram.mu_fn(np.array([p, s])) - t, u1_grid, U2_SEEDS)
@@ -131,8 +125,7 @@ def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) 
     # a cap on each direction of a chain: one point per step x step cell of the box
     max_points = int((box[0][1] - box[0][0]) * (box[1][1] - box[1][0]) / step**2)
     chains = _fronts._trace_all(_level_system(diagram, t, box), np.column_stack([u1_grid[line], u2]), step, max_points)
-    branches = [{"u": c.points, "xy": diagram.front_map(c.points.T).T} for c in chains]
-    return GalleryFront(t=float(t), branches=branches)
+    return [FrontCurve(t=float(t), x=diagram.front_map(c.points.T).T, q=c.points, closed=c.closed) for c in chains]
 
 
 def _caustic_points(diagram: IntegralDiagram) -> np.ndarray:
@@ -169,20 +162,21 @@ def _pairing_system(diagram: IntegralDiagram, t: float) -> System:
     return System(evaluate)
 
 
-def _maxwell_points(diagram: IntegralDiagram, fronts: Sequence[GalleryFront]) -> np.ndarray:
+def _maxwell_points(diagram: IntegralDiagram, fronts: Sequence[FrontCurve]) -> np.ndarray:
     """Equal-time self-intersections of the traced fronts, each refined by
     one Newton solve of the pairing equations g(u) = g(v), mu(u) = mu(v) = t
-    from the two nearest chain points that are not chain neighbours."""
+    from the two nearest chain points that are not chain neighbours.  The
+    seeds of each run of consecutive fronts with one t are solved together."""
     out = []
-    for front in fronts:
+    for t, group in itertools.groupby(fronts, key=lambda fc: fc.t):
         seeds = []
-        for br in front.branches:
-            for hit in polyline_self_intersections(br["xy"]):
-                order = np.argsort(np.linalg.norm(br["xy"] - hit, axis=1))
+        for fc in group:
+            for hit in polyline_self_intersections(fc.x):
+                order = np.argsort(np.linalg.norm(fc.x - hit, axis=1))
                 other = order[np.abs(order - order[0]) > 1]
                 if other.size:
-                    seeds.append(np.concatenate([br["u"][order[0]], br["u"][other[0]]]))
-        for w in project_to_set(_pairing_system(diagram, front.t), seeds):
+                    seeds.append(np.concatenate([fc.q[order[0]], fc.q[other[0]]]))
+        for w in project_to_set(_pairing_system(diagram, t), seeds):
             if np.linalg.norm(w[:2] - w[2:]) >= 1e-3:
                 out.append(diagram.front_map(w[:2]))
     if not out:
@@ -198,7 +192,7 @@ def envelope(diagram: IntegralDiagram, s_grid: Sequence[float]) -> np.ndarray:
     return np.array([b(float(s)) for b in branches for s in s_grid])
 
 
-def gallery_discriminant(diagram: IntegralDiagram, fronts: Sequence[GalleryFront]) -> GalleryDiscriminant:
+def gallery_discriminant(diagram: IntegralDiagram, fronts: Sequence[FrontCurve]) -> GalleryDiscriminant:
     """Caustic (critical values of the front map), envelope data and the
     equal-time self-intersections of the given fronts of one normal form.
 

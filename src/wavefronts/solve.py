@@ -235,7 +235,9 @@ def newton_solve(system: System, seed):
         U, s, Vt = np.linalg.svd(J)
         if s.size == 0 or s[0] == 0.0 or s[-1] < SINGULAR_RATIO * s[0]:
             raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
-        p = p - Vt[: s.size].T @ ((U.T @ r) / s)
+        # a step that overflows leaves the box at the next evaluate
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = p - Vt[: s.size].T @ ((U.T @ r) / s)
         last = J, s, Vt
     raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
 

@@ -165,8 +165,8 @@ def test_criterion_7_gallery_semicubics(acceptance, monkeypatch):
     cusp_total = 0
     u1 = np.linspace(-1.4, 1.4, 141)
     for t in np.linspace(-0.8, 0.8, 9):
-        for br in gallery.gallery_front(d5, t, u1).branches:
-            cusp_total += len(fronts.detect_cusps(br["xy"]))
+        for fc in gallery.gallery_front(d5, t, u1):
+            cusp_total += len(fronts.detect_cusps(fc.x))
 
     ok = (
         r4.max() < 1e-6

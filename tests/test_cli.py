@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -19,7 +20,7 @@ from wavefronts.cli import (
     MAX_JET_DIM,
     ValidationError,
     _box_grid,
-    _caustic_part,
+    _caustic_parts,
     load_family,
     parse_range,
     phase_seeds,
@@ -692,14 +693,51 @@ def test_scene_output_matches_the_committed_digests(tmp_path):
 
 
 def test_caustic_part_reads_the_family_value_at_every_point():
-    # one stacked field pass gives the t column of the per-point values
+    # one stacked field pass gives the t column of the per-point values, cut into the chains
     fam = load_family("cusp")
     rng = np.random.default_rng(0)
-    cloud = fronts.PointCloud(x=rng.uniform(-1.0, 1.0, (40, fam.n)), q=rng.uniform(-1.0, 1.0, (40, fam.k)))
-    t, _, _, label = _caustic_part(fam, cloud)
-    want = [fam.value(qi, xi) for xi, qi in zip(cloud.x, cloud.q)]
-    assert t == pytest.approx(want, rel=1e-14, abs=1e-15) and label == "caustic"
-    assert _caustic_part(fam, fronts.PointCloud.empty(fam.n, fam.k))[0].shape == (0,)
+    x, q = rng.uniform(-1.0, 1.0, (40, fam.n)), rng.uniform(-1.0, 1.0, (40, fam.k))
+    parts = _caustic_parts(fam, fronts.PointCloud(x=x, q=q, chains=[x[:15], x[15:]]))
+    assert [len(X) for _, X, _, _ in parts] == [15, 25]
+    assert [label for *_, label in parts] == ["caustic", "caustic"]
+    assert np.array_equal(np.vstack([X for _, X, _, _ in parts]), x)
+    assert np.array_equal(np.vstack([Q for _, _, Q, _ in parts]), q)
+    want = [fam.value(qi, xi) for xi, qi in zip(x, q)]
+    assert np.concatenate([t for t, *_ in parts]) == pytest.approx(want, rel=1e-14, abs=1e-15)
+    assert sum(len(t) for t, *_ in _caustic_parts(fam, fronts.PointCloud.empty(fam.n, fam.k))) == 0
+
+
+def _svg_polylines(path):
+    """(class, points) of each SVG polyline, in file order, with y negated
+    back to world y."""
+    found = re.findall(r'<polyline class="(\w+)" points="([^"]*)"/>', path.read_text())
+    return [(cls, np.array([p.split(",") for p in pts.split()], dtype=float) * [1.0, -1.0]) for cls, pts in found]
+
+
+@pytest.mark.parametrize(
+    "argv, cls",
+    [
+        (["caustic", "--family", "cusp"], None),
+        (["maxwell", "--family", "cusp"], None),
+        (["discriminant", "--family", "cusp", "--t", " -1:1:1"], None),
+        (["front", "--family", "cusp", "--t", "0.5"], None),
+        (["big-front", "--family", "cusp", "--t", " -0.5:0:0.5"], None),
+        (["parallels", "--curve", "ellipse", "--a", "2", "--b", "1", "--r", " -2.8:-0.4:0.4"], "front"),
+        (["ode-gallery", "--germ", "4", "--t", " -0.3:0.3:0.1"], "front"),
+    ],
+    ids=["caustic", "maxwell", "discriminant", "front", "big-front", "parallels", "ode-gallery"],
+)
+def test_csv_rows_and_svg_polylines_show_the_same_chains(tmp_path, argv, cls):
+    # both files come from one chain list: the polylines (of class cls, when
+    # the SVG also draws other sets), concatenated, are the CSV's (x1, x2)
+    # rows in order, to the printed digits, with the CSV row labels as classes
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert run(argv + ["--csv", str(csv), "--svg", str(svg)]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    drawn = [(c, P) for c, P in _svg_polylines(svg) if cls in (None, c)]
+    assert len(rows) > 10 and drawn
+    assert [c for c, P in drawn for _ in P] == [r[-1] for r in rows]
+    assert np.vstack([P for _, P in drawn]).tolist() == [[float(r[1]), float(r[2])] for r in rows]
 
 
 def test_caustic_of_family_files_off_n_2(tmp_path, capsys):

@@ -8,6 +8,11 @@ from wavefronts.errors import UnknownGerm
 U1 = np.linspace(-1.4, 1.4, 141)
 
 
+def _xy(curves):
+    """The front-map points of all chains of one front, stacked."""
+    return np.vstack([fc.x for fc in curves])
+
+
 def test_unknown_germ():
     with pytest.raises(UnknownGerm):
         gallery.gallery_family(7)
@@ -36,17 +41,16 @@ def test_kinds():
 
 def test_front_preimages_on_level_set():
     d4 = gallery.gallery_family(4)
-    fr = gallery.gallery_front(d4, 0.2, U1)
-    for br in fr.branches:
-        for u in br["u"]:
+    for fc in gallery.gallery_front(d4, 0.2, U1):
+        for u in fc.q:
             assert abs(d4.mu_fn(u) - 0.2) < 1e-10
 
 
 def test_trivial_germ_front_is_horizontal_line():
     d1 = gallery.gallery_family(1)
-    fr = gallery.gallery_front(d1, 0.7, U1)
-    assert len(fr.branches) == 1
-    xy = fr.xy
+    curves = gallery.gallery_front(d1, 0.7, U1)
+    assert len(curves) == 1
+    xy = curves[0].x
     assert np.allclose(xy[:, 1], 0.7, atol=1e-12)
     step = U1[1] - U1[0]
     assert xy[:, 0].min() <= U1[0] + step and xy[:, 0].max() >= U1[-1] - step
@@ -55,8 +59,7 @@ def test_trivial_germ_front_is_horizontal_line():
 def test_germ6_front_folding_back_in_u1_is_two_chains():
     # the level set is a hyperbola; each branch turns back in u1 once
     d6 = gallery.gallery_family(6)
-    fr = gallery.gallery_front(d6, 0.3, np.linspace(-1.6, 1.6, 161))
-    assert len(fr.branches) == 2
+    assert len(gallery.gallery_front(d6, 0.3, np.linspace(-1.6, 1.6, 161))) == 2
 
 
 @pytest.mark.parametrize("germ", range(1, 7))
@@ -66,31 +69,32 @@ def test_front_chains_lie_on_the_level_set_in_the_chart(germ, t):
     # out of it, so each chain ends within one step of its edge, as a
     # family's chain ends at its field's box
     d = gallery.gallery_family(germ)
-    fr = gallery.gallery_front(d, t, U1)
+    curves = gallery.gallery_front(d, t, U1)
     step = U1[1] - U1[0]
     lo, hi = np.array([U1[0], -3.0]), np.array([U1[-1], 3.0])
-    assert fr.branches
-    for br in fr.branches:
-        u = br["u"]
+    assert curves
+    for fc in curves:
+        u = fc.q
+        assert fc.t == t and not fc.closed
         assert np.abs(d.mu_fn(u.T) - t).max() < 1e-10
         assert np.linalg.norm(np.diff(u, axis=0), axis=1).max() <= 1.5 * step
         assert np.all((lo <= u) & (u <= hi))
         for end in u[[0, -1]]:
             assert min(np.min(end - lo), np.min(hi - end)) <= step
-        assert np.allclose(br["xy"], d.front_map(u.T).T)
+        assert np.allclose(fc.x, d.front_map(u.T).T)
 
 
 def test_germ2_front_is_semicubical():
     d2 = gallery.gallery_family(2)
     for t in (0.0, 0.4):
-        xy = gallery.gallery_front(d2, t, U1).xy
+        xy = _xy(gallery.gallery_front(d2, t, U1))
         assert np.abs((xy[:, 1] - t) ** 2 - (4 / 9) * xy[:, 0] ** 3).max() < 1e-10
 
 
 def test_germ5_front_is_straight_line():
     d5 = gallery.gallery_family(5)
     t = 0.3
-    xy = gallery.gallery_front(d5, t, U1).xy
+    xy = _xy(gallery.gallery_front(d5, t, U1))
     assert np.abs(xy[:, 1] - (t**3 + xy[:, 0] * t)).max() < 1e-10
 
 
@@ -98,8 +102,8 @@ def test_germ5_fronts_have_no_cusps(monkeypatch):
     monkeypatch.setattr(fronts, "CUSP_ANGLE", np.pi / 2)
     d5 = gallery.gallery_family(5)
     for t in np.linspace(-0.8, 0.8, 9):
-        for br in gallery.gallery_front(d5, t, U1).branches:
-            assert fronts.detect_cusps(br["xy"]) == []
+        for fc in gallery.gallery_front(d5, t, U1):
+            assert fronts.detect_cusps(fc.x) == []
 
 
 def test_germ4_cusp_birth_across_zero(monkeypatch):
@@ -108,8 +112,8 @@ def test_germ4_cusp_birth_across_zero(monkeypatch):
 
     def cusp_count(t):
         return sum(
-            len(fronts.detect_cusps(br["xy"]))
-            for br in gallery.gallery_front(d4, t, np.linspace(-1.0, 1.0, 401)).branches
+            len(fronts.detect_cusps(fc.x))
+            for fc in gallery.gallery_front(d4, t, np.linspace(-1.0, 1.0, 401))
         )
 
     assert cusp_count(0.1) == 0
@@ -138,7 +142,8 @@ def test_germ5_envelope_semicubical():
 
 def test_germ4_maxwell_on_negative_y_axis():
     d4 = gallery.gallery_family(4)
-    traced = [gallery.gallery_front(d4, t, np.linspace(-1.6, 1.6, 81)) for t in np.linspace(-0.5, -0.05, 10)]
+    u1 = np.linspace(-1.6, 1.6, 81)
+    traced = [fc for t in np.linspace(-0.5, -0.05, 10) for fc in gallery.gallery_front(d4, t, u1)]
     mx = gallery.gallery_discriminant(d4, traced).maxwell
     assert len(mx) >= 5
     assert np.abs(mx[:, 0]).max() < 1e-6
@@ -168,7 +173,7 @@ def test_germ3_envelope_is_x_axis():
 
 def test_germ1_components_empty():
     d1 = gallery.gallery_family(1)
-    disc = gallery.gallery_discriminant(d1, [gallery.gallery_front(d1, 0.0, U1)])
+    disc = gallery.gallery_discriminant(d1, gallery.gallery_front(d1, 0.0, U1))
     assert len(disc.caustic) == 0
     assert len(disc.maxwell) == 0
     assert len(disc.delta) == 0
@@ -194,6 +199,6 @@ def test_functional_modulus_keeps_discriminant_shape():
     )
     assert res.max() < 1e-6
     # the fronts do move
-    base = gallery.gallery_front(gallery.gallery_family(4), 0.2, U1).xy
-    moved = gallery.gallery_front(d4, 0.2, U1).xy
+    base = _xy(gallery.gallery_front(gallery.gallery_family(4), 0.2, U1))
+    moved = _xy(gallery.gallery_front(d4, 0.2, U1))
     assert fronts.hausdorff(base, moved) > 1e-3

@@ -62,6 +62,32 @@ def test_sphere_principal_curvatures():
     assert np.allclose(np.abs(k), 0.5, atol=1e-10)
 
 
+# chart samples (phi, theta) away from the poles phi = 0, pi, where the chart degenerates
+SPHERE_CHART = [np.array([phi, theta]) for phi in np.linspace(0.3, 2.8, 6) for theta in np.linspace(0.0, 6.0, 5)]
+
+
+def test_sphere_evolute_is_the_centre():
+    # both principal curvatures are -1/2 with the outward normal: every focal point is the centre
+    pts = geometry.evolute(geometry.Sphere(radius=2.0), SPHERE_CHART)
+    assert pts.shape == (len(SPHERE_CHART), 3)
+    assert np.abs(pts).max() < 1e-12
+
+
+def test_sphere_parallels_are_concentric_spheres():
+    offs = geometry.parallels(geometry.Sphere(radius=2.0), [0.5, -1.0], SPHERE_CHART)
+    assert [r for r, _ in offs] == [0.5, -1.0]
+    for (r, pts), dist in zip(offs, (2.5, 1.0)):
+        assert pts.shape == (len(SPHERE_CHART), 3)
+        assert np.abs(np.linalg.norm(pts, axis=1) - dist).max() < 1e-12
+
+
+def test_ellipsoid_evolute_has_one_focal_point_per_sample():
+    # no principal curvature of an ellipsoid vanishes, so no sample is skipped
+    pts = geometry.evolute(geometry.Ellipsoid(a=2.0, b=1.5, c=1.0), SPHERE_CHART)
+    assert pts.shape == (len(SPHERE_CHART), 3)
+    assert np.isfinite(pts).all()
+
+
 @pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "fd"])
 def test_graph_surface_saddle(closed_form):
     partials = dict(grad_g=lambda u, v: (2 * u, -2 * v))

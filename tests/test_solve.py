@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -751,6 +752,37 @@ def test_newton_batch_accounts_for_every_seed(monkeypatch):
     assert np.array_equal(_assert_running_rows_are_the_whole_stack(critical_system(CUSP, X), seeds), outcome)
     counts = np.bincount(outcome, minlength=len(OUTCOMES))
     assert counts[CONVERGED] + counts[SINGULAR] + counts[MAX_ITERATIONS] + counts[LEFT_BOX] == len(seeds)
+
+
+def _overflow_system() -> System:
+    """r(p) = J p + (0, -1e10) with J = diag(1e-290, 1e-300), which passes
+    SINGULAR_RATIO; a non-finite point leaves the box (DomainError for a
+    point, a NaN row for a stack)."""
+    J = np.diag([1e-290, 1e-300])
+
+    def evaluate(p):
+        P = np.atleast_2d(p)
+        bad = ~np.isfinite(P).all(axis=1)
+        if p.ndim == 1 and bad[0]:
+            raise DomainError(f"point {p.tolist()} leaves the box")
+        R = np.full(P.shape, np.nan)
+        R[~bad] = P[~bad] @ J.T + np.array([0.0, -1e10])
+        Js = np.where(bad[:, None, None], np.nan, J)
+        return (R[0], Js[0]) if p.ndim == 1 else (R, Js)
+
+    return System(evaluate)
+
+
+def test_an_overflowing_newton_step_leaves_the_box_without_a_warning():
+    # the first step from 0 is 1e10 / 1e-300 = 1e310, which overflows: both
+    # solvers end at the next evaluate, which leaves the box
+    system = _overflow_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            newton_solve(system, [0.0, 0.0])
+        outcome = newton_batch(system, [[0.0, 0.0]])[3]
+    assert [OUTCOMES[o] for o in outcome] == ["left_box"]
 
 
 def test_solve_critical_set_reads_the_converged_pass(monkeypatch):

@@ -53,6 +53,9 @@ SCENES = [
     ("maxwell-two-chains",
      ["maxwell", "--family", str(Path(__file__).resolve().with_name("maxwell_two_chains.fam"))]),
     ("discriminant", ["discriminant", "--family", "cusp", "--t", " -1:1:1"]),
+    # n = 3: the CSV lists the points; the SVG draws no polyline (plane curves only)
+    ("caustic-n3", ["caustic", "--family", str(Path(__file__).resolve().with_name("cusp_n3.fam"))]),
+    ("front-n3", ["front", "--family", str(Path(__file__).resolve().with_name("cusp_n3.fam")), "--t", "0.5"]),
     ("verify-cusp", ["verify", "--family", "cusp"]),
     ("verify-fold", ["verify", "--family", "fold"]),
     ("evolute", ["evolute", "--curve", "ellipse", "--a", "2", "--b", "1"]),
