@@ -2,17 +2,21 @@
 
 Every solver takes a ``System``, a residual map that carries its Jacobian,
 and reads both from its ``evaluate`` alone.  Every Newton iterate takes the
-least-norm step of one SVD of its Jacobian, so an (m-1) x m continuation
-system is corrected with the Moore-Penrose inverse (Allgower & Georg, *Numerical Continuation Methods*, 1990, ch. 3):
-the corrector solves the curve's own equations from the predicted point,
-with no bordering row.  The corrector's last SVD also gives the next
-tangent, its last right singular vector, whenever the Weyl and Wedin bounds
-certify it against the converged Jacobian; so a traced point usually costs
-one SVD.
+least-norm step of its Jacobian, so an (m-1) x m continuation system is
+corrected with the Moore-Penrose inverse (Allgower & Georg, *Numerical
+Continuation Methods*, 1990, ch. 3): the corrector solves the curve's own
+equations from the predicted point, with no bordering row.  A 2 x 3
+Jacobian, the plane fronts and caustics, takes its step, singular values
+and null vector in closed form (``linalg.pinv_2x3``); any other takes one
+SVD.  The corrector's last step also gives the next tangent, the null
+vector of the Jacobian it read, whenever the Weyl and Wedin bounds certify
+it against the converged Jacobian; so a traced plane point usually costs no
+factorization at all, and any other one SVD.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -27,12 +31,15 @@ from .errors import (
     SingularJacobian,
 )
 from .fields import fd_jacobian  # noqa: F401  (perfbench/tracing.py wraps solve.fd_jacobian by name)
-from .linalg import RANK_EPS, null_space
+from .linalg import RANK_EPS, null_space, pinv_2x3
 from .linalg import numerical_rank  # noqa: F401  (perfbench/tracing.py wraps solve.numerical_rank by name)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SINGULAR_RATIO = 1e-12
+# newton_solve takes an SVD step without np.errstate when |r| < STEP_BOUND s_min
+STEP_BOUND = 1e300
+_PLAIN = contextlib.nullcontext()
 # how each row of ``newton_batch`` ends, by index into OUTCOMES
 CONVERGED, SINGULAR, MAX_ITERATIONS, LEFT_BOX = range(4)
 OUTCOMES = ("converged", "singular", "max_iterations", "left_box")
@@ -212,14 +219,17 @@ def newton_solve(system: System, seed):
     """Solve the residual of ``system.evaluate(p)`` to ``NEWTON_TOL`` in the
     infinity norm from ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
 
-    Each iterate is one ``system.evaluate`` and one full SVD of its
-    Jacobian, which gives the ``SINGULAR_RATIO`` test and the least-norm
-    (Moore-Penrose) step.  Returns ``(p, J, last)`` with ``J`` the
-    Jacobian of that converged ``evaluate`` and ``last = (J_f, s, Vt)`` the
-    last factorization taken: the Jacobian of the iterate before ``p``, its
-    singular values and its square right factor (None when ``seed`` itself
-    converged).  Raises SingularJacobian or MaxIterations, and passes on the
-    DomainError of a field whose box an iterate leaves.
+    Each iterate is one ``system.evaluate`` and the least-norm
+    (Moore-Penrose) step with the ``SINGULAR_RATIO`` test on its Jacobian's
+    extreme singular values: in closed form on Python floats for a 2 x 3
+    Jacobian (``linalg.pinv_2x3``), else from one full SVD.  Returns
+    ``(p, J, last)`` with ``J`` the Jacobian of that converged ``evaluate``
+    and ``last = (J_f, s_max, s_min, v)`` from the last step taken: the
+    Jacobian of the iterate before ``p``, its largest and least singular
+    values and its last right singular vector ``v``, the null vector of a
+    wide J_f (None when ``seed`` itself converged).  Raises SingularJacobian
+    or MaxIterations, and passes on the DomainError of a field whose box an
+    iterate leaves.
     """
     p = np.asarray(seed, dtype=float).copy()
     last = None
@@ -228,18 +238,27 @@ def newton_solve(system: System, seed):
         if r.size > p.size:
             raise ValueError("over-determined system: more equations than unknowns")
         # the infinity norm below NEWTON_TOL (never for a NaN), without array calls
-        if all(abs(v) < NEWTON_TOL for v in r.tolist()):
+        res = r.tolist()
+        if all(abs(v) < NEWTON_TOL for v in res):
             return p, J, last
-        # one SVD gives the singularity test and the least-norm step; its
-        # full Vt also holds a null vector of a wide J, for the tangent
-        U, s, Vt = np.linalg.svd(J)
-        if s.size == 0 or s[0] == 0.0 or s[-1] < SINGULAR_RATIO * s[0]:
+        if J.shape == (2, 3):
+            d, s_max, s_min, v = pinv_2x3(J, res)
+        else:
+            # one SVD gives the singular values and the least-norm step; its
+            # full Vt also holds a null vector of a wide J, for the tangent
+            U, s, Vt = np.linalg.svd(J)
+            sv = s.tolist()
+            s_max, s_min, v = sv[0], sv[-1], Vt[-1]
+            # |d| <= |r| / s_min: a step that may overflow (or divide by a
+            # zero s_min, refused below) is taken under errstate, and one
+            # that overflows leaves the box at the next evaluate
+            with _PLAIN if math.hypot(*res) < STEP_BOUND * s_min else np.errstate(all="ignore"):
+                d = Vt[: s.size].T @ ((U.T @ r) / s)
+        if not (s_max > 0.0 and s_min >= SINGULAR_RATIO * s_max):
             raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
-        # a step that overflows leaves the box at the next evaluate
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = p - Vt[: s.size].T @ ((U.T @ r) / s)
-        last = J, s, Vt
-    raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r.tolist()})")
+        p = p - d
+        last = J, s_max, s_min, v
+    raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {res})")
 
 
 def newton_batch(system: System, seeds: Sequence):
@@ -317,30 +336,38 @@ def _tangent(J: np.ndarray, last, prev: Optional[np.ndarray]):
     ``J``, oriented along ``prev``, and whether it is read from ``last``;
     RankDeficientSeed when ``numerical_rank(J) < m - 1``.
 
-    ``last = (J_f, s, Vt)`` is the corrector's last factorization, of a
-    nearby Jacobian J_f with null vector ``v = Vt[-1]``.  With d =
-    ||J - J_f||_F, Weyl's inequality keeps every singular value of J within
-    d of J_f's, so g = s_min - d bounds the least one of J from below, and
-    the angle a between v and the null vector of J has
-    sin a <= ||J v|| / g <= d / g (Wedin).  ``v`` is the tangent when
-    ``g > RANK_EPS (s_max + d)``, so that ``numerical_rank(J)`` is m - 1,
-    and ``d^2 <= RANK_EPS g^2``, so that 1 - |cos a| <= sin^2 a <= RANK_EPS.
-    Otherwise (or with no ``last``) it is ``null_space(J)``.
+    ``last = (J_f, s_max, s_min, v)`` is from the corrector's last step, a
+    nearby Jacobian J_f with null vector ``v``.  With d = ||J - J_f||_F,
+    Weyl's inequality keeps every singular value of J within d of J_f's, so
+    g = s_min - d bounds the least one of J from below, and the angle a
+    between v and the null vector of J has sin a <= ||J v|| / g <= d / g
+    (Wedin).  ``v`` is the tangent when ``g > RANK_EPS (s_max + d)``, so that
+    ``numerical_rank(J)`` is m - 1, and ``d^2 <= RANK_EPS g^2``, so that
+    1 - |cos a| <= sin^2 a <= RANK_EPS.  Otherwise it is the null vector of
+    J itself: in closed form for a 2 x 3 J with a ``prev`` to orient it
+    (``linalg.pinv_2x3``, rank 2 when its s_min > RANK_EPS s_max, the rule
+    of ``numerical_rank``), else ``null_space(J)``, which also orients a
+    seed's tangent.
     """
     tau = None
     if last is not None:
-        J_f, s, Vt = last
+        J_f, s_max, s_min, v = last
         dJ = J - J_f
         d = math.sqrt(np.vdot(dJ, dJ))
-        gap = s[-1] - d
-        if gap > RANK_EPS * (s[0] + d) and d * d <= RANK_EPS * gap * gap:
-            tau = Vt[-1]
+        gap = s_min - d
+        if gap > RANK_EPS * (s_max + d) and d * d <= RANK_EPS * gap * gap:
+            tau = v
     reused = tau is not None
     if not reused:
-        ns = null_space(J)
-        if ns.shape[1] != 1:
+        if prev is not None and J.shape == (2, 3):
+            _, s_max, s_min, tau = pinv_2x3(J, (0.0, 0.0))
+            full = s_min > RANK_EPS * s_max
+        else:
+            ns = null_space(J)
+            full = ns.shape[1] == 1
+            tau = ns[:, 0] if full else None
+        if not full:
             raise RankDeficientSeed("Jacobian null space is not one-dimensional")
-        tau = ns[:, 0]
     if prev is not None and np.dot(tau, prev) < 0:
         tau = -tau
     return tau, reused
@@ -364,14 +391,15 @@ def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
     the change of the unit tangent between the last two points per unit of
     their distance; it is Euler (``c = 0``) on the first step of each
     direction and after a tangent that ``_tangent`` did not read from the
-    corrector's SVD.  The corrector is ``newton_solve`` on ``system``
+    corrector's last step.  The corrector is ``newton_solve`` on ``system``
     itself from the predicted point (the Moore-Penrose corrector of Allgower
     & Georg): its least-norm steps land near the orthogonal foot of the
     predictor on the curve.  The next tangent is the null vector of the
-    Jacobian it converged with: the last right singular vector of the
-    corrector's last SVD when ``_tangent`` certifies that it is
-    ``null_space``'s answer to ``RANK_EPS``, else ``null_space`` of that
-    Jacobian, so a traced point usually costs one SVD.  The seed must lie
+    Jacobian it converged with: the null vector of the corrector's last step
+    when ``_tangent`` certifies that it is ``null_space``'s answer to
+    ``RANK_EPS``, else that of the converged Jacobian itself (in closed form
+    for a 2 x 3 one), so a traced point usually costs one SVD, and none on a
+    2 x 3 system.  The seed must lie
     within ``SEED_TOL`` of the curve (else SeedNotOnCurve); it is polished
     there first, and its tangent comes from the polish under the same rule
     (RankDeficientSeed where the rank drops).

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ from wavefronts.errors import (
 )
 from wavefronts import cli, families, fields, fronts, geometry, solve
 from wavefronts.fields import fd_jacobian
-from wavefronts.linalg import RANK_EPS, null_space, numerical_rank
+from wavefronts.linalg import RANK_EPS, null_space, numerical_rank, pinv_2x3
 from wavefronts.families import critical_system, family_from_text, solve_critical_set
 from wavefronts.solve import (
     CONVERGED,
@@ -324,13 +325,14 @@ def test_newton_returns_the_converged_jacobian():
         if seed == [1.0, 0.0]:  # on the circle: no step, no factorization
             assert last is None
             continue
-        # the Jacobian of the iterate before p with its singular values and
-        # square right factor, whose last row spans the null space of J_f
-        J_f, s, Vt = last
-        assert J_f.tobytes() != J.tobytes() and s.shape == (1,) and Vt.shape == (2, 2)
-        assert np.allclose(Vt @ Vt.T, np.eye(2), atol=1e-14)
-        assert s[0] == pytest.approx(np.linalg.norm(J_f), rel=1e-14)
-        assert np.abs(J_f @ Vt[-1]).max() < 1e-14 * s[0]
+        # the Jacobian of the iterate before p with its extreme singular
+        # values and its last right singular vector, which spans the null
+        # space of J_f
+        J_f, s_max, s_min, v = last
+        assert J_f.tobytes() != J.tobytes() and s_max == s_min and v.shape == (2,)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert s_max == pytest.approx(np.linalg.norm(J_f), rel=1e-14)
+        assert np.abs(J_f @ v).max() < 1e-14 * s_max
 
 
 def test_newton_frozen_coordinates():
@@ -454,7 +456,8 @@ FIELD_CALLS_PER_POINT = 4
 # SVDs per traced point, every ``np.linalg.svd`` of the run counted: one per
 # corrector step and one per ``null_space`` tangent made 2.47 on the caustic
 # scene and 2.61 on the front scene; the tangent read from the corrector's
-# last SVD and the second-order predictor make 1.09 and 1.13.
+# last SVD and the second-order predictor made 1.09 and 1.13, and the closed
+# form of the 2 x 3 step and tangent (linalg.pinv_2x3) makes 0.019 and 0.034.
 SVD_CALLS_PER_POINT = 1.3
 
 
@@ -509,7 +512,7 @@ def test_scene_svd_calls_per_point(argv, monkeypatch, capsys):
     assert svds / traced < SVD_CALLS_PER_POINT
 
 
-# --- the tangent read from the corrector's last SVD
+# --- the tangent read from the corrector's last step
 
 
 def _orthogonal(rng, m):
@@ -536,7 +539,7 @@ def test_a_certified_tangent_is_the_null_vector_of_a_full_rank_jacobian(m, expon
     J = J_f + dJ
     _, s_f, Vt = np.linalg.svd(J_f)
     try:
-        tau, reused = solve._tangent(J, (J_f, s_f, Vt), None)
+        tau, reused = solve._tangent(J, (J_f, s_f[0], s_f[-1], Vt[-1]), None)
     except RankDeficientSeed:
         reused = False
     if reused:
@@ -548,24 +551,51 @@ def test_a_certified_tangent_is_the_null_vector_of_a_full_rank_jacobian(m, expon
 def test_an_uncertified_tangent_takes_the_exact_rank_test():
     J_f = np.diag([1.0, 1e-6, 0.0])[:2]
     _, s, Vt = np.linalg.svd(J_f)
+    last = J_f, s[0], s[-1], Vt[-1]
     # a tiny move keeps both bounds: the tangent is Vt[-1]
-    tau, reused = solve._tangent(J_f + 1e-15, (J_f, s, Vt), None)
+    tau, reused = solve._tangent(J_f + 1e-15, last, None)
     assert reused and np.abs(tau).tolist() == [0.0, 0.0, 1.0]
     # d = 1e-9 keeps the rank certified, but the angle bound d / g is 1e-3
     J = J_f.copy()
     J[1, 2] = 1e-9
-    tau, reused = solve._tangent(J, (J_f, s, Vt), None)
+    tau, reused = solve._tangent(J, last, None)
     assert not reused and tau.tobytes() == null_space(J)[:, 0].tobytes()
     # a move of the size of s_min: null_space(J) decides the rank, 2 then 1
     J[1, 2] = 1e-6
-    tau, reused = solve._tangent(J, (J_f, s, Vt), None)
+    tau, reused = solve._tangent(J, last, None)
     assert not reused and tau.tobytes() == null_space(J)[:, 0].tobytes()
     J[1, 1] = J[1, 2] = 0.0
     with pytest.raises(RankDeficientSeed):
-        solve._tangent(J, (J_f, s, Vt), None)
+        solve._tangent(J, last, None)
     # no factorization (the corrector took no step): the exact path
     tau, reused = solve._tangent(J_f + 1e-15, None, None)
     assert not reused
+
+
+def test_a_plane_tangent_reads_the_closed_form():
+    # a 2 x 3 ``last`` as newton_solve makes it, from pinv_2x3: the certified
+    # tangent is its null vector as it is; an uncertified one with a previous
+    # tangent is the closed-form null vector of J under numerical_rank's rule
+    J_f = np.diag([1.0, 1e-6, 0.0])[:2]
+    _, s_max, s_min, v = pinv_2x3(J_f, (0.0, 0.0))
+    last = J_f, s_max, s_min, v
+    tau, reused = solve._tangent(J_f + 1e-15, last, None)
+    assert reused and tau.tobytes() == v.tobytes()
+    J = J_f.copy()
+    J[1, 2] = 1e-9
+    prev = np.array([0.1, 0.0, -1.0])
+    tau, reused = solve._tangent(J, last, prev)
+    assert not reused and np.dot(tau, prev) > 0
+    assert 1.0 - abs(np.dot(tau, null_space(J)[:, 0])) <= 1e-15
+    # the rank rule on either side of RANK_EPS, and on an exact rank 1
+    for small, rank in ((1.1 * RANK_EPS, 2), (0.9 * RANK_EPS, 1), (0.0, 1)):
+        J = np.diag([1.0, small, 0.0])[:2]
+        assert numerical_rank(J) == rank
+        if rank == 2:
+            assert not solve._tangent(J, last, prev)[1]
+        else:
+            with pytest.raises(RankDeficientSeed):
+                solve._tangent(J, last, prev)
 
 
 @pytest.mark.parametrize(
@@ -783,6 +813,130 @@ def test_an_overflowing_newton_step_leaves_the_box_without_a_warning():
             newton_solve(system, [0.0, 0.0])
         outcome = newton_batch(system, [[0.0, 0.0]])[3]
     assert [OUTCOMES[o] for o in outcome] == ["left_box"]
+
+
+def _plane_overflow_system() -> System:
+    """The 2 x 3 twin of ``_overflow_system``: r(p) = J p + (0, -1e10) with
+    J = [diag(1e-290, 1e-300) | 0], whose least-norm step from 0 is 1e310."""
+    J = np.array([[1e-290, 0.0, 0.0], [0.0, 1e-300, 0.0]])
+
+    def evaluate(p):
+        if not np.isfinite(p).all():
+            raise DomainError(f"point {p.tolist()} leaves the box")
+        return J @ p + np.array([0.0, -1e10]), J
+
+    return System(evaluate)
+
+
+def test_an_overflowing_plane_step_leaves_the_box_without_a_warning():
+    # the closed-form step overflows to inf on Python floats, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            newton_solve(_plane_overflow_system(), [0.0, 0.0, 0.0])
+
+
+def test_a_safe_svd_step_takes_no_errstate(monkeypatch):
+    # a 3 x 4 system, the size of the Maxwell pairing, on the SVD path: every
+    # step is far below STEP_BOUND, so newton_solve never enters np.errstate
+    entered = [0]
+    errstate = np.errstate
+
+    def counted(**kwargs):
+        entered[0] += 1
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    system = System(
+        lambda z: (np.array([z @ z - 1.0, z[0] - 0.5, z[1] - z[2]]), np.array([2 * z, [1, 0, 0, 0], [0, 1, -1, 0]]))
+    )
+    p, _, last = newton_solve(system, [1.0, 1.0, 1.0, 1.0])
+    assert np.abs(system.evaluate(p)[0]).max() < solve.NEWTON_TOL and last is not None
+    assert entered[0] == 0
+
+
+PLANE_JACOBIANS = dict(
+    log_ratio=st.floats(-14.0, 0.0),
+    log_scale=st.floats(-100.0, 100.0),
+    r=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _plane_jacobian(log_ratio, log_scale, seed, twice=None):
+    """A random 2 x 3 J with singular values 10^log_scale (1, 10^log_ratio);
+    with ``twice``, one of exact rank 1 or 0 instead: a random row of size
+    10^log_scale and ``twice`` times it (an exact product)."""
+    rng = np.random.default_rng(seed)
+    if twice is None:
+        s = 10.0**log_scale * np.array([1.0, 10.0**log_ratio])
+        return _orthogonal(rng, 2) @ np.diag(s) @ _orthogonal(rng, 3)[:2]
+    a = 10.0**log_scale * rng.standard_normal(3)
+    return np.array([a, twice * a])
+
+
+def _step_tolerance(ulps, kappa, r, s_min):
+    """``ulps`` eps kappa |r| / s_min, the first-order perturbation of the
+    least-norm step under a backward error of ``ulps`` ulps of s_max; |r| by
+    hypot, which does not underflow, 1e-290 for a subnormal r and 1e-320 for
+    a subnormal step."""
+    return ulps * np.finfo(float).eps * kappa * (math.hypot(*r) + 1e-290) / s_min + 1e-320
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_one=st.sampled_from([None, 2.0, -0.5, 0.0]), **PLANE_JACOBIANS)
+def test_the_plane_closed_form_is_the_svd(log_ratio, log_scale, r, rank_one, seed):
+    # pinv_2x3 against np.linalg.svd over 200 decades of scale, with
+    # s_min / s_max down to 1e-14, or of exact rank 1 or 0.  The tolerances
+    # are LAPACK's: where the two singular values nearly coincide, its own
+    # error reaches 18 ulps of s_max in them and 34 in the step (measured
+    # against 40-digit mpmath, where the closed form stays within 2, as the
+    # test below checks), so they agree to 32 ulps of s_max, and the step and
+    # the null vector (up to sign) within the first-order perturbation of 64
+    # and 8 ulps, eps kappa |r| / s_min and eps kappa
+    eps = np.finfo(float).eps
+    J = _plane_jacobian(log_ratio, log_scale, seed, rank_one)
+    d, s_max, s_min, v = pinv_2x3(J, r)
+    U, s, Vt = np.linalg.svd(J)
+    assert abs(s_max - s[0]) <= 32 * eps * s[0]
+    assert abs(s_min - s[1]) <= 32 * eps * s[0]
+    # the SINGULAR_RATIO verdict, wherever rounding cannot decide it
+    if abs(s[1] - solve.SINGULAR_RATIO * s[0]) > 32 * eps * s[0]:
+        assert (s_min < solve.SINGULAR_RATIO * s_max) == (s[1] < solve.SINGULAR_RATIO * s[0])
+    if rank_one is not None:
+        assert s_min == 0.0 and d is None and v is None
+        return
+    kappa = s[0] / s[1]
+    assert np.abs(v - np.copysign(1.0, np.dot(v, Vt[-1])) * Vt[-1]).max() <= 8 * eps * kappa
+    step = Vt[:2].T @ ((U.T @ np.array(r)) / s)
+    assert np.abs(d - step).max() <= _step_tolerance(64, kappa, r, s[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(**PLANE_JACOBIANS)
+def test_the_plane_closed_form_is_exact_to_a_few_ulps(log_ratio, log_scale, r, seed):
+    # pinv_2x3 against the same formulas and M^T (M M^T)^-1 r in 40-digit
+    # arithmetic on the same J: the singular values within 4 ulps of s_max,
+    # the step and the null vector within the perturbation of 4 ulps
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    J = _plane_jacobian(log_ratio, log_scale, seed)
+    d, s_max, s_min, v = pinv_2x3(J, r)
+    with mp.workdps(40):
+        M = mp.matrix(J.tolist())
+        a, b = M[0, :], M[1, :]
+        n = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+        aa, bb, ab, nn = (mp.fsum(x * y for x, y in zip(u, w)) for u, w in ((a, a), (b, b), (a, b), (n, n)))
+        big = mp.sqrt((aa + bb + mp.sqrt((aa - bb) ** 2 + 4 * ab * ab)) / 2)
+        small = mp.sqrt(nn) / big
+        step = np.array([float(x) for x in M.T * (M * M.T) ** -1 * mp.matrix(r)])
+        null = np.array([float(x / mp.sqrt(nn)) for x in n])
+        big, small = float(big), float(small)
+    assert abs(s_max - big) <= 4 * eps * big
+    assert abs(s_min - small) <= 4 * eps * big
+    kappa = big / small
+    assert np.abs(v - np.copysign(1.0, np.dot(v, null)) * null).max() <= 4 * eps * kappa
+    assert np.abs(d - step).max() <= _step_tolerance(4, kappa, r, small)
 
 
 def test_solve_critical_set_reads_the_converged_pass(monkeypatch):
