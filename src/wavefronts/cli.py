@@ -27,8 +27,9 @@ from .linalg import RANK_EPS
 
 DEFAULT_SEED_DENSITY = 8
 MAX_SEED_DENSITY = 256
-# largest range (parse_range), seed grid (_box_grid) or strip count built
-# from user input
+# largest range (parse_range), seed grid (_box_grid), critical-set Newton
+# stack (x_grid_and_q_seeds), parallels point set or strip count built from
+# user input
 MAX_SAMPLES = 10**6
 # largest jet space (versal) and (steps + 1) x strips cells integrated (burgers)
 MAX_JET_DIM = 10**4
@@ -154,8 +155,14 @@ def phase_seeds(fam: families.GeneratingFamily, density: int) -> List[np.ndarray
 
 def x_grid_and_q_seeds(fam: families.GeneratingFamily, density: int):
     """The x grid and q starting points of the critical-set solver: the
-    family's own seeds when it has them, else the same grid over q."""
+    family's own seeds when it has them, else the same grid over q.  Every
+    seed is solved at every x, so their product is bounded, not each grid."""
     box = fam.field.box
+    seeds = len(fam.seeds) if fam.seeds else density**fam.k
+    if density**fam.n * seeds > MAX_SAMPLES:
+        raise ValidationError(
+            f"a {density}^{fam.n} x grid times {seeds} q seeds is more than {MAX_SAMPLES} Newton rows"
+        )
     xg = _box_grid(box[fam.k :], density)
     if fam.seeds:
         return xg, [np.asarray(s, dtype=float) for s in fam.seeds]
@@ -303,6 +310,8 @@ def cmd_parallels(args) -> int:
     curve = load_curve(args)
     u_grid = parse_range(args.u) if args.u else np.linspace(0.0, 2 * np.pi, 720)
     r_values = parse_range(args.r)
+    if len(r_values) * len(u_grid) > MAX_SAMPLES:
+        raise ValidationError(f"{len(r_values)} offsets x {len(u_grid)} samples is more than {MAX_SAMPLES} points")
     offs = geometry.parallels(curve, r_values, u_grid)
     parts = [(r * r, pts, u_grid[:, None], "front") for r, pts in offs]
     print(f"parallels: {len(offs)} offsets x {len(u_grid)} samples (+ evolute)")

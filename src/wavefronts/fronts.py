@@ -16,7 +16,6 @@ from .linalg import adjugate, numerical_rank
 from .solve import Curve, System, continue_curve, dedup, project_to_set
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps fronts.newton_solve by name)
 
-MEMBERSHIP_TOL = 1e-8
 PAIR_MIN_SEPARATION = 1e-3
 # continuation: the arclength step and the point cap of each march direction
 TRACE_STEP = 0.02
@@ -298,7 +297,8 @@ def discriminant(
 
 
 # ---------------------------------------------------------------------------
-# Polyline diagnostics used by invariants and tests
+# Polyline diagnostics: the gallery's self-intersections, the point-to-chain
+# distances the benchmark and tests measure, and the tests' cusp heuristic
 
 
 def detect_cusps(points: np.ndarray) -> List[int]:
@@ -352,13 +352,6 @@ def polyline_self_intersections(points: np.ndarray) -> List[np.ndarray]:
     return out
 
 
-def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point clouds."""
-    if len(a) == 0 or len(b) == 0:
-        return np.inf
-    return float(max(min_distances(a, b).max(), min_distances(b, a).max()))
-
-
 def polyline_distances(points: np.ndarray, chains: Sequence[np.ndarray]) -> np.ndarray:
     """Distance from each point to the nearest segment of any chain (a
     one-point chain is a point); ``inf`` when there is no chain."""
@@ -369,16 +362,6 @@ def polyline_distances(points: np.ndarray, chains: Sequence[np.ndarray]) -> np.n
     a = np.vstack([c[:-1] if len(c) > 1 else c for c in chains])
     b = np.vstack([c[1:] if len(c) > 1 else c for c in chains])
     return _nearest_segments(points, a, b)
-
-
-def min_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point of ``a`` to the cloud ``b``."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if len(a) == 0:
-        return np.zeros(0)
-    if len(b) == 0:
-        return np.full(len(a), np.inf)
-    return _nearest_segments(a, b, b)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

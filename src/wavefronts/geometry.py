@@ -164,40 +164,6 @@ class Surface:
 
 
 @dataclass
-class GraphSurface(Surface):
-    """z = g(u1, u2) with an optional closed-form gradient closure.
-
-    The height is held in a ``ScalarField``.  Without ``grad_g`` its gradient
-    is central differences, and its Hessian is always central differences of
-    the gradient, with their accuracy loss.
-    """
-
-    g: Callable[[float, float], float]
-    grad_g: Optional[Callable] = None
-
-    def __post_init__(self):
-        g, grad_g = self.g, self.grad_g
-        self.height = ScalarField(
-            arity=2,
-            fn=lambda u: g(u[0], u[1]),
-            grad_fn=None if grad_g is None else (lambda u: grad_g(u[0], u[1])),
-        )
-
-    def point(self, u):
-        return np.array([u[0], u[1], self.g(u[0], u[1])])
-
-    def du(self, u):
-        gu = self.height.grad(u)
-        return np.array([[1.0, 0.0, gu[0]], [0.0, 1.0, gu[1]]])
-
-    def d2(self, u):
-        H = self.height.hessian(u)
-        out = np.zeros((2, 2, 3))
-        out[:, :, 2] = H
-        return out
-
-
-@dataclass
 class Ellipsoid(Surface):
     a: float = 1.0
     b: float = 1.0

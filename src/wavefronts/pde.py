@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BlowUp, DomainError, NonFiniteValue, SliceNotKept
 from .fields import ScalarField
-from .fronts import MEMBERSHIP_TOL
 
 # integrate_characteristics raises BlowUp once |x| or |y| exceeds this
 BLOWUP = 1e3
@@ -259,24 +258,6 @@ def sheet_values(sheet: GeometricSolutionSheet, t: float) -> np.ndarray:
     """(x, y) samples of the geometric solution at the kept time t (n = 1)."""
     i = _kept(sheet, t)
     return np.stack([sheet.xs[i, :, 0], sheet.ys[i]], axis=1)
-
-
-def tangency_check(pde: QuasiLinearPDE, level: ScalarField, samples: Sequence) -> float:
-    """Maximum residual of the characteristic-field tangency condition
-    f_t + sum_i a_i f_{x_i} + b f_y over the samples within
-    ``MEMBERSHIP_TOL`` of the level set f = 0."""
-    worst = 0.0
-    n = pde.n
-    for p in samples:
-        p = np.asarray(p, dtype=float)
-        if abs(level.value(p)) > MEMBERSHIP_TOL:
-            continue
-        g = level.grad(p)
-        avec = np.array([ai.value(p) for ai in pde.a])
-        bval = pde.b.value(p)
-        resid = abs(g[n + 1] + avec @ g[:n] + bval * g[n])
-        worst = max(worst, float(resid))
-    return worst
 
 
 def _sine_datum_pde(a: ScalarField) -> QuasiLinearPDE:

@@ -5,11 +5,14 @@ Every defaulted parameter of a public function or method under
 method is named ``Class.method``.  A new keyword default, or a deleted one,
 changes the set and fails this test, so each knob is added on purpose.
 Values that no caller sets are module constants instead.  The module also
-checks that every name a library module imports is used there.
+checks that every name a library module imports is used there, that every
+top-level name is reached from a command, an export, the benchmark or a tool,
+and that README's table of fixed constants names only constants that exist.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,6 +94,15 @@ def test_benchmark_tracer_names_exist():
     assert missing == []
 
 
+def test_readme_constants_exist():
+    # each row of README's "Fixed constants" table names a module attribute,
+    # so a deleted or renamed constant cannot leave a stale row
+    table = (ROOT / "README.md").read_text().split("### Fixed constants", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", table, flags=re.M)
+    assert rows
+    assert [f"{m}.{n}" for m, n in rows if not hasattr(importlib.import_module(f"wavefronts.{m}"), n)] == []
+
+
 def test_every_import_is_used():
     # a name a module imports is read there, or re-exported through __all__;
     # the one exception is a name perfbench/tracing.py wraps in that module
@@ -115,3 +127,109 @@ def test_every_import_is_used():
                     unused.append((module, name))
     assert unused == [], "imported names never used"
     assert unwrapped == [], "noqa: F401 imports that perfbench/tracing.py does not wrap"
+
+
+# Top-level names of ``src/`` that nothing reaches yet, each kept for a reason
+# stated here; a name leaves this list when its code is gone or reached.
+PENDING = {
+    ("fronts", "detect_cusps"): "a test-side cusp heuristic until cusps are located exactly on every chain",
+    ("fronts", "CUSP_ANGLE"): "the angle of detect_cusps",
+    ("solve", "OUTCOMES"): "the documented names of newton_batch's outcome codes",
+}
+
+
+def _definitions(tree: ast.Module) -> dict:
+    """Top-level name -> the nodes that define it (def, class or assignment)."""
+    out: dict = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.setdefault(node.name, []).append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out.setdefault(name.id, []).append(node)
+    return out
+
+
+def _imports(tree: ast.Module) -> dict:
+    """Local name -> ``(module, name)`` of each package-relative import of a
+    module; ``name`` is None for a module (``from . import fronts``)."""
+    out = {}
+    for imp in ast.walk(tree):
+        if isinstance(imp, ast.ImportFrom) and imp.level == 1:
+            for alias in imp.names:
+                target = (alias.name, None) if imp.module is None else (imp.module, alias.name)
+                out[alias.asname or alias.name] = target
+    return out
+
+
+def _mentioned(paths) -> set:
+    """Every identifier a file names: names, attributes, import aliases and
+    the dotted parts of string constants."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.update((node.asname or node.name).split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.update(part for part in node.value.split(".") if part.isidentifier())
+    return out
+
+
+def unreached_names() -> list:
+    """``(module, name)`` of every top-level definition under ``src/wavefronts``
+    that no root reaches.
+
+    The roots are the names ``__init__.__all__`` exports, every top-level
+    function of ``cli`` and any name that ``perfbench/*.py`` or
+    ``tools/*.py`` mentions.  A reached definition
+    reaches each name its code refers to through ``ast.Name``, through
+    ``ast.Attribute`` on an imported package module, or through an import
+    alias; this is repeated to a fixpoint."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defs = {mod: _definitions(tree) for mod, tree in trees.items() if mod != "__init__"}
+    imports = {mod: _imports(tree) for mod, tree in trees.items()}
+
+    def resolve(mod, name):
+        while name not in defs.get(mod, {}):  # follow re-exports
+            mod, name = imports[mod].get(name, (None, None))
+            if name is None:  # not from this package, or a module
+                return None
+        return mod, name
+
+    def refs(mod, node):
+        """The definitions the code of ``node`` in ``mod`` refers to."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield resolve(mod, sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = imports[mod].get(sub.value.id)
+                if target is not None and target[1] is None:
+                    yield resolve(target[0], sub.attr)
+
+    mentioned = _mentioned([*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")])
+    todo = [resolve("__init__", name) for name in _table(SRC / "__init__.py", "__all__")]
+    todo += [("cli", f.name) for f in trees["cli"].body if isinstance(f, ast.FunctionDef)]
+    todo += [(mod, name) for mod, names in defs.items() for name in names if name in mentioned]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        for node in defs[key[0]][key[1]]:
+            todo += refs(key[0], node)
+    return sorted((mod, name) for mod, names in defs.items() for name in names if (mod, name) not in reached)
+
+
+def test_every_top_level_name_is_reached():
+    # a name only tests use is test code: it moves into the tests or goes
+    unreached = unreached_names()
+    assert sorted(set(unreached) - set(PENDING)) == [], "names no command, export, benchmark or tool reaches"
+    assert sorted(set(PENDING) - set(unreached)) == [], "pending names that are now reached or gone"

@@ -18,6 +18,7 @@ from wavefronts import cli, emitters, families, fronts, gallery, pde
 from wavefronts.cli import (
     MAX_HISTORY,
     MAX_JET_DIM,
+    MAX_SAMPLES,
     ValidationError,
     _box_grid,
     _caustic_parts,
@@ -285,6 +286,8 @@ def test_bad_range_exits_2():
         ["burgers", "--t", "0:0.7:0.001", "--speed", "nan"],
         ["front", "--family", "cusp", "--t", "nan"],
         ["evolute", "--curve", "ellipse", "--a", "nan"],
+        # 1001 offsets x 1001 samples
+        ["parallels", "--curve", "ellipse", "--r", "0:1:0.001", "--u", "0:1:0.001"],
         ["verify", "--family", "cusp", "--tol", "nan"],
         ["verify", "--family", "cusp", "--tol", "-1"],
     ],
@@ -376,6 +379,12 @@ def test_benchmark_scene_sizes_are_admitted():
     top = 2 + 10 + 2  # versal --k 2 --jet 10
     assert math.comb(top, 11) <= MAX_JET_DIM
     assert 701 * 6000 <= MAX_HISTORY  # burgers --t 0:0.7:0.001 --strips 6000
+    # parallels with 7 offsets and --u 0:6.2832:0.001 (the scan workload)
+    assert 7 * len(parse_range("0:6.2832:0.001")) <= MAX_SAMPLES
+    # the critical-set stack of verify, maxwell and discriminant at the default density
+    for name in ("cusp", "fold", str(MAXWELL_TWO_CHAINS)):
+        xg, qs = x_grid_and_q_seeds(load_family(name), cli.DEFAULT_SEED_DENSITY)
+        assert len(xg) * len(qs) <= MAX_SAMPLES
 
 
 def _four_variable_family(tmp_path):
@@ -390,6 +399,10 @@ def test_seed_grid_over_a_million_points_exits_2(tmp_path, capsys):
     assert "invalid arguments:" in capsys.readouterr().err
     with pytest.raises(ValidationError):
         _box_grid(((0.0, 1.0),) * 3, 101)
+    # each grid of a seedless k = 2, n = 2 family at density 32 has 1024
+    # points, but every q seed is solved at every x: 1,048,576 Newton rows
+    assert run(["maxwell", "--family", str(FOLD_PAIR.with_name("caustic_k2.fam")), "--seed-density", "32"]) == 2
+    assert "Newton rows" in capsys.readouterr().err
 
 
 def test_phase_seeds_builds_only_the_kept_rows(tmp_path):

@@ -150,7 +150,7 @@ def test_maxwell_traces_shifted_cusp_strata(cusp, shift, c):
     pts = fronts.maxwell_set(fam, *x_grid_and_q_seeds(fam, DEFAULT_SEED_DENSITY))
     _assert_covers_half_line(np.array([p.x for p in pts]), c)
     for p in pts:
-        assert abs(fam.value(p.q, p.x) - fam.value(p.q2, p.x)) < fronts.MEMBERSHIP_TOL
+        assert abs(fam.value(p.q, p.x) - fam.value(p.q2, p.x)) < 1e-8
         assert p.q[0] < p.q2[0]  # no mirrored copy (q', q, x) is kept
 
 
@@ -228,7 +228,7 @@ def test_front_branches_cross_on_maxwell_point(cusp, cusp_gl, seeds, monkeypatch
     curves = fronts.momentary_front(cusp_gl, -1.0, seeds)
     assert len(curves) >= 2
     target = np.array([[-2.0, 0.0]])
-    near = [fronts.min_distances(target, fc.x)[0] for fc in curves]
+    near = [fronts.polyline_distances(target, fc.x[:, None])[0] for fc in curves]
     assert sorted(near)[1] < 1e-2  # at least two branches hit the crossing
 
 
@@ -272,7 +272,9 @@ def test_detect_cusps_right_angle_polyline(monkeypatch):
 def test_hausdorff_and_polyline_distance():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert fronts.hausdorff(a, b) == pytest.approx(1.0)
+    # the Hausdorff distance of two clouds, each a list of one-point chains
+    hausdorff = max(fronts.polyline_distances(a, b[:, None]).max(), fronts.polyline_distances(b, a[:, None]).max())
+    assert hausdorff == pytest.approx(1.0)
     d = fronts.polyline_distances(np.array([[0.5, 0.3]]), [a])
     assert d[0] == pytest.approx(0.3)
 
@@ -346,7 +348,7 @@ def test_polyline_distances_match_brute_force(case):
     # a cloud is a set of one-point chains
     cloud = np.vstack([c for c in chains if len(c)] or [np.zeros((0, 2))])
     ref = _polyline_distances_brute(points, [cloud[i : i + 1] for i in range(len(cloud))])
-    assert np.array_equal(fronts.min_distances(points, cloud), ref)
+    assert np.array_equal(fronts.polyline_distances(points, cloud[:, None]), ref)
 
 
 def test_polyline_distances_dense_chain_off_and_on_the_curve():

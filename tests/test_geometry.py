@@ -88,14 +88,6 @@ def test_ellipsoid_evolute_has_one_focal_point_per_sample():
     assert np.isfinite(pts).all()
 
 
-@pytest.mark.parametrize("closed_form", [True, False], ids=["closed_form", "fd"])
-def test_graph_surface_saddle(closed_form):
-    partials = dict(grad_g=lambda u, v: (2 * u, -2 * v))
-    g = geometry.GraphSurface(g=lambda u, v: u * u - v * v, **(partials if closed_form else {}))
-    k = g.principal_curvatures(np.array([0.0, 0.0]))
-    assert k == pytest.approx([-2.0, 2.0], abs=None if closed_form else 1e-5)
-
-
 def test_degenerate_chart_raises():
     s = geometry.Sphere(radius=1.0)
     with pytest.raises(DegenerateMetric):
@@ -137,7 +129,7 @@ def test_caustic_of_distance_family_is_evolute():
     assert len(cloud.x) > 100
     u_fine = np.linspace(0, 2 * np.pi, 8001)
     ev = np.array([e.evolute_point(u) for u in u_fine])
-    assert fronts.min_distances(cloud.x, ev).max() < 2e-3
+    assert fronts.polyline_distances(cloud.x, ev[:, None]).max() < 2e-3
 
 
 def test_momentary_fronts_of_distance_family_are_circles_for_circle(monkeypatch):
