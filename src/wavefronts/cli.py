@@ -27,9 +27,9 @@ from .linalg import RANK_EPS
 
 DEFAULT_SEED_DENSITY = 8
 MAX_SEED_DENSITY = 256
-# largest range (parse_range), seed grid (_box_grid), critical-set Newton
-# stack (x_grid_and_q_seeds), parallels point set or strip count built from
-# user input
+# largest range (parse_range), critical-set Newton stack
+# (x_grid_and_q_seeds), parallels point set or strip count built from user
+# input
 MAX_SAMPLES = 10**6
 # largest jet space (versal) and (steps + 1) x strips cells integrated (burgers)
 MAX_JET_DIM = 10**4
@@ -133,9 +133,9 @@ def _box_axes(box, density: int) -> List[np.ndarray]:
 
 
 def _box_grid(box, density: int) -> np.ndarray:
-    """The density^d mesh over a box, 5% in from each end; one row per point."""
-    if density ** len(box) > MAX_SAMPLES:
-        raise ValidationError(f"a {density}^{len(box)} seed grid has more than {MAX_SAMPLES} points")
+    """The density^d mesh over a box, 5% in from each end; one row per point.
+    Its one caller, ``x_grid_and_q_seeds``, bounds the product of its grids
+    first."""
     mesh = np.meshgrid(*_box_axes(box, density), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ChartFailure, FamilyFileError, FamilySizeError, NotOnSigmaStar
-from .fields import ScalarField, field_from_expr, jet_index
+from .fields import ScalarField, field_from_expr, gather, jet_index
 from .linalg import RANK_EPS, null_space, numerical_rank
 from .solve import CONVERGED, RowSystem, System, dedup, newton_batch
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps families.newton_solve by name)
@@ -135,15 +135,17 @@ def critical_system(fam: GeneratingFamily, x) -> System:
     ``x`` is one point, or one per row of the (N, k) stacks the system is
     evaluated on: then it is a ``RowSystem``, and ``rows(index)`` binds the
     x of the rows ``index``."""
-    fld, k = fam.field, fam.k
-    _, G, H, _ = jet_index(k + fam.n, 0)
-    res_at, jac_at = G[:k], H[:k, :k]
+    fld, k, m = fam.field, fam.k, fam.k + fam.n
+    _, G, H, _ = jet_index(m, 0)
+    point, residual, jacobian = gather(np.arange(m), None), gather(G[:k], None), gather(H[:k, :k], None)
 
     def bound(x):
+        # one x: the tuple of its floats, joined to a point's q or to every row of a stack
+        fixed = x if x.ndim == 2 else tuple(x.tolist())
+
         def evaluate(q):
-            z = np.concatenate([q, np.broadcast_to(x, q.shape[:-1] + x.shape[-1:])], axis=-1)
-            a = fld.jet(z, 0)
-            return a.take(res_at, -1), a.take(jac_at, -1)
+            a = fld.jet(point(q, fixed), 0)
+            return residual(a), jacobian(a)
 
         return RowSystem(evaluate, lambda index: bound(x[index])) if x.ndim == 2 else System(evaluate)
 

@@ -12,6 +12,7 @@ finite-difference routine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -77,10 +78,11 @@ class ScalarField:
     hand-written field may carry ``grad_fn`` instead.  Every derivative
     without a closed form is ``fd_jacobian`` of the order below.
 
-    ``jet`` is the one field pass the solvers read: that flat jet as an
-    array, for a point or a stack, its entries at the positions that
-    ``jet_index`` gives.  It is the only method that gives third partials;
-    ``derivatives`` is views of its value, gradient and Hessian.
+    ``jet`` is the one field pass the solvers read: that flat jet, its
+    entries at the positions that ``jet_index`` gives, as the list of its
+    floats for a point given as a list, and as an array for an array (one
+    point or an (N, m) stack).  It is the only method that gives third
+    partials; ``derivatives`` is views of its value, gradient and Hessian.
     """
 
     arity: int
@@ -111,21 +113,22 @@ class ScalarField:
             if x < lo or x > hi:
                 raise DomainError(f"point {v} exits the domain box")
 
-    def _jet(self, p: np.ndarray, with_third: bool = False) -> np.ndarray:
-        """``jet_fn`` at the point ``p``, run on its floats after one box
-        test of them and before one finiteness test of the floats it returns.
-        An overflow that Python's float ``**`` raises (numpy's returns inf)
-        is non-finite too."""
-        v = p.tolist()
+    def _jet(self, v: list, with_third: bool = False) -> list:
+        """``jet_fn`` at the point ``v``, the list of its floats, after one box
+        test of them and before one finiteness test of the floats it returns,
+        as a list.  An overflow that Python's float ``**`` raises (numpy's
+        returns inf) is non-finite too."""
         self._check_box(v)
         try:
             jet = self.jet_fn(v, with_third)
-            finite = all(map(math.isfinite, jet))
+            # a finite sum has finite terms; only an inf or NaN term, or a
+            # sum that overflows, needs the test term by term
+            finite = math.isfinite(sum(jet)) or all(map(math.isfinite, jet))
         except OverflowError:
             finite = False
         if not finite:
-            raise NonFiniteValue(f"non-finite field value at {p!r}")
-        return np.array(jet, dtype=float)
+            raise NonFiniteValue(f"non-finite field value at {v!r}")
+        return list(jet)
 
     def _fd_grad(self, p: np.ndarray, r: Optional[int] = None) -> np.ndarray:
         return fd_jacobian(self.fn, p, r)[0]
@@ -146,7 +149,7 @@ class ScalarField:
     def grad(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
         if self.jet_fn is not None:
-            return self._jet(p)[1 : p.size + 1]
+            return np.array(self._jet(p.tolist())[1 : p.size + 1], dtype=float)
         if self.grad_fn is not None:
             self._check_box(p)
             return np.asarray(_check_finite(self.grad_fn(p), p), dtype=float)
@@ -163,7 +166,7 @@ class ScalarField:
         components it needs along the first r coordinates."""
         m = p.size
         if self.jet_fn is not None:
-            return self._jet(p)[m + 1 : 1 + m + m * m].reshape(m, m)[:r, :r]
+            return np.array(self._jet(p.tolist())[m + 1 : 1 + m + m * m], dtype=float).reshape(m, m)[:r, :r]
         h = _fd_steps(p)
         # differences of the FD gradient reach two steps from p
         self._check_box(p, h if self.grad_fn is not None else 2 * h)
@@ -178,35 +181,41 @@ class ScalarField:
         D = fd_jacobian(lambda q: self._hessian_block(q, r).ravel(), p)
         return np.ascontiguousarray(D).reshape(r, r, p.size)
 
-    def jet(self, point, third: int) -> np.ndarray:
+    def jet(self, point, third: int):
         """The flat jet of one field pass at ``point``: the value, the
         gradient, the Hessian row by row and, for ``third = r > 0``, the
         third partials ``d_c d_a d_b f`` for ``a, b < r`` and every ``c``,
         row by row; ``jet_index(m, r)`` gives the position of each entry.
 
-        With ``jet_fn`` it is one closed-form call with one box check and one
-        finiteness check.  A field without a jet stacks its ``value``,
-        ``grad`` and ``hessian``, so every entry, FD margin and error is the
-        one those methods give.  Third partials that the jet does not carry
-        for exactly r rows are central differences of the Hessian's leading
-        (r, r) block, each probe checking the box as ``hessian`` does.
+        A point given as the list of its m floats gives the list of the
+        jet's floats, with no array made on the way: the solvers' point
+        path.  A 1-D array gives that list as an array.  With ``jet_fn`` it
+        is one closed-form call with one box check and one finiteness check.
+        A field without a jet stacks its ``value``, ``grad`` and ``hessian``,
+        so every entry, FD margin and error is the one those methods give.
+        Third partials that the jet does not carry for exactly r rows are
+        central differences of the Hessian's leading (r, r) block, each probe
+        checking the box as ``hessian`` does.
 
         An (N, m) stack of points gives an (N, s) array, one jet per row
         (see ``_stacked_jet``).
         """
-        p = np.asarray(point, dtype=float)
-        if p.ndim == 2:
-            return self._stacked_jet(p, third)
-        m = p.size
+        if not isinstance(point, list):
+            p = np.asarray(point, dtype=float)
+            if p.ndim == 2:
+                return self._stacked_jet(p, third)
+            return np.array(self.jet(p.tolist(), third), dtype=float)
+        m = len(point)
         s = 1 + m + m * m
         if self.jet_fn is None:
-            a = np.concatenate([[self.value(p)], self.grad(p), self.hessian(p).ravel()])
+            p = np.array(point, dtype=float)
+            a = [self.value(p), *self.grad(p).tolist(), *self.hessian(p).ravel().tolist()]
         else:
-            a = self._jet(p, bool(third))
-            if a.size == s + third * third * m:
+            a = self._jet(point, bool(third))
+            if len(a) == s + third * third * m:
                 return a
         if third:
-            return np.concatenate([a[:s], self._fd_third(p, third).ravel()])
+            return a[:s] + self._fd_third(np.array(point, dtype=float), third).ravel().tolist()
         return a
 
     def _stacked_jet(self, P: np.ndarray, third: int) -> np.ndarray:
@@ -261,9 +270,73 @@ def jet_index(m: int, r: int):
     """The positions in a flat ``ScalarField.jet`` of m variables with r
     rows of third partials: ``(value, gradient, Hessian, third)``, the value
     an int and the others integer arrays of shape (m,), (m, m) and (r, r, m).
-    A system reads its residual and Jacobian from one jet by such indices."""
+    A system reads its residual and Jacobian from one jet by such indices,
+    through ``gather``."""
     s = 1 + m + m * m
     return 0, np.arange(1, m + 1), np.arange(m + 1, s).reshape(m, m), np.arange(s, s + r * r * m).reshape(r, r, m)
+
+
+def gather(at, minus):
+    """The reader of a system's entries by position, built once per system.
+
+    ``read(*parts)`` joins the ``parts`` (jets, points or tuples of
+    constants) end to end and returns the entries at the positions ``at``
+    (a 1-D or 2-D integer array), less the entries at ``minus`` (of the
+    same shape) unless it is None, in the shape of ``at``.  On a point each
+    part is a sequence of floats, and the result is a list of floats (of
+    row lists for a 2-D ``at``) with no array made.  On arrays, one flat
+    vector or an (N, s) stack with each tuple of constants broadcast over
+    the rows, it is ``a.take(at, -1) - a.take(minus, -1)``.  Python floats
+    round each subtraction as numpy does, so from the same jets both paths
+    give the same floats, bit for bit.
+    """
+    at = np.asarray(at, dtype=np.intp)
+    minus = None if minus is None else np.asarray(minus, dtype=np.intp)
+    # the point path is one generated expression of list displays, as
+    # ``expr.compile_nested`` generates a jet: no call per entry
+    entries = [f"a[{i}]" for i in at.ravel().tolist()]
+    if minus is not None:
+        entries = [f"{e} - a[{j}]" for e, j in zip(entries, minus.ravel().tolist())]
+    width = at.shape[-1]
+    rows = ["[" + ", ".join(entries[i : i + width]) + "]" for i in range(0, len(entries), width)]
+    pick = eval("lambda a: " + (rows[0] if at.ndim == 1 else "[" + ", ".join(rows) + "]"), {})  # noqa: S307
+
+    def read(*parts):
+        a = parts[0]
+        if isinstance(a, np.ndarray):
+            if len(parts) > 1:
+                # each part into its columns; a tuple of constants is broadcast
+                ends = list(itertools.accumulate(len(p) if isinstance(p, tuple) else p.shape[-1] for p in parts))
+                a = np.empty(a.shape[:-1] + (ends[-1],))
+                for p, start, end in zip(parts, [0, *ends], ends):
+                    a[..., start:end] = p
+            out = a.take(at, -1)
+            return out if minus is None else out - a.take(minus, -1)
+        if len(parts) > 1:
+            a = [*a]
+            for p in parts[1:]:
+                a += p
+        return pick(a)
+
+    return read
+
+
+def flat_jet(closure: Callable) -> Callable:
+    """A compiled flat jet (``expr.compile_nested`` of a flat list) that
+    answers a point, the list of its floats, with the closure's own floats,
+    and an (N, m) stack with an (N, s) array from one call on its
+    coordinate rows, a constant entry broadcast to every row."""
+
+    def jet(v):
+        if isinstance(v, list):  # a point, as Python floats
+            return closure(v)
+        entries = closure(v.T)
+        out = np.empty((len(entries), len(v)))
+        for i, e in enumerate(entries):
+            out[i] = e
+        return out.T
+
+    return jet
 
 
 def field_from_expr(
@@ -283,23 +356,16 @@ def field_from_expr(
     grads = [e.diff(v) for v in var_order]
     upper = {(i, j): grads[i].diff(var_order[j]) for i in range(m) for j in range(i, m)}
     jet = [e, *grads, *(upper[min(i, j), max(i, j)] for i in range(m) for j in range(m))]
-    jets = {False: compile_nested(jet, var_order)}
+    jets = {False: flat_jet(compile_nested(jet, var_order))}
     jets[True] = jets[False]
     if third_rows:
         r = third_rows
         d3 = {(a, b): [upper[a, b].diff(v) for v in var_order] for a in range(r) for b in range(a, r)}
         thirds = [d for a in range(r) for b in range(r) for d in d3[min(a, b), max(a, b)]]
-        jets[True] = compile_nested(jet + thirds, var_order)
+        jets[True] = flat_jet(compile_nested(jet + thirds, var_order))
 
     def jet_fn(v, with_third):
-        if isinstance(v, list):  # a point, as Python floats
-            return jets[with_third](v)
-        # one pass on the coordinate rows; a constant entry is broadcast
-        entries = jets[with_third](v.T)
-        out = np.empty((len(entries), len(v)))
-        for i, e in enumerate(entries):
-            out[i] = e
-        return out.T
+        return jets[with_third](v)
 
     jet_fn.stacks = True
     return ScalarField(arity=m, fn=lambda p: float(f(p)), box=box, jet_fn=jet_fn)

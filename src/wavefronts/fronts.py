@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DeltaNonEmptyForGraphLike, DomainError, RankDeficientSeed, SeedNotOnCurve
 from .families import GeneratingFamily, GraphLikeFamily, solve_critical_set
-from .fields import jet_index
+from .fields import gather, jet_index
 from .linalg import adjugate, numerical_rank
 from .solve import Curve, System, continue_curve, dedup, project_to_set
 from .solve import newton_solve  # noqa: F401  (perfbench/tracing.py wraps fronts.newton_solve by name)
@@ -99,15 +99,18 @@ def _trace_seeds(system: System, points: Sequence, step: float, max_points: int,
 def front_system(gl: GraphLikeFamily, t: float) -> System:
     """(k+1) equations (dF/dq, F - t) in z = (q, x).  The Jacobian is the q
     rows of the Hessian over the gradient of F; both are read from one jet by
-    index, and ``t`` is subtracted from the value."""
+    index, and ``t``, put after the jet with a 0.0, is subtracted from the
+    value (``x - 0.0`` is ``x``)."""
     fld, k, m = gl.base.field, gl.base.k, gl.base.k + gl.base.n
     V, G, H, _ = jet_index(m, 0)
-    res_at, jac_at = np.append(G[:k], V), np.vstack([H[:k], G])
-    shift = np.append(np.zeros(k), t)  # x - 0.0 is x
+    end = H[-1, -1] + 1  # the (0.0, t) after the jet
+    residual = gather(np.append(G[:k], V), np.append(np.full(k, end), end + 1))
+    jacobian = gather(np.vstack([H[:k], G]), None)
+    tail = (0.0, t)
 
     def evaluate(z):
         a = fld.jet(z, 0)
-        return a.take(res_at, -1) - shift, a.take(jac_at, -1)
+        return residual(a, tail), jacobian(a)
 
     return System(evaluate)
 
@@ -146,16 +149,21 @@ def caustic_system(fam: GeneratingFamily) -> System:
     fld, k, m = fam.field, fam.k, fam.k + fam.n
     _, G, H, T = jet_index(m, k)
     # for k >= 2 the det entry and its row are written over these
-    res_at, jac_at = np.append(G[:k], H[0, 0]), np.vstack([H[:k], T[0, 0]])
+    residual, jacobian = gather(np.append(G[:k], H[0, 0]), None), gather(np.vstack([H[:k], T[0, 0]]), None)
 
     def evaluate(z):
         a = fld.jet(z, k)
-        res, J = a.take(res_at, -1), a.take(jac_at, -1)
+        res, J = residual(a), jacobian(a)
         if k > 1:
-            Hqq = a.take(H[:k, :k], -1)
+            A = np.asarray(a, dtype=float)  # one array of a point's jet, as the SVD step makes of J
+            Hqq = A.take(H[:k, :k], -1)
             with np.errstate(invalid="ignore"):  # a stacked row outside the box is NaN
-                res[..., k] = np.linalg.det(Hqq)
-                J[..., k, :] = np.einsum("...ba,...abc->...c", adjugate(Hqq), a.take(T, -1))
+                det = np.linalg.det(Hqq)
+                row = np.einsum("...ba,...abc->...c", adjugate(Hqq), A.take(T, -1))
+            if isinstance(res, list):  # a point: its lists take the floats
+                res[k], J[k] = float(det), row.tolist()
+            else:
+                res[..., k], J[..., k, :] = det, row
         return res, J
 
     return System(evaluate)
@@ -190,9 +198,8 @@ def pairing_system(fam: GeneratingFamily) -> System:
     fld, k, n = fam.field, fam.k, fam.n
     V, G, H, _ = jet_index(k + n, 0)
     b = H[-1, -1] + 1  # the second jet's offset: the first ends at its last Hessian entry
-    pz, mz = 2 * b, 2 * b + 1  # the +0.0 and the -0.0
+    pz, mz = 2 * b, 2 * b + 1  # the +0.0 and the -0.0 after the two jets
     zeros = np.full((k, k), pz)
-    res_plus, res_minus = np.concatenate([G[:k], b + G[:k], [V]]), np.append(np.full(2 * k, pz), b + V)
     jac_plus = np.vstack([
         np.hstack([H[:k, :k], zeros, H[:k, k:]]),
         np.hstack([zeros, b + H[:k, :k], b + H[:k, k:]]),
@@ -200,13 +207,15 @@ def pairing_system(fam: GeneratingFamily) -> System:
     ])
     jac_minus = np.full(jac_plus.shape, pz)
     jac_minus[2 * k, k:] = b + G  # -dF/dq(q') and the x gradient difference
-    at_a = np.r_[:k, 2 * k : 2 * k + n]  # (q, x) in w
+    residual = gather(np.concatenate([G[:k], b + G[:k], [V]]), np.append(np.full(2 * k, pz), b + V))
+    jacobian = gather(jac_plus, jac_minus)
+    # the two points (q, x) and (q', x) of w
+    sheet_a, sheet_b = gather(np.r_[:k, 2 * k : 2 * k + n], None), gather(np.r_[k : 2 * k + n], None)
+    tail = (0.0, -0.0)
 
     def evaluate(w):
-        tail = np.zeros(w.shape[:-1] + (2,))
-        tail[..., 1] = -0.0
-        ab = np.concatenate([fld.jet(w.take(at_a, -1), 0), fld.jet(w[..., k:], 0), tail], axis=-1)
-        return ab.take(res_plus, -1) - ab.take(res_minus, -1), ab.take(jac_plus, -1) - ab.take(jac_minus, -1)
+        ab = (fld.jet(sheet_a(w), 0), fld.jet(sheet_b(w), 0), tail)
+        return residual(*ab), jacobian(*ab)
 
     return System(evaluate)
 
@@ -236,18 +245,17 @@ def maxwell_set(
     ]
 
     def kept(w):
-        v = w.tolist()
-        q, q2 = v[:k], v[k : 2 * k]
+        q, q2 = w[:k], w[k : 2 * k]
         return math.dist(q, q2) >= PAIR_MIN_SEPARATION and q < q2
 
     pairing, swap = pairing_system(fam), np.r_[k : 2 * k, :k, 2 * k : 2 * k + n]
 
     def ordered_half(w):
         if not kept(w):
-            raise DomainError(f"pair {w.tolist()} is outside the ordered half")
+            raise DomainError(f"pair {w} is outside the ordered half")
         return pairing.evaluate(w)
 
-    pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v)]
+    pairs = [v for w in project_to_set(pairing, seeds) for v in (w, w[swap]) if kept(v.tolist())]
     curves = _trace_seeds(System(ordered_half), pairs, TRACE_STEP, TRACE_MAX_POINTS, n)
     at_a = np.r_[:k, 2 * k : 2 * k + n]  # (q, x) in w
     return [

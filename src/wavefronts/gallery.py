@@ -13,6 +13,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
+from . import fields
 from . import fronts as _fronts
 from .errors import DomainError, UnknownGerm
 # perfbench/tracing.py patches gallery.polyline_self_intersections by name
@@ -56,10 +57,12 @@ class IntegralDiagram:
     g: Tuple[ex.Expr, ex.Expr]
     mu_fn: Callable
     det_dg_fn: Callable
-    jet_fn: Callable  # u -> (mu, grad mu, g, Dg) in one call, elementwise
+    # u -> (mu, mu_u1, mu_u2, g1, g2, dg1/du1, dg1/du2, dg2/du1, dg2/du2), one
+    # flat call, elementwise: a point's floats, or one array per coordinate row
+    jet_fn: Callable
 
     def front_map(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.jet_fn(u)[2], dtype=float)
+        return np.asarray(self.jet_fn(u)[3:5], dtype=float)
 
 
 @dataclass
@@ -90,20 +93,23 @@ def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDia
         g=g,
         mu_fn=mu.compile(_U),
         det_dg_fn=det.compile(_U),
-        jet_fn=ex.compile_nested([mu, [mu.diff(v) for v in _U], list(g), dg], _U),
+        jet_fn=ex.compile_nested([mu, *(mu.diff(v) for v in _U), *g, *dg[0], *dg[1]], _U),
     )
 
 
 def _level_system(diagram: IntegralDiagram, t: float, box) -> System:
     """mu(u) - t, one equation in u = (u1, u2) on the chart ``box``, with the
-    gradient of mu as its Jacobian; DomainError outside the box."""
+    gradient of mu as its Jacobian, read from the flat jet at a point;
+    DomainError outside the box."""
     jet = diagram.jet_fn
+    residual, jacobian = fields.gather([0], [9]), fields.gather([[1, 2]], None)  # t after the 9 entries
+    tail = (t,)
 
     def evaluate(u):
-        if not all(lo <= v <= hi for v, (lo, hi) in zip(u.tolist(), box)):
-            raise DomainError(f"point {u.tolist()} exits the chart box")
-        mu, dmu, _, _ = jet(u)
-        return np.array([mu - t]), np.array([dmu])
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(u, box)):
+            raise DomainError(f"point {list(u)} exits the chart box")
+        a = jet(u)
+        return residual(a, tail), jacobian(a)
 
     return System(evaluate)
 
@@ -143,21 +149,23 @@ def _caustic_points(diagram: IntegralDiagram) -> np.ndarray:
 
 def _pairing_system(diagram: IntegralDiagram, t: float) -> System:
     """g(u) - g(v), mu(u) - t, mu(v) - t: four equations in w = (u, v), with
-    the exact Jacobian ``[[Dg(u), -Dg(v)], [grad mu(u), 0], [0, grad mu(v)]]``."""
-    jet = diagram.jet_fn
+    the exact Jacobian ``[[Dg(u), -Dg(v)], [grad mu(u), 0], [0, grad mu(v)]]``,
+    read from the two flat jets and the constants (0.0, -0.0, t) after them
+    as ``families``' pairing system reads its jets."""
+    jet = fields.flat_jet(diagram.jet_fn)
+    # the second jet's entries start at 9, and 18, 19, 20 are 0.0, -0.0, t
+    b, pz, mz, tt = 9, 18, 19, 20
+    residual = fields.gather([3, 4, 0, b], [b + 3, b + 4, tt, tt])
+    jacobian = fields.gather(
+        [[5, 6, mz, mz], [7, 8, mz, mz], [1, 2, pz, pz], [pz, pz, b + 1, b + 2]],
+        [[pz, pz, b + 5, b + 6], [pz, pz, b + 7, b + 8], [pz, pz, pz, pz], [pz, pz, pz, pz]],
+    )
+    sheet_u, sheet_v = fields.gather([0, 1], None), fields.gather([2, 3], None)
+    tail = (0.0, -0.0, t)
 
     def evaluate(w):
-        # the jet reads coordinate rows; a constant entry is broadcast on assignment
-        mu_a, dmu_a, g_a, dg_a = jet(w[..., :2].T)
-        mu_b, dmu_b, g_b, dg_b = jet(w[..., 2:].T)
-        res, J = np.empty(w.shape[:-1] + (4,)), np.zeros(w.shape[:-1] + (4, 4))
-        for i in range(2):
-            res[..., i] = g_a[i] - g_b[i]
-            J[..., 2, i], J[..., 3, 2 + i] = dmu_a[i], dmu_b[i]
-            for j in range(2):
-                J[..., i, j], J[..., i, 2 + j] = dg_a[i][j], -dg_b[i][j]
-        res[..., 2], res[..., 3] = mu_a - t, mu_b - t
-        return res, J
+        ab = (jet(sheet_u(w)), jet(sheet_v(w)), tail)
+        return residual(*ab), jacobian(*ab)
 
     return System(evaluate)
 

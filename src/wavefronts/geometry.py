@@ -287,7 +287,7 @@ def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]
             H[:k, k:] = -2 * J
             H[k:, :k] = H[:k, k:].T
             H[k:, k:] = 2 * np.eye(n)
-            return out
+            return out.tolist()
 
         origin = surface.point(np.zeros(k))
     extent = max(np.abs(origin).max(), 1.0) * 4 + 4

@@ -52,9 +52,11 @@ def adjugate(M) -> np.ndarray:
 
 
 def pinv_2x3(J, r):
-    """``(d, s_max, s_min, v)`` of a 2 x 3 ``J`` with rows a and b and a
-    residual ``r`` of two numbers, in closed form on Python floats: no
-    factorization and no floating-point warning (an overflow is an inf).
+    """``(d, s_max, s_min, v)`` of a 2 x 3 ``J``, given as its two rows a
+    and b of three floats, and a residual ``r`` of two numbers, in closed
+    form on Python floats: no factorization, no array and no floating-point
+    warning (an overflow is an inf).  ``d`` and ``v`` are lists of three
+    floats.
 
     With n = a x b, the unit null vector is ``v = n / |n|``, and the
     least-norm solution of J d = r is d = (r0 (b x n) + r1 (n x a)) / |n|^2,
@@ -67,7 +69,7 @@ def pinv_2x3(J, r):
     1, which is exact and keeps the squares in range.  ``d`` and ``v`` are
     None where n = 0 (rank below 2).
     """
-    (a0, a1, a2), (b0, b1, b2) = J.tolist()
+    (a0, a1, a2), (b0, b1, b2) = J
     r0, r1 = map(float, r)
     # 2^-e scales the largest entry into [0.5, 1); e clamped so that 2^e and
     # 2^-e are both finite
@@ -85,11 +87,9 @@ def pinv_2x3(J, r):
     s_min = norm / s_max * scale
     # d of the scaled J, times k: J = 2^e (k J), so pinv(J) = k pinv(k J)
     r0, r1 = r0 / nn * k, r1 / nn * k
-    d = np.array(
-        [
-            r0 * (b1 * n2 - b2 * n1) + r1 * (n1 * a2 - n2 * a1),
-            r0 * (b2 * n0 - b0 * n2) + r1 * (n2 * a0 - n0 * a2),
-            r0 * (b0 * n1 - b1 * n0) + r1 * (n0 * a1 - n1 * a0),
-        ]
-    )
-    return d, s_max * scale, s_min, np.array([n0 / norm, n1 / norm, n2 / norm])
+    d = [
+        r0 * (b1 * n2 - b2 * n1) + r1 * (n1 * a2 - n2 * a1),
+        r0 * (b2 * n0 - b0 * n2) + r1 * (n2 * a0 - n0 * a2),
+        r0 * (b0 * n1 - b1 * n0) + r1 * (n0 * a1 - n1 * a0),
+    ]
+    return d, s_max * scale, s_min, [n0 / norm, n1 / norm, n2 / norm]

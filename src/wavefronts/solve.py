@@ -12,12 +12,20 @@ SVD.  The corrector's last step also gives the next tangent, the null
 vector of the Jacobian it read, whenever the Weyl and Wedin bounds certify
 it against the converged Jacobian; so a traced plane point usually costs no
 factorization at all, and any other one SVD.
+
+A point is the list of its m floats, from ``ScalarField.jet`` through a
+system's ``evaluate`` and ``newton_solve`` to the march of
+``continue_curve``: a traced plane point is Python float arithmetic with
+no array made, and any other makes one array of its Jacobian per Newton
+step for the SVD.  A stack is an (N, m) array.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -178,15 +186,17 @@ class System:
     """A residual map that carries its Jacobian.
 
     ``evaluate(z)`` returns ``(residual, J)`` from one pass, ``J`` with one
-    row per equation and one column per unknown.  An (N, m) stack of points
-    gives both with a leading axis of N rows, each row the result of
-    evaluating that row alone, and a row that leaves a field's box is NaN.
-    It is the one thing ``newton_solve``, ``newton_batch`` and
-    ``continue_curve`` solve.  The systems of a generating family
-    (``critical_system``, ``front_system``, ``caustic_system``,
-    ``pairing_system``) read both from one ``ScalarField.jet`` per field
-    pass, by index tables built once, with the same code for a point and a
-    stack.
+    row per equation and one column per unknown.  A point ``z``, the list of
+    its m floats, gives the residual as a list of floats and ``J`` as a list
+    of row lists, which is what ``newton_solve`` and ``continue_curve``
+    read.  An (N, m) stack of points gives both as arrays with a leading
+    axis of N rows, each row what evaluating that row alone gives (to an
+    ulp where a jet runs numpy's array arithmetic on the stack), and a row
+    that leaves a field's box is NaN; ``newton_batch`` reads those.  The
+    systems of a generating family (``critical_system``, ``front_system``,
+    ``caustic_system``, ``pairing_system``) and of the ODE gallery read both
+    from one field pass through ``fields.gather`` tables built once, with
+    the same code for a point and a stack.
 
     ``rows(index)`` is the system to evaluate on the rows ``index`` of a
     stack, as ``newton_batch`` does with its running rows.  Rows that carry
@@ -194,7 +204,7 @@ class System:
     data to each row is a ``RowSystem``.
     """
 
-    evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    evaluate: Callable[[object], Tuple[object, object]]
 
     def rows(self, index: np.ndarray) -> "System":
         """The system of the rows ``index``: this one, whose rows carry no data."""
@@ -219,46 +229,47 @@ def newton_solve(system: System, seed):
     """Solve the residual of ``system.evaluate(p)`` to ``NEWTON_TOL`` in the
     infinity norm from ``seed`` in at most ``NEWTON_MAX_ITER`` iterations.
 
-    Each iterate is one ``system.evaluate`` and the least-norm
+    The iterates are lists of floats (``seed`` is any sequence of m
+    numbers).  Each is one ``system.evaluate`` and the least-norm
     (Moore-Penrose) step with the ``SINGULAR_RATIO`` test on its Jacobian's
     extreme singular values: in closed form on Python floats for a 2 x 3
-    Jacobian (``linalg.pinv_2x3``), else from one full SVD.  Returns
-    ``(p, J, last)`` with ``J`` the Jacobian of that converged ``evaluate``
-    and ``last = (J_f, s_max, s_min, v)`` from the last step taken: the
-    Jacobian of the iterate before ``p``, its largest and least singular
-    values and its last right singular vector ``v``, the null vector of a
+    Jacobian (``linalg.pinv_2x3``), else from one full SVD of one array of
+    J.  Returns ``(p, J, last)`` with ``p`` the list of the solution's
+    floats, ``J`` the Jacobian rows of that converged ``evaluate`` and
+    ``last = (J_f, s_max, s_min, v)`` from the last step taken: the Jacobian
+    rows of the iterate before ``p``, its largest and least singular values
+    and its last right singular vector ``v`` as a list, the null vector of a
     wide J_f (None when ``seed`` itself converged).  Raises SingularJacobian
     or MaxIterations, and passes on the DomainError of a field whose box an
     iterate leaves.
     """
-    p = np.asarray(seed, dtype=float).copy()
+    p = list(map(float, seed))
     last = None
     for _ in range(NEWTON_MAX_ITER):
         r, J = system.evaluate(p)
-        if r.size > p.size:
+        if len(r) > len(p):
             raise ValueError("over-determined system: more equations than unknowns")
-        # the infinity norm below NEWTON_TOL (never for a NaN), without array calls
-        res = r.tolist()
-        if all(abs(v) < NEWTON_TOL for v in res):
+        # the infinity norm below NEWTON_TOL (never for a NaN), in C
+        if all(map(operator.gt, itertools.repeat(NEWTON_TOL), map(abs, r))):
             return p, J, last
-        if J.shape == (2, 3):
-            d, s_max, s_min, v = pinv_2x3(J, res)
+        if len(r) == 2 and len(p) == 3:
+            d, s_max, s_min, v = pinv_2x3(J, r)
         else:
             # one SVD gives the singular values and the least-norm step; its
             # full Vt also holds a null vector of a wide J, for the tangent
-            U, s, Vt = np.linalg.svd(J)
+            U, s, Vt = np.linalg.svd(np.array(J, dtype=float))
             sv = s.tolist()
-            s_max, s_min, v = sv[0], sv[-1], Vt[-1]
+            s_max, s_min, v = sv[0], sv[-1], Vt[-1].tolist()
             # |d| <= |r| / s_min: a step that may overflow (or divide by a
             # zero s_min, refused below) is taken under errstate, and one
             # that overflows leaves the box at the next evaluate
-            with _PLAIN if math.hypot(*res) < STEP_BOUND * s_min else np.errstate(all="ignore"):
-                d = Vt[: s.size].T @ ((U.T @ r) / s)
+            with _PLAIN if math.hypot(*r) < STEP_BOUND * s_min else np.errstate(all="ignore"):
+                d = (Vt[: s.size].T @ ((U.T @ np.array(r, dtype=float)) / s)).tolist()
         if not (s_max > 0.0 and s_min >= SINGULAR_RATIO * s_max):
-            raise SingularJacobian(f"singular Jacobian at {p.tolist()}")
-        p = p - d
+            raise SingularJacobian(f"singular Jacobian at {p}")
+        p = [a - b for a, b in zip(p, d)]
         last = J, s_max, s_min, v
-    raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {res})")
+    raise MaxIterations(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {r})")
 
 
 def newton_batch(system: System, seeds: Sequence):
@@ -331,10 +342,11 @@ class Curve:
     closed: bool
 
 
-def _tangent(J: np.ndarray, last, prev: Optional[np.ndarray]):
+def _tangent(J, last, prev: Optional[list]):
     """``(tau, reused)``: the unit null vector of the (m-1) x m Jacobian
-    ``J``, oriented along ``prev``, and whether it is read from ``last``;
-    RankDeficientSeed when ``numerical_rank(J) < m - 1``.
+    ``J`` (its row lists), as a list of floats oriented along ``prev``, and
+    whether it is read from ``last``; RankDeficientSeed when
+    ``numerical_rank(J) < m - 1``.
 
     ``last = (J_f, s_max, s_min, v)`` is from the corrector's last step, a
     nearby Jacobian J_f with null vector ``v``.  With d = ||J - J_f||_F,
@@ -347,29 +359,33 @@ def _tangent(J: np.ndarray, last, prev: Optional[np.ndarray]):
     J itself: in closed form for a 2 x 3 J with a ``prev`` to orient it
     (``linalg.pinv_2x3``, rank 2 when its s_min > RANK_EPS s_max, the rule
     of ``numerical_rank``), else ``null_space(J)``, which also orients a
-    seed's tangent.
+    seed's tangent.  All of it is float arithmetic, but ``null_space``.
     """
     tau = None
     if last is not None:
         J_f, s_max, s_min, v = last
-        dJ = J - J_f
-        d = math.sqrt(np.vdot(dJ, dJ))
+        dd = 0.0
+        for row, row_f in zip(J, J_f):
+            for x, y in zip(row, row_f):
+                e = x - y
+                dd += e * e
+        d = math.sqrt(dd)
         gap = s_min - d
         if gap > RANK_EPS * (s_max + d) and d * d <= RANK_EPS * gap * gap:
             tau = v
     reused = tau is not None
     if not reused:
-        if prev is not None and J.shape == (2, 3):
+        if prev is not None and len(J) == 2 and len(J[0]) == 3:
             _, s_max, s_min, tau = pinv_2x3(J, (0.0, 0.0))
             full = s_min > RANK_EPS * s_max
         else:
             ns = null_space(J)
             full = ns.shape[1] == 1
-            tau = ns[:, 0] if full else None
+            tau = ns[:, 0].tolist() if full else None
         if not full:
             raise RankDeficientSeed("Jacobian null space is not one-dimensional")
-    if prev is not None and np.dot(tau, prev) < 0:
-        tau = -tau
+    if prev is not None and sum(map(operator.mul, tau, prev)) < 0:
+        tau = [-x for x in tau]
     return tau, reused
 
 
@@ -399,14 +415,15 @@ def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
     when ``_tangent`` certifies that it is ``null_space``'s answer to
     ``RANK_EPS``, else that of the converged Jacobian itself (in closed form
     for a 2 x 3 one), so a traced point usually costs one SVD, and none on a
-    2 x 3 system.  The seed must lie
-    within ``SEED_TOL`` of the curve (else SeedNotOnCurve); it is polished
-    there first, and its tangent comes from the polish under the same rule
+    2 x 3 system.  Points, tangents and the predictor are lists of floats,
+    and ``points`` is made once, at the end.  The seed must lie within
+    ``SEED_TOL`` of the curve (else SeedNotOnCurve); it is polished there
+    first, and its tangent comes from the polish under the same rule
     (RankDeficientSeed where the rank drops).
     """
-    z0 = np.asarray(seed, dtype=float).copy()
+    z0 = list(map(float, seed))
     res, J = system.evaluate(z0)
-    if res.size != z0.size - 1:
+    if len(res) != len(z0) - 1:
         raise ValueError("system must have exactly one fewer equation than unknowns")
     if np.linalg.norm(res, ord=np.inf) > SEED_TOL:
         raise SeedNotOnCurve(f"seed residual {np.linalg.norm(res, np.inf):.3e}")
@@ -420,13 +437,17 @@ def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
 
     def march(direction: float):
         pts = []
-        z = z0.copy()
-        tau = tau0 * direction
+        z = z0
+        tau = [x * direction for x in tau0]
         curv = None  # (tau_i - tau_(i-1)) / |z_i - z_(i-1)|, once two points are known
         while len(pts) < max_points:
             h = step
             for _ in range(5):
-                pred = z + h * tau if curv is None else z + h * tau + (0.5 * h * h) * curv
+                if curv is None:
+                    pred = [a + h * b for a, b in zip(z, tau)]
+                else:
+                    hh = 0.5 * h * h
+                    pred = [a + h * b + hh * c for a, b, c in zip(z, tau, curv)]
                 try:
                     znew, J, last = newton_solve(system, pred)
                     break
@@ -435,8 +456,7 @@ def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
             else:
                 return pts, False
             pts.append(znew)
-            d = znew - z0  # np.linalg.norm(d) is sqrt(d @ d)
-            if len(pts) >= 10 and math.sqrt(d @ d) <= step / 2:
+            if len(pts) >= 10 and math.dist(znew, z0) <= step / 2:
                 return pts, True
             # the tangent at the corrector's converged point; a rank drop
             # (a singular point of the curve) ends the march here
@@ -447,8 +467,11 @@ def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
             # the second-order term only from a certified tangent: where the
             # rank test is marginal (the degenerate t = 0 front slice) the
             # change of the tangent is noise
-            d = znew - z
-            curv = (tau_new - tau) / math.sqrt(d @ d) if reused else None
+            if reused:
+                dz = math.dist(znew, z)
+                curv = [(a - b) / dz for a, b in zip(tau_new, tau)]
+            else:
+                curv = None
             z, tau = znew, tau_new
         return pts, False
 
@@ -461,5 +484,5 @@ def continue_curve(system: System, seed, step: float, max_points: int) -> Curve:
             points = [z0] + bwd
             closed = True
         else:
-            points = list(reversed(bwd)) + [z0] + fwd
+            points = bwd[::-1] + [z0] + fwd
     return Curve(points=np.array(points), closed=closed)

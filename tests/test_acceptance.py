@@ -257,8 +257,8 @@ def test_criterion_9_numerics_hygiene(acceptance):
     rk4_ok = factor >= 12.0
 
     # continuation residuals
-    circle = lambda z: np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
-    system = System(lambda z: (circle(z), np.array([2 * z])))
+    circle = lambda z: [z[0] ** 2 + z[1] ** 2 - 1.0]
+    system = System(lambda z: (circle(z), [[2 * z[0], 2 * z[1]]]))
     c = continue_curve(system, np.array([1.0, 0.0]), step=0.05, max_points=300)
     res_circle = max(abs(circle(p)[0]) for p in c.points)
     fam = families.catalog()["cusp"]

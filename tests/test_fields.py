@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts import expr as ex
-from wavefronts import families
+from wavefronts import families, geometry
 from wavefronts.errors import DomainError, NonFiniteValue
 from wavefronts.fields import ScalarField, field_from_expr, jet_index
 
@@ -33,9 +34,9 @@ def test_third_without_third_fn_differences_the_hessian():
     exact = field_from_expr(e, ("q1", "x1", "x2"), third_rows=1)
     fd = field_from_expr(e, ("q1", "x1", "x2"))
     for p in ([0.7, -1.2, 0.4], [0.5, -1.5, 0.3], [-1.1, 0.8, -2.5]):
-        T = fd.jet(p, 3)[jet_index(3, 3)[3]]
+        T = fd.jet(np.array(p), 3)[jet_index(3, 3)[3]]
         assert T.shape == (3, 3, 3)
-        assert np.abs(T[:1, :1] - exact.jet(p, 1)[jet_index(3, 1)[3]]).max() <= 1e-6
+        assert np.abs(T[:1, :1] - exact.jet(np.array(p), 1)[jet_index(3, 1)[3]]).max() <= 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(field_catalog()))
@@ -163,3 +164,47 @@ def test_float_jet_is_the_numpy_scalar_jet(name, unit):
     assert all(type(x) in (float, int) for x in floats)
     assert np.array(floats, dtype=float).tobytes() == np.array(scalars, dtype=float).tobytes()
     assert fld.jet(np.array(v), JET_FAMILIES[name].k).tobytes() == np.array(floats, dtype=float).tobytes()
+
+
+# --- a point's jet is the list of its floats: the same entries, bit for bit,
+# and the same errors at the same points as the array jet
+
+_OVERFLOW_BOX = ((-4.0, 4.0), (-8.0, 8.0), (-6.0, 6.0))
+_OVERFLOW = ex.parse_expr("q1^4 + x1*q1^2 + x2*q1 + x1^400", CUSP_VARS)  # x1^400 overflows from |x1| ~ 5.9
+_ELLIPSE = geometry.distance_squared_family(geometry.Ellipse(a=2.0, b=1.0))[0].field
+POINT_JET_FIELDS = {
+    # closed-form third partials, and the same field differencing its Hessian for them
+    "expr": field_from_expr(_OVERFLOW, CUSP_VARS, _OVERFLOW_BOX, 1),
+    "expr-fd-third": field_from_expr(_OVERFLOW, CUSP_VARS, _OVERFLOW_BOX),
+    # the plane-curve distance field, in a v box wide enough for |X(u) - v|^2 to overflow
+    "ellipse": dataclasses.replace(_ELLIPSE, box=_ELLIPSE.box[:1] + ((-1e300, 1e300),) * 2),
+}
+
+
+def _jet_or_error(fld, point, third):
+    try:
+        return fld.jet(point, third)
+    except (DomainError, NonFiniteValue) as e:
+        return type(e)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("name", sorted(POINT_JET_FIELDS))
+@settings(max_examples=80, deadline=None)
+@given(
+    # a tenth of the box past each end, so some points leave it
+    unit=st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=3),
+    log_scale=st.floats(-1.5, 0.0),
+    third=st.sampled_from([0, 1]),
+)
+def test_point_jet_is_the_array_jet(name, unit, log_scale, third):
+    fld = POINT_JET_FIELDS[name]
+    # the ellipse's v spans 600 decades: scale it down to reach every size
+    scale = [1.0] + [10.0 ** (300 * log_scale)] * 2 if name == "ellipse" else [1.0] * 3
+    v = [s * (lo + u * (hi - lo)) for s, u, (lo, hi) in zip(scale, unit, fld.box)]
+    listed, array = _jet_or_error(fld, v, third), _jet_or_error(fld, np.array(v), third)
+    if isinstance(array, type):
+        assert listed is array
+        return
+    assert type(listed) is list and len(listed) == array.size == 13 + 3 * third
+    assert np.array(listed, dtype=float).tobytes() == array.tobytes()

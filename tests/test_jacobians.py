@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefronts import families, fields, fronts, geometry
+from wavefronts import families, fields, fronts, gallery, geometry
 from wavefronts.errors import DomainError, NonFiniteValue
 from wavefronts.fields import ScalarField, fd_jacobian, jet_index
 from wavefronts.linalg import adjugate
@@ -445,6 +445,16 @@ def test_gathered_evaluate_is_the_assembled_parts(fam_name, system_name):
         assert res.shape == ref_res.shape and J.shape == ref_J.shape
         assert _same(res, ref_res) and _same(J, ref_J)
     assert np.isnan(res[2]).all()  # the stack's row outside the box
+    # a point given as the list of its floats gives lists of the same floats
+    for W in (Z[0], Z[4]):
+        if system_name == "critical":
+            system, u = families.critical_system(fam, W[k:]), W[:k].tolist()
+        else:
+            system, u = _system(fam, system_name, W)[0], W.tolist()
+        res, J = system.evaluate(u)
+        assert type(res) is list and type(J) is list and all(type(row) is list for row in J)
+        ref_res, ref_J = _assembled(fam, system_name, W)
+        assert _same(np.array(res, dtype=float), ref_res) and _same(np.array(J, dtype=float), ref_J)
 
 
 def _cofactor_adjugate(A):
@@ -471,3 +481,108 @@ def test_adjugate_is_the_cofactor_definition(k):
     for a, m in zip(adj, A):
         assert np.array_equal(adjugate(m), a)  # one matrix is the stack's row
         assert np.abs(a @ m - np.linalg.det(m) * np.eye(k)).max() <= 1e-12 * max(1.0, np.abs(m).max() ** k)
+
+
+# --- a point's evaluate against its row of a stack, for every family system
+# and the gallery's: the same floats, signed zeros included, and DomainError
+# where the stack's row has NaN entries.  The stack's jets are taken row by
+# row, each through the point jet; a stacking expression jet runs numpy's
+# array powers, which may round an ulp apart from Python's (see
+# ``test_stacked_evaluate_is_the_rows``).
+
+
+def _row_by_row(fam):
+    """``fam`` with a jet that answers a stack row by row, as a field whose
+    jet does not stack does."""
+    jet_fn = fam.field.jet_fn
+    return dataclasses.replace(fam, field=dataclasses.replace(fam.field, jet_fn=lambda v, third: jet_fn(v, third)))
+
+
+ROW_FAMILIES = {
+    "cusp": _row_by_row(FAMILIES["cusp"]),  # k = 1: the caustic row is the third partials
+    "k2-file": _row_by_row(K2_FILE),  # k = 2: det and adjugate
+    "ellipse": FAMILIES["ellipse"],  # the plane-curve jet does not stack
+}
+# a unit coordinate: 10% past either end of the box, or its middle, which is
+# 0 in the symmetric boxes (dF/dq = 0 at q = 0 makes the pairing's -0.0)
+UNIT = st.one_of(st.floats(-0.1, 1.1), st.just(0.5))
+
+
+def _bits(listed, row):
+    return np.array(listed, dtype=float).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("system_name", SYSTEMS)
+@pytest.mark.parametrize("fam_name", sorted(ROW_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(units=st.lists(st.lists(UNIT, min_size=7, max_size=7), min_size=1, max_size=5), t=st.floats(-2.0, 2.0))
+def test_point_evaluate_is_its_row_of_the_stack(fam_name, system_name, units, t):
+    fam = ROW_FAMILIES[fam_name]
+    k, n = fam.k, fam.n
+    box = fam.field.box
+    if system_name == "pairing":  # w = (q, q', x), q' in the box of q
+        box = box[:k] + box[:k] + box[k:]
+    Z = np.array([[lo + u * (hi - lo) for u, (lo, hi) in zip(unit, box)] for unit in units])
+    if system_name == "critical":
+        rows = [(families.critical_system(fam, z[k:]), z[:k]) for z in Z]
+        R, J = families.critical_system(fam, Z[:, k:]).evaluate(Z[:, :k])
+    else:
+        system = {
+            "front": fronts.front_system(families.GraphLikeFamily(base=fam), t),
+            "caustic": fronts.caustic_system(fam),
+            "pairing": fronts.pairing_system(fam),
+        }[system_name]
+        rows = [(system, z) for z in Z]
+        R, J = system.evaluate(Z)
+    for i, (row, z) in enumerate(rows):
+        try:
+            res, jac = row.evaluate(z.tolist())
+        except DomainError:  # a pairing row has a NaN jet for each sheet outside the box
+            assert np.isnan(R[i]).any() and np.isnan(J[i]).any()
+            continue
+        assert type(res) is list and all(type(r) is list for r in jac)
+        assert _bits(res, R[i]) and _bits(jac, J[i])
+
+
+def _rowwise(closure):
+    """A diagram jet that answers coordinate rows column by column, through
+    the point closure on Python floats."""
+
+    def jet(v):
+        if isinstance(v, list):
+            return closure(v)
+        return tuple(np.array(e, dtype=float) for e in zip(*(closure(c) for c in np.asarray(v).T.tolist())))
+
+    return jet
+
+
+@pytest.mark.parametrize("germ", range(1, 7))
+@settings(max_examples=30, deadline=None)
+@given(
+    units=st.lists(st.lists(st.floats(-0.1, 1.1), min_size=4, max_size=4), min_size=1, max_size=5),
+    t=st.floats(-1.0, 1.0),
+)
+def test_gallery_point_evaluate_is_its_row_of_the_stack(germ, units, t):
+    diagram = gallery.gallery_family(germ)
+    diagram = dataclasses.replace(diagram, jet_fn=_rowwise(diagram.jet_fn))
+    chart = ((-1.5, 1.5), (-1.5, 1.5))
+    W = np.array([[lo + u * (hi - lo) for u, (lo, hi) in zip(unit, chart * 2)] for unit in units])
+    # the pairing system has a stacked evaluate
+    pairing = gallery._pairing_system(diagram, t)
+    R, J = pairing.evaluate(W)
+    for w, r, j in zip(W, R, J):
+        res, jac = pairing.evaluate(w.tolist())
+        assert type(res) is list and all(type(row) is list for row in jac)
+        assert _bits(res, r) and _bits(jac, j)
+    # the level system answers points only: mu - t and grad mu, from the
+    # rows of the stacked flat jet, and DomainError outside its chart box
+    level, box = gallery._level_system(diagram, t, ((-1.2, 1.2), (-1.2, 1.2))), ((-1.2, 1.2),) * 2
+    U = W[:, :2]
+    A = fields.flat_jet(diagram.jet_fn)(U)
+    for u, a in zip(U, A):
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(u, box)):
+            with pytest.raises(DomainError):
+                level.evaluate(u.tolist())
+            continue
+        res, jac = level.evaluate(u.tolist())
+        assert _bits(res, a[:1] - t) and _bits(jac, a[None, 1:3])

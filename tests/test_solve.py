@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import tracemalloc
 import warnings
@@ -329,7 +330,7 @@ def test_newton_returns_the_converged_jacobian():
         # values and its last right singular vector, which spans the null
         # space of J_f
         J_f, s_max, s_min, v = last
-        assert J_f.tobytes() != J.tobytes() and s_max == s_min and v.shape == (2,)
+        assert J_f.tobytes() != J.tobytes() and s_max == s_min and np.shape(v) == (2,)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
         assert s_max == pytest.approx(np.linalg.norm(J_f), rel=1e-14)
         assert np.abs(J_f @ v).max() < 1e-14 * s_max
@@ -339,7 +340,7 @@ def test_newton_frozen_coordinates():
     # dF/dq = 3 q^2 - 3 x: the critical system is solved in q at the fixed x
     fam = family_from_text("q1^3 - 3*x1*q1", 1, 1)
     q, J, _ = newton_solve(critical_system(fam, 4.0), np.array([1.0]))
-    assert J.shape == (1, 1)
+    assert np.shape(J) == (1, 1)
     assert q[0] == pytest.approx(2.0, abs=1e-9)
     (cp,) = solve_critical_set(fam, [4.0], [[1.0]])
     assert cp.x[0] == 4.0
@@ -398,8 +399,9 @@ def test_continuation_ends_where_the_system_leaves_its_domain():
     # and the step halvings bring each end within step/16 of the edge
     def evaluate(z):
         if np.abs(z).max() > 1.0:
-            raise DomainError(f"{z.tolist()} is outside the square")
-        return np.array([z @ z - 1.44]), 2 * z[None, :]
+            raise DomainError(f"{z} is outside the square")
+        z = np.array(z)
+        return [z @ z - 1.44], (2 * z[None, :]).tolist()
 
     step = 0.05
     c = continue_curve(System(evaluate), np.full(2, 1.2 / np.sqrt(2)), step=step, max_points=500)
@@ -559,11 +561,11 @@ def test_an_uncertified_tangent_takes_the_exact_rank_test():
     J = J_f.copy()
     J[1, 2] = 1e-9
     tau, reused = solve._tangent(J, last, None)
-    assert not reused and tau.tobytes() == null_space(J)[:, 0].tobytes()
+    assert not reused and np.array(tau).tobytes() == null_space(J)[:, 0].tobytes()
     # a move of the size of s_min: null_space(J) decides the rank, 2 then 1
     J[1, 2] = 1e-6
     tau, reused = solve._tangent(J, last, None)
-    assert not reused and tau.tobytes() == null_space(J)[:, 0].tobytes()
+    assert not reused and np.array(tau).tobytes() == null_space(J)[:, 0].tobytes()
     J[1, 1] = J[1, 2] = 0.0
     with pytest.raises(RankDeficientSeed):
         solve._tangent(J, last, None)
@@ -577,10 +579,10 @@ def test_a_plane_tangent_reads_the_closed_form():
     # tangent is its null vector as it is; an uncertified one with a previous
     # tangent is the closed-form null vector of J under numerical_rank's rule
     J_f = np.diag([1.0, 1e-6, 0.0])[:2]
-    _, s_max, s_min, v = pinv_2x3(J_f, (0.0, 0.0))
+    _, s_max, s_min, v = pinv_2x3(J_f.tolist(), (0.0, 0.0))
     last = J_f, s_max, s_min, v
     tau, reused = solve._tangent(J_f + 1e-15, last, None)
-    assert reused and tau.tobytes() == v.tobytes()
+    assert reused and np.array(tau).tobytes() == np.array(v).tobytes()
     J = J_f.copy()
     J[1, 2] = 1e-9
     prev = np.array([0.1, 0.0, -1.0])
@@ -791,14 +793,15 @@ def _overflow_system() -> System:
     J = np.diag([1e-290, 1e-300])
 
     def evaluate(p):
+        point = isinstance(p, list)  # a point is the list of its floats
         P = np.atleast_2d(p)
         bad = ~np.isfinite(P).all(axis=1)
-        if p.ndim == 1 and bad[0]:
-            raise DomainError(f"point {p.tolist()} leaves the box")
+        if point and bad[0]:
+            raise DomainError(f"point {p} leaves the box")
         R = np.full(P.shape, np.nan)
         R[~bad] = P[~bad] @ J.T + np.array([0.0, -1e10])
         Js = np.where(bad[:, None, None], np.nan, J)
-        return (R[0], Js[0]) if p.ndim == 1 else (R, Js)
+        return (R[0].tolist(), Js[0].tolist()) if point else (R, Js)
 
     return System(evaluate)
 
@@ -822,8 +825,8 @@ def _plane_overflow_system() -> System:
 
     def evaluate(p):
         if not np.isfinite(p).all():
-            raise DomainError(f"point {p.tolist()} leaves the box")
-        return J @ p + np.array([0.0, -1e10]), J
+            raise DomainError(f"point {p} leaves the box")
+        return (J @ p + np.array([0.0, -1e10])).tolist(), J.tolist()
 
     return System(evaluate)
 
@@ -847,9 +850,11 @@ def test_a_safe_svd_step_takes_no_errstate(monkeypatch):
         return errstate(**kwargs)
 
     monkeypatch.setattr(np, "errstate", counted)
-    system = System(
-        lambda z: (np.array([z @ z - 1.0, z[0] - 0.5, z[1] - z[2]]), np.array([2 * z, [1, 0, 0, 0], [0, 1, -1, 0]]))
-    )
+    def evaluate(z):
+        z = np.array(z)
+        return [z @ z - 1.0, z[0] - 0.5, z[1] - z[2]], [(2 * z).tolist(), [1, 0, 0, 0], [0, 1, -1, 0]]
+
+    system = System(evaluate)
     p, _, last = newton_solve(system, [1.0, 1.0, 1.0, 1.0])
     assert np.abs(system.evaluate(p)[0]).max() < solve.NEWTON_TOL and last is not None
     assert entered[0] == 0
@@ -1057,3 +1062,19 @@ def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
     for cp, (q, x, residual, det, corank) in zip(got, expected):
         assert np.array_equal(cp.q, q) and np.array_equal(cp.x, x)
         assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
+
+
+# --- tools/layer_times.py: the per-layer timings of one traced point
+
+
+def test_layer_times_prints_every_layer(capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "layer_times.py"
+    spec = importlib.util.spec_from_file_location("layer_times", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--repeat", "1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == [
+        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point"
+    ]
+    assert all(float(line[1]) > 0.0 and line[2] == "1" for line in lines)
