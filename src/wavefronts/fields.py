@@ -93,15 +93,22 @@ class ScalarField:
 
     def __post_init__(self):
         # built once: the box check runs on every evaluation
-        if self.box is not None:
-            object.__setattr__(self, "_bounds", tuple((float(lo), float(hi)) for lo, hi in self.box))
+        bounds = () if self.box is None else tuple((float(lo), float(hi)) for lo, hi in self.box)
+        object.__setattr__(self, "_bounds", bounds)
+
+    def _check_floats(self, v: list):
+        """DomainError unless the point ``v``, the list of its floats, lies
+        in the box (if any): the bare bounds loop of a point path."""
+        # float comparisons: for a few coordinates much cheaper than array ones
+        for x, (lo, hi) in zip(v, self._bounds):
+            if x < lo or x > hi:
+                raise DomainError(f"point {v} exits the domain box")
 
     def _check_box(self, p, margin: np.ndarray | float = 0.0):
         """DomainError unless the point ``p`` (an array, or the list of its
         floats) lies ``margin`` inside the box."""
         if self.box is None:
             return
-        # float comparisons: for a few coordinates much cheaper than array ones
         v = p.tolist() if isinstance(p, np.ndarray) else p
         if isinstance(margin, np.ndarray) or margin:
             h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
@@ -109,16 +116,14 @@ class ScalarField:
                 if x - d < lo or x + d > hi:
                     raise DomainError(f"point {v} (margin {h}) exits the domain box")
             return
-        for x, (lo, hi) in zip(v, self._bounds):
-            if x < lo or x > hi:
-                raise DomainError(f"point {v} exits the domain box")
+        self._check_floats(v)
 
     def _jet(self, v: list, with_third: bool = False) -> list:
         """``jet_fn`` at the point ``v``, the list of its floats, after one box
         test of them and before one finiteness test of the floats it returns,
         as a list.  An overflow that Python's float ``**`` raises (numpy's
         returns inf) is non-finite too."""
-        self._check_box(v)
+        self._check_floats(v)
         try:
             jet = self.jet_fn(v, with_third)
             # a finite sum has finite terms; only an inf or NaN term, or a
@@ -139,7 +144,7 @@ class ScalarField:
         jet, and an overflow that Python's float ``**`` raises is non-finite."""
         p = np.asarray(point, dtype=float)
         v = p.tolist()
-        self._check_box(v)
+        self._check_floats(v)
         try:
             f = float(self.fn(v if self.jet_fn is not None else p))
         except OverflowError:

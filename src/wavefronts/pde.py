@@ -30,7 +30,11 @@ class QuasiLinearPDE:
     column per strip, and broadcast over it: values to (S,), gradient rows to
     (arity, S), so a constant gradient may be an (arity,) vector.  Only
     ``phi`` may have a domain box, checked at the strip starts: the RK4 steps
-    never check the coefficients', so a boxed ``a[i]`` or ``b`` is refused."""
+    never check the coefficients', so a boxed ``a[i]`` or ``b`` is refused.
+
+    b is a constant zero where its ``fn`` returns a 0-d zero and its
+    ``grad_fn`` an (arity,) vector of zeros; while it is, at every stage,
+    y and dy/dx0 stay put and the RK4 steps advance only dx/dx0 and x."""
 
     n: int
     a: Sequence[ScalarField]  # each arity n + 2, argument order (x..., y, t)
@@ -59,20 +63,28 @@ class GeometricSolutionSheet:
     folds: np.ndarray  # (S,)
 
 
-def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+class _FullRows(Exception):
+    """A pruned run of ``integrate_characteristics`` reached a stage where
+    the rows it leaves out could move: it is rerun with every row."""
+
+
+def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, out: np.ndarray, work: np.ndarray, full: bool) -> None:
     """Batched characteristic + variational right-hand side, written to ``out``.
 
-    Z has one column per strip and the rows [M (n * n, row-major) = dx/dx0;
-    w (n) = dy/dx0; x (n); y; t], so that its last n + 2 rows are the field
-    arguments (x, y, t), passed as a view; ``out`` has the same rows but t.
-    ``work`` is an (n, S) array for the products.
+    Z has one column per strip and the rows [w (n) = dy/dx0; M (n * n,
+    row-major) = dx/dx0; x (n); y; t], so that its last n + 2 rows are the
+    field arguments (x, y, t), passed as a view; ``out`` has the same rows
+    but t.  ``work`` is an (n, S) array for the products.  With ``full``
+    false only the M and x rows are written, and _FullRows is raised
+    unless b is a constant zero here (see ``_constant_zero``), as the rows
+    left out assume; b is called either way.
     """
     n = pde.n
     P = Z[n * n + n :]
-    M = Z[: n * n].reshape(n, n, -1)
-    w = Z[n * n : n * n + n]
-    dM = out[: n * n].reshape(n, n, -1)
-    dw = out[n * n : n * n + n]
+    w = Z[:n]
+    M = Z[n : n * n + n].reshape(n, n, -1)
+    dw = out[:n]
+    dM = out[n : n * n + n].reshape(n, n, -1)
     for i, ai in enumerate(pde.a):
         out[n * n + n + i] = ai.fn(P)
         g = ai.grad_fn(P)
@@ -80,12 +92,23 @@ def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, out: np.ndarray, work: np.ndarray) 
         np.multiply(g[n], w, out=dM[i])
         for k in range(n):
             dM[i] += np.multiply(g[k], M[k], out=work)
-    out[-1] = pde.b.fn(P)
-    g = pde.b.grad_fn(P)
+    value, g = pde.b.fn(P), pde.b.grad_fn(P)
+    if not full:
+        if not _constant_zero(value, g, n + 2):
+            raise _FullRows
+        return
+    out[-1] = value
     # dw_j = sum_i M_ij b_x_i + b_y w_j
     np.multiply(g[n], w, out=dw)
     for i in range(n):
         dw += np.multiply(M[i], g[i], out=work)
+
+
+def _constant_zero(value, grad, arity: int) -> bool:
+    """Whether b returned a constant zero: a 0-d zero value and an
+    (arity,) gradient of zeros.  A NaN is not zero."""
+    # a float has no ndim, and a list or tuple is never == 0
+    return getattr(value, "ndim", 0) == 0 and value == 0 and np.shape(grad) == (arity,) and not np.count_nonzero(grad)
 
 
 def step_count(t_range, dt: float) -> int:
@@ -122,15 +145,22 @@ def integrate_characteristics(
     at once; ``t_range[0]`` must be 0.
 
     The state of all strips is one packed array (see ``_rhs``); the stages
-    are preallocated and written in place.  For each time in ``keep`` (each
-    in ``[0, t_range[1]]``, or up to the last step's time where that is
-    later) the sheet holds the (x, y, det) slice at the nearest step, the one
-    minimising ``|ts - t|`` over the accumulated step times ``ts``.  Nothing
-    else of the history is stored.  Each strip's fold time is the root
-    ``ta + (tb - ta) * da / (da - db)`` of the linear interpolant over its
-    first step ``[ta, tb]`` on which det goes from ``da`` to ``db`` of the
-    strictly opposite sign.  A step that leaves |x| or |y| above ``BLOWUP``
-    raises BlowUp; one that leaves a NaN in x, y or det raises NonFiniteValue.
+    are preallocated and written in place.  While b is a constant zero (see
+    ``QuasiLinearPDE``) only the dx/dx0 and x rows are advanced.  A stage
+    that finds b nonzero, or a step that leaves dx/dx0 not finite, has the
+    run redone from the datum with every row, and so has a datum with a y
+    of -0.0 from the start, so the sheet is always the one every row gives.
+
+    For each time in ``keep`` (each in ``[0, t_range[1]]``, or up to the
+    last step's time where that is later) the sheet holds the (x, y, det)
+    slice at the nearest step, the one minimising ``|ts - t|`` over the
+    accumulated step times ``ts``.  Nothing else of the history is stored.
+    Each strip's fold time is the root ``ta + (tb - ta) * da / (da - db)``
+    of the linear interpolant over its first step ``[ta, tb]`` on which det
+    goes from ``da`` to ``db`` of the strictly opposite sign.  A step that
+    leaves |x| or |y| above ``BLOWUP`` raises BlowUp, naming the strip with
+    the largest of them; one that leaves a NaN in x, y or det raises
+    NonFiniteValue.
     """
     if float(t_range[0]) != 0.0:
         raise ValueError(f"the datum is at t = 0, but t_range starts at {t_range[0]}")
@@ -148,80 +178,103 @@ def integrate_characteristics(
     n = pde.n
     X0 = np.asarray(x0_grid, dtype=float).reshape(-1, n)
     S = len(X0)
-    # the packed state and the stage state (see _rhs), and their rows that
-    # RK4 advances: all but t
-    Z, Zs = np.empty((2 * n + 2 + n * n, S)), np.empty((2 * n + 2 + n * n, S))
-    state, stage = Z[:-1], Zs[:-1]
-    M, x, y, xy = Z[: n * n].reshape(n, n, S), Z[n * n + n : -2], Z[-2], Z[n * n + n : -1]
-    M[...] = np.eye(n)[:, :, None]
-    x[...] = X0.T
-    y[...], Z[n * n : n * n + n] = _datum(pde.phi, X0)
-    K1, K2, K3, K4 = (np.empty_like(state) for _ in range(4))
-    work = np.empty((n, S))
-
+    y0, w0 = _datum(pde.phi, X0)
     XS = np.empty((keep.size, S, n))
     YS = np.empty((keep.size, S))
     DETS = np.empty((keep.size, S))
-    folds = np.full(S, np.nan)
-    unfolded = np.ones(S, dtype=bool)
 
-    def det():
-        return M[0, 0].copy() if n == 1 else np.linalg.det(M.transpose(2, 0, 1))
+    def march(full: bool) -> np.ndarray:
+        """The steps from the datum, filling the kept slices; returns the
+        fold times.  With ``full`` false RK4 advances only the M and x rows
+        and raises _FullRows where those could differ from all rows'."""
+        # the packed state (see _rhs), the stage state, and their rows that
+        # RK4 advances: all but t, or only M and x while b is a constant zero
+        Z = np.empty((2 * n + 2 + n * n, S))
+        w, M, x, y, xy = Z[:n], Z[n : n * n + n].reshape(n, n, S), Z[n * n + n : -2], Z[-2], Z[n * n + n : -1]
+        M[...] = np.eye(n)[:, :, None]
+        x[...] = X0.T
+        y[...], w[...] = y0, w0
+        Zs = Z.copy()  # its w and y rows stay those of Z in a pruned run
+        state, stage = (Z[:-1], Zs[:-1]) if full else (Z[n:-2], Zs[n:-2])
+        Ks = [np.empty((2 * n + 1 + n * n, S)) for _ in range(4)]
+        K1, K2, K3, K4 = (K if full else K[n:-1] for K in Ks)
+        work = np.empty((n, S))
+        folds = np.full(S, np.nan)
+        unfolded = np.ones(S, dtype=bool)
 
-    def record(step, d):
-        for r in rows.get(step, ()):
-            XS[r] = x.T
-            YS[r] = y
-            DETS[r] = d
+        def det():
+            return M[0, 0].copy() if n == 1 else np.linalg.det(M.transpose(2, 0, 1))
 
-    d = det()
-    sign, sign_next, change = np.sign(d), np.empty(S), np.empty(S)
-    record(0, d)
-    for step in range(1, steps + 1):
-        t = ts[step - 1]
-        Z[-1] = t
-        _rhs(pde, Z, K1, work)
-        np.multiply(K1, dt / 2, out=stage)
-        stage += state
-        Zs[-1] = t + dt / 2
-        _rhs(pde, Zs, K2, work)
-        np.multiply(K2, dt / 2, out=stage)
-        stage += state
-        _rhs(pde, Zs, K3, work)
-        np.multiply(K3, dt, out=stage)
-        stage += state
-        Zs[-1] = t + dt
-        _rhs(pde, Zs, K4, work)
-        # Z += dt / 6 * (K1 + 2 K2 + 2 K3 + K4)
-        K2 *= 2
-        K1 += K2
-        K3 *= 2
-        K1 += K3
-        K1 += K4
-        K1 *= dt / 6
-        state += K1
-        # np.max and np.min propagate NaN, so one pass over (x, y) and one
-        # over the sign changes of det find it
-        big = np.max(np.abs(xy))
-        if big > BLOWUP:
-            worst = int(np.argmax(np.max(np.abs(x), axis=0)))
-            raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={ts[step]}")
-        d_next = det()
-        # the sign changes of det, NaN where it is NaN
-        np.sign(d_next, out=sign_next)
-        least = np.min(np.multiply(sign, sign_next, out=change))
-        if np.isnan(big + least):
-            worst = int(np.argmax(np.isnan(xy).any(axis=0) | np.isnan(d_next)))
-            raise NonFiniteValue(f"trajectory from x0={X0[worst]!r} is NaN at t={ts[step]}")
-        if least < 0:
-            # a first strict sign change: +1 against -1 (a zero is neither)
-            i = np.flatnonzero((change < 0) & unfolded)
-            ta, tb = ts[step - 1], ts[step]
-            da, db = d[i], d_next[i]
-            folds[i] = ta + (tb - ta) * da / (da - db)
-            unfolded[i] = False
-        record(step, d_next)
-        d, sign, sign_next = d_next, sign_next, sign
+        def record(step, d):
+            for r in rows.get(step, ()):
+                XS[r] = x.T
+                YS[r] = y
+                DETS[r] = d
+
+        d = det()
+        sign, sign_next, change = np.sign(d), np.empty(S), np.empty(S)
+        record(0, d)
+        for step in range(1, steps + 1):
+            t = ts[step - 1]
+            Z[-1] = t
+            _rhs(pde, Z, Ks[0], work, full)
+            np.multiply(K1, dt / 2, out=stage)
+            stage += state
+            Zs[-1] = t + dt / 2
+            _rhs(pde, Zs, Ks[1], work, full)
+            np.multiply(K2, dt / 2, out=stage)
+            stage += state
+            _rhs(pde, Zs, Ks[2], work, full)
+            np.multiply(K3, dt, out=stage)
+            stage += state
+            Zs[-1] = t + dt
+            _rhs(pde, Zs, Ks[3], work, full)
+            # Z += dt / 6 * (K1 + 2 K2 + 2 K3 + K4)
+            K2 *= 2
+            K1 += K2
+            K3 *= 2
+            K1 += K3
+            K1 += K4
+            K1 *= dt / 6
+            state += K1
+            # np.max and np.min propagate NaN, so one pass over (x, y) and one
+            # over the sign changes of det find it
+            big = np.max(np.abs(xy))
+            if big > BLOWUP:
+                worst = int(np.argmax(np.max(np.abs(xy), axis=0)))
+                raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={ts[step]}")
+            if not full and not np.isfinite(M).all():
+                # all rows' w would take b's zero gradient times inf: NaN
+                raise _FullRows
+            d_next = det()
+            # the sign changes of det, NaN where it is NaN
+            np.sign(d_next, out=sign_next)
+            least = np.min(np.multiply(sign, sign_next, out=change))
+            if np.isnan(big + least):
+                worst = int(np.argmax(np.isnan(xy).any(axis=0) | np.isnan(d_next)))
+                raise NonFiniteValue(f"trajectory from x0={X0[worst]!r} is NaN at t={ts[step]}")
+            if least < 0:
+                # a first strict sign change: +1 against -1 (a zero is neither)
+                i = np.flatnonzero((change < 0) & unfolded)
+                ta, tb = ts[step - 1], ts[step]
+                da, db = d[i], d_next[i]
+                folds[i] = ta + (tb - ta) * da / (da - db)
+                unfolded[i] = False
+            record(step, d_next)
+            d, sign, sign_next = d_next, sign_next, sign
+        return folds
+
+    folds = None
+    # all rows add b's zero to y, which turns a -0.0 into 0.0 that a reads;
+    # w's zeros may change sign too, but w reaches the sheet only through
+    # additions to M, whose entries are never -0.0
+    if not np.signbit(y0[y0 == 0]).any():
+        try:
+            folds = march(full=False)
+        except _FullRows:
+            pass  # rerun below, once the given-up run's arrays are freed
+    if folds is None:
+        folds = march(full=True)
     return GeometricSolutionSheet(pde=pde, dt=dt, ts=keep, xs=XS, ys=YS, dets=DETS, folds=folds)
 
 

@@ -339,3 +339,189 @@ def test_datum_block_checks_raise_the_per_point_errors():
         pde.integrate_characteristics(pde.QuasiLinearPDE(1, (a,), b, pole), [1.0, 0.0], (0, 0.1), 1e-2, [0.1])
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue):
         pole.value([0.0])
+
+
+def test_blowup_names_the_strip_whose_y_crosses():
+    # y' = y^2 from y0 = 1 / x0: the strip from 0.5 blows up at t = 0.5, while
+    # x stays at x0 and the strip from 2.0 has the larger |x|
+    a = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    b = ScalarField(3, lambda p: p[1] ** 2, lambda p: np.stack([0 * p[0], 2 * p[1], 0 * p[0]]))
+    phi = ScalarField(1, lambda p: 1 / p[0], lambda p: -1 / p[:1] ** 2)
+    eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
+    with pytest.raises(BlowUp, match=r"x0=array\(\[0\.5\]\) exceeded 1000\.0 at t=0\.5"):
+        pde.integrate_characteristics(eq, [0.5, 2.0], (0, 1.0), 1e-3, [1.0])
+
+
+def _full_row_rhs(eq, Z, out, work):
+    """The right-hand side on the rows [M; w; x; y; t], every row written."""
+    n = eq.n
+    P = Z[n * n + n :]
+    M = Z[: n * n].reshape(n, n, -1)
+    w = Z[n * n : n * n + n]
+    dM = out[: n * n].reshape(n, n, -1)
+    dw = out[n * n : n * n + n]
+    for i, ai in enumerate(eq.a):
+        out[n * n + n + i] = ai.fn(P)
+        g = ai.grad_fn(P)
+        np.multiply(g[n], w, out=dM[i])
+        for k in range(n):
+            dM[i] += np.multiply(g[k], M[k], out=work)
+    out[-1] = eq.b.fn(P)
+    g = eq.b.grad_fn(P)
+    np.multiply(g[n], w, out=dw)
+    for i in range(n):
+        dw += np.multiply(M[i], g[i], out=work)
+
+
+def _full_row_characteristics(eq, x0_grid, t_range, dt, keep):
+    """The RK4 loop that advances every row of the state on every step: the
+    reference for ``integrate_characteristics``, which advances only M and x
+    while b is a constant zero.  Returns ``(xs, ys, dets, folds)``."""
+    steps = pde.step_count(t_range, dt)
+    ts = np.concatenate(([0.0], np.cumsum(np.full(steps, dt))))
+    keep = np.asarray(keep, dtype=float).reshape(-1)
+    rows = {}
+    for r, t_keep in enumerate(keep):
+        rows.setdefault(int(np.argmin(np.abs(ts - t_keep))), []).append(r)
+    n = eq.n
+    X0 = np.asarray(x0_grid, dtype=float).reshape(-1, n)
+    S = len(X0)
+    Z, Zs = np.empty((2 * n + 2 + n * n, S)), np.empty((2 * n + 2 + n * n, S))
+    state, stage = Z[:-1], Zs[:-1]
+    M, x, y, xy = Z[: n * n].reshape(n, n, S), Z[n * n + n : -2], Z[-2], Z[n * n + n : -1]
+    M[...] = np.eye(n)[:, :, None]
+    x[...] = X0.T
+    y[...], Z[n * n : n * n + n] = pde._datum(eq.phi, X0)
+    K1, K2, K3, K4 = (np.empty_like(state) for _ in range(4))
+    work = np.empty((n, S))
+    XS, YS, DETS = np.empty((keep.size, S, n)), np.empty((keep.size, S)), np.empty((keep.size, S))
+    folds = np.full(S, np.nan)
+    unfolded = np.ones(S, dtype=bool)
+
+    def det():
+        return M[0, 0].copy() if n == 1 else np.linalg.det(M.transpose(2, 0, 1))
+
+    def record(step, d):
+        for r in rows.get(step, ()):
+            XS[r], YS[r], DETS[r] = x.T, y, d
+
+    d = det()
+    record(0, d)
+    for step in range(1, steps + 1):
+        t = ts[step - 1]
+        Z[-1] = t
+        _full_row_rhs(eq, Z, K1, work)
+        np.multiply(K1, dt / 2, out=stage)
+        stage += state
+        Zs[-1] = t + dt / 2
+        _full_row_rhs(eq, Zs, K2, work)
+        np.multiply(K2, dt / 2, out=stage)
+        stage += state
+        _full_row_rhs(eq, Zs, K3, work)
+        np.multiply(K3, dt, out=stage)
+        stage += state
+        Zs[-1] = t + dt
+        _full_row_rhs(eq, Zs, K4, work)
+        K2 *= 2
+        K1 += K2
+        K3 *= 2
+        K1 += K3
+        K1 += K4
+        K1 *= dt / 6
+        state += K1
+        big = np.max(np.abs(xy))
+        if big > pde.BLOWUP:
+            worst = int(np.argmax(np.max(np.abs(xy), axis=0)))
+            raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {pde.BLOWUP} at t={ts[step]}")
+        d_next = det()
+        change = np.sign(d) * np.sign(d_next)
+        if np.isnan(big + np.min(change)):
+            worst = int(np.argmax(np.isnan(xy).any(axis=0) | np.isnan(d_next)))
+            raise NonFiniteValue(f"trajectory from x0={X0[worst]!r} is NaN at t={ts[step]}")
+        i = np.flatnonzero((change < 0) & unfolded)
+        folds[i] = ts[step - 1] + (ts[step] - ts[step - 1]) * d[i] / (d[i] - d_next[i])
+        unfolded[i] = False
+        record(step, d_next)
+        d = d_next
+    return XS, YS, DETS, folds
+
+
+def _outcome(integrate, *args):
+    """What ``integrate(*args)`` returns, or the type and text of its error."""
+    try:
+        return integrate(*args)
+    except (BlowUp, NonFiniteValue) as e:
+        return type(e), str(e)
+
+
+def _assert_the_full_row_sheet(eq, x0, t_range, dt, keep, monkeypatch):
+    """``integrate_characteristics`` gives the reference's sheet bit for bit,
+    signs of zero included, or its error; returns the ``full`` flag of each
+    ``_rhs`` call it made."""
+    calls = []
+    rhs = pde._rhs
+
+    def logged(eq, Z, out, work, full):
+        calls.append(full)
+        return rhs(eq, Z, out, work, full)
+
+    monkeypatch.setattr(pde, "_rhs", logged)
+    want = _outcome(_full_row_characteristics, eq, x0, t_range, dt, keep)
+    sheet = _outcome(pde.integrate_characteristics, eq, x0, t_range, dt, keep)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert sheet == want
+        return calls
+    for got, ref in zip((sheet.xs, sheet.ys, sheet.dets, sheet.folds), want):
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    return calls
+
+
+def _t_switch_b():
+    """b is a 0-d 0.0 before t = 0.05 and a 0-d 1.0 from then on."""
+    return ScalarField(3, lambda p: 0.0 if p[2][0] < 0.05 else 1.0, lambda p: np.zeros(3))
+
+
+def _overflowing_m():
+    """x' = 1000 sin x: the strip from 0 stays put while dx/dx0 = e^{1000 t}
+    overflows, and the full rows' w takes 0 * inf."""
+    a = ScalarField(3, lambda p: 1000 * np.sin(p[0]), lambda p: np.stack([1000 * np.cos(p[0]), 0 * p[0], 0 * p[0]]))
+    b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
+    return pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
+
+
+_GRID = np.linspace(0, 2 * np.pi, 40)
+_GRID_2D = {axis: [(u, v) if axis == 0 else (v, u) for u in _GRID for v in (-1.0, 0.5)] for axis in (0, 1)}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["burgers-6000", "transport", "burgers-2d-0", "burgers-2d-1", "x-prime-x", "curved", "b-switches-on",
+     "m-overflows", "negative-zero-datum"],
+)
+def test_pruned_rows_give_the_full_row_sheet(case, monkeypatch):
+    zero = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    sine = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
+    x_prime_x = ScalarField(3, lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]))
+    eq, x0, t_end, dt, pruned = {
+        "burgers-6000": (pde.burgers(), np.linspace(0, 2 * np.pi, 6000), 0.7, 1e-3, True),
+        "transport": (pde.transport(), _GRID, 1.0, 1e-2, True),
+        "burgers-2d-0": (_burgers_2d(0), _GRID_2D[0], 1.2, 1e-2, True),
+        "burgers-2d-1": (_burgers_2d(1), _GRID_2D[1], 1.2, 1e-2, True),
+        "x-prime-x": (pde.QuasiLinearPDE(1, (x_prime_x,), zero, sine), [-1.0, 2.0], 1.0, 1e-2, True),
+        "curved": (_curved_pde(), _GRID, 1.0, 1e-2, False),
+        "b-switches-on": (pde.QuasiLinearPDE(1, pde.burgers().a, _t_switch_b(), sine), _GRID, 1.0, 1e-2, False),
+        "m-overflows": (_overflowing_m(), [0.0], 2.0, 1e-2, False),
+        "negative-zero-datum": (pde.burgers(), [-0.0, 0.0, 1.0], 1.0, 1e-2, None),
+    }[case]
+    keep = _step_times(t_end, dt)[:: max(1, pde.step_count((0, t_end), dt) // 7)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        calls = _assert_the_full_row_sheet(eq, x0, (0, t_end), dt, keep, monkeypatch)
+    if pruned is None:  # a -0.0 in the datum: every row from the start
+        assert all(calls)
+    elif pruned:
+        assert not any(calls)
+    else:  # a pruned run, given up at a stage, then every row from the datum
+        given_up = calls.index(True)
+        assert given_up > 0 and calls == [False] * given_up + [True] * (len(calls) - given_up)

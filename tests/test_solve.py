@@ -1064,7 +1064,7 @@ def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
         assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
 
 
-# --- tools/layer_times.py: the per-layer timings of one traced point
+# --- tools/layer_times.py: the per-layer timings of one traced point and one RK4 step
 
 
 def test_layer_times_prints_every_layer(capsys):
@@ -1075,6 +1075,6 @@ def test_layer_times_prints_every_layer(capsys):
     assert module.main(["--repeat", "1"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == [
-        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point"
+        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "rk4_step"
     ]
     assert all(float(line[1]) > 0.0 and line[2] == "1" for line in lines)

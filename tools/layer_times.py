@@ -1,4 +1,5 @@
-"""Median microseconds of the layers of one traced point of the cusp front.
+"""Median microseconds of the layers of one traced point of the cusp front,
+and of one RK4 step of the Burgers characteristics.
 
 Usage:  python3 tools/layer_times.py [--repeat N]
 
@@ -13,12 +14,16 @@ the predicted point z + h tau one ``fronts.TRACE_STEP`` along its tangent:
     newton_solve     one ``solve.newton_solve`` from the predicted point
     traced_point     one point of ``solve.continue_curve`` from z (at most
                      200 points each way), its time over its points
+    rk4_step         one step of ``pde.integrate_characteristics`` on
+                     ``pde.burgers()`` at 6000 strips over t = 0:0.7:0.001
+                     (the ``grid`` benchmark's scene), its time over its
+                     700 steps
 
 Each line is ``name  median_us  runs x calls``: the median over ``--repeat``
 runs (default 15) of the mean time of one call in a run, a run being enough
-calls to take about 20 ms (one call for ``traced_point``).  The package is
-imported from the ``src/`` next to this file; numpy and the standard library
-only.  Takes about 5 s at the default repeat count.
+calls to take about 20 ms (one call for ``traced_point`` and ``rk4_step``).
+The package is imported from the ``src/`` next to this file; numpy and the
+standard library only.  Takes about 3 s at the default repeat count.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from wavefronts import families, fronts, linalg, solve  # noqa: E402
+from wavefronts import families, fronts, linalg, pde, solve  # noqa: E402
 
 RUN_SECONDS = 0.02
 T = 0.5
+# the Burgers scene: strips and RK4 steps over t = 0:0.7:0.001
+STRIPS, DT, STEPS = 6000, 1e-3, 700
 # q and x1 of the front point; x2 solves dF/dq = 0 there
 Q, X1 = 0.9, -1.0
 
@@ -61,7 +68,7 @@ def calls_per_run(fn) -> int:
 
 
 def layers():
-    """``(name, fn, traced points per call)`` of each layer."""
+    """``(name, fn, traced points or steps per call)`` of each layer."""
     gl = families.GraphLikeFamily(base=families.catalog()["cusp"])
     system = fronts.front_system(gl, T)
     x2 = -(4 * Q**3 + 2 * X1 * Q)
@@ -74,6 +81,7 @@ def layers():
     res, jac = system.evaluate(pred)
     fld = gl.base.field
     curve = solve.continue_curve(system, z, fronts.TRACE_STEP, 200)
+    burgers, x0 = pde.burgers(), np.linspace(0, 2 * np.pi, STRIPS)
     return [
         ("jet", lambda: fld.jet(pred, 0), 1),
         ("evaluate", lambda: system.evaluate(pred), 1),
@@ -81,6 +89,7 @@ def layers():
         ("pinv_2x3", lambda: linalg.pinv_2x3(jac, res), 1),
         ("newton_solve", lambda: solve.newton_solve(system, pred), 1),
         ("traced_point", lambda: solve.continue_curve(system, z, fronts.TRACE_STEP, 200), len(curve.points)),
+        ("rk4_step", lambda: pde.integrate_characteristics(burgers, x0, (0, STEPS * DT), DT, [STEPS * DT]), STEPS),
     ]
 
 
