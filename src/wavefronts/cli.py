@@ -116,6 +116,13 @@ def load_curve(args) -> geometry.PlaneCurve:
         raise ValidationError(f"unknown curve {args.curve!r}: choose from {sorted(kinds)}")
     _finite("--a", args.a)
     _finite("--b", args.b)
+    # a non-positive semi-axis would reverse or collapse the curve, and with
+    # it the outward normal and the sign of every offset
+    if args.curve != "parabola" and not args.a > 0:
+        axis = "radius" if args.curve == "circle" else "semi-axis"
+        raise ValidationError(f"--a {args.a} is the {args.curve}'s {axis}: it must be positive")
+    if args.curve == "ellipse" and not args.b > 0:
+        raise ValidationError(f"--b {args.b} is the ellipse's semi-axis: it must be positive")
     if args.curve == "circle":
         return geometry.Circle(radius=args.a)
     if args.curve == "ellipse":
@@ -193,18 +200,15 @@ def _emit(args, parts, n: int, k: int, extra=()) -> None:
     """Write one list of chains ``(t, X, Q, label)``, each with one t or a
     column of them.  The CSV lists their rows in chain order; the SVG draws
     one polyline per chain when n = 2 (x-space is a plane), then the
-    ``extra`` ``(points, class)`` polylines."""
+    ``extra`` ``(points, class)`` polylines.  A chain's x columns are
+    formatted once: the SVG draws from the text the CSV printed them as."""
+    texts = [None] * len(parts)
     if args.csv:
-        sizes = [len(X) for _, X, _, _ in parts]
-        t = np.concatenate([np.zeros(0)] + [np.broadcast_to(t, (m,)) for (t, *_), m in zip(parts, sizes)])
-        X = np.concatenate([np.zeros((0, n))] + [X for _, X, _, _ in parts])
-        Q = np.concatenate([np.zeros((0, k))] + [Q for _, _, Q, _ in parts])
-        labels = np.repeat(np.array([label for *_, label in parts], dtype=object), sizes)
-        emit_csv((t, X, Q, labels), n, k, args.csv)
+        texts = emit_csv(parts, n, k, args.csv)
         print(f"wrote {args.csv}")
     if args.svg:
-        chains = [(X, label) for _, X, _, label in parts] if n == 2 else []
-        emit_svg(chains + list(extra), args.svg)
+        chains = [(X, label, text) for (_, X, _, label), text in zip(parts, texts)] if n == 2 else []
+        emit_svg(chains + [(pts, cls, None) for pts, cls in extra], args.svg)
         print(f"wrote {args.svg}")
 
 

@@ -33,6 +33,9 @@ MIN_KAPPA = 1e-10
 U_SPAN = 30.0
 # tangent_sphere_check: the least tolerance on |X(u) - v|^2 - r^2
 RADIUS_TOL = 1e-8
+# the largest |X'| whose cube curvature takes: a hair under the cube root of
+# the largest float, so every cube at or below it is finite
+MAX_SPEED = float(np.finfo(float).max) ** (1 / 3)
 
 
 class PlaneCurve:
@@ -65,7 +68,11 @@ class PlaneCurve:
 
     def curvature(self, u):
         d, dd = self.d1(u).T, self.d2(u).T
-        cube = np.hypot(d[0], d[1]) ** 3
+        speed = np.hypot(d[0], d[1])
+        fast = speed > MAX_SPEED
+        if np.count_nonzero(fast):
+            raise DegenerateMetric(f"|X'|^3 overflows at u={np.extract(fast, u)[0]}")
+        cube = speed**3
         vanishing = cube < 1e-14
         if np.count_nonzero(vanishing):
             raise DegenerateMetric(f"vanishing speed at u={np.extract(vanishing, u)[0]}")

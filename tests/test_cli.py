@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavefronts import cli, emitters, families, fronts, gallery, pde
@@ -299,6 +300,29 @@ def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["parallels", "--curve", "ellipse", "--a", "0", "--r", " -1:-1:1"], 2),
+        (["parallels", "--curve", "ellipse", "--a", "-2", "--r", " -1:-1:1"], 2),
+        (["parallels", "--curve", "ellipse", "--b=-1e-300", "--r", " -1:-1:1"], 2),
+        (["evolute", "--curve", "circle", "--a", "-1"], 2),
+        (["evolute", "--curve", "ellipse", "--b", "0"], 2),
+        # |X'|^3 overflows: the curvature there would be a silent 0
+        (["parallels", "--curve", "ellipse", "--a", "1e110", "--b", "1", "--r", " -1:-1:1"], 1),
+        (["evolute", "--curve", "circle", "--a", "1e110"], 1),
+    ],
+)
+def test_curve_inputs_fail_without_numpy_warnings(argv, code, capsys, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--csv", str(tmp_path / "c.csv")]) == code
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == [] and "Warning" not in captured.err
+    assert ("invalid arguments:" if code == 2 else "error[DegenerateMetric]") in captured.err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["burgers", "--t", "0:0.1:0.01", "--tol", "1e-3"],
@@ -486,18 +510,18 @@ def test_q_seeds_cover_asymmetric_domain(tmp_path, capsys):
 
 def test_emit_csv_empty_has_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emitters.emit_csv((0.0, np.zeros((0, 3)), np.zeros((0, 2)), "x"), 3, 2, path)
+    emitters.emit_csv([(0.0, np.zeros((0, 3)), np.zeros((0, 2)), "x")], 3, 2, path)
     assert path.read_text() == "t,x1,x2,x3,q1,q2,label\n"
 
 
 def test_emit_csv_rejects_non_finite(tmp_path):
     with pytest.raises(IoError):
-        emitters.emit_csv((np.nan, [[0.0, 0.0]], [[0.0]], "x"), 2, 1, tmp_path / "bad.csv")
+        emitters.emit_csv([(np.nan, [[0.0, 0.0]], [[0.0]], "x")], 2, 1, tmp_path / "bad.csv")
 
 
 def test_emit_svg_two_point_curve(tmp_path):
     path = tmp_path / "two.svg"
-    emitters.emit_svg([(np.array([[0.0, 0.0], [1.0, 2.0]]), "front")], path)
+    emitters.emit_svg([(np.array([[0.0, 0.0], [1.0, 2.0]]), "front", None)], path)
     body = path.read_text()
     assert body.count("<polyline") == 1
     # y axis flipped
@@ -506,7 +530,7 @@ def test_emit_svg_two_point_curve(tmp_path):
 
 def test_emit_svg_rejects_unknown_class(tmp_path):
     with pytest.raises(IoError):
-        emitters.emit_svg([(np.zeros((2, 2)), "bogus")], tmp_path / "bad.svg")
+        emitters.emit_svg([(np.zeros((2, 2)), "bogus", None)], tmp_path / "bad.svg")
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +557,18 @@ def _ref_fmt(values):
     return out
 
 
-def _ref_csv(table, n, k):
-    t, X, Q, labels = table
-    ts = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
-    labels = [labels] * len(X) if isinstance(labels, str) else labels
+def _ref_csv(chains, n, k):
     lines = [emitters.csv_header(n, k)]
-    for ti, x, q, label in zip(ts.tolist(), X.tolist(), Q.tolist(), labels):
-        lines.append(",".join(_ref_fmt([ti, *x, *q]) + [label]))
+    for t, X, Q, labels in chains:
+        ts = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
+        labels = [labels] * len(X) if isinstance(labels, str) else labels
+        for ti, x, q, label in zip(ts.tolist(), X.tolist(), Q.tolist(), labels):
+            lines.append(",".join(_ref_fmt([ti, *x, *q]) + [label]))
     return "\n".join(lines) + "\n"
 
 
 def _ref_svg(curves):
-    pts_all = [p for p, _ in curves if len(p)]
+    pts_all = [p for p, *_ in curves if len(p)]
     if pts_all:
         allp = np.vstack(pts_all)
         _ref_fmt(allp.ravel().tolist())
@@ -562,7 +586,7 @@ def _ref_svg(curves):
         f'viewBox="{" ".join(vb)}">',
         f"<style>{emitters._STYLE} polyline{{stroke-width:{stroke}}}</style>",
     ]
-    for pts, cls in curves:
+    for pts, cls, *_ in curves:
         if len(pts):
             xs, ys = _ref_fmt(pts[:, 0].tolist()), _ref_fmt((-pts[:, 1]).tolist())
             coords = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
@@ -599,7 +623,7 @@ def _tables(draw):
 @st.composite
 def _curves(draw):
     sizes = draw(st.lists(st.integers(0, 8), max_size=4))
-    return [(_matrix(draw, m, 2), draw(st.sampled_from(emitters.STROKE_CLASSES))) for m in sizes]
+    return [(_matrix(draw, m, 2), draw(st.sampled_from(emitters.STROKE_CLASSES)), None) for m in sizes]
 
 
 @settings(max_examples=200, deadline=None)
@@ -608,8 +632,8 @@ def test_emit_csv_matches_the_per_value_oracle(case):
     table, n, k = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        emitters.emit_csv(table, n, k, path)
-        _assert_same_text(path.read_text(), _ref_csv(table, n, k))
+        emitters.emit_csv([table], n, k, path)
+        _assert_same_text(path.read_text(), _ref_csv([table], n, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -635,11 +659,74 @@ def test_emitters_format_across_blocks(tmp_path):
     rows = 2 * emitters.BLOCK_ROWS + 3
     X = np.linspace(-1.0, 1.0, 2 * rows).reshape(rows, 2) * 1e-3
     table = (np.arange(rows) * 0.1, X, X[:, :1], [emitters.STROKE_CLASSES[i % 4] for i in range(rows)])
-    emitters.emit_csv(table, 2, 1, tmp_path / "big.csv")
-    _assert_same_text((tmp_path / "big.csv").read_text(), _ref_csv(table, 2, 1))
-    curves = [(X[:5], "caustic"), (X, "front"), (X[::-1], "maxwell")]
+    emitters.emit_csv([table], 2, 1, tmp_path / "big.csv")
+    _assert_same_text((tmp_path / "big.csv").read_text(), _ref_csv([table], 2, 1))
+    curves = [(X[:5], "caustic", None), (X, "front", None), (X[::-1], "maxwell", None)]
     emitters.emit_svg(curves, tmp_path / "big.svg")
     _assert_same_text((tmp_path / "big.svg").read_text(), _ref_svg(curves))
+
+
+@st.composite
+def _emit_cases(draw):
+    """``(chains, n, k, extra, outputs)`` for ``cli._emit``: chains of 0-8
+    rows with one t or a column, extra polylines, and which files to write.
+    A chain has a list of labels only where no SVG draws it."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    outputs = draw(st.sampled_from([("csv",), ("svg",), ("csv", "svg")]))
+    chains = []
+    for rows in draw(st.lists(st.integers(0, 8), max_size=4)):
+        t = draw(_FLOATS) if draw(st.booleans()) else _matrix(draw, rows, 1)[:, 0]
+        label = draw(st.sampled_from(emitters.STROKE_CLASSES))
+        if (n != 2 or "svg" not in outputs) and draw(st.booleans()):
+            label = draw(st.lists(st.sampled_from(emitters.STROKE_CLASSES), min_size=rows, max_size=rows))
+        chains.append((t, _matrix(draw, rows, n), _matrix(draw, rows, k), label))
+    extra = [(pts, cls) for pts, cls, _ in draw(_curves())]
+    return chains, n, k, extra, outputs
+
+
+# every edge value but +-1.8e308, whose margin overflows and makes the SVG refused
+_EDGE_SPAN = np.array([v for v in _EDGE_FLOATS if abs(v) < 1e308])
+_EDGE_ALL = np.array(_EDGE_FLOATS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_emit_cases())
+@example((
+    [(-0.0, np.column_stack([_EDGE_SPAN, _EDGE_SPAN[::-1]]), _EDGE_SPAN[:, None], "front"),
+     (0.0, np.zeros((0, 2)), np.zeros((0, 1)), "caustic")],
+    2, 1, [(np.column_stack([_EDGE_SPAN, -_EDGE_SPAN])[:3], "caustic")], ("csv", "svg"),
+))
+@example(([(_EDGE_SPAN, np.column_stack([-_EDGE_SPAN, _EDGE_SPAN]), np.zeros((15, 2)), "maxwell")],
+          2, 2, [], ("svg",)))
+@example(([(_EDGE_ALL, np.column_stack([_EDGE_ALL, _EDGE_ALL[::-1]]), _EDGE_ALL[:, None], "front")],
+          2, 1, [], ("csv", "svg")))
+@example(([(_EDGE_ALL, np.column_stack([_EDGE_ALL, -_EDGE_ALL, _EDGE_ALL[::-1]]), _EDGE_ALL[:, None],
+            [emitters.STROKE_CLASSES[i % 4] for i in range(17)])], 3, 1, [], ("csv", "svg")))
+@example(([(_EDGE_ALL, _EDGE_ALL[:, None], np.column_stack([_EDGE_ALL, _EDGE_ALL[::-1]]), "delta")],
+          1, 2, [(np.ones((2, 2)), "front")], ("csv",)))
+def test_emit_hands_the_csv_text_to_the_svg(case):
+    """``cli._emit`` against the per-value oracles: the SVG drawn from the
+    x lines the CSV printed is the SVG formatted from the numbers."""
+    chains, n, k, extra, outputs = case
+    curves = ([(X, label) for _, X, _, label in chains] if n == 2 else []) + extra
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("ignore", RuntimeWarning)  # spans of +-1.8e308 overflow
+        try:
+            expected_svg = _ref_svg(curves) if "svg" in outputs else None
+        except IoError:
+            expected_svg = "refused"
+        csv, svg = Path(tmp) / "c.csv", Path(tmp) / "c.svg"
+        args = argparse.Namespace(csv=csv if "csv" in outputs else None, svg=svg if "svg" in outputs else None)
+        with contextlib.redirect_stdout(io.StringIO()):
+            if expected_svg == "refused":
+                with pytest.raises(IoError):
+                    cli._emit(args, chains, n, k, extra)
+            else:
+                cli._emit(args, chains, n, k, extra)
+        if "csv" in outputs:
+            _assert_same_text(csv.read_text(), _ref_csv(chains, n, k))
+        if expected_svg not in (None, "refused"):
+            _assert_same_text(svg.read_text(), expected_svg)
 
 
 @pytest.mark.parametrize("where", ["t", "X", "Q"])
@@ -648,7 +735,7 @@ def test_emit_csv_refuses_non_finite_anywhere(tmp_path, where, bad):
     t, X, Q = np.zeros(3), np.zeros((3, 2)), np.zeros((3, 1))
     {"t": t, "X": X, "Q": Q}[where][-1] = bad
     with pytest.raises(IoError, match=f"non-finite coordinate {bad!r}$"):
-        emitters.emit_csv((t, X, Q, "front"), 2, 1, tmp_path / "bad.csv")
+        emitters.emit_csv([(t, X, Q, "front")], 2, 1, tmp_path / "bad.csv")
     assert not (tmp_path / "bad.csv").exists()
 
 
@@ -665,7 +752,7 @@ def test_emit_csv_refuses_non_finite_anywhere(tmp_path, where, bad):
 )
 def test_emit_csv_refuses_a_wrong_shape(tmp_path, table):
     with pytest.raises(IoError, match="shape"):
-        emitters.emit_csv(table, 2, 1, tmp_path / "bad.csv")
+        emitters.emit_csv([table], 2, 1, tmp_path / "bad.csv")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -673,9 +760,9 @@ def test_emit_svg_refuses_non_finite_and_wrong_columns(tmp_path, bad):
     pts = np.zeros((3, 2))
     pts[1, 1] = bad
     with pytest.raises(IoError, match=f"non-finite coordinate {bad!r}$"):
-        emitters.emit_svg([(np.ones((2, 2)), "front"), (pts, "caustic")], tmp_path / "bad.svg")
+        emitters.emit_svg([(np.ones((2, 2)), "front", None), (pts, "caustic", None)], tmp_path / "bad.svg")
     with pytest.raises(IoError, match="shape"):
-        emitters.emit_svg([(np.zeros((3, 3)), "front")], tmp_path / "bad.svg")
+        emitters.emit_svg([(np.zeros((3, 3)), "front", None)], tmp_path / "bad.svg")
 
 
 # ---------------------------------------------------------------------------

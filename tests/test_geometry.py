@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_degenerate_chart_raises():
     s = geometry.Sphere(radius=1.0)
     with pytest.raises(DegenerateMetric):
         s.normal(np.array([0.0, 0.3]))  # pole chart degeneracy
+
+
+def test_curvature_refuses_a_speed_whose_cube_overflows():
+    # at the bound the cube is finite; past it curvature raises, where the
+    # cube would be inf and the curvature a silent 0
+    assert math.isfinite(geometry.MAX_SPEED**3)
+    edge = geometry.Parabola(c=1.0)  # |X'(u)| = hypot(1, 2u)
+    u = np.array([0.0, geometry.MAX_SPEED / 2 * (1 - 1e-15)])
+    assert np.isfinite(edge.curvature(u)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for curve, u in [(geometry.Ellipse(a=1e110, b=1.0), 0.3), (edge, np.array([0.0, 1e103]))]:
+            with pytest.raises(DegenerateMetric, match="overflows"):
+                curve.curvature(u)
 
 
 def test_distance_squared_family_is_morse():

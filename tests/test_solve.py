@@ -1064,7 +1064,7 @@ def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
         assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
 
 
-# --- tools/layer_times.py: the per-layer timings of one traced point and one RK4 step
+# --- tools/layer_times.py: the per-layer timings of one traced point, one RK4 step and one CSV row
 
 
 def test_layer_times_prints_every_layer(capsys):
@@ -1075,6 +1075,34 @@ def test_layer_times_prints_every_layer(capsys):
     assert module.main(["--repeat", "1"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == [
-        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "rk4_step"
+        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "rk4_step", "emit_row"
     ]
     assert all(float(line[1]) > 0.0 and line[2] == "1" for line in lines)
+
+
+# --- tools/bench_pairs.py: the per-op table printed after the metric table
+
+
+def test_bench_pairs_prints_the_per_op_table(capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    run = {"values": {"wall_s": 1.0}, "op_median_s": {"parallels": 0.08, "evolute": 0.01}}
+    runs = [
+        (run, {"values": {"wall_s": 0.9}, "op_median_s": {"parallels": 0.06, "evolute": 0.01}}),
+        ({"values": {"wall_s": 1.2}, "op_median_s": {"parallels": 0.1, "burgers": 0.2}},
+         {"correct": False, "error": "exit 1"}),
+    ]
+    ops = module.summarize_ops(runs)
+    module.print_summary(module.summarize([{"name": "wall_s", "better": "lower"}], runs))
+    module.print_ops(ops)
+    out = capsys.readouterr().out
+    table = out[out.index("\nop "):].split("\n")[1:]
+    assert table[0].split() == ["op", "parent", "median", "s", "change", "median", "s", "ratio"]
+    assert [line.split() for line in table[1:] if line] == [
+        ["burgers", "0.2", "-", "-"],  # no change run has it
+        ["evolute", "0.01", "0.01", "1.000"],
+        ["parallels", "0.09", "0.06", "0.667"],
+    ]
+    assert out.index("wall_s") < out.index("\nop ")

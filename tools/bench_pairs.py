@@ -12,7 +12,9 @@ parent first, odd pairs the working tree first.
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's median
 and quartiles, the change/parent ratio of the medians, the pairs the change
 won (ties count for neither side) and whether the gap between the medians
-exceeds the parent's interquartile range.  It exits 1 if any run fails or
+exceeds the parent's interquartile range.  Then, per operation, it prints
+each side's median of its per-run medians and the change/parent ratio,
+which shows where a change in ``wall_s`` sits.  It exits 1 if any run fails or
 reports ``correct: false``, and 0 otherwise.  Standard library only.
 
 ``--out FILE`` also writes the result as one JSON object: the workload, the
@@ -142,6 +144,18 @@ def print_summary(summary: dict) -> None:
         print(f"{'':<14}change {[round(v, 4) for v in c['values']]}")
 
 
+def print_ops(ops: dict) -> None:
+    """One line per operation of ``summarize_ops``: each side's median in
+    seconds and the ratio; ``-`` where a side has no successful run."""
+    def cell(v, fmt):
+        return "-" if v is None else format(v, fmt)
+
+    print(f"\n{'op':<24}{'parent median s':>16}{'change median s':>16}{'ratio':>8}")
+    for op, r in ops.items():
+        print(f"{op:<24}{cell(r['parent']['median'], '.4g'):>16}{cell(r['change']['median'], '.4g'):>16}"
+              f"{cell(r['ratio'], '.3f'):>8}")
+
+
 def fingerprint(pair: tuple) -> dict:
     """The machine fingerprint of a pair's parent run, with each side's src/ digest."""
     fps = [rep.get("fingerprint", {}) for rep in pair]
@@ -187,8 +201,9 @@ def main(argv=None) -> int:
                       f"failed {rep.get('failed')}/{rep.get('attempted')} wall_s {wall} "
                       f"{rep.get('error', '')}", flush=True)
             runs.append((pair["parent"], pair["change"]))
-    summary = summarize(bench["end_to_end"], runs)
+    summary, ops = summarize(bench["end_to_end"], runs), summarize_ops(runs)
     print_summary(summary)
+    print_ops(ops)
     if args.out:
         result = {
             "workload": args.workload,
@@ -198,7 +213,7 @@ def main(argv=None) -> int:
             "fingerprint": fingerprint(runs[0]),
             "all_correct": all_correct,
             "metrics": summary,
-            "op_median_s": summarize_ops(runs),
+            "op_median_s": ops,
         }
         Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     if not all_correct:

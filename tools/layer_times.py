@@ -1,5 +1,5 @@
 """Median microseconds of the layers of one traced point of the cusp front,
-and of one RK4 step of the Burgers characteristics.
+of one RK4 step of the Burgers characteristics and of one emitted CSV row.
 
 Usage:  python3 tools/layer_times.py [--repeat N]
 
@@ -18,10 +18,16 @@ the predicted point z + h tau one ``fronts.TRACE_STEP`` along its tangent:
                      ``pde.burgers()`` at 6000 strips over t = 0:0.7:0.001
                      (the ``grid`` benchmark's scene), its time over its
                      700 steps
+    emit_row         one CSV row of ``cli._emit`` writing the ``parallels``
+                     scene of the ``scan`` benchmark: 7 offsets
+                     r = -2.8:-0.4:0.4 of the ellipse a = 2, b = 1 at 6284
+                     samples u = 0:6.2832:0.001, to a CSV and to an SVG with
+                     the evolute, its time over its 43,988 rows
 
 Each line is ``name  median_us  runs x calls``: the median over ``--repeat``
 runs (default 15) of the mean time of one call in a run, a run being enough
-calls to take about 20 ms (one call for ``traced_point`` and ``rk4_step``).
+calls to take about 20 ms (one call for ``traced_point``, ``rk4_step`` and
+``emit_row``).
 The package is imported from the ``src/`` next to this file; numpy and the
 standard library only.  Takes about 3 s at the default repeat count.
 """
@@ -29,8 +35,11 @@ standard library only.  Takes about 3 s at the default repeat count.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,7 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from wavefronts import families, fronts, linalg, pde, solve  # noqa: E402
+from wavefronts import cli, families, fronts, geometry, linalg, pde, solve  # noqa: E402
 
 RUN_SECONDS = 0.02
 T = 0.5
@@ -46,6 +55,8 @@ T = 0.5
 STRIPS, DT, STEPS = 6000, 1e-3, 700
 # q and x1 of the front point; x2 solves dF/dq = 0 there
 Q, X1 = 0.9, -1.0
+# the parallels scene: offsets and samples of the ellipse a = 2, b = 1
+PAR_R, PAR_U = " -2.8:-0.4:0.4", "0:6.2832:0.001"
 
 
 def median_us(fn, repeat: int, calls: int):
@@ -67,8 +78,25 @@ def calls_per_run(fn) -> int:
     return max(1, int(RUN_SECONDS / max(time.perf_counter() - start, 1e-7)))
 
 
-def layers():
-    """``(name, fn, traced points or steps per call)`` of each layer."""
+def parallels_emit(out_dir: str):
+    """``(fn, rows)``: ``fn`` writes the parallels scene through ``cli._emit``
+    into ``out_dir``; ``rows`` is the CSV's row count."""
+    curve, u_grid = geometry.Ellipse(a=2.0, b=1.0), cli.parse_range(PAR_U)
+    offsets = geometry.parallels(curve, cli.parse_range(PAR_R), u_grid)
+    parts = [(r * r, pts, u_grid[:, None], "front") for r, pts in offsets]
+    extra = [(geometry.evolute(curve, u_grid), "caustic")]
+    args = argparse.Namespace(csv=f"{out_dir}/parallels.csv", svg=f"{out_dir}/parallels.svg")
+
+    def emit():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._emit(args, parts, 2, 1, extra)
+
+    return emit, len(offsets) * len(u_grid)
+
+
+def layers(out_dir: str):
+    """``(name, fn, traced points, steps or rows per call)`` of each layer;
+    ``emit_row`` writes into ``out_dir``."""
     gl = families.GraphLikeFamily(base=families.catalog()["cusp"])
     system = fronts.front_system(gl, T)
     x2 = -(4 * Q**3 + 2 * X1 * Q)
@@ -82,6 +110,7 @@ def layers():
     fld = gl.base.field
     curve = solve.continue_curve(system, z, fronts.TRACE_STEP, 200)
     burgers, x0 = pde.burgers(), np.linspace(0, 2 * np.pi, STRIPS)
+    emit, rows = parallels_emit(out_dir)
     return [
         ("jet", lambda: fld.jet(pred, 0), 1),
         ("evaluate", lambda: system.evaluate(pred), 1),
@@ -90,6 +119,7 @@ def layers():
         ("newton_solve", lambda: solve.newton_solve(system, pred), 1),
         ("traced_point", lambda: solve.continue_curve(system, z, fronts.TRACE_STEP, 200), len(curve.points)),
         ("rk4_step", lambda: pde.integrate_characteristics(burgers, x0, (0, STEPS * DT), DT, [STEPS * DT]), STEPS),
+        ("emit_row", emit, rows),
     ]
 
 
@@ -99,10 +129,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    for name, fn, points in layers():
-        calls = 1 if points > 1 else calls_per_run(fn)
-        us = median_us(fn, args.repeat, calls) / points
-        print(f"{name:16s}  {us:10.2f}  {args.repeat} x {calls}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name, fn, points in layers(out_dir):
+            calls = 1 if points > 1 else calls_per_run(fn)
+            us = median_us(fn, args.repeat, calls) / points
+            print(f"{name:16s}  {us:10.2f}  {args.repeat} x {calls}")
     return 0
 
 
