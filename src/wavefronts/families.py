@@ -44,7 +44,11 @@ class GeneratingFamily:
     seeds: tuple = ()
 
     def point(self, q, x) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(np.asarray(q, float)), np.atleast_1d(np.asarray(x, float))])
+        """The float vector (q, x) of k + n entries; a scalar fills its part."""
+        p = np.empty(self.k + self.n)
+        p[: self.k] = q
+        p[self.k :] = x
+        return p
 
     def value(self, q, x) -> float:
         return self.field.value(self.point(q, x))
@@ -172,9 +176,13 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
     # one dedup of every x's converged rows, NaN in the others
     rows = dedup(np.where((outcome == CONVERGED)[:, None], P, np.nan).reshape(len(X), S, k), DEDUP_RADIUS)
     residual = np.abs(R[rows]).max(axis=1)
+    # np.linalg.det, whose 1 x 1 answer can differ from h in the last bit
     det = np.linalg.det(H[rows])
-    s = np.linalg.svd(H[rows], compute_uv=False)
-    rank = (s > RANK_EPS * s[:, :1]).sum(axis=1)  # numerical_rank's rule, row by row
+    if k == 1:
+        rank = H[rows, 0, 0] != 0.0  # numerical_rank's rule on the one singular value |h|
+    else:
+        s = np.linalg.svd(H[rows], compute_uv=False)
+        rank = (s > RANK_EPS * s[:, :1]).sum(axis=1)  # numerical_rank's rule, row by row
     return [
         CriticalPoint(
             q=P[j], x=X[j // S], residual=float(residual[i]), hess_q_det=float(det[i]), corank=k - int(rank[i])
@@ -221,22 +229,29 @@ def rank_diagnostics(gl: GraphLikeFamily, cp: CriticalPoint) -> dict:
     With V the (k+n) x n tangent basis of C(F) = {dF/dq = 0}, the projections
     are read off its rows: the space projection x is ``V[k:]``, the front
     projection (x, F) adds ``gradF @ V`` and the cotangent projection (x, p)
-    adds ``H[k:] @ V``, p = dF/dx.
+    adds ``H[k:] @ V``, p = dF/dx.  One jet of the point's floats, one SVD
+    for V and one stacked SVD of the three projections, each zero-padded to
+    2n rows (zero rows add no singular value), give all three answers; the
+    ranks are ``numerical_rank``'s rule.
     """
     fam = gl.base
-    k, n = fam.k, fam.n
-    _, gradF, H = fam.field.derivatives(fam.point(cp.q, cp.x))
+    k, n, m = fam.k, fam.n, fam.k + fam.n
+    a = np.array(fam.field.jet(cp.q.tolist() + cp.x.tolist(), 0))
+    gradF, H = a[1 : m + 1], a[m + 1 :].reshape(m, m)
     V = null_space(H[:k])  # (k+n) x n tangent basis of C(F)
     if V.shape[1] != n:
         raise ChartFailure(
             f"critical set not a graph near (q={cp.q!r}, x={cp.x!r}): tangent dim {V.shape[1]}"
         )
-    d_space = V[k:]
-    sv = np.linalg.svd(np.vstack([d_space, H[k:] @ V]), compute_uv=False)
+    proj = np.zeros((3, 2 * n, n))
+    proj[:, :n] = V[k:]
+    proj[1, n] = gradF @ V
+    proj[2, n:] = H[k:] @ V
+    space, front, cotangent = np.linalg.svd(proj, compute_uv=False).tolist()
     return {
-        "space_proj_rank": numerical_rank(d_space),
-        "front_proj_rank": numerical_rank(np.vstack([d_space, gradF @ V])),
-        "immersion_sigma_min": float(sv[-1]),
+        "space_proj_rank": sum(v > RANK_EPS * space[0] for v in space),
+        "front_proj_rank": sum(v > RANK_EPS * front[0] for v in front),
+        "immersion_sigma_min": cotangent[-1],
     }
 
 

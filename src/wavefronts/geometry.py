@@ -36,6 +36,9 @@ RADIUS_TOL = 1e-8
 # the largest |X'| whose cube curvature takes: a hair under the cube root of
 # the largest float, so every cube at or below it is finite
 MAX_SPEED = float(np.finfo(float).max) ** (1 / 3)
+# the largest |x'| and |y'| whose squared norm normal takes: half the square
+# root of the largest float, so the two squares and their sum stay finite
+MAX_NORMAL_ENTRY = math.sqrt(float(np.finfo(float).max)) / 2
 
 
 class PlaneCurve:
@@ -63,6 +66,9 @@ class PlaneCurve:
 
     def normal(self, u):
         d = self.d1(u).T
+        fast = np.abs(d).max(axis=0) > MAX_NORMAL_ENTRY
+        if np.count_nonzero(fast):
+            raise DegenerateMetric(f"|X'|^2 overflows at u={np.extract(fast, u)[0]}")
         n = np.array([d[1], -d[0]]).T
         return n / np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
 

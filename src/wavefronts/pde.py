@@ -77,7 +77,11 @@ def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, out: np.ndarray, work: np.ndarray, 
     but t.  ``work`` is an (n, S) array for the products.  With ``full``
     false only the M and x rows are written, and _FullRows is raised
     unless b is a constant zero here (see ``_constant_zero``), as the rows
-    left out assume; b is called either way.
+    left out assume; b is called either way.  Such a pruned call also
+    leaves out each product g_k M_k whose a-gradient g is an (arity,) vector
+    with g[k] == 0: adding that +-0 changes at most the sign of a zero in
+    dM, which no M entry takes (they are never -0.0), as long as M is finite
+    (see ``integrate_characteristics``).
     """
     n = pde.n
     P = Z[n * n + n :]
@@ -88,10 +92,12 @@ def _rhs(pde: QuasiLinearPDE, Z: np.ndarray, out: np.ndarray, work: np.ndarray, 
     for i, ai in enumerate(pde.a):
         out[n * n + n + i] = ai.fn(P)
         g = ai.grad_fn(P)
+        skip = not full and isinstance(g, np.ndarray) and g.ndim == 1
         # dM_i. = sum_k a_i,x_k M_k. + a_i,y w
         np.multiply(g[n], w, out=dM[i])
         for k in range(n):
-            dM[i] += np.multiply(g[k], M[k], out=work)
+            if not (skip and g[k] == 0.0):
+                dM[i] += np.multiply(g[k], M[k], out=work)
     value, g = pde.b.fn(P), pde.b.grad_fn(P)
     if not full:
         if not _constant_zero(value, g, n + 2):
@@ -146,10 +152,18 @@ def integrate_characteristics(
 
     The state of all strips is one packed array (see ``_rhs``); the stages
     are preallocated and written in place.  While b is a constant zero (see
-    ``QuasiLinearPDE``) only the dx/dx0 and x rows are advanced.  A stage
-    that finds b nonzero, or a step that leaves dx/dx0 not finite, has the
-    run redone from the datum with every row, and so has a datum with a y
-    of -0.0 from the start, so the sheet is always the one every row gives.
+    ``QuasiLinearPDE``) only the dx/dx0 and x rows are advanced, with no
+    product of a's exact-zero x-gradient entries (see ``_rhs``), and the
+    blow-up test reads |x| and the datum's |y|.  A stage that finds b
+    nonzero, a step that leaves dx/dx0 not finite, or an overflow (the run
+    is under ``np.errstate(over="raise")``) has the run redone from the
+    datum with every row, and so has a datum with a y of -0.0 from the
+    start, so the sheet is always the one every row gives.  Every stage's
+    dx/dx0 is thus finite where a product is left out, as the full rows'
+    ``0 * M`` needs to be zero: the step starts from a finite one, and a
+    stage is the step's start plus a multiple of a K; it is not finite only
+    where that multiple or the sum overflows, or where K is not finite,
+    which leaves the step's own dx/dx0 not finite.
 
     For each time in ``keep`` (each in ``[0, t_range[1]]``, or up to the
     last step's time where that is later) the sheet holds the (x, y, det)
@@ -199,6 +213,8 @@ def integrate_characteristics(
         Ks = [np.empty((2 * n + 1 + n * n, S)) for _ in range(4)]
         K1, K2, K3, K4 = (K if full else K[n:-1] for K in Ks)
         work = np.empty((n, S))
+        # |y| of a pruned run, whose y stays the datum's
+        y_big = None if full else np.max(np.abs(y))
         folds = np.full(S, np.nan)
         unfolded = np.ones(S, dtype=bool)
 
@@ -238,8 +254,8 @@ def integrate_characteristics(
             K1 *= dt / 6
             state += K1
             # np.max and np.min propagate NaN, so one pass over (x, y) and one
-            # over the sign changes of det find it
-            big = np.max(np.abs(xy))
+            # over the sign changes of det find it; max keeps a NaN first argument
+            big = np.max(np.abs(xy)) if full else max(np.max(np.abs(x)), y_big)
             if big > BLOWUP:
                 worst = int(np.argmax(np.max(np.abs(xy), axis=0)))
                 raise BlowUp(f"trajectory from x0={X0[worst]!r} exceeded {BLOWUP} at t={ts[step]}")
@@ -270,8 +286,10 @@ def integrate_characteristics(
     # additions to M, whose entries are never -0.0
     if not np.signbit(y0[y0 == 0]).any():
         try:
-            folds = march(full=False)
-        except _FullRows:
+            # a pruned stage that overflows is given up: see the docstring
+            with np.errstate(over="raise"):
+                folds = march(full=False)
+        except (_FullRows, FloatingPointError):
             pass  # rerun below, once the given-up run's arrays are freed
     if folds is None:
         folds = march(full=True)

@@ -48,6 +48,10 @@ SINGULAR_RATIO = 1e-12
 # newton_solve takes an SVD step without np.errstate when |r| < STEP_BOUND s_min
 STEP_BOUND = 1e300
 _PLAIN = contextlib.nullcontext()
+# newton_batch steps a 1 x 1 J by r / J while every nonzero |J| is in this
+# range, inside LAPACK's unscaled one [sqrt(safe min) / eps, its inverse] of
+# about [6.7e-139, 1.5e138]: there the SVD's singular value is |J| exactly
+EXACT_1X1 = (1e-138, 1e138)
 # how each row of ``newton_batch`` ends, by index into OUTCOMES
 CONVERGED, SINGULAR, MAX_ITERATIONS, LEFT_BOX = range(4)
 OUTCOMES = ("converged", "singular", "max_iterations", "left_box")
@@ -276,7 +280,11 @@ def newton_batch(system: System, seeds: Sequence):
     """``newton_solve`` from every seed at once (a scalar seed is a
     1-vector): per iterate, one ``evaluate`` of the rows still running and
     one stacked SVD of them, which gives both the ``SINGULAR_RATIO`` test and
-    the least-norm step.
+    the least-norm step.  A 1 x 1 Jacobian J has the one singular value |J|:
+    its row is singular exactly where J = 0, or where J is not finite (which
+    the SVD would refuse for the whole stack), and while every other |J|
+    lies in ``EXACT_1X1`` the step is r / J with no SVD, the SVD's bit for
+    bit.
 
     Each row ends on its own under ``newton_solve``'s rules: it converges,
     its Jacobian is singular, it leaves the field's box (its residual is not
@@ -312,15 +320,31 @@ def newton_batch(system: System, seeds: Sequence):
         running, res, Jr = running[going], res[going], Jr[going]
         if running.size == 0:
             break
-        U, s, Vt = np.linalg.svd(Jr, full_matrices=False)
-        singular = (s[:, 0] == 0.0) | (s[:, -1] < SINGULAR_RATIO * s[:, 0])
-        outcome[running[singular]] = SINGULAR
-        ok = ~singular
-        running, U, s, Vt, res = running[ok], U[ok], s[ok], Vt[ok], res[ok]
-        # the least-norm step -V diag(1/s) U^T r; a step that overflows
-        # leaves the box at the next evaluate, as newton_solve's does
-        with np.errstate(over="ignore", invalid="ignore"):
-            P[running] -= np.einsum("nji,nj->ni", Vt, np.einsum("nij,ni->nj", U, res) / s)
+        exact = False
+        if Jr.shape[1:] == (1, 1):
+            # |J| is the one singular value: singular exactly where J = 0, or
+            # where J is not finite, which the SVD would refuse for every row
+            j = Jr[:, 0, 0]
+            ok = np.isfinite(j) & (j != 0.0)
+            if not ok.all():
+                outcome[running[~ok]] = SINGULAR
+                running, res, Jr, j = running[ok], res[ok], Jr[ok], j[ok]
+            size = np.abs(j)
+            exact = ((size >= EXACT_1X1[0]) & (size <= EXACT_1X1[1])).all()
+        if exact:
+            # the step r / J, the SVD's (+-r) / |J| bit for bit in EXACT_1X1
+            with np.errstate(over="ignore"):
+                P[running, 0] -= res[:, 0] / j
+        else:
+            U, s, Vt = np.linalg.svd(Jr, full_matrices=False)
+            singular = (s[:, 0] == 0.0) | (s[:, -1] < SINGULAR_RATIO * s[:, 0])
+            outcome[running[singular]] = SINGULAR
+            ok = ~singular
+            running, U, s, Vt, res = running[ok], U[ok], s[ok], Vt[ok], res[ok]
+            # the least-norm step -V diag(1/s) U^T r; a step that overflows
+            # leaves the box at the next evaluate, as newton_solve's does
+            with np.errstate(over="ignore", invalid="ignore"):
+                P[running] -= np.einsum("nji,nj->ni", Vt, np.einsum("nij,ni->nj", U, res) / s)
         if running.size == 0:
             break
     return P, R, J, outcome

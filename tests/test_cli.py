@@ -310,6 +310,8 @@ def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
         # |X'|^3 overflows: the curvature there would be a silent 0
         (["parallels", "--curve", "ellipse", "--a", "1e110", "--b", "1", "--r", " -1:-1:1"], 1),
         (["evolute", "--curve", "circle", "--a", "1e110"], 1),
+        # |X'|^2 overflows: the normals would be 0 and each offset the curve
+        (["parallels", "--curve", "ellipse", "--a", "1e160", "--b", "1", "--r", " -1:-1:1"], 1),
     ],
 )
 def test_curve_inputs_fail_without_numpy_warnings(argv, code, capsys, tmp_path):

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefronts import families
-from wavefronts.errors import FamilyFileError, NotOnSigmaStar
+from wavefronts.errors import ChartFailure, FamilyFileError, NotOnSigmaStar
+from wavefronts.linalg import null_space, numerical_rank
 
 RNG = np.random.default_rng(7)
 
@@ -102,6 +107,64 @@ def test_rank_diagnostics_immersion(cusp):
         assert d["immersion_sigma_min"] > 1e-6
         # space-singular iff front-singular
         assert (d["space_proj_rank"] < cusp.n) == (d["front_proj_rank"] < cusp.n)
+
+
+def _four_svd_rank_diagnostics(gl, cp):
+    """``rank_diagnostics`` as one SVD per answer: the null space, the two
+    ranks by ``numerical_rank`` and the cotangent projection's singular
+    values, from the derivatives of the concatenated point."""
+    fam = gl.base
+    k = fam.k
+    _, gradF, H = fam.field.derivatives(np.concatenate([cp.q, cp.x]))
+    V = null_space(H[:k])
+    d_space = V[k:]
+    sv = np.linalg.svd(np.vstack([d_space, H[k:] @ V]), compute_uv=False)
+    return {
+        "space_proj_rank": numerical_rank(d_space),
+        "front_proj_rank": numerical_rank(np.vstack([d_space, gradF @ V])),
+        "immersion_sigma_min": float(sv[-1]),
+    }
+
+
+@pytest.mark.parametrize("name", ["cusp", "fold"])
+@settings(max_examples=60, deadline=None)
+@given(x=st.tuples(st.floats(-4.8, 4.8), st.floats(-4.8, 4.8)))
+def test_rank_diagnostics_is_the_four_svd_reference(name, x):
+    fam = families.catalog()[name]
+    gl = families.GraphLikeFamily(base=fam)
+    for cp in families.solve_critical_set(fam, [x], fam.seeds):
+        got, want = families.rank_diagnostics(gl, cp), _four_svd_rank_diagnostics(gl, cp)
+        assert got.keys() == want.keys()
+        assert (got["space_proj_rank"], got["front_proj_rank"]) == (want["space_proj_rank"], want["front_proj_rank"])
+        assert type(got["space_proj_rank"]) is int and type(got["immersion_sigma_min"]) is float
+        assert math.isclose(got["immersion_sigma_min"], want["immersion_sigma_min"], rel_tol=1e-12)
+
+
+def test_rank_diagnostics_refuses_a_critical_set_that_is_not_a_graph():
+    # dF/dq = 3 q^2 + x1^2 + x2^2 has a zero gradient at the origin, where
+    # the critical set's tangent space is all of R^3
+    fam = families.family_from_text("q1^3 + (x1^2 + x2^2)*q1", 1, 2, box=((-1, 1),) * 3)
+    cp = families.CriticalPoint(q=np.zeros(1), x=np.zeros(2), residual=0.0, hess_q_det=0.0, corank=1)
+    with pytest.raises(ChartFailure, match="tangent dim 3"):
+        families.rank_diagnostics(families.GraphLikeFamily(base=fam), cp)
+
+
+@pytest.mark.parametrize(
+    "k, n, q, x",
+    [
+        (1, 2, 0.5, [1.0, -2.0]),
+        (1, 2, [0.5], np.array([1.0, -2.0])),
+        (1, 2, np.float64(-0.0), (3, 4)),
+        (1, 1, [2], 7),
+        (2, 1, np.array([1.5, -2.5]), 0.25),
+    ],
+)
+def test_point_is_the_concatenation_of_q_and_x(k, n, q, x):
+    fam = families.GeneratingFamily(k=k, n=n, field=families.catalog()["cusp"].field)
+    p = fam.point(q, x)
+    want = np.concatenate([np.atleast_1d(np.asarray(q, float)), np.atleast_1d(np.asarray(x, float))])
+    assert p.dtype == want.dtype and p.shape == want.shape
+    assert np.array_equal(p, want) and np.array_equal(np.signbit(p), np.signbit(want))
 
 
 def test_family_file_round_trip(tmp_path):

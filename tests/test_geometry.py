@@ -109,6 +109,22 @@ def test_curvature_refuses_a_speed_whose_cube_overflows():
                 curve.curvature(u)
 
 
+def test_normal_refuses_a_speed_whose_square_overflows():
+    # at the bound the normal is the unit one; past it normal and parallels
+    # raise, where the squared norm would be inf and every normal 0
+    edge = geometry.Parabola(c=1.0)  # X'(u) = (1, 2u)
+    u = np.array([0.0, geometry.MAX_NORMAL_ENTRY / 2 * (1 - 1e-15)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = edge.normal(u)
+        assert np.allclose(n, [[0.0, -1.0], [1.0, 0.0]], rtol=0.0, atol=1e-15)
+        for curve, u in [(geometry.Ellipse(a=1e160, b=1.0), 0.3), (edge, np.array([0.0, 1e154]))]:
+            with pytest.raises(DegenerateMetric, match=r"\|X'\|\^2 overflows"):
+                curve.normal(u)
+        with pytest.raises(DegenerateMetric, match="overflows at u=0.5"):
+            geometry.parallels(geometry.Ellipse(a=1e160, b=1.0), [-1.0, 1.0], [0.0, 0.5, 1.0])
+
+
 def test_distance_squared_family_is_morse():
     e = geometry.Ellipse(a=2.0, b=1.0)
     fam, gl = geometry.distance_squared_family(e)

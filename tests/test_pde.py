@@ -457,24 +457,34 @@ def _outcome(integrate, *args):
 def _assert_the_full_row_sheet(eq, x0, t_range, dt, keep, monkeypatch):
     """``integrate_characteristics`` gives the reference's sheet bit for bit,
     signs of zero included, or its error; returns the ``full`` flag of each
-    ``_rhs`` call it made."""
-    calls = []
+    ``_rhs`` call it made, and for each pruned call whether it wrote no
+    product into ``work`` (every one of a's x-gradient entries an exact 0)."""
+    calls, skipped = [], []
     rhs = pde._rhs
 
     def logged(eq, Z, out, work, full):
         calls.append(full)
-        return rhs(eq, Z, out, work, full)
+        work.fill(_UNWRITTEN)
+        try:
+            return rhs(eq, Z, out, work, full)
+        finally:
+            if not full:
+                skipped.append(bool((work == _UNWRITTEN).all()))
 
     monkeypatch.setattr(pde, "_rhs", logged)
     want = _outcome(_full_row_characteristics, eq, x0, t_range, dt, keep)
     sheet = _outcome(pde.integrate_characteristics, eq, x0, t_range, dt, keep)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert sheet == want
-        return calls
+        return calls, skipped
     for got, ref in zip((sheet.xs, sheet.ys, sheet.dets, sheet.folds), want):
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
-    return calls
+    return calls, skipped
+
+
+# a value no product of the scenes below writes into ``_rhs``'s work array
+_UNWRITTEN = -1.2345e-300
 
 
 def _t_switch_b():
@@ -491,6 +501,22 @@ def _overflowing_m():
     return pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 
+def _overflowing_stage_m():
+    """x' = c(t) y from y0 = sin 0 = 0, so x stays 0, with c = 1.5e308 at
+    t = 0 and 0 after: one step of dt = 3 takes dx/dx0 = 1 + c t at its
+    first stage, where K1 = c w = c, to 1 + 1.5 c, which overflows.  The
+    full rows' later stages take 0 * inf = NaN there; leaving that product
+    out would give a finite dx/dx0 at t = 3."""
+    a = ScalarField(
+        3,
+        lambda p: (1.5e308 if p[2][0] == 0.0 else 0.0) * p[1],
+        lambda p: np.array([0.0, 1.5e308 if p[2][0] == 0.0 else 0.0, 0.0]),
+    )
+    b = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
+    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
+    return pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
+
+
 _GRID = np.linspace(0, 2 * np.pi, 40)
 _GRID_2D = {axis: [(u, v) if axis == 0 else (v, u) for u in _GRID for v in (-1.0, 0.5)] for axis in (0, 1)}
 
@@ -498,9 +524,12 @@ _GRID_2D = {axis: [(u, v) if axis == 0 else (v, u) for u in _GRID for v in (-1.0
 @pytest.mark.parametrize(
     "case",
     ["burgers-6000", "transport", "burgers-2d-0", "burgers-2d-1", "x-prime-x", "curved", "b-switches-on",
-     "m-overflows", "negative-zero-datum"],
+     "m-overflows", "stage-m-overflows", "negative-zero-datum"],
 )
 def test_pruned_rows_give_the_full_row_sheet(case, monkeypatch):
+    # the sheet, folds or error of integrate_characteristics, whose pruned
+    # stages leave out a's zero x-gradient products, are the full-product
+    # loop's bit for bit
     zero = ScalarField(3, lambda p: 0.0, lambda p: np.zeros(3))
     sine = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
     x_prime_x = ScalarField(3, lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]))
@@ -513,11 +542,15 @@ def test_pruned_rows_give_the_full_row_sheet(case, monkeypatch):
         "curved": (_curved_pde(), _GRID, 1.0, 1e-2, False),
         "b-switches-on": (pde.QuasiLinearPDE(1, pde.burgers().a, _t_switch_b(), sine), _GRID, 1.0, 1e-2, False),
         "m-overflows": (_overflowing_m(), [0.0], 2.0, 1e-2, False),
+        "stage-m-overflows": (_overflowing_stage_m(), [0.0], 3.0, 3.0, False),
         "negative-zero-datum": (pde.burgers(), [-0.0, 0.0, 1.0], 1.0, 1e-2, None),
     }[case]
     keep = _step_times(t_end, dt)[:: max(1, pde.step_count((0, t_end), dt) // 7)]
     with np.errstate(over="ignore", invalid="ignore"):
-        calls = _assert_the_full_row_sheet(eq, x0, (0, t_end), dt, keep, monkeypatch)
+        calls, skipped = _assert_the_full_row_sheet(eq, x0, (0, t_end), dt, keep, monkeypatch)
+    # every pruned call leaves out every product, but where a's x-gradient
+    # is not an exact zero: x' = x, and m-overflows' gradient rows per strip
+    assert skipped == [case not in ("x-prime-x", "m-overflows")] * len(skipped)
     if pruned is None:  # a -0.0 in the datum: every row from the start
         assert all(calls)
     elif pruned:

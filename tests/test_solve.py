@@ -786,6 +786,86 @@ def test_newton_batch_accounts_for_every_seed(monkeypatch):
     assert counts[CONVERGED] + counts[SINGULAR] + counts[MAX_ITERATIONS] + counts[LEFT_BOX] == len(seeds)
 
 
+def _quadratic_rows(coefs) -> System:
+    """The 1 x 1 RowSystem r(p) = (a p + b) p + c, J = 2 a p + b with one
+    (a, b, c) per row.  A row whose r or J is not finite has left the box (a
+    NaN residual), so that the stacked SVD of the reference never sees one."""
+    coefs = np.asarray(coefs, dtype=float).reshape(-1, 3)
+
+    def evaluate(P):
+        a, b, c = coefs.T
+        p = P[:, 0]
+        with np.errstate(all="ignore"):
+            r, j = (a * p + b) * p + c, 2 * a * p + b
+        r[~(np.isfinite(r) & np.isfinite(j))] = np.nan
+        return r[:, None], j[:, None, None]
+
+    return solve.RowSystem(evaluate, lambda index: _quadratic_rows(coefs[index]))
+
+
+# zero, tiny and huge coefficients and seeds, so that J = 0 exactly, J lies
+# at either end of solve.EXACT_1X1 or beyond it, and a step r / J overflows
+EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-138, -3e-138, 1.0, -3.0, 1e138, -1e138, 1e300, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(EXTREME, EXTREME, EXTREME, EXTREME), min_size=1, max_size=8),
+       max_iter=st.sampled_from([1, 2, 50]))
+def test_one_by_one_newton_steps_are_the_stacked_svd_steps(rows, max_iter):
+    rows = np.array(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "NEWTON_MAX_ITER", max_iter)
+        _assert_running_rows_are_the_whole_stack(_quadratic_rows(rows[:, :3]), rows[:, 3:])
+
+
+@pytest.mark.parametrize("extra, svds", [(None, 0), (1e-200, 1), (3e140, 1)])
+def test_one_by_one_rows_reach_every_outcome(extra, svds, monkeypatch):
+    # J = 0 at the seed, a step of 1e200 / 1e-130 that overflows and leaves
+    # the box, a converging row and one still running after two iterates;
+    # an SVD only for the iterate whose |J| leaves solve.EXACT_1X1
+    rows = [(1.0, 0.0, -1.0, 0.0), (0.0, 1e-130, -1e200, 0.0), (0.0, 2.0, -1.0, 0.0), (1.0, 0.0, -2.0, 1.0)]
+    if extra is not None:
+        rows.append((0.0, extra, -1.0, 0.0))  # r = J p - 1 with |J| outside EXACT_1X1
+    coefs, seeds = np.array(rows)[:, :3], np.array(rows)[:, 3:]
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "NEWTON_MAX_ITER", 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted)
+        P, R, J, outcome = newton_batch(_quadratic_rows(coefs), seeds)
+    assert len(calls) == svds
+    assert [OUTCOMES[o] for o in outcome[:4]] == ["singular", "left_box", "converged", "max_iterations"]
+    assert np.array_equal(outcome, _assert_running_rows_are_the_whole_stack(_quadratic_rows(coefs), seeds))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_running_row_with_a_non_finite_jacobian_ends_singular(bad):
+    # r = p - 1 with J = 1, but J is `bad` on the second row: a stacked SVD
+    # refuses the whole batch (LinAlgError) or steps by NaN
+    def evaluate(P):
+        J = np.ones((len(P), 1, 1))
+        J[index_of_bad(P)] = bad
+        return P - 1.0, J
+
+    def index_of_bad(P):
+        return P[:, 0] == 5.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P, R, J, outcome = newton_batch(System(evaluate), [[0.0], [5.0], [3.0]])
+    assert [OUTCOMES[o] for o in outcome] == ["converged", "singular", "converged"]
+    assert P[1, 0] == 5.0 and np.isnan(R[1]).all() and np.isnan(J[1]).all()
+    assert np.array_equal(P[[0, 2], 0], [1.0, 1.0])
+
+
 def _overflow_system() -> System:
     """r(p) = J p + (0, -1e10) with J = diag(1e-290, 1e-300), which passes
     SINGULAR_RATIO; a non-finite point leaves the box (DomainError for a
@@ -1064,7 +1144,7 @@ def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
         assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
 
 
-# --- tools/layer_times.py: the per-layer timings of one traced point, one RK4 step and one CSV row
+# --- tools/layer_times.py: the per-layer timings of one traced point, the critical set, one RK4 step and one CSV row
 
 
 def test_layer_times_prints_every_layer(capsys):
@@ -1075,7 +1155,8 @@ def test_layer_times_prints_every_layer(capsys):
     assert module.main(["--repeat", "1"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == [
-        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "rk4_step", "emit_row"
+        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "critical_solve",
+        "rank_diagnostics", "rk4_step", "emit_row",
     ]
     assert all(float(line[1]) > 0.0 and line[2] == "1" for line in lines)
 

@@ -1,5 +1,6 @@
 """Median microseconds of the layers of one traced point of the cusp front,
-of one RK4 step of the Burgers characteristics and of one emitted CSV row.
+of the cusp's critical set on a grid, of one RK4 step of the Burgers
+characteristics and of one emitted CSV row.
 
 Usage:  python3 tools/layer_times.py [--repeat N]
 
@@ -14,6 +15,13 @@ the predicted point z + h tau one ``fronts.TRACE_STEP`` along its tangent:
     newton_solve     one ``solve.newton_solve`` from the predicted point
     traced_point     one point of ``solve.continue_curve`` from z (at most
                      200 points each way), its time over its points
+    critical_solve   one ``solve.newton_batch`` of the cusp's
+                     ``families.critical_system`` over the stack of the
+                     ``grid`` benchmark's ``critical_ranks`` op: 150 x drawn
+                     uniformly from [-4.8, 4.8]^2 (seed 0) times the
+                     catalog's 5 q seeds
+    rank_diagnostics one ``families.rank_diagnostics`` of a critical point of
+                     that stack, its time over all of them
     rk4_step         one step of ``pde.integrate_characteristics`` on
                      ``pde.burgers()`` at 6000 strips over t = 0:0.7:0.001
                      (the ``grid`` benchmark's scene), its time over its
@@ -26,8 +34,8 @@ the predicted point z + h tau one ``fronts.TRACE_STEP`` along its tangent:
 
 Each line is ``name  median_us  runs x calls``: the median over ``--repeat``
 runs (default 15) of the mean time of one call in a run, a run being enough
-calls to take about 20 ms (one call for ``traced_point``, ``rk4_step`` and
-``emit_row``).
+calls to take about 20 ms (one call for ``traced_point``,
+``rank_diagnostics``, ``rk4_step`` and ``emit_row``).
 The package is imported from the ``src/`` next to this file; numpy and the
 standard library only.  Takes about 3 s at the default repeat count.
 """
@@ -51,6 +59,8 @@ from wavefronts import cli, families, fronts, geometry, linalg, pde, solve  # no
 
 RUN_SECONDS = 0.02
 T = 0.5
+# the critical_ranks stack: grid x count and their box
+CRITICAL_X, CRITICAL_SPAN = 150, 4.8
 # the Burgers scene: strips and RK4 steps over t = 0:0.7:0.001
 STRIPS, DT, STEPS = 6000, 1e-3, 700
 # q and x1 of the front point; x2 solves dF/dq = 0 there
@@ -109,6 +119,12 @@ def layers(out_dir: str):
     res, jac = system.evaluate(pred)
     fld = gl.base.field
     curve = solve.continue_curve(system, z, fronts.TRACE_STEP, 200)
+    cusp = gl.base
+    xs = np.random.default_rng(0).uniform(-CRITICAL_SPAN, CRITICAL_SPAN, (CRITICAL_X, cusp.n))
+    seeds = np.array(cusp.seeds)
+    critical = families.critical_system(cusp, np.repeat(xs, len(seeds), axis=0))
+    q_seeds = np.tile(seeds, (len(xs), 1))
+    cps = families.solve_critical_set(cusp, xs, cusp.seeds)
     burgers, x0 = pde.burgers(), np.linspace(0, 2 * np.pi, STRIPS)
     emit, rows = parallels_emit(out_dir)
     return [
@@ -118,6 +134,8 @@ def layers(out_dir: str):
         ("pinv_2x3", lambda: linalg.pinv_2x3(jac, res), 1),
         ("newton_solve", lambda: solve.newton_solve(system, pred), 1),
         ("traced_point", lambda: solve.continue_curve(system, z, fronts.TRACE_STEP, 200), len(curve.points)),
+        ("critical_solve", lambda: solve.newton_batch(critical, q_seeds), 1),
+        ("rank_diagnostics", lambda: [families.rank_diagnostics(gl, cp) for cp in cps], len(cps)),
         ("rk4_step", lambda: pde.integrate_characteristics(burgers, x0, (0, STEPS * DT), DT, [STEPS * DT]), STEPS),
         ("emit_row", emit, rows),
     ]
