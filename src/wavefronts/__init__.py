@@ -45,6 +45,7 @@ from .jets import (
     sp_plus_versality_check,
 )
 from .pde import (
+    BlockField,
     QuasiLinearPDE,
     breaking_time,
     burgers,
@@ -92,6 +93,7 @@ __all__ = [
     "k_determinacy_dimension",
     "lagrangian_stability_check",
     "sp_plus_versality_check",
+    "BlockField",
     "QuasiLinearPDE",
     "breaking_time",
     "burgers",

@@ -195,18 +195,15 @@ def shifted_family(fam: GeneratingFamily, t0: float) -> GeneratingFamily:
     """The family F - t0 (same variables); used to view a momentary slice of
     the graph-like family as a hypersurface family in its own right."""
     base = fam.field
-    jet_fn = None
-    if base.jet_fn is not None:
 
-        def jet_fn(v, with_third):
-            jet = base.jet_fn(v, with_third)
-            if isinstance(v, list):  # a point: a sequence of floats
-                return [jet[0] - t0, *jet[1:]]
-            jet[:, 0] -= t0  # the value entry of each row of a stacked jet
-            return jet
+    def jet_fn(v, with_third):
+        jet = base.jet_fn(v, with_third)
+        if isinstance(v, list):  # a point: a sequence of floats
+            return [jet[0] - t0, *jet[1:]]
+        jet[:, 0] -= t0  # the value entry of each row of a stacked jet
+        return jet
 
-        jet_fn.stacks = getattr(base.jet_fn, "stacks", False)
-
+    jet_fn.stacks = getattr(base.jet_fn, "stacks", False)
     fld = dataclasses.replace(base, fn=lambda p: base.fn(p) - t0, jet_fn=jet_fn)
     return GeneratingFamily(k=fam.k, n=fam.n, field=fld, name=f"{fam.name}-shift", seeds=fam.seeds)
 

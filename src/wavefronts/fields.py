@@ -1,13 +1,13 @@
 """Evaluable smooth scalar fields with derivatives up to the third order.
 
-A generated field carries one closed-form jet closure, so that ``jet`` gets
-the value, gradient, Hessian and third partials from one call, as one flat
-array whose layout only this module defines (``jet_index``); a hand-written
-field may carry a gradient closure.  A derivative with no
-closed form is ``fd_jacobian`` (central differences, relative step
-``FD_STEP``) of the order below.  This is the only module that knows whether
-a derivative is closed-form, and ``fd_jacobian`` is the package's one
-finite-difference routine.
+A field is its closed-form jet closure, so that ``jet`` gets the value,
+gradient, Hessian and, where the closure has them, the third partials from
+one call, as one flat array whose layout only this module defines
+(``jet_index``).  Third partials that a jet does not carry are
+``fd_jacobian`` (central differences, relative step ``FD_STEP``) of its
+Hessian.  This is the only module that knows whether a derivative is
+closed-form, and ``fd_jacobian`` is the package's one finite-difference
+routine.
 """
 
 from __future__ import annotations
@@ -27,34 +27,17 @@ FD_STEP = 1e-5
 Box = Tuple[Tuple[float, float], ...]
 
 
-def _check_finite(value, point):
-    if isinstance(value, float):
-        finite = math.isfinite(value)
-    elif isinstance(value, np.ndarray) and value.ndim == 1:
-        # a gradient: float tests beat a ufunc pass at this size
-        finite = all(map(math.isfinite, value.tolist()))
-    else:
-        finite = np.isfinite(value).all()
-    if not finite:
-        raise NonFiniteValue(f"non-finite field value at {np.asarray(point)!r}")
-    return value
-
-
-def _fd_steps(p: np.ndarray) -> np.ndarray:
-    return FD_STEP * np.maximum(1.0, np.abs(p))
-
-
-def fd_jacobian(fn: Callable, p, ncols: Optional[int] = None) -> np.ndarray:
+def fd_jacobian(fn: Callable, p) -> np.ndarray:
     """Central finite-difference Jacobian of a scalar- or vector-valued ``fn``.
 
     The step is ``FD_STEP * max(1, |p_i|)`` per coordinate; the result has one
     row per output component (a single row for scalar ``fn``) and one column
-    for each of the first ``ncols`` coordinates (all by default).
+    per coordinate.
     """
     p = np.asarray(p, dtype=float)
-    h = _fd_steps(p)
+    h = FD_STEP * np.maximum(1.0, np.abs(p))
     cols = []
-    for i in range(p.size if ncols is None else ncols):
+    for i in range(p.size):
         e = np.zeros(p.size)
         e[i] = h[i]
         df = np.asarray(fn(p + e), dtype=float) - np.asarray(fn(p - e), dtype=float)
@@ -66,30 +49,28 @@ def fd_jacobian(fn: Callable, p, ncols: Optional[int] = None) -> np.ndarray:
 class ScalarField:
     """A smooth function R^m -> R on a box, with derivatives.
 
-    ``fn`` takes a length-m vector, and in a field with a ``jet_fn`` also
-    the list of its m floats, which is what ``value`` passes it.  A generated
-    field also carries ``jet_fn(v, with_third)``, one closed-form pass: on a
-    point, given as the list of its m floats, it returns the sequence of the
-    value, the gradient and the Hessian row by row, then, when
-    ``with_third`` and the field has them, the third partials
-    ``d_c d_a d_b f`` for ``a, b`` among its first r variables and every
-    ``c``, row by row.  A jet whose ``stacks`` attribute is true also answers
-    an (N, m) array of points with an (N, s) array, one flat jet per row.  A
-    hand-written field may carry ``grad_fn`` instead.  Every derivative
-    without a closed form is ``fd_jacobian`` of the order below.
+    ``fn`` is the value alone, on a point given as the list of its m floats
+    (which is what ``value`` passes it) or as a 1-D array.
+    ``jet_fn(v, with_third)`` is one closed-form pass: on a point, given as
+    the list of its m floats, it returns the sequence of the value, the
+    gradient and the Hessian row by row, then, when ``with_third`` and the
+    field has them, the third partials ``d_c d_a d_b f`` for ``a, b`` among
+    its first r variables and every ``c``, row by row.  A jet whose
+    ``stacks`` attribute is true also answers an (N, m) array of points with
+    an (N, s) array, one flat jet per row.
 
     ``jet`` is the one field pass the solvers read: that flat jet, its
     entries at the positions that ``jet_index`` gives, as the list of its
     floats for a point given as a list, and as an array for an array (one
     point or an (N, m) stack).  It is the only method that gives third
-    partials; ``derivatives`` is views of its value, gradient and Hessian.
+    partials; ``value``, ``grad`` and ``hessian`` are parts of one jet, and
+    ``derivatives`` is views of its value, gradient and Hessian.
     """
 
     arity: int
-    fn: Callable[[np.ndarray], float]
-    grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fn: Callable[[Sequence[float]], float]
+    jet_fn: Callable[[list, bool], Sequence[float]]
     box: Optional[Box] = None
-    jet_fn: Optional[Callable[[list, bool], Sequence[float]]] = None
 
     def __post_init__(self):
         # built once: the box check runs on every evaluation
@@ -103,20 +84,6 @@ class ScalarField:
         for x, (lo, hi) in zip(v, self._bounds):
             if x < lo or x > hi:
                 raise DomainError(f"point {v} exits the domain box")
-
-    def _check_box(self, p, margin: np.ndarray | float = 0.0):
-        """DomainError unless the point ``p`` (an array, or the list of its
-        floats) lies ``margin`` inside the box."""
-        if self.box is None:
-            return
-        v = p.tolist() if isinstance(p, np.ndarray) else p
-        if isinstance(margin, np.ndarray) or margin:
-            h = margin.tolist() if isinstance(margin, np.ndarray) else [margin] * len(self._bounds)
-            for x, d, (lo, hi) in zip(v, h, self._bounds):
-                if x - d < lo or x + d > hi:
-                    raise DomainError(f"point {v} (margin {h}) exits the domain box")
-            return
-        self._check_floats(v)
 
     def _jet(self, v: list, with_third: bool = False) -> list:
         """``jet_fn`` at the point ``v``, the list of its floats, after one box
@@ -135,31 +102,24 @@ class ScalarField:
             raise NonFiniteValue(f"non-finite field value at {v!r}")
         return list(jet)
 
-    def _fd_grad(self, p: np.ndarray, r: Optional[int] = None) -> np.ndarray:
-        return fd_jacobian(self.fn, p, r)[0]
-
     def value(self, point) -> float:
-        """``fn`` at ``point``, after one box test of its floats.  A field
-        with a ``jet_fn`` runs ``fn`` on those floats, as ``_jet`` runs its
-        jet, and an overflow that Python's float ``**`` raises is non-finite."""
+        """``fn`` at ``point``, run on the list of its floats after one box
+        test of them, as ``_jet`` runs the jet; an overflow that Python's
+        float ``**`` raises is non-finite."""
         p = np.asarray(point, dtype=float)
         v = p.tolist()
         self._check_floats(v)
         try:
-            f = float(self.fn(v if self.jet_fn is not None else p))
+            f = float(self.fn(v))
         except OverflowError:
             f = math.inf
-        return _check_finite(f, p)
+        if not math.isfinite(f):
+            raise NonFiniteValue(f"non-finite field value at {p!r}")
+        return f
 
     def grad(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
-        if self.jet_fn is not None:
-            return np.array(self._jet(p.tolist())[1 : p.size + 1], dtype=float)
-        if self.grad_fn is not None:
-            self._check_box(p)
-            return np.asarray(_check_finite(self.grad_fn(p), p), dtype=float)
-        self._check_box(p, _fd_steps(p))
-        return _check_finite(self._fd_grad(p), p)
+        return np.array(self._jet(p.tolist())[1 : p.size + 1], dtype=float)
 
     def hessian(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
@@ -167,17 +127,9 @@ class ScalarField:
 
     def _hessian_block(self, p: np.ndarray, r: int) -> np.ndarray:
         """The leading (r, r) block of ``hessian(p)``, with the same box and
-        finiteness checks; the FD fallback differences only the r gradient
-        components it needs along the first r coordinates."""
+        finiteness checks."""
         m = p.size
-        if self.jet_fn is not None:
-            return np.array(self._jet(p.tolist())[m + 1 : 1 + m + m * m], dtype=float).reshape(m, m)[:r, :r]
-        h = _fd_steps(p)
-        # differences of the FD gradient reach two steps from p
-        self._check_box(p, h if self.grad_fn is not None else 2 * h)
-        H = fd_jacobian(self.grad_fn or (lambda q: self._fd_grad(q, r)), p, r)[:r]
-        H = 0.5 * (H + H.T)
-        return _check_finite(H, p)
+        return np.array(self._jet(p.tolist())[m + 1 : 1 + m + m * m], dtype=float).reshape(m, m)[:r, :r]
 
     def _fd_third(self, p: np.ndarray, r: int) -> np.ndarray:
         """Central differences of the Hessian's leading (r, r) block, in C
@@ -194,10 +146,8 @@ class ScalarField:
 
         A point given as the list of its m floats gives the list of the
         jet's floats, with no array made on the way: the solvers' point
-        path.  A 1-D array gives that list as an array.  With ``jet_fn`` it
-        is one closed-form call with one box check and one finiteness check.
-        A field without a jet stacks its ``value``, ``grad`` and ``hessian``,
-        so every entry, FD margin and error is the one those methods give.
+        path.  A 1-D array gives that list as an array.  It is one
+        closed-form call with one box check and one finiteness check.
         Third partials that the jet does not carry for exactly r rows are
         central differences of the Hessian's leading (r, r) block, each probe
         checking the box as ``hessian`` does.
@@ -212,22 +162,16 @@ class ScalarField:
             return np.array(self.jet(p.tolist(), third), dtype=float)
         m = len(point)
         s = 1 + m + m * m
-        if self.jet_fn is None:
-            p = np.array(point, dtype=float)
-            a = [self.value(p), *self.grad(p).tolist(), *self.hessian(p).ravel().tolist()]
-        else:
-            a = self._jet(point, bool(third))
-            if len(a) == s + third * third * m:
-                return a
-        if third:
-            return a[:s] + self._fd_third(np.array(point, dtype=float), third).ravel().tolist()
-        return a
+        a = self._jet(point, bool(third))
+        if len(a) == s + third * third * m:
+            return a
+        return a[:s] + self._fd_third(np.array(point, dtype=float), third).ravel().tolist()
 
     def _stacked_jet(self, P: np.ndarray, third: int) -> np.ndarray:
         """``jet`` of each row of the (N, m) stack ``P``, one row each.  A
         jet that stacks answers the in-box rows in one call: a row outside
         the box is NaN, and an in-box row that is not finite raises
-        NonFiniteValue.  Any other field, or a jet without the third
+        NonFiniteValue.  A jet that does not stack, or one without the third
         partials asked for, runs its rows one by one through the 1-D
         ``jet``: a row that raises DomainError there is NaN, and the width
         is that of the first row that succeeds (``size`` when none does)."""

@@ -70,7 +70,11 @@ class PlaneCurve:
         if np.count_nonzero(fast):
             raise DegenerateMetric(f"|X'|^2 overflows at u={np.extract(fast, u)[0]}")
         n = np.array([d[1], -d[0]]).T
-        return n / np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+        square = (n[..., None, :] @ n[..., :, None])[..., 0]
+        vanishing = ~(square > 0.0)
+        if np.count_nonzero(vanishing):
+            raise DegenerateMetric(f"|X'|^2 is not positive at u={np.extract(vanishing, u)[0]}")
+        return n / np.sqrt(square)
 
     def curvature(self, u):
         d, dd = self.d1(u).T, self.d2(u).T

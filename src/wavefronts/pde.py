@@ -11,40 +11,52 @@ slices a caller asks for, never the whole (steps, strips) history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BlowUp, DomainError, NonFiniteValue, SliceNotKept
-from .fields import ScalarField
 
 # integrate_characteristics raises BlowUp once |x| or |y| exceeds this
 BLOWUP = 1e3
 
 
 @dataclass(frozen=True)
+class BlockField:
+    """A coefficient or datum of a ``QuasiLinearPDE``, evaluated on blocks.
+
+    ``fn`` and ``grad_fn`` take an (arity, S) block, one column per strip,
+    and broadcast over it: values to (S,), gradient rows to (arity, S), so a
+    constant gradient may be an (arity,) vector.  ``box`` bounds each of the
+    arity coordinates; only a datum may have one."""
+
+    arity: int
+    fn: Callable[[np.ndarray], np.ndarray]
+    grad_fn: Callable[[np.ndarray], np.ndarray]
+    box: Optional[Tuple[Tuple[float, float], ...]] = None
+
+
+@dataclass(frozen=True)
 class QuasiLinearPDE:
     """Coefficients a_1..a_n, b on (x_1..x_n, y, t) and initial datum phi(x).
 
-    Each field's ``fn`` and required ``grad_fn`` take an (arity, S) block, one
-    column per strip, and broadcast over it: values to (S,), gradient rows to
-    (arity, S), so a constant gradient may be an (arity,) vector.  Only
-    ``phi`` may have a domain box, checked at the strip starts: the RK4 steps
-    never check the coefficients', so a boxed ``a[i]`` or ``b`` is refused.
+    Each is a ``BlockField``, and anything else is refused.  Only ``phi``
+    may have a domain box, checked at the strip starts: the RK4 steps never
+    check the coefficients', so a boxed ``a[i]`` or ``b`` is refused.
 
     b is a constant zero where its ``fn`` returns a 0-d zero and its
     ``grad_fn`` an (arity,) vector of zeros; while it is, at every stage,
     y and dy/dx0 stay put and the RK4 steps advance only dx/dx0 and x."""
 
     n: int
-    a: Sequence[ScalarField]  # each arity n + 2, argument order (x..., y, t)
-    b: ScalarField
-    phi: ScalarField  # arity n
+    a: Sequence[BlockField]  # each arity n + 2, argument order (x..., y, t)
+    b: BlockField
+    phi: BlockField  # arity n
 
     def __post_init__(self):
         for name, field in [*((f"a[{i}]", ai) for i, ai in enumerate(self.a)), ("b", self.b), ("phi", self.phi)]:
-            if field.grad_fn is None:
-                raise ValueError(f"{name} has no grad_fn: the characteristics need closed-form gradients")
+            if not isinstance(field, BlockField):
+                raise ValueError(f"{name} is not a BlockField: the characteristics need closed-form block gradients")
             if field.box is not None and name != "phi":
                 raise ValueError(f"{name} has a domain box: the characteristics do not check a coefficient's box")
 
@@ -122,11 +134,12 @@ def step_count(t_range, dt: float) -> int:
     return max(1, int(round((float(t_range[1]) - float(t_range[0])) / dt)))
 
 
-def _datum(phi: ScalarField, X0: np.ndarray):
+def _datum(phi: BlockField, X0: np.ndarray):
     """phi's values (S,) and gradient columns (n, S) at the strip starts X0
     (S, n), evaluated on the whole block, with one box check and one
-    finiteness check; the errors are those of ``phi.value`` and ``phi.grad``
-    at the first failing start."""
+    finiteness check: DomainError names the first start outside phi's box,
+    and NonFiniteValue the first start where a value or gradient entry is
+    not finite."""
     if phi.box is not None:
         lo, hi = np.array(phi.box, dtype=float).T
         outside = ((X0 < lo) | (X0 > hi)).any(axis=1)
@@ -331,20 +344,20 @@ def sheet_values(sheet: GeometricSolutionSheet, t: float) -> np.ndarray:
     return np.stack([sheet.xs[i, :, 0], sheet.ys[i]], axis=1)
 
 
-def _sine_datum_pde(a: ScalarField) -> QuasiLinearPDE:
+def _sine_datum_pde(a: BlockField) -> QuasiLinearPDE:
     """y_t + a y_x = 0 with y(0, x) = sin x."""
-    b = ScalarField(arity=3, fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(3))
-    phi = ScalarField(arity=1, fn=lambda p: np.sin(p[0]), grad_fn=lambda p: np.cos(p[:1]))
+    b = BlockField(arity=3, fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(3))
+    phi = BlockField(arity=1, fn=lambda p: np.sin(p[0]), grad_fn=lambda p: np.cos(p[:1]))
     return QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
 
 def burgers(speed: float = 2.0) -> QuasiLinearPDE:
     """y_t + speed * y * y_x = 0 with y(0, x) = sin x."""
     return _sine_datum_pde(
-        ScalarField(arity=3, fn=lambda p: speed * p[1], grad_fn=lambda p: np.array([0.0, speed, 0.0]))
+        BlockField(arity=3, fn=lambda p: speed * p[1], grad_fn=lambda p: np.array([0.0, speed, 0.0]))
     )
 
 
 def transport() -> QuasiLinearPDE:
     """y_t + y_x = 0 with y(0, x) = sin x."""
-    return _sine_datum_pde(ScalarField(arity=3, fn=lambda p: 1.0, grad_fn=lambda p: np.zeros(3)))
+    return _sine_datum_pde(BlockField(arity=3, fn=lambda p: 1.0, grad_fn=lambda p: np.zeros(3)))

@@ -13,7 +13,7 @@ import pytest
 from wavefronts import expr as ex
 from wavefronts import families, fronts, gallery, geometry, jets, pde
 from wavefronts.cli import phase_seeds
-from wavefronts.fields import ScalarField
+from wavefronts.fields import fd_jacobian
 from wavefronts.solve import System, continue_curve
 
 from conftest import field_catalog
@@ -224,25 +224,20 @@ def test_criterion_8_versality_catalog(acceptance):
 def test_criterion_9_numerics_hygiene(acceptance):
     # finite differences against every closed-form field in the catalogs
     worst_fd = 0.0
-    for fld in field_catalog().values():
-        bare = ScalarField(arity=fld.arity, fn=fld.fn)
+    closed_forms = list(field_catalog().values())
+    closed_forms += [(fam.field.arity, fam.field.fn, fam.field.grad) for fam in families.catalog().values()]
+    for arity, fn, grad in closed_forms:
         for _ in range(40):
-            p = RNG.uniform(-2, 2, fld.arity)
-            denom = np.maximum(1.0, np.abs(fld.grad(p)))
-            worst_fd = max(worst_fd, (np.abs(bare.grad(p) - fld.grad(p)) / denom).max())
-    for fam in families.catalog().values():
-        bare = ScalarField(arity=fam.field.arity, fn=fam.field.fn)
-        for _ in range(40):
-            p = RNG.uniform(-2, 2, fam.field.arity)
-            g = fam.field.grad(p)
+            p = RNG.uniform(-2, 2, arity)
+            g = grad(p)
             denom = np.maximum(1.0, np.abs(g))
-            worst_fd = max(worst_fd, (np.abs(bare.grad(p) - g) / denom).max())
+            worst_fd = max(worst_fd, (np.abs(fd_jacobian(fn, p)[0] - g) / denom).max())
     fd_ok = worst_fd < 1e-6
 
     # RK4 convergence on curved characteristics
-    a = ScalarField(3, lambda p: 2 * p[1], lambda p: np.array([0.0, 2.0, 0.0]))
-    b = ScalarField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]))
-    phi = ScalarField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
+    a = pde.BlockField(3, lambda p: 2 * p[1], lambda p: np.array([0.0, 2.0, 0.0]))
+    b = pde.BlockField(3, lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]))
+    phi = pde.BlockField(1, lambda p: np.sin(p[0]), lambda p: np.cos(p[:1]))
     eq = pde.QuasiLinearPDE(n=1, a=(a,), b=b, phi=phi)
 
     def rk4_err(dt):

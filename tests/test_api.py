@@ -2,8 +2,10 @@
 
 Every defaulted parameter of a public function or method under
 ``src/wavefronts`` is listed below as ``(module, function, parameter)``; a
-method is named ``Class.method``.  A new keyword default, or a deleted one,
-changes the set and fails this test, so each knob is added on purpose.
+method is named ``Class.method``.  Every defaulted field of a public
+dataclass, a config object's knob too, is listed as ``(module, Class,
+field)``.  A new default, or a deleted one, changes the sets and fails this
+test, so each knob is added on purpose.
 Values that no caller sets are module constants instead.  The module also
 checks that every name a library module imports is used there, that every
 top-level name is reached from a command, an export, the benchmark or a tool,
@@ -26,7 +28,6 @@ KNOBS = {
     ("families", "morse_family_check", "eps"),
     ("families", "morse_hypersurface_check", "eps"),
     ("families", "nondegeneracy_check", "eps"),
-    ("fields", "fd_jacobian", "ncols"),
     ("fields", "field_from_expr", "box"),
     ("fields", "field_from_expr", "third_rows"),
     ("fronts", "caustic", "max_points"),
@@ -34,6 +35,20 @@ KNOBS = {
     ("gallery", "gallery_family", "alpha"),
     ("linalg", "numerical_rank", "eps"),
     ("pde", "burgers", "speed"),
+}
+
+FIELDS = {
+    ("families", "GeneratingFamily", "name"),
+    ("families", "GeneratingFamily", "seeds"),
+    ("fields", "ScalarField", "box"),
+    ("fronts", "PointCloud", "chains"),
+    ("geometry", "Ellipse", "a"),
+    ("geometry", "Ellipse", "b"),
+    ("geometry", "Ellipsoid", "a"),
+    ("geometry", "Ellipsoid", "b"),
+    ("geometry", "Ellipsoid", "c"),
+    ("geometry", "Parabola", "c"),
+    ("pde", "BlockField", "box"),
 }
 
 
@@ -44,14 +59,27 @@ def _defaulted(args: ast.arguments):
     return [a.arg for a in named]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list)
+
+
 def library_knobs() -> set:
     """``(module, function, parameter)`` of every defaulted parameter of a
-    public module-level function or public method of a public class."""
+    public module-level function or public method of a public class, and
+    ``(module, Class, field)`` of every defaulted field of a public
+    dataclass."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_dataclass(node):
+                    out.update(
+                        (module, node.name, f.target.id)
+                        for f in node.body
+                        if isinstance(f, ast.AnnAssign) and f.value is not None
+                    )
                 functions = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
             elif isinstance(node, ast.FunctionDef):
                 functions = [(node.name, node)]
@@ -65,8 +93,8 @@ def library_knobs() -> set:
 
 def test_defaulted_parameters_are_the_pinned_set():
     found = library_knobs()
-    assert sorted(found - KNOBS) == [], "new defaulted parameters"
-    assert sorted(KNOBS - found) == [], "pinned parameters that are gone"
+    assert sorted(found - KNOBS - FIELDS) == [], "new defaulted parameters or fields"
+    assert sorted((KNOBS | FIELDS) - found) == [], "pinned parameters or fields that are gone"
 
 
 def _table(path: Path, name: str) -> list:

@@ -312,6 +312,8 @@ def test_unbounded_inputs_exit_2_before_allocating(argv, capsys):
         (["evolute", "--curve", "circle", "--a", "1e110"], 1),
         # |X'|^2 overflows: the normals would be 0 and each offset the curve
         (["parallels", "--curve", "ellipse", "--a", "1e160", "--b", "1", "--r", " -1:-1:1"], 1),
+        # |X'|^2 underflows to 0: each offset would be -inf or NaN
+        (["parallels", "--curve", "ellipse", "--a", "1e-170", "--b", "1e-170", "--r", " -1:-1:1", "--u", "0:1:0.5"], 1),
     ],
 )
 def test_curve_inputs_fail_without_numpy_warnings(argv, code, capsys, tmp_path):

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from wavefronts import expr as ex
 from wavefronts import families, geometry
 from wavefronts.errors import DomainError, NonFiniteValue
-from wavefronts.fields import ScalarField, field_from_expr, jet_index
+from wavefronts.fields import fd_jacobian, field_from_expr, jet_index
 
 from conftest import field_catalog
 
 RNG = np.random.default_rng(42)
+CUSP_VARS = ("q1", "x1", "x2")
+CUSP_BOX = ((-4.0, 4.0), (-6.0, 6.0), (-6.0, 6.0))
 
 
 def test_expr_field_gradient_and_hessian():
@@ -41,39 +43,19 @@ def test_third_without_third_fn_differences_the_hessian():
 
 @pytest.mark.parametrize("name", sorted(field_catalog()))
 def test_fd_matches_closed_form_catalog(name):
-    fld = field_catalog()[name]
-    fd = ScalarField(arity=fld.arity, fn=fld.fn)  # strip the closed forms
+    arity, fn, grad = field_catalog()[name]
     for _ in range(100):
-        p = RNG.uniform(-2, 2, fld.arity)
-        assert np.allclose(fd.grad(p), fld.grad(p), rtol=1e-6, atol=1e-6)
-
-
-def test_fd_hessian_symmetric():
-    fd = ScalarField(2, lambda p: np.sin(p[0]) * p[1] ** 2)
-    H = fd.hessian(np.array([0.7, 1.3]))
-    assert H == pytest.approx(H.T)
-    assert H[0, 1] == pytest.approx(2 * 1.3 * np.cos(0.7), rel=1e-5)
-
-
-def test_hessian_differentiates_closed_form_gradient():
-    # a closed-form gradient: the Hessian is one FD pass over grad_fn
-    fld = ScalarField(
-        arity=2,
-        fn=lambda p: np.sin(p[0]) * p[1] ** 2,
-        grad_fn=lambda p: np.array([np.cos(p[0]) * p[1] ** 2, 2 * np.sin(p[0]) * p[1]]),
-    )
-    x, y = 0.7, 1.3
-    exact = [[-np.sin(x) * y**2, 2 * np.cos(x) * y], [2 * np.cos(x) * y, 2 * np.sin(x)]]
-    assert fld.hessian(np.array([x, y])) == pytest.approx(np.array(exact), abs=1e-8)
+        p = RNG.uniform(-2, 2, arity)
+        assert np.allclose(fd_jacobian(fn, p)[0], grad(p), rtol=1e-6, atol=1e-6)
 
 
 def test_box_violation_raises():
-    fld = ScalarField(1, lambda p: p[0] ** 2, box=((-1.0, 1.0),))
-    with pytest.raises(DomainError):
-        fld.value([2.0])
-    # FD probes need margin inside the box edge
-    with pytest.raises(DomainError):
-        fld.grad([1.0])
+    fld = field_from_expr(ex.parse_expr("q1^2", ("q1",)), ("q1",), box=((-1.0, 1.0),))
+    for method in (fld.value, fld.grad, fld.hessian):
+        with pytest.raises(DomainError):
+            method([2.0])
+    # a closed-form jet reads no probe beyond the point: the box edge is inside
+    assert fld.grad([1.0]).tolist() == [2.0]
 
 
 BOX = ((-1.0, 1.0), (-2.0, 0.5), (0.0, 3.0))
@@ -82,49 +64,46 @@ COORD = st.sampled_from([-2.0, -1.0, -1.0 + 1e-5, 0.0, 0.5 - 1e-5, 0.5, 1.0, 1.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.lists(COORD, min_size=3, max_size=3), fd_margin=st.booleans())
-def test_box_check_matches_array_reference(p, fd_margin):
-    p = np.array(p)
-    margin = 1e-5 * np.maximum(1.0, np.abs(p)) if fd_margin else 0.0
-    lo, hi = np.array([b[0] for b in BOX]), np.array([b[1] for b in BOX])
-    outside = bool(np.any(p - margin < lo) or np.any(p + margin > hi))
-    fld = ScalarField(arity=3, fn=lambda q: 0.0, box=BOX)
+@given(p=st.lists(COORD, min_size=3, max_size=3))
+def test_box_check_matches_array_reference(p):
+    lo, hi = np.array(BOX).T
+    outside = bool(np.any(np.array(p) < lo) or np.any(np.array(p) > hi))
+    fld = field_from_expr(ex.parse_expr("q1 + x1 + x2", CUSP_VARS), CUSP_VARS, box=BOX)
     try:
-        fld._check_box(p, margin)
+        fld._check_floats(p)
     except DomainError:
         assert outside
     else:
         assert not outside
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
 def test_non_finite_detected():
-    fld = ScalarField(1, lambda p: 1.0 / p[0])
-    with pytest.raises(NonFiniteValue):
-        fld.value([0.0])
-
-
-CUSP_VARS = ("q1", "x1", "x2")
-CUSP_BOX = ((-4.0, 4.0), (-6.0, 6.0), (-6.0, 6.0))
+    # q1^400 overflows at q1 = 10: Python's float ** raises where numpy's returns inf
+    fld = field_from_expr(ex.parse_expr("q1^400", ("q1",)), ("q1",))
+    for method in (fld.value, fld.grad):
+        with pytest.raises(NonFiniteValue):
+            method([10.0])
 
 
 def test_stacked_derivatives_are_the_rows():
     generated = field_from_expr(ex.parse_expr("q1^4 + x1*q1^2 + x2*q1", CUSP_VARS), CUSP_VARS, CUSP_BOX, 1)
-    opaque = ScalarField(3, generated.fn, box=CUSP_BOX)
+    # a jet that does not stack: its rows are the 1-D calls themselves
+    ellipse = geometry.distance_squared_family(geometry.Ellipse(a=2.0, b=1.0))[0].field
     P = np.column_stack([RNG.uniform(-3, 3, 8), RNG.uniform(-5, 5, (8, 2))])
-    P[2, 0], P[5, 2] = 4.5, -6.5  # two rows outside the box
     third = jet_index(3, 1)[3]
-    for fld in (generated, opaque):
-        parts = (*fld.derivatives(P), fld.jet(P, 1)[:, third])
+    # two rows outside each box, and the rounding allowed against the 1-D calls
+    for fld, (u_out, v_out), tol in ((generated, (4.5, -6.5), 1e-13), (ellipse, (31.0, -12.5), 0.0)):
+        Q = P.copy()
+        Q[2, 0], Q[5, 2] = u_out, v_out
+        parts = (*fld.derivatives(Q), fld.jet(Q, 1)[:, third])
         assert [a.shape for a in parts] == [(8,), (8, 3), (8, 3, 3), (8, 1, 1, 3)]
-        for i, p in enumerate(P):
+        for i, p in enumerate(Q):
             if i in (2, 5):
                 assert all(np.isnan(a[i]).all() for a in parts)
                 continue
             for a, b in zip(parts, (*fld.derivatives(p), fld.jet(p, 1)[third])):
-                # numpy's elementwise powers may round by an ulp apart from
-                # Python's; the FD rows are the 1-D calls themselves
-                assert np.abs(a[i] - b).max() <= (1e-13 if fld is generated else 0.0) * max(1.0, np.abs(b).max())
+                # numpy's elementwise powers may round by an ulp apart from Python's
+                assert np.abs(a[i] - b).max() <= tol * max(1.0, np.abs(b).max())
     assert len(generated.derivatives(P)) == 3
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavefronts import expr as ex
 from wavefronts import families, fields, fronts, gallery, geometry
 from wavefronts.errors import DomainError, NonFiniteValue
-from wavefronts.fields import ScalarField, fd_jacobian, jet_index
+from wavefronts.fields import fd_jacobian, field_from_expr, jet_index
 from wavefronts.linalg import adjugate
 from wavefronts.solve import System
 
@@ -127,14 +128,19 @@ def test_exact_jacobian_on_the_caustic(fam_name):
         _agree(*_system(fam, name, _pairing_point(fam, z) if name == "pairing" else z))
 
 
-# relative tolerance of an opaque field's FD Jacobians against the exact ones;
-# the caustic's det row differences the FD Hessian once more
+CUSP_VARS = ("q1", "x1", "x2")
+# the cusp with a jet that stops at the Hessian: its caustic differences the Hessian
+OPAQUE_CUSP = dataclasses.replace(
+    FAMILIES["cusp"],
+    field=field_from_expr(ex.parse_expr("q1^4 + x1*q1^2 + x2*q1", CUSP_VARS), CUSP_VARS, FAMILIES["cusp"].field.box),
+)
+# relative tolerance of the FD Jacobians of a jet without third partials
+# against the exact ones; the caustic's det row differences the Hessian
 OPAQUE_TOL = {"front": 1e-5, "critical": 1e-5, "pairing": 1e-5, "caustic": 2e-2}
 
 
 def test_opaque_families_get_field_fd_jacobians():
-    cusp = FAMILIES["cusp"]
-    opaque = families.GeneratingFamily(k=1, n=2, field=ScalarField(3, cusp.field.fn, box=cusp.field.box))
+    cusp, opaque = FAMILIES["cusp"], OPAQUE_CUSP
     for z in ([0.7, -1.2, 0.4], SINGULAR["cusp"], [-1.1, 0.8, -2.5]):
         z = np.array(z)
         for name in SYSTEMS:
@@ -265,11 +271,9 @@ def test_shifted_family_shifts_the_fused_value(fam_name):
 
 
 def test_derivatives_fallbacks_are_the_separate_methods():
-    # no jet (an opaque field), and a jet without third partials (a surface)
-    cusp = FAMILIES["cusp"]
-    opaque = ScalarField(3, cusp.field.fn, box=cusp.field.box)
+    # jets without third partials: a compiled one, and a surface's
     sphere = _dist2(geometry.Sphere(radius=1.0)).field
-    for fld, z in ((opaque, np.array([0.7, -1.2, 0.4])), (sphere, np.array([0.7, 0.4, 0.3, -0.2, 0.5]))):
+    for fld, z in ((OPAQUE_CUSP.field, np.array([0.7, -1.2, 0.4])), (sphere, np.array([0.7, 0.4, 0.3, -0.2, 0.5]))):
         (v, g, H), T = fld.derivatives(z), _third(fld, z, 2)
         assert v == fld.value(z)
         assert np.array_equal(g, fld.grad(z)) and np.array_equal(H, fld.hessian(z))
@@ -280,22 +284,24 @@ def test_derivatives_fallbacks_are_the_separate_methods():
 
 
 def test_opaque_caustic_differences_only_the_third_block_it_uses(monkeypatch):
-    cusp = FAMILIES["cusp"]
-    calls = {"all": 0, "third": 0}
+    calls = {"third": 0, "jet": 0}
     in_third = [False]
+    base = OPAQUE_CUSP.field
 
-    def fn(p):
-        calls["all"] += 1
-        calls["third"] += in_third[0]
-        return cusp.field.fn(p)
+    def jet_fn(v, with_third):
+        calls["jet"] += in_third[0]
+        return base.jet_fn(v, with_third)
 
-    opaque = families.GeneratingFamily(k=1, n=2, field=ScalarField(3, fn, box=cusp.field.box))
+    opaque = dataclasses.replace(OPAQUE_CUSP, field=dataclasses.replace(base, jet_fn=jet_fn))
     # seeds on the caustic (q, -6 q^2, 8 q^3)
     seeds = [np.array([q, -6 * q * q, 8 * q**3]) for q in (-0.9, -0.3, 0.5)]
     fd_third = fields.ScalarField._fd_third
+    rows = set()
 
     def trace(full):
         def counted(self, p, r):
+            rows.add(r)
+            calls["third"] += 1
             in_third[0] = True
             try:
                 # ``full``: the whole (m, m, m) difference; the caustic slices its block
@@ -304,7 +310,7 @@ def test_opaque_caustic_differences_only_the_third_block_it_uses(monkeypatch):
                 in_third[0] = False
 
         monkeypatch.setattr(fields.ScalarField, "_fd_third", counted)
-        calls.update(all=0, third=0)
+        calls.update(third=0, jet=0)
         cloud = fronts.caustic(opaque, seeds, step=0.05, max_points=40)
         return cloud, dict(calls)
 
@@ -312,8 +318,10 @@ def test_opaque_caustic_differences_only_the_third_block_it_uses(monkeypatch):
     full, full_calls = trace(full=True)
     assert len(block.x) > 100
     assert np.array_equal(block.x, full.x) and np.array_equal(block.q, full.q)
-    assert 5 * block_calls["third"] <= full_calls["third"]
-    assert block_calls["all"] < full_calls["all"]
+    # the caustic asks for the k = 1 rows only; each of the 2 m probes of a
+    # difference is one jet pass, whatever the rows
+    assert rows == {1}
+    assert block_calls == full_calls and block_calls["jet"] == 2 * 3 * block_calls["third"] > 0
 
 
 def test_surface_caustic_evaluate_makes_one_jet_pass_before_its_fd_hessians():
