@@ -365,7 +365,10 @@ def cmd_ode_gallery(args) -> int:
     alpha = None
     if args.alpha and args.alpha.strip() != "0":
         alpha = ex.parse_expr(args.alpha, ("v1", "v2"))
-    diagram = gallery.gallery_family(args.germ, alpha)
+    try:
+        diagram = gallery.gallery_family(args.germ, alpha)
+    except ValueError as e:  # a modulus on a germ that takes none
+        raise ValidationError(str(e)) from e
     t_values = parse_range(args.t)
     u1_grid = np.linspace(-1.6, 1.6, 10 * args.seed_density + 1)
     curves = [fc for t in t_values for fc in gallery.gallery_front(diagram, float(t), u1_grid)]

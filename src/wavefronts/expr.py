@@ -308,7 +308,6 @@ class _Parser:
     def __init__(self, text: str, variables: Iterable[str]):
         self.text = text
         self.variables = set(variables)
-        self.pos = 0
         self.tokens = []
         self._tokenize()
         self.i = 0

@@ -86,7 +86,6 @@ class CriticalPoint:
     q: np.ndarray
     x: np.ndarray
     residual: float
-    hess_q_det: float
     corank: int
 
 
@@ -163,9 +162,9 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
 
     Non-converging seeds are skipped; duplicates at one x within
     ``DEDUP_RADIUS`` are merged by one grouped ``dedup`` of every x.  Each
-    kept point's residual, det and corank come from the pass it converged
-    with.  Output follows the deterministic grid order, and the seed order at
-    each x.
+    kept point's residual and corank come from the pass it converged with.
+    Output follows the deterministic grid order, and the seed order at each
+    x.
     """
     k, S = fam.k, len(q_seeds)
     X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]).reshape(-1, fam.n)
@@ -176,17 +175,13 @@ def solve_critical_set(fam: GeneratingFamily, x_grid: Sequence, q_seeds: Sequenc
     # one dedup of every x's converged rows, NaN in the others
     rows = dedup(np.where((outcome == CONVERGED)[:, None], P, np.nan).reshape(len(X), S, k), DEDUP_RADIUS)
     residual = np.abs(R[rows]).max(axis=1)
-    # np.linalg.det, whose 1 x 1 answer can differ from h in the last bit
-    det = np.linalg.det(H[rows])
     if k == 1:
         rank = H[rows, 0, 0] != 0.0  # numerical_rank's rule on the one singular value |h|
     else:
         s = np.linalg.svd(H[rows], compute_uv=False)
         rank = (s > RANK_EPS * s[:, :1]).sum(axis=1)  # numerical_rank's rule, row by row
     return [
-        CriticalPoint(
-            q=P[j], x=X[j // S], residual=float(residual[i]), hess_q_det=float(det[i]), corank=k - int(rank[i])
-        )
+        CriticalPoint(q=P[j], x=X[j // S], residual=float(residual[i]), corank=k - int(rank[i]))
         for i, j in enumerate(rows)
     ]
 

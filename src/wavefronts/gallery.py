@@ -1,8 +1,9 @@
-"""The six normal-form integral diagrams for generic first-order ODEs:
-momentary fronts, caustic / envelope / self-intersection data.
+"""The six normal-form integral diagrams (g, mu) for generic first-order
+ODEs: momentary fronts g({mu = t}), caustic / delta / self-intersection data.
 
 A momentary front is one ``fronts.FrontCurve`` per traced chain of mu = t,
-as for a generating family: ``x`` the front-map image, ``q`` the chart u."""
+as for a generating family: ``x`` the front-map image, ``q`` the chart u.
+The caustic and the delta split g({det Dg = 0}) by the rank of [Dg; dmu]."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from . import expr as ex
 from . import fields
 from . import fronts as _fronts
 from .errors import DomainError, UnknownGerm
+from .linalg import RANK_EPS
 # perfbench/tracing.py patches gallery.polyline_self_intersections by name
 from .fronts import FrontCurve, polyline_self_intersections
 from .solve import System, bracket_roots, dedup, project_to_set
@@ -26,10 +28,8 @@ _U = ("u1", "u2")
 # gallery_front: the u2 samples of the seed scan for roots of mu = t along
 # each u1 line; its ends are the u2 sides of the box the fronts are traced in
 U2_SEEDS = np.linspace(-3.0, 3.0, 61)
-# gallery_discriminant: the chart grids of the caustic scan and the envelope
-# parameters
+# gallery_discriminant: both axes of the det Dg scan
 CHART_GRID = np.linspace(-1.5, 1.5, 121)
-ENVELOPE_GRID = np.linspace(-1.2, 1.2, 241)
 
 _GERMS = {
     1: ("u2", ("u1", "u2"), "trivial"),
@@ -40,13 +40,8 @@ _GERMS = {
     6: ("-3*u2^2 + 4*u1*u2 + u1", ("u1", "u2^3 + u1*u2^2"), "mixed"),
 }
 
-# Closed-form parametric envelopes of the front families (the delta data),
-# one callable per branch, each mapping the branch parameter to (x, y).
-_ENVELOPES = {
-    3: [lambda s: np.array([s, 0.0])],
-    5: [lambda s: np.array([-3 * s * s, -2 * s**3])],
-    6: [lambda s: np.array([s, 0.0]), lambda s: np.array([s, 4 * s**3 / 27])],
-}
+# the germs whose normal form takes a functional modulus alpha
+_MODULATED = (4, 5, 6)
 
 
 @dataclass
@@ -74,13 +69,16 @@ class GalleryDiscriminant:
 
 def gallery_family(germ_id: int, alpha: Optional[ex.Expr] = None) -> IntegralDiagram:
     """Build one of the six normal forms; ``alpha`` is an optional functional
-    modulus, a polynomial in (v1, v2) composed with the front map."""
+    modulus, a polynomial in (v1, v2) composed with the front map (ValueError
+    on a germ not in ``_MODULATED``)."""
     if germ_id not in _GERMS:
         raise UnknownGerm(f"germ id {germ_id} (expected 1..6)")
+    if alpha is not None and germ_id not in _MODULATED:
+        raise ValueError(f"germ {germ_id} takes no functional modulus (only germs {_MODULATED} do)")
     mu_text, g_texts, kind = _GERMS[germ_id]
     mu = ex.parse_expr(mu_text, _U)
     g = tuple(ex.parse_expr(s, _U) for s in g_texts)
-    if alpha is not None and germ_id in (4, 5, 6):
+    if alpha is not None:
         mu = ex.add(mu, alpha.subst({"v1": g[0], "v2": g[1]}))
     dg = [[c.diff(v) for v in _U] for c in g]
     # det of the Jacobian of the front map, symbolically: the caustic scan
@@ -134,17 +132,27 @@ def gallery_front(diagram: IntegralDiagram, t: float, u1_grid: Sequence[float]) 
     return [FrontCurve(t=float(t), x=diagram.front_map(c.points.T).T, q=c.points, closed=c.closed) for c in chains]
 
 
-def _caustic_points(diagram: IntegralDiagram) -> np.ndarray:
-    """Zero locus of det Dg along the rows and columns of the square
-    ``CHART_GRID`` chart, mapped by the front map."""
+def _singular_image(diagram: IntegralDiagram) -> Tuple[np.ndarray, np.ndarray]:
+    """``(caustic, delta)``: the front-map image of S = {det Dg = 0}, scanned
+    along the rows and columns of the square ``CHART_GRID`` chart (an image
+    within 1e-9 of an earlier one dropped), split by one rank rule.  The
+    front through a point of S is singular exactly when dmu vanishes on
+    ker Dg, that is when [Dg; dmu] has rank 1 (``numerical_rank``'s rule):
+    those points are the caustic, the others the delta.  A modulus alpha
+    adds d(alpha o g), a combination of the rows of Dg, to dmu, so it moves
+    neither S nor the split."""
+    # det Dg compiles to one number where it is constant (germ 1)
     f, grid = diagram.det_dg_fn, CHART_GRID
-    row, u2 = bracket_roots(lambda p, s: f(np.array([p, s])), grid, grid)
-    col, u1 = bracket_roots(lambda p, s: f(np.array([s, p])), grid, grid)
+    det = lambda u1, u2: np.broadcast_to(f(np.array([u1, u2])), u1.shape)
+    row, u2 = bracket_roots(det, grid, grid)
+    col, u1 = bracket_roots(lambda p, s: det(s, p), grid, grid)
     u = np.concatenate([np.column_stack([grid[row], u2]), np.column_stack([u1, grid[col]])])
-    if not len(u):
-        return np.zeros((0, 2))
-    pts = diagram.front_map(u.T).T
-    return pts[dedup(pts, 1e-9)]
+    jet = np.array(np.broadcast_arrays(*diagram.jet_fn(u.T)), dtype=float)
+    jet = jet[:, dedup(jet[3:5].T, 1e-9)]
+    # the rows dg1, dg2 and dmu of each kept point
+    s = np.linalg.svd(jet[[5, 6, 7, 8, 1, 2]].T.reshape(-1, 3, 2), compute_uv=False)
+    cusp = s[:, 1] <= RANK_EPS * s[:, 0]
+    return jet[3:5, cusp].T, jet[3:5, ~cusp].T
 
 
 def _pairing_system(diagram: IntegralDiagram, t: float) -> System:
@@ -192,24 +200,9 @@ def _maxwell_points(diagram: IntegralDiagram, fronts: Sequence[FrontCurve]) -> n
     return np.array(out)[dedup(out, 1e-7)]
 
 
-def envelope(diagram: IntegralDiagram, s_grid: Sequence[float]) -> np.ndarray:
-    """Closed-form envelope of the front family, where one is defined."""
-    branches = _ENVELOPES.get(diagram.germ_id)
-    if not branches:
-        return np.zeros((0, 2))
-    return np.array([b(float(s)) for b in branches for s in s_grid])
-
-
 def gallery_discriminant(diagram: IntegralDiagram, fronts: Sequence[FrontCurve]) -> GalleryDiscriminant:
-    """Caustic (critical values of the front map), envelope data and the
-    equal-time self-intersections of the given fronts of one normal form.
-
-    Components reported per germ: (4) caustic + maxwell, (5) delta,
-    (6) caustic + delta, per-germ front geometry otherwise empty.
-    """
-    gid = diagram.germ_id
-    empty = np.zeros((0, 2))
-    ca = _caustic_points(diagram) if gid in (4, 6) else empty
-    mx = _maxwell_points(diagram, fronts) if gid == 4 else empty
-    de = envelope(diagram, ENVELOPE_GRID) if gid in (3, 5, 6) else empty
-    return GalleryDiscriminant(caustic=ca, maxwell=mx, delta=de)
+    """Caustic and delta of one normal form (``_singular_image``'s, in scan
+    order, not ordered into chains) and the equal-time self-intersections of
+    ``fronts``."""
+    caustic, delta = _singular_image(diagram)
+    return GalleryDiscriminant(caustic=caustic, maxwell=_maxwell_points(diagram, fronts), delta=delta)

@@ -18,7 +18,9 @@ from wavefronts.solve import System, continue_curve
 
 from conftest import field_catalog
 
-RNG = np.random.default_rng(20260823)
+# each criterion draws from its own generator of this seed, so that its
+# figures do not depend on which tests ran before it
+SEED = 20260823
 
 
 def test_criterion_1_cusp_caustic_oracle(acceptance):
@@ -88,13 +90,13 @@ def test_criterion_3_delta_empty(acceptance, monkeypatch):
     assert ok
 
 
-def _random_critical_points(fam, count):
+def _random_critical_points(fam, count, rng):
     out = []
     box = fam.field.box
     q_seeds = fam.seeds or [np.zeros(fam.k)]
     while len(out) < count:
         xs = [
-            np.array([RNG.uniform(lo * 0.8, hi * 0.8) for lo, hi in box[fam.k :]])
+            np.array([rng.uniform(lo * 0.8, hi * 0.8) for lo, hi in box[fam.k :]])
             for _ in range(40)
         ]
         out.extend(families.solve_critical_set(fam, xs, q_seeds))
@@ -104,9 +106,10 @@ def _random_critical_points(fam, count):
 def test_criterion_4_space_front_singularity_equivalence(acceptance):
     disagreements = 0
     sigma_min = np.inf
+    rng = np.random.default_rng(SEED)
     for fam in families.catalog().values():
         gl = families.GraphLikeFamily(base=fam)
-        for cp in _random_critical_points(fam, 200):
+        for cp in _random_critical_points(fam, 200, rng):
             d = families.rank_diagnostics(gl, cp)
             space_sing = d["space_proj_rank"] < fam.n
             front_sing = d["front_proj_rank"] < fam.n
@@ -124,9 +127,10 @@ def test_criterion_4_space_front_singularity_equivalence(acceptance):
 
 def test_criterion_5_nondegeneracy_matches_momentary_hypersurface_check(acceptance):
     disagreements = 0
+    rng = np.random.default_rng(SEED)
     for fam in families.catalog().values():
         gl = families.GraphLikeFamily(base=fam)
-        for cp in _random_critical_points(fam, 200):
+        for cp in _random_critical_points(fam, 200, rng):
             t0 = fam.value(cp.q, cp.x)
             a = families.nondegeneracy_check(gl, cp.q, cp.x, t0)
             b = families.morse_hypersurface_check(
@@ -224,11 +228,12 @@ def test_criterion_8_versality_catalog(acceptance):
 def test_criterion_9_numerics_hygiene(acceptance):
     # finite differences against every closed-form field in the catalogs
     worst_fd = 0.0
+    rng = np.random.default_rng(SEED)
     closed_forms = list(field_catalog().values())
     closed_forms += [(fam.field.arity, fam.field.fn, fam.field.grad) for fam in families.catalog().values()]
     for arity, fn, grad in closed_forms:
         for _ in range(40):
-            p = RNG.uniform(-2, 2, arity)
+            p = rng.uniform(-2, 2, arity)
             g = grad(p)
             denom = np.maximum(1.0, np.abs(g))
             worst_fd = max(worst_fd, (np.abs(fd_jacobian(fn, p)[0] - g) / denom).max())

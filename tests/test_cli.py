@@ -447,6 +447,16 @@ def test_module_error_exits_1(capsys):
     assert "UnknownGerm" in capsys.readouterr().err
 
 
+def test_modulus_on_a_germ_that_takes_none_exits_2(tmp_path, capsys):
+    csv = tmp_path / "a.csv"
+    assert run(["ode-gallery", "--germ", "2", "--t", " -0.3:0.3:0.1", "--alpha", "v1", "--csv", str(csv)]) == 2
+    assert "invalid arguments: germ 2 takes no functional modulus" in capsys.readouterr().err
+    assert not csv.exists()
+    # an unknown germ is still a module error
+    assert run(["ode-gallery", "--germ", "9", "--t", "0:1:1", "--alpha", "v1"]) == 1
+    assert "UnknownGerm" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert run([]) == 2
 

@@ -83,9 +83,9 @@ def test_critical_point_corank_on_caustic(cusp):
     x1 = -1.5
     x2 = np.sqrt(-8 * x1**3 / 27)
     cps = families.solve_critical_set(cusp, [np.array([x1, x2])], [[-1.0], [0.0], [1.0]])
-    # the double root splits at sqrt(newton_tol) scale, so the determinant of
-    # the fiber Hessian is near zero only to that accuracy
-    assert any(abs(cp.hess_q_det) < 1e-3 for cp in cps)
+    # the double root splits at sqrt(newton_tol) scale, so the 1 x 1 fiber
+    # Hessian is near zero only to that accuracy
+    assert any(abs(cusp.hess_qq(cp.q, cp.x)[0, 0]) < 1e-3 for cp in cps)
 
 
 def test_lagrangian_and_unfolding_maps(cusp):
@@ -144,7 +144,7 @@ def test_rank_diagnostics_refuses_a_critical_set_that_is_not_a_graph():
     # dF/dq = 3 q^2 + x1^2 + x2^2 has a zero gradient at the origin, where
     # the critical set's tangent space is all of R^3
     fam = families.family_from_text("q1^3 + (x1^2 + x2^2)*q1", 1, 2, box=((-1, 1),) * 3)
-    cp = families.CriticalPoint(q=np.zeros(1), x=np.zeros(2), residual=0.0, hess_q_det=0.0, corank=1)
+    cp = families.CriticalPoint(q=np.zeros(1), x=np.zeros(2), residual=0.0, corank=1)
     with pytest.raises(ChartFailure, match="tangent dim 3"):
         families.rank_diagnostics(families.GraphLikeFamily(base=fam), cp)
 

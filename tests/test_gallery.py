@@ -18,6 +18,12 @@ def test_unknown_germ():
         gallery.gallery_family(7)
 
 
+@pytest.mark.parametrize("germ", [1, 2, 3])
+def test_modulus_on_a_germ_that_takes_none_is_refused(germ):
+    with pytest.raises(ValueError, match="no functional modulus"):
+        gallery.gallery_family(germ, ex.parse_expr("v1", ("v1", "v2")))
+
+
 def test_germ_formulas_exact():
     d2 = gallery.gallery_family(2)
     assert str(d2.mu) == "2/3*u1^3 + u2"
@@ -120,24 +126,65 @@ def test_germ4_cusp_birth_across_zero(monkeypatch):
     assert cusp_count(-0.1) == 2
 
 
+# Closed-form oracles of the discriminant components, per germ: the component
+# the det Dg scan fills (the other is empty), the residual of its curve
+# equation at an image point (relative for the semicubics) with its bound, and
+# its branches, each s -> (chart preimage u, image (x, y)).
+ORACLES = {
+    2: ("caustic", lambda x, y: np.abs(x), 1e-12, [lambda s: ((0 * s, s), (0 * s, s))]),
+    3: ("delta", lambda x, y: np.abs(y), 1e-12, [lambda s: ((s, 0 * s), (s, 0 * s))]),
+    4: (
+        "caustic",
+        lambda x, y: np.abs(27 * x**2 + 4 * y**3) / np.maximum(1.0, np.abs(y) ** 3),
+        1e-6,
+        [lambda s: ((s, -3 * s**2), (-2 * s**3, -3 * s**2))],
+    ),
+    5: (
+        "delta",
+        lambda x, y: np.abs(4 * x**3 + 27 * y**2) / np.maximum(1.0, np.abs(x) ** 3),
+        1e-6,
+        [lambda s: ((-3 * s**2, s), (-3 * s**2, -2 * s**3))],
+    ),
+    6: (
+        "delta",
+        lambda x, y: np.minimum(np.abs(y), np.abs(y - 4 * x**3 / 27)),
+        1e-12,
+        [lambda s: ((s, 0 * s), (s, 0 * s)), lambda s: ((s, -2 * s / 3), (s, 4 * s**3 / 27))],
+    ),
+}
+
+
+def _check_oracle(germ, alpha=None):
+    """Membership and coverage both ways: every computed point of the
+    germ's component lies on its closed form, and every closed-form point
+    whose chart preimage lies in ``CHART_GRID``'s box is within two grid
+    steps of a computed point.  Returns the discriminant."""
+    name, residual, bound, branches = ORACLES[germ]
+    disc = gallery.gallery_discriminant(gallery.gallery_family(germ, alpha), [])
+    got = getattr(disc, name)
+    assert len(got) > 50
+    assert residual(got[:, 0], got[:, 1]).max() < bound
+    grid = gallery.CHART_GRID
+    for branch in branches:
+        u, xy = branch(np.linspace(grid[0], grid[-1], 601))
+        inside = np.all((grid[0] <= np.array(u)) & (np.array(u) <= grid[-1]), axis=0)
+        oracle = np.column_stack(xy)[inside]
+        gap = np.linalg.norm(oracle[:, None] - got[None], axis=2).min(axis=1)
+        assert gap.max() <= 2 * (grid[1] - grid[0])
+    return disc
+
+
+def test_germ2_caustic_is_y_axis():
+    # the cusps of the semicubical fronts (s^2, t - 2 s^3 / 3) at s = 0
+    assert len(_check_oracle(2).delta) == 0
+
+
 def test_germ4_caustic_semicubical():
-    d4 = gallery.gallery_family(4)
-    ca = gallery.gallery_discriminant(d4, []).caustic
-    assert len(ca) > 50
-    res = np.abs(27 * ca[:, 0] ** 2 + 4 * ca[:, 1] ** 3) / np.maximum(
-        1.0, np.abs(ca[:, 1]) ** 3
-    )
-    assert res.max() < 1e-6
+    assert len(_check_oracle(4).delta) == 0
 
 
 def test_germ5_envelope_semicubical():
-    d5 = gallery.gallery_family(5)
-    de = gallery.gallery_discriminant(d5, []).delta
-    assert len(de) > 50
-    res = np.abs(4 * de[:, 0] ** 3 + 27 * de[:, 1] ** 2) / np.maximum(
-        1.0, np.abs(de[:, 0]) ** 3
-    )
-    assert res.max() < 1e-6
+    assert len(_check_oracle(5).caustic) == 0
 
 
 def test_germ4_maxwell_on_negative_y_axis():
@@ -150,25 +197,15 @@ def test_germ4_maxwell_on_negative_y_axis():
     assert np.all(mx[:, 1] < 0)
 
 
-def test_germ6_caustic_branches():
-    d6 = gallery.gallery_family(6)
-    disc = gallery.gallery_discriminant(d6, [])
-    ca = disc.caustic
-    assert len(ca) > 20
-    # branch residuals: y = 0 or y = 4 x^3 / 27
-    r = np.minimum(np.abs(ca[:, 1]), np.abs(ca[:, 1] - 4 * ca[:, 0] ** 3 / 27))
-    assert r.max() < 1e-8
-    # the envelope data reuses the same two branches
-    de = disc.delta
-    r2 = np.minimum(np.abs(de[:, 1]), np.abs(de[:, 1] - 4 * de[:, 0] ** 3 / 27))
-    assert r2.max() < 1e-12
+def test_germ6_delta_branches():
+    # the delta is the two branches y = 0 and y = 4 x^3 / 27; where they
+    # cross, at the origin, dmu vanishes on ker Dg, the one caustic point
+    ca = _check_oracle(6).caustic
+    assert len(ca) <= 1 and np.abs(ca).max(initial=0.0) < 1e-12
 
 
 def test_germ3_envelope_is_x_axis():
-    d3 = gallery.gallery_family(3)
-    de = gallery.gallery_discriminant(d3, []).delta
-    assert len(de) > 50
-    assert np.abs(de[:, 1]).max() < 1e-12
+    assert len(_check_oracle(3).caustic) == 0
 
 
 def test_germ1_components_empty():
@@ -192,12 +229,12 @@ def test_loglog_exponent_three_halves():
 def test_functional_modulus_keeps_discriminant_shape():
     alpha = ex.parse_expr("1/10*v1 + 1/20*v2^2", ("v1", "v2"))
     d4 = gallery.gallery_family(4, alpha)
-    ca = gallery.gallery_discriminant(d4, []).caustic
-    # alpha changes mu but not g, so the caustic is the same semicubic
-    res = np.abs(27 * ca[:, 0] ** 2 + 4 * ca[:, 1] ** 3) / np.maximum(
-        1.0, np.abs(ca[:, 1]) ** 3
-    )
-    assert res.max() < 1e-6
+    # alpha adds d(alpha o g), a combination of the rows of Dg, to dmu: the
+    # caustic and the delta are those without it
+    for germ in (4, 5, 6):
+        plain = gallery.gallery_discriminant(gallery.gallery_family(germ), [])
+        moved = _check_oracle(germ, alpha)
+        assert np.array_equal(plain.caustic, moved.caustic) and np.array_equal(plain.delta, moved.delta)
     # the fronts do move
     base = _xy(gallery.gallery_front(gallery.gallery_family(4), 0.2, U1))
     moved = _xy(gallery.gallery_front(d4, 0.2, U1))

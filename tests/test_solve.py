@@ -1042,9 +1042,8 @@ def test_solve_critical_set_reads_the_converged_pass(monkeypatch):
     assert [len([c for c in cps if tuple(c.x) == tuple(x)]) for x in xs] == [3, 1, 3]
     for a, b in zip(cps, again):
         assert np.array_equal(a.q, b.q) and np.array_equal(a.x, b.x)
-        _, g, H = CUSP.field.derivatives(CUSP.point(a.q, a.x))
+        _, g, _ = CUSP.field.derivatives(CUSP.point(a.q, a.x))
         assert a.residual == pytest.approx(abs(g[0]), abs=1e-14)
-        assert a.hess_q_det == pytest.approx(H[0, 0], rel=1e-13)
         assert a.corank == 0
 
 
@@ -1104,7 +1103,7 @@ def _per_x_critical_set(fam, xs, seeds):
         for j in found[dedup(P[found], families.DEDUP_RADIUS)]:
             s = np.linalg.svd(H[j], compute_uv=False)
             rank = int((s > RANK_EPS * s[0]).sum())
-            out.append((P[j], x, np.abs(R[j]).max(), np.linalg.det(H[j : j + 1])[0], fam.k - rank))
+            out.append((P[j], x, np.abs(R[j]).max(), fam.k - rank))
     return out
 
 
@@ -1126,9 +1125,9 @@ def test_solve_critical_set_is_the_per_x_loop(name):
     got = solve_critical_set(fam, xs, seeds)
     expected = _per_x_critical_set(fam, xs, seeds)
     assert len(got) == len(expected) > 0
-    for cp, (q, x, residual, det, corank) in zip(got, expected):
+    for cp, (q, x, residual, corank) in zip(got, expected):
         assert np.array_equal(cp.q, q) and np.array_equal(cp.x, x)
-        assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
+        assert (cp.residual, cp.corank) == (residual, corank)
 
 
 def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
@@ -1139,9 +1138,9 @@ def test_solve_critical_set_is_the_per_x_loop_on_a_seedless_grid():
     got = solve_critical_set(fam, xs, seeds)
     expected = _per_x_critical_set(fam, xs, seeds)
     assert len(got) == len(expected) > len(xs)
-    for cp, (q, x, residual, det, corank) in zip(got, expected):
+    for cp, (q, x, residual, corank) in zip(got, expected):
         assert np.array_equal(cp.q, q) and np.array_equal(cp.x, x)
-        assert (cp.residual, cp.hess_q_det, cp.corank) == (residual, det, corank)
+        assert (cp.residual, cp.corank) == (residual, corank)
 
 
 # --- tools/layer_times.py: the per-layer timings of one traced point, the critical set, one RK4 step and one CSV row
