@@ -137,10 +137,12 @@ def emit_csv(chains: Sequence[Tuple], n: int, k: int, path) -> List[str]:
 
 
 def emit_svg(curves: Sequence[Tuple[np.ndarray, str, Optional[str]]], path) -> None:
-    """One <polyline> per non-empty N x 2 curve ``(points, class, text)``;
-    classes select stroke colors.  ``text`` is the curve's ``x1,x2`` lines as
-    ``emit_csv`` returned them for the same points, or None to format them
-    here.
+    """One <polyline> per N x 2 curve ``(points, class, text)`` of two or
+    more points, and one <circle> of radius and stroke width the polylines'
+    stroke width per curve of one point, which a polyline of zero length
+    would not show; an empty curve draws nothing.  Classes select stroke
+    colors.  ``text`` is the curve's ``x1,x2`` lines as ``emit_csv``
+    returned them for the same points, or None to format them here.
 
     The y axis points up (plot orientation), so world y is negated into SVG
     user units.
@@ -174,7 +176,11 @@ def emit_svg(curves: Sequence[Tuple[np.ndarray, str, Optional[str]]], path) -> N
         f"<style>{_STYLE} polyline{{stroke-width:{width}}}</style>\n",
     ]
     for pts, cls, text in drawn:
-        text = "\n".join(_x_lines(pts)) if text is None else text
-        lines.append(f'<polyline class="{cls}" points="{_svg_points(text)}"/>\n')
+        points = _svg_points("\n".join(_x_lines(pts)) if text is None else text)
+        if len(pts) == 1:
+            cx, cy = points.split(",")
+            lines.append(f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="{width}" stroke-width="{width}"/>\n')
+        else:
+            lines.append(f'<polyline class="{cls}" points="{points}"/>\n')
     lines.append("</svg>\n")
     _write(path, lines)

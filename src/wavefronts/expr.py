@@ -434,7 +434,7 @@ def parse_family(text: str, k: int, n: int) -> Expr:
 def compile_nested(exprs, var_order: Sequence[str]) -> Callable:
     """Compile an expression, or a nested list of them, to one fused closure.
 
-    ``f(v)`` returns a float for a single expression and nested tuples of the
+    ``f(v)`` returns a float for a single expression and nested lists of the
     same shape as ``exprs`` otherwise, so a whole gradient or Hessian costs one
     Python call.
     """
@@ -447,7 +447,7 @@ def compile_nested(exprs, var_order: Sequence[str]) -> Callable:
                 raise UndeclaredVariable(sorted(missing)[0])
             _constant(e)
             return e._code(index)
-        return "(" + "".join(code(item) + ", " for item in e) + ")"
+        return "[" + ", ".join(code(item) for item in e) + "]"
 
     return eval("lambda v: " + code(exprs), {})  # noqa: S307
 

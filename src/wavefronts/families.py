@@ -140,15 +140,19 @@ def critical_system(fam: GeneratingFamily, x) -> System:
     x of the rows ``index``."""
     fld, k, m = fam.field, fam.k, fam.k + fam.n
     _, G, H, _ = jet_index(m, 0)
-    point, residual, jacobian = gather(np.arange(m), None), gather(G[:k], None), gather(H[:k, :k], None)
+    read = gather((G[:k], None), (H[:k, :k], None), H[-1, -1] + 1, {})
 
     def bound(x):
-        # one x: the tuple of its floats, joined to a point's q or to every row of a stack
-        fixed = x if x.ndim == 2 else tuple(x.tolist())
+        fixed = x.tolist() if x.ndim == 1 else None
 
         def evaluate(q):
-            a = fld.jet(point(q, fixed), 0)
-            return residual(a), jacobian(a)
+            # z = (q, x): one x after a point's q, or x (one or one per row) after every row of a stack
+            if isinstance(q, np.ndarray):
+                z = np.empty(q.shape[:-1] + (m,))
+                z[..., :k], z[..., k:] = q, x
+            else:
+                z = [*q, *fixed]
+            return read(fld.jet(z, 0))
 
         return RowSystem(evaluate, lambda index: bound(x[index])) if x.ndim == 2 else System(evaluate)
 

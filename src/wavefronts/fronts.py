@@ -99,18 +99,18 @@ def _trace_seeds(system: System, points: Sequence, step: float, max_points: int,
 def front_system(gl: GraphLikeFamily, t: float) -> System:
     """(k+1) equations (dF/dq, F - t) in z = (q, x).  The Jacobian is the q
     rows of the Hessian over the gradient of F; both are read from one jet by
-    index, and ``t``, put after the jet with a 0.0, is subtracted from the
-    value (``x - 0.0`` is ``x``)."""
+    index, and ``t`` is subtracted from the value as a constant of the
+    reader (its gradient entries less a +0.0, which is no subtraction)."""
     fld, k, m = gl.base.field, gl.base.k, gl.base.k + gl.base.n
     V, G, H, _ = jet_index(m, 0)
-    end = H[-1, -1] + 1  # the (0.0, t) after the jet
-    residual = gather(np.append(G[:k], V), np.append(np.full(k, end), end + 1))
-    jacobian = gather(np.vstack([H[:k], G]), None)
-    tail = (0.0, t)
+    end = H[-1, -1] + 1
+    pz, tt = end, end + 1  # the positions of the constants 0.0 and t
+    read = gather(
+        (np.append(G[:k], V), np.append(np.full(k, pz), tt)), (np.vstack([H[:k], G]), None), end, {pz: 0.0, tt: t}
+    )
 
     def evaluate(z):
-        a = fld.jet(z, 0)
-        return residual(a, tail), jacobian(a)
+        return read(fld.jet(z, 0))
 
     return System(evaluate)
 
@@ -149,11 +149,11 @@ def caustic_system(fam: GeneratingFamily) -> System:
     fld, k, m = fam.field, fam.k, fam.k + fam.n
     _, G, H, T = jet_index(m, k)
     # for k >= 2 the det entry and its row are written over these
-    residual, jacobian = gather(np.append(G[:k], H[0, 0]), None), gather(np.vstack([H[:k], T[0, 0]]), None)
+    read = gather((np.append(G[:k], H[0, 0]), None), (np.vstack([H[:k], T[0, 0]]), None), T[-1, -1, -1] + 1, {})
 
     def evaluate(z):
         a = fld.jet(z, k)
-        res, J = residual(a), jacobian(a)
+        res, J = read(a)
         if k > 1:
             A = np.asarray(a, dtype=float)  # one array of a point's jet, as the SVD step makes of J
             Hqq = A.take(H[:k, :k], -1)
@@ -190,15 +190,15 @@ def pairing_system(fam: GeneratingFamily) -> System:
     """(2k+1) equations (dF/dq(q, x), dF/dq(q', x), F(q, x) - F(q', x)) in
     w = (q, q', x), with the Jacobian built from the field's Hessian.
 
-    Each entry is ``ab[plus] - ab[minus]`` on the two jets of one evaluate
-    and a +0.0 and a -0.0 after them: ``x - (+0.0)`` is ``x``, ``-0.0 - y``
+    Each entry is ``plus - minus`` on the two jets of one evaluate and the
+    reader's constants +0.0 and -0.0: ``x - (+0.0)`` is ``x``, ``-0.0 - y``
     is ``-y`` and ``(+0.0) - (+0.0)`` a structural zero, so every entry,
     signed zeros included, is the one direct assignment gives.
     """
     fld, k, n = fam.field, fam.k, fam.n
     V, G, H, _ = jet_index(k + n, 0)
     b = H[-1, -1] + 1  # the second jet's offset: the first ends at its last Hessian entry
-    pz, mz = 2 * b, 2 * b + 1  # the +0.0 and the -0.0 after the two jets
+    pz, mz = 2 * b, 2 * b + 1  # the positions of the constants +0.0 and -0.0
     zeros = np.full((k, k), pz)
     jac_plus = np.vstack([
         np.hstack([H[:k, :k], zeros, H[:k, k:]]),
@@ -207,15 +207,16 @@ def pairing_system(fam: GeneratingFamily) -> System:
     ])
     jac_minus = np.full(jac_plus.shape, pz)
     jac_minus[2 * k, k:] = b + G  # -dF/dq(q') and the x gradient difference
-    residual = gather(np.concatenate([G[:k], b + G[:k], [V]]), np.append(np.full(2 * k, pz), b + V))
-    jacobian = gather(jac_plus, jac_minus)
-    # the two points (q, x) and (q', x) of w
-    sheet_a, sheet_b = gather(np.r_[:k, 2 * k : 2 * k + n], None), gather(np.r_[k : 2 * k + n], None)
-    tail = (0.0, -0.0)
+    residual = (np.concatenate([G[:k], b + G[:k], [V]]), np.append(np.full(2 * k, pz), b + V))
+    read = gather(residual, (jac_plus, jac_minus), b, {pz: 0.0, mz: -0.0})
 
     def evaluate(w):
-        ab = (fld.jet(sheet_a(w), 0), fld.jet(sheet_b(w), 0), tail)
-        return residual(*ab), jacobian(*ab)
+        # the two points (q, x) and (q', x) of w
+        if isinstance(w, np.ndarray):
+            za, zb = np.concatenate([w[..., :k], w[..., 2 * k :]], axis=-1), w[..., k:]
+        else:
+            za, zb = w[:k] + w[2 * k :], w[k:]
+        return read(fld.jet(za, 0), fld.jet(zb, 0))
 
     return System(evaluate)
 

@@ -100,14 +100,12 @@ def _level_system(diagram: IntegralDiagram, t: float, box) -> System:
     gradient of mu as its Jacobian, read from the flat jet at a point;
     DomainError outside the box."""
     jet = diagram.jet_fn
-    residual, jacobian = fields.gather([0], [9]), fields.gather([[1, 2]], None)  # t after the 9 entries
-    tail = (t,)
+    read = fields.gather(([0], [9]), ([[1, 2]], None), 9, {9: t})  # t at the position after the 9 entries
 
     def evaluate(u):
         if not all(lo <= v <= hi for v, (lo, hi) in zip(u, box)):
             raise DomainError(f"point {list(u)} exits the chart box")
-        a = jet(u)
-        return residual(a, tail), jacobian(a)
+        return read(jet(u))
 
     return System(evaluate)
 
@@ -158,22 +156,26 @@ def _singular_image(diagram: IntegralDiagram) -> Tuple[np.ndarray, np.ndarray]:
 def _pairing_system(diagram: IntegralDiagram, t: float) -> System:
     """g(u) - g(v), mu(u) - t, mu(v) - t: four equations in w = (u, v), with
     the exact Jacobian ``[[Dg(u), -Dg(v)], [grad mu(u), 0], [0, grad mu(v)]]``,
-    read from the two flat jets and the constants (0.0, -0.0, t) after them
-    as ``families``' pairing system reads its jets."""
+    read from the two flat jets and the constants (0.0, -0.0, t) as
+    ``fronts.pairing_system`` reads its jets."""
     jet = fields.flat_jet(diagram.jet_fn)
-    # the second jet's entries start at 9, and 18, 19, 20 are 0.0, -0.0, t
+    # the second jet's entries start at 9, and 18, 19, 20 are the positions of 0.0, -0.0, t
     b, pz, mz, tt = 9, 18, 19, 20
-    residual = fields.gather([3, 4, 0, b], [b + 3, b + 4, tt, tt])
-    jacobian = fields.gather(
-        [[5, 6, mz, mz], [7, 8, mz, mz], [1, 2, pz, pz], [pz, pz, b + 1, b + 2]],
-        [[pz, pz, b + 5, b + 6], [pz, pz, b + 7, b + 8], [pz, pz, pz, pz], [pz, pz, pz, pz]],
+    read = fields.gather(
+        ([3, 4, 0, b], [b + 3, b + 4, tt, tt]),
+        (
+            [[5, 6, mz, mz], [7, 8, mz, mz], [1, 2, pz, pz], [pz, pz, b + 1, b + 2]],
+            [[pz, pz, b + 5, b + 6], [pz, pz, b + 7, b + 8], [pz, pz, pz, pz], [pz, pz, pz, pz]],
+        ),
+        b,
+        {pz: 0.0, mz: -0.0, tt: t},
     )
-    sheet_u, sheet_v = fields.gather([0, 1], None), fields.gather([2, 3], None)
-    tail = (0.0, -0.0, t)
 
     def evaluate(w):
-        ab = (jet(sheet_u(w)), jet(sheet_v(w)), tail)
-        return residual(*ab), jacobian(*ab)
+        # the two chart points u and v of w
+        if isinstance(w, np.ndarray):
+            return read(jet(w[..., :2]), jet(w[..., 2:]))
+        return read(jet(w[:2]), jet(w[2:]))
 
     return System(evaluate)
 

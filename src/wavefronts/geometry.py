@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,16 +44,22 @@ MAX_NORMAL_ENTRY = math.sqrt(float(np.finfo(float).max)) / 2
 class PlaneCurve:
     """A regular parametric curve in R^2 with closed-form derivatives.
 
-    Every method takes a float parameter, giving a point of shape (2,) (a
-    float for ``curvature``), or a 1-D array of parameters, giving one row
-    (one value) per sample.
+    Every array method takes a float parameter, giving a point of shape (2,)
+    (a float for ``curvature``), or a 1-D array of parameters, giving one row
+    (one value) per sample.  ``point_jet`` is the float method that the
+    distance-squared family's jet reads.
     """
 
     ambient = 2
     periodic: Optional[float] = None
-    # optional third derivative ``d3(u)``; with it the distance-squared family
-    # carries the third partials its caustic Jacobian needs
-    d3: Optional[Callable[[float], np.ndarray]] = None
+
+    def point_jet(self, u: float) -> tuple:
+        """``(x, y, x', y', x'', y'')`` at the float ``u``, as Python floats,
+        then ``(x''', y''')`` where the curve has a third derivative (with
+        it the distance-squared family carries the third partials its
+        caustic Jacobian needs): the entries of ``point``, ``d1``, ``d2``
+        and ``d3`` at ``u``, by the same operations in the same order."""
+        raise NotImplementedError
 
     def point(self, u):
         raise NotImplementedError
@@ -100,6 +106,11 @@ class Ellipse(PlaneCurve):
     def __post_init__(self):
         self.periodic = 2 * math.pi
 
+    def point_jet(self, u):
+        c, s = math.cos(u), math.sin(u)
+        x, y, dx, dy = self.a * c, self.b * s, -self.a * s, self.b * c
+        return x, y, dx, dy, -x, -y, -dx, -dy
+
     def point(self, u):
         return np.array([self.a * np.cos(u), self.b * np.sin(u)]).T
 
@@ -125,6 +136,9 @@ class Parabola(PlaneCurve):
     """The graph y = c * u^2, parameterized left to right."""
 
     c: float = 1.0
+
+    def point_jet(self, u):
+        return u, self.c * u * u, 1.0, 2 * self.c * u, 0.0, 2 * self.c, 0.0, 0.0
 
     def point(self, u):
         return np.array([u, self.c * u * u]).T
@@ -271,11 +285,12 @@ def parallel_cusps(curve: PlaneCurve, r: float, u_grid: Sequence) -> List[np.nda
 def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]:
     """The family D(u, v) = |X(u) - v|^2 with closed-form derivatives.
 
-    A plane curve's ``jet_fn`` is written out on floats (``_plane_curve_jet``)
-    and, when the curve has a ``d3``, carries the third partials d_z D_uu.  A
-    surface's evaluates X, X' and X'' once for the value, the gradient and
-    the Hessian; it has no third partials, so its caustic Jacobian uses
-    central differences of the Hessian (``ScalarField.jet``).
+    A plane curve's ``jet_fn`` is written out on floats from its
+    ``point_jet`` (``_plane_curve_jet``) and, where that has X''', carries
+    the third partials d_z D_uu.  A surface's evaluates X, X' and X'' once
+    for the value, the gradient and the Hessian; it has no third partials,
+    so its caustic Jacobian uses central differences of the Hessian
+    (``ScalarField.jet``).
     """
     if isinstance(surface, PlaneCurve):
         k, n = 1, 2
@@ -316,23 +331,22 @@ def distance_squared_family(surface) -> Tuple[GeneratingFamily, GraphLikeFamily]
 
 def _plane_curve_jet(curve: PlaneCurve):
     """``(fn, jet_fn)`` of D(u, v) = |X(u) - v|^2 for a plane curve, on
-    Python floats from one X, X', X'' (and X''') per call: the jet is the
-    value, the gradient, the Hessian and, with ``with_third`` and a ``d3``,
-    the third partials (d_u, d_v1, d_v2) of D_uu = 2 (X'' . (X - v) + X' . X')."""
-    point, d1, d2, d3 = curve.point, curve.d1, curve.d2, curve.d3
-
-    def offset(u, v1, v2):
-        x, y = point(u).tolist()
-        return x - v1, y - v2
+    Python floats from one ``point_jet`` (X, X', X'' and, where the curve has
+    it, X''') per call: the jet is the value, the gradient, the Hessian and,
+    with ``with_third`` and an X''', the third partials (d_u, d_v1, d_v2) of
+    D_uu = 2 (X'' . (X - v) + X' . X')."""
+    point_jet = curve.point_jet
 
     def fn(p):
-        dx, dy = offset(*p)
+        u, v1, v2 = p
+        x, y = point_jet(u)[:2]
+        dx, dy = x - v1, y - v2
         return dx * dx + dy * dy
 
     def jet_fn(v, with_third):
-        u = v[0]
-        dx, dy = offset(*v)
-        (ax, ay), (bx, by) = d1(u).tolist(), d2(u).tolist()
+        u, v1, v2 = v
+        x, y, ax, ay, bx, by, *third = point_jet(u)
+        dx, dy = x - v1, y - v2
         jet = [
             dx * dx + dy * dy,
             2.0 * (ax * dx + ay * dy), -2.0 * dx, -2.0 * dy,
@@ -340,8 +354,8 @@ def _plane_curve_jet(curve: PlaneCurve):
             -2.0 * ax, 2.0, 0.0,
             -2.0 * ay, 0.0, 2.0,
         ]
-        if with_third and d3 is not None:
-            cx, cy = d3(u).tolist()
+        if with_third and third:
+            cx, cy = third
             jet += [2.0 * (cx * dx + cy * dy + 3.0 * (ax * bx + ay * by)), -2.0 * bx, -2.0 * by]
         return jet
 

@@ -15,8 +15,11 @@ factorization at all, and any other one SVD.
 
 A point is the list of its m floats, from ``ScalarField.jet`` through a
 system's ``evaluate`` and ``newton_solve`` to the march of
-``continue_curve``: a traced plane point is Python float arithmetic with
-no array made, and any other makes one array of its Jacobian per Newton
+``continue_curve``: a system's ``evaluate`` of a point is one checked jet
+call (two for a pairing) and one generated read of the jet's floats by its
+``fields.gather`` reader, with every constant a float literal of that read,
+so a traced plane point is Python float arithmetic with no array made and
+nothing joined, and any other makes one array of its Jacobian per Newton
 step for the SVD.  A stack is an (N, m) array.
 """
 
@@ -199,8 +202,8 @@ class System:
     that leaves a field's box is NaN; ``newton_batch`` reads those.  The
     systems of a generating family (``critical_system``, ``front_system``,
     ``caustic_system``, ``pairing_system``) and of the ODE gallery read both
-    from one field pass through ``fields.gather`` tables built once, with
-    the same code for a point and a stack.
+    from one field pass through one ``fields.gather`` reader built once,
+    with the same code for a point and a stack.
 
     ``rows(index)`` is the system to evaluate on the rows ``index`` of a
     stack, as ``newton_batch`` does with its running rows.  Rows that carry

@@ -542,6 +542,28 @@ def test_emit_svg_two_point_curve(tmp_path):
     assert 'points="0,0 1,-2"' in body
 
 
+def test_emit_svg_draws_a_one_point_curve_as_a_mark(tmp_path):
+    # a one-point polyline has zero length and renders nothing: the point is
+    # a circle of the curve's class, its radius the polylines' stroke width
+    path = tmp_path / "one.svg"
+    emitters.emit_svg(
+        [(np.array([[0.0, 0.0], [1.0, 2.0]]), "front", None), (np.array([[0.5, 1.5]]), "caustic", None)], path
+    )
+    body = path.read_text()
+    width = body.split("polyline{stroke-width:")[1].split("}")[0]
+    assert body.count("<polyline") == 1
+    assert f'<circle class="caustic" cx="0.5" cy="-1.5" r="{width}" stroke-width="{width}"/>' in body
+
+
+def test_germ6_caustic_point_is_drawn(tmp_path, capsys):
+    # germ 6's one caustic point, the origin, where its delta branches cross
+    svg = tmp_path / "g6.svg"
+    assert run(["ode-gallery", "--germ", "6", "--t", " -0.3:0.3:0.1", "--svg", str(svg)]) == 0
+    assert "caustic 1," in capsys.readouterr().out
+    body = svg.read_text()
+    assert '<circle class="caustic" cx="0" cy="0"' in body and 'polyline class="caustic"' not in body
+
+
 def test_emit_svg_rejects_unknown_class(tmp_path):
     with pytest.raises(IoError):
         emitters.emit_svg([(np.zeros((2, 2)), "bogus", None)], tmp_path / "bad.svg")
@@ -600,9 +622,11 @@ def _ref_svg(curves):
         f'viewBox="{" ".join(vb)}">',
         f"<style>{emitters._STYLE} polyline{{stroke-width:{stroke}}}</style>",
     ]
-    for pts, cls, *_ in curves:
-        if len(pts):
-            xs, ys = _ref_fmt(pts[:, 0].tolist()), _ref_fmt((-pts[:, 1]).tolist())
+    for pts, cls, *_ in (c for c in curves if len(c[0])):
+        xs, ys = _ref_fmt(pts[:, 0].tolist()), _ref_fmt((-pts[:, 1]).tolist())
+        if len(pts) == 1:  # one point: a circle, which a zero-length polyline is not
+            lines.append(f'<circle class="{cls}" cx="{xs[0]}" cy="{ys[0]}" r="{stroke}" stroke-width="{stroke}"/>')
+        else:
             coords = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
             lines.append(f'<polyline class="{cls}" points="{coords}"/>')
     return "\n".join(lines + ["</svg>"]) + "\n"

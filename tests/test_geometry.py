@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefronts import families, fronts, geometry
-from wavefronts.errors import DegenerateMetric
+from wavefronts.errors import DegenerateMetric, DomainError, NonFiniteValue
 from wavefronts.fields import fd_jacobian
 
 
@@ -219,6 +219,34 @@ def test_curve_methods_take_arrays(us):
             rows = np.array([method(float(x)) for x in u])
             assert rows.shape == method(u).shape
             assert np.allclose(method(u), rows, rtol=1e-12, atol=1e-12), (curve, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(-geometry.U_SPAN, geometry.U_SPAN))
+def test_point_jet_is_the_array_methods(u):
+    # the float jet that the distance-squared family reads, against the
+    # array methods of the sampled paths: within 1 ulp per entry
+    for curve in (geometry.Circle(radius=1.5), geometry.Ellipse(a=2.0, b=0.7), geometry.Parabola(c=0.6)):
+        jet = curve.point_jet(u)
+        assert all(type(x) is float for x in jet)
+        ref = np.concatenate([curve.point(u), curve.d1(u), curve.d2(u), curve.d3(u)])
+        assert len(jet) == ref.size == 8
+        assert (np.abs(np.array(jet) - ref) <= np.spacing(np.abs(ref))).all(), (curve, u)
+
+
+def test_distance_squared_jet_leaves_no_math_error():
+    # u = inf is outside the box and u = nan passes it: neither reaches
+    # math.cos as a ValueError
+    fld = geometry.distance_squared_family(geometry.Ellipse(a=2.0, b=1.0))[0].field
+    for third in (0, 1):
+        with pytest.raises(DomainError):
+            fld.jet([math.inf, 0.0, 0.0], third)
+        with pytest.raises(NonFiniteValue):
+            fld.jet([math.nan, 0.0, 0.0], third)
+    with pytest.raises(DomainError):
+        fld.value([math.inf, 0.0, 0.0])
+    with pytest.raises(NonFiniteValue):
+        fld.value([math.nan, 0.0, 0.0])
 
 
 def test_flat_parabola_has_an_empty_evolute():

@@ -31,8 +31,12 @@ def _third(fld, z, r):
 
 
 class Cubic(geometry.PlaneCurve):
-    """The graph y = u^3 / 3, a plane curve without ``d3``: its closed-form
-    jet stops at the Hessian, so its caustic differences the Hessian."""
+    """The graph y = u^3 / 3, a plane curve whose ``point_jet`` stops at X'':
+    its closed-form jet stops at the Hessian, so its caustic differences the
+    Hessian."""
+
+    def point_jet(self, u):
+        return u, u**3 / 3, 1.0, u * u, 0.0, 2 * u
 
     def point(self, u):
         return np.array([u, u**3 / 3]).T
@@ -594,3 +598,33 @@ def test_gallery_point_evaluate_is_its_row_of_the_stack(germ, units, t):
             continue
         res, jac = level.evaluate(u.tolist())
         assert _bits(res, a[:1] - t) and _bits(jac, a[None, 1:3])
+
+
+# --- a reader's constants are float literals of its point path: t as its
+# exact float whatever its type, and the pairing's +0.0 and -0.0 with their
+# signs (``np.array_equal`` takes -0.0 for 0.0; ``_bits`` compares bytes)
+
+
+@pytest.mark.parametrize("t", [0.1 + 0.2, np.float64(2.0) / 3.0, np.float64(-0.0)])
+def test_front_constant_is_the_exact_float(t):
+    fam = ROW_FAMILIES["cusp"]
+    system = fronts.front_system(families.GraphLikeFamily(base=fam), t)
+    rng = np.random.default_rng(31)
+    Z = np.column_stack([rng.uniform(-2.0, 2.0, (6, 1)), rng.uniform(-X_RANGE, X_RANGE, (6, 2))])
+    R, J = system.evaluate(Z)
+    for z, r, j in zip(Z, R, J):
+        res, jac = system.evaluate(z.tolist())
+        assert _bits(res, r) and _bits(jac, j)
+        assert _bits([res[-1]], np.array([fam.field.value(z) - float(t)]))
+
+
+def test_pairing_signed_zeros_are_the_stack_row():
+    fam = ROW_FAMILIES["cusp"]
+    system = fronts.pairing_system(fam)
+    # q' = x2 = 0: dF/dq(q') = 0.0 there, so its entry -dF/dq(q') is -0.0
+    W = np.array([[0.0, 0.0, 0.5, 0.0], [0.3, -0.4, 1.5, 2.0], [0.7, 0.0, -1.0, 0.0]])
+    R, J = system.evaluate(W)
+    assert np.signbit(J[[0, 2], 2, 1]).all() and (J[[0, 2], 2, 1] == 0.0).all()
+    for w, r, j in zip(W, R, J):
+        res, jac = system.evaluate(w.tolist())
+        assert _bits(res, r) and _bits(jac, j)

@@ -1154,7 +1154,8 @@ def test_layer_times_prints_every_layer(capsys):
     assert module.main(["--repeat", "1"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == [
-        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "critical_solve",
+        "jet", "evaluate", "evaluate_stack4", "pinv_2x3", "newton_solve", "traced_point", "ellipse_caustic_evaluate",
+        "critical_solve",
         "rank_diagnostics", "rk4_step", "emit_row",
     ]
     assert all(float(line[1]) > 0.0 and line[2] == "1" for line in lines)

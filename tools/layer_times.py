@@ -1,5 +1,6 @@
 """Median microseconds of the layers of one traced point of the cusp front,
-of the cusp's critical set on a grid, of one RK4 step of the Burgers
+of one caustic evaluate of a plane curve's distance-squared family, of the
+cusp's critical set on a grid, of one RK4 step of the Burgers
 characteristics and of one emitted CSV row.
 
 Usage:  python3 tools/layer_times.py [--repeat N]
@@ -15,6 +16,11 @@ the predicted point z + h tau one ``fronts.TRACE_STEP`` along its tangent:
     newton_solve     one ``solve.newton_solve`` from the predicted point
     traced_point     one point of ``solve.continue_curve`` from z (at most
                      200 points each way), its time over its points
+    ellipse_caustic_evaluate
+                     one ``fronts.caustic_system`` ``System.evaluate`` of
+                     the distance-squared family of the ellipse a = 2,
+                     b = 1 (``geometry.distance_squared_family``) at the
+                     point (u, evolute point of u) on its caustic, u = 0.3
     critical_solve   one ``solve.newton_batch`` of the cusp's
                      ``families.critical_system`` over the stack of the
                      ``grid`` benchmark's ``critical_ranks`` op: 150 x drawn
@@ -67,6 +73,8 @@ STRIPS, DT, STEPS = 6000, 1e-3, 700
 Q, X1 = 0.9, -1.0
 # the parallels scene: offsets and samples of the ellipse a = 2, b = 1
 PAR_R, PAR_U = " -2.8:-0.4:0.4", "0:6.2832:0.001"
+# the chart parameter of the ellipse caustic point
+CAUSTIC_U = 0.3
 
 
 def median_us(fn, repeat: int, calls: int):
@@ -119,6 +127,9 @@ def layers(out_dir: str):
     res, jac = system.evaluate(pred)
     fld = gl.base.field
     curve = solve.continue_curve(system, z, fronts.TRACE_STEP, 200)
+    ellipse = geometry.Ellipse(a=2.0, b=1.0)
+    caustic = fronts.caustic_system(geometry.distance_squared_family(ellipse)[0])
+    on_caustic = [CAUSTIC_U, *ellipse.evolute_point(CAUSTIC_U).tolist()]
     cusp = gl.base
     xs = np.random.default_rng(0).uniform(-CRITICAL_SPAN, CRITICAL_SPAN, (CRITICAL_X, cusp.n))
     seeds = np.array(cusp.seeds)
@@ -134,6 +145,7 @@ def layers(out_dir: str):
         ("pinv_2x3", lambda: linalg.pinv_2x3(jac, res), 1),
         ("newton_solve", lambda: solve.newton_solve(system, pred), 1),
         ("traced_point", lambda: solve.continue_curve(system, z, fronts.TRACE_STEP, 200), len(curve.points)),
+        ("ellipse_caustic_evaluate", lambda: caustic.evaluate(on_caustic), 1),
         ("critical_solve", lambda: solve.newton_batch(critical, q_seeds), 1),
         ("rank_diagnostics", lambda: [families.rank_diagnostics(gl, cp) for cp in cps], len(cps)),
         ("rk4_step", lambda: pde.integrate_characteristics(burgers, x0, (0, STEPS * DT), DT, [STEPS * DT]), STEPS),
@@ -151,7 +163,7 @@ def main(argv=None) -> int:
         for name, fn, points in layers(out_dir):
             calls = 1 if points > 1 else calls_per_run(fn)
             us = median_us(fn, args.repeat, calls) / points
-            print(f"{name:16s}  {us:10.2f}  {args.repeat} x {calls}")
+            print(f"{name:24s}  {us:10.2f}  {args.repeat} x {calls}")
     return 0
 
 
